@@ -49,7 +49,6 @@ from .secrecy import (
     SecrecyReport,
     brute_force_mutual_information,
     verify_independence,
-    verify_uniformity,
 )
 
 __version__ = "0.1.0"
@@ -94,5 +93,4 @@ __all__ = [
     "single_bit_round",
     "subgroup_bound",
     "verify_independence",
-    "verify_uniformity",
 ]

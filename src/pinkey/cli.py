@@ -15,17 +15,18 @@ Subcommands: ``bound`` (print the case's exact bound), ``run`` (execute
 the protocol and print a deterministic report), ``oracle`` (exhaustive
 cross-checks), ``verify`` (re-run and compare a saved transcript).
 
-Exit codes: 0 success; 2 scenario validation failure; 3 an exhaustive
-guard was exceeded; 4 secrecy or bound violation, which indicates a bug
-because the constructions guarantee neither can happen.  Reports are
-byte-identical across runs for the same scenario and seed; wall time
-goes to stderr only.
+Exit codes: 0 success; 1 verify mismatch; 2 scenario validation failure;
+3 an exhaustive guard was exceeded; 4 secrecy, bound or self-check
+violation, which indicates a bug because the constructions guarantee
+none can happen.  Reports are byte-identical across runs for the same
+scenario and seed; wall time goes to stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ from math import floor
 from .bounds import BoundReport, broadcast_bound, group_bound, subgroup_bound, budget_graph
 from .errors import (
     InstanceTooLarge,
+    InvariantViolation,
     NotAStar,
     ParseError,
     ValidationError,
@@ -75,10 +77,10 @@ class Scenario:
 
 
 def _parse_int(raw: str, where: str) -> int:
-    try:
-        return int(raw, 10)
-    except ValueError:
-        raise ParseError(f"{where}: expected an integer, got {raw!r}") from None
+    # int() alone would also take "1_0", "+3" and non-ASCII digits.
+    if not re.fullmatch(r"-?[0-9]+", raw):
+        raise ParseError(f"{where}: expected an integer, got {raw!r}")
+    return int(raw)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -236,28 +238,30 @@ class RunReport:
         return out
 
     def to_text(self) -> str:
-        lines = ["report v1"]
-        for key, value in self._fields():
-            lines.append(f"{key} {_render(value)}")
-        return "\n".join(lines) + "\n"
+        return _render_kv(self._fields(), "text", "report v1")
 
     def to_json(self) -> str:
-        payload = {key: _jsonable(value) for key, value in self._fields()}
+        return _render_kv(self._fields(), "machine-readable", "report v1")
+
+
+def _render_kv(pairs: list[tuple[str, object]], fmt: str, header: str) -> str:
+    """A ``header`` line plus ``key value`` lines, or one sorted JSON object.
+
+    Text renders None as ``-`` and booleans in lower case; JSON keeps
+    ints and booleans and writes fractions as strings.
+    """
+    if fmt == "machine-readable":
+        payload = {key: str(value) if isinstance(value, Fraction) else value
+                   for key, value in pairs}
         return json.dumps(payload, sort_keys=True) + "\n"
-
-
-def _render(value: object) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
-def _jsonable(value: object) -> object:
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
+    lines = [header]
+    for key, value in pairs:
+        if value is None:
+            value = "-"
+        elif isinstance(value, bool):
+            value = "true" if value else "false"
+        lines.append(f"{key} {value}")
+    return "\n".join(lines) + "\n"
 
 
 def run_scenario(scenario: Scenario) -> tuple[RunReport, GroupKeyResult]:
@@ -324,29 +328,17 @@ def _bound_for(scenario: Scenario) -> BoundReport:
     return group_bound(spec)
 
 
-def _emit_kv(pairs: list[tuple[str, object]], fmt: str, header: str) -> None:
-    if fmt == "machine-readable":
-        payload = {key: _jsonable(value) for key, value in pairs}
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        lines = [header] + [f"{key} {_render(value)}" for key, value in pairs]
-        sys.stdout.write("\n".join(lines) + "\n")
-
-
 def _cmd_bound(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
     report = _bound_for(scenario)
-    _emit_kv(
-        [
-            ("case", report.case),
-            ("value", report.value),
-            ("floor", floor(report.value)),
-            ("formula", report.formula),
-            ("witness", str(report.witness.partition() if hasattr(report.witness, "partition") else report.witness)),
-        ],
-        scenario.fmt,
-        "bound v1",
-    )
+    rows = [
+        ("case", report.case),
+        ("value", report.value),
+        ("floor", floor(report.value)),
+        ("formula", report.formula),
+        ("witness", str(report.witness.partition() if hasattr(report.witness, "partition") else report.witness)),
+    ]
+    sys.stdout.write(_render_kv(rows, scenario.fmt, "bound v1"))
     return 0
 
 
@@ -388,7 +380,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             result.key_forms, result.transcript.forms(), len(result.basis)
         )
         rows = [("kind", kind), ("value", value), ("basis_size", len(result.basis))]
-    _emit_kv(rows, scenario.fmt, "oracle v1")
+    sys.stdout.write(_render_kv(rows, scenario.fmt, "oracle v1"))
     return 0
 
 
@@ -456,6 +448,9 @@ def main(argv: list[str] | None = None) -> int:
     except InstanceTooLarge as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    except InvariantViolation as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 4
 
 
 if __name__ == "__main__":

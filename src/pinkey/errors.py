@@ -31,3 +31,7 @@ class ParseError(KeyAgreementError):
 
 class ValidationError(KeyAgreementError):
     """A parsed scenario is semantically invalid (bad field, bad range)."""
+
+
+class InvariantViolation(KeyAgreementError):
+    """A run broke a protocol invariant the constructions guarantee (a bug)."""

@@ -84,10 +84,6 @@ class WeightedGraph:
     def copy(self) -> "WeightedGraph":
         return WeightedGraph(self.m, dict(self._weights))
 
-    def canonical_key(self) -> tuple:
-        """Hashable identity of (m, edge multiset); used for memoization."""
-        return (self.m, tuple(sorted(self._weights.items())))
-
     def __repr__(self) -> str:
         return f"WeightedGraph(m={self.m}, edges={dict(sorted(self._weights.items()))})"
 

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import broadcast_bound, budget_graph, group_bound, subgroup_bound
-from .errors import InsufficientKeyMaterial
+from .errors import InsufficientKeyMaterial, InvariantViolation
 from .graph import SpanningTree, is_connected, max_flow, maximum_spanning_tree
 from .model import NetworkSpec, PairwiseKeyStore, SourceBitBasis, local_rng
-from .secrecy import LinearForm
+from .secrecy import LinearForm, form_rows, gf2_rank
 
 # Computing the group bound means enumerating partitions, so it is only
 # attached to run stats while Bell(m) stays small.
@@ -133,40 +133,25 @@ class GroupKeyResult:
     basis: SourceBitBasis
 
 
-class _XorSolver:
-    """Incremental GF(2) row space with value tracking, for replay."""
-
-    def __init__(self) -> None:
-        self._rows: dict[int, tuple[int, int]] = {}
-
-    def add(self, mask: int, value: int) -> None:
-        while mask:
-            top = mask.bit_length() - 1
-            if top not in self._rows:
-                self._rows[top] = (mask, value)
-                return
-            row_mask, row_value = self._rows[top]
-            mask ^= row_mask
-            value ^= row_value
-        assert value == 0, "inconsistent bit equations"
-
-    def solve(self, mask: int) -> int | None:
-        value = 0
-        while mask:
-            top = mask.bit_length() - 1
-            if top not in self._rows:
-                return None
-            row_mask, row_value = self._rows[top]
-            mask ^= row_mask
-            value ^= row_value
-        return value
+def _invariant(holds: bool, message: str) -> None:
+    # Unlike assert, this check survives python -O.
+    if not holds:
+        raise InvariantViolation(message)
 
 
-def _form_mask(form: LinearForm, basis: SourceBitBasis) -> int:
-    mask = 0
-    for label in form.labels:
-        mask |= 1 << basis.index_of(label)
-    return mask
+def _transcript_table(result: GroupKeyResult) -> dict[int, int]:
+    """Kernel pivot table of the public equations, form = payload bit."""
+    table: dict[int, int] = {}
+    bits = (bit for msg in result.transcript for bit in msg.payload)
+    gf2_rank(form_rows(result.transcript.forms(), result.basis, bits), table)
+    return table
+
+
+def _add_own_bits(table: dict[int, int], basis: SourceBitBasis, terminal: int) -> None:
+    """Extend ``table`` with the equations of the terminal's own source bits."""
+    own = basis.known_to(terminal)
+    gf2_rank(form_rows(map(LinearForm.unit, own), basis, map(basis.value_of, own)), table)
+    _invariant(0 not in table, "inconsistent bit equations")
 
 
 def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
@@ -177,19 +162,18 @@ def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
     reconstruct; for anyone else None is the expected outcome unless the
     protocol intentionally routes the key through them.
     """
-    basis = result.basis
-    solver = _XorSolver()
-    for label in basis.known_to(terminal):
-        solver.add(1 << basis.index_of(label), basis.value_of(label))
-    for msg in result.transcript:
-        for form, bit in zip(msg.forms, msg.payload):
-            solver.add(_form_mask(form, basis), bit)
+    table = _transcript_table(result)
+    _add_own_bits(table, result.basis, terminal)
     out = []
-    for form in result.key_forms:
-        value = solver.solve(_form_mask(form, basis))
-        if value is None:
+    # Try each key form as the equation form = 0: it is implied (the bit
+    # is 0), contradicted (residue 1, so the bit is 1), or independent.
+    for row in form_rows(result.key_forms, result.basis):
+        if not gf2_rank([row], table):
+            out.append(0)
+        elif table.pop(0, None) is not None:
+            out.append(1)
+        else:
             return None
-        out.append(value)
     return tuple(out)
 
 
@@ -199,15 +183,21 @@ def _self_check(result: GroupKeyResult) -> None:
     values = result.basis.realized()
     for msg in result.transcript:
         for form, bit in zip(msg.forms, msg.payload):
-            assert form.evaluate(values) == bit, "transcript form does not match payload"
+            _invariant(form.evaluate(values) == bit, "transcript form does not match payload")
     for form, bit in zip(result.key_forms, result.key):
-        assert form.evaluate(values) == bit, "key form does not match key bit"
+        _invariant(form.evaluate(values) == bit, "key form does not match key bit")
     # One-time-pad discipline: a basis bit masks at most one public bit, ever.
     pads = [p for msg in result.transcript for p in msg.pads]
-    assert len(pads) == len(set(pads)), "a pad bit was reused"
-    # Replay soundness: every holder reconstructs the whole key.
+    _invariant(len(pads) == len(set(pads)), "a pad bit was reused")
+    # Replay soundness: every holder reconstructs the whole key, that is,
+    # the key equations add no rank to the holder's view.  The transcript
+    # is reduced once; each holder extends a copy with its own bits.
+    transcript = _transcript_table(result)
+    key_rows = form_rows(result.key_forms, result.basis, result.key)
     for holder in sorted(result.holders):
-        assert replay_key(result, holder) == result.key, f"holder {holder} cannot replay the key"
+        table = dict(transcript)
+        _add_own_bits(table, result.basis, holder)
+        _invariant(not gf2_rank(key_rows, table), f"holder {holder} cannot replay the key")
 
 
 def run_broadcast(store: PairwiseKeyStore, spec: NetworkSpec) -> GroupKeyResult:
@@ -240,7 +230,7 @@ def run_broadcast(store: PairwiseKeyStore, spec: NetworkSpec) -> GroupKeyResult:
     else:
         key, key_labels = (), ()
     gap = bound.value - length
-    assert gap == 0, "broadcast must meet its bound exactly"
+    _invariant(gap == 0, "broadcast must meet its bound exactly")
     result = GroupKeyResult(
         case="broadcast",
         holders=frozenset(range(spec.m)),
@@ -269,7 +259,7 @@ def run_subgroup(
     """
     bound = subgroup_bound(spec, s, t)
     flow = max_flow(budget_graph(spec), s, t)
-    assert Fraction(flow.value) == bound.value
+    _invariant(Fraction(flow.value) == bound.value, "max-flow value differs from the min-cut bound")
     fresh_labels = store.basis.new_local_bits(s, flow.value, local_rng(seed, s))
     fresh_bits = tuple(store.basis.value_of(lab) for lab in fresh_labels)
 
@@ -278,7 +268,7 @@ def run_subgroup(
     for path, amount in flow.paths:
         slices.append((path, amount, offset))
         offset += amount
-    assert offset == flow.value
+    _invariant(offset == flow.value, "flow paths do not add up to the flow value")
 
     transcript = Transcript()
     longest = max((len(path) - 1 for path, _ in flow.paths), default=0)
@@ -361,7 +351,7 @@ def single_bit_round(
                 )
             )
             queue.append(v)
-    assert len(messages) == spec.m - 2
+    _invariant(len(messages) == spec.m - 2, "a tree round must send exactly m - 2 messages")
     return shared_label, messages
 
 
@@ -375,9 +365,9 @@ def run_group_key(
     and decrements every tree edge.  The run stops when the residual
     graph disconnects; the key is one bit per iteration.
 
-    The exact partition bound is attached to the stats (and asserted
+    The exact partition bound is attached to the stats (and checked
     against) while m is small enough to enumerate partitions; beyond that
-    the cheap total/(m-1) ceiling is still asserted.
+    the cheap total/(m-1) ceiling is still checked.
     """
     g = budget_graph(spec)
     transcript = Transcript()
@@ -395,11 +385,11 @@ def run_group_key(
         key_labels.append(label)
 
     iterations = len(key_labels)
-    assert iterations <= spec.total_budget() // (spec.m - 1)
+    _invariant(iterations <= spec.total_budget() // (spec.m - 1),
+               "achieved length exceeds the total/(m-1) ceiling")
     if spec.m <= GROUP_BOUND_AUTO_LIMIT:
         bound_value: Fraction | None = group_bound(spec).value
-        assert bound_value is not None and iterations <= bound_value, \
-            "achieved length exceeds the partition bound"
+        _invariant(iterations <= bound_value, "achieved length exceeds the partition bound")
         gap: Fraction | None = bound_value - iterations
     else:
         bound_value = None

@@ -9,12 +9,21 @@ key bits K and the public transcript bits V is exactly
 and K is uniform exactly when its forms are linearly independent.  Both
 facts are checked here two ways: a rank computation over int bitsets, and
 an exhaustive histogram oracle that never looks at ranks.
+
+All GF(2) elimination in the package, ranks here and replay in
+``protocols``, goes through one kernel: ``form_rows`` encodes forms as
+int rows, and ``gf2_rank`` reduces rows into a pivot table keyed by each
+row's top bit.  Basis bit k sits at row bit k + 1; bit 0 carries the
+value the row is claimed to take.  Ranks use value 0 throughout.  For
+equations, a row whose residue is exactly ``1`` says ``0 = 1``: it lands
+as pivot 0, so a table holding pivot 0 is inconsistent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Mapping
 
 from .errors import InstanceTooLarge
@@ -75,9 +84,28 @@ class SecrecyReport:
             raise ValueError(f"inconsistent ranks in {self!r}")
 
 
-def gf2_rank(masks: Iterable[int]) -> int:
-    """Rank of a set of GF(2) row vectors packed as ints."""
-    pivots: dict[int, int] = {}
+def form_rows(
+    forms: Iterable[LinearForm], basis: SourceBitBasis, values: Iterable[int] | None = None
+) -> list[int]:
+    """Encode forms as kernel rows: basis bit k at bit k + 1, the value in bit 0.
+
+    ``values`` gives each form's claimed value; without it every value is 0.
+    """
+    index_of = basis.index_of
+    return [
+        sum(2 << index_of(label) for label in form.labels) | value
+        for form, value in zip(forms, repeat(0) if values is None else values)
+    ]
+
+
+def gf2_rank(masks: Iterable[int], pivots: dict[int, int] | None = None) -> int:
+    """Rank of a set of GF(2) row vectors packed as ints.
+
+    With ``pivots``, reduce against that table and extend it in place; the
+    result is then the rank the rows add to it.
+    """
+    if pivots is None:
+        pivots = {}
     rank = 0
     for mask in masks:
         while mask:
@@ -90,16 +118,6 @@ def gf2_rank(masks: Iterable[int]) -> int:
     return rank
 
 
-def _masks(forms: Iterable[LinearForm], basis: SourceBitBasis) -> list[int]:
-    out = []
-    for form in forms:
-        mask = 0
-        for label in form.labels:
-            mask |= 1 << basis.index_of(label)
-        out.append(mask)
-    return out
-
-
 def verify_independence(
     key_forms: Iterable[LinearForm],
     transcript_forms: Iterable[LinearForm],
@@ -110,30 +128,15 @@ def verify_independence(
     leaked_bits == 0 iff the key is statistically independent of the
     public transcript; every label must exist in ``basis``.
     """
-    key_forms = list(key_forms)
-    transcript_forms = list(transcript_forms)
-    key_masks = _masks(key_forms, basis)
-    transcript_masks = _masks(transcript_forms, basis)
+    key_rows = form_rows(key_forms, basis)
+    table: dict[int, int] = {}
+    rank_transcript = gf2_rank(form_rows(transcript_forms, basis), table)
     return SecrecyReport(
-        rank_key=gf2_rank(key_masks),
-        rank_transcript=gf2_rank(transcript_masks),
-        rank_joint=gf2_rank(key_masks + transcript_masks),
-        key_count=len(key_forms),
+        rank_key=gf2_rank(key_rows),
+        rank_transcript=rank_transcript,
+        rank_joint=rank_transcript + gf2_rank(key_rows, table),
+        key_count=len(key_rows),
     )
-
-
-def verify_uniformity(key_forms: Iterable[LinearForm]) -> bool:
-    """True iff the key forms are linearly independent (key exactly uniform)."""
-    key_forms = list(key_forms)
-    labels = sorted(set().union(*(f.labels for f in key_forms)) if key_forms else set())
-    position = {label: t for t, label in enumerate(labels)}
-    masks = []
-    for form in key_forms:
-        mask = 0
-        for label in form.labels:
-            mask |= 1 << position[label]
-        masks.append(mask)
-    return gf2_rank(masks) == len(key_forms)
 
 
 def _exact_log2(ratio: Fraction) -> int:

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
+import pinkey.protocols
 from pinkey.cli import Scenario, load_scenario, main
 from pinkey.errors import ParseError, ValidationError
 
@@ -145,6 +147,9 @@ class TestLoadScenario:
             "lonely\n",
             "version 1\nm three\nprotocol group\n",
             "version 1\nm 3\nprotocol group\npair 0 1 two\n",
+            "version 1\nm 3\nprotocol group\npair 0 1 1_0\n",
+            "version 1\nm +3\nprotocol group\n",
+            "version 1\nm 3\nprotocol group\nseed \u0663\n",
         ],
     )
     def test_parse_failures(self, tmp_path, text):
@@ -229,6 +234,21 @@ class TestRunCommand:
         path = scenario_file(tmp_path, "version 1\nm 3\nprotocol group\ncolor red\n")
         assert main(["run", "--scenario", path]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+    def test_invariant_violation_exits_4(self, tmp_path, capsys, monkeypatch):
+        real_round = pinkey.protocols.single_bit_round
+
+        def corrupted_round(*args, **kwargs):
+            label, messages = real_round(*args, **kwargs)
+            return label, [replace(m, payload=(m.payload[0] ^ 1,)) for m in messages]
+
+        monkeypatch.setattr(pinkey.protocols, "single_bit_round", corrupted_round)
+        path = scenario_file(tmp_path, TRIANGLE_SCENARIO)
+        assert main(["run", "--scenario", path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: transcript form does not match payload\n"
 
 
 class TestBoundCommand:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from pinkey import LinearForm, NetworkSpec, generate_pairwise_keys, verify_uniformity
+from pinkey import LinearForm, NetworkSpec, generate_pairwise_keys, verify_independence
 from pinkey.errors import InsufficientKeyMaterial, UnknownBasisLabel
 from pinkey.model import canonical_pair, local_rng, pair_bit_label
 
@@ -161,7 +161,7 @@ def test_issued_key_bits_are_jointly_uniform():
     for pair in TRIANGLE.pairs():
         _, labels = store.consume_bits(*pair, 2)
         forms.extend(LinearForm.unit(lab) for lab in labels)
-    assert verify_uniformity(forms)
+    assert verify_independence(forms, [], store.basis).uniform
 
 
 def test_pair_streams_do_not_depend_on_other_pairs():

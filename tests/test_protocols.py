@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -25,8 +30,8 @@ from pinkey import (
     single_bit_round,
     verify_independence,
 )
-from pinkey.errors import InsufficientKeyMaterial, NotAStar
-from pinkey.protocols import PublicMessage, bits_to_hex
+from pinkey.errors import InsufficientKeyMaterial, InvariantViolation, NotAStar
+from pinkey.protocols import PublicMessage, _self_check, bits_to_hex
 
 from helpers import random_connected_spec, random_spec
 
@@ -44,6 +49,48 @@ TRIANGLE_GROUP_TRANSCRIPT = """transcript v1
 
 def leak_report(result):
     return verify_independence(result.key_forms, result.transcript.forms(), result.basis)
+
+
+def reference_replay(result, terminal):
+    """Replay by textbook elimination over label sets, independent of the kernel.
+
+    Equations are (labels, value) pairs: the terminal's own source bits,
+    then every public payload bit.  Each stored row keeps its pivot label
+    and is reduced against all earlier rows, so one pass in order reduces
+    a new row completely.
+    """
+    basis = result.basis
+    equations = [({label}, basis.value_of(label)) for label in basis.known_to(terminal)]
+    equations += [(set(form.labels), bit)
+                  for msg in result.transcript for form, bit in zip(msg.forms, msg.payload)]
+    rows = []
+
+    def reduce(labels, value):
+        for pivot, row_labels, row_value in rows:
+            if pivot in labels:
+                labels = labels ^ row_labels
+                value ^= row_value
+        return labels, value
+
+    for labels, value in equations:
+        labels, value = reduce(labels, value)
+        if labels:
+            rows.append((min(labels), labels, value))
+        else:
+            assert value == 0, "inconsistent equations"
+    out = []
+    for form in result.key_forms:
+        labels, value = reduce(set(form.labels), 0)
+        if labels:
+            return None
+        out.append(value)
+    return tuple(out)
+
+
+def flip_first_payload_bit(result):
+    first, *rest = result.transcript
+    flipped = replace(first, payload=(first.payload[0] ^ 1,) + first.payload[1:])
+    return replace(result, transcript=Transcript([flipped, *rest]))
 
 
 class TestBroadcast:
@@ -120,6 +167,11 @@ class TestSubgroup:
         # terminal 1 relays only 3 of the 7 bits
         assert replay_key(result, 1) is None
 
+    def test_a_cut_vertex_relay_sees_the_whole_key(self):
+        spec = NetworkSpec.from_pairs(3, [(0, 1, 4), (1, 2, 4)])
+        result = run_subgroup(generate_pairwise_keys(spec, 3), spec, 0, 2, 3)
+        assert replay_key(result, 1) == result.key == reference_replay(result, 1)
+
     def test_single_edge(self):
         spec = NetworkSpec(2, {(0, 1): 6})
         store = generate_pairwise_keys(spec, 2)
@@ -155,6 +207,9 @@ class TestSubgroup:
             assert len(result.key) == min_st_cut_bruteforce(budget_graph(spec), s, t).value
             report = leak_report(result)
             assert report.leaked_bits == 0 and report.uniform
+            # holders, relays and bystanders, plus an outsider with no bits
+            for terminal in range(spec.m + 1):
+                assert replay_key(result, terminal) == reference_replay(result, terminal)
 
 
 class TestSingleBitRound:
@@ -313,3 +368,59 @@ class TestTranscripts:
         for msg in result.transcript:
             for bit, form in zip(msg.payload, msg.forms):
                 assert form.evaluate(values) == bit
+
+
+class TestSelfCheck:
+    def test_a_flipped_payload_bit_is_caught(self):
+        store = generate_pairwise_keys(TRIANGLE, 7)
+        bad = flip_first_payload_bit(run_group_key(store, TRIANGLE))
+        with pytest.raises(InvariantViolation, match="does not match payload"):
+            _self_check(bad)
+
+    def test_a_reused_pad_is_caught(self):
+        spec = NetworkSpec.star([7, 5, 9])
+        result = run_broadcast(generate_pairwise_keys(spec, 3), spec)
+        # resending a message keeps every form faithful but pads twice
+        messages = list(result.transcript)
+        bad = replace(result, transcript=Transcript(messages + messages[-1:]))
+        with pytest.raises(InvariantViolation, match="pad bit was reused"):
+            _self_check(bad)
+
+    def test_a_holder_that_cannot_replay_is_caught(self):
+        store = generate_pairwise_keys(TRIANGLE, 5)
+        result = run_subgroup(store, TRIANGLE, 0, 2, 5)
+        # the relay sees only 3 of the 7 key bits
+        bad = replace(result, holders=frozenset({0, 1, 2}))
+        with pytest.raises(InvariantViolation, match="holder 1 cannot replay"):
+            _self_check(bad)
+
+    def test_replay_rejects_inconsistent_equations(self):
+        store = generate_pairwise_keys(TRIANGLE, 7)
+        bad = flip_first_payload_bit(run_group_key(store, TRIANGLE))
+        with pytest.raises(InvariantViolation, match="inconsistent"):
+            replay_key(bad, 0)
+
+    def test_a_flipped_payload_bit_is_caught_under_python_O(self):
+        code = textwrap.dedent("""
+            from dataclasses import replace
+            from pinkey import NetworkSpec, Transcript, generate_pairwise_keys, run_group_key
+            from pinkey.errors import InvariantViolation
+            from pinkey.protocols import _self_check
+
+            assert False, "assertions must be off"
+            spec = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
+            result = run_group_key(generate_pairwise_keys(spec, 7), spec)
+            first, *rest = result.transcript
+            flipped = replace(first, payload=(first.payload[0] ^ 1,))
+            try:
+                _self_check(replace(result, transcript=Transcript([flipped, *rest])))
+            except InvariantViolation as exc:
+                print("caught:", exc)
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "caught: transcript form does not match payload\n"

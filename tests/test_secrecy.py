@@ -15,7 +15,6 @@ from pinkey import (
     generate_pairwise_keys,
     run_group_key,
     verify_independence,
-    verify_uniformity,
 )
 from pinkey.errors import InstanceTooLarge, UnknownBasisLabel
 from pinkey.secrecy import gf2_rank
@@ -87,14 +86,16 @@ class TestRank:
 
 class TestUniformity:
     def test_independent_units_are_uniform(self):
-        assert verify_uniformity([form("a"), form("b"), form("a", "b", "c")])
+        keys = [form("b0"), form("b1"), form("b0", "b1", "b2")]
+        assert verify_independence(keys, [], small_basis(3)).uniform
 
     def test_dependent_forms_are_not(self):
-        assert not verify_uniformity([form("a"), form("b"), form("a", "b")])
-        assert not verify_uniformity([form("a"), form("a")])
+        basis = small_basis(2)
+        assert not verify_independence([form("b0"), form("b1"), form("b0", "b1")], [], basis).uniform
+        assert not verify_independence([form("b0"), form("b0")], [], basis).uniform
 
     def test_empty_key_is_vacuously_uniform(self):
-        assert verify_uniformity([])
+        assert verify_independence([], [], small_basis(0)).uniform
 
 
 class TestExhaustiveOracle:
