@@ -39,8 +39,8 @@ print(f"  multicut oracle agrees: {value} at {witness}")
 packed = optimal_tree_packing_bruteforce(budget_graph(triangle))
 print(f"  optimal packing attains it: {packed}")
 
-# A fractional bound: the 4-cycle with unit budgets has crossing
-# weight 4 over k-1 = 3 blocks minus... just look:
+# A fractional bound: on the unit 4-cycle, splitting into all four
+# singletons cuts weight 4 over k-1 = 3, and no partition does better.
 cycle = NetworkSpec.from_pairs(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
 report = group_bound(cycle)
 show("group key on the unit 4-cycle", report)

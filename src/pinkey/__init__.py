@@ -18,6 +18,7 @@ from .graph import (
     WeightedGraph,
     enumerate_partitions,
     enumerate_spanning_trees,
+    graph_strength,
     is_connected,
     max_flow,
     maximum_spanning_tree,
@@ -78,6 +79,7 @@ __all__ = [
     "enumerate_spanning_trees",
     "errors",
     "generate_pairwise_keys",
+    "graph_strength",
     "group_bound",
     "is_connected",
     "max_flow",

@@ -35,3 +35,9 @@ class ValidationError(KeyAgreementError):
 
 class InvariantViolation(KeyAgreementError):
     """A run broke a protocol invariant the constructions guarantee (a bug)."""
+
+
+def invariant(holds: bool, message: str) -> None:
+    """Raise InvariantViolation unless ``holds``; unlike assert, survives python -O."""
+    if not holds:
+        raise InvariantViolation(message)

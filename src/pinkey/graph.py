@@ -1,8 +1,10 @@
-"""Weighted-graph machinery: flows, cuts, spanning trees, partitions.
+"""Weighted-graph machinery: flows, cuts, strength, spanning trees, partitions.
 
 Graphs here are undirected with positive integer weights; a pairwise key
 is one budget usable in either direction, so directed capacities collapse
 onto a single weight per pair.  Zero-weight pairs are simply absent.
+Every max flow, including the min cuts behind graph strength, runs on
+one Edmonds-Karp kernel.
 
 The exhaustive operations (cut enumeration, partition enumeration, tree
 packing) are oracles for testing the fast paths and for measuring how far
@@ -18,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GraphDisconnected, InstanceTooLarge
+from .errors import GraphDisconnected, InstanceTooLarge, invariant
 
 CUT_ENUM_NODE_LIMIT = 20        # min_st_cut_bruteforce enumerates 2**(m-2) sides
 PARTITION_NODE_LIMIT = 12       # Bell(12) is ~4.2e6, the practical ceiling
@@ -242,7 +244,7 @@ class CutResult:
         return Partition((self.source_side, rest))
 
 
-def _edmonds_karp(g: WeightedGraph, s: int, t: int) -> tuple[int, dict[int, dict[int, int]]]:
+def _undirected_capacities(g: WeightedGraph) -> dict[int, dict[int, int]]:
     # Residual capacities start at the full weight in both directions;
     # pushing f along u->v moves capacity from (u,v) to (v,u), which is
     # the standard undirected-edge treatment.
@@ -250,18 +252,30 @@ def _edmonds_karp(g: WeightedGraph, s: int, t: int) -> tuple[int, dict[int, dict
     for i, j, w in g.edges():
         cap[i][j] = w
         cap[j][i] = w
+    return cap
+
+
+def _edmonds_karp(cap: dict[int, dict[int, int]], s: int, t: int) -> int:
+    """Augment the residual table ``cap`` to a maximum s-t flow; return its value.
+
+    ``cap[u][v]`` is the residual capacity of arc u->v, and every arc
+    needs its reverse entry (zero for a one-way arc).  Neighbours are
+    scanned in ascending order, which fixes the flow found and so the
+    path decomposition that subgroup transcripts follow.
+    """
+    order = {u: sorted(arcs) for u, arcs in cap.items()}
     value = 0
     while True:
         parent: dict[int, int | None] = {s: None}
         queue = deque([s])
         while queue and t not in parent:
             u = queue.popleft()
-            for v in sorted(cap[u]):
+            for v in order[u]:
                 if v not in parent and cap[u][v] > 0:
                     parent[v] = u
                     queue.append(v)
         if t not in parent:
-            return value, cap
+            return value
         bottleneck = None
         node = t
         while parent[node] is not None:
@@ -269,7 +283,7 @@ def _edmonds_karp(g: WeightedGraph, s: int, t: int) -> tuple[int, dict[int, dict
             c = cap[prev][node]
             bottleneck = c if bottleneck is None else min(bottleneck, c)
             node = prev
-        assert bottleneck is not None and bottleneck > 0
+        invariant(bottleneck is not None and bottleneck > 0, "augmenting path has no capacity")
         node = t
         while parent[node] is not None:
             prev = parent[node]
@@ -277,6 +291,19 @@ def _edmonds_karp(g: WeightedGraph, s: int, t: int) -> tuple[int, dict[int, dict
             cap[node][prev] += bottleneck
             node = prev
         value += bottleneck
+
+
+def _residual_side(cap: dict[int, dict[int, int]], s: int) -> frozenset[int]:
+    """Nodes reachable from s over positive residual arcs: the smallest min-cut side."""
+    seen = {s}
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        for v, c in cap[u].items():
+            if c > 0 and v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return frozenset(seen)
 
 
 def _decompose(
@@ -327,7 +354,8 @@ def max_flow(g: WeightedGraph, s: int, t: int) -> FlowAssignment:
     for node in (s, t):
         if not (0 <= node < g.m):
             raise ValueError(f"terminal {node} out of range for m={g.m}")
-    value, cap = _edmonds_karp(g, s, t)
+    cap = _undirected_capacities(g)
+    value = _edmonds_karp(cap, s, t)
     net: dict[tuple[int, int], int] = {}
     for i, j, w in g.edges():
         x = (cap[j][i] - cap[i][j]) // 2
@@ -340,7 +368,7 @@ def max_flow(g: WeightedGraph, s: int, t: int) -> FlowAssignment:
     for path, amount in paths:
         for u, v in zip(path, path[1:]):
             rebuilt[(u, v)] = rebuilt.get((u, v), 0) + amount
-    assert sum(amount for _, amount in paths) == value
+    invariant(sum(amount for _, amount in paths) == value, "flow paths do not add up to the flow value")
     return FlowAssignment(value=value, flows=rebuilt, paths=paths)
 
 
@@ -348,18 +376,11 @@ def min_st_cut(g: WeightedGraph, s: int, t: int) -> CutResult:
     """Minimum s-t cut from the max-flow residual graph (fast path)."""
     if s == t:
         raise ValueError("source and sink must differ")
-    value, cap = _edmonds_karp(g, s, t)
-    seen = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for v, c in cap[u].items():
-            if c > 0 and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    side = frozenset(seen)
+    cap = _undirected_capacities(g)
+    value = _edmonds_karp(cap, s, t)
+    side = _residual_side(cap, s)
     crossing = sum(w for i, j, w in g.edges() if (i in side) != (j in side))
-    assert crossing == value, "residual cut does not match the flow value"
+    invariant(crossing == value, "residual cut does not match the flow value")
     return CutResult(value=value, source_side=side, m=g.m)
 
 
@@ -385,6 +406,84 @@ def min_st_cut_bruteforce(g: WeightedGraph, s: int, t: int) -> CutResult:
             best_side = frozenset(side)
     assert best_value is not None and best_side is not None
     return CutResult(value=best_value, source_side=best_side, m=g.m)
+
+
+# --- strength -----------------------------------------------------------
+
+
+def graph_strength(g: WeightedGraph) -> tuple[Fraction, Partition]:
+    """Minimize crossing_weight / (k - 1) over partitions with k >= 2 blocks, exactly.
+
+    The same minimum as min_normalized_multicut, in polynomial time
+    (Cunningham, "Optimal attack and reinforcement of a network", JACM
+    1985).  A Newton loop on the ratio starts at the singleton partition's
+    W / (m - 1); each step finds a partition minimizing
+    crossing_weight - ratio * (k - 1), and moves to that partition's ratio
+    while it is smaller.
+
+    The witness is the partition of the last improving step, or the
+    singletons if none improved: the finest partition attaining the
+    minimum, which refines every other partition that attains it.
+    """
+    if g.m < 2:
+        raise ValueError(f"no qualifying partition of m={g.m} nodes")
+    best = Fraction(g.total_weight(), g.m - 1)
+    witness = Partition(tuple(frozenset((v,)) for v in range(g.m)))
+    while True:
+        partition = _min_penalized_partition(g, best)
+        if partition.k < 2:
+            break
+        ratio = partition.normalized_weight(g)
+        if ratio >= best:
+            break
+        best, witness = ratio, partition
+    return best, witness
+
+
+def _min_penalized_partition(g: WeightedGraph, ratio: Fraction) -> Partition:
+    """A partition, k = 1 allowed, minimizing crossing_weight - ratio * (k - 1).
+
+    With ratio = p/q and d(S) the weight leaving S, 2q times that
+    objective is sum(f(B) for B in blocks) + 2p for f(S) = q d(S) - 2p,
+    so the minimizer is the Dilworth truncation of f.  Its greedy over
+    nodes i = 0..m-1 sets x_i to the least f(S) - x(S - i) over sets S
+    with i in S and S within 0..i.  That is one min cut: source i, every
+    node after i merged into a sink, the sign of each earlier x_u as an
+    arc from the source or to the sink.  Each smallest minimizing S is
+    tight for the final x, so the sets merged where they meet are the
+    blocks of a minimizer.
+    """
+    p, q = ratio.numerator, ratio.denominator
+    edges = g.edges()
+    x = [0] * g.m
+    blocks = _UnionFind(g.m)
+    for i in range(g.m):
+        sink = i + 1  # stands for all of i + 1 .. m - 1
+        cap: dict[int, dict[int, int]] = {u: {} for u in range(i + 2)}
+        for u, v, w in edges:
+            if u > i:
+                break
+            _add_arc(cap, u, min(v, sink), q * w, q * w)
+        offset = 0
+        for u in range(i):
+            if x[u] > 0:
+                _add_arc(cap, i, u, x[u])
+                offset += x[u]
+            elif x[u] < 0:
+                _add_arc(cap, u, sink, -x[u])
+        # The cut of side S is q d(S) + offset - x(S - i).
+        x[i] = _edmonds_karp(cap, i, sink) - offset - 2 * p
+        for u in _residual_side(cap, i):
+            blocks.union(i, u)
+    members: dict[int, set[int]] = {}
+    for v in range(g.m):
+        members.setdefault(blocks.find(v), set()).add(v)
+    return Partition(tuple(frozenset(b) for b in members.values()))
+
+
+def _add_arc(cap: dict[int, dict[int, int]], u: int, v: int, c: int, back: int = 0) -> None:
+    cap[u][v] = cap[u].get(v, 0) + c
+    cap[v][u] = cap[v].get(u, 0) + back
 
 
 # --- spanning trees -----------------------------------------------------

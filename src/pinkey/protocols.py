@@ -23,15 +23,17 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .bounds import broadcast_bound, budget_graph, group_bound, subgroup_bound
-from .errors import InsufficientKeyMaterial, InvariantViolation
+from .errors import InsufficientKeyMaterial, invariant
 from .graph import SpanningTree, is_connected, max_flow, maximum_spanning_tree
 from .model import NetworkSpec, PairwiseKeyStore, SourceBitBasis, local_rng
-from .secrecy import LinearForm, form_rows, gf2_rank
+from .secrecy import LinearForm, form_rows, gf2_rank, own_rows
 
-# Computing the group bound means enumerating partitions, so it is only
-# attached to run stats while Bell(m) stays small.
+# The group bound costs m min cuts per Newton step, so it is cheap at any
+# m.  Runs attach it to their stats only up to this size, which keeps the
+# reports of larger group runs as they were, with bound and gap "-".
 GROUP_BOUND_AUTO_LIMIT = 9
 
 
@@ -133,12 +135,6 @@ class GroupKeyResult:
     basis: SourceBitBasis
 
 
-def _invariant(holds: bool, message: str) -> None:
-    # Unlike assert, this check survives python -O.
-    if not holds:
-        raise InvariantViolation(message)
-
-
 def _transcript_table(result: GroupKeyResult) -> dict[int, int]:
     """Kernel pivot table of the public equations, form = payload bit."""
     table: dict[int, int] = {}
@@ -147,11 +143,10 @@ def _transcript_table(result: GroupKeyResult) -> dict[int, int]:
     return table
 
 
-def _add_own_bits(table: dict[int, int], basis: SourceBitBasis, terminal: int) -> None:
-    """Extend ``table`` with the equations of the terminal's own source bits."""
-    own = basis.known_to(terminal)
-    gf2_rank(form_rows(map(LinearForm.unit, own), basis, map(basis.value_of, own)), table)
-    _invariant(0 not in table, "inconsistent bit equations")
+def _add_own_bits(table: dict[int, int], rows: Iterable[int]) -> None:
+    """Extend ``table`` with a terminal's own-bit rows from ``own_rows``."""
+    gf2_rank(rows, table)
+    invariant(0 not in table, "inconsistent bit equations")
 
 
 def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
@@ -163,7 +158,7 @@ def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
     protocol intentionally routes the key through them.
     """
     table = _transcript_table(result)
-    _add_own_bits(table, result.basis, terminal)
+    _add_own_bits(table, own_rows(result.basis).get(terminal, ()))
     out = []
     # Try each key form as the equation form = 0: it is implied (the bit
     # is 0), contradicted (residue 1, so the bit is 1), or independent.
@@ -183,21 +178,22 @@ def _self_check(result: GroupKeyResult) -> None:
     values = result.basis.realized()
     for msg in result.transcript:
         for form, bit in zip(msg.forms, msg.payload):
-            _invariant(form.evaluate(values) == bit, "transcript form does not match payload")
+            invariant(form.evaluate(values) == bit, "transcript form does not match payload")
     for form, bit in zip(result.key_forms, result.key):
-        _invariant(form.evaluate(values) == bit, "key form does not match key bit")
+        invariant(form.evaluate(values) == bit, "key form does not match key bit")
     # One-time-pad discipline: a basis bit masks at most one public bit, ever.
     pads = [p for msg in result.transcript for p in msg.pads]
-    _invariant(len(pads) == len(set(pads)), "a pad bit was reused")
+    invariant(len(pads) == len(set(pads)), "a pad bit was reused")
     # Replay soundness: every holder reconstructs the whole key, that is,
     # the key equations add no rank to the holder's view.  The transcript
     # is reduced once; each holder extends a copy with its own bits.
     transcript = _transcript_table(result)
     key_rows = form_rows(result.key_forms, result.basis, result.key)
+    own = own_rows(result.basis)
     for holder in sorted(result.holders):
         table = dict(transcript)
-        _add_own_bits(table, result.basis, holder)
-        _invariant(not gf2_rank(key_rows, table), f"holder {holder} cannot replay the key")
+        _add_own_bits(table, own.get(holder, ()))
+        invariant(not gf2_rank(key_rows, table), f"holder {holder} cannot replay the key")
 
 
 def run_broadcast(store: PairwiseKeyStore, spec: NetworkSpec) -> GroupKeyResult:
@@ -230,7 +226,7 @@ def run_broadcast(store: PairwiseKeyStore, spec: NetworkSpec) -> GroupKeyResult:
     else:
         key, key_labels = (), ()
     gap = bound.value - length
-    _invariant(gap == 0, "broadcast must meet its bound exactly")
+    invariant(gap == 0, "broadcast must meet its bound exactly")
     result = GroupKeyResult(
         case="broadcast",
         holders=frozenset(range(spec.m)),
@@ -259,7 +255,7 @@ def run_subgroup(
     """
     bound = subgroup_bound(spec, s, t)
     flow = max_flow(budget_graph(spec), s, t)
-    _invariant(Fraction(flow.value) == bound.value, "max-flow value differs from the min-cut bound")
+    invariant(Fraction(flow.value) == bound.value, "max-flow value differs from the min-cut bound")
     fresh_labels = store.basis.new_local_bits(s, flow.value, local_rng(seed, s))
     fresh_bits = tuple(store.basis.value_of(lab) for lab in fresh_labels)
 
@@ -268,7 +264,7 @@ def run_subgroup(
     for path, amount in flow.paths:
         slices.append((path, amount, offset))
         offset += amount
-    _invariant(offset == flow.value, "flow paths do not add up to the flow value")
+    invariant(offset == flow.value, "flow paths do not add up to the flow value")
 
     transcript = Transcript()
     longest = max((len(path) - 1 for path, _ in flow.paths), default=0)
@@ -351,7 +347,7 @@ def single_bit_round(
                 )
             )
             queue.append(v)
-    _invariant(len(messages) == spec.m - 2, "a tree round must send exactly m - 2 messages")
+    invariant(len(messages) == spec.m - 2, "a tree round must send exactly m - 2 messages")
     return shared_label, messages
 
 
@@ -366,8 +362,8 @@ def run_group_key(
     graph disconnects; the key is one bit per iteration.
 
     The exact partition bound is attached to the stats (and checked
-    against) while m is small enough to enumerate partitions; beyond that
-    the cheap total/(m-1) ceiling is still checked.
+    against) for m <= GROUP_BOUND_AUTO_LIMIT; beyond that only the
+    total/(m-1) ceiling is checked.
     """
     g = budget_graph(spec)
     transcript = Transcript()
@@ -385,11 +381,11 @@ def run_group_key(
         key_labels.append(label)
 
     iterations = len(key_labels)
-    _invariant(iterations <= spec.total_budget() // (spec.m - 1),
+    invariant(iterations <= spec.total_budget() // (spec.m - 1),
                "achieved length exceeds the total/(m-1) ceiling")
     if spec.m <= GROUP_BOUND_AUTO_LIMIT:
         bound_value: Fraction | None = group_bound(spec).value
-        _invariant(iterations <= bound_value, "achieved length exceeds the partition bound")
+        invariant(iterations <= bound_value, "achieved length exceeds the partition bound")
         gap: Fraction | None = bound_value - iterations
     else:
         bound_value = None

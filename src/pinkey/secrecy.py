@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import InstanceTooLarge
 from .model import SourceBitBasis
@@ -96,6 +96,26 @@ def form_rows(
         sum(2 << index_of(label) for label in form.labels) | value
         for form, value in zip(forms, repeat(0) if values is None else values)
     ]
+
+
+def own_rows(basis: SourceBitBasis) -> dict[int, Iterator[int]]:
+    """Each terminal's own source bits as kernel rows, in basis order.
+
+    A bit's row is what ``form_rows`` gives for its unit form and its
+    realized value.  One pass over the basis groups the positions of
+    every owner; the rows, up to ``len(basis)`` bits wide each, are built
+    only as each owner's iterator is read, so each can be read once.
+    """
+    values = basis.realized()
+    labels = basis.labels
+    positions: dict[int, list[int]] = {}
+    for position, label in enumerate(labels):
+        for owner in basis.owners_of(label):
+            positions.setdefault(owner, []).append(position)
+    return {
+        owner: ((2 << k) | values[labels[k]] for k in owned)
+        for owner, owned in positions.items()
+    }
 
 
 def gf2_rank(masks: Iterable[int], pivots: dict[int, int] | None = None) -> int:

@@ -13,6 +13,7 @@ from pinkey import (
     budget_graph,
     enumerate_partitions,
     group_bound,
+    min_st_cut_bruteforce,
     subgroup_bound,
 )
 from pinkey.errors import NotAStar
@@ -64,6 +65,14 @@ class TestSubgroupBound:
             subgroup_bound(TRIANGLE, 1, 1)
         with pytest.raises(ValueError):
             subgroup_bound(TRIANGLE, 0, 3)
+
+    def test_matches_cut_enumeration_on_random_specs(self):
+        rng = random.Random(505)
+        for _ in range(60):
+            spec = random_spec(rng, max_m=9)
+            s, t = rng.sample(range(spec.m), 2)
+            expected = min_st_cut_bruteforce(budget_graph(spec), s, t).value
+            assert subgroup_bound(spec, s, t).value == expected
 
 
 class TestGroupBound:

@@ -264,6 +264,16 @@ class TestBoundCommand:
             "witness {0}|{1}|{2}\n"
         )
 
+    def test_group_bound_past_the_enumeration_guard(self, tmp_path, capsys):
+        # oracle multicut refuses m = 13 (exit 3); the bound itself does not
+        lines = ["version 1", "m 13", "protocol group"]
+        lines += [f"pair {i} {(i + 1) % 13} 1" for i in range(13)]
+        path = scenario_file(tmp_path, "\n".join(lines) + "\n")
+        assert main(["bound", "--scenario", path]) == 0
+        out = capsys.readouterr().out
+        assert "value 13/12\n" in out and "floor 1\n" in out
+        assert "witness " + "|".join(f"{{{v}}}" for v in range(13)) + "\n" in out
+
     def test_broadcast_bound(self, tmp_path, capsys):
         path = scenario_file(tmp_path, STAR_SCENARIO)
         assert main(["bound", "--scenario", path]) == 0

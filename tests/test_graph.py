@@ -13,6 +13,7 @@ from pinkey import (
     WeightedGraph,
     enumerate_partitions,
     enumerate_spanning_trees,
+    graph_strength,
     is_connected,
     max_flow,
     maximum_spanning_tree,
@@ -21,7 +22,8 @@ from pinkey import (
     min_st_cut_bruteforce,
     optimal_tree_packing_bruteforce,
 )
-from pinkey.errors import GraphDisconnected, InstanceTooLarge
+import pinkey.graph
+from pinkey.errors import GraphDisconnected, InstanceTooLarge, InvariantViolation
 
 from helpers import random_connected_spec, random_spec
 from pinkey import budget_graph
@@ -151,6 +153,14 @@ class TestMinCut:
         with pytest.raises(InstanceTooLarge):
             min_st_cut_bruteforce(WeightedGraph(21), 0, 1)
 
+    def test_wrong_flow_value_is_an_invariant_violation(self, monkeypatch):
+        real_kernel = pinkey.graph._edmonds_karp
+        monkeypatch.setattr(pinkey.graph, "_edmonds_karp", lambda *args: real_kernel(*args) + 1)
+        with pytest.raises(InvariantViolation, match="residual cut"):
+            min_st_cut(TRIANGLE, 0, 2)
+        with pytest.raises(InvariantViolation, match="flow paths"):
+            max_flow(TRIANGLE, 0, 2)
+
 
 class TestSpanningTrees:
     def test_triangle_maximum_tree(self):
@@ -273,6 +283,53 @@ class TestNormalizedMulticut:
             )
             assert value <= two_block
             assert value <= Fraction(g.total_weight(), g.m - 1)
+
+
+class TestGraphStrength:
+    def test_equals_enumeration_on_random_graphs(self):
+        # max_w=1 gives unit weights: many ties and many disconnected graphs
+        rng = random.Random(407)
+        graphs = [WeightedGraph(2), WeightedGraph(2, {(0, 1): 3})]
+        graphs += [random_graph(rng, max_m=8, max_w=rng.choice((1, 2, 8))) for _ in range(80)]
+        assert any(not is_connected(g) for g in graphs)
+        for g in graphs:
+            value, witness = graph_strength(g)
+            assert value == min_normalized_multicut(g)[0]
+            assert witness.normalized_weight(g) == value
+
+    def test_witness_refines_every_tied_partition(self):
+        rng = random.Random(408)
+        for _ in range(60):
+            g = random_graph(rng, max_m=6, max_w=rng.choice((1, 2)))
+            value, witness = graph_strength(g)
+            where = witness.block_index()
+            for partition in enumerate_partitions(g.m):
+                if partition.normalized_weight(g) == value:
+                    block = partition.block_index()
+                    assert all(block[u] == block[v] for u in range(g.m) for v in range(g.m)
+                               if where[u] == where[v]), (g, witness, partition)
+
+    def test_singletons_witness_a_uniform_complete_graph(self):
+        value, witness = graph_strength(complete_graph(4, 1))
+        assert value == 2 and str(witness) == "{0}|{1}|{2}|{3}"
+
+    def test_closed_forms_past_the_enumeration_guard(self):
+        for m in (13, 16, 40):
+            assert graph_strength(complete_graph(m, 3))[0] == Fraction(3 * m, 2)
+            cycle = WeightedGraph(m, {(i, (i + 1) % m): 1 for i in range(m)})
+            assert graph_strength(cycle) == (Fraction(m, m - 1), Partition(
+                tuple(frozenset((v,)) for v in range(m))))
+            # leaf budgets 5..15, so the poorest leaf recurs from m = 13 on;
+            # the finest witness isolates every poorest leaf
+            leaves = [5 + (7 * i) % 11 for i in range(m - 1)]
+            star = WeightedGraph(m, {(0, i + 1): b for i, b in enumerate(leaves)})
+            poorest = frozenset(i + 1 for i, b in enumerate(leaves) if b == min(leaves))
+            assert graph_strength(star) == (Fraction(min(leaves)), Partition(
+                (frozenset(range(m)) - poorest, *(frozenset((v,)) for v in poorest))))
+
+    def test_needs_two_nodes(self):
+        with pytest.raises(ValueError):
+            graph_strength(WeightedGraph(1))
 
 
 class TestTreePacking:
