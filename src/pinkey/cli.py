@@ -48,7 +48,7 @@ from .graph import (
     min_st_cut_bruteforce,
     optimal_tree_packing_bruteforce,
 )
-from .model import NetworkSpec, canonical_pair, generate_pairwise_keys
+from .model import NetworkSpec, generate_pairwise_keys
 from .protocols import GroupKeyResult, run_broadcast, run_group_key, run_subgroup
 from .secrecy import SecrecyReport, brute_force_mutual_information, verify_independence
 
@@ -161,19 +161,10 @@ def load_scenario(path: str) -> Scenario:
             if field in scalars:
                 raise ValidationError(f"{field}: only valid for the subgroup protocol")
 
-    budgets: dict[tuple[int, int], int] = {}
-    for i, j, w in pairs:
-        if i == j:
-            raise ValidationError(f"pair: self-pair ({i}, {j}) is not allowed")
-        if not (0 <= i < m and 0 <= j < m):
-            raise ValidationError(f"pair: ({i}, {j}) out of range for m={m}")
-        key = canonical_pair(i, j)
-        if key in budgets:
-            raise ValidationError(f"pair: duplicate pair {key}")
-        if w < 0:
-            raise ValidationError(f"pair: budget for {key} must be nonnegative, got {w}")
-        if w > 0:
-            budgets[key] = w
+    try:
+        budgets = NetworkSpec.from_pairs(m, pairs).budgets
+    except ValueError as exc:
+        raise ValidationError(f"pair: {exc}") from None
 
     return Scenario(m=m, budgets=budgets, protocol=protocol, seed=seed,
                     s=s, t=t, tie_break=tie_break, fmt=fmt)

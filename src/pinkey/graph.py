@@ -68,15 +68,6 @@ class WeightedGraph:
         """All (i, j, weight) triples, i < j, in ascending pair order."""
         return [(i, j, self._weights[(i, j)]) for (i, j) in sorted(self._weights)]
 
-    def neighbors(self, u: int) -> list[int]:
-        out = set()
-        for i, j in self._weights:
-            if i == u:
-                out.add(j)
-            elif j == u:
-                out.add(i)
-        return sorted(out)
-
     def edge_count(self) -> int:
         return len(self._weights)
 
@@ -92,15 +83,8 @@ class WeightedGraph:
 
 def is_connected(g: WeightedGraph) -> bool:
     """True iff every node is reachable from node 0 over positive edges."""
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == g.m
+    uf = _UnionFind(g.m)
+    return sum(uf.union(i, j) for i, j in g._weights) == g.m - 1
 
 
 # --- partitions ---------------------------------------------------------
@@ -547,43 +531,51 @@ class SpanningTree:
 def maximum_spanning_tree(g: WeightedGraph, tie_break: str = "lex-kruskal") -> SpanningTree:
     """Maximum-weight spanning tree under a named deterministic tie-break.
 
-    lex-kruskal: edges sorted by (weight desc, smaller endpoint asc,
-    larger endpoint asc), greedily added when acyclic.
+    One Kruskal pass: edges sorted by (weight desc, smaller endpoint asc,
+    larger endpoint asc) are walked one weight class at a time.  The
+    heaviest addable weight never rises as the forest grows, so both
+    policies finish a class before moving to the next lighter one.
 
-    degree-min: among maximum-weight addable edges, pick the one that
+    lex-kruskal: take the class's edges in order, each one that joins
+    two components.
+
+    degree-min: among the class's addable edges, pick the one that
     minimizes the resulting maximum node degree of the partial forest,
-    breaking remaining ties lexicographically.  Both policies produce a
-    maximum-weight tree; they differ only in which one.
+    breaking remaining ties lexicographically; repeat until none is
+    addable.
+
+    Both policies produce a maximum-weight tree; they differ only in
+    which one.  Both raise GraphDisconnected when the forest ends with
+    fewer than m-1 edges, which is the run path's only connectivity
+    test.  A single node (m = 1) gives the empty tree.
     """
     if tie_break not in TIE_BREAK_POLICIES:
         raise ValueError(f"unknown tie-break policy {tie_break!r}; choose from {TIE_BREAK_POLICIES}")
-    if not is_connected(g):
-        raise GraphDisconnected("graph has no spanning tree")
-    if tie_break == "lex-kruskal":
-        uf = _UnionFind(g.m)
-        chosen = []
-        for i, j, _ in sorted(g.edges(), key=lambda e: (-e[2], e[0], e[1])):
-            if uf.union(i, j):
-                chosen.append((i, j))
-                if len(chosen) == g.m - 1:
-                    break
-        return SpanningTree(tuple(chosen))
-
     uf = _UnionFind(g.m)
     degree = [0] * g.m
-    chosen = []
-    while len(chosen) < g.m - 1:
-        addable = [(i, j, w) for i, j, w in g.edges() if uf.find(i) != uf.find(j)]
-        top = max(w for _, _, w in addable)
-        current_max = max(degree)
-        best = min(
-            ((i, j) for i, j, w in addable if w == top),
-            key=lambda e: (max(current_max, degree[e[0]] + 1, degree[e[1]] + 1), e),
-        )
-        uf.union(*best)
-        degree[best[0]] += 1
-        degree[best[1]] += 1
-        chosen.append(best)
+    peak = 0
+    chosen: list[tuple[int, int]] = []
+    ranked = sorted(g._weights.items(), key=lambda item: (-item[1], item[0]))
+    for _, group in itertools.groupby(ranked, key=lambda item: item[1]):
+        if len(chosen) == g.m - 1:
+            break
+        pairs = [pair for pair, _ in group]
+        if tie_break == "lex-kruskal":
+            chosen += [(i, j) for i, j in pairs if uf.union(i, j)]
+            continue
+        while True:
+            root = [uf.find(v) for v in range(g.m)]
+            pairs = [(i, j) for i, j in pairs if root[i] != root[j]]
+            if not pairs:
+                break
+            _, i, j = min((max(peak, degree[i] + 1, degree[j] + 1), i, j) for i, j in pairs)
+            uf.union(i, j)
+            degree[i] += 1
+            degree[j] += 1
+            peak = max(peak, degree[i], degree[j])
+            chosen.append((i, j))
+    if len(chosen) < g.m - 1:
+        raise GraphDisconnected("graph has no spanning tree")
     return SpanningTree(tuple(chosen))
 
 

@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .bounds import broadcast_bound, budget_graph, group_bound, subgroup_bound
-from .errors import InsufficientKeyMaterial, invariant
-from .graph import SpanningTree, is_connected, max_flow, maximum_spanning_tree
+from .errors import GraphDisconnected, InsufficientKeyMaterial, invariant
+from .graph import SpanningTree, max_flow, maximum_spanning_tree
 from .model import NetworkSpec, PairwiseKeyStore, SourceBitBasis, local_rng
 from .secrecy import LinearForm, form_rows, gf2_rank, own_rows
 
@@ -358,8 +358,9 @@ def run_group_key(
 
     Each iteration takes a maximum spanning tree of the remaining budgets
     (under the chosen tie-break policy), floods one shared bit along it,
-    and decrements every tree edge.  The run stops when the residual
-    graph disconnects; the key is one bit per iteration.
+    and decrements every tree edge.  The run stops when no spanning tree
+    remains, that is when maximum_spanning_tree raises GraphDisconnected;
+    the key is one bit per iteration.
 
     The exact partition bound is attached to the stats (and checked
     against) for m <= GROUP_BOUND_AUTO_LIMIT; beyond that only the
@@ -369,8 +370,11 @@ def run_group_key(
     transcript = Transcript()
     key_labels: list[str] = []
     next_round = 0
-    while is_connected(g):
-        tree = maximum_spanning_tree(g, tie_break)
+    while True:
+        try:
+            tree = maximum_spanning_tree(g, tie_break)
+        except GraphDisconnected:
+            break
         label, messages = single_bit_round(tree, store, spec, round_base=next_round)
         for msg in messages:
             transcript.append(msg)

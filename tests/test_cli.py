@@ -132,6 +132,7 @@ class TestLoadScenario:
             ("version 1\nm 3\nprotocol group\npair 0 0 2\n", "self-pair"),
             ("version 1\nm 3\nprotocol group\npair 0 3 2\n", "out of range"),
             ("version 1\nm 3\nprotocol group\npair 0 1 2\npair 1 0 3\n", "duplicate pair"),
+            ("version 1\nm 3\nprotocol group\npair 0 1 0\npair 1 0 3\n", "duplicate pair"),
             ("version 1\nm 3\nprotocol group\npair 0 1 -2\n", "nonnegative"),
         ],
     )

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
 from pinkey import (
+    TIE_BREAK_POLICIES,
     Partition,
     SpanningTree,
     WeightedGraph,
@@ -39,6 +41,54 @@ def random_graph(rng: random.Random, max_m: int = 6, max_w: int = 8) -> Weighted
     return budget_graph(random_spec(rng, max_m=max_m, max_budget=max_w))
 
 
+def bfs_connected(g: WeightedGraph) -> bool:
+    """Reference connectivity: breadth-first search from node 0."""
+    adjacency: dict[int, list[int]] = {v: [] for v in range(g.m)}
+    for i, j, _ in g.edges():
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        for v in adjacency[queue.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return len(seen) == g.m
+
+
+def degree_min_by_rescan(g: WeightedGraph) -> SpanningTree:
+    """Reference degree-min: rescan every edge for each pick.
+
+    Among all addable edges of the heaviest addable weight, take the one
+    minimizing the resulting maximum degree, then the smallest pair.
+    """
+    parent = list(range(g.m))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    degree = [0] * g.m
+    chosen = []
+    while len(chosen) < g.m - 1:
+        addable = [(i, j, w) for i, j, w in g.edges() if find(i) != find(j)]
+        if not addable:
+            raise GraphDisconnected("graph has no spanning tree")
+        top = max(w for _, _, w in addable)
+        current_max = max(degree)
+        i, j = min(
+            ((i, j) for i, j, w in addable if w == top),
+            key=lambda e: (max(current_max, degree[e[0]] + 1, degree[e[1]] + 1), e),
+        )
+        parent[find(j)] = find(i)
+        degree[i] += 1
+        degree[j] += 1
+        chosen.append((i, j))
+    return SpanningTree(tuple(chosen))
+
+
 class TestWeightedGraph:
     def test_zero_weight_removes_edge(self):
         g = WeightedGraph(3, {(0, 1): 2})
@@ -55,7 +105,6 @@ class TestWeightedGraph:
             g.set_weight(0, 1, -1)
 
     def test_neighbors_and_totals(self):
-        assert TRIANGLE.neighbors(0) == [1, 2]
         assert TRIANGLE.total_weight() == 12
         assert TRIANGLE.copy().edges() == TRIANGLE.edges()
 
@@ -72,6 +121,19 @@ class TestConnectivity:
         for leaf in (1, 2, 3):
             g.set_weight(0, leaf, 0)
         assert not is_connected(g)
+
+    def test_equals_breadth_first_search(self):
+        # sparse random graphs with m 1..9, so isolated nodes are common
+        rng = random.Random(408)
+        graphs = [WeightedGraph(1)]
+        for _ in range(300):
+            m = rng.randint(1, 9)
+            p = rng.choice((0.1, 0.3, 0.6))
+            graphs.append(WeightedGraph(m, {(i, j): 1 for i in range(m) for j in range(i + 1, m)
+                                            if rng.random() < p}))
+        assert {is_connected(g) for g in graphs} == {True, False}
+        for g in graphs:
+            assert is_connected(g) == bfs_connected(g)
 
 
 class TestMaxFlow:
@@ -173,8 +235,14 @@ class TestSpanningTrees:
         assert maximum_spanning_tree(g).edges == ((0, 1), (1, 2), (1, 3))
 
     def test_disconnected_raises(self):
-        with pytest.raises(GraphDisconnected):
-            maximum_spanning_tree(WeightedGraph(3, {(0, 1): 1}))
+        for g in (WeightedGraph(3, {(0, 1): 1}), WeightedGraph(2)):
+            for policy in TIE_BREAK_POLICIES:
+                with pytest.raises(GraphDisconnected):
+                    maximum_spanning_tree(g, policy)
+
+    @pytest.mark.parametrize("policy", TIE_BREAK_POLICIES)
+    def test_single_node_gives_the_empty_tree(self, policy):
+        assert maximum_spanning_tree(WeightedGraph(1), policy) == SpanningTree(())
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -191,12 +259,32 @@ class TestSpanningTrees:
 
     def test_both_policies_reach_maximum_weight(self):
         rng = random.Random(403)
-        for _ in range(60):
-            spec = random_connected_spec(rng, max_m=6, max_budget=5)
-            g = budget_graph(spec)
+        graphs = [budget_graph(random_connected_spec(rng, max_m=6, max_budget=5)) for _ in range(60)]
+        # many ties: weights 1..3 on about half the pairs, which keeps m=8 enumerable
+        rng = random.Random(409)
+        while len(graphs) < 120:
+            m = rng.randint(2, 8)
+            g = WeightedGraph(m, {(i, j): rng.randint(1, 3) for i in range(m) for j in range(i + 1, m)
+                                  if rng.random() < 0.5})
+            if is_connected(g):
+                graphs.append(g)
+        for g in graphs:
             best = max(t.weight(g) for t in enumerate_spanning_trees(g))
-            for policy in ("lex-kruskal", "degree-min"):
+            for policy in TIE_BREAK_POLICIES:
                 assert maximum_spanning_tree(g, policy).weight(g) == best
+
+    def test_degree_min_equals_the_per_pick_rescan(self):
+        # disconnected graphs included: both must raise
+        rng = random.Random(410)
+        for _ in range(300):
+            g = random_graph(rng, max_m=9, max_w=rng.choice((1, 3, 8)))
+            try:
+                expected = degree_min_by_rescan(g)
+            except GraphDisconnected:
+                with pytest.raises(GraphDisconnected):
+                    maximum_spanning_tree(g, "degree-min")
+            else:
+                assert maximum_spanning_tree(g, "degree-min") == expected
 
     def test_policies_are_deterministic(self):
         rng = random.Random(404)

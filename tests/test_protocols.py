@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
@@ -308,6 +309,19 @@ class TestGroupKey:
         result = run_group_key(store, spec)
         assert result.key == ()
         assert result.stats.iterations == 0
+
+    @pytest.mark.parametrize("policy,bits,digest", [
+        ("lex-kruskal", 27, "05cf6471d78088743d0407d7549c939907781427f6483ce4a521168abe89be1a"),
+        ("degree-min", 28, "e9641d3132612ad474cf3cca19b51c2eaa0719b86be2b8c974d471b2ea02f0af"),
+    ])
+    def test_tie_break_golden_digests(self, policy, bits, digest):
+        # budgets 1..9 on K12 give many tied weights, so any drift in
+        # either policy's tree choice changes the transcript
+        rng = random.Random(4)
+        spec = NetworkSpec(12, {(i, j): rng.randint(1, 9) for i in range(12) for j in range(i + 1, 12)})
+        result = run_group_key(generate_pairwise_keys(spec, 5), spec, policy)
+        assert len(result.key) == bits
+        assert hashlib.sha256(result.transcript.to_text().encode()).hexdigest() == digest
 
     def test_everyone_replays_every_bit(self):
         spec = NetworkSpec.complete(5, 2)
