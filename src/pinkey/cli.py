@@ -76,10 +76,20 @@ class Scenario:
         return NetworkSpec(self.m, dict(self.budgets))
 
 
+# int() alone would also take "1_0", "+3" and non-ASCII digits.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _parse_int(raw: str, where: str) -> int:
-    # int() alone would also take "1_0", "+3" and non-ASCII digits.
-    if not re.fullmatch(r"-?[0-9]+", raw):
+    if not _INTEGER.fullmatch(raw):
         raise ParseError(f"{where}: expected an integer, got {raw!r}")
+    return int(raw)
+
+
+def _int_flag(raw: str) -> int:
+    """argparse ``type`` for integer flags, under the scenario-file rule."""
+    if not _INTEGER.fullmatch(raw):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
     return int(raw)
 
 
@@ -92,7 +102,7 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
             raw_lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read scenario {path!r}: {exc}") from None
 
     scalars: dict[str, str] = {}
@@ -382,7 +392,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         with open(args.transcript, encoding="utf-8") as fh:
             saved = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read transcript {args.transcript!r}: {exc}") from None
     if saved == expected:
         sys.stdout.write("verify ok\n")
@@ -400,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--scenario", required=True, help="path to a scenario file")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed (u64)")
+        p.add_argument("--seed", type=_int_flag, default=None, help="override the scenario seed (u64)")
         p.add_argument("--tie-break", dest="tie_break", choices=TIE_BREAK_POLICIES,
                        default=None, help="spanning-tree tie-break policy (group protocol)")
         p.add_argument("--format", choices=FORMATS, default=None, help="output format")
@@ -417,8 +427,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="exhaustive cross-checks on the scenario's budget graph")
     p_oracle.add_argument("kind", choices=ORACLE_KINDS)
     common(p_oracle)
-    p_oracle.add_argument("--s", type=int, default=None, help="source terminal (mincut)")
-    p_oracle.add_argument("--t", type=int, default=None, help="sink terminal (mincut)")
+    p_oracle.add_argument("--s", type=_int_flag, default=None, help="source terminal (mincut)")
+    p_oracle.add_argument("--t", type=_int_flag, default=None, help="sink terminal (mincut)")
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_verify = sub.add_parser("verify", help="re-run the scenario and compare a saved transcript")

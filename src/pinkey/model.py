@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .errors import InsufficientKeyMaterial, UnknownBasisLabel
 
@@ -27,6 +28,11 @@ from .errors import InsufficientKeyMaterial, UnknownBasisLabel
 TerminalId = int
 
 Pair = tuple[int, int]
+
+_BIT_VALUES = frozenset((0, 1))
+
+# Byte b of a Mersenne Twister word maps to its top bit, b >> 7.
+_TOP_BIT = bytes(b >> 7 for b in range(256))
 
 
 def canonical_pair(i: int, j: int) -> Pair:
@@ -42,8 +48,12 @@ def canonical_pair(i: int, j: int) -> Pair:
 
 def pair_bit_label(i: int, j: int, index: int) -> str:
     """Label of bit ``index`` of the shared key of pair {i, j}."""
+    return f"{_pair_label_prefix(i, j)}{index}"
+
+
+def _pair_label_prefix(i: int, j: int) -> str:
     i, j = canonical_pair(i, j)
-    return f"K{i}-{j}:{index}"
+    return f"K{i}-{j}:"
 
 
 def local_bit_label(owner: int, index: int) -> str:
@@ -134,59 +144,68 @@ class SourceBitBasis:
     secrecy accounting possible.
     """
 
-    __slots__ = ("_labels", "_index", "_values", "_owners", "_local_counts")
+    __slots__ = ("_values", "_owners", "_local_counts")
 
     def __init__(self) -> None:
-        self._labels: list[str] = []
-        self._index: dict[str, int] = {}
+        # Both dicts are keyed by label in registration order, the basis order.
         self._values: dict[str, int] = {}
         self._owners: dict[str, frozenset[int]] = {}
         self._local_counts: dict[int, int] = {}
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return len(self._values)
 
     def __contains__(self, label: str) -> bool:
-        return label in self._index
+        return label in self._values
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(self._labels)
+        return tuple(self._values)
 
     def add(self, label: str, value: int, owners: frozenset[int]) -> int:
         """Register a bit and return its position. Labels must be unique."""
-        if label in self._index:
-            raise ValueError(f"duplicate basis label {label!r}")
-        if value not in (0, 1):
+        return self.add_bits([label], (value,), owners)
+
+    def add_bits(self, labels: list[str], values: Sequence[int], owners: frozenset[int]) -> int:
+        """Register bits that share one owner set; return the first one's position.
+
+        Nothing is registered unless every label is new and unique, every
+        value is 0 or 1, and the owner set is not empty.
+        """
+        if len(values) != len(labels):
+            raise ValueError(f"{len(labels)} labels but {len(values)} values")
+        new = dict(zip(labels, values))
+        if len(new) < len(labels) or not self._values.keys().isdisjoint(new):
+            seen = set(self._values)
+            for label in labels:
+                if label in seen:
+                    raise ValueError(f"duplicate basis label {label!r}")
+                seen.add(label)
+        if not _BIT_VALUES.issuperset(values):
+            value = next(v for v in values if v not in _BIT_VALUES)
             raise ValueError(f"bit value must be 0 or 1, got {value!r}")
         if not owners:
             raise ValueError("a source bit needs at least one owner")
-        position = len(self._labels)
-        self._labels.append(label)
-        self._index[label] = position
-        self._values[label] = value
-        self._owners[label] = owners
-        return position
+        start = len(self._values)
+        self._values.update(new)
+        self._owners.update(dict.fromkeys(labels, owners))
+        return start
 
-    def index_of(self, label: str) -> int:
+    def value_of(self, label: str) -> int:
         try:
-            return self._index[label]
+            return self._values[label]
         except KeyError:
             raise UnknownBasisLabel(f"label {label!r} is not in the basis") from None
 
-    def value_of(self, label: str) -> int:
-        if label not in self._index:
-            raise UnknownBasisLabel(f"label {label!r} is not in the basis")
-        return self._values[label]
-
     def owners_of(self, label: str) -> frozenset[int]:
-        if label not in self._index:
-            raise UnknownBasisLabel(f"label {label!r} is not in the basis")
-        return self._owners[label]
+        try:
+            return self._owners[label]
+        except KeyError:
+            raise UnknownBasisLabel(f"label {label!r} is not in the basis") from None
 
     def known_to(self, terminal: int) -> list[str]:
         """Labels the terminal holds natively, in basis order."""
-        return [lab for lab in self._labels if terminal in self._owners[lab]]
+        return [lab for lab, owners in self._owners.items() if terminal in owners]
 
     def realized(self) -> dict[str, int]:
         """Label-to-value mapping for evaluating linear forms. Treat as read-only."""
@@ -197,11 +216,8 @@ class SourceBitBasis:
         if count < 0:
             raise ValueError(f"count must be nonnegative, got {count}")
         start = self._local_counts.get(owner, 0)
-        labels = []
-        for offset in range(count):
-            label = local_bit_label(owner, start + offset)
-            self.add(label, rng.getrandbits(1), frozenset((owner,)))
-            labels.append(label)
+        labels = [local_bit_label(owner, start + offset) for offset in range(count)]
+        self.add_bits(labels, _random_bits(rng, count), frozenset((owner,)))
         self._local_counts[owner] = start + count
         return labels
 
@@ -225,7 +241,8 @@ class PairwiseKeyStore:
 
     def key_labels(self, i: int, j: int) -> tuple[str, ...]:
         pair = canonical_pair(i, j)
-        return tuple(pair_bit_label(*pair, t) for t in range(len(self._keys.get(pair, ()))))
+        prefix = _pair_label_prefix(*pair)
+        return tuple(f"{prefix}{t}" for t in range(len(self._keys.get(pair, ()))))
 
     def remaining(self, i: int, j: int) -> int:
         pair = canonical_pair(i, j)
@@ -248,7 +265,8 @@ class PairwiseKeyStore:
         start = self._cursors.get(pair, 0)
         self._cursors[pair] = start + count
         bits = self._keys.get(pair, ())[start:start + count]
-        labels = tuple(pair_bit_label(*pair, t) for t in range(start, start + count))
+        prefix = _pair_label_prefix(*pair)
+        labels = tuple(f"{prefix}{t}" for t in range(start, start + count))
         return bits, labels
 
 
@@ -265,20 +283,36 @@ def local_rng(seed: int, owner: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+def _random_bits(rng: random.Random, count: int) -> tuple[int, ...]:
+    """The bits of ``count`` one-bit ``rng.getrandbits`` calls, from one draw.
+
+    See ``generate_pairwise_keys`` for why the two agree; ``rng`` ends in
+    the same state either way.
+    """
+    words = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+    return tuple(words[3::4].translate(_TOP_BIT))
+
+
 def generate_pairwise_keys(spec: NetworkSpec, seed: int) -> PairwiseKeyStore:
     """Realize every pair's key material from a single run seed.
 
     Pairs are registered in the basis in ascending canonical order with
     bit indices ascending, so the basis layout is a pure function of the
     spec and the generated values a pure function of (spec, seed).
+
+    Bit t of a pair's key is what the t-th one-bit ``getrandbits`` call on
+    the pair's stream returns, drawn in one call: on CPython,
+    ``getrandbits(32 * n)`` packs the next n 32-bit Mersenne Twister words
+    little-endian, word 0 lowest, and a one-bit call returns the top bit
+    of the next word.  So bit t is the top bit of byte 4t + 3 of
+    ``getrandbits(32 * n).to_bytes(4 * n, "little")``.
     """
     basis = SourceBitBasis()
     keys: dict[Pair, tuple[int, ...]] = {}
     for pair in spec.pairs():
         i, j = pair
-        rng = _pair_rng(seed, i, j)
-        bits = tuple(rng.getrandbits(1) for _ in range(spec.budgets[pair]))
-        for t, value in enumerate(bits):
-            basis.add(pair_bit_label(i, j, t), value, frozenset(pair))
+        bits = _random_bits(_pair_rng(seed, i, j), spec.budgets[pair])
+        prefix = _pair_label_prefix(i, j)
+        basis.add_bits([f"{prefix}{t}" for t in range(len(bits))], bits, frozenset(pair))
         keys[pair] = bits
     return PairwiseKeyStore(spec=spec, basis=basis, _keys=keys, _cursors={})

@@ -29,7 +29,7 @@ from .bounds import broadcast_bound, budget_graph, group_bound, subgroup_bound
 from .errors import GraphDisconnected, InsufficientKeyMaterial, invariant
 from .graph import SpanningTree, max_flow, maximum_spanning_tree
 from .model import NetworkSpec, PairwiseKeyStore, SourceBitBasis, local_rng
-from .secrecy import LinearForm, form_rows, gf2_rank, own_rows
+from .secrecy import LinearForm, form_rows, gf2_rank, own_rows, support_index
 
 # The group bound costs m min cuts per Newton step, so it is cheap at any
 # m.  Runs attach it to their stats only up to this size, which keeps the
@@ -135,12 +135,15 @@ class GroupKeyResult:
     basis: SourceBitBasis
 
 
-def _transcript_table(result: GroupKeyResult) -> dict[int, int]:
-    """Kernel pivot table of the public equations, form = payload bit."""
+def _transcript_table(result: GroupKeyResult) -> tuple[dict[str, int], dict[int, int]]:
+    """Support index of the run's forms, and the kernel pivot table of the
+    public equations, form = payload bit, over it."""
+    forms = result.transcript.forms()
+    index = support_index(result.basis, forms, result.key_forms)
     table: dict[int, int] = {}
     bits = (bit for msg in result.transcript for bit in msg.payload)
-    gf2_rank(form_rows(result.transcript.forms(), result.basis, bits), table)
-    return table
+    gf2_rank(form_rows(forms, index, bits), table)
+    return index, table
 
 
 def _add_own_bits(table: dict[int, int], rows: Iterable[int]) -> None:
@@ -157,12 +160,12 @@ def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
     reconstruct; for anyone else None is the expected outcome unless the
     protocol intentionally routes the key through them.
     """
-    table = _transcript_table(result)
-    _add_own_bits(table, own_rows(result.basis).get(terminal, ()))
+    index, table = _transcript_table(result)
+    _add_own_bits(table, own_rows(result.basis, index).get(terminal, ()))
     out = []
     # Try each key form as the equation form = 0: it is implied (the bit
     # is 0), contradicted (residue 1, so the bit is 1), or independent.
-    for row in form_rows(result.key_forms, result.basis):
+    for row in form_rows(result.key_forms, index):
         if not gf2_rank([row], table):
             out.append(0)
         elif table.pop(0, None) is not None:
@@ -187,9 +190,9 @@ def _self_check(result: GroupKeyResult) -> None:
     # Replay soundness: every holder reconstructs the whole key, that is,
     # the key equations add no rank to the holder's view.  The transcript
     # is reduced once; each holder extends a copy with its own bits.
-    transcript = _transcript_table(result)
-    key_rows = form_rows(result.key_forms, result.basis, result.key)
-    own = own_rows(result.basis)
+    index, transcript = _transcript_table(result)
+    key_rows = form_rows(result.key_forms, index, result.key)
+    own = own_rows(result.basis, index)
     for holder in sorted(result.holders):
         table = dict(transcript)
         _add_own_bits(table, own.get(holder, ()))

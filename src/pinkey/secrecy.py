@@ -11,10 +11,13 @@ facts are checked here two ways: a rank computation over int bitsets, and
 an exhaustive histogram oracle that never looks at ranks.
 
 All GF(2) elimination in the package, ranks here and replay in
-``protocols``, goes through one kernel: ``form_rows`` encodes forms as
-int rows, and ``gf2_rank`` reduces rows into a pivot table keyed by each
-row's top bit.  Basis bit k sits at row bit k + 1; bit 0 carries the
-value the row is claimed to take.  Ranks use value 0 throughout.  For
+``protocols``, goes through one kernel.  ``support_index`` numbers the
+labels a set of forms mentions, its support; ``form_rows`` encodes forms
+as int rows over it, with support position k at row bit k + 1 and bit 0
+carrying the value the row is claimed to take; ``gf2_rank`` reduces rows
+into a pivot table keyed by each row's top bit.  Rows are as wide as the
+support, not the basis: basis bits no form mentions cannot change a rank
+or a replay, so they get no column.  Ranks use value 0 throughout.  For
 equations, a row whose residue is exactly ``1`` says ``0 = 1``: it lands
 as pivot 0, so a table holding pivot 0 is inconsistent.
 """
@@ -26,7 +29,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InstanceTooLarge
+from .errors import InstanceTooLarge, UnknownBasisLabel
 from .model import SourceBitBasis
 
 MI_BASIS_LIMIT = 20  # exhaustive oracle enumerates 2**basis_size assignments
@@ -84,37 +87,55 @@ class SecrecyReport:
             raise ValueError(f"inconsistent ranks in {self!r}")
 
 
-def form_rows(
-    forms: Iterable[LinearForm], basis: SourceBitBasis, values: Iterable[int] | None = None
-) -> list[int]:
-    """Encode forms as kernel rows: basis bit k at bit k + 1, the value in bit 0.
+def support_index(basis: SourceBitBasis, *form_groups: Iterable[LinearForm]) -> dict[str, int]:
+    """Number the labels the forms mention, densely, in order of first appearance.
 
-    ``values`` gives each form's claimed value; without it every value is 0.
+    The order within one form is its set order, which can differ between
+    processes; no rank or replay depends on it.  Raises UnknownBasisLabel
+    for a label that is not in ``basis``.
     """
-    index_of = basis.index_of
+    index: dict[str, int] = {}
+    for forms in form_groups:
+        for form in forms:
+            for label in form.labels:
+                if label not in index:
+                    if label not in basis:
+                        raise UnknownBasisLabel(f"label {label!r} is not in the basis")
+                    index[label] = len(index)
+    return index
+
+
+def form_rows(
+    forms: Iterable[LinearForm], index: Mapping[str, int], values: Iterable[int] | None = None
+) -> list[int]:
+    """Encode forms as kernel rows: support position k at bit k + 1, the value in bit 0.
+
+    ``index`` comes from ``support_index`` over these forms.  ``values``
+    gives each form's claimed value; without it every value is 0.
+    """
     return [
-        sum(2 << index_of(label) for label in form.labels) | value
+        sum(2 << index[label] for label in form.labels) | value
         for form, value in zip(forms, repeat(0) if values is None else values)
     ]
 
 
-def own_rows(basis: SourceBitBasis) -> dict[int, Iterator[int]]:
-    """Each terminal's own source bits as kernel rows, in basis order.
+def own_rows(basis: SourceBitBasis, index: Mapping[str, int]) -> dict[int, Iterator[int]]:
+    """Each terminal's own source bits inside the support, as kernel rows.
 
     A bit's row is what ``form_rows`` gives for its unit form and its
-    realized value.  One pass over the basis groups the positions of
-    every owner; the rows, up to ``len(basis)`` bits wide each, are built
-    only as each owner's iterator is read, so each can be read once.
+    realized value.  Own bits outside the support are left out: such a
+    bit's row is a unit on a column no other row has, so it can never
+    reduce another row nor yield ``0 = 1``.  The rows are built only as
+    each owner's iterator is read, so each can be read once.
     """
     values = basis.realized()
-    labels = basis.labels
-    positions: dict[int, list[int]] = {}
-    for position, label in enumerate(labels):
+    owned: dict[int, list[str]] = {}
+    for label in index:
         for owner in basis.owners_of(label):
-            positions.setdefault(owner, []).append(position)
+            owned.setdefault(owner, []).append(label)
     return {
-        owner: ((2 << k) | values[labels[k]] for k in owned)
-        for owner, owned in positions.items()
+        owner: ((2 << index[label]) | values[label] for label in labels)
+        for owner, labels in owned.items()
     }
 
 
@@ -148,9 +169,12 @@ def verify_independence(
     leaked_bits == 0 iff the key is statistically independent of the
     public transcript; every label must exist in ``basis``.
     """
-    key_rows = form_rows(key_forms, basis)
+    key_forms = list(key_forms)
+    transcript_forms = list(transcript_forms)
+    index = support_index(basis, transcript_forms, key_forms)
+    key_rows = form_rows(key_forms, index)
     table: dict[int, int] = {}
-    rank_transcript = gf2_rank(form_rows(transcript_forms, basis), table)
+    rank_transcript = gf2_rank(form_rows(transcript_forms, index), table)
     return SecrecyReport(
         rank_key=gf2_rank(key_rows),
         rank_transcript=rank_transcript,

@@ -111,6 +111,14 @@ class TestLoadScenario:
         with pytest.raises(ParseError, match="cannot read"):
             load_scenario(str(tmp_path / "nope.txt"))
 
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"version 1\nm 2\nprotocol group\npair 0 1 5 # caf\xe9\n")
+        with pytest.raises(ParseError, match="cannot read"):
+            load_scenario(str(path))
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert "error: cannot read scenario" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "text,needle",
         [
@@ -209,6 +217,26 @@ class TestRunCommand:
         path = scenario_file(tmp_path, TRIANGLE_SCENARIO)
         assert main(["run", "--scenario", path, "--seed", "8"]) == 0
         assert "seed 8\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [
+        ["run", "--seed", "1_0"],
+        ["run", "--seed", "+3"],
+        ["run", "--seed", "\u0663"],
+        ["oracle", "mincut", "--s", "1_0", "--t", "2"],
+        ["oracle", "mincut", "--s", "0", "--t", "+2"],
+        ["oracle", "mincut", "--s", "\u0660", "--t", "2"],
+    ])
+    def test_integer_flags_take_scenario_file_integers_only(self, tmp_path, capsys, flags):
+        path = scenario_file(tmp_path, TRIANGLE_SCENARIO)
+        with pytest.raises(SystemExit) as exc:
+            main([*flags, "--scenario", path])
+        assert exc.value.code == 2
+        assert "expected an integer" in capsys.readouterr().err
+
+    def test_negative_seed_flag_is_a_validation_error(self, tmp_path, capsys):
+        path = scenario_file(tmp_path, TRIANGLE_SCENARIO)
+        assert main(["run", "--scenario", path, "--seed", "-1"]) == 2
+        assert "error: seed: must fit" in capsys.readouterr().err
 
     def test_tie_break_override(self, tmp_path, capsys):
         path = scenario_file(tmp_path, TRIANGLE_SCENARIO)
@@ -377,3 +405,10 @@ class TestVerifyCommand:
     def test_missing_transcript_exits_2(self, tmp_path, capsys):
         path = scenario_file(tmp_path, TRIANGLE_SCENARIO)
         assert main(["verify", "--scenario", path, str(tmp_path / "gone.transcript")]) == 2
+
+    def test_non_utf8_transcript_exits_2(self, tmp_path, capsys):
+        path = scenario_file(tmp_path, TRIANGLE_SCENARIO)
+        saved = tmp_path / "saved.transcript"
+        saved.write_bytes(TRIANGLE_TRANSCRIPT.encode() + b"\xff\n")
+        assert main(["verify", "--scenario", path, str(saved)]) == 2
+        assert "error: cannot read transcript" in capsys.readouterr().err

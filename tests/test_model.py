@@ -8,7 +8,7 @@ import pytest
 
 from pinkey import LinearForm, NetworkSpec, generate_pairwise_keys, verify_independence
 from pinkey.errors import InsufficientKeyMaterial, UnknownBasisLabel
-from pinkey.model import canonical_pair, local_rng, pair_bit_label
+from pinkey.model import SourceBitBasis, _pair_rng, canonical_pair, local_rng, pair_bit_label
 
 from helpers import random_spec
 
@@ -101,6 +101,52 @@ class TestGeneration:
         assert labels == ["R1:0", "R1:1", "R1:2"]
         assert len(store.basis) == before + 3
         assert store.basis.owners_of("R1:1") == frozenset({1})
+
+    def test_bits_match_one_getrandbits_call_per_bit(self):
+        # Key generation draws each pair's bits at once; the result must be
+        # the bit-by-bit stream, with the same labels, order and owners.
+        rng = random.Random(31)
+        specs = [random_spec(rng, max_m=5, max_budget=300) for _ in range(8)]
+        specs.append(NetworkSpec(2, {(0, 1): 1000}))
+        for seed, spec in enumerate(specs):
+            basis = generate_pairwise_keys(spec, seed).basis
+            expected = []
+            for i, j in spec.pairs():
+                stream = _pair_rng(seed, i, j)
+                expected += [(pair_bit_label(i, j, t), stream.getrandbits(1), frozenset((i, j)))
+                             for t in range(spec.budget(i, j))]
+            assert [(lab, basis.value_of(lab), basis.owners_of(lab)) for lab in basis.labels] == expected
+
+    def test_local_bits_match_one_getrandbits_call_per_bit(self):
+        basis = SourceBitBasis()
+        for owner, count in ((2, 1), (2, 33), (0, 240), (2, 5)):
+            drawn, reference = local_rng(7, owner), local_rng(7, owner)
+            start = len([lab for lab in basis.labels if lab.startswith(f"R{owner}:")])
+            labels = basis.new_local_bits(owner, count, drawn)
+            assert labels == [f"R{owner}:{start + t}" for t in range(count)]
+            assert [basis.value_of(lab) for lab in labels] == [reference.getrandbits(1) for _ in labels]
+            assert {basis.owners_of(lab) for lab in labels} == {frozenset((owner,))}
+            # the stream is left where the bit-by-bit draw leaves it
+            assert drawn.getrandbits(64) == reference.getrandbits(64)
+
+    @pytest.mark.parametrize("labels,values,owners,needle", [
+        (["K0-1:4"], (0,), frozenset((0, 1)), "duplicate basis label 'K0-1:4'"),
+        (["x", "y", "x"], (0, 1, 0), frozenset((0,)), "duplicate basis label 'x'"),
+        (["x", "y"], (0, 2), frozenset((0,)), "must be 0 or 1, got 2"),
+        (["z"], (2,), frozenset((0,)), "must be 0 or 1, got 2"),
+        (["x"], (1,), frozenset(), "at least one owner"),
+        (["x", "y"], (1,), frozenset((0,)), "2 labels but 1 values"),
+    ])
+    def test_bulk_registration_rejects_bad_bits(self, labels, values, owners, needle):
+        basis = generate_pairwise_keys(TRIANGLE, 0).basis
+        before = basis.labels
+        with pytest.raises(ValueError, match=needle):
+            basis.add_bits(labels, values, owners)
+        # nothing of a rejected call is registered
+        assert basis.labels == before
+        if len(labels) == 1:  # add is the one-bit case of the same checks
+            with pytest.raises(ValueError, match=needle):
+                basis.add(labels[0], values[0], owners)
 
 
 class TestConsumption:

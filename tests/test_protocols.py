@@ -136,6 +136,15 @@ class TestBroadcast:
         # an eavesdropper owns no source bits at all
         assert replay_key(result, 4) is None
 
+    def test_replay_matches_the_reference_when_pads_go_unused(self):
+        spec = NetworkSpec.star([9, 4, 30, 17, 4, 12])
+        store = generate_pairwise_keys(spec, 21)
+        result = run_broadcast(store, spec)
+        assert sum(store.remaining(0, leaf) for leaf in range(1, spec.m)) == 52
+        # every leaf and the center, plus an outsider with no bits
+        for terminal in range(spec.m + 1):
+            assert replay_key(result, terminal) == reference_replay(result, terminal)
+
     def test_messages_reveal_nothing(self):
         spec = NetworkSpec.star([3, 3, 3, 3, 3])
         store = generate_pairwise_keys(spec, 13)

@@ -78,6 +78,23 @@ class TestRank:
         assert report.leaked_bits == 1
         assert report.uniform
 
+    def test_unused_basis_bits_do_not_change_the_report(self):
+        # Rows span only the labels the forms mention, so thousands of
+        # unused bits around the used ones must leave every rank alone.
+        rng = random.Random(603)
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            labels = [f"b{t}" for t in range(n)]
+            padded = SourceBitBasis()
+            padded.add_bits([f"u{t}" for t in range(3000)], [rng.getrandbits(1) for _ in range(3000)],
+                            frozenset({0, 1}))
+            padded.add_bits(labels, [0] * n, frozenset({0}))
+            padded.add_bits([f"v{t}" for t in range(3000)], [0] * 3000, frozenset({1}))
+            key = [form(*rng.sample(labels, rng.randint(1, n))) for _ in range(rng.randint(0, 3))]
+            transcript = [form(*rng.sample(labels, rng.randint(1, n))) for _ in range(rng.randint(0, 4))]
+            assert verify_independence(key, transcript, padded) == verify_independence(
+                key, transcript, small_basis(n))
+
     def test_unknown_label(self):
         basis = small_basis(1)
         with pytest.raises(UnknownBasisLabel):
