@@ -50,7 +50,7 @@ from .graph import (
 )
 from .model import NetworkSpec, generate_pairwise_keys
 from .protocols import GroupKeyResult, run_broadcast, run_group_key, run_subgroup
-from .secrecy import SecrecyReport, brute_force_mutual_information, verify_independence
+from .secrecy import SecrecyReport, brute_force_mutual_information
 
 PROTOCOLS = ("broadcast", "subgroup", "group")
 FORMATS = ("text", "machine-readable")
@@ -281,7 +281,6 @@ def run_scenario(scenario: Scenario) -> tuple[RunReport, GroupKeyResult]:
     else:
         result = run_group_key(store, spec, scenario.tie_break)
     wall = time.perf_counter() - started
-    secrecy = verify_independence(result.key_forms, result.transcript.forms(), store.basis)
     report = RunReport(
         protocol=scenario.protocol,
         m=scenario.m,
@@ -291,7 +290,7 @@ def run_scenario(scenario: Scenario) -> tuple[RunReport, GroupKeyResult]:
         gap=result.stats.gap,
         messages=result.stats.messages,
         public_bits=result.stats.public_bits,
-        secrecy=secrecy,
+        secrecy=result.secrecy,
         tie_break=scenario.tie_break if scenario.protocol == "group" else None,
         s=scenario.s,
         t=scenario.t,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -207,12 +208,14 @@ class FlowAssignment:
     flows maps (u, v) to a positive amount from u to v; at most one
     direction per unordered pair carries flow.  paths is a tuple of
     (node tuple, amount) entries sorted lexicographically; their per-edge
-    sums reproduce flows exactly and their amounts sum to value.
+    sums reproduce flows exactly and their amounts sum to value.  cut is
+    the minimum cut read off the residual graph, of weight value.
     """
 
     value: int
     flows: dict[tuple[int, int], int]
     paths: tuple[tuple[tuple[int, ...], int], ...]
+    cut: CutResult
 
 
 @dataclass(frozen=True)
@@ -250,14 +253,7 @@ def _edmonds_karp(cap: dict[int, dict[int, int]], s: int, t: int) -> int:
     order = {u: sorted(arcs) for u, arcs in cap.items()}
     value = 0
     while True:
-        parent: dict[int, int | None] = {s: None}
-        queue = deque([s])
-        while queue and t not in parent:
-            u = queue.popleft()
-            for v in order[u]:
-                if v not in parent and cap[u][v] > 0:
-                    parent[v] = u
-                    queue.append(v)
+        parent = _reach(cap, order, s, t)
         if t not in parent:
             return value
         bottleneck = None
@@ -277,51 +273,44 @@ def _edmonds_karp(cap: dict[int, dict[int, int]], s: int, t: int) -> int:
         value += bottleneck
 
 
+def _reach(
+    cap: dict[int, dict[int, int]], order: dict[int, Iterable[int]], s: int, t: int | None = None
+) -> dict[int, int | None]:
+    """Breadth-first parents from s over arcs with ``cap[u][v] > 0``, scanning
+    each node's neighbours in ``order``, until t is reached."""
+    parent: dict[int, int | None] = {s: None}
+    queue = deque([s])
+    while queue and t not in parent:
+        u = queue.popleft()
+        for v in order.get(u, ()):
+            if v not in parent and cap[u][v] > 0:
+                parent[v] = u
+                queue.append(v)
+    return parent
+
+
 def _residual_side(cap: dict[int, dict[int, int]], s: int) -> frozenset[int]:
     """Nodes reachable from s over positive residual arcs: the smallest min-cut side."""
-    seen = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for v, c in cap[u].items():
-            if c > 0 and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return frozenset(seen)
+    return frozenset(_reach(cap, cap, s))
 
 
 def _decompose(
     flows: dict[tuple[int, int], int], s: int, t: int
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
-    remaining = dict(flows)
+    remaining: dict[int, dict[int, int]] = {}
+    for (u, v), f in flows.items():
+        remaining.setdefault(u, {})[v] = f
+    order = {u: sorted(arcs) for u, arcs in remaining.items()}
     paths = []
-    while True:
-        adjacency: dict[int, list[int]] = {}
-        for (u, v), f in remaining.items():
-            if f > 0:
-                adjacency.setdefault(u, []).append(v)
-        for u in adjacency:
-            adjacency[u].sort()
-        parent: dict[int, int | None] = {s: None}
-        queue = deque([s])
-        while queue and t not in parent:
-            u = queue.popleft()
-            for v in adjacency.get(u, ()):
-                if v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        if t not in parent:
-            break
+    while t in (parent := _reach(remaining, order, s, t)):
         path = [t]
         while parent[path[-1]] is not None:
             path.append(parent[path[-1]])  # type: ignore[arg-type]
         path.reverse()
         hops = list(zip(path, path[1:]))
-        amount = min(remaining[hop] for hop in hops)
-        for hop in hops:
-            remaining[hop] -= amount
-            if remaining[hop] == 0:
-                del remaining[hop]
+        amount = min(remaining[u][v] for u, v in hops)
+        for u, v in hops:
+            remaining[u][v] -= amount
         paths.append((tuple(path), amount))
     return tuple(sorted(paths))
 
@@ -333,11 +322,7 @@ def max_flow(g: WeightedGraph, s: int, t: int) -> FlowAssignment:
     slack the augmenting search produced is cancelled and the published
     flows are exactly the union of the s-t paths.
     """
-    if s == t:
-        raise ValueError("source and sink must differ")
-    for node in (s, t):
-        if not (0 <= node < g.m):
-            raise ValueError(f"terminal {node} out of range for m={g.m}")
+    _check_terminals(g, s, t)
     cap = _undirected_capacities(g)
     value = _edmonds_karp(cap, s, t)
     net: dict[tuple[int, int], int] = {}
@@ -353,15 +338,26 @@ def max_flow(g: WeightedGraph, s: int, t: int) -> FlowAssignment:
         for u, v in zip(path, path[1:]):
             rebuilt[(u, v)] = rebuilt.get((u, v), 0) + amount
     invariant(sum(amount for _, amount in paths) == value, "flow paths do not add up to the flow value")
-    return FlowAssignment(value=value, flows=rebuilt, paths=paths)
+    return FlowAssignment(value=value, flows=rebuilt, paths=paths, cut=_residual_cut(g, cap, s, value))
 
 
 def min_st_cut(g: WeightedGraph, s: int, t: int) -> CutResult:
     """Minimum s-t cut from the max-flow residual graph (fast path)."""
+    _check_terminals(g, s, t)
+    cap = _undirected_capacities(g)
+    return _residual_cut(g, cap, s, _edmonds_karp(cap, s, t))
+
+
+def _check_terminals(g: WeightedGraph, s: int, t: int) -> None:
     if s == t:
         raise ValueError("source and sink must differ")
-    cap = _undirected_capacities(g)
-    value = _edmonds_karp(cap, s, t)
+    for node in (s, t):
+        if not (0 <= node < g.m):
+            raise ValueError(f"terminal {node} out of range for m={g.m}")
+
+
+def _residual_cut(g: WeightedGraph, cap: dict[int, dict[int, int]], s: int, value: int) -> CutResult:
+    """The cut around what s reaches in the residual table of a flow of ``value``."""
     side = _residual_side(cap, s)
     crossing = sum(w for i, j, w in g.edges() if (i in side) != (j in side))
     invariant(crossing == value, "residual cut does not match the flow value")
@@ -376,8 +372,7 @@ def min_st_cut_bruteforce(g: WeightedGraph, s: int, t: int) -> CutResult:
     """
     if g.m > CUT_ENUM_NODE_LIMIT:
         raise InstanceTooLarge(f"cut enumeration is limited to m <= {CUT_ENUM_NODE_LIMIT}, got {g.m}")
-    if s == t:
-        raise ValueError("source and sink must differ")
+    _check_terminals(g, s, t)
     others = [v for v in range(g.m) if v not in (s, t)]
     edges = g.edges()
     best_value: int | None = None
@@ -610,27 +605,11 @@ def optimal_tree_packing_bruteforce(g: WeightedGraph) -> int:
     trees = [t.edges for t in enumerate_spanning_trees(g)]
     memo: dict[tuple, int] = {}
 
-    def connected(weights: dict[tuple[int, int], int]) -> bool:
-        seen = {0}
-        queue = deque([0])
-        adjacency: dict[int, list[int]] = {}
-        for (i, j), w in weights.items():
-            if w > 0:
-                adjacency.setdefault(i, []).append(j)
-                adjacency.setdefault(j, []).append(i)
-        while queue:
-            u = queue.popleft()
-            for v in adjacency.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == g.m
-
     def pack(weights: dict[tuple[int, int], int]) -> int:
         key = tuple(sorted(weights.items()))
         if key in memo:
             return memo[key]
-        if not connected(weights):
+        if not is_connected(WeightedGraph(g.m, weights)):
             memo[key] = 0
             return 0
         ceiling = sum(weights.values()) // (g.m - 1)

@@ -13,14 +13,22 @@ All randomness in a run descends from one 64-bit seed.  Each pair's key
 stream is generated from its own ``random.Random`` instance whose seed is
 a SHA-256 mix of the run seed and the pair, so streams are independent of
 generation order and stable across platforms and processes.
+
+Realized source bits are numbered by int id, one contiguous range per
+pair key, with their values in one ``bytearray``.  Labels such as
+``K0-1:3`` (bit 3 of pair {0, 1}'s key) and ``R2:0`` (terminal 2's first
+local bit) are rendered from ids and parsed back, never stored per bit;
+the run path works on ids alone.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
+from operator import itemgetter
 
 from .errors import InsufficientKeyMaterial, UnknownBasisLabel
 
@@ -54,11 +62,6 @@ def pair_bit_label(i: int, j: int, index: int) -> str:
 def _pair_label_prefix(i: int, j: int) -> str:
     i, j = canonical_pair(i, j)
     return f"K{i}-{j}:"
-
-
-def local_bit_label(owner: int, index: int) -> str:
-    """Label of the ``index``-th random bit generated locally by ``owner``."""
-    return f"R{owner}:{index}"
 
 
 @dataclass(frozen=True, eq=True)
@@ -129,102 +132,186 @@ class NetworkSpec:
         """True when every positive budget touches ``center``."""
         return all(center in pair for pair in self.budgets)
 
-    def check_terminal(self, i: int) -> None:
-        if not (0 <= i < self.m):
-            raise ValueError(f"terminal {i} out of range for m={self.m}")
-
 
 class SourceBitBasis:
-    """Ordered registry of every realized source bit in a run.
+    """Registry of every realized source bit in a run, numbered by int id.
 
     A source bit is either one bit of a pairwise key (owned natively by
     both endpoints) or one locally generated random bit (owned by its
     generator).  Every key bit and every public payload bit a protocol
     produces is a GF(2) combination of these, which is what makes exact
     secrecy accounting possible.
+
+    Each registering call adds a run of consecutive ids with one owner
+    set.  A run registered under a prefix names its bits ``prefix +
+    index``; one registered through ``add_bits`` keeps the labels it got.
     """
 
-    __slots__ = ("_values", "_owners", "_local_counts")
+    __slots__ = ("values", "_starts", "_runs", "_prefixed", "_named")
 
     def __init__(self) -> None:
-        # Both dicts are keyed by label in registration order, the basis order.
-        self._values: dict[str, int] = {}
-        self._owners: dict[str, frozenset[int]] = {}
-        self._local_counts: dict[int, int] = {}
+        self.values = bytearray()
+        self._starts: list[int] = []  # first id of each run, ascending
+        # per run: ids, owners, its labels or prefix, and the id of label index 0
+        self._runs: list[tuple[range, frozenset[int], str | tuple[str, ...], int]] = []
+        self._prefixed: dict[str, list[tuple[range, int]]] = {}  # prefix -> (ids, base) per run
+        self._named: dict[str, int] = {}  # id of each label given to add_bits
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self.values)
 
     def __contains__(self, label: str) -> bool:
-        return label in self._values
+        return self.id_of(label) is not None
+
+    def __getitem__(self, label: str) -> int:
+        return self.value_of(label)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.labels)
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(self._values)
+        return tuple(self.labels_of(range(len(self))))
 
     def add(self, label: str, value: int, owners: frozenset[int]) -> int:
-        """Register a bit and return its position. Labels must be unique."""
+        """Register a bit and return its id. Labels must be unique."""
         return self.add_bits([label], (value,), owners)
 
     def add_bits(self, labels: list[str], values: Sequence[int], owners: frozenset[int]) -> int:
-        """Register bits that share one owner set; return the first one's position.
+        """Register bits that share one owner set; return the first one's id.
 
         Nothing is registered unless every label is new and unique, every
         value is 0 or 1, and the owner set is not empty.
         """
         if len(values) != len(labels):
             raise ValueError(f"{len(labels)} labels but {len(values)} values")
-        new = dict(zip(labels, values))
-        if len(new) < len(labels) or not self._values.keys().isdisjoint(new):
-            seen = set(self._values)
-            for label in labels:
-                if label in seen:
-                    raise ValueError(f"duplicate basis label {label!r}")
-                seen.add(label)
+        seen: set[str] = set()
+        for label in labels:
+            if label in seen or label in self:
+                raise ValueError(f"duplicate basis label {label!r}")
+            seen.add(label)
+        ids = self._register(values, owners, tuple(labels), len(self))
+        self._named.update(zip(labels, ids))
+        return ids.start
+
+    def _add_run(self, prefix: str, values: bytes, owners: frozenset[int]) -> range:
+        """Register bits labelled ``prefix + index``, the indices going on from the prefix's runs."""
+        first = sum(len(ids) for ids, _ in self._prefixed.get(prefix, ()))
+        for index in range(first, first + len(values)) if self._named else ():
+            if (label := f"{prefix}{index}") in self._named:
+                raise ValueError(f"duplicate basis label {label!r}")
+        ids = self._register(values, owners, prefix, len(self) - first)
+        self._prefixed.setdefault(prefix, []).append((ids, ids.start - first))
+        return ids
+
+    def _register(self, values: Sequence[int], owners: frozenset[int], names, base: int) -> range:
+        # The one validation path for values and owners.
         if not _BIT_VALUES.issuperset(values):
             value = next(v for v in values if v not in _BIT_VALUES)
             raise ValueError(f"bit value must be 0 or 1, got {value!r}")
         if not owners:
             raise ValueError("a source bit needs at least one owner")
-        start = len(self._values)
-        self._values.update(new)
-        self._owners.update(dict.fromkeys(labels, owners))
-        return start
+        ids = range(len(self), len(self) + len(values))
+        if ids:
+            self.values += bytes(values)
+            self._starts.append(ids.start)
+            self._runs.append((ids, owners, names, base))
+        return ids
+
+    def id_of(self, label: str) -> int | None:
+        """The id of a label, or None when the basis has no such bit."""
+        prefix, colon, digits = label.rpartition(":")
+        if digits.isascii() and digits.isdigit() and str(int(digits)) == digits:
+            for ids, base in self._prefixed.get(prefix + colon, ()):
+                if int(digits) + base in ids:
+                    return int(digits) + base
+        return self._named.get(label)
+
+    def _id(self, label: str) -> int:
+        ident = self.id_of(label)
+        if ident is None:
+            raise UnknownBasisLabel(f"label {label!r} is not in the basis")
+        return ident
+
+    def _run(self, ident: int) -> tuple[range, frozenset[int], str | tuple[str, ...], int]:
+        return self._runs[bisect_right(self._starts, ident) - 1]
+
+    def label(self, ident: int) -> str:
+        _, _, names, base = self._run(ident)
+        return names[ident - base] if isinstance(names, tuple) else f"{names}{ident - base}"
+
+    def labels_of(self, ids: Sequence[int]) -> list[str]:
+        if len(ids) > 1 and isinstance(ids, range) and ids.step == 1:  # in bulk within one run
+            run, _, names, base = self._run(ids.start)
+            if isinstance(names, str) and ids.stop <= run.stop:
+                return list(map(names.__add__, map(str, range(ids.start - base, ids.stop - base))))
+        return list(map(self.label, ids))
+
+    def runs(self) -> list[tuple[range, frozenset[int]]]:
+        """Each run's ids and owners, in id order."""
+        return [run[:2] for run in self._runs]
+
+    def bits(self, ids: Iterable[int]) -> tuple[int, ...]:
+        """The realized values of the given ids."""
+        return tuple(map(self.values.__getitem__, ids))
 
     def value_of(self, label: str) -> int:
-        try:
-            return self._values[label]
-        except KeyError:
-            raise UnknownBasisLabel(f"label {label!r} is not in the basis") from None
+        return self.values[self._id(label)]
 
     def owners_of(self, label: str) -> frozenset[int]:
-        try:
-            return self._owners[label]
-        except KeyError:
-            raise UnknownBasisLabel(f"label {label!r} is not in the basis") from None
+        return self._run(self._id(label))[1]
 
-    def known_to(self, terminal: int) -> list[str]:
-        """Labels the terminal holds natively, in basis order."""
-        return [lab for lab, owners in self._owners.items() if terminal in owners]
+    def realized(self) -> SourceBitBasis:
+        """Label-to-value lookups for evaluating linear forms: the basis itself,
+        which reads like a mapping and builds no label map."""
+        return self
 
-    def realized(self) -> dict[str, int]:
-        """Label-to-value mapping for evaluating linear forms. Treat as read-only."""
-        return self._values
-
-    def new_local_bits(self, owner: int, count: int, rng: random.Random) -> list[str]:
-        """Draw ``count`` fresh local bits for ``owner`` and register them."""
+    def new_local_ids(self, owner: int, count: int, rng: random.Random) -> range:
+        """Draw ``count`` fresh local bits for ``owner``, register them, and return their ids."""
         if count < 0:
             raise ValueError(f"count must be nonnegative, got {count}")
-        start = self._local_counts.get(owner, 0)
-        labels = [local_bit_label(owner, start + offset) for offset in range(count)]
-        self.add_bits(labels, _random_bits(rng, count), frozenset((owner,)))
-        self._local_counts[owner] = start + count
-        return labels
+        return self._add_run(f"R{owner}:", _random_bits(rng, count), frozenset((owner,)))
+
+    def new_local_bits(self, owner: int, count: int, rng: random.Random) -> list[str]:
+        """``new_local_ids``, returning the new bits' labels."""
+        return self.labels_of(self.new_local_ids(owner, count, rng))
+
+
+class RenderedSequence(Sequence):
+    """Items kept as equal-length columns of source-bit ids, each rendered from
+    the labels of its ids only when read.  It compares and hashes as the
+    tuple of its items, as the tuple it stands for would."""
+
+    __slots__ = ("basis", "columns")
+
+    def __init__(self, basis: SourceBitBasis, *columns: Sequence[int]) -> None:
+        self.basis, self.columns = basis, columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, k: int):
+        return self._item(tuple(self.basis.label(column[k]) for column in self.columns))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, RenderedSequence)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+class BitLabels(RenderedSequence):
+    """Labels of source bits held as one column of ids."""
+
+    __slots__ = ()
+    _item = staticmethod(itemgetter(0))
 
 
 @dataclass
 class PairwiseKeyStore:
-    """Holds every pair's key bits plus a consumption cursor per pair.
+    """Holds every pair's key bits, as basis ids, plus a consumption cursor per pair.
 
     Bits are handed out strictly left to right and never twice; once a
     protocol consumes a bit it is gone, which is exactly the one-time-pad
@@ -233,41 +320,44 @@ class PairwiseKeyStore:
 
     spec: NetworkSpec
     basis: SourceBitBasis
-    _keys: dict[Pair, tuple[int, ...]]
+    _ids: dict[Pair, range]
     _cursors: dict[Pair, int]
 
+    def key_ids(self, i: int, j: int) -> range:
+        return self._ids.get(canonical_pair(i, j), range(0))
+
     def key_bits(self, i: int, j: int) -> tuple[int, ...]:
-        return self._keys.get(canonical_pair(i, j), ())
+        return self.basis.bits(self.key_ids(i, j))
 
     def key_labels(self, i: int, j: int) -> tuple[str, ...]:
-        pair = canonical_pair(i, j)
-        prefix = _pair_label_prefix(*pair)
-        return tuple(f"{prefix}{t}" for t in range(len(self._keys.get(pair, ()))))
+        return tuple(self.basis.labels_of(self.key_ids(i, j)))
 
     def remaining(self, i: int, j: int) -> int:
         pair = canonical_pair(i, j)
-        return len(self._keys.get(pair, ())) - self._cursors.get(pair, 0)
+        return len(self._ids.get(pair, ())) - self._cursors.get(pair, 0)
 
-    def consume_bits(self, i: int, j: int, count: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
-        """Take the next ``count`` unused bits of pair {i, j}'s key.
+    def take(self, i: int, j: int, count: int) -> range:
+        """Consume the next ``count`` unused bits of pair {i, j}'s key; return their ids.
 
-        Returns (bit values, basis labels).  Raises InsufficientKeyMaterial
-        when fewer than ``count`` bits remain; the cursor is untouched then.
+        Raises InsufficientKeyMaterial when fewer than ``count`` bits
+        remain; the cursor is untouched then.
         """
         if count < 0:
             raise ValueError(f"count must be nonnegative, got {count}")
         pair = canonical_pair(i, j)
-        have = self.remaining(i, j)
-        if count > have:
-            raise InsufficientKeyMaterial(
-                f"pair {pair} has {have} unused bits, {count} requested"
-            )
+        ids = self._ids.get(pair, range(0))
         start = self._cursors.get(pair, 0)
+        if count > len(ids) - start:
+            raise InsufficientKeyMaterial(
+                f"pair {pair} has {len(ids) - start} unused bits, {count} requested"
+            )
         self._cursors[pair] = start + count
-        bits = self._keys.get(pair, ())[start:start + count]
-        prefix = _pair_label_prefix(*pair)
-        labels = tuple(f"{prefix}{t}" for t in range(start, start + count))
-        return bits, labels
+        return ids[start:start + count]
+
+    def consume_bits(self, i: int, j: int, count: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
+        """``take``, returning the consumed bits' values and labels."""
+        ids = self.take(i, j, count)
+        return self.basis.bits(ids), tuple(self.basis.labels_of(ids))
 
 
 def _pair_rng(seed: int, i: int, j: int) -> random.Random:
@@ -283,14 +373,14 @@ def local_rng(seed: int, owner: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _random_bits(rng: random.Random, count: int) -> tuple[int, ...]:
+def _random_bits(rng: random.Random, count: int) -> bytes:
     """The bits of ``count`` one-bit ``rng.getrandbits`` calls, from one draw.
 
     See ``generate_pairwise_keys`` for why the two agree; ``rng`` ends in
     the same state either way.
     """
     words = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
-    return tuple(words[3::4].translate(_TOP_BIT))
+    return words[3::4].translate(_TOP_BIT)
 
 
 def generate_pairwise_keys(spec: NetworkSpec, seed: int) -> PairwiseKeyStore:
@@ -308,11 +398,9 @@ def generate_pairwise_keys(spec: NetworkSpec, seed: int) -> PairwiseKeyStore:
     ``getrandbits(32 * n).to_bytes(4 * n, "little")``.
     """
     basis = SourceBitBasis()
-    keys: dict[Pair, tuple[int, ...]] = {}
-    for pair in spec.pairs():
-        i, j = pair
-        bits = _random_bits(_pair_rng(seed, i, j), spec.budgets[pair])
-        prefix = _pair_label_prefix(i, j)
-        basis.add_bits([f"{prefix}{t}" for t in range(len(bits))], bits, frozenset(pair))
-        keys[pair] = bits
-    return PairwiseKeyStore(spec=spec, basis=basis, _keys=keys, _cursors={})
+    ids = {
+        (i, j): basis._add_run(_pair_label_prefix(i, j), _random_bits(_pair_rng(seed, i, j), budget),
+                               frozenset((i, j)))
+        for (i, j), budget in sorted(spec.budgets.items())
+    }
+    return PairwiseKeyStore(spec=spec, basis=basis, _ids=ids, _cursors={})

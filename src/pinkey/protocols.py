@@ -10,26 +10,40 @@ Three cases are implemented over the same pairwise-key substrate:
 - group: repeatedly pick a maximum spanning tree of the residual budget
   graph and flood one shared bit along it, until the graph disconnects.
 
-Every public payload bit carries its exact GF(2) linear form over the
-source-bit basis, so reconstructibility and secrecy are verifiable by
-linear algebra instead of sampling.  Runs are pure functions of
-(store, spec, seed): reruns produce byte-identical transcripts.  Each
-run self-checks linear-form fidelity, one-time-pad discipline, and
-per-holder replay before returning.
+Every public payload bit is a one-time pad, the XOR of a plain bit and
+the key bit that pads it, and records that exact GF(2) linear form as
+the pair of source-bit ids; labels are rendered from the ids only for
+text.  So reconstructibility and secrecy are verifiable by linear algebra
+instead of sampling.  Runs are pure functions of (store, spec, seed):
+reruns produce byte-identical transcripts.  Each run self-checks
+linear-form fidelity, one-time-pad discipline, and per-holder replay
+before returning, and takes its secrecy report from the same reduction
+of its transcript.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable
+from itertools import repeat
+from operator import xor
 
-from .bounds import broadcast_bound, budget_graph, group_bound, subgroup_bound
+from .bounds import broadcast_bound, budget_graph, group_bound
 from .errors import GraphDisconnected, InsufficientKeyMaterial, invariant
 from .graph import SpanningTree, max_flow, maximum_spanning_tree
-from .model import NetworkSpec, PairwiseKeyStore, SourceBitBasis, local_rng
-from .secrecy import LinearForm, form_rows, gf2_rank, own_rows, support_index
+from .model import BitLabels, NetworkSpec, PairwiseKeyStore, SourceBitBasis, local_rng
+from .secrecy import (
+    IdForms,
+    LinearForm,
+    SecrecyReport,
+    column_rows,
+    gf2_rank,
+    own_rows,
+    secrecy_report,
+    support_index,
+)
 
 # The group bound costs m min cuts per Newton step, so it is cheap at any
 # m.  Runs attach it to their stats only up to this size, which keeps the
@@ -47,20 +61,21 @@ def bits_to_hex(bits: tuple[int, ...]) -> str:
     return f"{value:0{(len(bits) + 3) // 4}x}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublicMessage:
     """One public transmission: payload bits plus their linear forms.
 
     pads names the basis bit that one-time-pads each payload bit; the
-    across-run invariant is that no basis bit ever pads twice.
+    across-run invariant is that no basis bit ever pads twice.  Runs keep
+    forms and pads as source-bit ids, in ``IdForms`` and ``BitLabels``.
     """
 
     sender: int
     receiver: int
     round: int
     payload: tuple[int, ...]
-    forms: tuple[LinearForm, ...]
-    pads: tuple[str, ...]
+    forms: Sequence[LinearForm]
+    pads: Sequence[str]
 
     def __post_init__(self) -> None:
         if not (len(self.payload) == len(self.forms) == len(self.pads)):
@@ -105,7 +120,7 @@ class Transcript:
         """
         lines = ["transcript v1"]
         for m in self.messages:
-            forms = ";".join(str(f) for f in m.forms)
+            forms = ";".join(m.forms.texts() if isinstance(m.forms, IdForms) else map(str, m.forms))
             lines.append(f"{m.round} {m.sender} {m.receiver} {bits_to_hex(m.payload)} {forms}")
         return "\n".join(lines) + "\n"
 
@@ -129,21 +144,38 @@ class GroupKeyResult:
     case: str
     holders: frozenset[int]
     key: tuple[int, ...]
-    key_forms: tuple[LinearForm, ...]
+    key_ids: Sequence[int]
     transcript: Transcript
     stats: RunStats
     basis: SourceBitBasis
+    secrecy: SecrecyReport | None = None  # from the run's self-check
+
+    @property
+    def key_forms(self) -> IdForms:
+        return IdForms(self.basis, self.key_ids)
 
 
-def _transcript_table(result: GroupKeyResult) -> tuple[dict[str, int], dict[int, int]]:
-    """Support index of the run's forms, and the kernel pivot table of the
-    public equations, form = payload bit, over it."""
-    forms = result.transcript.forms()
-    index = support_index(result.basis, forms, result.key_forms)
+def _transcript_table(result: GroupKeyResult) -> tuple[tuple[list[int], ...], dict[int, int], dict[int, int]]:
+    """The whole transcript's payload bits with the plain and pad id columns
+    of their forms; the support index of the run's ids, key bits first; and
+    the kernel pivot table of the public equations, form = payload bit.
+
+    Messages must be as runs build them: forms in ``IdForms`` of two
+    columns, each bit the XOR of a plain bit and the bit that pads it.
+    Each protocol pads a key bit with a fresh bit, so every row's top bit
+    is its pad's and the rows need no reduction.
+    """
+    bits: list[int] = []
+    plain: list[int] = []
+    pad: list[int] = []
+    for msg in result.transcript:
+        bits += msg.payload
+        for column, ids in zip((plain, pad), msg.forms.columns, strict=True):
+            column += ids
+    index = support_index(result.key_ids, plain, pad)
     table: dict[int, int] = {}
-    bits = (bit for msg in result.transcript for bit in msg.payload)
-    gf2_rank(form_rows(forms, index, bits), table)
-    return index, table
+    gf2_rank(column_rows((plain, pad), index, bits), table)
+    return (bits, plain, pad), index, table
 
 
 def _add_own_bits(table: dict[int, int], rows: Iterable[int]) -> None:
@@ -160,12 +192,12 @@ def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
     reconstruct; for anyone else None is the expected outcome unless the
     protocol intentionally routes the key through them.
     """
-    index, table = _transcript_table(result)
+    _, index, table = _transcript_table(result)
     _add_own_bits(table, own_rows(result.basis, index).get(terminal, ()))
     out = []
     # Try each key form as the equation form = 0: it is implied (the bit
     # is 0), contradicted (residue 1, so the bit is 1), or independent.
-    for row in form_rows(result.key_forms, index):
+    for row in column_rows((result.key_ids,), index, repeat(0)):
         if not gf2_rank([row], table):
             out.append(0)
         elif table.pop(0, None) is not None:
@@ -175,28 +207,48 @@ def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
     return tuple(out)
 
 
-def _self_check(result: GroupKeyResult) -> None:
+def _self_check(result: GroupKeyResult) -> GroupKeyResult:
+    """Check the run; return it with the secrecy report of its one transcript reduction."""
+    # The transcript is reduced once: each holder below extends a copy of
+    # its table with its own bits, and the report extends the table itself.
+    (bits, plain, pad), index, transcript = _transcript_table(result)
     # Linear-form fidelity: forms evaluated on realized basis bits must
     # reproduce the actual payload and key bits.
-    values = result.basis.realized()
-    for msg in result.transcript:
-        for form, bit in zip(msg.forms, msg.payload):
-            invariant(form.evaluate(values) == bit, "transcript form does not match payload")
-    for form, bit in zip(result.key_forms, result.key):
-        invariant(form.evaluate(values) == bit, "key form does not match key bit")
+    value = result.basis.values.__getitem__
+    evaluated = map(xor, bits, map(xor, map(value, plain), map(value, pad)))
+    invariant(not any(evaluated), "transcript form does not match payload")
+    invariant(result.basis.bits(result.key_ids) == result.key, "key form does not match key bit")
     # One-time-pad discipline: a basis bit masks at most one public bit, ever.
-    pads = [p for msg in result.transcript for p in msg.pads]
+    pads = [ident for msg in result.transcript for ident in msg.pads.columns[0]]
     invariant(len(pads) == len(set(pads)), "a pad bit was reused")
     # Replay soundness: every holder reconstructs the whole key, that is,
-    # the key equations add no rank to the holder's view.  The transcript
-    # is reduced once; each holder extends a copy with its own bits.
-    index, transcript = _transcript_table(result)
-    key_rows = form_rows(result.key_forms, index, result.key)
+    # the key equations add no rank to the holder's view.
+    key_rows = list(column_rows((result.key_ids,), index, result.key))
     own = own_rows(result.basis, index)
     for holder in sorted(result.holders):
         table = dict(transcript)
         _add_own_bits(table, own.get(holder, ()))
         invariant(not gf2_rank(key_rows, table), f"holder {holder} cannot replay the key")
+    return replace(result, secrecy=secrecy_report(transcript, key_rows))
+
+
+def _result(store: PairwiseKeyStore, case: str, holders: Iterable[int], key_ids: Sequence[int],
+            transcript: Transcript, **stats) -> GroupKeyResult:
+    """The self-checked result of a run whose key is the bits ``key_ids``."""
+    return _self_check(GroupKeyResult(
+        case=case, holders=frozenset(holders), key=store.basis.bits(key_ids), key_ids=key_ids,
+        transcript=transcript, basis=store.basis,
+        stats=RunStats(public_bits=transcript.public_bits, messages=len(transcript), **stats),
+    ))
+
+
+def _padded(store: PairwiseKeyStore, sender: int, receiver: int, round: int,
+            plain: Sequence[int], plain_bits: Sequence[int]) -> PublicMessage:
+    """The message that pads bits ``plain`` with the next unused bits of the pair's key."""
+    basis = store.basis
+    pad = store.take(sender, receiver, len(plain))
+    payload = tuple(map(xor, plain_bits, basis.bits(pad)))
+    return PublicMessage(sender, receiver, round, payload, IdForms(basis, plain, pad), BitLabels(basis, pad))
 
 
 def run_broadcast(store: PairwiseKeyStore, spec: NetworkSpec) -> GroupKeyResult:
@@ -211,37 +263,15 @@ def run_broadcast(store: PairwiseKeyStore, spec: NetworkSpec) -> GroupKeyResult:
     poorest = min(range(1, spec.m), key=lambda i: (spec.budget(0, i), i))
     length = spec.budget(0, poorest)
     transcript = Transcript()
+    key_ids = store.take(0, poorest, length)
+    key = store.basis.bits(key_ids)
     if length > 0:
-        key, key_labels = store.consume_bits(0, poorest, length)
         for leaf in range(1, spec.m):
-            if leaf == poorest or spec.budget(0, leaf) == 0:
-                continue
-            pad, pad_labels = store.consume_bits(0, leaf, length)
-            payload = tuple(k ^ p for k, p in zip(key, pad))
-            forms = tuple(
-                LinearForm.unit(kl) ^ LinearForm.unit(pl)
-                for kl, pl in zip(key_labels, pad_labels)
-            )
-            transcript.append(
-                PublicMessage(sender=0, receiver=leaf, round=0,
-                              payload=payload, forms=forms, pads=pad_labels)
-            )
-    else:
-        key, key_labels = (), ()
+            if leaf != poorest and spec.budget(0, leaf) > 0:
+                transcript.append(_padded(store, 0, leaf, 0, key_ids, key))
     gap = bound.value - length
     invariant(gap == 0, "broadcast must meet its bound exactly")
-    result = GroupKeyResult(
-        case="broadcast",
-        holders=frozenset(range(spec.m)),
-        key=key,
-        key_forms=tuple(LinearForm.unit(lab) for lab in key_labels),
-        transcript=transcript,
-        stats=RunStats(bound=bound.value, gap=gap,
-                       public_bits=transcript.public_bits, messages=len(transcript)),
-        basis=store.basis,
-    )
-    _self_check(result)
-    return result
+    return _result(store, "broadcast", range(spec.m), key_ids, transcript, bound=bound.value, gap=gap)
 
 
 def run_subgroup(
@@ -254,54 +284,31 @@ def run_subgroup(
     carrying c bits publishes the slice XOR the next c unused bits of
     pair {u, v}'s key; relays decrypt and re-encrypt, so only s and t end
     up knowing the plaintext.  Hops advance in lockstep rounds, paths in
-    lexicographic order within a round.
+    lexicographic order within a round.  The bound is the min cut that the
+    flow's residual graph gives, checked there to equal the flow value.
     """
-    bound = subgroup_bound(spec, s, t)
     flow = max_flow(budget_graph(spec), s, t)
-    invariant(Fraction(flow.value) == bound.value, "max-flow value differs from the min-cut bound")
-    fresh_labels = store.basis.new_local_bits(s, flow.value, local_rng(seed, s))
-    fresh_bits = tuple(store.basis.value_of(lab) for lab in fresh_labels)
+    bound = Fraction(flow.cut.value)
+    fresh = store.basis.new_local_ids(s, flow.value, local_rng(seed, s))
+    fresh_bits = store.basis.bits(fresh)
 
     slices = []
     offset = 0
     for path, amount in flow.paths:
-        slices.append((path, amount, offset))
+        slices.append((path, offset, offset + amount))
         offset += amount
     invariant(offset == flow.value, "flow paths do not add up to the flow value")
 
     transcript = Transcript()
     longest = max((len(path) - 1 for path, _ in flow.paths), default=0)
     for hop in range(longest):
-        for path, amount, start in slices:
-            if hop >= len(path) - 1:
-                continue
-            u, v = path[hop], path[hop + 1]
-            pad, pad_labels = store.consume_bits(u, v, amount)
-            plain_bits = fresh_bits[start:start + amount]
-            plain_labels = fresh_labels[start:start + amount]
-            payload = tuple(b ^ p for b, p in zip(plain_bits, pad))
-            forms = tuple(
-                LinearForm.unit(bl) ^ LinearForm.unit(pl)
-                for bl, pl in zip(plain_labels, pad_labels)
-            )
-            transcript.append(
-                PublicMessage(sender=u, receiver=v, round=hop,
-                              payload=payload, forms=forms, pads=pad_labels)
-            )
+        for path, start, stop in slices:
+            if hop < len(path) - 1:
+                transcript.append(_padded(store, path[hop], path[hop + 1], hop,
+                                          fresh[start:stop], fresh_bits[start:stop]))
 
-    result = GroupKeyResult(
-        case="subgroup",
-        holders=frozenset((s, t)),
-        key=fresh_bits,
-        key_forms=tuple(LinearForm.unit(lab) for lab in fresh_labels),
-        transcript=transcript,
-        stats=RunStats(bound=bound.value, gap=bound.value - flow.value,
-                       public_bits=transcript.public_bits, messages=len(transcript),
-                       flow_value=flow.value),
-        basis=store.basis,
-    )
-    _self_check(result)
-    return result
+    return _result(store, "subgroup", (s, t), fresh, transcript,
+                   bound=bound, gap=bound - flow.value, flow_value=flow.value)
 
 
 def single_bit_round(
@@ -323,10 +330,9 @@ def single_bit_round(
     for i, j in tree.edges:
         if store.remaining(i, j) < 1:
             raise InsufficientKeyMaterial(f"tree edge ({i}, {j}) has no unused key bits")
-    edge_bit = {edge: store.consume_bits(*edge, 1) for edge in tree.edges}
     seed_edge = tree.edges[0]
-    shared_bit = edge_bit[seed_edge][0][0]
-    shared_label = edge_bit[seed_edge][1][0]
+    shared = store.take(*seed_edge, 1)
+    shared_bits = store.basis.bits(shared)
 
     adjacency = tree.adjacency()
     depth = {seed_edge[0]: 0, seed_edge[1]: 0}
@@ -338,20 +344,10 @@ def single_bit_round(
             if v in depth:
                 continue
             depth[v] = depth[u] + 1
-            edge = (u, v) if u < v else (v, u)
-            pad_bit = edge_bit[edge][0][0]
-            pad_label = edge_bit[edge][1][0]
-            messages.append(
-                PublicMessage(
-                    sender=u, receiver=v, round=round_base + depth[v] - 1,
-                    payload=(shared_bit ^ pad_bit,),
-                    forms=(LinearForm.unit(shared_label) ^ LinearForm.unit(pad_label),),
-                    pads=(pad_label,),
-                )
-            )
+            messages.append(_padded(store, u, v, round_base + depth[v] - 1, shared, shared_bits))
             queue.append(v)
     invariant(len(messages) == spec.m - 2, "a tree round must send exactly m - 2 messages")
-    return shared_label, messages
+    return store.basis.label(shared[0]), messages
 
 
 def run_group_key(
@@ -371,7 +367,7 @@ def run_group_key(
     """
     g = budget_graph(spec)
     transcript = Transcript()
-    key_labels: list[str] = []
+    key_ids: list[int] = []
     next_round = 0
     while True:
         try:
@@ -385,9 +381,9 @@ def run_group_key(
             next_round = messages[-1].round + 1
         for i, j in tree.edges:
             g.set_weight(i, j, g.weight(i, j) - 1)
-        key_labels.append(label)
+        key_ids.append(store.basis.id_of(label))
 
-    iterations = len(key_labels)
+    iterations = len(key_ids)
     invariant(iterations <= spec.total_budget() // (spec.m - 1),
                "achieved length exceeds the total/(m-1) ceiling")
     if spec.m <= GROUP_BOUND_AUTO_LIMIT:
@@ -398,16 +394,5 @@ def run_group_key(
         bound_value = None
         gap = None
 
-    result = GroupKeyResult(
-        case="group",
-        holders=frozenset(range(spec.m)),
-        key=tuple(store.basis.value_of(lab) for lab in key_labels),
-        key_forms=tuple(LinearForm.unit(lab) for lab in key_labels),
-        transcript=transcript,
-        stats=RunStats(bound=bound_value, gap=gap,
-                       public_bits=transcript.public_bits, messages=len(transcript),
-                       iterations=iterations),
-        basis=store.basis,
-    )
-    _self_check(result)
-    return result
+    return _result(store, "group", range(spec.m), tuple(key_ids), transcript,
+                   bound=bound_value, gap=gap, iterations=iterations)

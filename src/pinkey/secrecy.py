@@ -10,27 +10,33 @@ and K is uniform exactly when its forms are linearly independent.  Both
 facts are checked here two ways: a rank computation over int bitsets, and
 an exhaustive histogram oracle that never looks at ranks.
 
-All GF(2) elimination in the package, ranks here and replay in
-``protocols``, goes through one kernel.  ``support_index`` numbers the
-labels a set of forms mentions, its support; ``form_rows`` encodes forms
+All GF(2) elimination in the package, ranks here and the self-check and
+replay in ``protocols``, goes through one kernel.  ``support_index``
+numbers the source bits a set of forms mentions, its support: by int id
+on the run path, by label in ``verify_independence``.  Forms are encoded
 as int rows over it, with support position k at row bit k + 1 and bit 0
 carrying the value the row is claimed to take; ``gf2_rank`` reduces rows
 into a pivot table keyed by each row's top bit.  Rows are as wide as the
 support, not the basis: basis bits no form mentions cannot change a rank
-or a replay, so they get no column.  Ranks use value 0 throughout.  For
-equations, a row whose residue is exactly ``1`` says ``0 = 1``: it lands
-as pivot 0, so a table holding pivot 0 is inconsistent.
+or a replay, so they get no column.  For equations, a row whose residue
+is exactly ``1`` says ``0 = 1``: it lands as pivot 0, so a table holding
+pivot 0 is inconsistent.  A consistent system has the same ranks with
+and without its values, so a run's self-check takes its secrecy report
+from the same table it replays with.  ``verify_independence`` and the
+exhaustive oracle read labelled ``LinearForm``s; runs render theirs from
+ids only when asked (``IdForms``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from typing import Iterable, Iterator, Mapping
+from itertools import chain, count
+from operator import xor
 
 from .errors import InstanceTooLarge, UnknownBasisLabel
-from .model import SourceBitBasis
+from .model import RenderedSequence, SourceBitBasis
 
 MI_BASIS_LIMIT = 20  # exhaustive oracle enumerates 2**basis_size assignments
 
@@ -87,56 +93,66 @@ class SecrecyReport:
             raise ValueError(f"inconsistent ranks in {self!r}")
 
 
-def support_index(basis: SourceBitBasis, *form_groups: Iterable[LinearForm]) -> dict[str, int]:
-    """Number the labels the forms mention, densely, in order of first appearance.
+class IdForms(RenderedSequence):
+    """Linear forms held as source-bit ids, rendered as ``LinearForm`` only when read.
 
-    The order within one form is its set order, which can differ between
-    processes; no rank or replay depends on it.  Raises UnknownBasisLabel
-    for a label that is not in ``basis``.
+    Form k is the XOR of the bits ``column[k]`` of the columns: one column
+    gives the unit forms of key bits, and padded payload bits have the
+    columns (plain, pad).  The ids of one form are distinct.
     """
-    index: dict[str, int] = {}
-    for forms in form_groups:
-        for form in forms:
-            for label in form.labels:
-                if label not in index:
-                    if label not in basis:
-                        raise UnknownBasisLabel(f"label {label!r} is not in the basis")
-                    index[label] = len(index)
-    return index
+
+    __slots__ = ()
+
+    @staticmethod
+    def _item(labels: tuple[str, ...]) -> LinearForm:
+        return LinearForm(frozenset(labels))
+
+    def texts(self) -> list[str]:
+        """``str`` of each form of a message's (plain, pad) columns, without building
+        the forms, and without a sort per form."""
+        plain, pad = self.columns
+        if len(plain) == 1:  # one bit, as in a group round: no bulk rendering
+            a, b = self.basis.label(plain[0]), self.basis.label(pad[0])
+            return [a + "^" + b if a < b else b + "^" + a]
+        labels = zip(self.basis.labels_of(plain), self.basis.labels_of(pad))
+        return [a + "^" + b if a < b else b + "^" + a for a, b in labels]
 
 
-def form_rows(
-    forms: Iterable[LinearForm], index: Mapping[str, int], values: Iterable[int] | None = None
-) -> list[int]:
-    """Encode forms as kernel rows: support position k at bit k + 1, the value in bit 0.
-
-    ``index`` comes from ``support_index`` over these forms.  ``values``
-    gives each form's claimed value; without it every value is 0.
-    """
-    return [
-        sum(2 << index[label] for label in form.labels) | value
-        for form, value in zip(forms, repeat(0) if values is None else values)
-    ]
+def support_index(*groups: Iterable[Hashable]) -> dict[Hashable, int]:
+    """Number the distinct keys densely, in order of first appearance: source-bit
+    ids on the run path, labels in the label-level audit, which checks them."""
+    return dict(zip(dict.fromkeys(chain(*groups)), count()))
 
 
-def own_rows(basis: SourceBitBasis, index: Mapping[str, int]) -> dict[int, Iterator[int]]:
+_COLUMN = (2).__lshift__  # support position k -> its row bit, 2 << k
+
+
+def column_rows(columns: Iterable[Iterable[Hashable]], index: Mapping[Hashable, int],
+                values: Iterable[int]) -> Iterator[int]:
+    """Encode forms as kernel rows: form k is the XOR of the k-th key of every
+    column, its support position p at row bit p + 1, and value k sits in bit 0."""
+    rows = values
+    for keys in columns:
+        rows = map(xor, rows, map(_COLUMN, map(index.__getitem__, keys)))
+    return rows
+
+
+def own_rows(basis: SourceBitBasis, index: Mapping[int, int]) -> dict[int, Iterator[int]]:
     """Each terminal's own source bits inside the support, as kernel rows.
 
-    A bit's row is what ``form_rows`` gives for its unit form and its
+    A bit's row is what ``column_rows`` gives for its unit form and its
     realized value.  Own bits outside the support are left out: such a
     bit's row is a unit on a column no other row has, so it can never
     reduce another row nor yield ``0 = 1``.  The rows are built only as
     each owner's iterator is read, so each can be read once.
     """
-    values = basis.realized()
-    owned: dict[int, list[str]] = {}
-    for label in index:
-        for owner in basis.owners_of(label):
-            owned.setdefault(owner, []).append(label)
-    return {
-        owner: ((2 << index[label]) | values[label] for label in labels)
-        for owner, labels in owned.items()
-    }
+    values = basis.values
+    owned: dict[int, list[int]] = {}
+    for ids, owners in basis.runs():
+        inside = list(filter(index.__contains__, ids))
+        for owner in owners if inside else ():
+            owned.setdefault(owner, []).extend(inside)
+    return {owner: ((2 << index[i]) | values[i] for i in ids) for owner, ids in owned.items()}
 
 
 def gf2_rank(masks: Iterable[int], pivots: dict[int, int] | None = None) -> int:
@@ -159,6 +175,18 @@ def gf2_rank(masks: Iterable[int], pivots: dict[int, int] | None = None) -> int:
     return rank
 
 
+def secrecy_report(transcript: dict[int, int], key_rows: list[int]) -> SecrecyReport:
+    """The report for the key rows and a consistent pivot table of the transcript
+    rows, which it extends in place; rows may carry values that hold together."""
+    rank_transcript = len(transcript)
+    return SecrecyReport(
+        rank_key=gf2_rank(key_rows),
+        rank_transcript=rank_transcript,
+        rank_joint=rank_transcript + gf2_rank(key_rows, transcript),
+        key_count=len(key_rows),
+    )
+
+
 def verify_independence(
     key_forms: Iterable[LinearForm],
     transcript_forms: Iterable[LinearForm],
@@ -167,20 +195,22 @@ def verify_independence(
     """Exact leakage between key and transcript, in bits.
 
     leaked_bits == 0 iff the key is statistically independent of the
-    public transcript; every label must exist in ``basis``.
+    public transcript; every label must exist in ``basis``.  This is the
+    label-level audit; runs get the same report from their self-check.
     """
-    key_forms = list(key_forms)
-    transcript_forms = list(transcript_forms)
-    index = support_index(basis, transcript_forms, key_forms)
-    key_rows = form_rows(key_forms, index)
+    key_forms = [form.labels for form in key_forms]
+    transcript_forms = [form.labels for form in transcript_forms]
+    index = support_index(*transcript_forms, *key_forms)
+    for label in index:
+        if label not in basis:
+            raise UnknownBasisLabel(f"label {label!r} is not in the basis")
+
+    def rows(forms: list[frozenset[str]]) -> list[int]:
+        return [sum(map(_COLUMN, map(index.__getitem__, form))) for form in forms]
+
     table: dict[int, int] = {}
-    rank_transcript = gf2_rank(form_rows(transcript_forms, index), table)
-    return SecrecyReport(
-        rank_key=gf2_rank(key_rows),
-        rank_transcript=rank_transcript,
-        rank_joint=rank_transcript + gf2_rank(key_rows, table),
-        key_count=len(key_rows),
-    )
+    gf2_rank(rows(transcript_forms), table)
+    return secrecy_report(table, rows(key_forms))
 
 
 def _exact_log2(ratio: Fraction) -> int:

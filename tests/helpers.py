@@ -1,4 +1,4 @@
-"""Seeded random-instance generators shared across the test modules."""
+"""Seeded random-instance generators and basis queries shared across the test modules."""
 
 from __future__ import annotations
 
@@ -28,3 +28,8 @@ def random_connected_spec(rng: random.Random, max_m: int = 6, max_budget: int = 
 def random_star_spec(rng: random.Random, max_m: int = 8, max_budget: int = 12) -> NetworkSpec:
     m = rng.randint(2, max_m)
     return NetworkSpec.star([rng.randint(0, max_budget) for _ in range(m - 1)])
+
+
+def known_to(basis, terminal: int) -> list[str]:
+    """Labels the terminal holds natively, in basis order."""
+    return [label for label in basis.labels if terminal in basis.owners_of(label)]

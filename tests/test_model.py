@@ -149,6 +149,42 @@ class TestGeneration:
                 basis.add(labels[0], values[0], owners)
 
 
+class TestIds:
+    def test_labels_are_parsed_only_when_written_canonically(self):
+        basis = generate_pairwise_keys(TRIANGLE, 0).basis
+        assert [basis.id_of(lab) for lab in ("K0-1:0", "K0-1:4", "K0-2:0", "K1-2:2")] == [0, 4, 5, 11]
+        for label in ("K0-1:04", "K0-1:+4", "K0-1:\u0664", "K0-1:5", "K1-0:0", "K0-1", "K0-1:", "4"):
+            assert basis.id_of(label) is None and label not in basis, label
+        with pytest.raises(UnknownBasisLabel):
+            basis.value_of("K0-1:04")
+
+    def test_labels_render_from_ids_in_bulk_as_one_by_one(self):
+        basis = generate_pairwise_keys(TRIANGLE, 0).basis
+        basis.add_bits(["x", "y"], (1, 0), frozenset((2,)))
+        basis.new_local_bits(1, 3, local_rng(0, 1))
+        for ids in (range(len(basis)), range(3, 7), range(4, 5), range(10, 16), [15, 0, 12, 12]):
+            assert basis.labels_of(ids) == [basis.label(i) for i in ids]
+        assert basis.labels[11:16] == ("K1-2:2", "x", "y", "R1:0", "R1:1")
+        assert all(basis.id_of(lab) == i for i, lab in enumerate(basis.labels))
+
+    def test_a_label_given_by_hand_blocks_the_same_generated_label(self):
+        basis = SourceBitBasis()
+        basis.add("R1:1", 0, frozenset((1,)))
+        with pytest.raises(ValueError, match="duplicate basis label 'R1:1'"):
+            basis.new_local_bits(1, 3, local_rng(0, 1))
+        assert basis.labels == ("R1:1",)
+        assert basis.new_local_bits(2, 2, local_rng(0, 2)) == ["R2:0", "R2:1"]
+
+    def test_the_basis_reads_as_a_label_to_value_mapping(self):
+        store = generate_pairwise_keys(TRIANGLE, 3)
+        values = store.basis.realized()
+        assert [values[lab] for lab in store.key_labels(0, 2)] == list(store.key_bits(0, 2))
+        assert "K0-2:3" in values and "K0-2:4" not in values
+        assert list(values) == list(store.basis.labels)
+        assert LinearForm(frozenset(("K0-1:0", "K1-2:0"))).evaluate(values) == (
+            store.key_bits(0, 1)[0] ^ store.key_bits(1, 2)[0])
+
+
 class TestConsumption:
     def test_sequential_calls_are_disjoint_and_cover(self):
         store = generate_pairwise_keys(TRIANGLE, 3)

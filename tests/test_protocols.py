@@ -34,7 +34,7 @@ from pinkey import (
 from pinkey.errors import InsufficientKeyMaterial, InvariantViolation, NotAStar
 from pinkey.protocols import PublicMessage, _self_check, bits_to_hex
 
-from helpers import random_connected_spec, random_spec
+from helpers import known_to, random_connected_spec, random_spec
 
 TRIANGLE = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
 
@@ -61,7 +61,7 @@ def reference_replay(result, terminal):
     a new row completely.
     """
     basis = result.basis
-    equations = [({label}, basis.value_of(label)) for label in basis.known_to(terminal)]
+    equations = [({label}, basis.value_of(label)) for label in known_to(basis, terminal)]
     equations += [(set(form.labels), bit)
                   for msg in result.transcript for form, bit in zip(msg.forms, msg.payload)]
     rows = []
