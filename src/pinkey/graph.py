@@ -289,11 +289,6 @@ def _reach(
     return parent
 
 
-def _residual_side(cap: dict[int, dict[int, int]], s: int) -> frozenset[int]:
-    """Nodes reachable from s over positive residual arcs: the smallest min-cut side."""
-    return frozenset(_reach(cap, cap, s))
-
-
 def _decompose(
     flows: dict[tuple[int, int], int], s: int, t: int
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -358,7 +353,7 @@ def _check_terminals(g: WeightedGraph, s: int, t: int) -> None:
 
 def _residual_cut(g: WeightedGraph, cap: dict[int, dict[int, int]], s: int, value: int) -> CutResult:
     """The cut around what s reaches in the residual table of a flow of ``value``."""
-    side = _residual_side(cap, s)
+    side = frozenset(_reach(cap, cap, s))  # the smallest min-cut side
     crossing = sum(w for i, j, w in g.edges() if (i in side) != (j in side))
     invariant(crossing == value, "residual cut does not match the flow value")
     return CutResult(value=value, source_side=side, m=g.m)
@@ -372,7 +367,8 @@ def min_st_cut_bruteforce(g: WeightedGraph, s: int, t: int) -> CutResult:
     """
     if g.m > CUT_ENUM_NODE_LIMIT:
         raise InstanceTooLarge(f"cut enumeration is limited to m <= {CUT_ENUM_NODE_LIMIT}, got {g.m}")
-    _check_terminals(g, s, t)
+    if s == t:
+        raise ValueError("source and sink must differ")
     others = [v for v in range(g.m) if v not in (s, t)]
     edges = g.edges()
     best_value: int | None = None
@@ -452,7 +448,7 @@ def _min_penalized_partition(g: WeightedGraph, ratio: Fraction) -> Partition:
                 _add_arc(cap, u, sink, -x[u])
         # The cut of side S is q d(S) + offset - x(S - i).
         x[i] = _edmonds_karp(cap, i, sink) - offset - 2 * p
-        for u in _residual_side(cap, i):
+        for u in _reach(cap, cap, i):
             blocks.union(i, u)
     members: dict[int, set[int]] = {}
     for v in range(g.m):
@@ -605,11 +601,27 @@ def optimal_tree_packing_bruteforce(g: WeightedGraph) -> int:
     trees = [t.edges for t in enumerate_spanning_trees(g)]
     memo: dict[tuple, int] = {}
 
+    def connected(weights: dict[tuple[int, int], int]) -> bool:
+        seen = {0}
+        queue = deque([0])
+        adjacency: dict[int, list[int]] = {}
+        for (i, j), w in weights.items():
+            if w > 0:
+                adjacency.setdefault(i, []).append(j)
+                adjacency.setdefault(j, []).append(i)
+        while queue:
+            u = queue.popleft()
+            for v in adjacency.get(u, ()):
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        return len(seen) == g.m
+
     def pack(weights: dict[tuple[int, int], int]) -> int:
         key = tuple(sorted(weights.items()))
         if key in memo:
             return memo[key]
-        if not is_connected(WeightedGraph(g.m, weights)):
+        if not connected(weights):
             memo[key] = 0
             return 0
         ceiling = sum(weights.values()) // (g.m - 1)

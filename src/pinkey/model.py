@@ -279,8 +279,8 @@ class SourceBitBasis:
 
 class RenderedSequence(Sequence):
     """Items kept as equal-length columns of source-bit ids, each rendered from
-    the labels of its ids only when read.  It compares and hashes as the
-    tuple of its items, as the tuple it stands for would."""
+    the labels of its ids only when read.  It slices, concatenates, compares,
+    hashes and prints as the tuple of its items, the tuple it stands for."""
 
     __slots__ = ("basis", "columns")
 
@@ -290,7 +290,9 @@ class RenderedSequence(Sequence):
     def __len__(self) -> int:
         return len(self.columns[0])
 
-    def __getitem__(self, k: int):
+    def __getitem__(self, k: int | slice):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(len(self))[k]))
         return self._item(tuple(self.basis.label(column[k]) for column in self.columns))
 
     def __eq__(self, other: object) -> bool:
@@ -300,6 +302,15 @@ class RenderedSequence(Sequence):
 
     def __hash__(self) -> int:
         return hash(tuple(self))
+
+    def __add__(self, other: tuple) -> tuple:
+        return tuple(self) + other
+
+    def __radd__(self, other: tuple) -> tuple:
+        return other + tuple(self)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 class BitLabels(RenderedSequence):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import xor
@@ -67,7 +67,10 @@ class PublicMessage:
 
     pads names the basis bit that one-time-pads each payload bit; the
     across-run invariant is that no basis bit ever pads twice.  Runs keep
-    forms and pads as source-bit ids, in ``IdForms`` and ``BitLabels``.
+    forms and pads as source-bit ids: ``IdForms`` of (plain, pad) columns
+    and ``BitLabels``.  The run path, that is the self-check, ``replay_key``
+    and ``Transcript.to_text``, reads those ids and refuses a message that
+    holds label-level forms; ``verify_independence`` audits such forms.
     """
 
     sender: int
@@ -82,6 +85,13 @@ class PublicMessage:
             raise ValueError("payload, forms, and pads must have equal length")
         if any(b not in (0, 1) for b in self.payload):
             raise ValueError("payload bits must be 0 or 1")
+
+
+def _id_forms(msg: PublicMessage) -> IdForms:
+    """The forms of a message as runs build them, raising TypeError for any other."""
+    if isinstance(msg.forms, IdForms) and len(msg.forms.columns) == 2 and isinstance(msg.pads, BitLabels):
+        return msg.forms
+    raise TypeError(f"round {msg.round} message {msg.sender}->{msg.receiver} holds no (plain, pad) id forms")
 
 
 class Transcript:
@@ -120,7 +130,7 @@ class Transcript:
         """
         lines = ["transcript v1"]
         for m in self.messages:
-            forms = ";".join(m.forms.texts() if isinstance(m.forms, IdForms) else map(str, m.forms))
+            forms = ";".join(_id_forms(m).texts())
             lines.append(f"{m.round} {m.sender} {m.receiver} {bits_to_hex(m.payload)} {forms}")
         return "\n".join(lines) + "\n"
 
@@ -148,31 +158,32 @@ class GroupKeyResult:
     transcript: Transcript
     stats: RunStats
     basis: SourceBitBasis
-    secrecy: SecrecyReport | None = None  # from the run's self-check
+    secrecy: SecrecyReport  # from the run's self-check
 
     @property
     def key_forms(self) -> IdForms:
         return IdForms(self.basis, self.key_ids)
 
 
-def _transcript_table(result: GroupKeyResult) -> tuple[tuple[list[int], ...], dict[int, int], dict[int, int]]:
+def _transcript_table(
+    transcript: Transcript, key_ids: Sequence[int]
+) -> tuple[tuple[list[int], ...], dict[int, int], dict[int, int]]:
     """The whole transcript's payload bits with the plain and pad id columns
     of their forms; the support index of the run's ids, key bits first; and
     the kernel pivot table of the public equations, form = payload bit.
 
-    Messages must be as runs build them: forms in ``IdForms`` of two
-    columns, each bit the XOR of a plain bit and the bit that pads it.
+    Each public bit is the XOR of a plain bit and the bit that pads it.
     Each protocol pads a key bit with a fresh bit, so every row's top bit
     is its pad's and the rows need no reduction.
     """
     bits: list[int] = []
     plain: list[int] = []
     pad: list[int] = []
-    for msg in result.transcript:
+    for msg in transcript:
         bits += msg.payload
-        for column, ids in zip((plain, pad), msg.forms.columns, strict=True):
+        for column, ids in zip((plain, pad), _id_forms(msg).columns):
             column += ids
-    index = support_index(result.key_ids, plain, pad)
+    index = support_index(key_ids, plain, pad)
     table: dict[int, int] = {}
     gf2_rank(column_rows((plain, pad), index, bits), table)
     return (bits, plain, pad), index, table
@@ -192,7 +203,7 @@ def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
     reconstruct; for anyone else None is the expected outcome unless the
     protocol intentionally routes the key through them.
     """
-    _, index, table = _transcript_table(result)
+    _, index, table = _transcript_table(result.transcript, result.key_ids)
     _add_own_bits(table, own_rows(result.basis, index).get(terminal, ()))
     out = []
     # Try each key form as the equation form = 0: it is implied (the bit
@@ -207,39 +218,41 @@ def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
     return tuple(out)
 
 
-def _self_check(result: GroupKeyResult) -> GroupKeyResult:
-    """Check the run; return it with the secrecy report of its one transcript reduction."""
+def _self_check(holders: frozenset[int], key: tuple[int, ...], key_ids: Sequence[int],
+                transcript: Transcript, basis: SourceBitBasis) -> SecrecyReport:
+    """Check a run's parts; return the secrecy report of its one transcript reduction."""
     # The transcript is reduced once: each holder below extends a copy of
     # its table with its own bits, and the report extends the table itself.
-    (bits, plain, pad), index, transcript = _transcript_table(result)
+    (bits, plain, pad), index, reduced = _transcript_table(transcript, key_ids)
     # Linear-form fidelity: forms evaluated on realized basis bits must
     # reproduce the actual payload and key bits.
-    value = result.basis.values.__getitem__
+    value = basis.values.__getitem__
     evaluated = map(xor, bits, map(xor, map(value, plain), map(value, pad)))
     invariant(not any(evaluated), "transcript form does not match payload")
-    invariant(result.basis.bits(result.key_ids) == result.key, "key form does not match key bit")
+    invariant(basis.bits(key_ids) == key, "key form does not match key bit")
     # One-time-pad discipline: a basis bit masks at most one public bit, ever.
-    pads = [ident for msg in result.transcript for ident in msg.pads.columns[0]]
+    pads = [ident for msg in transcript for ident in msg.pads.columns[0]]
     invariant(len(pads) == len(set(pads)), "a pad bit was reused")
     # Replay soundness: every holder reconstructs the whole key, that is,
     # the key equations add no rank to the holder's view.
-    key_rows = list(column_rows((result.key_ids,), index, result.key))
-    own = own_rows(result.basis, index)
-    for holder in sorted(result.holders):
-        table = dict(transcript)
+    key_rows = list(column_rows((key_ids,), index, key))
+    own = own_rows(basis, index)
+    for holder in sorted(holders):
+        table = dict(reduced)
         _add_own_bits(table, own.get(holder, ()))
         invariant(not gf2_rank(key_rows, table), f"holder {holder} cannot replay the key")
-    return replace(result, secrecy=secrecy_report(transcript, key_rows))
+    return secrecy_report(reduced, key_rows)
 
 
 def _result(store: PairwiseKeyStore, case: str, holders: Iterable[int], key_ids: Sequence[int],
             transcript: Transcript, **stats) -> GroupKeyResult:
     """The self-checked result of a run whose key is the bits ``key_ids``."""
-    return _self_check(GroupKeyResult(
-        case=case, holders=frozenset(holders), key=store.basis.bits(key_ids), key_ids=key_ids,
-        transcript=transcript, basis=store.basis,
+    holders, key = frozenset(holders), store.basis.bits(key_ids)
+    return GroupKeyResult(
+        case=case, holders=holders, key=key, key_ids=key_ids, transcript=transcript, basis=store.basis,
         stats=RunStats(public_bits=transcript.public_bits, messages=len(transcript), **stats),
-    ))
+        secrecy=_self_check(holders, key, key_ids, transcript, store.basis),
+    )
 
 
 def _padded(store: PairwiseKeyStore, sender: int, receiver: int, round: int,

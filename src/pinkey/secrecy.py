@@ -29,10 +29,11 @@ ids only when asked (``IdForms``).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain, count, repeat
 from operator import xor
 
 from .errors import InstanceTooLarge, UnknownBasisLabel
@@ -111,9 +112,6 @@ class IdForms(RenderedSequence):
         """``str`` of each form of a message's (plain, pad) columns, without building
         the forms, and without a sort per form."""
         plain, pad = self.columns
-        if len(plain) == 1:  # one bit, as in a group round: no bulk rendering
-            a, b = self.basis.label(plain[0]), self.basis.label(pad[0])
-            return [a + "^" + b if a < b else b + "^" + a]
         labels = zip(self.basis.labels_of(plain), self.basis.labels_of(pad))
         return [a + "^" + b if a < b else b + "^" + a for a, b in labels]
 
@@ -143,13 +141,16 @@ def own_rows(basis: SourceBitBasis, index: Mapping[int, int]) -> dict[int, Itera
     A bit's row is what ``column_rows`` gives for its unit form and its
     realized value.  Own bits outside the support are left out: such a
     bit's row is a unit on a column no other row has, so it can never
-    reduce another row nor yield ``0 = 1``.  The rows are built only as
-    each owner's iterator is read, so each can be read once.
+    reduce another row nor yield ``0 = 1``.  Each run's bits inside the
+    support are found by bisecting the sorted support, so the cost follows
+    the support and the number of runs, not the basis.  The rows are built
+    only as each owner's iterator is read, so each can be read once.
     """
     values = basis.values
+    support = sorted(index)
     owned: dict[int, list[int]] = {}
     for ids, owners in basis.runs():
-        inside = list(filter(index.__contains__, ids))
+        inside = support[bisect_left(support, ids.start):bisect_left(support, ids.stop)]
         for owner in owners if inside else ():
             owned.setdefault(owner, []).extend(inside)
     return {owner: ((2 << index[i]) | values[i] for i in ids) for owner, ids in owned.items()}
@@ -205,12 +206,12 @@ def verify_independence(
         if label not in basis:
             raise UnknownBasisLabel(f"label {label!r} is not in the basis")
 
-    def rows(forms: list[frozenset[str]]) -> list[int]:
-        return [sum(map(_COLUMN, map(index.__getitem__, form))) for form in forms]
-
+    # A form's row is the sum of its labels' distinct unit rows.
+    transcript_rows, key_rows = ([sum(column_rows((form,), index, repeat(0))) for form in forms]
+                                 for forms in (transcript_forms, key_forms))
     table: dict[int, int] = {}
-    gf2_rank(rows(transcript_forms), table)
-    return secrecy_report(table, rows(key_forms))
+    gf2_rank(transcript_rows, table)
+    return secrecy_report(table, key_rows)
 
 
 def _exact_log2(ratio: Fraction) -> int:

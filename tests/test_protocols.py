@@ -88,6 +88,11 @@ def reference_replay(result, terminal):
     return tuple(out)
 
 
+def self_check(result):
+    """The run self-check over a result's parts; raises InvariantViolation."""
+    return _self_check(result.holders, result.key, result.key_ids, result.transcript, result.basis)
+
+
 def flip_first_payload_bit(result):
     first, *rest = result.transcript
     flipped = replace(first, payload=(first.payload[0] ^ 1,) + first.payload[1:])
@@ -398,7 +403,7 @@ class TestSelfCheck:
         store = generate_pairwise_keys(TRIANGLE, 7)
         bad = flip_first_payload_bit(run_group_key(store, TRIANGLE))
         with pytest.raises(InvariantViolation, match="does not match payload"):
-            _self_check(bad)
+            self_check(bad)
 
     def test_a_reused_pad_is_caught(self):
         spec = NetworkSpec.star([7, 5, 9])
@@ -407,7 +412,7 @@ class TestSelfCheck:
         messages = list(result.transcript)
         bad = replace(result, transcript=Transcript(messages + messages[-1:]))
         with pytest.raises(InvariantViolation, match="pad bit was reused"):
-            _self_check(bad)
+            self_check(bad)
 
     def test_a_holder_that_cannot_replay_is_caught(self):
         store = generate_pairwise_keys(TRIANGLE, 5)
@@ -415,7 +420,7 @@ class TestSelfCheck:
         # the relay sees only 3 of the 7 key bits
         bad = replace(result, holders=frozenset({0, 1, 2}))
         with pytest.raises(InvariantViolation, match="holder 1 cannot replay"):
-            _self_check(bad)
+            self_check(bad)
 
     def test_replay_rejects_inconsistent_equations(self):
         store = generate_pairwise_keys(TRIANGLE, 7)
@@ -436,7 +441,8 @@ class TestSelfCheck:
             first, *rest = result.transcript
             flipped = replace(first, payload=(first.payload[0] ^ 1,))
             try:
-                _self_check(replace(result, transcript=Transcript([flipped, *rest])))
+                _self_check(result.holders, result.key, result.key_ids,
+                            Transcript([flipped, *rest]), result.basis)
             except InvariantViolation as exc:
                 print("caught:", exc)
         """)

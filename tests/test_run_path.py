@@ -21,6 +21,7 @@ from pinkey import (
     NetworkSpec,
     brute_force_mutual_information,
     generate_pairwise_keys,
+    replay_key,
     run_broadcast,
     run_subgroup,
     verify_independence,
@@ -28,7 +29,7 @@ from pinkey import (
 from pinkey.cli import Scenario, run_scenario
 from pinkey.model import BitLabels
 from pinkey.protocols import PublicMessage, Transcript, _self_check
-from pinkey.secrecy import IdForms
+from pinkey.secrecy import IdForms, LinearForm, own_rows
 
 from helpers import random_connected_spec, random_star_spec
 
@@ -163,11 +164,11 @@ def test_the_self_check_reports_a_leak_as_the_oracles_do():
     plain, pad = (k0, x), (x, k1)
     payload = tuple(store.basis.values[a] ^ store.basis.values[b] for a, b in zip(plain, pad))
     extra = PublicMessage(0, 3, 1, payload, IdForms(store.basis, plain, pad), BitLabels(store.basis, pad))
-    leaky = _self_check(replace(result, transcript=Transcript([*result.transcript, extra])))
-    assert leaky.secrecy.leaked_bits == 1
-    assert leaky.secrecy == verify_independence(leaky.key_forms, leaky.transcript.forms(), leaky.basis)
-    assert brute_force_mutual_information(
-        leaky.key_forms, leaky.transcript.forms(), len(leaky.basis)) == 1
+    leaky = Transcript([*result.transcript, extra])
+    report = _self_check(result.holders, result.key, result.key_ids, leaky, result.basis)
+    assert report.leaked_bits == 1
+    assert report == verify_independence(result.key_forms, leaky.forms(), result.basis)
+    assert brute_force_mutual_information(result.key_forms, leaky.forms(), len(result.basis)) == 1
     assert result.secrecy.leaked_bits == 0
 
 
@@ -184,3 +185,48 @@ def test_message_views_render_the_labels_of_their_ids():
         assert [sorted(form.labels) for form in msg.forms] == [
             sorted((result.basis.label(a), result.basis.label(b))) for a, b in zip(*msg.forms.columns)]
     assert [str(form) for form in result.key_forms] == ["K0-2:0", "K0-2:1"]
+
+
+def test_message_views_slice_concatenate_and_print_as_tuples():
+    spec = NetworkSpec.star([4, 2, 6])
+    msg = run_broadcast(generate_pairwise_keys(spec, 2), spec).transcript.messages[0]
+    forms, pads = tuple(msg.forms), tuple(msg.pads)
+    assert msg.forms[1:] == forms[1:] and msg.forms[:-1] == forms[:-1] and msg.pads[::-1] == pads[::-1]
+    assert type(msg.pads[:1]) is tuple and msg.forms[-1] == forms[-1]
+    assert ("x",) + msg.pads == ("x",) + pads and msg.pads + msg.pads == pads + pads
+    assert repr(msg.pads) == repr(pads) and repr(msg) == repr(replace(msg, forms=forms, pads=pads))
+
+
+def test_the_run_path_refuses_label_level_messages():
+    spec = NetworkSpec.star([3, 5])
+    result = run_broadcast(generate_pairwise_keys(spec, 4), spec)
+    pad = result.basis.label(result.transcript.messages[0].pads.columns[0][0])
+    plain = result.basis.label(result.key_ids[0])
+    msg = PublicMessage(0, 2, 0, (result.basis[plain] ^ result.basis[pad],),
+                        (LinearForm.unit(plain) ^ LinearForm.unit(pad),), (pad,))
+    labelled = replace(result, transcript=Transcript([msg]))
+    for audit in (labelled.transcript.to_text, lambda: replay_key(labelled, 0),
+                  lambda: _self_check(labelled.holders, labelled.key, labelled.key_ids,
+                                      labelled.transcript, labelled.basis)):
+        with pytest.raises(TypeError, match="round 0 message 0->2 holds no"):
+            audit()
+    # label-level forms are audited by the label-level oracle instead
+    assert verify_independence(labelled.key_forms, labelled.transcript.forms(), labelled.basis).leaked_bits == 0
+
+
+def test_own_rows_do_not_walk_the_bits_of_a_run():
+    class Run:  # a run of 10**15 ids, nearly all outside the support
+        def __init__(self, start):
+            self.start, self.stop = start, start + 10**15
+
+        def __iter__(self):
+            raise AssertionError("own_rows walked a run bit by bit")
+
+    class Basis:
+        values = {5: 1, 10**15 + 7: 0}
+
+        def runs(self):
+            return [(Run(0), frozenset({0, 1})), (Run(10**15), frozenset({2}))]
+
+    rows = own_rows(Basis(), {10**15 + 7: 1, 5: 0})
+    assert {owner: list(it) for owner, it in rows.items()} == {0: [0b11], 1: [0b11], 2: [0b100]}
