@@ -19,6 +19,7 @@ from .graph import (
     enumerate_partitions,
     enumerate_spanning_trees,
     graph_strength,
+    greedy_spanning_trees,
     is_connected,
     max_flow,
     maximum_spanning_tree,
@@ -80,6 +81,7 @@ __all__ = [
     "errors",
     "generate_pairwise_keys",
     "graph_strength",
+    "greedy_spanning_trees",
     "group_bound",
     "is_connected",
     "max_flow",

@@ -16,8 +16,9 @@ silently truncating.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -520,54 +521,83 @@ class SpanningTree:
 
 
 def maximum_spanning_tree(g: WeightedGraph, tie_break: str = "lex-kruskal") -> SpanningTree:
-    """Maximum-weight spanning tree under a named deterministic tie-break.
+    """Maximum-weight spanning tree under a named deterministic tie-break: the first
+    of ``greedy_spanning_trees``; GraphDisconnected if none (m = 1 gives the empty tree)."""
+    for tree in greedy_spanning_trees(g, tie_break):
+        return tree
+    raise GraphDisconnected("graph has no spanning tree")
 
-    One Kruskal pass: edges sorted by (weight desc, smaller endpoint asc,
-    larger endpoint asc) are walked one weight class at a time.  The
-    heaviest addable weight never rises as the forest grows, so both
-    policies finish a class before moving to the next lighter one.
 
-    lex-kruskal: take the class's edges in order, each one that joins
-    two components.
+def greedy_spanning_trees(g: WeightedGraph, tie_break: str = "lex-kruskal") -> Iterator[SpanningTree]:
+    """The greedy group protocol's trees: each round's maximum spanning tree of the
+    remaining weights, whose edges are debited by one after the round.  g's pairs
+    are ranked once into weight classes, each in pair order, and a debited edge
+    moves down one class; g itself is not changed.  The trees stop at the first
+    round that cannot span, so the weights left are disconnected, and one node
+    (m = 1) yields the empty tree once.
 
-    degree-min: among the class's addable edges, pick the one that
-    minimizes the resulting maximum node degree of the partial forest,
-    breaking remaining ties lexicographically; repeat until none is
-    addable.
-
-    Both policies produce a maximum-weight tree; they differ only in
-    which one.  Both raise GraphDisconnected when the forest ends with
-    fewer than m-1 edges, which is the run path's only connectivity
-    test.  A single node (m = 1) gives the empty tree.
+    A round is one Kruskal pass over the classes, heaviest first.  lex-kruskal
+    takes each class's edges in order, each one that joins two components.
+    degree-min repeatedly takes the addable edge that minimizes the forest's
+    resulting maximum degree, then the smallest pair: as that maximum is the
+    peak degree or one more, the first addable edge with both endpoints below
+    the peak, else the first addable edge.  Both yield maximum-weight trees.
     """
     if tie_break not in TIE_BREAK_POLICIES:
         raise ValueError(f"unknown tie-break policy {tie_break!r}; choose from {TIE_BREAK_POLICIES}")
-    uf = _UnionFind(g.m)
-    degree = [0] * g.m
-    peak = 0
-    chosen: list[tuple[int, int]] = []
-    ranked = sorted(g._weights.items(), key=lambda item: (-item[1], item[0]))
-    for _, group in itertools.groupby(ranked, key=lambda item: item[1]):
-        if len(chosen) == g.m - 1:
-            break
-        pairs = [pair for pair, _ in group]
-        if tie_break == "lex-kruskal":
-            chosen += [(i, j) for i, j in pairs if uf.union(i, j)]
-            continue
-        while True:
-            root = [uf.find(v) for v in range(g.m)]
-            pairs = [(i, j) for i, j in pairs if root[i] != root[j]]
-            if not pairs:
-                break
-            _, i, j = min((max(peak, degree[i] + 1, degree[j] + 1), i, j) for i, j in pairs)
-            uf.union(i, j)
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for pair, w in sorted(g._weights.items()):
+        classes.setdefault(w, []).append(pair)
+    return _greedy_trees(g.m, classes, tie_break == "degree-min")
+
+
+def _greedy_trees(m: int, classes: dict[int, list[tuple[int, int]]], degree_min: bool) -> Iterator[SpanningTree]:
+    while len(chosen := _kruskal(m, classes, degree_min)) == m - 1:
+        yield SpanningTree(tuple((i, j) for _, i, j in chosen))
+        if not chosen:
+            return
+        for w, i, j in chosen:
+            del classes[w][bisect_left(classes[w], (i, j))]
+            if not classes[w]:
+                del classes[w]
+            if w > 1:
+                insort(classes.setdefault(w - 1, []), (i, j))
+
+
+def _kruskal(m: int, classes: dict[int, list[tuple[int, int]]], degree_min: bool) -> list[tuple[int, int, int]]:
+    """One pass over the weight classes: a spanning tree's (weight, i, j) edges, or fewer if they do not span."""
+    component = list(range(m))
+    members = [[v] for v in range(m)]
+    degree = [0] * m
+    bar = 0 if degree_min else m  # the peak degree for degree-min, above every degree for lex-kruskal
+    chosen: list[tuple[int, int, int]] = []
+    for w in sorted(classes, reverse=True):
+        live = classes[w][:]  # this round's candidates; pairs found in one component leave
+        while len(chosen) < m - 1:
+            # a scan stops at the first addable pair with both degrees below bar
+            addable: list[tuple[int, int]] = []
+            for n, (i, j) in enumerate(live):
+                if component[i] != component[j]:
+                    addable.append(live[n])
+                    if degree[i] < bar > degree[j]:
+                        live[:n + 1] = addable
+                        break
+            else:
+                if not addable:
+                    break
+                live = addable
+                i, j = addable[0]
+            chosen.append((w, i, j))
             degree[i] += 1
             degree[j] += 1
-            peak = max(peak, degree[i], degree[j])
-            chosen.append((i, j))
-    if len(chosen) < g.m - 1:
-        raise GraphDisconnected("graph has no spanning tree")
-    return SpanningTree(tuple(chosen))
+            bar = max(bar, degree[i], degree[j])
+            a, b = component[i], component[j]
+            if len(members[a]) < len(members[b]):
+                a, b = b, a
+            for v in members[b]:
+                component[v] = a
+            members[a] += members[b]
+    return chosen
 
 
 def enumerate_spanning_trees(g: WeightedGraph):

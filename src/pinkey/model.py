@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -241,11 +241,17 @@ class SourceBitBasis:
         return names[ident - base] if isinstance(names, tuple) else f"{names}{ident - base}"
 
     def labels_of(self, ids: Sequence[int]) -> list[str]:
-        if len(ids) > 1 and isinstance(ids, range) and ids.step == 1:  # in bulk within one run
-            run, _, names, base = self._run(ids.start)
-            if isinstance(names, str) and ids.stop <= run.stop:
-                return list(map(names.__add__, map(str, range(ids.start - base, ids.stop - base))))
-        return list(map(self.label, ids))
+        """``label`` of each id, rendered in bulk run by run over the distinct ids."""
+        distinct = sorted(set(ids))
+        rendered: list[str] = []
+        while (lo := len(rendered)) < len(distinct):
+            run, _, names, base = self._run(distinct[lo])
+            hi = bisect_left(distinct, run.stop, lo)
+            span = range(distinct[lo] - base, distinct[hi - 1] - base + 1)  # label index: ident - base
+            offsets = span if len(span) == hi - lo else map(base.__rsub__, distinct[lo:hi])
+            rendered += map(names.__getitem__, offsets) if isinstance(names, tuple) else map(
+                names.__add__, map(str, offsets))
+        return rendered if distinct == ids else list(map(dict(zip(distinct, rendered)).__getitem__, ids))
 
     def runs(self) -> list[tuple[range, frozenset[int]]]:
         """Each run's ids and owners, in id order."""

@@ -7,8 +7,9 @@ Three cases are implemented over the same pairwise-key substrate:
 - subgroup: two terminals agree on a key of min-cut length by routing
   the source's fresh random bits along a max-flow path decomposition,
   one-time-padded hop by hop;
-- group: repeatedly pick a maximum spanning tree of the residual budget
-  graph and flood one shared bit along it, until the graph disconnects.
+- group: flood one shared bit along each spanning tree that
+  ``greedy_spanning_trees`` yields: a maximum spanning tree of the
+  residual budget graph per round, until the residual disconnects.
 
 Every public payload bit is a one-time pad, the XOR of a plain bit and
 the key bit that pads it, and records that exact GF(2) linear form as
@@ -27,12 +28,12 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from operator import xor
 
 from .bounds import broadcast_bound, budget_graph, group_bound
-from .errors import GraphDisconnected, InsufficientKeyMaterial, invariant
-from .graph import SpanningTree, max_flow, maximum_spanning_tree
+from .errors import InsufficientKeyMaterial, invariant
+from .graph import SpanningTree, greedy_spanning_trees, max_flow
 from .model import BitLabels, NetworkSpec, PairwiseKeyStore, SourceBitBasis, local_rng
 from .secrecy import (
     IdForms,
@@ -126,12 +127,20 @@ class Transcript:
         """Line-oriented serialization, stable for golden-file comparison.
 
         One line per message: round, sender, receiver, hex payload, and
-        the payload's linear forms as sorted label XOR lists.
+        the payload's linear forms as sorted label XOR lists.  The forms of
+        all messages, which must share one basis, render in one pass.
         """
+        forms = list(map(_id_forms, self.messages))
+        if any(f.basis is not forms[0].basis for f in forms):
+            raise ValueError("the messages of a transcript must share one basis")
+        columns = map(list, map(chain.from_iterable, zip(*(f.columns for f in forms))))  # plain, pad
+        texts = IdForms(forms[0].basis, *columns).texts() if forms else []
         lines = ["transcript v1"]
+        end = 0
         for m in self.messages:
-            forms = ";".join(_id_forms(m).texts())
-            lines.append(f"{m.round} {m.sender} {m.receiver} {bits_to_hex(m.payload)} {forms}")
+            start, end = end, end + len(m.payload)
+            text = ";".join(texts[start:end])
+            lines.append(f"{m.round} {m.sender} {m.receiver} {bits_to_hex(m.payload)} {text}")
         return "\n".join(lines) + "\n"
 
 
@@ -368,32 +377,25 @@ def run_group_key(
 ) -> GroupKeyResult:
     """All-terminal key: one bit per spanning tree of the shrinking budget graph.
 
-    Each iteration takes a maximum spanning tree of the remaining budgets
-    (under the chosen tie-break policy), floods one shared bit along it,
-    and decrements every tree edge.  The run stops when no spanning tree
-    remains, that is when maximum_spanning_tree raises GraphDisconnected;
-    the key is one bit per iteration.
+    Each iteration floods one shared bit along the next tree of
+    greedy_spanning_trees: a maximum spanning tree of the remaining budgets
+    under the chosen tie-break policy, whose edges are then debited by one.
+    The run stops when the remaining budgets no longer span; the key is one
+    bit per iteration.
 
     The exact partition bound is attached to the stats (and checked
     against) for m <= GROUP_BOUND_AUTO_LIMIT; beyond that only the
     total/(m-1) ceiling is checked.
     """
-    g = budget_graph(spec)
     transcript = Transcript()
     key_ids: list[int] = []
     next_round = 0
-    while True:
-        try:
-            tree = maximum_spanning_tree(g, tie_break)
-        except GraphDisconnected:
-            break
+    for tree in greedy_spanning_trees(budget_graph(spec), tie_break):
         label, messages = single_bit_round(tree, store, spec, round_base=next_round)
         for msg in messages:
             transcript.append(msg)
         if messages:
             next_round = messages[-1].round + 1
-        for i, j in tree.edges:
-            g.set_weight(i, j, g.weight(i, j) - 1)
         key_ids.append(store.basis.id_of(label))
 
     iterations = len(key_ids)

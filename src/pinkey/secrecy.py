@@ -109,8 +109,8 @@ class IdForms(RenderedSequence):
         return LinearForm(frozenset(labels))
 
     def texts(self) -> list[str]:
-        """``str`` of each form of a message's (plain, pad) columns, without building
-        the forms, and without a sort per form."""
+        """``str`` of each form of (plain, pad) columns, without building the forms,
+        and without a sort per form: a whole transcript's forms render in one call."""
         plain, pad = self.columns
         labels = zip(self.basis.labels_of(plain), self.basis.labels_of(pad))
         return [a + "^" + b if a < b else b + "^" + a for a, b in labels]

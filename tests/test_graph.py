@@ -16,6 +16,7 @@ from pinkey import (
     enumerate_partitions,
     enumerate_spanning_trees,
     graph_strength,
+    greedy_spanning_trees,
     is_connected,
     max_flow,
     maximum_spanning_tree,
@@ -87,6 +88,45 @@ def degree_min_by_rescan(g: WeightedGraph) -> SpanningTree:
         degree[j] += 1
         chosen.append((i, j))
     return SpanningTree(tuple(chosen))
+
+
+def lex_kruskal_reference(g: WeightedGraph) -> SpanningTree:
+    """Reference lex-kruskal: edges by (weight desc, pair), each one that joins two components."""
+    parent = list(range(g.m))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    chosen = []
+    for i, j, _ in sorted(g.edges(), key=lambda e: (-e[2], e[0], e[1])):
+        if find(i) != find(j):
+            parent[find(j)] = find(i)
+            chosen.append((i, j))
+    if len(chosen) < g.m - 1:
+        raise GraphDisconnected("graph has no spanning tree")
+    return SpanningTree(tuple(chosen))
+
+
+def debit(g: WeightedGraph, tree: SpanningTree) -> None:
+    for i, j in tree.edges:
+        g.set_weight(i, j, g.weight(i, j) - 1)
+
+
+def trees_by_repeated_maximum(g: WeightedGraph, policy: str) -> list[SpanningTree]:
+    """The tree loop without a kept edge index: a fresh maximum spanning tree of
+    the residual weights each round, then a debit of its edges."""
+    g = g.copy()
+    trees = []
+    while True:
+        try:
+            trees.append(maximum_spanning_tree(g, policy))
+        except GraphDisconnected:
+            return trees
+        if not trees[-1].edges:  # one node: the empty tree would repeat forever
+            return trees
+        debit(g, trees[-1])
 
 
 class TestWeightedGraph:
@@ -292,6 +332,48 @@ class TestSpanningTrees:
             g = budget_graph(random_connected_spec(rng, max_m=5, max_budget=3))
             for policy in ("lex-kruskal", "degree-min"):
                 assert maximum_spanning_tree(g, policy) == maximum_spanning_tree(g, policy)
+
+    def test_greedy_trees_equal_the_loop_that_ranks_every_round(self):
+        rng = random.Random(411)
+        for _ in range(150):
+            m, top = rng.randint(1, 10), rng.choice((1, 3, 8))
+            pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+            g = WeightedGraph(m, {pair: w for pair in pairs if (w := rng.randint(0, top))})
+            for policy in TIE_BREAK_POLICIES:
+                trees = list(greedy_spanning_trees(g, policy))
+                assert trees == trees_by_repeated_maximum(g, policy), (g, policy)
+
+    def test_every_greedy_round_equals_its_reference_and_the_residual_ends_disconnected(self):
+        rng = random.Random(412)
+        references = {"lex-kruskal": lex_kruskal_reference, "degree-min": degree_min_by_rescan}
+        rounds = 0
+        for _ in range(60):
+            g = random_graph(rng, max_m=10, max_w=rng.choice((1, 3, 8)))
+            for policy, reference in references.items():
+                residual = g.copy()
+                for tree in greedy_spanning_trees(g, policy):
+                    assert tree == reference(residual), (g, policy)
+                    debit(residual, tree)
+                    rounds += 1
+                assert not bfs_connected(residual)
+                with pytest.raises(GraphDisconnected):
+                    reference(residual)
+        assert rounds > 500
+
+    def test_greedy_trees_check_the_policy_when_called(self):
+        with pytest.raises(ValueError, match="unknown tie-break"):
+            greedy_spanning_trees(TRIANGLE, "random")
+
+    @pytest.mark.parametrize("policy", TIE_BREAK_POLICIES)
+    def test_greedy_trees_on_one_node_stop_after_the_empty_tree(self, policy):
+        assert list(greedy_spanning_trees(WeightedGraph(1), policy)) == [SpanningTree(())]
+
+    @pytest.mark.parametrize("policy", TIE_BREAK_POLICIES)
+    def test_greedy_trees_leave_the_graph_unchanged(self, policy):
+        g = complete_graph(5, 3)
+        before = repr(g)
+        trees = list(greedy_spanning_trees(g, policy))
+        assert repr(g) == before and trees == trees_by_repeated_maximum(g, policy)
 
     def test_spanning_tree_validation(self):
         with pytest.raises(ValueError):

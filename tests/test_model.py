@@ -162,7 +162,7 @@ class TestIds:
         basis = generate_pairwise_keys(TRIANGLE, 0).basis
         basis.add_bits(["x", "y"], (1, 0), frozenset((2,)))
         basis.new_local_bits(1, 3, local_rng(0, 1))
-        for ids in (range(len(basis)), range(3, 7), range(4, 5), range(10, 16), [15, 0, 12, 12]):
+        for ids in (range(len(basis)), range(3, 7), range(4, 5), range(10, 16), [15, 0, 12, 12], [2, 5, 13, 15]):
             assert basis.labels_of(ids) == [basis.label(i) for i in ids]
         assert basis.labels[11:16] == ("K1-2:2", "x", "y", "R1:0", "R1:1")
         assert all(basis.id_of(lab) == i for i, lab in enumerate(basis.labels))

@@ -50,12 +50,40 @@ def _relay_scenario() -> Scenario:
     return Scenario(m=12, budgets=budgets, protocol="subgroup", seed=77, s=3, t=10)
 
 
+def _dense_group_scenario(tie_break: str) -> Scenario:
+    rng = random.Random(64)
+    budgets = {(i, j): rng.randint(1, 9) for i in range(24) for j in range(i + 1, 24)}
+    return Scenario(m=24, budgets=budgets, protocol="group", seed=11, tie_break=tie_break)
+
+
+def _m40_scenario(tie_break: str) -> Scenario:
+    # complete m=40 with budgets 1..30: each pair draws its budget, then a keep test that always passes
+    rng = random.Random(0)
+    budgets = {}
+    for i in range(40):
+        for j in range(i + 1, 40):
+            w = rng.randint(1, 30)
+            if rng.random() < 1.0:
+                budgets[(i, j)] = w
+    return Scenario(m=40, budgets=budgets, protocol="group", seed=1, tie_break=tie_break)
+
+
 class TestGoldenBytes:
-    # report and transcript digests recorded before source bits were numbered with ints
+    # report and transcript digests: the first two recorded before source bits were
+    # numbered with ints, the group runs before the tree loop kept one ranked edge index
     @pytest.mark.parametrize("scenario,sizes,digest", [
         (_star_scenario(), (107, 1498), "5311ecc3e278e975ec5570f0bb8af1d06615e0da1df7f9daeff17f20783eaea5"),
         (_relay_scenario(), (372, 1121), "089a2ad9608eaf8d54387c3f539c25ff00eac0bdd82cbe6910edaf2d34dd277a"),
-    ], ids=["large-broadcast-star", "subgroup-relay"])
+        (_dense_group_scenario("lex-kruskal"), (55, 1210),
+         "561a4aa8b54e8aaa836d092ab851d90b672d624754e0622f4e85f2ebe154ed76"),
+        (_dense_group_scenario("degree-min"), (56, 1232),
+         "46e05d483071befade2421830403e87e3d238c35301eb356d3bbdaf48a64493d"),
+        (_m40_scenario("lex-kruskal"), (299, 11362),
+         "af14dfe0c2005593618d90b2bc8ea829843da3a8e6e7b5cc5d62a503a7217bfd"),
+        (_m40_scenario("degree-min"), (297, 11286),
+         "8ffeab41a380b74f31789d9c46dd3ad3c469815c6b6db7f93daa7d3664412876"),
+    ], ids=["large-broadcast-star", "subgroup-relay", "dense-m24-lex-kruskal", "dense-m24-degree-min",
+            "complete-m40-lex-kruskal", "complete-m40-degree-min"])
     def test_run_bytes(self, scenario, sizes, digest):
         report, result = run_scenario(scenario)
         assert (report.key_length, report.public_bits) == sizes
@@ -212,6 +240,13 @@ def test_the_run_path_refuses_label_level_messages():
             audit()
     # label-level forms are audited by the label-level oracle instead
     assert verify_independence(labelled.key_forms, labelled.transcript.forms(), labelled.basis).leaked_bits == 0
+
+
+def test_a_transcript_renders_only_from_one_basis():
+    spec = NetworkSpec.star([3, 5, 5])
+    one, two = (run_broadcast(generate_pairwise_keys(spec, seed), spec) for seed in (1, 2))
+    with pytest.raises(ValueError, match="share one basis"):
+        Transcript([*one.transcript, *two.transcript]).to_text()
 
 
 def test_own_rows_do_not_walk_the_bits_of_a_run():
