@@ -15,7 +15,8 @@ Subcommands: ``bound`` (print the case's exact bound), ``run`` (execute
 the protocol and print a deterministic report), ``oracle`` (exhaustive
 cross-checks), ``verify`` (re-run and compare a saved transcript).
 
-Exit codes: 0 success; 1 verify mismatch; 2 scenario validation failure;
+Exit codes: 0 success; 1 verify mismatch; 2 a scenario that fails
+validation, or a scenario or transcript file that cannot be read or written;
 3 an exhaustive guard was exceeded; 4 secrecy, bound or self-check
 violation, which indicates a bug because the constructions guarantee
 none can happen.  Reports are byte-identical across runs for the same
@@ -346,8 +347,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
     report, result = run_scenario(scenario)
     if args.emit_transcript:
-        with open(args.emit_transcript, "w", encoding="utf-8") as fh:
-            fh.write(result.transcript.to_text())
+        try:
+            with open(args.emit_transcript, "w", encoding="utf-8") as fh:
+                fh.write(result.transcript.to_text())
+        except OSError as exc:
+            raise ParseError(f"cannot write transcript {args.emit_transcript!r}: {exc}") from None
     sys.stdout.write(report.to_json() if scenario.fmt == "machine-readable" else report.to_text())
     sys.stderr.write(f"wall_time_s {report.wall_time_s:.6f}\n")
     return 0 if report.ok else 4

@@ -26,7 +26,7 @@ class UnknownBasisLabel(KeyAgreementError):
 
 
 class ParseError(KeyAgreementError):
-    """A scenario or transcript file is syntactically malformed."""
+    """A scenario or transcript file is malformed, or cannot be read or written."""
 
 
 class ValidationError(KeyAgreementError):

@@ -17,8 +17,9 @@ generation order and stable across platforms and processes.
 Realized source bits are numbered by int id, one contiguous range per
 pair key, with their values in one ``bytearray``.  Labels such as
 ``K0-1:3`` (bit 3 of pair {0, 1}'s key) and ``R2:0`` (terminal 2's first
-local bit) are rendered from ids and parsed back, never stored per bit;
-the run path works on ids alone.
+local bit) are never stored per bit: they are rendered from ids when
+read, and parsed back only where a caller looks a label up.  The run
+path works on ids alone.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .errors import InsufficientKeyMaterial, UnknownBasisLabel
 
@@ -281,49 +281,6 @@ class SourceBitBasis:
     def new_local_bits(self, owner: int, count: int, rng: random.Random) -> list[str]:
         """``new_local_ids``, returning the new bits' labels."""
         return self.labels_of(self.new_local_ids(owner, count, rng))
-
-
-class RenderedSequence(Sequence):
-    """Items kept as equal-length columns of source-bit ids, each rendered from
-    the labels of its ids only when read.  It slices, concatenates, compares,
-    hashes and prints as the tuple of its items, the tuple it stands for."""
-
-    __slots__ = ("basis", "columns")
-
-    def __init__(self, basis: SourceBitBasis, *columns: Sequence[int]) -> None:
-        self.basis, self.columns = basis, columns
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def __getitem__(self, k: int | slice):
-        if isinstance(k, slice):
-            return tuple(map(self.__getitem__, range(len(self))[k]))
-        return self._item(tuple(self.basis.label(column[k]) for column in self.columns))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (tuple, RenderedSequence)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __add__(self, other: tuple) -> tuple:
-        return tuple(self) + other
-
-    def __radd__(self, other: tuple) -> tuple:
-        return other + tuple(self)
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
-class BitLabels(RenderedSequence):
-    """Labels of source bits held as one column of ids."""
-
-    __slots__ = ()
-    _item = staticmethod(itemgetter(0))
 
 
 @dataclass

@@ -12,10 +12,10 @@ Three cases are implemented over the same pairwise-key substrate:
   residual budget graph per round, until the residual disconnects.
 
 Every public payload bit is a one-time pad, the XOR of a plain bit and
-the key bit that pads it, and records that exact GF(2) linear form as
-the pair of source-bit ids; labels are rendered from the ids only for
-text.  So reconstructibility and secrecy are verifiable by linear algebra
-instead of sampling.  Runs are pure functions of (store, spec, seed):
+the key bit that pads it, and a message records that exact GF(2) linear
+form as the two source-bit ids; labels are rendered from the ids only
+when read.  So reconstructibility and secrecy are verifiable by linear
+algebra instead of sampling.  Runs are pure functions of (store, spec, seed):
 reruns produce byte-identical transcripts.  Each run self-checks
 linear-form fidelity, one-time-pad discipline, and per-holder replay
 before returning, and takes its secrecy report from the same reduction
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import xor
@@ -34,9 +34,8 @@ from operator import xor
 from .bounds import broadcast_bound, budget_graph, group_bound
 from .errors import InsufficientKeyMaterial, invariant
 from .graph import SpanningTree, greedy_spanning_trees, max_flow
-from .model import BitLabels, NetworkSpec, PairwiseKeyStore, SourceBitBasis, local_rng
+from .model import NetworkSpec, PairwiseKeyStore, SourceBitBasis, local_rng
 from .secrecy import (
-    IdForms,
     LinearForm,
     SecrecyReport,
     column_rows,
@@ -46,9 +45,10 @@ from .secrecy import (
     support_index,
 )
 
-# The group bound costs m min cuts per Newton step, so it is cheap at any
-# m.  Runs attach it to their stats only up to this size, which keeps the
-# reports of larger group runs as they were, with bound and gap "-".
+# The group bound costs m min cuts per Newton step, but one call can still
+# take seconds on a sparse graph of m = 128.  Runs attach it to their stats
+# only up to this size, which keeps the reports of larger group runs as
+# they were, with bound and gap "-".
 GROUP_BOUND_AUTO_LIMIT = 9
 
 
@@ -64,35 +64,36 @@ def bits_to_hex(bits: tuple[int, ...]) -> str:
 
 @dataclass(frozen=True, slots=True)
 class PublicMessage:
-    """One public transmission: payload bits plus their linear forms.
+    """One public transmission: payload bit k is ``plain[k] XOR pad[k]``.
 
-    pads names the basis bit that one-time-pads each payload bit; the
-    across-run invariant is that no basis bit ever pads twice.  Runs keep
-    forms and pads as source-bit ids: ``IdForms`` of (plain, pad) columns
-    and ``BitLabels``.  The run path, that is the self-check, ``replay_key``
-    and ``Transcript.to_text``, reads those ids and refuses a message that
-    holds label-level forms; ``verify_independence`` audits such forms.
+    plain and pad are source-bit ids of ``basis``; pad[k] is the bit that
+    one-time-pads payload bit k, and the across-run invariant is that no
+    basis bit ever pads twice.  ``forms`` and ``pads`` render the ids as
+    ``LinearForm``s and labels when read.
     """
 
     sender: int
     receiver: int
     round: int
     payload: tuple[int, ...]
-    forms: Sequence[LinearForm]
-    pads: Sequence[str]
+    plain: Sequence[int]
+    pad: Sequence[int]
+    basis: SourceBitBasis = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not (len(self.payload) == len(self.forms) == len(self.pads)):
-            raise ValueError("payload, forms, and pads must have equal length")
+        if not (len(self.payload) == len(self.plain) == len(self.pad)):
+            raise ValueError("payload, plain, and pad must have equal length")
         if any(b not in (0, 1) for b in self.payload):
             raise ValueError("payload bits must be 0 or 1")
 
+    @property
+    def forms(self) -> tuple[LinearForm, ...]:
+        labels = zip(self.basis.labels_of(self.plain), self.basis.labels_of(self.pad))
+        return tuple(LinearForm(frozenset(pair)) for pair in labels)
 
-def _id_forms(msg: PublicMessage) -> IdForms:
-    """The forms of a message as runs build them, raising TypeError for any other."""
-    if isinstance(msg.forms, IdForms) and len(msg.forms.columns) == 2 and isinstance(msg.pads, BitLabels):
-        return msg.forms
-    raise TypeError(f"round {msg.round} message {msg.sender}->{msg.receiver} holds no (plain, pad) id forms")
+    @property
+    def pads(self) -> tuple[str, ...]:
+        return tuple(self.basis.labels_of(self.pad))
 
 
 class Transcript:
@@ -130,11 +131,15 @@ class Transcript:
         the payload's linear forms as sorted label XOR lists.  The forms of
         all messages, which must share one basis, render in one pass.
         """
-        forms = list(map(_id_forms, self.messages))
-        if any(f.basis is not forms[0].basis for f in forms):
+        messages = self.messages
+        if any(m.basis is not messages[0].basis for m in messages):
             raise ValueError("the messages of a transcript must share one basis")
-        columns = map(list, map(chain.from_iterable, zip(*(f.columns for f in forms))))  # plain, pad
-        texts = IdForms(forms[0].basis, *columns).texts() if forms else []
+        texts = []
+        if messages:
+            labels_of = messages[0].basis.labels_of
+            plain = labels_of(list(chain.from_iterable(m.plain for m in messages)))
+            pad = labels_of(list(chain.from_iterable(m.pad for m in messages)))
+            texts = [a + "^" + b if a < b else b + "^" + a for a, b in zip(plain, pad)]
         lines = ["transcript v1"]
         end = 0
         for m in self.messages:
@@ -170,15 +175,15 @@ class GroupKeyResult:
     secrecy: SecrecyReport  # from the run's self-check
 
     @property
-    def key_forms(self) -> IdForms:
-        return IdForms(self.basis, self.key_ids)
+    def key_forms(self) -> tuple[LinearForm, ...]:
+        return tuple(map(LinearForm.unit, self.basis.labels_of(self.key_ids)))
 
 
 def _transcript_table(
     transcript: Transcript, key_ids: Sequence[int]
 ) -> tuple[tuple[list[int], ...], dict[int, int], dict[int, int]]:
-    """The whole transcript's payload bits with the plain and pad id columns
-    of their forms; the support index of the run's ids, key bits first; and
+    """The whole transcript's payload bits with their plain and pad id
+    columns; the support index of the run's ids, key bits first; and
     the kernel pivot table of the public equations, form = payload bit.
 
     Each public bit is the XOR of a plain bit and the bit that pads it.
@@ -190,8 +195,8 @@ def _transcript_table(
     pad: list[int] = []
     for msg in transcript:
         bits += msg.payload
-        for column, ids in zip((plain, pad), _id_forms(msg).columns):
-            column += ids
+        plain += msg.plain
+        pad += msg.pad
     index = support_index(key_ids, plain, pad)
     table: dict[int, int] = {}
     gf2_rank(column_rows((plain, pad), index, bits), table)
@@ -240,8 +245,7 @@ def _self_check(holders: frozenset[int], key: tuple[int, ...], key_ids: Sequence
     invariant(not any(evaluated), "transcript form does not match payload")
     invariant(basis.bits(key_ids) == key, "key form does not match key bit")
     # One-time-pad discipline: a basis bit masks at most one public bit, ever.
-    pads = [ident for msg in transcript for ident in msg.pads.columns[0]]
-    invariant(len(pads) == len(set(pads)), "a pad bit was reused")
+    invariant(len(pad) == len(set(pad)), "a pad bit was reused")
     # Replay soundness: every holder reconstructs the whole key, that is,
     # the key equations add no rank to the holder's view.
     key_rows = list(column_rows((key_ids,), index, key))
@@ -270,7 +274,7 @@ def _padded(store: PairwiseKeyStore, sender: int, receiver: int, round: int,
     basis = store.basis
     pad = store.take(sender, receiver, len(plain))
     payload = tuple(map(xor, plain_bits, basis.bits(pad)))
-    return PublicMessage(sender, receiver, round, payload, IdForms(basis, plain, pad), BitLabels(basis, pad))
+    return PublicMessage(sender, receiver, round, payload, plain, pad, basis)
 
 
 def run_broadcast(store: PairwiseKeyStore, spec: NetworkSpec) -> GroupKeyResult:
@@ -335,7 +339,7 @@ def run_subgroup(
 
 def single_bit_round(
     tree: SpanningTree, store: PairwiseKeyStore, spec: NetworkSpec, round_base: int = 0
-) -> tuple[str, list[PublicMessage]]:
+) -> tuple[int, list[PublicMessage]]:
     """Flood one shared secret bit along a spanning tree.
 
     Consumes one key bit from every tree edge.  The bit of the
@@ -344,8 +348,8 @@ def single_bit_round(
     order: crossing edge (u, v) publishes B XOR that edge's consumed bit.
     Exactly m - 2 messages result, since the seed edge needs none.
 
-    Returns the shared bit's basis label and the message list, with round
-    numbers round_base + BFS depth.
+    Returns the shared bit's source-bit id and the message list, with
+    round numbers round_base + BFS depth.
     """
     if tree.m != spec.m:
         raise ValueError(f"tree on {tree.m} nodes does not match m={spec.m}")
@@ -369,7 +373,7 @@ def single_bit_round(
             messages.append(_padded(store, u, v, round_base + depth[v] - 1, shared, shared_bits))
             queue.append(v)
     invariant(len(messages) == spec.m - 2, "a tree round must send exactly m - 2 messages")
-    return store.basis.label(shared[0]), messages
+    return shared[0], messages
 
 
 def run_group_key(
@@ -391,12 +395,12 @@ def run_group_key(
     key_ids: list[int] = []
     next_round = 0
     for tree in greedy_spanning_trees(budget_graph(spec), tie_break):
-        label, messages = single_bit_round(tree, store, spec, round_base=next_round)
+        shared, messages = single_bit_round(tree, store, spec, round_base=next_round)
         for msg in messages:
             transcript.append(msg)
         if messages:
             next_round = messages[-1].round + 1
-        key_ids.append(store.basis.id_of(label))
+        key_ids.append(shared)
 
     iterations = len(key_ids)
     invariant(iterations <= spec.total_budget() // (spec.m - 1),

@@ -23,8 +23,8 @@ is exactly ``1`` says ``0 = 1``: it lands as pivot 0, so a table holding
 pivot 0 is inconsistent.  A consistent system has the same ranks with
 and without its values, so a run's self-check takes its secrecy report
 from the same table it replays with.  ``verify_independence`` and the
-exhaustive oracle read labelled ``LinearForm``s; runs render theirs from
-ids only when asked (``IdForms``).
+exhaustive oracle read labelled ``LinearForm``s; runs keep source-bit ids
+and render such forms from them only when they are read.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from itertools import chain, count, repeat
 from operator import xor
 
 from .errors import InstanceTooLarge, UnknownBasisLabel
-from .model import RenderedSequence, SourceBitBasis
+from .model import SourceBitBasis
 
 MI_BASIS_LIMIT = 20  # exhaustive oracle enumerates 2**basis_size assignments
 
@@ -92,28 +92,6 @@ class SecrecyReport:
         leaked = self.rank_key + self.rank_transcript - self.rank_joint
         if not 0 <= leaked <= min(self.rank_key, self.rank_transcript):
             raise ValueError(f"inconsistent ranks in {self!r}")
-
-
-class IdForms(RenderedSequence):
-    """Linear forms held as source-bit ids, rendered as ``LinearForm`` only when read.
-
-    Form k is the XOR of the bits ``column[k]`` of the columns: one column
-    gives the unit forms of key bits, and padded payload bits have the
-    columns (plain, pad).  The ids of one form are distinct.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def _item(labels: tuple[str, ...]) -> LinearForm:
-        return LinearForm(frozenset(labels))
-
-    def texts(self) -> list[str]:
-        """``str`` of each form of (plain, pad) columns, without building the forms,
-        and without a sort per form: a whole transcript's forms render in one call."""
-        plain, pad = self.columns
-        labels = zip(self.basis.labels_of(plain), self.basis.labels_of(pad))
-        return [a + "^" + b if a < b else b + "^" + a for a, b in labels]
 
 
 def support_index(*groups: Iterable[Hashable]) -> dict[Hashable, int]:

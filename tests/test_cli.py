@@ -213,6 +213,15 @@ class TestRunCommand:
         capsys.readouterr()
         assert out.read_text(encoding="utf-8") == TRIANGLE_TRANSCRIPT
 
+    def test_emit_transcript_into_a_missing_directory_exits_2(self, tmp_path, capsys):
+        path = scenario_file(tmp_path, TRIANGLE_SCENARIO)
+        out = tmp_path / "missing" / "run.transcript"
+        assert main(["run", "--scenario", path, "--emit-transcript", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write transcript {str(out)!r}: ")
+        assert captured.err.count("\n") == 1
+
     def test_seed_override_shows_in_the_report(self, tmp_path, capsys):
         path = scenario_file(tmp_path, TRIANGLE_SCENARIO)
         assert main(["run", "--scenario", path, "--seed", "8"]) == 0

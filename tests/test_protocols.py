@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 from pinkey import (
-    LinearForm,
     NetworkSpec,
     SpanningTree,
     Transcript,
@@ -231,8 +230,8 @@ class TestSingleBitRound:
     def test_path_tree_sends_one_message(self):
         spec = NetworkSpec.from_pairs(3, [(0, 1, 2), (1, 2, 2)])
         store = generate_pairwise_keys(spec, 9)
-        label, messages = single_bit_round(SpanningTree(((0, 1), (1, 2))), store, spec)
-        assert label == "K0-1:0"
+        shared, messages = single_bit_round(SpanningTree(((0, 1), (1, 2))), store, spec)
+        assert store.basis.label(shared) == "K0-1:0"
         assert len(messages) == 1
         msg = messages[0]
         assert (msg.sender, msg.receiver, msg.round) == (1, 2, 0)
@@ -241,17 +240,17 @@ class TestSingleBitRound:
     def test_star_tree_center_relays_to_both(self):
         spec = NetworkSpec.star([1, 1, 1])
         store = generate_pairwise_keys(spec, 9)
-        label, messages = single_bit_round(SpanningTree(((0, 1), (0, 2), (0, 3))), store, spec)
-        assert label == "K0-1:0"
+        shared, messages = single_bit_round(SpanningTree(((0, 1), (0, 2), (0, 3))), store, spec)
+        assert store.basis.label(shared) == "K0-1:0"
         assert [(m.sender, m.receiver) for m in messages] == [(0, 2), (0, 3)]
         assert [str(m.forms[0]) for m in messages] == ["K0-1:0^K0-2:0", "K0-1:0^K0-3:0"]
 
     def test_two_terminals_need_no_messages(self):
         spec = NetworkSpec(2, {(0, 1): 3})
         store = generate_pairwise_keys(spec, 9)
-        label, messages = single_bit_round(SpanningTree(((0, 1),)), store, spec)
+        shared, messages = single_bit_round(SpanningTree(((0, 1),)), store, spec)
         assert messages == []
-        assert label == "K0-1:0"
+        assert store.basis.label(shared) == "K0-1:0"
 
     def test_consumes_one_bit_per_tree_edge(self):
         spec = NetworkSpec.complete(4, 2)
@@ -368,11 +367,19 @@ class TestTranscripts:
         assert transcript.to_text() == transcript.to_text()
 
     def test_rounds_must_not_decrease(self):
-        form = LinearForm.unit("K0-1:0")
+        basis = generate_pairwise_keys(NetworkSpec(2, {(0, 1): 2}), 1).basis
         t = Transcript()
-        t.append(PublicMessage(0, 1, 2, (1,), (form,), ("K0-1:0",)))
+        t.append(PublicMessage(0, 1, 2, (1,), (0,), (1,), basis))
         with pytest.raises(ValueError):
-            t.append(PublicMessage(0, 1, 1, (1,), (form,), ("K0-1:0",)))
+            t.append(PublicMessage(0, 1, 1, (1,), (0,), (1,), basis))
+
+    def test_messages_refuse_unequal_columns_and_non_bit_payloads(self):
+        basis = generate_pairwise_keys(NetworkSpec(2, {(0, 1): 2}), 1).basis
+        for payload, plain, pad in (((1, 0), (0,), (1,)), ((1,), (0, 1), (1,)), ((1,), (0,), ())):
+            with pytest.raises(ValueError, match="equal length"):
+                PublicMessage(0, 1, 0, payload, plain, pad, basis)
+        with pytest.raises(ValueError, match="0 or 1"):
+            PublicMessage(0, 1, 0, (2,), (0,), (1,), basis)
 
     def test_hex_packing(self):
         assert bits_to_hex(()) == "-"
