@@ -242,7 +242,8 @@ class SourceBitBasis:
 
     def labels_of(self, ids: Sequence[int]) -> list[str]:
         """``label`` of each id, rendered in bulk run by run over the distinct ids."""
-        distinct = sorted(set(ids))
+        # an ascending range is already sorted and distinct
+        distinct = ids if isinstance(ids, range) and ids.step > 0 else sorted(set(ids))
         rendered: list[str] = []
         while (lo := len(rendered)) < len(distinct):
             run, _, names, base = self._run(distinct[lo])
@@ -251,7 +252,9 @@ class SourceBitBasis:
             offsets = span if len(span) == hi - lo else map(base.__rsub__, distinct[lo:hi])
             rendered += map(names.__getitem__, offsets) if isinstance(names, tuple) else map(
                 names.__add__, map(str, offsets))
-        return rendered if distinct == ids else list(map(dict(zip(distinct, rendered)).__getitem__, ids))
+        if distinct is ids or distinct == ids:
+            return rendered
+        return list(map(dict(zip(distinct, rendered)).__getitem__, ids))
 
     def runs(self) -> list[tuple[range, frozenset[int]]]:
         """Each run's ids and owners, in id order."""
@@ -327,6 +330,24 @@ class PairwiseKeyStore:
             )
         self._cursors[pair] = start + count
         return ids[start:start + count]
+
+    def take_one_each(self, pairs: Iterable[Pair]) -> list[int]:
+        """Consume the next unused bit of every pair, in order; return their ids.
+
+        All or nothing: raises ValueError when a pair repeats, in either
+        order, and InsufficientKeyMaterial when a pair has no unused bit;
+        no cursor moves then.
+        """
+        keys = [canonical_pair(i, j) for i, j in pairs]
+        if len(set(keys)) != len(keys):
+            raise ValueError("a pair can give only one bit per call")
+        ranges = [self._ids.get(pair, range(0)) for pair in keys]
+        starts = [self._cursors.get(pair, 0) for pair in keys]
+        for pair, ids, start in zip(keys, ranges, starts):
+            if start >= len(ids):
+                raise InsufficientKeyMaterial(f"pair {pair} has no unused key bits")
+        self._cursors.update(zip(keys, map((1).__add__, starts)))
+        return list(map(range.__getitem__, ranges, starts))
 
     def consume_bits(self, i: int, j: int, count: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
         """``take``, returning the consumed bits' values and labels."""

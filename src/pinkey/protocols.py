@@ -29,12 +29,12 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import xor
+from operator import attrgetter, gt, xor
 
 from .bounds import broadcast_bound, budget_graph, group_bound
-from .errors import InsufficientKeyMaterial, invariant
+from .errors import invariant
 from .graph import SpanningTree, greedy_spanning_trees, max_flow
-from .model import NetworkSpec, PairwiseKeyStore, SourceBitBasis, local_rng
+from .model import _BIT_VALUES, NetworkSpec, PairwiseKeyStore, SourceBitBasis, local_rng
 from .secrecy import (
     LinearForm,
     SecrecyReport,
@@ -83,7 +83,7 @@ class PublicMessage:
     def __post_init__(self) -> None:
         if not (len(self.payload) == len(self.plain) == len(self.pad)):
             raise ValueError("payload, plain, and pad must have equal length")
-        if any(b not in (0, 1) for b in self.payload):
+        if not _BIT_VALUES.issuperset(self.payload):
             raise ValueError("payload bits must be 0 or 1")
 
     @property
@@ -103,13 +103,18 @@ class Transcript:
 
     def __init__(self, messages=()):
         self.messages: list[PublicMessage] = []
-        for msg in messages:
-            self.append(msg)
+        self.extend(messages)
 
     def append(self, msg: PublicMessage) -> None:
-        if self.messages and msg.round < self.messages[-1].round:
+        self.extend((msg,))
+
+    def extend(self, messages: Iterable[PublicMessage]) -> None:
+        """Append a batch; nothing is appended unless the rounds stay nondecreasing."""
+        batch = list(messages)
+        rounds = [m.round for m in chain(self.messages[-1:], batch)]
+        if any(map(gt, rounds, rounds[1:])):
             raise ValueError("round numbers must be nondecreasing")
-        self.messages.append(msg)
+        self.messages += batch
 
     def __len__(self) -> int:
         return len(self.messages)
@@ -190,13 +195,9 @@ def _transcript_table(
     Each protocol pads a key bit with a fresh bit, so every row's top bit
     is its pad's and the rows need no reduction.
     """
-    bits: list[int] = []
-    plain: list[int] = []
-    pad: list[int] = []
-    for msg in transcript:
-        bits += msg.payload
-        plain += msg.plain
-        pad += msg.pad
+    messages = transcript.messages
+    bits, plain, pad = (list(chain.from_iterable(map(attrgetter(column), messages)))
+                        for column in ("payload", "plain", "pad"))
     index = support_index(key_ids, plain, pad)
     table: dict[int, int] = {}
     gf2_rank(column_rows((plain, pad), index, bits), table)
@@ -235,8 +236,8 @@ def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
 def _self_check(holders: frozenset[int], key: tuple[int, ...], key_ids: Sequence[int],
                 transcript: Transcript, basis: SourceBitBasis) -> SecrecyReport:
     """Check a run's parts; return the secrecy report of its one transcript reduction."""
-    # The transcript is reduced once: each holder below extends a copy of
-    # its table with its own bits, and the report extends the table itself.
+    # The transcript is reduced once: each holder below extends the table
+    # with its own bits and pops them off again, and the report extends it.
     (bits, plain, pad), index, reduced = _transcript_table(transcript, key_ids)
     # Linear-form fidelity: forms evaluated on realized basis bits must
     # reproduce the actual payload and key bits.
@@ -250,10 +251,13 @@ def _self_check(holders: frozenset[int], key: tuple[int, ...], key_ids: Sequence
     # the key equations add no rank to the holder's view.
     key_rows = list(column_rows((key_ids,), index, key))
     own = own_rows(basis, index)
+    size = len(reduced)
     for holder in sorted(holders):
-        table = dict(reduced)
-        _add_own_bits(table, own.get(holder, ()))
-        invariant(not gf2_rank(key_rows, table), f"holder {holder} cannot replay the key")
+        _add_own_bits(reduced, own.get(holder, ()))
+        invariant(not gf2_rank(key_rows, reduced), f"holder {holder} cannot replay the key")
+        # gf2_rank only inserts pivots and popitem is LIFO, so this restores the table
+        while len(reduced) > size:
+            reduced.popitem()
     return secrecy_report(reduced, key_rows)
 
 
@@ -342,38 +346,38 @@ def single_bit_round(
 ) -> tuple[int, list[PublicMessage]]:
     """Flood one shared secret bit along a spanning tree.
 
-    Consumes one key bit from every tree edge.  The bit of the
-    lexicographically smallest tree edge becomes the shared bit B; it
-    spreads breadth-first from that edge's endpoints, children in id
-    order: crossing edge (u, v) publishes B XOR that edge's consumed bit.
-    Exactly m - 2 messages result, since the seed edge needs none.
+    Consumes one key bit from every tree edge, all in one take, or none
+    when an edge has run dry.  The bit of the lexicographically smallest
+    tree edge becomes the shared bit B; it spreads breadth-first from that
+    edge's endpoints, children in id order: crossing edge (u, v) publishes
+    B XOR that edge's consumed bit.  Exactly m - 2 messages result, since
+    the seed edge needs none.
 
     Returns the shared bit's source-bit id and the message list, with
     round numbers round_base + BFS depth.
     """
     if tree.m != spec.m:
         raise ValueError(f"tree on {tree.m} nodes does not match m={spec.m}")
-    for i, j in tree.edges:
-        if store.remaining(i, j) < 1:
-            raise InsufficientKeyMaterial(f"tree edge ({i}, {j}) has no unused key bits")
     seed_edge = tree.edges[0]
-    shared = store.take(*seed_edge, 1)
-    shared_bits = store.basis.bits(shared)
-
     adjacency = tree.adjacency()
     depth = {seed_edge[0]: 0, seed_edge[1]: 0}
-    queue = deque(sorted(seed_edge))
-    messages = []
+    queue = deque(seed_edge)
+    hops = []
     while queue:
         u = queue.popleft()
         for v in adjacency[u]:
             if v in depth:
                 continue
             depth[v] = depth[u] + 1
-            messages.append(_padded(store, u, v, round_base + depth[v] - 1, shared, shared_bits))
+            hops.append((u, v))
             queue.append(v)
-    invariant(len(messages) == spec.m - 2, "a tree round must send exactly m - 2 messages")
-    return shared[0], messages
+    invariant(len(hops) == spec.m - 2, "a tree round must send exactly m - 2 messages")
+    shared, *pads = store.take_one_each([seed_edge, *hops])
+    basis = store.basis
+    values = basis.values
+    bit, plain = values[shared], range(shared, shared + 1)
+    return shared, [PublicMessage(u, v, round_base + depth[v] - 1, (bit ^ values[p],), plain,
+                                  range(p, p + 1), basis) for (u, v), p in zip(hops, pads)]
 
 
 def run_group_key(
@@ -396,8 +400,7 @@ def run_group_key(
     next_round = 0
     for tree in greedy_spanning_trees(budget_graph(spec), tie_break):
         shared, messages = single_bit_round(tree, store, spec, round_base=next_round)
-        for msg in messages:
-            transcript.append(msg)
+        transcript.extend(messages)
         if messages:
             next_round = messages[-1].round + 1
         key_ids.append(shared)

@@ -162,7 +162,10 @@ class TestIds:
         basis = generate_pairwise_keys(TRIANGLE, 0).basis
         basis.add_bits(["x", "y"], (1, 0), frozenset((2,)))
         basis.new_local_bits(1, 3, local_rng(0, 1))
-        for ids in (range(len(basis)), range(3, 7), range(4, 5), range(10, 16), [15, 0, 12, 12], [2, 5, 13, 15]):
+        shuffled = list(range(len(basis))) * 2
+        random.Random(5).shuffle(shuffled)
+        for ids in (range(len(basis)), list(range(len(basis))), shuffled, range(3, 7), range(4, 5),
+                    range(10, 16), range(1, 16, 4), range(15, 2, -3), [15, 0, 12, 12], [2, 5, 13, 15]):
             assert basis.labels_of(ids) == [basis.label(i) for i in ids]
         assert basis.labels[11:16] == ("K1-2:2", "x", "y", "R1:0", "R1:1")
         assert all(basis.id_of(lab) == i for i, lab in enumerate(basis.labels))
@@ -216,6 +219,26 @@ class TestConsumption:
         assert store.remaining(0, 2) == 0
         with pytest.raises(InsufficientKeyMaterial):
             store.consume_bits(0, 2, 1)
+
+    def test_one_each_gives_the_ids_that_one_bit_takes_give(self):
+        pairs = [(0, 1), (2, 1), (0, 2)]
+        one_by_one = generate_pairwise_keys(TRIANGLE, 3)
+        one_by_one.take(0, 2, 1)
+        batched = generate_pairwise_keys(TRIANGLE, 3)
+        batched.take(0, 2, 1)
+        for _ in range(3):
+            assert batched.take_one_each(pairs) == [one_by_one.take(i, j, 1)[0] for i, j in pairs]
+        assert [batched.remaining(*pair) for pair in pairs] == [2, 0, 0]
+
+    def test_one_each_takes_all_or_nothing(self):
+        store = generate_pairwise_keys(TRIANGLE, 3)
+        store.take(1, 2, 3)
+        with pytest.raises(InsufficientKeyMaterial, match=r"pair \(1, 2\)"):
+            store.take_one_each([(0, 1), (0, 2), (2, 1)])
+        with pytest.raises(ValueError, match="one bit per call"):
+            store.take_one_each([(0, 1), (0, 2), (1, 0)])
+        assert [store.remaining(*pair) for pair in ((0, 1), (0, 2), (1, 2))] == [5, 4, 0]
+        assert store.take_one_each([]) == []
 
     def test_no_bit_is_issued_twice_across_random_consumptions(self):
         rng = random.Random(2024)

@@ -270,6 +270,15 @@ class TestSingleBitRound:
             single_bit_round(tree, store, spec)
         assert store.remaining(1, 2) == 1
 
+    def test_a_dry_hop_consumes_nothing_not_even_the_seed_edge(self):
+        spec = NetworkSpec.from_pairs(4, [(0, 1, 2), (1, 2, 2), (2, 3, 1)])
+        store = generate_pairwise_keys(spec, 9)
+        tree = SpanningTree(((0, 1), (1, 2), (2, 3)))
+        single_bit_round(tree, store, spec)
+        with pytest.raises(InsufficientKeyMaterial, match=r"pair \(2, 3\)"):
+            single_bit_round(tree, store, spec)
+        assert [store.remaining(*edge) for edge in tree.edges] == [1, 1, 0]
+
 
 class TestGroupKey:
     def test_triangle_runs_six_iterations(self):
@@ -373,6 +382,19 @@ class TestTranscripts:
         with pytest.raises(ValueError):
             t.append(PublicMessage(0, 1, 1, (1,), (0,), (1,), basis))
 
+    def test_a_batch_out_of_round_order_is_refused_whole(self):
+        basis = generate_pairwise_keys(NetworkSpec(2, {(0, 1): 2}), 1).basis
+        at = [PublicMessage(0, 1, r, (1,), (0,), (1,), basis) for r in range(4)]
+        t = Transcript(at[2:3])
+        for batch in ([at[3], at[2], at[3]], [at[1], at[3]]):  # decreasing, or below round 2
+            with pytest.raises(ValueError, match="nondecreasing"):
+                t.extend(batch)
+            assert list(t) == at[2:3]
+        t.extend([at[2], at[3], at[3]])
+        assert [m.round for m in t] == [2, 2, 3, 3]
+        with pytest.raises(ValueError, match="nondecreasing"):
+            Transcript([at[1], at[0]])
+
     def test_messages_refuse_unequal_columns_and_non_bit_payloads(self):
         basis = generate_pairwise_keys(NetworkSpec(2, {(0, 1): 2}), 1).basis
         for payload, plain, pad in (((1, 0), (0,), (1,)), ((1,), (0, 1), (1,)), ((1,), (0,), ())):
@@ -427,6 +449,16 @@ class TestSelfCheck:
         # the relay sees only 3 of the 7 key bits
         bad = replace(result, holders=frozenset({0, 1, 2}))
         with pytest.raises(InvariantViolation, match="holder 1 cannot replay"):
+            self_check(bad)
+
+    def test_a_holder_is_checked_without_the_bits_of_the_holders_before_it(self):
+        spec = NetworkSpec.star([7, 5, 9])
+        result = run_broadcast(generate_pairwise_keys(spec, 3), spec)
+        # leaf 3 loses its re-keying message; the center, checked first, owns
+        # every key bit, so its own rows must be gone again when leaf 3 is checked
+        bad = replace(result, transcript=Transcript(list(result.transcript)[:-1]))
+        assert bad.transcript.messages[-1].receiver == 1
+        with pytest.raises(InvariantViolation, match="holder 3 cannot replay"):
             self_check(bad)
 
     def test_replay_rejects_inconsistent_equations(self):
