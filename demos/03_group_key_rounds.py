@@ -34,7 +34,7 @@ print(f"  disconnected after {iteration} iterations")
 store = generate_pairwise_keys(spec, seed=7)
 result = run_group_key(store, spec)
 print(f"\nkey ({len(result.key)} bits): {''.join(map(str, result.key))}")
-print(f"bound {result.stats.bound}, gap {result.stats.gap}")
-print(f"messages {result.stats.messages}, public bits {result.stats.public_bits}")
+print(f"bound {result.bound}, gap {result.gap}")
+print(f"messages {len(result.transcript)}, public bits {result.transcript.public_bits}")
 print("\ntranscript:")
 print(result.transcript.to_text(), end="")

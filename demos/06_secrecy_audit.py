@@ -20,7 +20,7 @@ store = generate_pairwise_keys(spec, seed=7)
 result = run_group_key(store, spec)
 
 print(f"source bits: {len(result.basis)}, key bits: {len(result.key)}, "
-      f"public bits: {result.stats.public_bits}")
+      f"public bits: {result.transcript.public_bits}")
 
 print("\nkey bits as linear forms:")
 for form in result.key_forms:

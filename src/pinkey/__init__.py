@@ -38,7 +38,6 @@ from .model import (
 from .protocols import (
     GroupKeyResult,
     PublicMessage,
-    RunStats,
     Transcript,
     replay_key,
     run_broadcast,
@@ -65,7 +64,6 @@ __all__ = [
     "PairwiseKeyStore",
     "Partition",
     "PublicMessage",
-    "RunStats",
     "SecrecyReport",
     "SourceBitBasis",
     "SpanningTree",

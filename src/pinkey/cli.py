@@ -51,7 +51,7 @@ from .graph import (
 )
 from .model import NetworkSpec, generate_pairwise_keys
 from .protocols import GroupKeyResult, run_broadcast, run_group_key, run_subgroup
-from .secrecy import SecrecyReport, brute_force_mutual_information
+from .secrecy import brute_force_mutual_information
 
 PROTOCOLS = ("broadcast", "subgroup", "group")
 FORMATS = ("text", "machine-readable")
@@ -64,17 +64,13 @@ _SCALAR_FIELDS = ("version", "m", "protocol", "seed", "s", "t", "tie_break", "fo
 class Scenario:
     """A parsed, validated scenario file."""
 
-    m: int
-    budgets: dict[tuple[int, int], int]
+    spec: NetworkSpec
     protocol: str
     seed: int = 0
     s: int | None = None
     t: int | None = None
     tie_break: str = "lex-kruskal"
     fmt: str = "text"
-
-    def spec(self) -> NetworkSpec:
-        return NetworkSpec(self.m, dict(self.budgets))
 
 
 # int() alone would also take "1_0", "+3" and non-ASCII digits.
@@ -173,68 +169,58 @@ def load_scenario(path: str) -> Scenario:
                 raise ValidationError(f"{field}: only valid for the subgroup protocol")
 
     try:
-        budgets = NetworkSpec.from_pairs(m, pairs).budgets
+        spec = NetworkSpec.from_pairs(m, pairs)
     except ValueError as exc:
         raise ValidationError(f"pair: {exc}") from None
 
-    return Scenario(m=m, budgets=budgets, protocol=protocol, seed=seed,
-                    s=s, t=t, tie_break=tie_break, fmt=fmt)
+    return Scenario(spec=spec, protocol=protocol, seed=seed, s=s, t=t, tie_break=tie_break, fmt=fmt)
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """Everything the run subcommand prints, minus wall time.
+    """Everything the run subcommand prints, read from the scenario and its result.
 
     Wall time is measured but reported on stderr only, so that the
     report itself is byte-identical across reruns.
     """
 
-    protocol: str
-    m: int
-    seed: int
-    bound: Fraction | None
-    key_length: int
-    gap: Fraction | None
-    messages: int
-    public_bits: int
-    secrecy: SecrecyReport
-    tie_break: str | None = None
-    s: int | None = None
-    t: int | None = None
-    iterations: int | None = None
-    flow_value: int | None = None
-    wall_time_s: float = 0.0
+    scenario: Scenario
+    result: GroupKeyResult
+    wall_time_s: float
 
     @property
     def ok(self) -> bool:
-        gap_ok = self.gap is None or self.gap >= 0
-        return self.secrecy.leaked_bits == 0 and self.secrecy.uniform and gap_ok
+        secrecy, gap = self.result.secrecy, self.result.gap
+        return secrecy.leaked_bits == 0 and secrecy.uniform and (gap is None or gap >= 0)
 
     def _fields(self) -> list[tuple[str, object]]:
+        scenario, result = self.scenario, self.result
+        bound, secrecy = result.bound, result.secrecy
         out: list[tuple[str, object]] = [
-            ("protocol", self.protocol),
-            ("m", self.m),
-            ("seed", self.seed),
+            ("protocol", scenario.protocol),
+            ("m", scenario.spec.m),
+            ("seed", scenario.seed),
         ]
-        if self.protocol == "group":
-            out.append(("tie_break", self.tie_break))
-            out.append(("iterations", self.iterations))
-        if self.protocol == "subgroup":
-            out.append(("s", self.s))
-            out.append(("t", self.t))
-            out.append(("flow_value", self.flow_value))
+        # a group run keys one bit per tree; a subgroup key is one fresh bit per unit of flow
+        if scenario.protocol == "group":
+            out.append(("tie_break", scenario.tie_break))
+            out.append(("iterations", len(result.key)))
+        if scenario.protocol == "subgroup":
+            out.append(("s", scenario.s))
+            out.append(("t", scenario.t))
+            out.append(("flow_value", len(result.key)))
         out += [
-            ("bound", self.bound),
-            ("bound_floor", None if self.bound is None else floor(self.bound)),
-            ("key_length", self.key_length),
-            ("gap", self.gap),
-            ("messages", self.messages),
-            ("public_bits", self.public_bits),
-            ("rank_key", self.secrecy.rank_key),
-            ("rank_transcript", self.secrecy.rank_transcript),
-            ("rank_joint", self.secrecy.rank_joint),
-            ("leaked_bits", self.secrecy.leaked_bits),
-            ("uniform", self.secrecy.uniform),
+            ("bound", bound),
+            ("bound_floor", None if bound is None else floor(bound)),
+            ("key_length", len(result.key)),
+            ("gap", result.gap),
+            ("messages", len(result.transcript)),
+            ("public_bits", result.transcript.public_bits),
+            ("rank_key", secrecy.rank_key),
+            ("rank_transcript", secrecy.rank_transcript),
+            ("rank_joint", secrecy.rank_joint),
+            ("leaked_bits", secrecy.leaked_bits),
+            ("uniform", secrecy.uniform),
             ("status", "ok" if self.ok else "violation"),
         ]
         return out
@@ -268,10 +254,7 @@ def _render_kv(pairs: list[tuple[str, object]], fmt: str, header: str) -> str:
 
 def run_scenario(scenario: Scenario) -> tuple[RunReport, GroupKeyResult]:
     """Execute the scenario's protocol and assemble the auditable report."""
-    try:
-        spec = scenario.spec()
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    spec = scenario.spec
     store = generate_pairwise_keys(spec, scenario.seed)
     started = time.perf_counter()
     if scenario.protocol == "broadcast":
@@ -281,25 +264,7 @@ def run_scenario(scenario: Scenario) -> tuple[RunReport, GroupKeyResult]:
         result = run_subgroup(store, spec, scenario.s, scenario.t, scenario.seed)
     else:
         result = run_group_key(store, spec, scenario.tie_break)
-    wall = time.perf_counter() - started
-    report = RunReport(
-        protocol=scenario.protocol,
-        m=scenario.m,
-        seed=scenario.seed,
-        bound=result.stats.bound,
-        key_length=len(result.key),
-        gap=result.stats.gap,
-        messages=result.stats.messages,
-        public_bits=result.stats.public_bits,
-        secrecy=result.secrecy,
-        tie_break=scenario.tie_break if scenario.protocol == "group" else None,
-        s=scenario.s,
-        t=scenario.t,
-        iterations=result.stats.iterations,
-        flow_value=result.stats.flow_value,
-        wall_time_s=wall,
-    )
-    return report, result
+    return RunReport(scenario, result, time.perf_counter() - started), result
 
 
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
@@ -320,7 +285,7 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
 
 
 def _bound_for(scenario: Scenario) -> BoundReport:
-    spec = scenario.spec()
+    spec = scenario.spec
     if scenario.protocol == "broadcast":
         return broadcast_bound(spec)
     if scenario.protocol == "subgroup":
@@ -359,7 +324,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
-    g = budget_graph(scenario.spec())
+    g = budget_graph(scenario.spec)
     kind = args.kind
     if kind == "mincut":
         s = args.s if args.s is not None else scenario.s

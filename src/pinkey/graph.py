@@ -143,20 +143,16 @@ class Partition:
         return "|".join("{" + ",".join(str(n) for n in sorted(b)) + "}" for b in self.blocks)
 
 
-def enumerate_partitions(m: int, must_split: frozenset[int] | None = None):
-    """Yield every partition of [0, m) with k >= 2 blocks, each meeting must_split.
+def enumerate_partitions(m: int):
+    """Yield every partition of [0, m) with k >= 2 blocks.
 
-    must_split=None means every node set counts (equivalent to passing all
-    of [0, m)).  Enumeration is by restricted growth strings, so the order
-    is deterministic.  Hard guard: m <= 12.
+    Enumeration is by restricted growth strings, so the order is
+    deterministic.  Hard guard: m <= 12.
     """
     if m > PARTITION_NODE_LIMIT:
         raise InstanceTooLarge(f"partition enumeration is limited to m <= {PARTITION_NODE_LIMIT}, got {m}")
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    required = set(range(m)) if must_split is None else set(must_split)
-    if not required <= set(range(m)):
-        raise ValueError(f"must_split {sorted(required)} out of range for m={m}")
 
     code = [0] * m
 
@@ -175,22 +171,18 @@ def enumerate_partitions(m: int, must_split: frozenset[int] | None = None):
         blocks = [set() for _ in range(k)]
         for node, which in enumerate(rgs):
             blocks[which].add(node)
-        if not all(block & required for block in blocks):
-            continue
         yield Partition(tuple(frozenset(b) for b in blocks))
 
 
-def min_normalized_multicut(
-    g: WeightedGraph, must_split: frozenset[int] | None = None
-) -> tuple[Fraction, Partition]:
-    """Minimize crossing_weight / (k - 1) over qualifying partitions, exactly.
+def min_normalized_multicut(g: WeightedGraph) -> tuple[Fraction, Partition]:
+    """Minimize crossing_weight / (k - 1) over partitions with k >= 2 blocks, exactly.
 
     Returns the exact rational minimum and the first partition attaining
     it in enumeration order.  Hard guard: m <= 12.
     """
     best: Fraction | None = None
     witness: Partition | None = None
-    for partition in enumerate_partitions(g.m, must_split):
+    for partition in enumerate_partitions(g.m):
         value = partition.normalized_weight(g)
         if best is None or value < best:
             best, witness = value, partition
@@ -631,27 +623,11 @@ def optimal_tree_packing_bruteforce(g: WeightedGraph) -> int:
     trees = [t.edges for t in enumerate_spanning_trees(g)]
     memo: dict[tuple, int] = {}
 
-    def connected(weights: dict[tuple[int, int], int]) -> bool:
-        seen = {0}
-        queue = deque([0])
-        adjacency: dict[int, list[int]] = {}
-        for (i, j), w in weights.items():
-            if w > 0:
-                adjacency.setdefault(i, []).append(j)
-                adjacency.setdefault(j, []).append(i)
-        while queue:
-            u = queue.popleft()
-            for v in adjacency.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == g.m
-
     def pack(weights: dict[tuple[int, int], int]) -> int:
         key = tuple(sorted(weights.items()))
         if key in memo:
             return memo[key]
-        if not connected(weights):
+        if not is_connected(WeightedGraph(g.m, weights)):
             memo[key] = 0
             return 0
         ceiling = sum(weights.values()) // (g.m - 1)

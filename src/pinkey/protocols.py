@@ -46,7 +46,7 @@ from .secrecy import (
 )
 
 # The group bound costs m min cuts per Newton step, but one call can still
-# take seconds on a sparse graph of m = 128.  Runs attach it to their stats
+# take seconds on a sparse graph of m = 128.  Runs attach it to their result
 # only up to this size, which keeps the reports of larger group runs as
 # they were, with bound and gap "-".
 GROUP_BOUND_AUTO_LIMIT = 9
@@ -155,18 +155,6 @@ class Transcript:
 
 
 @dataclass(frozen=True)
-class RunStats:
-    """Exact accounting for one protocol run."""
-
-    bound: Fraction | None
-    gap: Fraction | None
-    public_bits: int
-    messages: int
-    iterations: int | None = None
-    flow_value: int | None = None
-
-
-@dataclass(frozen=True)
 class GroupKeyResult:
     """Outcome of a run: who holds which key, and everything needed to audit it."""
 
@@ -175,9 +163,14 @@ class GroupKeyResult:
     key: tuple[int, ...]
     key_ids: Sequence[int]
     transcript: Transcript
-    stats: RunStats
+    bound: Fraction | None  # None for group runs above GROUP_BOUND_AUTO_LIMIT
     basis: SourceBitBasis
     secrecy: SecrecyReport  # from the run's self-check
+
+    @property
+    def gap(self) -> Fraction | None:
+        """How far the key falls short of the bound; None when there is no bound."""
+        return None if self.bound is None else self.bound - len(self.key)
 
     @property
     def key_forms(self) -> tuple[LinearForm, ...]:
@@ -262,13 +255,12 @@ def _self_check(holders: frozenset[int], key: tuple[int, ...], key_ids: Sequence
 
 
 def _result(store: PairwiseKeyStore, case: str, holders: Iterable[int], key_ids: Sequence[int],
-            transcript: Transcript, **stats) -> GroupKeyResult:
+            transcript: Transcript, bound: Fraction | None) -> GroupKeyResult:
     """The self-checked result of a run whose key is the bits ``key_ids``."""
     holders, key = frozenset(holders), store.basis.bits(key_ids)
     return GroupKeyResult(
-        case=case, holders=holders, key=key, key_ids=key_ids, transcript=transcript, basis=store.basis,
-        stats=RunStats(public_bits=transcript.public_bits, messages=len(transcript), **stats),
-        secrecy=_self_check(holders, key, key_ids, transcript, store.basis),
+        case=case, holders=holders, key=key, key_ids=key_ids, transcript=transcript, bound=bound,
+        basis=store.basis, secrecy=_self_check(holders, key, key_ids, transcript, store.basis),
     )
 
 
@@ -299,9 +291,8 @@ def run_broadcast(store: PairwiseKeyStore, spec: NetworkSpec) -> GroupKeyResult:
         for leaf in range(1, spec.m):
             if leaf != poorest and spec.budget(0, leaf) > 0:
                 transcript.append(_padded(store, 0, leaf, 0, key_ids, key))
-    gap = bound.value - length
-    invariant(gap == 0, "broadcast must meet its bound exactly")
-    return _result(store, "broadcast", range(spec.m), key_ids, transcript, bound=bound.value, gap=gap)
+    invariant(bound.value == length, "broadcast must meet its bound exactly")
+    return _result(store, "broadcast", range(spec.m), key_ids, transcript, bound.value)
 
 
 def run_subgroup(
@@ -337,8 +328,7 @@ def run_subgroup(
                 transcript.append(_padded(store, path[hop], path[hop + 1], hop,
                                           fresh[start:stop], fresh_bits[start:stop]))
 
-    return _result(store, "subgroup", (s, t), fresh, transcript,
-                   bound=bound, gap=bound - flow.value, flow_value=flow.value)
+    return _result(store, "subgroup", (s, t), fresh, transcript, bound)
 
 
 def single_bit_round(
@@ -391,7 +381,7 @@ def run_group_key(
     The run stops when the remaining budgets no longer span; the key is one
     bit per iteration.
 
-    The exact partition bound is attached to the stats (and checked
+    The exact partition bound is attached to the result (and checked
     against) for m <= GROUP_BOUND_AUTO_LIMIT; beyond that only the
     total/(m-1) ceiling is checked.
     """
@@ -405,16 +395,8 @@ def run_group_key(
             next_round = messages[-1].round + 1
         key_ids.append(shared)
 
-    iterations = len(key_ids)
-    invariant(iterations <= spec.total_budget() // (spec.m - 1),
+    invariant(len(key_ids) <= spec.total_budget() // (spec.m - 1),
                "achieved length exceeds the total/(m-1) ceiling")
-    if spec.m <= GROUP_BOUND_AUTO_LIMIT:
-        bound_value: Fraction | None = group_bound(spec).value
-        invariant(iterations <= bound_value, "achieved length exceeds the partition bound")
-        gap: Fraction | None = bound_value - iterations
-    else:
-        bound_value = None
-        gap = None
-
-    return _result(store, "group", range(spec.m), tuple(key_ids), transcript,
-                   bound=bound_value, gap=gap, iterations=iterations)
+    bound = group_bound(spec).value if spec.m <= GROUP_BOUND_AUTO_LIMIT else None
+    invariant(bound is None or len(key_ids) <= bound, "achieved length exceeds the partition bound")
+    return _result(store, "group", range(spec.m), tuple(key_ids), transcript, bound)

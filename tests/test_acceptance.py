@@ -118,9 +118,8 @@ def all_results(triangle_run, complete_runs, subgroup_runs, broadcast_runs):
 def test_c1_running_example_reaches_its_bound(triangle_run):
     result, elapsed = triangle_run
     assert len(result.key) == 6
-    assert result.stats.iterations == 6
-    assert result.stats.bound == Fraction(6)
-    assert result.stats.gap == 0
+    assert result.bound == Fraction(6)
+    assert result.gap == 0
     assert elapsed < 1.0
     announce(1, "triangle group key has exactly 6 bits")
 
@@ -129,8 +128,8 @@ def test_c2_even_complete_graphs_are_tight(complete_runs):
     runs, elapsed = complete_runs
     for m, u, result in runs:
         assert len(result.key) == m * u, (m, u)
-        assert result.stats.bound == Fraction(m * u)
-        assert result.stats.gap == 0
+        assert result.bound == Fraction(m * u)
+        assert result.gap == 0
     assert elapsed < 3.0
     announce(2, "complete graphs with even budgets meet the exact bound")
 
@@ -177,7 +176,7 @@ def test_c4_subgroup_keys_match_the_min_cut(subgroup_runs):
 
     for result, expected in runs:
         assert len(result.key) == expected
-        assert result.stats.gap == 0
+        assert result.gap == 0
     assert elapsed < 30.0
     announce(4, "100 random subgroup runs hit the brute-force min cut exactly")
 
@@ -187,8 +186,8 @@ def test_c5_broadcast_keys_match_the_poorest_leaf(broadcast_runs):
     for spec, result in runs:
         expected = min(spec.budget(0, leaf) for leaf in range(1, spec.m))
         assert len(result.key) == expected
-        assert result.stats.bound == Fraction(expected)
-        assert result.stats.gap == 0
+        assert result.bound == Fraction(expected)
+        assert result.gap == 0
     assert elapsed < 10.0
     announce(5, "50 random stars all yield the poorest leaf's budget")
 

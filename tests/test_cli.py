@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 import pinkey.protocols
+from pinkey import NetworkSpec
 from pinkey.cli import Scenario, load_scenario, main
 from pinkey.errors import ParseError, ValidationError
 
@@ -45,6 +46,10 @@ pair 0 2 4
 pair 1 2 3
 """
 
+# complete m = 10, past the size up to which group runs attach their bound
+GROUP_M10_SCENARIO = "version 1\nm 10\nprotocol group\nseed 2\n" + "".join(
+    f"pair {i} {j} {1 + (i * j) % 3}\n" for i in range(10) for j in range(i + 1, 10))
+
 TRIANGLE_REPORT = """\
 report v1
 protocol group
@@ -77,6 +82,25 @@ transcript v1
 """
 
 
+def json_of_text_report(report):
+    """The JSON payload a text report stands for: ``-`` is null, ``true`` and
+    ``false`` are booleans, bound and gap are fraction strings, other integers ints."""
+    header, *lines = report.splitlines()
+    assert header == "report v1"
+    payload = {}
+    for key, value in (line.split(" ", 1) for line in lines):
+        if value == "-":
+            payload[key] = None
+        elif value in ("true", "false"):
+            payload[key] = value == "true"
+        elif key in ("bound", "gap") or not re.fullmatch(r"-?[0-9]+", value):
+            payload[key] = value
+        else:
+            payload[key] = int(value)
+    assert len(payload) == len(lines)
+    return payload
+
+
 def scenario_file(tmp_path, text, name="scenario.txt"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -87,8 +111,7 @@ class TestLoadScenario:
     def test_parses_the_running_example(self, tmp_path):
         scenario = load_scenario(scenario_file(tmp_path, TRIANGLE_SCENARIO))
         assert scenario == Scenario(
-            m=3,
-            budgets={(0, 1): 5, (0, 2): 4, (1, 2): 3},
+            spec=NetworkSpec(3, {(0, 1): 5, (0, 2): 4, (1, 2): 3}),
             protocol="group",
             seed=7,
         )
@@ -105,7 +128,7 @@ class TestLoadScenario:
         scenario = load_scenario(
             scenario_file(tmp_path, "version 1\nm 3\nprotocol group\npair 0 1 2\npair 1 2 0\n")
         )
-        assert scenario.budgets == {(0, 1): 2}
+        assert scenario.spec.budgets == {(0, 1): 2}
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):
@@ -205,6 +228,24 @@ class TestRunCommand:
             "tie_break": "lex-kruskal",
             "uniform": True,
         }
+        # both formats print the same fields on every protocol, with and without a bound
+        payloads = {}
+        for name, text in (("group", TRIANGLE_SCENARIO), ("broadcast", STAR_SCENARIO),
+                           ("subgroup", SUBGROUP_SCENARIO), ("group-m10", GROUP_M10_SCENARIO)):
+            path = scenario_file(tmp_path, text, f"{name}.txt")
+            assert main(["run", "--scenario", path]) == 0
+            expected = json_of_text_report(capsys.readouterr().out)
+            assert main(["run", "--scenario", path, "--format", "machine-readable"]) == 0
+            assert json.loads(capsys.readouterr().out) == expected, name
+            payloads[name] = expected
+        assert payloads["group"] == payload
+        assert (payloads["subgroup"]["s"], payloads["subgroup"]["t"]) == (0, 2)
+        assert payloads["subgroup"]["flow_value"] == payloads["subgroup"]["key_length"] == 7
+        assert "iterations" not in payloads["broadcast"] and "flow_value" not in payloads["broadcast"]
+        m10 = payloads["group-m10"]
+        assert m10["m"] == 10 and m10["iterations"] == m10["key_length"] > 0
+        assert m10["bound"] is m10["bound_floor"] is m10["gap"] is None
+        assert m10["status"] == "ok"
 
     def test_emit_transcript(self, tmp_path, capsys):
         path = scenario_file(tmp_path, TRIANGLE_SCENARIO)

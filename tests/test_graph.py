@@ -397,16 +397,6 @@ class TestPartitions:
         assert sum(1 for _ in enumerate_partitions(3)) == 4
         assert sum(1 for _ in enumerate_partitions(4)) == 14
 
-    def test_must_split_filter(self):
-        got = [str(p) for p in enumerate_partitions(3, frozenset({0, 2}))]
-        assert got == ["{0,1}|{2}", "{0}|{1,2}"]
-
-    def test_every_block_meets_the_required_set(self):
-        required = frozenset({0, 3})
-        for p in enumerate_partitions(5, required):
-            assert all(block & required for block in p.blocks)
-            assert p.k >= 2
-
     def test_guard(self):
         with pytest.raises(InstanceTooLarge):
             next(enumerate_partitions(13))

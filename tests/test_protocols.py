@@ -108,7 +108,7 @@ class TestBroadcast:
         assert len(result.transcript) == 2
         assert result.transcript.public_bits == 10
         assert [m.receiver for m in result.transcript] == [1, 3]
-        assert result.stats.gap == 0 and result.stats.bound == Fraction(5)
+        assert result.gap == 0 and result.bound == Fraction(5)
         assert result.holders == frozenset({0, 1, 2, 3})
 
     def test_two_terminals_need_no_messages(self):
@@ -124,7 +124,7 @@ class TestBroadcast:
         result = run_broadcast(store, spec)
         assert result.key == ()
         assert len(result.transcript) == 0
-        assert result.stats.bound == 0 and result.stats.gap == 0
+        assert result.bound == 0 and result.gap == 0
 
     def test_non_star_rejected(self):
         store = generate_pairwise_keys(TRIANGLE, 1)
@@ -161,8 +161,7 @@ class TestSubgroup:
         store = generate_pairwise_keys(TRIANGLE, 5)
         result = run_subgroup(store, TRIANGLE, 0, 2, 5)
         assert len(result.key) == 7
-        assert result.stats.flow_value == 7
-        assert result.stats.gap == 0
+        assert result.gap == 0
         assert result.transcript.public_bits == 10
         assert len(result.transcript) == 3
         assert result.holders == frozenset({0, 2})
@@ -199,7 +198,7 @@ class TestSubgroup:
         result = run_subgroup(store, spec, 0, 2, 2)
         assert result.key == ()
         assert len(result.transcript) == 0
-        assert result.stats.bound == 0 and result.stats.gap == 0
+        assert result.bound == 0 and result.gap == 0
 
     def test_deterministic_per_seed(self):
         texts = set()
@@ -286,9 +285,8 @@ class TestGroupKey:
             store = generate_pairwise_keys(TRIANGLE, 7)
             result = run_group_key(store, TRIANGLE, policy)
             assert len(result.key) == 6
-            assert result.stats.iterations == 6
-            assert result.stats.bound == Fraction(6)
-            assert result.stats.gap == 0
+            assert result.bound == Fraction(6)
+            assert result.gap == 0
             assert len(result.transcript) == 6  # one message per round at m=3
 
     def test_uniform_k4_star_trap_vs_degree_min(self):
@@ -316,7 +314,7 @@ class TestGroupKey:
             store = generate_pairwise_keys(spec, 1)
             result = run_group_key(store, spec)
             assert len(result.key) == m * u
-            assert result.stats.gap == 0
+            assert result.gap == 0
 
     def test_two_terminal_group_run_uses_the_whole_pair_key(self):
         spec = NetworkSpec(2, {(0, 1): 4})
@@ -330,7 +328,6 @@ class TestGroupKey:
         store = generate_pairwise_keys(spec, 6)
         result = run_group_key(store, spec)
         assert result.key == ()
-        assert result.stats.iterations == 0
 
     @pytest.mark.parametrize("policy,bits,digest", [
         ("lex-kruskal", 27, "05cf6471d78088743d0407d7549c939907781427f6483ce4a521168abe89be1a"),

@@ -36,7 +36,7 @@ SCENARIOS = sorted((ROOT / "demos" / "scenarios").glob("*.txt"))
 
 def _star_scenario() -> Scenario:
     rng = random.Random(61)
-    return Scenario(m=16, budgets={(0, leaf): rng.randint(100, 300) for leaf in range(1, 16)},
+    return Scenario(NetworkSpec(16, {(0, leaf): rng.randint(100, 300) for leaf in range(1, 16)}),
                     protocol="broadcast", seed=2024)
 
 
@@ -44,13 +44,13 @@ def _relay_scenario() -> Scenario:
     rng = random.Random(62)
     budgets = {(i, j): rng.randint(20, 200) for i in range(12) for j in range(i + 1, 12)
                if rng.random() < 0.35}
-    return Scenario(m=12, budgets=budgets, protocol="subgroup", seed=77, s=3, t=10)
+    return Scenario(NetworkSpec(12, budgets), protocol="subgroup", seed=77, s=3, t=10)
 
 
 def _dense_group_scenario(tie_break: str) -> Scenario:
     rng = random.Random(64)
     budgets = {(i, j): rng.randint(1, 9) for i in range(24) for j in range(i + 1, 24)}
-    return Scenario(m=24, budgets=budgets, protocol="group", seed=11, tie_break=tie_break)
+    return Scenario(NetworkSpec(24, budgets), protocol="group", seed=11, tie_break=tie_break)
 
 
 def _m40_scenario(tie_break: str) -> Scenario:
@@ -62,7 +62,7 @@ def _m40_scenario(tie_break: str) -> Scenario:
             w = rng.randint(1, 30)
             if rng.random() < 1.0:
                 budgets[(i, j)] = w
-    return Scenario(m=40, budgets=budgets, protocol="group", seed=1, tie_break=tie_break)
+    return Scenario(NetworkSpec(40, budgets), protocol="group", seed=1, tie_break=tie_break)
 
 
 class TestGoldenBytes:
@@ -83,7 +83,7 @@ class TestGoldenBytes:
             "complete-m40-lex-kruskal", "complete-m40-degree-min"])
     def test_run_bytes(self, scenario, sizes, digest):
         report, result = run_scenario(scenario)
-        assert (report.key_length, report.public_bits) == sizes
+        assert (len(result.key), result.transcript.public_bits) == sizes
         text = report.to_text() + result.transcript.to_text()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -112,33 +112,33 @@ def _random_scenarios(rng: random.Random, count: int, max_m: int, max_budget: in
         protocol = ("broadcast", "subgroup", "group")[k % 3]
         if protocol == "broadcast":
             spec = random_star_spec(rng, max_m=max_m, max_budget=max_budget)
-            yield Scenario(spec.m, spec.budgets, protocol, seed)
+            yield Scenario(spec, protocol, seed)
         elif protocol == "subgroup":
             spec = random_connected_spec(rng, max_m=max_m, max_budget=max_budget)
             s, t = rng.sample(range(spec.m), 2)
-            yield Scenario(spec.m, spec.budgets, protocol, seed, s=s, t=t)
+            yield Scenario(spec, protocol, seed, s=s, t=t)
         else:
             spec = random_connected_spec(rng, max_m=max_m, max_budget=max_budget)
             tie_break = rng.choice(("lex-kruskal", "degree-min"))
-            yield Scenario(spec.m, spec.budgets, protocol, seed, tie_break=tie_break)
+            yield Scenario(spec, protocol, seed, tie_break=tie_break)
 
 
 class TestRunPathSecrecy:
     def test_report_equals_the_label_level_audit(self):
         for scenario in _random_scenarios(random.Random(811), 45, max_m=7, max_budget=12):
-            report, result = run_scenario(scenario)
-            assert report.secrecy == verify_independence(
+            _, result = run_scenario(scenario)
+            assert result.secrecy == verify_independence(
                 result.key_forms, result.transcript.forms(), result.basis), scenario
 
     def test_report_agrees_with_exhaustive_mutual_information(self):
         checked = 0
         for scenario in _random_scenarios(random.Random(812), 60, max_m=4, max_budget=3):
-            report, result = run_scenario(scenario)
+            _, result = run_scenario(scenario)
             if len(result.basis) > 14:
                 continue
             mi = brute_force_mutual_information(
                 result.key_forms, result.transcript.forms(), len(result.basis))
-            assert Fraction(report.secrecy.leaked_bits) == mi
+            assert Fraction(result.secrecy.leaked_bits) == mi
             checked += 1
         assert checked >= 30
 
@@ -162,7 +162,7 @@ def test_outputs_do_not_depend_on_the_hash_seed(scenario, tmp_path):
 def _group_scenario() -> Scenario:
     rng = random.Random(63)
     budgets = {(i, j): rng.randint(1, 9) for i in range(9) for j in range(i + 1, 9)}
-    return Scenario(m=9, budgets=budgets, protocol="group", seed=5, tie_break="degree-min")
+    return Scenario(NetworkSpec(9, budgets), protocol="group", seed=5, tie_break="degree-min")
 
 
 class TestOneReduction:
@@ -181,8 +181,8 @@ class TestOneReduction:
                             counted("table", pinkey.protocols._transcript_table))
         for scenario in (_star_scenario(), _relay_scenario(), _group_scenario()):
             calls.update(index=0, table=0)
-            report, _ = run_scenario(scenario)
-            assert report.key_length > 0
+            _, result = run_scenario(scenario)
+            assert len(result.key) > 0
             assert calls == {"index": 1, "table": 1}, scenario.protocol
 
     def test_a_subgroup_run_solves_one_max_flow(self, monkeypatch):
@@ -190,10 +190,10 @@ class TestOneReduction:
         calls = []
         monkeypatch.setattr(pinkey.graph, "_edmonds_karp", lambda *args: calls.append(1) or kernel(*args))
         scenario = _relay_scenario()
-        spec = scenario.spec()
+        spec = scenario.spec
         result = run_subgroup(generate_pairwise_keys(spec, 1), spec, scenario.s, scenario.t, 1)
         assert len(calls) == 1
-        assert result.stats.bound == result.stats.flow_value == len(result.key)
+        assert result.bound == len(result.key)
 
 
 def test_the_self_check_reports_a_leak_as_the_oracles_do():
