@@ -12,24 +12,27 @@ Three cases are implemented over the same pairwise-key substrate:
   residual budget graph per round, until the residual disconnects.
 
 Every public payload bit is a one-time pad, the XOR of a plain bit and
-the key bit that pads it, and a message records that exact GF(2) linear
-form as the two source-bit ids; labels are rendered from the ids only
-when read.  So reconstructibility and secrecy are verifiable by linear
-algebra instead of sampling.  Runs are pure functions of (store, spec, seed):
-reruns produce byte-identical transcripts.  Each run self-checks
-linear-form fidelity, one-time-pad discipline, and per-holder replay
-before returning, and takes its secrecy report from the same reduction
-of its transcript.
+the key bit that pads it, and the transcript records that exact GF(2)
+linear form as two source-bit ids, in its ``plain`` and ``pad`` columns;
+labels are rendered from the ids only when read.  So reconstructibility
+and secrecy are verifiable by linear algebra instead of sampling.  Runs
+append their messages to the transcript as column batches, one per group
+round or padded hop, and build no ``PublicMessage``: those are the
+values that iterating a transcript gives.  Runs are pure functions of
+(store, spec, seed): reruns produce byte-identical transcripts.  Each
+run self-checks linear-form fidelity, one-time-pad discipline, and
+per-holder replay before returning, and takes its secrecy report from
+the same reduction of its transcript.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import attrgetter, gt, xor
+from itertools import accumulate, chain, repeat
+from operator import gt, xor
 
 from .bounds import broadcast_bound, budget_graph, group_bound
 from .errors import invariant
@@ -52,14 +55,19 @@ from .secrecy import (
 GROUP_BOUND_AUTO_LIMIT = 9
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # payload bit -> its ASCII digit
+
+
+def _hex(digits: str) -> str:
+    """Payload digits, MSB first, in the shortest hex string that holds them."""
+    if len(digits) == 1:
+        return digits
+    return f"{int(digits, 2):0{(len(digits) + 3) // 4}x}" if digits else "-"
+
+
 def bits_to_hex(bits: tuple[int, ...]) -> str:
     """Pack bits MSB-first into the shortest hex string that holds them."""
-    if not bits:
-        return "-"
-    value = 0
-    for b in bits:
-        value = (value << 1) | b
-    return f"{value:0{(len(bits) + 3) // 4}x}"
+    return _hex(bytes(bits).translate(_DIGITS).decode())
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,7 +77,8 @@ class PublicMessage:
     plain and pad are source-bit ids of ``basis``; pad[k] is the bit that
     one-time-pads payload bit k, and the across-run invariant is that no
     basis bit ever pads twice.  ``forms`` and ``pads`` render the ids as
-    ``LinearForm``s and labels when read.
+    ``LinearForm``s and labels when read.  Runs record messages as
+    ``Transcript`` columns; a message is the value that iterating them gives.
     """
 
     sender: int
@@ -97,61 +106,129 @@ class PublicMessage:
 
 
 class Transcript:
-    """Ordered public messages with nondecreasing round numbers."""
+    """Ordered public messages over one basis, as columns; rounds never decrease.
 
-    __slots__ = ("messages",)
+    Per message: ``rounds``, ``senders``, ``receivers`` and ``ends``, the
+    cumulative payload offsets, so message k's payload bits are
+    ``ends[k - 1]:ends[k]``.  Per payload bit: ``payload`` (a bytearray)
+    and its ``plain`` and ``pad`` source-bit ids.  ``extend`` is the one
+    append path and checks every batch whole; iterating builds the
+    ``PublicMessage`` values.
+    """
 
-    def __init__(self, messages=()):
-        self.messages: list[PublicMessage] = []
+    __slots__ = ("basis", "rounds", "senders", "receivers", "ends", "payload", "plain", "pad")
+
+    def __init__(self, messages: Iterable[PublicMessage] = ()):
+        self.basis: SourceBitBasis | None = None
+        self.rounds: list[int] = []
+        self.senders: list[int] = []
+        self.receivers: list[int] = []
+        self.ends: list[int] = []
+        self.payload = bytearray()
+        self.plain: list[int] = []
+        self.pad: list[int] = []
         self.extend(messages)
+
+    @classmethod
+    def from_columns(cls, basis: SourceBitBasis, rounds: Sequence[int], senders: Sequence[int],
+                     receivers: Sequence[int], ends: Sequence[int], payload: Iterable[int],
+                     plain: Sequence[int], pad: Sequence[int]) -> Transcript:
+        """A batch of messages given as columns, unchecked until ``extend`` appends it."""
+        batch = cls.__new__(cls)
+        batch.basis, batch.rounds, batch.senders, batch.receivers = basis, rounds, senders, receivers
+        batch.ends, batch.payload, batch.plain, batch.pad = ends, bytearray(payload), plain, pad
+        return batch
 
     def append(self, msg: PublicMessage) -> None:
         self.extend((msg,))
 
-    def extend(self, messages: Iterable[PublicMessage]) -> None:
-        """Append a batch; nothing is appended unless the rounds stay nondecreasing."""
-        batch = list(messages)
-        rounds = [m.round for m in chain(self.messages[-1:], batch)]
+    def extend(self, messages: Transcript | Iterable[PublicMessage]) -> None:
+        """Append a batch whole: nothing is appended unless every check passes.
+
+        The batch must share this transcript's basis, keep the rounds
+        nondecreasing, have equal column lengths, with ``ends`` rising
+        from 0 to the payload length, and carry payload bits of 0 or 1.
+        """
+        batch = messages if isinstance(messages, Transcript) else _batch(messages)
+        if batch.basis is not self.basis and None not in (batch.basis, self.basis):
+            raise ValueError("the messages of a transcript must share one basis")
+        if not len(batch.rounds) == len(batch.senders) == len(batch.receivers) == len(batch.ends):
+            raise ValueError("rounds, senders, receivers, and ends must have equal length")
+        if not len(batch.payload) == len(batch.plain) == len(batch.pad):
+            raise ValueError("payload, plain, and pad must have equal length")
+        offsets = [0, *batch.ends]
+        if offsets[-1] != len(batch.payload) or any(map(gt, offsets, offsets[1:])):
+            raise ValueError("ends must rise from 0 to the payload length")
+        if batch.payload.translate(None, b"\0\1"):
+            raise ValueError("payload bits must be 0 or 1")
+        rounds = [*self.rounds[-1:], *batch.rounds]
         if any(map(gt, rounds, rounds[1:])):
             raise ValueError("round numbers must be nondecreasing")
-        self.messages += batch
+        if self.basis is None:
+            self.basis = batch.basis
+        base = len(self.payload)
+        self.rounds += batch.rounds
+        self.senders += batch.senders
+        self.receivers += batch.receivers
+        self.ends += [base + end for end in batch.ends]
+        self.payload += batch.payload
+        self.plain += batch.plain
+        self.pad += batch.pad
 
     def __len__(self) -> int:
-        return len(self.messages)
+        return len(self.rounds)
 
-    def __iter__(self):
-        return iter(self.messages)
+    def __iter__(self) -> Iterator[PublicMessage]:
+        payload, plain, pad = self.payload, self.plain, self.pad
+        start = 0
+        for round, sender, receiver, end in zip(self.rounds, self.senders, self.receivers, self.ends):
+            yield PublicMessage(sender, receiver, round, tuple(payload[start:end]),
+                                tuple(plain[start:end]), tuple(pad[start:end]), self.basis)
+            start = end
 
     @property
     def public_bits(self) -> int:
-        return sum(len(m.payload) for m in self.messages)
+        return len(self.payload)
 
     def forms(self) -> list[LinearForm]:
-        return [form for m in self.messages for form in m.forms]
+        if self.basis is None:
+            return []
+        labels = zip(self.basis.labels_of(self.plain), self.basis.labels_of(self.pad))
+        return [LinearForm(frozenset(pair)) for pair in labels]
 
     def to_text(self) -> str:
         """Line-oriented serialization, stable for golden-file comparison.
 
         One line per message: round, sender, receiver, hex payload, and
-        the payload's linear forms as sorted label XOR lists.  The forms of
-        all messages, which must share one basis, render in one pass.
+        the payload's linear forms as sorted label XOR lists.  Labels and
+        payload digits render in one pass over their columns.
         """
-        messages = self.messages
-        if any(m.basis is not messages[0].basis for m in messages):
-            raise ValueError("the messages of a transcript must share one basis")
-        texts = []
-        if messages:
-            labels_of = messages[0].basis.labels_of
-            plain = labels_of(list(chain.from_iterable(m.plain for m in messages)))
-            pad = labels_of(list(chain.from_iterable(m.pad for m in messages)))
-            texts = [a + "^" + b if a < b else b + "^" + a for a, b in zip(plain, pad)]
         lines = ["transcript v1"]
-        end = 0
-        for m in self.messages:
-            start, end = end, end + len(m.payload)
-            text = ";".join(texts[start:end])
-            lines.append(f"{m.round} {m.sender} {m.receiver} {bits_to_hex(m.payload)} {text}")
+        if self.basis is not None:
+            labels_of = self.basis.labels_of
+            texts = [a + "^" + b if a < b else b + "^" + a
+                     for a, b in zip(labels_of(self.plain), labels_of(self.pad))]
+            digits = self.payload.translate(_DIGITS).decode()
+            start = 0
+            for round, sender, receiver, end in zip(self.rounds, self.senders, self.receivers, self.ends):
+                hex_payload, forms = _hex(digits[start:end]), ";".join(texts[start:end])
+                lines.append(f"{round} {sender} {receiver} {hex_payload} {forms}")
+                start = end
         return "\n".join(lines) + "\n"
+
+
+def _batch(messages: Iterable[PublicMessage]) -> Transcript:
+    """The columns of a list of messages, which must share one basis."""
+    messages = list(messages)
+    basis = messages[0].basis if messages else None
+    if any(msg.basis is not basis for msg in messages):
+        raise ValueError("the messages of a transcript must share one basis")
+    payloads = [msg.payload for msg in messages]
+    return Transcript.from_columns(
+        basis, [msg.round for msg in messages], [msg.sender for msg in messages],
+        [msg.receiver for msg in messages], list(accumulate(map(len, payloads))),
+        chain.from_iterable(payloads), list(chain.from_iterable(msg.plain for msg in messages)),
+        list(chain.from_iterable(msg.pad for msg in messages)))
 
 
 @dataclass(frozen=True)
@@ -179,22 +256,19 @@ class GroupKeyResult:
 
 def _transcript_table(
     transcript: Transcript, key_ids: Sequence[int]
-) -> tuple[tuple[list[int], ...], dict[int, int], dict[int, int]]:
-    """The whole transcript's payload bits with their plain and pad id
-    columns; the support index of the run's ids, key bits first; and
-    the kernel pivot table of the public equations, form = payload bit.
+) -> tuple[dict[int, int], dict[int, int]]:
+    """The support index of the run's ids, key bits first, and the kernel
+    pivot table of the transcript's public equations, form = payload bit.
 
     Each public bit is the XOR of a plain bit and the bit that pads it.
     Each protocol pads a key bit with a fresh bit, so every row's top bit
     is its pad's and the rows need no reduction.
     """
-    messages = transcript.messages
-    bits, plain, pad = (list(chain.from_iterable(map(attrgetter(column), messages)))
-                        for column in ("payload", "plain", "pad"))
+    plain, pad = transcript.plain, transcript.pad
     index = support_index(key_ids, plain, pad)
     table: dict[int, int] = {}
-    gf2_rank(column_rows((plain, pad), index, bits), table)
-    return (bits, plain, pad), index, table
+    gf2_rank(column_rows((plain, pad), index, transcript.payload), table)
+    return index, table
 
 
 def _add_own_bits(table: dict[int, int], rows: Iterable[int]) -> None:
@@ -211,7 +285,7 @@ def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
     reconstruct; for anyone else None is the expected outcome unless the
     protocol intentionally routes the key through them.
     """
-    _, index, table = _transcript_table(result.transcript, result.key_ids)
+    index, table = _transcript_table(result.transcript, result.key_ids)
     _add_own_bits(table, own_rows(result.basis, index).get(terminal, ()))
     out = []
     # Try each key form as the equation form = 0: it is implied (the bit
@@ -231,7 +305,8 @@ def _self_check(holders: frozenset[int], key: tuple[int, ...], key_ids: Sequence
     """Check a run's parts; return the secrecy report of its one transcript reduction."""
     # The transcript is reduced once: each holder below extends the table
     # with its own bits and pops them off again, and the report extends it.
-    (bits, plain, pad), index, reduced = _transcript_table(transcript, key_ids)
+    index, reduced = _transcript_table(transcript, key_ids)
+    bits, plain, pad = transcript.payload, transcript.plain, transcript.pad
     # Linear-form fidelity: forms evaluated on realized basis bits must
     # reproduce the actual payload and key bits.
     value = basis.values.__getitem__
@@ -265,12 +340,12 @@ def _result(store: PairwiseKeyStore, case: str, holders: Iterable[int], key_ids:
 
 
 def _padded(store: PairwiseKeyStore, sender: int, receiver: int, round: int,
-            plain: Sequence[int], plain_bits: Sequence[int]) -> PublicMessage:
-    """The message that pads bits ``plain`` with the next unused bits of the pair's key."""
-    basis = store.basis
+            plain: Sequence[int], plain_bits: Sequence[int]) -> Transcript:
+    """The one-message batch that pads bits ``plain`` with the next unused bits of the pair's key."""
     pad = store.take(sender, receiver, len(plain))
-    payload = tuple(map(xor, plain_bits, basis.bits(pad)))
-    return PublicMessage(sender, receiver, round, payload, plain, pad, basis)
+    payload = map(xor, plain_bits, map(store.basis.values.__getitem__, pad))
+    return Transcript.from_columns(store.basis, [round], [sender], [receiver], [len(pad)],
+                                   payload, plain, pad)
 
 
 def run_broadcast(store: PairwiseKeyStore, spec: NetworkSpec) -> GroupKeyResult:
@@ -290,7 +365,7 @@ def run_broadcast(store: PairwiseKeyStore, spec: NetworkSpec) -> GroupKeyResult:
     if length > 0:
         for leaf in range(1, spec.m):
             if leaf != poorest and spec.budget(0, leaf) > 0:
-                transcript.append(_padded(store, 0, leaf, 0, key_ids, key))
+                transcript.extend(_padded(store, 0, leaf, 0, key_ids, key))
     invariant(bound.value == length, "broadcast must meet its bound exactly")
     return _result(store, "broadcast", range(spec.m), key_ids, transcript, bound.value)
 
@@ -325,7 +400,7 @@ def run_subgroup(
     for hop in range(longest):
         for path, start, stop in slices:
             if hop < len(path) - 1:
-                transcript.append(_padded(store, path[hop], path[hop + 1], hop,
+                transcript.extend(_padded(store, path[hop], path[hop + 1], hop,
                                           fresh[start:stop], fresh_bits[start:stop]))
 
     return _result(store, "subgroup", (s, t), fresh, transcript, bound)
@@ -333,7 +408,7 @@ def run_subgroup(
 
 def single_bit_round(
     tree: SpanningTree, store: PairwiseKeyStore, spec: NetworkSpec, round_base: int = 0
-) -> tuple[int, list[PublicMessage]]:
+) -> tuple[int, Transcript]:
     """Flood one shared secret bit along a spanning tree.
 
     Consumes one key bit from every tree edge, all in one take, or none
@@ -343,8 +418,8 @@ def single_bit_round(
     B XOR that edge's consumed bit.  Exactly m - 2 messages result, since
     the seed edge needs none.
 
-    Returns the shared bit's source-bit id and the message list, with
-    round numbers round_base + BFS depth.
+    Returns the shared bit's source-bit id and the messages as a column
+    batch, with round numbers round_base + BFS depth.
     """
     if tree.m != spec.m:
         raise ValueError(f"tree on {tree.m} nodes does not match m={spec.m}")
@@ -352,22 +427,25 @@ def single_bit_round(
     adjacency = tree.adjacency()
     depth = {seed_edge[0]: 0, seed_edge[1]: 0}
     queue = deque(seed_edge)
-    hops = []
+    rounds, senders, receivers = [], [], []
     while queue:
         u = queue.popleft()
         for v in adjacency[u]:
             if v in depth:
                 continue
             depth[v] = depth[u] + 1
-            hops.append((u, v))
+            rounds.append(round_base + depth[u])
+            senders.append(u)
+            receivers.append(v)
             queue.append(v)
-    invariant(len(hops) == spec.m - 2, "a tree round must send exactly m - 2 messages")
-    shared, *pads = store.take_one_each([seed_edge, *hops])
-    basis = store.basis
-    values = basis.values
-    bit, plain = values[shared], range(shared, shared + 1)
-    return shared, [PublicMessage(u, v, round_base + depth[v] - 1, (bit ^ values[p],), plain,
-                                  range(p, p + 1), basis) for (u, v), p in zip(hops, pads)]
+    hops = len(rounds)
+    invariant(hops == spec.m - 2, "a tree round must send exactly m - 2 messages")
+    shared, *pads = store.take_one_each([seed_edge, *zip(senders, receivers)])
+    values = store.basis.values
+    payload = map(values[shared].__xor__, map(values.__getitem__, pads))
+    batch = Transcript.from_columns(store.basis, rounds, senders, receivers, range(1, hops + 1),
+                                    payload, [shared] * hops, pads)
+    return shared, batch
 
 
 def run_group_key(
@@ -387,12 +465,10 @@ def run_group_key(
     """
     transcript = Transcript()
     key_ids: list[int] = []
-    next_round = 0
     for tree in greedy_spanning_trees(budget_graph(spec), tie_break):
-        shared, messages = single_bit_round(tree, store, spec, round_base=next_round)
-        transcript.extend(messages)
-        if messages:
-            next_round = messages[-1].round + 1
+        next_round = transcript.rounds[-1] + 1 if transcript.rounds else 0
+        shared, batch = single_bit_round(tree, store, spec, round_base=next_round)
+        transcript.extend(batch)
         key_ids.append(shared)
 
     invariant(len(key_ids) <= spec.total_budget() // (spec.m - 1),

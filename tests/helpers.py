@@ -30,6 +30,13 @@ def random_star_spec(rng: random.Random, max_m: int = 8, max_budget: int = 12) -
     return NetworkSpec.star([rng.randint(0, max_budget) for _ in range(m - 1)])
 
 
+def transcript_columns(transcript) -> tuple:
+    """Copies of a transcript's seven columns."""
+    return (list(transcript.rounds), list(transcript.senders), list(transcript.receivers),
+            list(transcript.ends), bytes(transcript.payload), list(transcript.plain),
+            list(transcript.pad))
+
+
 def known_to(basis, terminal: int) -> list[str]:
     """Labels the terminal holds natively, in basis order."""
     return [label for label in basis.labels if terminal in basis.owners_of(label)]

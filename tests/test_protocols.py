@@ -33,7 +33,7 @@ from pinkey import (
 from pinkey.errors import InsufficientKeyMaterial, InvariantViolation, NotAStar
 from pinkey.protocols import PublicMessage, _self_check, bits_to_hex
 
-from helpers import known_to, random_connected_spec, random_spec
+from helpers import known_to, random_connected_spec, random_spec, transcript_columns
 
 TRIANGLE = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
 
@@ -90,6 +90,17 @@ def reference_replay(result, terminal):
 def self_check(result):
     """The run self-check over a result's parts; raises InvariantViolation."""
     return _self_check(result.holders, result.key, result.key_ids, result.transcript, result.basis)
+
+
+def run_optimized(code):
+    """The stdout of ``code`` run under ``python -O`` with the package importable."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def flip_first_payload_bit(result):
@@ -232,7 +243,7 @@ class TestSingleBitRound:
         shared, messages = single_bit_round(SpanningTree(((0, 1), (1, 2))), store, spec)
         assert store.basis.label(shared) == "K0-1:0"
         assert len(messages) == 1
-        msg = messages[0]
+        msg = list(messages)[0]
         assert (msg.sender, msg.receiver, msg.round) == (1, 2, 0)
         assert str(msg.forms[0]) == "K0-1:0^K1-2:0"
 
@@ -248,7 +259,7 @@ class TestSingleBitRound:
         spec = NetworkSpec(2, {(0, 1): 3})
         store = generate_pairwise_keys(spec, 9)
         shared, messages = single_bit_round(SpanningTree(((0, 1),)), store, spec)
-        assert messages == []
+        assert list(messages) == []
         assert store.basis.label(shared) == "K0-1:0"
 
     def test_consumes_one_bit_per_tree_edge(self):
@@ -406,6 +417,86 @@ class TestTranscripts:
         assert bits_to_hex((1, 0, 1, 1)) == "b"
         assert bits_to_hex((1, 0, 1, 1, 0)) == "16"
 
+    def test_text_hex_fields_match_bits_to_hex(self):
+        def packed(bits):  # MSB first, a bit per step, zero-padded to whole hex digits
+            value = 0
+            for bit in bits:
+                value = (value << 1) | bit
+            return f"{value:0{(len(bits) + 3) // 4}x}"
+
+        lengths = [*range(1, 10), 31, 100]
+        rng = random.Random(17)
+        # one transcript holding every length, and all-zero and all-one payloads among them
+        store = generate_pairwise_keys(NetworkSpec.star([3 * sum(lengths)] * 2), 1)
+        messages = []
+        for n in lengths:
+            for payload in ((0,) * n, (1,) * n, tuple(rng.getrandbits(1) for _ in range(n))):
+                plain, pad = store.take(0, 1, n), store.take(0, 2, n)
+                messages.append(PublicMessage(1, 2, len(messages), payload, plain, pad, store.basis))
+        runs = [Transcript(messages)]
+        # broadcast runs re-key each leaf with one message as long as the key
+        for n in lengths:
+            spec = NetworkSpec.star([n, n + 2, n + 7])
+            runs.append(run_broadcast(generate_pairwise_keys(spec, n), spec).transcript)
+        for transcript in runs:
+            lines = transcript.to_text().splitlines()[1:]
+            assert len(lines) == len(transcript) > 0
+            for line, msg in zip(lines, transcript):
+                assert line.split(" ")[3] == bits_to_hex(msg.payload) == packed(msg.payload)
+        assert {len(msg.payload) for msg in runs[0]} == set(lengths)
+
+    def test_a_refused_batch_leaves_every_column_as_it_was(self):
+        spec = NetworkSpec.from_pairs(3, [(0, 1, 4), (0, 2, 4), (1, 2, 4)])
+        store = generate_pairwise_keys(spec, 1)
+        other = generate_pairwise_keys(spec, 1).basis
+        t = Transcript()
+        t.extend(Transcript.from_columns(store.basis, [1, 2], [0, 1], [1, 2], [2, 3], (1, 0, 1),
+                                         [0, 1, 2], [4, 5, 6]))
+
+        def batch(**changes):
+            columns = dict(basis=store.basis, rounds=[2, 3], senders=[0, 2], receivers=[2, 1],
+                           ends=[1, 3], payload=(0, 1, 1), plain=[3, 7, 8], pad=[9, 10, 11])
+            return Transcript.from_columns(**{**columns, **changes})
+
+        before = transcript_columns(t)
+        for bad, match in [
+            (batch(basis=other), "share one basis"),
+            (batch(rounds=[1, 3]), "nondecreasing"),
+            (batch(rounds=[3, 2]), "nondecreasing"),
+            (batch(payload=(0, 2, 1)), "0 or 1"),
+            (batch(senders=[0]), "equal length"),
+            (batch(ends=[1, 2, 3], rounds=[2, 3, 3]), "equal length"),
+            (batch(pad=[9, 10]), "equal length"),
+            (batch(ends=[1, 4]), "ends must rise"),
+            (batch(ends=[2, 1, 3], rounds=[2, 2, 2], senders=[0] * 3, receivers=[1] * 3), "ends must rise"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                t.extend(bad)
+            assert transcript_columns(t) == before and t.basis is store.basis
+        t.extend(batch())
+        assert [m.round for m in t] == [1, 2, 2, 3]
+        assert (t.ends, t.plain, t.pad, t.payload) == ([2, 3, 4, 6], [0, 1, 2, 3, 7, 8],
+                                                       [4, 5, 6, 9, 10, 11], bytearray((1, 0, 1, 0, 1, 1)))
+
+    def test_bad_bits_and_unequal_columns_are_refused_under_python_O(self):
+        code = textwrap.dedent("""
+            from pinkey import NetworkSpec, Transcript, generate_pairwise_keys
+
+            assert False, "assertions must be off"
+            basis = generate_pairwise_keys(NetworkSpec(2, {(0, 1): 4}), 1).basis
+            t = Transcript()
+            for payload, pad in (((2,), [1]), ((1,), [1, 2])):
+                try:
+                    t.extend(Transcript.from_columns(basis, [0], [0], [1], [1], payload, [0], pad))
+                except ValueError as exc:
+                    print("refused:", exc)
+            print(len(t), t.public_bits, t.basis)
+        """)
+        assert run_optimized(code) == (
+            "refused: payload bits must be 0 or 1\n"
+            "refused: payload, plain, and pad must have equal length\n"
+            "0 0 None\n")
+
     def test_pads_are_never_reused_across_a_run(self):
         rng = random.Random(703)
         for _ in range(10):
@@ -454,7 +545,7 @@ class TestSelfCheck:
         # leaf 3 loses its re-keying message; the center, checked first, owns
         # every key bit, so its own rows must be gone again when leaf 3 is checked
         bad = replace(result, transcript=Transcript(list(result.transcript)[:-1]))
-        assert bad.transcript.messages[-1].receiver == 1
+        assert list(bad.transcript)[-1].receiver == 1
         with pytest.raises(InvariantViolation, match="holder 3 cannot replay"):
             self_check(bad)
 
@@ -482,10 +573,4 @@ class TestSelfCheck:
             except InvariantViolation as exc:
                 print("caught:", exc)
         """)
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "caught: transcript form does not match payload\n"
+        assert run_optimized(code) == "caught: transcript form does not match payload\n"

@@ -28,7 +28,7 @@ from pinkey.cli import Scenario, load_scenario, run_scenario
 from pinkey.protocols import PublicMessage, Transcript, _self_check
 from pinkey.secrecy import own_rows
 
-from helpers import random_connected_spec, random_star_spec
+from helpers import random_connected_spec, random_star_spec, transcript_columns
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "demos" / "scenarios").glob("*.txt"))
@@ -65,27 +65,44 @@ def _m40_scenario(tie_break: str) -> Scenario:
     return Scenario(NetworkSpec(40, budgets), protocol="group", seed=1, tie_break=tie_break)
 
 
+# report and transcript digests: the first two recorded before source bits were
+# numbered with ints, the group runs before the tree loop kept one ranked edge index
+GOLDEN_RUNS = pytest.mark.parametrize("scenario,sizes,digest", [
+    (_star_scenario(), (107, 1498), "5311ecc3e278e975ec5570f0bb8af1d06615e0da1df7f9daeff17f20783eaea5"),
+    (_relay_scenario(), (372, 1121), "089a2ad9608eaf8d54387c3f539c25ff00eac0bdd82cbe6910edaf2d34dd277a"),
+    (_dense_group_scenario("lex-kruskal"), (55, 1210),
+     "561a4aa8b54e8aaa836d092ab851d90b672d624754e0622f4e85f2ebe154ed76"),
+    (_dense_group_scenario("degree-min"), (56, 1232),
+     "46e05d483071befade2421830403e87e3d238c35301eb356d3bbdaf48a64493d"),
+    (_m40_scenario("lex-kruskal"), (299, 11362),
+     "af14dfe0c2005593618d90b2bc8ea829843da3a8e6e7b5cc5d62a503a7217bfd"),
+    (_m40_scenario("degree-min"), (297, 11286),
+     "8ffeab41a380b74f31789d9c46dd3ad3c469815c6b6db7f93daa7d3664412876"),
+], ids=["large-broadcast-star", "subgroup-relay", "dense-m24-lex-kruskal", "dense-m24-degree-min",
+        "complete-m40-lex-kruskal", "complete-m40-degree-min"])
+
+
 class TestGoldenBytes:
-    # report and transcript digests: the first two recorded before source bits were
-    # numbered with ints, the group runs before the tree loop kept one ranked edge index
-    @pytest.mark.parametrize("scenario,sizes,digest", [
-        (_star_scenario(), (107, 1498), "5311ecc3e278e975ec5570f0bb8af1d06615e0da1df7f9daeff17f20783eaea5"),
-        (_relay_scenario(), (372, 1121), "089a2ad9608eaf8d54387c3f539c25ff00eac0bdd82cbe6910edaf2d34dd277a"),
-        (_dense_group_scenario("lex-kruskal"), (55, 1210),
-         "561a4aa8b54e8aaa836d092ab851d90b672d624754e0622f4e85f2ebe154ed76"),
-        (_dense_group_scenario("degree-min"), (56, 1232),
-         "46e05d483071befade2421830403e87e3d238c35301eb356d3bbdaf48a64493d"),
-        (_m40_scenario("lex-kruskal"), (299, 11362),
-         "af14dfe0c2005593618d90b2bc8ea829843da3a8e6e7b5cc5d62a503a7217bfd"),
-        (_m40_scenario("degree-min"), (297, 11286),
-         "8ffeab41a380b74f31789d9c46dd3ad3c469815c6b6db7f93daa7d3664412876"),
-    ], ids=["large-broadcast-star", "subgroup-relay", "dense-m24-lex-kruskal", "dense-m24-degree-min",
-            "complete-m40-lex-kruskal", "complete-m40-degree-min"])
+    @GOLDEN_RUNS
     def test_run_bytes(self, scenario, sizes, digest):
         report, result = run_scenario(scenario)
         assert (len(result.key), result.transcript.public_bits) == sizes
         text = report.to_text() + result.transcript.to_text()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @GOLDEN_RUNS
+    def test_the_run_path_builds_no_message_objects(self, scenario, sizes, digest, monkeypatch):
+        # runs and their text read the transcript's columns; only iterating builds messages
+        class Refused:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("the run path built a PublicMessage")
+
+        monkeypatch.setattr(pinkey.protocols, "PublicMessage", Refused)
+        report, result = run_scenario(scenario)
+        text = report.to_text() + result.transcript.to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        with pytest.raises(AssertionError, match="built a PublicMessage"):
+            next(iter(result.transcript))
 
 
 def test_the_label_level_read_api_renders_the_same_labels():
@@ -141,6 +158,18 @@ class TestRunPathSecrecy:
             assert Fraction(result.secrecy.leaked_bits) == mi
             checked += 1
         assert checked >= 30
+
+
+def test_a_transcript_rebuilt_from_its_messages_has_the_same_columns_and_bytes():
+    checked = 0
+    for scenario in _random_scenarios(random.Random(813), 45, max_m=7, max_budget=12):
+        _, result = run_scenario(scenario)
+        transcript = result.transcript
+        rebuilt = Transcript(list(transcript))
+        assert transcript_columns(rebuilt) == transcript_columns(transcript), scenario
+        assert rebuilt.to_text() == transcript.to_text()
+        checked += len(transcript) > 0
+    assert checked >= 25
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda p: p.stem)
@@ -219,7 +248,7 @@ def test_message_views_render_the_labels_of_their_ids():
     spec = NetworkSpec.star([4, 2, 6])
     result = run_broadcast(generate_pairwise_keys(spec, 2), spec)
     # messages compare and hash by their ids, not their basis, so reruns give equal messages
-    assert result.transcript.messages == run_broadcast(generate_pairwise_keys(spec, 2), spec).transcript.messages
+    assert list(result.transcript) == list(run_broadcast(generate_pairwise_keys(spec, 2), spec).transcript)
     assert len({hash(msg) for msg in result.transcript}) == len(result.transcript)
     for msg in result.transcript:
         assert msg.pads == tuple(result.basis.label(i) for i in msg.pad)
@@ -231,7 +260,7 @@ def test_message_views_render_the_labels_of_their_ids():
 
 def test_message_views_slice_concatenate_and_print_as_tuples():
     spec = NetworkSpec.star([4, 2, 6])
-    msg = run_broadcast(generate_pairwise_keys(spec, 2), spec).transcript.messages[0]
+    msg = list(run_broadcast(generate_pairwise_keys(spec, 2), spec).transcript)[0]
     assert type(msg.forms) is tuple and type(msg.pads) is tuple
     assert " at 0x" not in repr(msg)
 
