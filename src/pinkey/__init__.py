@@ -24,7 +24,6 @@ from .graph import (
     max_flow,
     maximum_spanning_tree,
     min_normalized_multicut,
-    min_st_cut,
     min_st_cut_bruteforce,
     optimal_tree_packing_bruteforce,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "max_flow",
     "maximum_spanning_tree",
     "min_normalized_multicut",
-    "min_st_cut",
     "min_st_cut_bruteforce",
     "optimal_tree_packing_bruteforce",
     "replay_key",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotAStar
-from .graph import CutResult, Partition, WeightedGraph, graph_strength, min_st_cut
+from .graph import CutResult, Partition, WeightedGraph, graph_strength, max_flow
 from .model import NetworkSpec
 
 
@@ -61,7 +61,7 @@ def subgroup_bound(spec: NetworkSpec, s: int, t: int) -> BoundReport:
     exhaustive cut enumeration.  Raises ValueError unless s and t are two
     distinct terminals.
     """
-    cut = min_st_cut(budget_graph(spec), s, t)
+    cut = max_flow(budget_graph(spec), s, t).cut
     return BoundReport(case="subgroup", value=Fraction(cut.value), witness=cut, formula="min-st-cut")
 
 

@@ -70,14 +70,8 @@ class WeightedGraph:
         """All (i, j, weight) triples, i < j, in ascending pair order."""
         return [(i, j, self._weights[(i, j)]) for (i, j) in sorted(self._weights)]
 
-    def edge_count(self) -> int:
-        return len(self._weights)
-
     def total_weight(self) -> int:
         return sum(self._weights.values())
-
-    def copy(self) -> "WeightedGraph":
-        return WeightedGraph(self.m, dict(self._weights))
 
     def __repr__(self) -> str:
         return f"WeightedGraph(m={self.m}, edges={dict(sorted(self._weights.items()))})"
@@ -327,13 +321,6 @@ def max_flow(g: WeightedGraph, s: int, t: int) -> FlowAssignment:
             rebuilt[(u, v)] = rebuilt.get((u, v), 0) + amount
     invariant(sum(amount for _, amount in paths) == value, "flow paths do not add up to the flow value")
     return FlowAssignment(value=value, flows=rebuilt, paths=paths, cut=_residual_cut(g, cap, s, value))
-
-
-def min_st_cut(g: WeightedGraph, s: int, t: int) -> CutResult:
-    """Minimum s-t cut from the max-flow residual graph (fast path)."""
-    _check_terminals(g, s, t)
-    cap = _undirected_capacities(g)
-    return _residual_cut(g, cap, s, _edmonds_karp(cap, s, t))
 
 
 def _check_terminals(g: WeightedGraph, s: int, t: int) -> None:

@@ -15,11 +15,11 @@ a SHA-256 mix of the run seed and the pair, so streams are independent of
 generation order and stable across platforms and processes.
 
 Realized source bits are numbered by int id, one contiguous range per
-pair key, with their values in one ``bytearray``.  Labels such as
-``K0-1:3`` (bit 3 of pair {0, 1}'s key) and ``R2:0`` (terminal 2's first
-local bit) are never stored per bit: they are rendered from ids when
-read, and parsed back only where a caller looks a label up.  The run
-path works on ids alone.
+pair key, with their values in one ``bytearray``.  Every bit has a label
+of one scheme, ``prefix + index``: ``K0-1:3`` is bit 3 of pair {0, 1}'s
+key and ``R2:0`` terminal 2's first local bit.  Labels are never stored
+per bit: they are rendered from ids when read, and parsed back only where
+a caller looks a label up.  The run path works on ids alone.
 """
 
 from __future__ import annotations
@@ -52,11 +52,6 @@ def canonical_pair(i: int, j: int) -> Pair:
     if i == j:
         raise ValueError(f"self-pair ({i}, {j}) is not allowed")
     return (i, j) if i < j else (j, i)
-
-
-def pair_bit_label(i: int, j: int, index: int) -> str:
-    """Label of bit ``index`` of the shared key of pair {i, j}."""
-    return f"{_pair_label_prefix(i, j)}{index}"
 
 
 def _pair_label_prefix(i: int, j: int) -> str:
@@ -143,19 +138,19 @@ class SourceBitBasis:
     secrecy accounting possible.
 
     Each registering call adds a run of consecutive ids with one owner
-    set.  A run registered under a prefix names its bits ``prefix +
-    index``; one registered through ``add_bits`` keeps the labels it got.
+    set and one label prefix.  Its bits are labelled ``prefix + index``,
+    the indices going on from the prefix's earlier runs, so every label
+    is unique.
     """
 
-    __slots__ = ("values", "_starts", "_runs", "_prefixed", "_named")
+    __slots__ = ("values", "_starts", "_runs", "_prefixed")
 
     def __init__(self) -> None:
         self.values = bytearray()
         self._starts: list[int] = []  # first id of each run, ascending
-        # per run: ids, owners, its labels or prefix, and the id of label index 0
-        self._runs: list[tuple[range, frozenset[int], str | tuple[str, ...], int]] = []
+        # per run: ids, owners, label prefix, and the id of label index 0
+        self._runs: list[tuple[range, frozenset[int], str, int]] = []
         self._prefixed: dict[str, list[tuple[range, int]]] = {}  # prefix -> (ids, base) per run
-        self._named: dict[str, int] = {}  # id of each label given to add_bits
 
     def __len__(self) -> int:
         return len(self.values)
@@ -173,39 +168,12 @@ class SourceBitBasis:
     def labels(self) -> tuple[str, ...]:
         return tuple(self.labels_of(range(len(self))))
 
-    def add(self, label: str, value: int, owners: frozenset[int]) -> int:
-        """Register a bit and return its id. Labels must be unique."""
-        return self.add_bits([label], (value,), owners)
+    def _add_run(self, prefix: str, values: Sequence[int], owners: frozenset[int]) -> range:
+        """Register bits labelled ``prefix + index``, the indices going on from the prefix's runs.
 
-    def add_bits(self, labels: list[str], values: Sequence[int], owners: frozenset[int]) -> int:
-        """Register bits that share one owner set; return the first one's id.
-
-        Nothing is registered unless every label is new and unique, every
-        value is 0 or 1, and the owner set is not empty.
+        Nothing is registered unless every value is 0 or 1 and the owner
+        set is not empty.
         """
-        if len(values) != len(labels):
-            raise ValueError(f"{len(labels)} labels but {len(values)} values")
-        seen: set[str] = set()
-        for label in labels:
-            if label in seen or label in self:
-                raise ValueError(f"duplicate basis label {label!r}")
-            seen.add(label)
-        ids = self._register(values, owners, tuple(labels), len(self))
-        self._named.update(zip(labels, ids))
-        return ids.start
-
-    def _add_run(self, prefix: str, values: bytes, owners: frozenset[int]) -> range:
-        """Register bits labelled ``prefix + index``, the indices going on from the prefix's runs."""
-        first = sum(len(ids) for ids, _ in self._prefixed.get(prefix, ()))
-        for index in range(first, first + len(values)) if self._named else ():
-            if (label := f"{prefix}{index}") in self._named:
-                raise ValueError(f"duplicate basis label {label!r}")
-        ids = self._register(values, owners, prefix, len(self) - first)
-        self._prefixed.setdefault(prefix, []).append((ids, ids.start - first))
-        return ids
-
-    def _register(self, values: Sequence[int], owners: frozenset[int], names, base: int) -> range:
-        # The one validation path for values and owners.
         if not _BIT_VALUES.issuperset(values):
             value = next(v for v in values if v not in _BIT_VALUES)
             raise ValueError(f"bit value must be 0 or 1, got {value!r}")
@@ -213,9 +181,11 @@ class SourceBitBasis:
             raise ValueError("a source bit needs at least one owner")
         ids = range(len(self), len(self) + len(values))
         if ids:
+            base = ids.start - sum(len(run) for run, _ in self._prefixed.get(prefix, ()))
             self.values += bytes(values)
             self._starts.append(ids.start)
-            self._runs.append((ids, owners, names, base))
+            self._runs.append((ids, owners, prefix, base))
+            self._prefixed.setdefault(prefix, []).append((ids, base))
         return ids
 
     def id_of(self, label: str) -> int | None:
@@ -225,7 +195,7 @@ class SourceBitBasis:
             for ids, base in self._prefixed.get(prefix + colon, ()):
                 if int(digits) + base in ids:
                     return int(digits) + base
-        return self._named.get(label)
+        return None
 
     def _id(self, label: str) -> int:
         ident = self.id_of(label)
@@ -233,12 +203,12 @@ class SourceBitBasis:
             raise UnknownBasisLabel(f"label {label!r} is not in the basis")
         return ident
 
-    def _run(self, ident: int) -> tuple[range, frozenset[int], str | tuple[str, ...], int]:
+    def _run(self, ident: int) -> tuple[range, frozenset[int], str, int]:
         return self._runs[bisect_right(self._starts, ident) - 1]
 
     def label(self, ident: int) -> str:
-        _, _, names, base = self._run(ident)
-        return names[ident - base] if isinstance(names, tuple) else f"{names}{ident - base}"
+        _, _, prefix, base = self._run(ident)
+        return f"{prefix}{ident - base}"
 
     def labels_of(self, ids: Sequence[int]) -> list[str]:
         """``label`` of each id, rendered in bulk run by run over the distinct ids."""
@@ -246,12 +216,11 @@ class SourceBitBasis:
         distinct = ids if isinstance(ids, range) and ids.step > 0 else sorted(set(ids))
         rendered: list[str] = []
         while (lo := len(rendered)) < len(distinct):
-            run, _, names, base = self._run(distinct[lo])
+            run, _, prefix, base = self._run(distinct[lo])
             hi = bisect_left(distinct, run.stop, lo)
             span = range(distinct[lo] - base, distinct[hi - 1] - base + 1)  # label index: ident - base
             offsets = span if len(span) == hi - lo else map(base.__rsub__, distinct[lo:hi])
-            rendered += map(names.__getitem__, offsets) if isinstance(names, tuple) else map(
-                names.__add__, map(str, offsets))
+            rendered += map(prefix.__add__, map(str, offsets))
         if distinct is ids or distinct == ids:
             return rendered
         return list(map(dict(zip(distinct, rendered)).__getitem__, ids))
@@ -267,9 +236,6 @@ class SourceBitBasis:
     def value_of(self, label: str) -> int:
         return self.values[self._id(label)]
 
-    def owners_of(self, label: str) -> frozenset[int]:
-        return self._run(self._id(label))[1]
-
     def realized(self) -> SourceBitBasis:
         """Label-to-value lookups for evaluating linear forms: the basis itself,
         which reads like a mapping and builds no label map."""
@@ -280,10 +246,6 @@ class SourceBitBasis:
         if count < 0:
             raise ValueError(f"count must be nonnegative, got {count}")
         return self._add_run(f"R{owner}:", _random_bits(rng, count), frozenset((owner,)))
-
-    def new_local_bits(self, owner: int, count: int, rng: random.Random) -> list[str]:
-        """``new_local_ids``, returning the new bits' labels."""
-        return self.labels_of(self.new_local_ids(owner, count, rng))
 
 
 @dataclass
@@ -302,12 +264,6 @@ class PairwiseKeyStore:
 
     def key_ids(self, i: int, j: int) -> range:
         return self._ids.get(canonical_pair(i, j), range(0))
-
-    def key_bits(self, i: int, j: int) -> tuple[int, ...]:
-        return self.basis.bits(self.key_ids(i, j))
-
-    def key_labels(self, i: int, j: int) -> tuple[str, ...]:
-        return tuple(self.basis.labels_of(self.key_ids(i, j)))
 
     def remaining(self, i: int, j: int) -> int:
         pair = canonical_pair(i, j)
@@ -348,11 +304,6 @@ class PairwiseKeyStore:
                 raise InsufficientKeyMaterial(f"pair {pair} has no unused key bits")
         self._cursors.update(zip(keys, map((1).__add__, starts)))
         return list(map(range.__getitem__, ranges, starts))
-
-    def consume_bits(self, i: int, j: int, count: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
-        """``take``, returning the consumed bits' values and labels."""
-        ids = self.take(i, j, count)
-        return self.basis.bits(ids), tuple(self.basis.labels_of(ids))
 
 
 def _pair_rng(seed: int, i: int, j: int) -> random.Random:

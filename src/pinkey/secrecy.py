@@ -52,10 +52,6 @@ class LinearForm:
     def unit(cls, label: str) -> "LinearForm":
         return cls(frozenset((label,)))
 
-    @classmethod
-    def zero(cls) -> "LinearForm":
-        return cls(frozenset())
-
     def __xor__(self, other: "LinearForm") -> "LinearForm":
         return LinearForm(self.labels ^ other.labels)
 

@@ -37,6 +37,16 @@ def transcript_columns(transcript) -> tuple:
             list(transcript.pad))
 
 
+def key_values(store, i: int, j: int) -> tuple[int, ...]:
+    """The realized values of pair {i, j}'s key bits, in key order."""
+    return store.basis.bits(store.key_ids(i, j))
+
+
+def owners(basis) -> list[frozenset[int]]:
+    """Each source bit's owners, in id order."""
+    return [held for ids, held in basis.runs() for _ in ids]
+
+
 def known_to(basis, terminal: int) -> list[str]:
     """Labels the terminal holds natively, in basis order."""
-    return [label for label in basis.labels if terminal in basis.owners_of(label)]
+    return [label for label, held in zip(basis.labels, owners(basis)) if terminal in held]

@@ -261,13 +261,12 @@ def test_c7_bounds_are_consistent():
             for partition in enumerate_partitions(spec.m):
                 where = partition.block_index()
                 internal = crossing = 0
-                for label in basis.labels:
-                    owners = basis.owners_of(label)
+                for ids, owners in basis.runs():
                     blocks = {where[o] for o in owners}
                     if len(blocks) == 1:
-                        internal += 1
+                        internal += len(ids)
                     else:
-                        crossing += 1
+                        crossing += len(ids)
                 assert crossing == partition.crossing_weight(g)
                 assert internal + crossing == total
         return None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -341,6 +342,18 @@ class TestBoundCommand:
             "floor 6\n"
             "formula min-normalized-multicut\n"
             "witness {0}|{1}|{2}\n"
+        )
+
+    def test_subgroup_bound_on_the_demo_scenario_is_golden(self, capsys):
+        path = Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "triangle_subgroup.txt"
+        assert main(["bound", "--scenario", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "bound v1\n"
+            "case subgroup\n"
+            "value 7\n"
+            "floor 7\n"
+            "formula min-st-cut\n"
+            "witness {0,1}|{2}\n"
         )
 
     def test_group_bound_past_the_enumeration_guard(self, tmp_path, capsys):

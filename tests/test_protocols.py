@@ -33,7 +33,7 @@ from pinkey import (
 from pinkey.errors import InsufficientKeyMaterial, InvariantViolation, NotAStar
 from pinkey.protocols import PublicMessage, _self_check, bits_to_hex
 
-from helpers import known_to, random_connected_spec, random_spec, transcript_columns
+from helpers import key_values, known_to, random_connected_spec, random_spec, transcript_columns
 
 TRIANGLE = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
 
@@ -115,7 +115,7 @@ class TestBroadcast:
         store = generate_pairwise_keys(spec, 3)
         result = run_broadcast(store, spec)
         assert len(result.key) == 5
-        assert result.key == generate_pairwise_keys(spec, 3).key_bits(0, 2)[:5]
+        assert result.key == key_values(generate_pairwise_keys(spec, 3), 0, 2)[:5]
         assert len(result.transcript) == 2
         assert result.transcript.public_bits == 10
         assert [m.receiver for m in result.transcript] == [1, 3]
@@ -331,7 +331,7 @@ class TestGroupKey:
         spec = NetworkSpec(2, {(0, 1): 4})
         store = generate_pairwise_keys(spec, 6)
         result = run_group_key(store, spec)
-        assert result.key == generate_pairwise_keys(spec, 6).key_bits(0, 1)
+        assert result.key == key_values(generate_pairwise_keys(spec, 6), 0, 1)
         assert len(result.transcript) == 0
 
     def test_disconnected_network_yields_nothing(self):

@@ -21,33 +21,32 @@ from pinkey.secrecy import gf2_rank
 
 
 def small_basis(n: int) -> SourceBitBasis:
-    basis = SourceBitBasis()
-    for t in range(n):
-        basis.add(f"b{t}", 0, frozenset({0}))
-    return basis
+    """Pair {0, 1}'s n key bits, labelled K0-1:0 to K0-1:{n-1}."""
+    return generate_pairwise_keys(NetworkSpec(2, {(0, 1): n}), 0).basis
+
+
+# the labels of small_basis's first bits
+B0, B1, B2 = (f"K0-1:{t}" for t in range(3))
 
 
 def form(*labels: str) -> LinearForm:
-    out = LinearForm.zero()
-    for label in labels:
-        out = out ^ LinearForm.unit(label)
-    return out
+    return LinearForm(frozenset(labels))
 
 
 class TestLinearForm:
     def test_xor_is_symmetric_difference(self):
         assert form("a", "b") ^ form("b", "c") == form("a", "c")
-        assert form("a") ^ form("a") == LinearForm.zero()
+        assert form("a") ^ form("a") == form()
 
     def test_evaluate(self):
         values = {"a": 1, "b": 1, "c": 0}
         assert form("a", "b").evaluate(values) == 0
         assert form("a", "c").evaluate(values) == 1
-        assert LinearForm.zero().evaluate(values) == 0
+        assert form().evaluate(values) == 0
 
     def test_str_is_sorted(self):
         assert str(form("z", "a")) == "a^z"
-        assert str(LinearForm.zero()) == "0"
+        assert str(form()) == "0"
 
 
 class TestRank:
@@ -59,21 +58,21 @@ class TestRank:
 
     def test_masked_key_leaks_nothing(self):
         basis = small_basis(2)
-        report = verify_independence([form("b0")], [form("b0", "b1")], basis)
+        report = verify_independence([form(B0)], [form(B0, B1)], basis)
         assert report.leaked_bits == 0
         assert report.uniform
         assert (report.rank_key, report.rank_transcript, report.rank_joint) == (1, 1, 2)
 
     def test_published_key_leaks_fully(self):
         basis = small_basis(1)
-        report = verify_independence([form("b0")], [form("b0")], basis)
+        report = verify_independence([form(B0)], [form(B0)], basis)
         assert report.leaked_bits == 1
 
     def test_partial_overlap(self):
         basis = small_basis(3)
-        # transcript pins b0^b1 and b1^b2; key (b0, b2) loses one bit
+        # transcript pins B0^B1 and B1^B2; key (B0, B2) loses one bit
         report = verify_independence(
-            [form("b0"), form("b2")], [form("b0", "b1"), form("b1", "b2")], basis
+            [form(B0), form(B2)], [form(B0, B1), form(B1, B2)], basis
         )
         assert report.leaked_bits == 1
         assert report.uniform
@@ -84,16 +83,12 @@ class TestRank:
         rng = random.Random(603)
         for _ in range(20):
             n = rng.randint(1, 6)
-            labels = [f"b{t}" for t in range(n)]
-            padded = SourceBitBasis()
-            padded.add_bits([f"u{t}" for t in range(3000)], [rng.getrandbits(1) for _ in range(3000)],
-                            frozenset({0, 1}))
-            padded.add_bits(labels, [0] * n, frozenset({0}))
-            padded.add_bits([f"v{t}" for t in range(3000)], [0] * 3000, frozenset({1}))
+            labels = [f"K0-2:{t}" for t in range(n)]
+            padded = generate_pairwise_keys(NetworkSpec(3, {(0, 1): 3000, (0, 2): n, (1, 2): 3000}), 0).basis
             key = [form(*rng.sample(labels, rng.randint(1, n))) for _ in range(rng.randint(0, 3))]
             transcript = [form(*rng.sample(labels, rng.randint(1, n))) for _ in range(rng.randint(0, 4))]
             assert verify_independence(key, transcript, padded) == verify_independence(
-                key, transcript, small_basis(n))
+                key, transcript, generate_pairwise_keys(NetworkSpec(3, {(0, 2): n}), 0).basis)
 
     def test_unknown_label(self):
         basis = small_basis(1)
@@ -103,13 +98,13 @@ class TestRank:
 
 class TestUniformity:
     def test_independent_units_are_uniform(self):
-        keys = [form("b0"), form("b1"), form("b0", "b1", "b2")]
+        keys = [form(B0), form(B1), form(B0, B1, B2)]
         assert verify_independence(keys, [], small_basis(3)).uniform
 
     def test_dependent_forms_are_not(self):
         basis = small_basis(2)
-        assert not verify_independence([form("b0"), form("b1"), form("b0", "b1")], [], basis).uniform
-        assert not verify_independence([form("b0"), form("b0")], [], basis).uniform
+        assert not verify_independence([form(B0), form(B1), form(B0, B1)], [], basis).uniform
+        assert not verify_independence([form(B0), form(B0)], [], basis).uniform
 
     def test_empty_key_is_vacuously_uniform(self):
         assert verify_independence([], [], small_basis(0)).uniform
@@ -117,22 +112,22 @@ class TestUniformity:
 
 class TestExhaustiveOracle:
     def test_independent_case(self):
-        assert brute_force_mutual_information([form("b0")], [form("b0", "b1")], 2) == 0
+        assert brute_force_mutual_information([form(B0)], [form(B0, B1)], 2) == 0
 
     def test_fully_leaked_case(self):
-        assert brute_force_mutual_information([form("b0")], [form("b0")], 1) == Fraction(1)
+        assert brute_force_mutual_information([form(B0)], [form(B0)], 1) == Fraction(1)
 
     def test_partial_leak_is_exact(self):
         got = brute_force_mutual_information(
-            [form("b0"), form("b2")], [form("b0", "b1"), form("b1", "b2")], 3
+            [form(B0), form(B2)], [form(B0, B1), form(B1, B2)], 3
         )
         assert got == Fraction(1)
 
     def test_guards(self):
         with pytest.raises(InstanceTooLarge):
-            brute_force_mutual_information([form("b0")], [], 21)
+            brute_force_mutual_information([form(B0)], [], 21)
         with pytest.raises(ValueError):
-            brute_force_mutual_information([form("b0", "b1", "b2")], [], 2)
+            brute_force_mutual_information([form(B0, B1, B2)], [], 2)
 
     def test_rank_formula_matches_oracle_on_random_systems(self):
         # 50 random linear systems over at most 5 basis bits
@@ -140,7 +135,7 @@ class TestExhaustiveOracle:
         for _ in range(50):
             n = rng.randint(1, 5)
             basis = small_basis(n)
-            labels = [f"b{t}" for t in range(n)]
+            labels = [f"K0-1:{t}" for t in range(n)]
 
             def random_forms(count: int) -> list[LinearForm]:
                 out = []
@@ -176,6 +171,6 @@ def test_distinct_pairs_use_disjoint_labels():
     store = generate_pairwise_keys(spec, 5)
     seen: set[str] = set()
     for pair in spec.pairs():
-        labels = set(store.key_labels(*pair))
+        labels = set(store.basis.labels_of(store.key_ids(*pair)))
         assert not labels & seen
         seen.update(labels)
