@@ -8,7 +8,6 @@ ciphertext it cannot strip.
 
 from pinkey import (
     NetworkSpec,
-    budget_graph,
     generate_pairwise_keys,
     max_flow,
     replay_key,
@@ -16,7 +15,7 @@ from pinkey import (
 )
 
 spec = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
-flow = max_flow(budget_graph(spec), 0, 2)
+flow = max_flow(spec, 0, 2)
 print("max flow from 0 to 2:", flow.value)
 for path, amount in flow.paths:
     print(f"  {amount} bits along {' -> '.join(map(str, path))}")

@@ -7,7 +7,6 @@ tree edge.  The loop stops when the budget graph disconnects.
 
 from pinkey import (
     NetworkSpec,
-    budget_graph,
     generate_pairwise_keys,
     group_bound,
     is_connected,
@@ -20,14 +19,12 @@ bound = group_bound(spec)
 print(f"exact bound: {bound.value} via {bound.formula}, witness {bound.witness}")
 
 # Replay the tree choices by hand to see the budgets drain.
-g = budget_graph(spec)
+left = spec
 iteration = 0
-while is_connected(g):
-    tree = maximum_spanning_tree(g, "lex-kruskal")
-    budgets = {(i, j): g.weight(i, j) for i, j, _ in g.edges()}
-    print(f"  iteration {iteration}: budgets {budgets}, tree {tree.edges}")
-    for i, j in tree.edges:
-        g.set_weight(i, j, g.weight(i, j) - 1)
+while is_connected(left):
+    tree = maximum_spanning_tree(left, "lex-kruskal")
+    print(f"  iteration {iteration}: budgets {left.budgets}, tree {tree.edges}")
+    left = NetworkSpec(left.m, {pair: w - (pair in tree.edges) for pair, w in left.budgets.items()})
     iteration += 1
 print(f"  disconnected after {iteration} iterations")
 

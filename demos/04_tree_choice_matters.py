@@ -8,7 +8,6 @@ bits is the true optimum here.
 
 from pinkey import (
     NetworkSpec,
-    budget_graph,
     generate_pairwise_keys,
     group_bound,
     maximum_spanning_tree,
@@ -17,15 +16,14 @@ from pinkey import (
 )
 
 spec = NetworkSpec.complete(4, 1)
-g = budget_graph(spec)
 
 print("K4, every pair holds exactly 1 bit")
 print("exact bound:", group_bound(spec).value)
-print("optimal packing (brute force):", optimal_tree_packing_bruteforce(g))
+print("optimal packing (brute force):", optimal_tree_packing_bruteforce(spec))
 print()
 
 for policy in ("lex-kruskal", "degree-min"):
-    tree = maximum_spanning_tree(g, policy)
+    tree = maximum_spanning_tree(spec, policy)
     store = generate_pairwise_keys(spec, seed=2)
     result = run_group_key(store, spec, policy)
     print(f"{policy}:")

@@ -10,7 +10,6 @@ from fractions import Fraction
 from pinkey import (
     NetworkSpec,
     broadcast_bound,
-    budget_graph,
     group_bound,
     min_normalized_multicut,
     min_st_cut_bruteforce,
@@ -30,13 +29,13 @@ show("broadcast on a 7/5/9 star", broadcast_bound(star))
 
 triangle = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
 show("subgroup 0->2 on the triangle", subgroup_bound(triangle, 0, 2))
-brute = min_st_cut_bruteforce(budget_graph(triangle), 0, 2)
+brute = min_st_cut_bruteforce(triangle, 0, 2)
 print(f"  brute-force cut agrees: {brute.value}")
 
 show("group key on the triangle", group_bound(triangle))
-value, witness = min_normalized_multicut(budget_graph(triangle))
+value, witness = min_normalized_multicut(triangle)
 print(f"  multicut oracle agrees: {value} at {witness}")
-packed = optimal_tree_packing_bruteforce(budget_graph(triangle))
+packed = optimal_tree_packing_bruteforce(triangle)
 print(f"  optimal packing attains it: {packed}")
 
 # A fractional bound: on the unit 4-cycle, splitting into all four

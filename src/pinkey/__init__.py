@@ -8,14 +8,13 @@ claim the protocols make is checkable bit for bit.
 """
 
 from . import errors
-from .bounds import BoundReport, broadcast_bound, budget_graph, group_bound, subgroup_bound
+from .bounds import BoundReport, broadcast_bound, group_bound, subgroup_bound
 from .graph import (
     CutResult,
     FlowAssignment,
     Partition,
     SpanningTree,
     TIE_BREAK_POLICIES,
-    WeightedGraph,
     enumerate_partitions,
     enumerate_spanning_trees,
     graph_strength,
@@ -69,10 +68,8 @@ __all__ = [
     "TIE_BREAK_POLICIES",
     "TerminalId",
     "Transcript",
-    "WeightedGraph",
     "broadcast_bound",
     "brute_force_mutual_information",
-    "budget_graph",
     "enumerate_partitions",
     "enumerate_spanning_trees",
     "errors",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotAStar
-from .graph import CutResult, Partition, WeightedGraph, graph_strength, max_flow
+from .graph import CutResult, Partition, graph_strength, max_flow
 from .model import NetworkSpec
 
 
@@ -31,11 +31,6 @@ class BoundReport:
     def __post_init__(self) -> None:
         if self.value < 0:
             raise ValueError("bounds are nonnegative")
-
-
-def budget_graph(spec: NetworkSpec) -> WeightedGraph:
-    """The spec's budgets as an undirected weighted graph."""
-    return WeightedGraph(spec.m, dict(spec.budgets))
 
 
 def broadcast_bound(spec: NetworkSpec) -> BoundReport:
@@ -61,7 +56,7 @@ def subgroup_bound(spec: NetworkSpec, s: int, t: int) -> BoundReport:
     exhaustive cut enumeration.  Raises ValueError unless s and t are two
     distinct terminals.
     """
-    cut = max_flow(budget_graph(spec), s, t).cut
+    cut = max_flow(spec, s, t).cut
     return BoundReport(case="subgroup", value=Fraction(cut.value), witness=cut, formula="min-st-cut")
 
 
@@ -75,5 +70,5 @@ def group_bound(spec: NetworkSpec) -> BoundReport:
     minimum; it refines every other one.  The tests compare value and
     witness with exhaustive partition enumeration.
     """
-    value, witness = graph_strength(budget_graph(spec))
+    value, witness = graph_strength(spec)
     return BoundReport(case="group", value=value, witness=witness, formula="min-normalized-multicut")

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .bounds import BoundReport, broadcast_bound, group_bound, subgroup_bound, budget_graph
+from .bounds import BoundReport, broadcast_bound, group_bound, subgroup_bound
 from .errors import (
     InstanceTooLarge,
     InvariantViolation,
@@ -324,24 +324,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
-    g = budget_graph(scenario.spec)
+    spec = scenario.spec
     kind = args.kind
     if kind == "mincut":
         s = args.s if args.s is not None else scenario.s
         t = args.t if args.t is not None else scenario.t
         if s is None or t is None:
             raise ValidationError("mincut: provide --s and --t or a subgroup scenario")
-        if not (0 <= s < g.m and 0 <= t < g.m) or s == t:
-            raise ValidationError(f"mincut: bad terminal pair ({s}, {t}) for m={g.m}")
-        cut = min_st_cut_bruteforce(g, s, t)
+        if not (0 <= s < spec.m and 0 <= t < spec.m) or s == t:
+            raise ValidationError(f"mincut: bad terminal pair ({s}, {t}) for m={spec.m}")
+        cut = min_st_cut_bruteforce(spec, s, t)
         rows = [("kind", kind), ("value", cut.value), ("witness", str(cut.partition()))]
     elif kind == "multicut":
-        value, witness = min_normalized_multicut(g)
+        value, witness = min_normalized_multicut(spec)
         rows = [("kind", kind), ("value", value), ("floor", floor(value)), ("witness", str(witness))]
     elif kind == "packing":
-        rows = [("kind", kind), ("value", optimal_tree_packing_bruteforce(g))]
+        rows = [("kind", kind), ("value", optimal_tree_packing_bruteforce(spec))]
     elif kind == "partitions":
-        count = sum(1 for _ in enumerate_partitions(g.m))
+        count = sum(1 for _ in enumerate_partitions(spec.m))
         rows = [("kind", kind), ("count", count)]
     else:  # mi: exhaustive check of the scenario's own run
         _, result = run_scenario(scenario)

@@ -1,10 +1,11 @@
 """Weighted-graph machinery: flows, cuts, strength, spanning trees, partitions.
 
-Graphs here are undirected with positive integer weights; a pairwise key
-is one budget usable in either direction, so directed capacities collapse
-onto a single weight per pair.  Zero-weight pairs are simply absent.
-Every max flow, including the min cuts behind graph strength, runs on
-one Edmonds-Karp kernel.
+The graph here is a `NetworkSpec`: terminals are its nodes and the pair
+budgets its undirected positive integer weights.  A pairwise key is one
+budget usable in either direction, so directed capacities collapse onto a
+single weight per pair, and zero-budget pairs are simply absent.  Nothing
+here changes a spec's budgets.  Every max flow, including the min cuts
+behind graph strength, runs on one Edmonds-Karp kernel.
 
 The exhaustive operations (cut enumeration, partition enumeration, tree
 packing) are oracles for testing the fast paths and for measuring how far
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GraphDisconnected, InstanceTooLarge, invariant
+from .model import NetworkSpec
 
 CUT_ENUM_NODE_LIMIT = 20        # min_st_cut_bruteforce enumerates 2**(m-2) sides
 PARTITION_NODE_LIMIT = 12       # Bell(12) is ~4.2e6, the practical ceiling
@@ -33,54 +35,10 @@ PACKING_WEIGHT_LIMIT = 24
 TIE_BREAK_POLICIES = ("lex-kruskal", "degree-min")
 
 
-class WeightedGraph:
-    """Undirected graph on nodes 0..m-1 with positive integer edge weights."""
-
-    __slots__ = ("m", "_weights")
-
-    def __init__(self, m: int, edges: dict[tuple[int, int], int] | None = None):
-        if m < 1:
-            raise ValueError(f"need at least one node, got m={m}")
-        self.m = m
-        self._weights: dict[tuple[int, int], int] = {}
-        for (i, j), w in (edges or {}).items():
-            self.set_weight(i, j, w)
-
-    def _check_pair(self, i: int, j: int) -> tuple[int, int]:
-        if i == j:
-            raise ValueError(f"self-loop ({i}, {j}) is not allowed")
-        if not (0 <= i < self.m and 0 <= j < self.m):
-            raise ValueError(f"pair ({i}, {j}) out of range for m={self.m}")
-        return (i, j) if i < j else (j, i)
-
-    def weight(self, i: int, j: int) -> int:
-        return self._weights.get(self._check_pair(i, j), 0)
-
-    def set_weight(self, i: int, j: int, w: int) -> None:
-        """Set an edge weight; zero removes the edge."""
-        pair = self._check_pair(i, j)
-        if not isinstance(w, int) or w < 0:
-            raise ValueError(f"weight must be a nonnegative int, got {w!r}")
-        if w == 0:
-            self._weights.pop(pair, None)
-        else:
-            self._weights[pair] = w
-
-    def edges(self) -> list[tuple[int, int, int]]:
-        """All (i, j, weight) triples, i < j, in ascending pair order."""
-        return [(i, j, self._weights[(i, j)]) for (i, j) in sorted(self._weights)]
-
-    def total_weight(self) -> int:
-        return sum(self._weights.values())
-
-    def __repr__(self) -> str:
-        return f"WeightedGraph(m={self.m}, edges={dict(sorted(self._weights.items()))})"
-
-
-def is_connected(g: WeightedGraph) -> bool:
+def is_connected(spec: NetworkSpec) -> bool:
     """True iff every node is reachable from node 0 over positive edges."""
-    uf = _UnionFind(g.m)
-    return sum(uf.union(i, j) for i, j in g._weights) == g.m - 1
+    uf = _UnionFind(spec.m)
+    return sum(uf.union(i, j) for i, j in spec.budgets) == spec.m - 1
 
 
 # --- partitions ---------------------------------------------------------
@@ -122,16 +80,16 @@ class Partition:
                 out[node] = t
         return out
 
-    def crossing_weight(self, g: WeightedGraph) -> int:
+    def crossing_weight(self, spec: NetworkSpec) -> int:
         """Total weight of edges whose endpoints lie in different blocks."""
         where = self.block_index()
-        return sum(w for i, j, w in g.edges() if where[i] != where[j])
+        return sum(w for (i, j), w in spec.budgets.items() if where[i] != where[j])
 
-    def normalized_weight(self, g: WeightedGraph) -> Fraction:
+    def normalized_weight(self, spec: NetworkSpec) -> Fraction:
         """Crossing weight divided by k - 1; needs at least two blocks."""
         if self.k < 2:
             raise ValueError("normalized weight needs k >= 2 blocks")
-        return Fraction(self.crossing_weight(g), self.k - 1)
+        return Fraction(self.crossing_weight(spec), self.k - 1)
 
     def __str__(self) -> str:
         return "|".join("{" + ",".join(str(n) for n in sorted(b)) + "}" for b in self.blocks)
@@ -168,7 +126,7 @@ def enumerate_partitions(m: int):
         yield Partition(tuple(frozenset(b) for b in blocks))
 
 
-def min_normalized_multicut(g: WeightedGraph) -> tuple[Fraction, Partition]:
+def min_normalized_multicut(spec: NetworkSpec) -> tuple[Fraction, Partition]:
     """Minimize crossing_weight / (k - 1) over partitions with k >= 2 blocks, exactly.
 
     Returns the exact rational minimum and the first partition attaining
@@ -176,12 +134,12 @@ def min_normalized_multicut(g: WeightedGraph) -> tuple[Fraction, Partition]:
     """
     best: Fraction | None = None
     witness: Partition | None = None
-    for partition in enumerate_partitions(g.m):
-        value = partition.normalized_weight(g)
+    for partition in enumerate_partitions(spec.m):
+        value = partition.normalized_weight(spec)
         if best is None or value < best:
             best, witness = value, partition
     if best is None or witness is None:
-        raise ValueError(f"no qualifying partition of m={g.m} nodes")
+        raise ValueError(f"no qualifying partition of m={spec.m} nodes")
     return best, witness
 
 
@@ -218,12 +176,12 @@ class CutResult:
         return Partition((self.source_side, rest))
 
 
-def _undirected_capacities(g: WeightedGraph) -> dict[int, dict[int, int]]:
+def _undirected_capacities(spec: NetworkSpec) -> dict[int, dict[int, int]]:
     # Residual capacities start at the full weight in both directions;
     # pushing f along u->v moves capacity from (u,v) to (v,u), which is
     # the standard undirected-edge treatment.
-    cap: dict[int, dict[int, int]] = {u: {} for u in range(g.m)}
-    for i, j, w in g.edges():
+    cap: dict[int, dict[int, int]] = {u: {} for u in range(spec.m)}
+    for (i, j), w in spec.budgets.items():
         cap[i][j] = w
         cap[j][i] = w
     return cap
@@ -297,18 +255,18 @@ def _decompose(
     return tuple(sorted(paths))
 
 
-def max_flow(g: WeightedGraph, s: int, t: int) -> FlowAssignment:
+def max_flow(spec: NetworkSpec, s: int, t: int) -> FlowAssignment:
     """Maximum s-t flow with an exact integral path decomposition.
 
     The per-edge flows are rebuilt from the decomposition, so any cyclic
     slack the augmenting search produced is cancelled and the published
     flows are exactly the union of the s-t paths.
     """
-    _check_terminals(g, s, t)
-    cap = _undirected_capacities(g)
+    _check_terminals(spec, s, t)
+    cap = _undirected_capacities(spec)
     value = _edmonds_karp(cap, s, t)
     net: dict[tuple[int, int], int] = {}
-    for i, j, w in g.edges():
+    for i, j in spec.budgets:
         x = (cap[j][i] - cap[i][j]) // 2
         if x > 0:
             net[(i, j)] = x
@@ -320,53 +278,52 @@ def max_flow(g: WeightedGraph, s: int, t: int) -> FlowAssignment:
         for u, v in zip(path, path[1:]):
             rebuilt[(u, v)] = rebuilt.get((u, v), 0) + amount
     invariant(sum(amount for _, amount in paths) == value, "flow paths do not add up to the flow value")
-    return FlowAssignment(value=value, flows=rebuilt, paths=paths, cut=_residual_cut(g, cap, s, value))
+    return FlowAssignment(value=value, flows=rebuilt, paths=paths, cut=_residual_cut(spec, cap, s, value))
 
 
-def _check_terminals(g: WeightedGraph, s: int, t: int) -> None:
+def _check_terminals(spec: NetworkSpec, s: int, t: int) -> None:
     if s == t:
         raise ValueError("source and sink must differ")
     for node in (s, t):
-        if not (0 <= node < g.m):
-            raise ValueError(f"terminal {node} out of range for m={g.m}")
+        if not (0 <= node < spec.m):
+            raise ValueError(f"terminal {node} out of range for m={spec.m}")
 
 
-def _residual_cut(g: WeightedGraph, cap: dict[int, dict[int, int]], s: int, value: int) -> CutResult:
+def _residual_cut(spec: NetworkSpec, cap: dict[int, dict[int, int]], s: int, value: int) -> CutResult:
     """The cut around what s reaches in the residual table of a flow of ``value``."""
     side = frozenset(_reach(cap, cap, s))  # the smallest min-cut side
-    crossing = sum(w for i, j, w in g.edges() if (i in side) != (j in side))
+    crossing = sum(w for (i, j), w in spec.budgets.items() if (i in side) != (j in side))
     invariant(crossing == value, "residual cut does not match the flow value")
-    return CutResult(value=value, source_side=side, m=g.m)
+    return CutResult(value=value, source_side=side, m=spec.m)
 
 
-def min_st_cut_bruteforce(g: WeightedGraph, s: int, t: int) -> CutResult:
+def min_st_cut_bruteforce(spec: NetworkSpec, s: int, t: int) -> CutResult:
     """Minimum s-t cut by enumerating all 2**(m-2) source sides.
 
     Oracle for max_flow; keeps the first minimizer in enumeration order.
     Hard guard: m <= 20.
     """
-    if g.m > CUT_ENUM_NODE_LIMIT:
-        raise InstanceTooLarge(f"cut enumeration is limited to m <= {CUT_ENUM_NODE_LIMIT}, got {g.m}")
-    if s == t:
-        raise ValueError("source and sink must differ")
-    others = [v for v in range(g.m) if v not in (s, t)]
-    edges = g.edges()
+    if spec.m > CUT_ENUM_NODE_LIMIT:
+        raise InstanceTooLarge(f"cut enumeration is limited to m <= {CUT_ENUM_NODE_LIMIT}, got {spec.m}")
+    _check_terminals(spec, s, t)
+    others = [v for v in range(spec.m) if v not in (s, t)]
+    edges = spec.budgets.items()
     best_value: int | None = None
     best_side: frozenset[int] | None = None
     for mask in range(1 << len(others)):
         side = {s} | {others[b] for b in range(len(others)) if (mask >> b) & 1}
-        crossing = sum(w for i, j, w in edges if (i in side) != (j in side))
+        crossing = sum(w for (i, j), w in edges if (i in side) != (j in side))
         if best_value is None or crossing < best_value:
             best_value = crossing
             best_side = frozenset(side)
     assert best_value is not None and best_side is not None
-    return CutResult(value=best_value, source_side=best_side, m=g.m)
+    return CutResult(value=best_value, source_side=best_side, m=spec.m)
 
 
 # --- strength -----------------------------------------------------------
 
 
-def graph_strength(g: WeightedGraph) -> tuple[Fraction, Partition]:
+def graph_strength(spec: NetworkSpec) -> tuple[Fraction, Partition]:
     """Minimize crossing_weight / (k - 1) over partitions with k >= 2 blocks, exactly.
 
     The same minimum as min_normalized_multicut, in polynomial time
@@ -380,22 +337,20 @@ def graph_strength(g: WeightedGraph) -> tuple[Fraction, Partition]:
     singletons if none improved: the finest partition attaining the
     minimum, which refines every other partition that attains it.
     """
-    if g.m < 2:
-        raise ValueError(f"no qualifying partition of m={g.m} nodes")
-    best = Fraction(g.total_weight(), g.m - 1)
-    witness = Partition(tuple(frozenset((v,)) for v in range(g.m)))
+    best = Fraction(spec.total_budget(), spec.m - 1)
+    witness = Partition(tuple(frozenset((v,)) for v in range(spec.m)))
     while True:
-        partition = _min_penalized_partition(g, best)
+        partition = _min_penalized_partition(spec, best)
         if partition.k < 2:
             break
-        ratio = partition.normalized_weight(g)
+        ratio = partition.normalized_weight(spec)
         if ratio >= best:
             break
         best, witness = ratio, partition
     return best, witness
 
 
-def _min_penalized_partition(g: WeightedGraph, ratio: Fraction) -> Partition:
+def _min_penalized_partition(spec: NetworkSpec, ratio: Fraction) -> Partition:
     """A partition, k = 1 allowed, minimizing crossing_weight - ratio * (k - 1).
 
     With ratio = p/q and d(S) the weight leaving S, 2q times that
@@ -409,13 +364,13 @@ def _min_penalized_partition(g: WeightedGraph, ratio: Fraction) -> Partition:
     blocks of a minimizer.
     """
     p, q = ratio.numerator, ratio.denominator
-    edges = g.edges()
-    x = [0] * g.m
-    blocks = _UnionFind(g.m)
-    for i in range(g.m):
+    edges = sorted(spec.budgets.items())
+    x = [0] * spec.m
+    blocks = _UnionFind(spec.m)
+    for i in range(spec.m):
         sink = i + 1  # stands for all of i + 1 .. m - 1
         cap: dict[int, dict[int, int]] = {u: {} for u in range(i + 2)}
-        for u, v, w in edges:
+        for (u, v), w in edges:
             if u > i:
                 break
             _add_arc(cap, u, min(v, sink), q * w, q * w)
@@ -431,7 +386,7 @@ def _min_penalized_partition(g: WeightedGraph, ratio: Fraction) -> Partition:
         for u in _reach(cap, cap, i):
             blocks.union(i, u)
     members: dict[int, set[int]] = {}
-    for v in range(g.m):
+    for v in range(spec.m):
         members.setdefault(blocks.find(v), set()).add(v)
     return Partition(tuple(frozenset(b) for b in members.values()))
 
@@ -483,37 +438,34 @@ class SpanningTree:
     def m(self) -> int:
         return len(self.edges) + 1
 
-    def weight(self, g: WeightedGraph) -> int:
-        return sum(g.weight(i, j) for i, j in self.edges)
+    def weight(self, spec: NetworkSpec) -> int:
+        return sum(spec.budget(i, j) for i, j in self.edges)
 
     def adjacency(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {v: [] for v in range(self.m)}
         for i, j in self.edges:
             out[i].append(j)
             out[j].append(i)
-        for v in out:
-            out[v].sort()
-        return out
+        return out  # each list ascends, as the edges are sorted
 
     def max_degree(self) -> int:
         return max(len(vs) for vs in self.adjacency().values())
 
 
-def maximum_spanning_tree(g: WeightedGraph, tie_break: str = "lex-kruskal") -> SpanningTree:
+def maximum_spanning_tree(spec: NetworkSpec, tie_break: str = "lex-kruskal") -> SpanningTree:
     """Maximum-weight spanning tree under a named deterministic tie-break: the first
-    of ``greedy_spanning_trees``; GraphDisconnected if none (m = 1 gives the empty tree)."""
-    for tree in greedy_spanning_trees(g, tie_break):
+    of ``greedy_spanning_trees``; GraphDisconnected if none."""
+    for tree in greedy_spanning_trees(spec, tie_break):
         return tree
     raise GraphDisconnected("graph has no spanning tree")
 
 
-def greedy_spanning_trees(g: WeightedGraph, tie_break: str = "lex-kruskal") -> Iterator[SpanningTree]:
+def greedy_spanning_trees(spec: NetworkSpec, tie_break: str = "lex-kruskal") -> Iterator[SpanningTree]:
     """The greedy group protocol's trees: each round's maximum spanning tree of the
-    remaining weights, whose edges are debited by one after the round.  g's pairs
-    are ranked once into weight classes, each in pair order, and a debited edge
-    moves down one class; g itself is not changed.  The trees stop at the first
-    round that cannot span, so the weights left are disconnected, and one node
-    (m = 1) yields the empty tree once.
+    remaining weights, whose edges are debited by one after the round.  The spec's
+    pairs are ranked once into weight classes, each in pair order, and a debited
+    edge moves down one class; the spec itself is not changed.  The trees stop at
+    the first round that cannot span, so the weights left are disconnected.
 
     A round is one Kruskal pass over the classes, heaviest first.  lex-kruskal
     takes each class's edges in order, each one that joins two components.
@@ -525,16 +477,14 @@ def greedy_spanning_trees(g: WeightedGraph, tie_break: str = "lex-kruskal") -> I
     if tie_break not in TIE_BREAK_POLICIES:
         raise ValueError(f"unknown tie-break policy {tie_break!r}; choose from {TIE_BREAK_POLICIES}")
     classes: dict[int, list[tuple[int, int]]] = {}
-    for pair, w in sorted(g._weights.items()):
+    for pair, w in sorted(spec.budgets.items()):
         classes.setdefault(w, []).append(pair)
-    return _greedy_trees(g.m, classes, tie_break == "degree-min")
+    return _greedy_trees(spec.m, classes, tie_break == "degree-min")
 
 
 def _greedy_trees(m: int, classes: dict[int, list[tuple[int, int]]], degree_min: bool) -> Iterator[SpanningTree]:
     while len(chosen := _kruskal(m, classes, degree_min)) == m - 1:
         yield SpanningTree(tuple((i, j) for _, i, j in chosen))
-        if not chosen:
-            return
         for w, i, j in chosen:
             del classes[w][bisect_left(classes[w], (i, j))]
             if not classes[w]:
@@ -579,21 +529,20 @@ def _kruskal(m: int, classes: dict[int, list[tuple[int, int]]], degree_min: bool
     return chosen
 
 
-def enumerate_spanning_trees(g: WeightedGraph):
-    """Yield every spanning tree of g, in lexicographic edge-set order.
+def enumerate_spanning_trees(spec: NetworkSpec):
+    """Yield every spanning tree of the spec's budget graph, in lexicographic edge-set order.
 
     Exhaustive oracle for maximum_spanning_tree.  Hard guard: m <= 8.
     """
-    if g.m > TREE_ENUM_NODE_LIMIT:
-        raise InstanceTooLarge(f"tree enumeration is limited to m <= {TREE_ENUM_NODE_LIMIT}, got {g.m}")
-    pairs = [(i, j) for i, j, _ in g.edges()]
-    for combo in itertools.combinations(pairs, g.m - 1):
-        uf = _UnionFind(g.m)
+    if spec.m > TREE_ENUM_NODE_LIMIT:
+        raise InstanceTooLarge(f"tree enumeration is limited to m <= {TREE_ENUM_NODE_LIMIT}, got {spec.m}")
+    for combo in itertools.combinations(spec.pairs(), spec.m - 1):
+        uf = _UnionFind(spec.m)
         if all(uf.union(i, j) for i, j in combo):
             yield SpanningTree(combo)
 
 
-def optimal_tree_packing_bruteforce(g: WeightedGraph) -> int:
+def optimal_tree_packing_bruteforce(spec: NetworkSpec) -> int:
     """Longest sequence of spanning trees a budget graph can support.
 
     A tree may be picked when all its edges still have positive weight;
@@ -601,23 +550,23 @@ def optimal_tree_packing_bruteforce(g: WeightedGraph) -> int:
     by DFS over tree choices with memoization on the residual graph.
     Hard guards: m <= 6 and total weight <= 24.
     """
-    if g.m > PACKING_NODE_LIMIT:
-        raise InstanceTooLarge(f"tree packing is limited to m <= {PACKING_NODE_LIMIT}, got {g.m}")
-    if g.total_weight() > PACKING_WEIGHT_LIMIT:
+    if spec.m > PACKING_NODE_LIMIT:
+        raise InstanceTooLarge(f"tree packing is limited to m <= {PACKING_NODE_LIMIT}, got {spec.m}")
+    if spec.total_budget() > PACKING_WEIGHT_LIMIT:
         raise InstanceTooLarge(
-            f"tree packing is limited to total weight <= {PACKING_WEIGHT_LIMIT}, got {g.total_weight()}"
+            f"tree packing is limited to total weight <= {PACKING_WEIGHT_LIMIT}, got {spec.total_budget()}"
         )
-    trees = [t.edges for t in enumerate_spanning_trees(g)]
+    trees = [t.edges for t in enumerate_spanning_trees(spec)]
     memo: dict[tuple, int] = {}
 
     def pack(weights: dict[tuple[int, int], int]) -> int:
         key = tuple(sorted(weights.items()))
         if key in memo:
             return memo[key]
-        if not is_connected(WeightedGraph(g.m, weights)):
+        if not is_connected(NetworkSpec(spec.m, weights)):
             memo[key] = 0
             return 0
-        ceiling = sum(weights.values()) // (g.m - 1)
+        ceiling = sum(weights.values()) // (spec.m - 1)
         best = 0
         for tree in trees:
             if all(weights.get(e, 0) > 0 for e in tree):
@@ -632,4 +581,4 @@ def optimal_tree_packing_bruteforce(g: WeightedGraph) -> int:
         memo[key] = best
         return best
 
-    return pack({(i, j): w for i, j, w in g.edges()})
+    return pack(spec.budgets)

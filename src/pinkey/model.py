@@ -114,7 +114,10 @@ class NetworkSpec:
         return cls(m, {(i, j): weight for i in range(m) for j in range(i + 1, m)})
 
     def budget(self, i: int, j: int) -> int:
-        return self.budgets.get(canonical_pair(i, j), 0)
+        pair = canonical_pair(i, j)
+        if not (0 <= pair[0] and pair[1] < self.m):
+            raise ValueError(f"pair {pair!r} out of range for m={self.m}")
+        return self.budgets.get(pair, 0)
 
     def pairs(self) -> list[Pair]:
         """Positive-budget pairs in ascending canonical order."""

@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from operator import gt, xor
 
-from .bounds import broadcast_bound, budget_graph, group_bound
+from .bounds import broadcast_bound, group_bound
 from .errors import invariant
 from .graph import SpanningTree, greedy_spanning_trees, max_flow
 from .model import _BIT_VALUES, NetworkSpec, PairwiseKeyStore, SourceBitBasis, local_rng
@@ -383,7 +383,7 @@ def run_subgroup(
     lexicographic order within a round.  The bound is the min cut that the
     flow's residual graph gives, checked there to equal the flow value.
     """
-    flow = max_flow(budget_graph(spec), s, t)
+    flow = max_flow(spec, s, t)
     bound = Fraction(flow.cut.value)
     fresh = store.basis.new_local_ids(s, flow.value, local_rng(seed, s))
     fresh_bits = store.basis.bits(fresh)
@@ -465,7 +465,7 @@ def run_group_key(
     """
     transcript = Transcript()
     key_ids: list[int] = []
-    for tree in greedy_spanning_trees(budget_graph(spec), tie_break):
+    for tree in greedy_spanning_trees(spec, tie_break):
         next_round = transcript.rounds[-1] + 1 if transcript.rounds else 0
         shared, batch = single_bit_round(tree, store, spec, round_base=next_round)
         transcript.extend(batch)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from pinkey import NetworkSpec, budget_graph, is_connected
+from pinkey import NetworkSpec, SpanningTree, is_connected
 
 
 def random_spec(rng: random.Random, max_m: int = 6, max_budget: int = 8, min_m: int = 2) -> NetworkSpec:
@@ -21,13 +21,18 @@ def random_spec(rng: random.Random, max_m: int = 6, max_budget: int = 8, min_m: 
 def random_connected_spec(rng: random.Random, max_m: int = 6, max_budget: int = 8) -> NetworkSpec:
     while True:
         spec = random_spec(rng, max_m, max_budget)
-        if is_connected(budget_graph(spec)):
+        if is_connected(spec):
             return spec
 
 
 def random_star_spec(rng: random.Random, max_m: int = 8, max_budget: int = 12) -> NetworkSpec:
     m = rng.randint(2, max_m)
     return NetworkSpec.star([rng.randint(0, max_budget) for _ in range(m - 1)])
+
+
+def debit(spec: NetworkSpec, tree: SpanningTree) -> NetworkSpec:
+    """The spec's budgets after one bit is spent on every tree edge."""
+    return NetworkSpec(spec.m, {pair: w - (pair in tree.edges) for pair, w in spec.budgets.items()})
 
 
 def transcript_columns(transcript) -> tuple:

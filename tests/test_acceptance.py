@@ -21,7 +21,6 @@ from pinkey import (
     SpanningTree,
     broadcast_bound,
     brute_force_mutual_information,
-    budget_graph,
     enumerate_partitions,
     generate_pairwise_keys,
     group_bound,
@@ -38,7 +37,7 @@ from pinkey import (
 
 from pinkey.secrecy import gf2_rank
 
-from helpers import random_connected_spec, random_spec, random_star_spec
+from helpers import debit, random_connected_spec, random_spec, random_star_spec
 
 TRIANGLE = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
 
@@ -85,7 +84,7 @@ def subgroup_runs():
             s, t = rng.sample(range(spec.m), 2)
             store = generate_pairwise_keys(spec, rng.randrange(2**32))
             result = run_subgroup(store, spec, s, t, rng.randrange(2**32))
-            expected = min_st_cut_bruteforce(budget_graph(spec), s, t).value
+            expected = min_st_cut_bruteforce(spec, s, t).value
             out.append((result, expected))
         return out
 
@@ -141,16 +140,13 @@ def test_c3_tree_choice_changes_the_yield():
         store = generate_pairwise_keys(spec, 2)
         star = SpanningTree(((0, 1), (0, 2), (0, 3)))
         single_bit_round(star, store, spec)
-        g = budget_graph(spec)
-        for i, j in star.edges:
-            g.set_weight(i, j, g.weight(i, j) - 1)
-        star_disconnects = not is_connected(g)
+        star_disconnects = not is_connected(debit(spec, star))
 
         store = generate_pairwise_keys(spec, 2)
         lex_bits = len(run_group_key(store, spec, "lex-kruskal").key)
         store = generate_pairwise_keys(spec, 2)
         degree_bits = len(run_group_key(store, spec, "degree-min").key)
-        packed = optimal_tree_packing_bruteforce(budget_graph(spec))
+        packed = optimal_tree_packing_bruteforce(spec)
         bound = group_bound(spec).value
         return star_disconnects, lex_bits, degree_bits, packed, bound
 
@@ -169,10 +165,9 @@ def test_c4_subgroup_keys_match_the_min_cut(subgroup_runs):
 
     store = generate_pairwise_keys(TRIANGLE, 5)
     result = run_subgroup(store, TRIANGLE, 0, 2, 5)
-    g = budget_graph(TRIANGLE)
     assert len(result.key) == 7
-    assert max_flow(g, 0, 2).value == 7
-    assert min_st_cut_bruteforce(g, 0, 2).value == 7
+    assert max_flow(TRIANGLE, 0, 2).value == 7
+    assert min_st_cut_bruteforce(TRIANGLE, 0, 2).value == 7
 
     for result, expected in runs:
         assert len(result.key) == expected
@@ -246,11 +241,10 @@ def test_c7_bounds_are_consistent():
             result = run_group_key(store, spec)
             assert len(result.key) <= floor(report.value)
 
-            g = budget_graph(spec)
             total = spec.total_budget()
             if spec.m > 2:
                 two_block = min(
-                    p.crossing_weight(g)
+                    p.crossing_weight(spec)
                     for p in enumerate_partitions(spec.m)
                     if p.k == 2
                 )
@@ -267,7 +261,7 @@ def test_c7_bounds_are_consistent():
                         internal += len(ids)
                     else:
                         crossing += len(ids)
-                assert crossing == partition.crossing_weight(g)
+                assert crossing == partition.crossing_weight(spec)
                 assert internal + crossing == total
         return None
 

@@ -10,7 +10,6 @@ import pytest
 from pinkey import (
     NetworkSpec,
     broadcast_bound,
-    budget_graph,
     enumerate_partitions,
     group_bound,
     min_st_cut_bruteforce,
@@ -71,7 +70,7 @@ class TestSubgroupBound:
         for _ in range(60):
             spec = random_spec(rng, max_m=9)
             s, t = rng.sample(range(spec.m), 2)
-            expected = min_st_cut_bruteforce(budget_graph(spec), s, t).value
+            expected = min_st_cut_bruteforce(spec, s, t).value
             assert subgroup_bound(spec, s, t).value == expected
 
 
@@ -97,14 +96,13 @@ def test_witnesses_reproduce_their_values():
     rng = random.Random(501)
     for _ in range(30):
         spec = random_spec(rng, max_m=5)
-        g = budget_graph(spec)
         report = group_bound(spec)
         assert isinstance(report.witness, Partition)
-        assert report.witness.normalized_weight(g) == report.value
+        assert report.witness.normalized_weight(spec) == report.value
         s, t = rng.sample(range(spec.m), 2)
         cut_report = subgroup_bound(spec, s, t)
         side = cut_report.witness.source_side
-        crossing = sum(w for i, j, w in g.edges() if (i in side) != (j in side))
+        crossing = sum(w for (i, j), w in spec.budgets.items() if (i in side) != (j in side))
         assert Fraction(crossing) == cut_report.value
 
 
@@ -112,9 +110,8 @@ def test_group_bound_never_exceeds_its_relaxations():
     rng = random.Random(502)
     for _ in range(30):
         spec = random_spec(rng, max_m=6)
-        g = budget_graph(spec)
         value = group_bound(spec).value
-        global_min_cut = min(p.normalized_weight(g) for p in enumerate_partitions(g.m) if p.k == 2)
+        global_min_cut = min(p.normalized_weight(spec) for p in enumerate_partitions(spec.m) if p.k == 2)
         assert value <= global_min_cut
         assert value <= Fraction(spec.total_budget(), spec.m - 1)
 
@@ -139,11 +136,10 @@ def test_entropy_decomposition_identity():
     rng = random.Random(503)
     for _ in range(20):
         spec = random_spec(rng, max_m=6)
-        g = budget_graph(spec)
         whole = spec.total_budget()
         for partition in enumerate_partitions(spec.m):
             lhs = sum(_block_entropy(spec, b) for b in partition.blocks) - whole
-            assert lhs == partition.crossing_weight(g)
+            assert lhs == partition.crossing_weight(spec)
 
 
 def test_star_group_bound_equals_broadcast_bound():

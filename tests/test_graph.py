@@ -11,9 +11,10 @@ import pytest
 from pinkey import (
     TIE_BREAK_POLICIES,
     Partition,
+    NetworkSpec,
     SpanningTree,
-    WeightedGraph,
     enumerate_partitions,
+    generate_pairwise_keys,
     enumerate_spanning_trees,
     graph_strength,
     greedy_spanning_trees,
@@ -23,28 +24,21 @@ from pinkey import (
     min_normalized_multicut,
     min_st_cut_bruteforce,
     optimal_tree_packing_bruteforce,
+    run_group_key,
+    run_subgroup,
 )
 import pinkey.graph
 from pinkey.errors import GraphDisconnected, InstanceTooLarge, InvariantViolation
 
-from helpers import random_connected_spec, random_spec
-from pinkey import budget_graph
+from helpers import debit, random_connected_spec, random_spec
 
-TRIANGLE = WeightedGraph(3, {(0, 1): 5, (0, 2): 4, (1, 2): 3})
-
-
-def complete_graph(m: int, w: int) -> WeightedGraph:
-    return WeightedGraph(m, {(i, j): w for i in range(m) for j in range(i + 1, m)})
+TRIANGLE = NetworkSpec(3, {(0, 1): 5, (0, 2): 4, (1, 2): 3})
 
 
-def random_graph(rng: random.Random, max_m: int = 6, max_w: int = 8) -> WeightedGraph:
-    return budget_graph(random_spec(rng, max_m=max_m, max_budget=max_w))
-
-
-def bfs_connected(g: WeightedGraph) -> bool:
+def bfs_connected(g: NetworkSpec) -> bool:
     """Reference connectivity: breadth-first search from node 0."""
     adjacency: dict[int, list[int]] = {v: [] for v in range(g.m)}
-    for i, j, _ in g.edges():
+    for i, j in g.budgets:
         adjacency[i].append(j)
         adjacency[j].append(i)
     seen = {0}
@@ -57,7 +51,7 @@ def bfs_connected(g: WeightedGraph) -> bool:
     return len(seen) == g.m
 
 
-def degree_min_by_rescan(g: WeightedGraph) -> SpanningTree:
+def degree_min_by_rescan(g: NetworkSpec) -> SpanningTree:
     """Reference degree-min: rescan every edge for each pick.
 
     Among all addable edges of the heaviest addable weight, take the one
@@ -73,7 +67,7 @@ def degree_min_by_rescan(g: WeightedGraph) -> SpanningTree:
     degree = [0] * g.m
     chosen = []
     while len(chosen) < g.m - 1:
-        addable = [(i, j, w) for i, j, w in g.edges() if find(i) != find(j)]
+        addable = [(i, j, w) for (i, j), w in g.budgets.items() if find(i) != find(j)]
         if not addable:
             raise GraphDisconnected("graph has no spanning tree")
         top = max(w for _, _, w in addable)
@@ -89,7 +83,7 @@ def degree_min_by_rescan(g: WeightedGraph) -> SpanningTree:
     return SpanningTree(tuple(chosen))
 
 
-def lex_kruskal_reference(g: WeightedGraph) -> SpanningTree:
+def lex_kruskal_reference(g: NetworkSpec) -> SpanningTree:
     """Reference lex-kruskal: edges by (weight desc, pair), each one that joins two components."""
     parent = list(range(g.m))
 
@@ -99,7 +93,7 @@ def lex_kruskal_reference(g: WeightedGraph) -> SpanningTree:
         return x
 
     chosen = []
-    for i, j, _ in sorted(g.edges(), key=lambda e: (-e[2], e[0], e[1])):
+    for (i, j), _ in sorted(g.budgets.items(), key=lambda e: (-e[1], e[0])):
         if find(i) != find(j):
             parent[find(j)] = find(i)
             chosen.append((i, j))
@@ -108,47 +102,16 @@ def lex_kruskal_reference(g: WeightedGraph) -> SpanningTree:
     return SpanningTree(tuple(chosen))
 
 
-def debit(g: WeightedGraph, tree: SpanningTree) -> None:
-    for i, j in tree.edges:
-        g.set_weight(i, j, g.weight(i, j) - 1)
-
-
-def copy_graph(g: WeightedGraph) -> WeightedGraph:
-    return WeightedGraph(g.m, {(i, j): w for i, j, w in g.edges()})
-
-
-def trees_by_repeated_maximum(g: WeightedGraph, policy: str) -> list[SpanningTree]:
+def trees_by_repeated_maximum(g: NetworkSpec, policy: str) -> list[SpanningTree]:
     """The tree loop without a kept edge index: a fresh maximum spanning tree of
     the residual weights each round, then a debit of its edges."""
-    g = copy_graph(g)
     trees = []
     while True:
         try:
             trees.append(maximum_spanning_tree(g, policy))
         except GraphDisconnected:
             return trees
-        if not trees[-1].edges:  # one node: the empty tree would repeat forever
-            return trees
-        debit(g, trees[-1])
-
-
-class TestWeightedGraph:
-    def test_zero_weight_removes_edge(self):
-        g = WeightedGraph(3, {(0, 1): 2})
-        g.set_weight(0, 1, 0)
-        assert g.edges() == [] and g.weight(0, 1) == 0
-
-    def test_rejects_self_loops_and_bad_nodes(self):
-        g = WeightedGraph(3)
-        with pytest.raises(ValueError):
-            g.set_weight(1, 1, 2)
-        with pytest.raises(ValueError):
-            g.set_weight(0, 3, 2)
-        with pytest.raises(ValueError):
-            g.set_weight(0, 1, -1)
-
-    def test_neighbors_and_totals(self):
-        assert TRIANGLE.total_weight() == 12
+        g = debit(g, trees[-1])
 
 
 class TestConnectivity:
@@ -156,23 +119,21 @@ class TestConnectivity:
         assert is_connected(TRIANGLE)
 
     def test_missing_node_is_disconnected(self):
-        assert not is_connected(WeightedGraph(3, {(0, 1): 1}))
+        assert not is_connected(NetworkSpec(3, {(0, 1): 1}))
 
     def test_k4_minus_star_edges_is_disconnected(self):
-        g = complete_graph(4, 1)
-        for leaf in (1, 2, 3):
-            g.set_weight(0, leaf, 0)
+        g = debit(NetworkSpec.complete(4, 1), SpanningTree(((0, 1), (0, 2), (0, 3))))
         assert not is_connected(g)
 
     def test_equals_breadth_first_search(self):
-        # sparse random graphs with m 1..9, so isolated nodes are common
+        # sparse random graphs with m 2..9, so isolated nodes are common
         rng = random.Random(408)
-        graphs = [WeightedGraph(1)]
+        graphs = []
         for _ in range(300):
-            m = rng.randint(1, 9)
+            m = rng.randint(2, 9)
             p = rng.choice((0.1, 0.3, 0.6))
-            graphs.append(WeightedGraph(m, {(i, j): 1 for i in range(m) for j in range(i + 1, m)
-                                            if rng.random() < p}))
+            graphs.append(NetworkSpec(m, {(i, j): 1 for i in range(m) for j in range(i + 1, m)
+                                          if rng.random() < p}))
         assert {is_connected(g) for g in graphs} == {True, False}
         for g in graphs:
             assert is_connected(g) == bfs_connected(g)
@@ -186,23 +147,26 @@ class TestMaxFlow:
         assert fa.paths == (((0, 1, 2), 3), ((0, 2), 4))
 
     def test_single_edge(self):
-        g = WeightedGraph(2, {(0, 1): 5})
+        g = NetworkSpec(2, {(0, 1): 5})
         fa = max_flow(g, 0, 1)
         assert fa.value == 5 and fa.paths == (((0, 1), 5),)
 
     def test_disconnected_terminals(self):
-        g = WeightedGraph(3, {(0, 1): 4})
+        g = NetworkSpec(3, {(0, 1): 4})
         fa = max_flow(g, 0, 2)
         assert fa.value == 0 and fa.paths == () and fa.flows == {}
 
     def test_rejects_equal_terminals(self):
-        with pytest.raises(ValueError):
-            max_flow(TRIANGLE, 1, 1)
+        # and terminals outside 0..m-1, in the flow and in its brute-force oracle
+        for oracle in (max_flow, min_st_cut_bruteforce):
+            for s, t in ((1, 1), (0, 5), (-1, 2)):
+                with pytest.raises(ValueError):
+                    oracle(TRIANGLE, s, t)
 
     def test_flow_invariants_on_random_graphs(self):
         rng = random.Random(401)
         for _ in range(100):
-            g = random_graph(rng)
+            g = random_spec(rng)
             nodes = range(g.m)
             s, t = rng.sample(nodes, 2)
             fa = max_flow(g, s, t)
@@ -210,7 +174,7 @@ class TestMaxFlow:
             assert fa.value == min_st_cut_bruteforce(g, s, t).value
             # per-pair flow within capacity, one direction only
             for (u, v), f in fa.flows.items():
-                assert 0 < f <= g.weight(u, v)
+                assert 0 < f <= g.budget(u, v)
                 assert (v, u) not in fa.flows
             # conservation at every relay node
             for n in nodes:
@@ -237,7 +201,7 @@ class TestMinCut:
     def test_fast_and_bruteforce_agree_with_witnesses(self):
         rng = random.Random(402)
         for _ in range(60):
-            g = random_graph(rng)
+            g = random_spec(rng)
             s, t = rng.sample(range(g.m), 2)
             fast = max_flow(g, s, t).cut
             brute = min_st_cut_bruteforce(g, s, t)
@@ -245,17 +209,17 @@ class TestMinCut:
             for cut in (fast, brute):
                 assert s in cut.source_side and t not in cut.source_side
                 crossing = sum(
-                    w for i, j, w in g.edges() if (i in cut.source_side) != (j in cut.source_side)
+                    w for (i, j), w in g.budgets.items() if (i in cut.source_side) != (j in cut.source_side)
                 )
                 assert crossing == cut.value
 
     def test_single_edge_cut(self):
-        g = WeightedGraph(2, {(0, 1): 5})
+        g = NetworkSpec(2, {(0, 1): 5})
         assert min_st_cut_bruteforce(g, 0, 1).value == 5
 
     def test_guard(self):
         with pytest.raises(InstanceTooLarge):
-            min_st_cut_bruteforce(WeightedGraph(21), 0, 1)
+            min_st_cut_bruteforce(NetworkSpec(21), 0, 1)
 
     def test_wrong_flow_value_is_an_invariant_violation(self, monkeypatch):
         cap = pinkey.graph._undirected_capacities(TRIANGLE)
@@ -273,43 +237,41 @@ class TestSpanningTrees:
         tree = maximum_spanning_tree(TRIANGLE)
         assert tree.edges == ((0, 1), (0, 2))
         assert tree.weight(TRIANGLE) == 9
+        with pytest.raises(ValueError):
+            SpanningTree(((0, 1), (1, 2), (2, 3))).weight(TRIANGLE)  # a node TRIANGLE lacks
 
     def test_tree_input_returns_itself(self):
-        g = WeightedGraph(4, {(0, 1): 3, (1, 2): 1, (1, 3): 7})
+        g = NetworkSpec(4, {(0, 1): 3, (1, 2): 1, (1, 3): 7})
         assert maximum_spanning_tree(g).edges == ((0, 1), (1, 2), (1, 3))
 
     def test_disconnected_raises(self):
-        for g in (WeightedGraph(3, {(0, 1): 1}), WeightedGraph(2)):
+        for g in (NetworkSpec(3, {(0, 1): 1}), NetworkSpec(2)):
             for policy in TIE_BREAK_POLICIES:
                 with pytest.raises(GraphDisconnected):
                     maximum_spanning_tree(g, policy)
-
-    @pytest.mark.parametrize("policy", TIE_BREAK_POLICIES)
-    def test_single_node_gives_the_empty_tree(self, policy):
-        assert maximum_spanning_tree(WeightedGraph(1), policy) == SpanningTree(())
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             maximum_spanning_tree(TRIANGLE, "random")
 
     def test_degree_min_on_uniform_k4_is_a_path(self):
-        tree = maximum_spanning_tree(complete_graph(4, 1), "degree-min")
+        tree = maximum_spanning_tree(NetworkSpec.complete(4, 1), "degree-min")
         assert tree.max_degree() == 2
         assert tree.edges == ((0, 1), (0, 2), (2, 3))
 
     def test_lex_kruskal_on_uniform_k4_is_the_star(self):
-        tree = maximum_spanning_tree(complete_graph(4, 1), "lex-kruskal")
+        tree = maximum_spanning_tree(NetworkSpec.complete(4, 1), "lex-kruskal")
         assert tree.edges == ((0, 1), (0, 2), (0, 3))
 
     def test_both_policies_reach_maximum_weight(self):
         rng = random.Random(403)
-        graphs = [budget_graph(random_connected_spec(rng, max_m=6, max_budget=5)) for _ in range(60)]
+        graphs = [random_connected_spec(rng, max_m=6, max_budget=5) for _ in range(60)]
         # many ties: weights 1..3 on about half the pairs, which keeps m=8 enumerable
         rng = random.Random(409)
         while len(graphs) < 120:
             m = rng.randint(2, 8)
-            g = WeightedGraph(m, {(i, j): rng.randint(1, 3) for i in range(m) for j in range(i + 1, m)
-                                  if rng.random() < 0.5})
+            g = NetworkSpec(m, {(i, j): rng.randint(1, 3) for i in range(m) for j in range(i + 1, m)
+                                if rng.random() < 0.5})
             if is_connected(g):
                 graphs.append(g)
         for g in graphs:
@@ -321,7 +283,7 @@ class TestSpanningTrees:
         # disconnected graphs included: both must raise
         rng = random.Random(410)
         for _ in range(300):
-            g = random_graph(rng, max_m=9, max_w=rng.choice((1, 3, 8)))
+            g = random_spec(rng, max_m=9, max_budget=rng.choice((1, 3, 8)))
             try:
                 expected = degree_min_by_rescan(g)
             except GraphDisconnected:
@@ -333,16 +295,16 @@ class TestSpanningTrees:
     def test_policies_are_deterministic(self):
         rng = random.Random(404)
         for _ in range(20):
-            g = budget_graph(random_connected_spec(rng, max_m=5, max_budget=3))
+            g = random_connected_spec(rng, max_m=5, max_budget=3)
             for policy in ("lex-kruskal", "degree-min"):
                 assert maximum_spanning_tree(g, policy) == maximum_spanning_tree(g, policy)
 
     def test_greedy_trees_equal_the_loop_that_ranks_every_round(self):
         rng = random.Random(411)
         for _ in range(150):
-            m, top = rng.randint(1, 10), rng.choice((1, 3, 8))
+            m, top = rng.randint(2, 10), rng.choice((1, 3, 8))
             pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-            g = WeightedGraph(m, {pair: w for pair in pairs if (w := rng.randint(0, top))})
+            g = NetworkSpec(m, {pair: w for pair in pairs if (w := rng.randint(0, top))})
             for policy in TIE_BREAK_POLICIES:
                 trees = list(greedy_spanning_trees(g, policy))
                 assert trees == trees_by_repeated_maximum(g, policy), (g, policy)
@@ -352,12 +314,12 @@ class TestSpanningTrees:
         references = {"lex-kruskal": lex_kruskal_reference, "degree-min": degree_min_by_rescan}
         rounds = 0
         for _ in range(60):
-            g = random_graph(rng, max_m=10, max_w=rng.choice((1, 3, 8)))
+            g = random_spec(rng, max_m=10, max_budget=rng.choice((1, 3, 8)))
             for policy, reference in references.items():
-                residual = copy_graph(g)
+                residual = g
                 for tree in greedy_spanning_trees(g, policy):
                     assert tree == reference(residual), (g, policy)
-                    debit(residual, tree)
+                    residual = debit(residual, tree)
                     rounds += 1
                 assert not bfs_connected(residual)
                 with pytest.raises(GraphDisconnected):
@@ -369,15 +331,22 @@ class TestSpanningTrees:
             greedy_spanning_trees(TRIANGLE, "random")
 
     @pytest.mark.parametrize("policy", TIE_BREAK_POLICIES)
-    def test_greedy_trees_on_one_node_stop_after_the_empty_tree(self, policy):
-        assert list(greedy_spanning_trees(WeightedGraph(1), policy)) == [SpanningTree(())]
-
-    @pytest.mark.parametrize("policy", TIE_BREAK_POLICIES)
     def test_greedy_trees_leave_the_graph_unchanged(self, policy):
-        g = complete_graph(5, 3)
-        before = repr(g)
-        trees = list(greedy_spanning_trees(g, policy))
-        assert repr(g) == before and trees == trees_by_repeated_maximum(g, policy)
+        # the graph layer reads the caller's budgets dict itself, so neither its
+        # entries nor their order may change; the pairs go in in descending order
+        k5 = NetworkSpec(5, dict(reversed(NetworkSpec.complete(5, 3).budgets.items())))
+        triangle = NetworkSpec(3, {(1, 2): 3, (0, 2): 4, (0, 1): 5})
+        for g in (k5, triangle):
+            before = list(g.budgets.items())
+            trees = list(greedy_spanning_trees(g, policy))
+            assert list(g.budgets.items()) == before and trees == trees_by_repeated_maximum(g, policy)
+            for read in (lambda: max_flow(g, 0, 2), lambda: graph_strength(g),
+                         lambda: run_group_key(generate_pairwise_keys(g, 1), g, policy),
+                         lambda: run_subgroup(generate_pairwise_keys(g, 1), g, 0, 2, 1)):
+                read()
+                assert list(g.budgets.items()) == before
+        optimal_tree_packing_bruteforce(triangle)
+        assert list(triangle.budgets.items()) == [((1, 2), 3), ((0, 2), 4), ((0, 1), 5)]
 
     def test_spanning_tree_validation(self):
         with pytest.raises(ValueError):
@@ -387,13 +356,15 @@ class TestSpanningTrees:
         tree = SpanningTree(((2, 3), (0, 1), (1, 2)))
         assert tree.edges == ((0, 1), (1, 2), (2, 3))
         assert tree.m == 4
+        star = SpanningTree(((3, 4), (2, 3), (1, 3), (0, 3)))
+        assert star.adjacency() == {0: [3], 1: [3], 2: [3], 3: [0, 1, 2, 4], 4: [3]}
 
     def test_enumeration_counts(self):
         # Cayley: K4 has 16 spanning trees, K5 has 125
-        assert sum(1 for _ in enumerate_spanning_trees(complete_graph(4, 1))) == 16
-        assert sum(1 for _ in enumerate_spanning_trees(complete_graph(5, 1))) == 125
+        assert sum(1 for _ in enumerate_spanning_trees(NetworkSpec.complete(4, 1))) == 16
+        assert sum(1 for _ in enumerate_spanning_trees(NetworkSpec.complete(5, 1))) == 125
         with pytest.raises(InstanceTooLarge):
-            next(enumerate_spanning_trees(complete_graph(9, 1)))
+            next(enumerate_spanning_trees(NetworkSpec.complete(9, 1)))
 
 
 class TestPartitions:
@@ -422,39 +393,39 @@ class TestNormalizedMulticut:
         assert str(witness) == "{0}|{1}|{2}"
 
     def test_uniform_complete_graphs(self):
-        assert min_normalized_multicut(complete_graph(4, 1))[0] == Fraction(2)
-        assert min_normalized_multicut(complete_graph(4, 2))[0] == Fraction(4)
-        assert min_normalized_multicut(complete_graph(5, 2))[0] == Fraction(5)
+        assert min_normalized_multicut(NetworkSpec.complete(4, 1))[0] == Fraction(2)
+        assert min_normalized_multicut(NetworkSpec.complete(4, 2))[0] == Fraction(4)
+        assert min_normalized_multicut(NetworkSpec.complete(5, 2))[0] == Fraction(5)
 
     def test_fractional_value(self):
-        value, _ = min_normalized_multicut(complete_graph(3, 1))
+        value, _ = min_normalized_multicut(NetworkSpec.complete(3, 1))
         assert value == Fraction(3, 2)
 
     def test_witness_attains_value(self):
         rng = random.Random(405)
         for _ in range(40):
-            g = random_graph(rng, max_m=5)
+            g = random_spec(rng, max_m=5)
             value, witness = min_normalized_multicut(g)
             assert witness.normalized_weight(g) == value
 
     def test_never_exceeds_its_own_two_block_and_singleton_relaxations(self):
         rng = random.Random(406)
         for _ in range(40):
-            g = random_graph(rng, max_m=6)
+            g = random_spec(rng, max_m=6)
             value, _ = min_normalized_multicut(g)
             two_block = min(
                 p.normalized_weight(g) for p in enumerate_partitions(g.m) if p.k == 2
             )
             assert value <= two_block
-            assert value <= Fraction(g.total_weight(), g.m - 1)
+            assert value <= Fraction(g.total_budget(), g.m - 1)
 
 
 class TestGraphStrength:
     def test_equals_enumeration_on_random_graphs(self):
-        # max_w=1 gives unit weights: many ties and many disconnected graphs
+        # max_budget=1 gives unit weights: many ties and many disconnected graphs
         rng = random.Random(407)
-        graphs = [WeightedGraph(2), WeightedGraph(2, {(0, 1): 3})]
-        graphs += [random_graph(rng, max_m=8, max_w=rng.choice((1, 2, 8))) for _ in range(80)]
+        graphs = [NetworkSpec(2), NetworkSpec(2, {(0, 1): 3})]
+        graphs += [random_spec(rng, max_m=8, max_budget=rng.choice((1, 2, 8))) for _ in range(80)]
         assert any(not is_connected(g) for g in graphs)
         for g in graphs:
             value, witness = graph_strength(g)
@@ -464,7 +435,7 @@ class TestGraphStrength:
     def test_witness_refines_every_tied_partition(self):
         rng = random.Random(408)
         for _ in range(60):
-            g = random_graph(rng, max_m=6, max_w=rng.choice((1, 2)))
+            g = random_spec(rng, max_m=6, max_budget=rng.choice((1, 2)))
             value, witness = graph_strength(g)
             where = witness.block_index()
             for partition in enumerate_partitions(g.m):
@@ -474,48 +445,44 @@ class TestGraphStrength:
                                if where[u] == where[v]), (g, witness, partition)
 
     def test_singletons_witness_a_uniform_complete_graph(self):
-        value, witness = graph_strength(complete_graph(4, 1))
+        value, witness = graph_strength(NetworkSpec.complete(4, 1))
         assert value == 2 and str(witness) == "{0}|{1}|{2}|{3}"
 
     def test_closed_forms_past_the_enumeration_guard(self):
         for m in (13, 16, 40):
-            assert graph_strength(complete_graph(m, 3))[0] == Fraction(3 * m, 2)
-            cycle = WeightedGraph(m, {(i, (i + 1) % m): 1 for i in range(m)})
+            assert graph_strength(NetworkSpec.complete(m, 3))[0] == Fraction(3 * m, 2)
+            cycle = NetworkSpec.from_pairs(m, [(i, (i + 1) % m, 1) for i in range(m)])
             assert graph_strength(cycle) == (Fraction(m, m - 1), Partition(
                 tuple(frozenset((v,)) for v in range(m))))
             # leaf budgets 5..15, so the poorest leaf recurs from m = 13 on;
             # the finest witness isolates every poorest leaf
             leaves = [5 + (7 * i) % 11 for i in range(m - 1)]
-            star = WeightedGraph(m, {(0, i + 1): b for i, b in enumerate(leaves)})
+            star = NetworkSpec.star(leaves)
             poorest = frozenset(i + 1 for i, b in enumerate(leaves) if b == min(leaves))
             assert graph_strength(star) == (Fraction(min(leaves)), Partition(
                 (frozenset(range(m)) - poorest, *(frozenset((v,)) for v in poorest))))
-
-    def test_needs_two_nodes(self):
-        with pytest.raises(ValueError):
-            graph_strength(WeightedGraph(1))
 
 
 class TestTreePacking:
     def test_known_optima(self):
         assert optimal_tree_packing_bruteforce(TRIANGLE) == 6
-        assert optimal_tree_packing_bruteforce(complete_graph(4, 1)) == 2
-        assert optimal_tree_packing_bruteforce(complete_graph(5, 2)) == 5
+        assert optimal_tree_packing_bruteforce(NetworkSpec.complete(4, 1)) == 2
+        assert optimal_tree_packing_bruteforce(NetworkSpec.complete(5, 2)) == 5
 
     def test_disconnected_packs_nothing(self):
-        assert optimal_tree_packing_bruteforce(WeightedGraph(3, {(0, 1): 9})) == 0
+        assert optimal_tree_packing_bruteforce(NetworkSpec(3, {(0, 1): 9})) == 0
 
     def test_guards(self):
         with pytest.raises(InstanceTooLarge):
-            optimal_tree_packing_bruteforce(complete_graph(7, 1))
+            optimal_tree_packing_bruteforce(NetworkSpec.complete(7, 1))
         with pytest.raises(InstanceTooLarge):
-            optimal_tree_packing_bruteforce(WeightedGraph(2, {(0, 1): 25}))
+            optimal_tree_packing_bruteforce(NetworkSpec(2, {(0, 1): 25}))
 
     def test_packing_never_beats_the_partition_bound(self):
         rng = random.Random(407)
         for _ in range(40):
-            g = random_graph(rng, max_m=4, max_w=3)
-            if g.total_weight() > 24:
+            g = random_spec(rng, max_m=4, max_budget=3)
+            if g.total_budget() > 24:
                 continue
             packed = optimal_tree_packing_bruteforce(g)
             bound, _ = min_normalized_multicut(g)

@@ -19,6 +19,7 @@ class TestNetworkSpec:
     def test_budgets_are_symmetric_lookups(self):
         assert TRIANGLE.budget(0, 1) == TRIANGLE.budget(1, 0) == 5
         assert TRIANGLE.budget(1, 2) == 3
+        assert TRIANGLE.total_budget() == 12
 
     def test_absent_pair_is_zero(self):
         spec = NetworkSpec(4, {(0, 1): 2})
@@ -40,6 +41,9 @@ class TestNetworkSpec:
             NetworkSpec(3, {(0, 1): -2})
         with pytest.raises(ValueError):
             NetworkSpec(1, {})
+        for i, j in ((0, 3), (-1, 0), (2, 2)):
+            with pytest.raises(ValueError):
+                TRIANGLE.budget(i, j)
 
     def test_star_and_complete_builders(self):
         star = NetworkSpec.star([7, 5, 9])

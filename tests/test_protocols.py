@@ -18,7 +18,6 @@ from pinkey import (
     SpanningTree,
     Transcript,
     broadcast_bound,
-    budget_graph,
     generate_pairwise_keys,
     group_bound,
     is_connected,
@@ -33,7 +32,7 @@ from pinkey import (
 from pinkey.errors import InsufficientKeyMaterial, InvariantViolation, NotAStar
 from pinkey.protocols import PublicMessage, _self_check, bits_to_hex
 
-from helpers import key_values, known_to, random_connected_spec, random_spec, transcript_columns
+from helpers import debit, key_values, known_to, random_connected_spec, random_spec, transcript_columns
 
 TRIANGLE = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
 
@@ -228,7 +227,7 @@ class TestSubgroup:
             s, t = rng.sample(range(spec.m), 2)
             store = generate_pairwise_keys(spec, rng.randrange(2**32))
             result = run_subgroup(store, spec, s, t, rng.randrange(2**32))
-            assert len(result.key) == min_st_cut_bruteforce(budget_graph(spec), s, t).value
+            assert len(result.key) == min_st_cut_bruteforce(spec, s, t).value
             report = leak_report(result)
             assert report.leaked_bits == 0 and report.uniform
             # holders, relays and bystanders, plus an outsider with no bits
@@ -314,10 +313,7 @@ class TestGroupKey:
         star = SpanningTree(((0, 1), (0, 2), (0, 3)))
         _, messages = single_bit_round(star, store, spec)
         assert len(messages) == 2
-        g = budget_graph(spec)
-        for i, j in star.edges:
-            g.set_weight(i, j, g.weight(i, j) - 1)
-        assert not is_connected(g)
+        assert not is_connected(debit(spec, star))
 
     def test_even_complete_graphs_meet_the_bound(self):
         for m, u in [(4, 1), (4, 2), (5, 1)]:
