@@ -114,6 +114,16 @@ def trees_by_repeated_maximum(g: NetworkSpec, policy: str) -> list[SpanningTree]
         g = debit(g, trees[-1])
 
 
+class TestWeightedGraph:
+    """The NetworkSpec read as the weighted graph the graph layer works on."""
+
+    def test_neighbors_and_totals(self):
+        neighbors = {v: sorted(u for pair in TRIANGLE.pairs() if v in pair for u in pair if u != v) for v in range(3)}
+        assert neighbors == {0: [1, 2], 1: [0, 2], 2: [0, 1]}
+        assert [sum(TRIANGLE.budget(v, u) for u in neighbors[v]) for v in range(3)] == [9, 8, 7]
+        assert TRIANGLE.total_budget() == 12
+
+
 class TestConnectivity:
     def test_triangle_is_connected(self):
         assert is_connected(TRIANGLE)
