@@ -10,7 +10,6 @@ claim the protocols make is checkable bit for bit.
 from . import errors
 from .bounds import BoundReport, broadcast_bound, group_bound, subgroup_bound
 from .graph import (
-    CutResult,
     FlowAssignment,
     Partition,
     SpanningTree,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "CutResult",
     "FlowAssignment",
     "GroupKeyResult",
     "LinearForm",

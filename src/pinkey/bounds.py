@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotAStar
-from .graph import CutResult, Partition, graph_strength, max_flow
+from .graph import Partition, graph_strength, max_flow
 from .model import NetworkSpec
 
 
@@ -25,7 +25,7 @@ class BoundReport:
 
     case: str
     value: Fraction
-    witness: Partition | CutResult
+    witness: Partition
     formula: str
 
     def __post_init__(self) -> None:
@@ -50,14 +50,15 @@ def broadcast_bound(spec: NetworkSpec) -> BoundReport:
 
 
 def subgroup_bound(spec: NetworkSpec, s: int, t: int) -> BoundReport:
-    """Minimum s-t cut of the budget graph, witnessed by a cut.
+    """Minimum s-t cut of the budget graph, witnessed by the 2-block partition
+    of s's residual side and the rest.
 
     Computed from the max-flow residual; the tests compare it with
     exhaustive cut enumeration.  Raises ValueError unless s and t are two
     distinct terminals.
     """
-    cut = max_flow(spec, s, t).cut
-    return BoundReport(case="subgroup", value=Fraction(cut.value), witness=cut, formula="min-st-cut")
+    flow = max_flow(spec, s, t)
+    return BoundReport(case="subgroup", value=Fraction(flow.value), witness=flow.cut, formula="min-st-cut")
 
 
 def group_bound(spec: NetworkSpec) -> BoundReport:

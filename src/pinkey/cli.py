@@ -302,7 +302,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         ("value", report.value),
         ("floor", floor(report.value)),
         ("formula", report.formula),
-        ("witness", str(report.witness.partition() if hasattr(report.witness, "partition") else report.witness)),
+        ("witness", str(report.witness)),
     ]
     sys.stdout.write(_render_kv(rows, scenario.fmt, "bound v1"))
     return 0
@@ -333,8 +333,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             raise ValidationError("mincut: provide --s and --t or a subgroup scenario")
         if not (0 <= s < spec.m and 0 <= t < spec.m) or s == t:
             raise ValidationError(f"mincut: bad terminal pair ({s}, {t}) for m={spec.m}")
-        cut = min_st_cut_bruteforce(spec, s, t)
-        rows = [("kind", kind), ("value", cut.value), ("witness", str(cut.partition()))]
+        value, witness = min_st_cut_bruteforce(spec, s, t)
+        rows = [("kind", kind), ("value", value), ("witness", str(witness))]
     elif kind == "multicut":
         value, witness = min_normalized_multicut(spec)
         rows = [("kind", kind), ("value", value), ("floor", floor(value)), ("witness", str(witness))]

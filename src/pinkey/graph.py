@@ -148,32 +148,18 @@ def min_normalized_multicut(spec: NetworkSpec) -> tuple[Fraction, Partition]:
 
 @dataclass(frozen=True)
 class FlowAssignment:
-    """An integral s-t flow: value, per-edge directed flows, path decomposition.
+    """An integral s-t flow: its value, its path decomposition, and a minimum cut.
 
-    flows maps (u, v) to a positive amount from u to v; at most one
-    direction per unordered pair carries flow.  paths is a tuple of
-    (node tuple, amount) entries sorted lexicographically; their per-edge
-    sums reproduce flows exactly and their amounts sum to value.  cut is
-    the minimum cut read off the residual graph, of weight value.
+    paths is a tuple of (node tuple, amount) entries sorted
+    lexicographically; their amounts sum to value, and their per-pair sums
+    are the flow, which uses at most one direction of each pair.  cut is
+    the minimum cut read off the residual graph, of weight value, as the
+    2-block partition of s's residual side and the rest.
     """
 
     value: int
-    flows: dict[tuple[int, int], int]
     paths: tuple[tuple[tuple[int, ...], int], ...]
-    cut: CutResult
-
-
-@dataclass(frozen=True)
-class CutResult:
-    """An s-t cut witness: the source-side node set and the crossing weight."""
-
-    value: int
-    source_side: frozenset[int]
-    m: int
-
-    def partition(self) -> Partition:
-        rest = frozenset(range(self.m)) - self.source_side
-        return Partition((self.source_side, rest))
+    cut: Partition
 
 
 def _undirected_capacities(spec: NetworkSpec) -> dict[int, dict[int, int]]:
@@ -258,9 +244,8 @@ def _decompose(
 def max_flow(spec: NetworkSpec, s: int, t: int) -> FlowAssignment:
     """Maximum s-t flow with an exact integral path decomposition.
 
-    The per-edge flows are rebuilt from the decomposition, so any cyclic
-    slack the augmenting search produced is cancelled and the published
-    flows are exactly the union of the s-t paths.
+    The decomposition follows the s-t paths of the net flow, so any
+    cyclic slack the augmenting search produced is left out of it.
     """
     _check_terminals(spec, s, t)
     cap = _undirected_capacities(spec)
@@ -273,12 +258,8 @@ def max_flow(spec: NetworkSpec, s: int, t: int) -> FlowAssignment:
         elif x < 0:
             net[(j, i)] = -x
     paths = _decompose(net, s, t)
-    rebuilt: dict[tuple[int, int], int] = {}
-    for path, amount in paths:
-        for u, v in zip(path, path[1:]):
-            rebuilt[(u, v)] = rebuilt.get((u, v), 0) + amount
     invariant(sum(amount for _, amount in paths) == value, "flow paths do not add up to the flow value")
-    return FlowAssignment(value=value, flows=rebuilt, paths=paths, cut=_residual_cut(spec, cap, s, value))
+    return FlowAssignment(value=value, paths=paths, cut=_residual_cut(spec, cap, s, value))
 
 
 def _check_terminals(spec: NetworkSpec, s: int, t: int) -> None:
@@ -289,19 +270,25 @@ def _check_terminals(spec: NetworkSpec, s: int, t: int) -> None:
             raise ValueError(f"terminal {node} out of range for m={spec.m}")
 
 
-def _residual_cut(spec: NetworkSpec, cap: dict[int, dict[int, int]], s: int, value: int) -> CutResult:
+def _residual_cut(spec: NetworkSpec, cap: dict[int, dict[int, int]], s: int, value: int) -> Partition:
     """The cut around what s reaches in the residual table of a flow of ``value``."""
-    side = frozenset(_reach(cap, cap, s))  # the smallest min-cut side
-    crossing = sum(w for (i, j), w in spec.budgets.items() if (i in side) != (j in side))
-    invariant(crossing == value, "residual cut does not match the flow value")
-    return CutResult(value=value, source_side=side, m=spec.m)
+    cut = _cut(spec, _reach(cap, cap, s))  # around the smallest min-cut side
+    invariant(cut.crossing_weight(spec) == value, "residual cut does not match the flow value")
+    return cut
 
 
-def min_st_cut_bruteforce(spec: NetworkSpec, s: int, t: int) -> CutResult:
+def _cut(spec: NetworkSpec, side: Iterable[int]) -> Partition:
+    """The 2-block partition of a source side and the rest."""
+    side = frozenset(side)
+    return Partition((side, frozenset(range(spec.m)) - side))
+
+
+def min_st_cut_bruteforce(spec: NetworkSpec, s: int, t: int) -> tuple[int, Partition]:
     """Minimum s-t cut by enumerating all 2**(m-2) source sides.
 
-    Oracle for max_flow; keeps the first minimizer in enumeration order.
-    Hard guard: m <= 20.
+    Oracle for max_flow; returns the cut's weight and the first minimizer
+    in enumeration order, as the partition of its source side and the
+    rest.  Hard guard: m <= 20.
     """
     if spec.m > CUT_ENUM_NODE_LIMIT:
         raise InstanceTooLarge(f"cut enumeration is limited to m <= {CUT_ENUM_NODE_LIMIT}, got {spec.m}")
@@ -317,7 +304,7 @@ def min_st_cut_bruteforce(spec: NetworkSpec, s: int, t: int) -> CutResult:
             best_value = crossing
             best_side = frozenset(side)
     assert best_value is not None and best_side is not None
-    return CutResult(value=best_value, source_side=best_side, m=spec.m)
+    return best_value, _cut(spec, best_side)
 
 
 # --- strength -----------------------------------------------------------

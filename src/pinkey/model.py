@@ -27,8 +27,9 @@ from __future__ import annotations
 import hashlib
 import random
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import InsufficientKeyMaterial, UnknownBasisLabel
 
@@ -69,11 +70,12 @@ class NetworkSpec:
         Number of terminals, at least 2.
     budgets:
         Mapping from canonical pair to a positive budget.  Zero-budget
-        entries are dropped on construction so the stored form is unique.
+        entries are dropped on construction so the stored form is unique,
+        and the stored mapping is read-only, so it stays as validated.
     """
 
     m: int
-    budgets: dict[Pair, int] = field(default_factory=dict)
+    budgets: Mapping[Pair, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not isinstance(self.m, int) or self.m < 2:
@@ -89,7 +91,7 @@ class NetworkSpec:
                 raise ValueError(f"budget for pair {pair!r} must be a nonnegative int, got {budget!r}")
             if budget > 0:
                 cleaned[pair] = budget
-        object.__setattr__(self, "budgets", cleaned)
+        object.__setattr__(self, "budgets", MappingProxyType(cleaned))
 
     @classmethod
     def from_pairs(cls, m: int, pairs: list[tuple[int, int, int]]) -> "NetworkSpec":
@@ -207,6 +209,8 @@ class SourceBitBasis:
         return ident
 
     def _run(self, ident: int) -> tuple[range, frozenset[int], str, int]:
+        if not 0 <= ident < len(self.values):
+            raise ValueError(f"id {ident} is not in the basis of {len(self.values)} bits")
         return self._runs[bisect_right(self._starts, ident) - 1]
 
     def label(self, ident: int) -> str:

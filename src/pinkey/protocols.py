@@ -31,13 +31,13 @@ from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
-from operator import gt, xor
+from itertools import repeat
+from operator import xor
 
 from .bounds import broadcast_bound, group_bound
 from .errors import invariant
 from .graph import SpanningTree, greedy_spanning_trees, max_flow
-from .model import _BIT_VALUES, NetworkSpec, PairwiseKeyStore, SourceBitBasis, local_rng
+from .model import NetworkSpec, PairwiseKeyStore, SourceBitBasis, local_rng
 from .secrecy import (
     LinearForm,
     SecrecyReport,
@@ -89,12 +89,6 @@ class PublicMessage:
     pad: Sequence[int]
     basis: SourceBitBasis = field(compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if not (len(self.payload) == len(self.plain) == len(self.pad)):
-            raise ValueError("payload, plain, and pad must have equal length")
-        if not _BIT_VALUES.issuperset(self.payload):
-            raise ValueError("payload bits must be 0 or 1")
-
     @property
     def forms(self) -> tuple[LinearForm, ...]:
         labels = zip(self.basis.labels_of(self.plain), self.basis.labels_of(self.pad))
@@ -111,15 +105,16 @@ class Transcript:
     Per message: ``rounds``, ``senders``, ``receivers`` and ``ends``, the
     cumulative payload offsets, so message k's payload bits are
     ``ends[k - 1]:ends[k]``.  Per payload bit: ``payload`` (a bytearray)
-    and its ``plain`` and ``pad`` source-bit ids.  ``extend`` is the one
-    append path and checks every batch whole; iterating builds the
+    and its ``plain`` and ``pad`` source-bit ids.  A transcript starts
+    empty over its basis; ``extend`` is the one append path and checks
+    every batch, built by ``from_columns``, whole.  Iterating builds the
     ``PublicMessage`` values.
     """
 
     __slots__ = ("basis", "rounds", "senders", "receivers", "ends", "payload", "plain", "pad")
 
-    def __init__(self, messages: Iterable[PublicMessage] = ()):
-        self.basis: SourceBitBasis | None = None
+    def __init__(self, basis: SourceBitBasis):
+        self.basis = basis
         self.rounds: list[int] = []
         self.senders: list[int] = []
         self.receivers: list[int] = []
@@ -127,7 +122,6 @@ class Transcript:
         self.payload = bytearray()
         self.plain: list[int] = []
         self.pad: list[int] = []
-        self.extend(messages)
 
     @classmethod
     def from_columns(cls, basis: SourceBitBasis, rounds: Sequence[int], senders: Sequence[int],
@@ -139,38 +133,37 @@ class Transcript:
         batch.ends, batch.payload, batch.plain, batch.pad = ends, bytearray(payload), plain, pad
         return batch
 
-    def append(self, msg: PublicMessage) -> None:
-        self.extend((msg,))
-
-    def extend(self, messages: Transcript | Iterable[PublicMessage]) -> None:
+    def extend(self, batch: Transcript) -> None:
         """Append a batch whole: nothing is appended unless every check passes.
 
         The batch must share this transcript's basis, keep the rounds
         nondecreasing, have equal column lengths, with ``ends`` rising
-        from 0 to the payload length, and carry payload bits of 0 or 1.
+        from 0 to the payload length, carry payload bits of 0 or 1, and
+        give ``plain`` and ``pad`` ids of bits in the basis.
         """
-        batch = messages if isinstance(messages, Transcript) else _batch(messages)
-        if batch.basis is not self.basis and None not in (batch.basis, self.basis):
+        if batch.basis is not self.basis:
             raise ValueError("the messages of a transcript must share one basis")
         if not len(batch.rounds) == len(batch.senders) == len(batch.receivers) == len(batch.ends):
             raise ValueError("rounds, senders, receivers, and ends must have equal length")
         if not len(batch.payload) == len(batch.plain) == len(batch.pad):
             raise ValueError("payload, plain, and pad must have equal length")
         offsets = [0, *batch.ends]
-        if offsets[-1] != len(batch.payload) or any(map(gt, offsets, offsets[1:])):
+        if offsets[-1] != len(batch.payload) or offsets != sorted(offsets):
             raise ValueError("ends must rise from 0 to the payload length")
         if batch.payload.translate(None, b"\0\1"):
             raise ValueError("payload bits must be 0 or 1")
+        if batch.plain:
+            plain, pad = _extremes(batch.plain), _extremes(batch.pad)
+            if min(min(plain), min(pad)) < 0 or max(max(plain), max(pad)) >= len(self.basis):
+                raise ValueError("plain and pad must be ids of bits in the basis")
         rounds = [*self.rounds[-1:], *batch.rounds]
-        if any(map(gt, rounds, rounds[1:])):
+        if rounds != sorted(rounds):
             raise ValueError("round numbers must be nondecreasing")
-        if self.basis is None:
-            self.basis = batch.basis
         base = len(self.payload)
         self.rounds += batch.rounds
         self.senders += batch.senders
         self.receivers += batch.receivers
-        self.ends += [base + end for end in batch.ends]
+        self.ends += map(base.__add__, batch.ends)
         self.payload += batch.payload
         self.plain += batch.plain
         self.pad += batch.pad
@@ -191,8 +184,6 @@ class Transcript:
         return len(self.payload)
 
     def forms(self) -> list[LinearForm]:
-        if self.basis is None:
-            return []
         labels = zip(self.basis.labels_of(self.plain), self.basis.labels_of(self.pad))
         return [LinearForm(frozenset(pair)) for pair in labels]
 
@@ -204,31 +195,21 @@ class Transcript:
         payload digits render in one pass over their columns.
         """
         lines = ["transcript v1"]
-        if self.basis is not None:
-            labels_of = self.basis.labels_of
-            texts = [a + "^" + b if a < b else b + "^" + a
-                     for a, b in zip(labels_of(self.plain), labels_of(self.pad))]
-            digits = self.payload.translate(_DIGITS).decode()
-            start = 0
-            for round, sender, receiver, end in zip(self.rounds, self.senders, self.receivers, self.ends):
-                hex_payload, forms = _hex(digits[start:end]), ";".join(texts[start:end])
-                lines.append(f"{round} {sender} {receiver} {hex_payload} {forms}")
-                start = end
+        labels_of = self.basis.labels_of
+        texts = [a + "^" + b if a < b else b + "^" + a
+                 for a, b in zip(labels_of(self.plain), labels_of(self.pad))]
+        digits = self.payload.translate(_DIGITS).decode()
+        start = 0
+        for round, sender, receiver, end in zip(self.rounds, self.senders, self.receivers, self.ends):
+            hex_payload, forms = _hex(digits[start:end]), ";".join(texts[start:end])
+            lines.append(f"{round} {sender} {receiver} {hex_payload} {forms}")
+            start = end
         return "\n".join(lines) + "\n"
 
 
-def _batch(messages: Iterable[PublicMessage]) -> Transcript:
-    """The columns of a list of messages, which must share one basis."""
-    messages = list(messages)
-    basis = messages[0].basis if messages else None
-    if any(msg.basis is not basis for msg in messages):
-        raise ValueError("the messages of a transcript must share one basis")
-    payloads = [msg.payload for msg in messages]
-    return Transcript.from_columns(
-        basis, [msg.round for msg in messages], [msg.sender for msg in messages],
-        [msg.receiver for msg in messages], list(accumulate(map(len, payloads))),
-        chain.from_iterable(payloads), list(chain.from_iterable(msg.plain for msg in messages)),
-        list(chain.from_iterable(msg.pad for msg in messages)))
+def _extremes(ids: Sequence[int]) -> Sequence[int]:
+    """Ids with the least and the greatest of ``ids``: a range's two ends, so it is not walked."""
+    return (ids[0], ids[-1]) if isinstance(ids, range) else ids
 
 
 @dataclass(frozen=True)
@@ -241,8 +222,11 @@ class GroupKeyResult:
     key_ids: Sequence[int]
     transcript: Transcript
     bound: Fraction | None  # None for group runs above GROUP_BOUND_AUTO_LIMIT
-    basis: SourceBitBasis
     secrecy: SecrecyReport  # from the run's self-check
+
+    @property
+    def basis(self) -> SourceBitBasis:
+        return self.transcript.basis
 
     @property
     def gap(self) -> Fraction | None:
@@ -301,8 +285,9 @@ def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
 
 
 def _self_check(holders: frozenset[int], key: tuple[int, ...], key_ids: Sequence[int],
-                transcript: Transcript, basis: SourceBitBasis) -> SecrecyReport:
+                transcript: Transcript) -> SecrecyReport:
     """Check a run's parts; return the secrecy report of its one transcript reduction."""
+    basis = transcript.basis
     # The transcript is reduced once: each holder below extends the table
     # with its own bits and pops them off again, and the report extends it.
     index, reduced = _transcript_table(transcript, key_ids)
@@ -335,7 +320,7 @@ def _result(store: PairwiseKeyStore, case: str, holders: Iterable[int], key_ids:
     holders, key = frozenset(holders), store.basis.bits(key_ids)
     return GroupKeyResult(
         case=case, holders=holders, key=key, key_ids=key_ids, transcript=transcript, bound=bound,
-        basis=store.basis, secrecy=_self_check(holders, key, key_ids, transcript, store.basis),
+        secrecy=_self_check(holders, key, key_ids, transcript),
     )
 
 
@@ -359,7 +344,7 @@ def run_broadcast(store: PairwiseKeyStore, spec: NetworkSpec) -> GroupKeyResult:
     bound = broadcast_bound(spec)
     poorest = min(range(1, spec.m), key=lambda i: (spec.budget(0, i), i))
     length = spec.budget(0, poorest)
-    transcript = Transcript()
+    transcript = Transcript(store.basis)
     key_ids = store.take(0, poorest, length)
     key = store.basis.bits(key_ids)
     if length > 0:
@@ -384,7 +369,7 @@ def run_subgroup(
     flow's residual graph gives, checked there to equal the flow value.
     """
     flow = max_flow(spec, s, t)
-    bound = Fraction(flow.cut.value)
+    bound = Fraction(flow.value)
     fresh = store.basis.new_local_ids(s, flow.value, local_rng(seed, s))
     fresh_bits = store.basis.bits(fresh)
 
@@ -395,7 +380,7 @@ def run_subgroup(
         offset += amount
     invariant(offset == flow.value, "flow paths do not add up to the flow value")
 
-    transcript = Transcript()
+    transcript = Transcript(store.basis)
     longest = max((len(path) - 1 for path, _ in flow.paths), default=0)
     for hop in range(longest):
         for path, start, stop in slices:
@@ -463,7 +448,7 @@ def run_group_key(
     against) for m <= GROUP_BOUND_AUTO_LIMIT; beyond that only the
     total/(m-1) ceiling is checked.
     """
-    transcript = Transcript()
+    transcript = Transcript(store.basis)
     key_ids: list[int] = []
     for tree in greedy_spanning_trees(spec, tie_break):
         next_round = transcript.rounds[-1] + 1 if transcript.rounds else 0

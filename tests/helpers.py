@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
-from pinkey import NetworkSpec, SpanningTree, is_connected
+from pinkey import NetworkSpec, SpanningTree, Transcript, is_connected
 
 
 def random_spec(rng: random.Random, max_m: int = 6, max_budget: int = 8, min_m: int = 2) -> NetworkSpec:
@@ -40,6 +41,18 @@ def transcript_columns(transcript) -> tuple:
     return (list(transcript.rounds), list(transcript.senders), list(transcript.receivers),
             list(transcript.ends), bytes(transcript.payload), list(transcript.plain),
             list(transcript.pad))
+
+
+def transcript_of(basis, messages) -> Transcript:
+    """A transcript over ``basis`` of the given message values, appended as one column batch."""
+    messages = list(messages)
+    transcript = Transcript(basis)
+    transcript.extend(Transcript.from_columns(
+        basis, [msg.round for msg in messages], [msg.sender for msg in messages],
+        [msg.receiver for msg in messages], list(accumulate(len(msg.payload) for msg in messages)),
+        [bit for msg in messages for bit in msg.payload], [i for msg in messages for i in msg.plain],
+        [i for msg in messages for i in msg.pad]))
+    return transcript
 
 
 def key_values(store, i: int, j: int) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ from pinkey import (
     subgroup_bound,
 )
 from pinkey.errors import NotAStar
-from pinkey.graph import CutResult, Partition
+from pinkey.graph import Partition
 
 from helpers import random_spec, random_star_spec
 
@@ -49,8 +49,9 @@ class TestSubgroupBound:
     def test_triangle(self):
         report = subgroup_bound(TRIANGLE, 0, 2)
         assert report.value == Fraction(7)
-        assert isinstance(report.witness, CutResult)
-        assert report.witness.value == 7
+        assert isinstance(report.witness, Partition)
+        assert str(report.witness) == "{0,1}|{2}"
+        assert report.witness.crossing_weight(TRIANGLE) == 7
 
     def test_single_edge(self):
         assert subgroup_bound(NetworkSpec(2, {(0, 1): 5}), 0, 1).value == 5
@@ -70,7 +71,7 @@ class TestSubgroupBound:
         for _ in range(60):
             spec = random_spec(rng, max_m=9)
             s, t = rng.sample(range(spec.m), 2)
-            expected = min_st_cut_bruteforce(spec, s, t).value
+            expected = min_st_cut_bruteforce(spec, s, t)[0]
             assert subgroup_bound(spec, s, t).value == expected
 
 
@@ -101,9 +102,9 @@ def test_witnesses_reproduce_their_values():
         assert report.witness.normalized_weight(spec) == report.value
         s, t = rng.sample(range(spec.m), 2)
         cut_report = subgroup_bound(spec, s, t)
-        side = cut_report.witness.source_side
-        crossing = sum(w for (i, j), w in spec.budgets.items() if (i in side) != (j in side))
-        assert Fraction(crossing) == cut_report.value
+        cut = cut_report.witness
+        assert cut.k == 2 and cut.block_index()[s] != cut.block_index()[t]
+        assert Fraction(cut.crossing_weight(spec)) == cut_report.value
 
 
 def test_group_bound_never_exceeds_its_relaxations():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -320,8 +319,9 @@ class TestRunCommand:
         real_round = pinkey.protocols.single_bit_round
 
         def corrupted_round(*args, **kwargs):
-            label, messages = real_round(*args, **kwargs)
-            return label, [replace(m, payload=(m.payload[0] ^ 1,)) for m in messages]
+            shared, batch = real_round(*args, **kwargs)
+            batch.payload[0] ^= 1
+            return shared, batch
 
         monkeypatch.setattr(pinkey.protocols, "single_bit_round", corrupted_round)
         path = scenario_file(tmp_path, TRIANGLE_SCENARIO)

@@ -164,7 +164,7 @@ class TestMaxFlow:
     def test_disconnected_terminals(self):
         g = NetworkSpec(3, {(0, 1): 4})
         fa = max_flow(g, 0, 2)
-        assert fa.value == 0 and fa.paths == () and fa.flows == {}
+        assert fa.value == 0 and fa.paths == ()
 
     def test_rejects_equal_terminals(self):
         # and terminals outside 0..m-1, in the flow and in its brute-force oracle
@@ -181,30 +181,29 @@ class TestMaxFlow:
             s, t = rng.sample(nodes, 2)
             fa = max_flow(g, s, t)
             # agrees with exhaustive cut enumeration
-            assert fa.value == min_st_cut_bruteforce(g, s, t).value
-            # per-pair flow within capacity, one direction only
-            for (u, v), f in fa.flows.items():
+            assert fa.value == min_st_cut_bruteforce(g, s, t)[0]
+            # the paths are simple s-t paths whose amounts sum to the value
+            flows: dict[tuple[int, int], int] = {}
+            for path, amount in fa.paths:
+                assert path[0] == s and path[-1] == t and amount > 0
+                assert len(set(path)) == len(path)
+                for hop in zip(path, path[1:]):
+                    flows[hop] = flows.get(hop, 0) + amount
+            assert sum(a for _, a in fa.paths) == fa.value
+            # their per-pair sums stay within capacity, one direction only
+            for (u, v), f in flows.items():
                 assert 0 < f <= g.budget(u, v)
-                assert (v, u) not in fa.flows
+                assert (v, u) not in flows
             # conservation at every relay node
             for n in nodes:
-                inflow = sum(f for (u, v), f in fa.flows.items() if v == n)
-                outflow = sum(f for (u, v), f in fa.flows.items() if u == n)
+                inflow = sum(f for (u, v), f in flows.items() if v == n)
+                outflow = sum(f for (u, v), f in flows.items() if u == n)
                 if n == s:
                     assert outflow - inflow == fa.value
                 elif n == t:
                     assert inflow - outflow == fa.value
                 else:
                     assert inflow == outflow
-            # decomposition re-sums to the per-edge flows
-            resum: dict[tuple[int, int], int] = {}
-            for path, amount in fa.paths:
-                assert path[0] == s and path[-1] == t
-                assert len(set(path)) == len(path)
-                for hop in zip(path, path[1:]):
-                    resum[hop] = resum.get(hop, 0) + amount
-            assert resum == fa.flows
-            assert sum(a for _, a in fa.paths) == fa.value
 
 
 class TestMinCut:
@@ -213,19 +212,18 @@ class TestMinCut:
         for _ in range(60):
             g = random_spec(rng)
             s, t = rng.sample(range(g.m), 2)
-            fast = max_flow(g, s, t).cut
-            brute = min_st_cut_bruteforce(g, s, t)
-            assert fast.value == brute.value
-            for cut in (fast, brute):
-                assert s in cut.source_side and t not in cut.source_side
-                crossing = sum(
-                    w for (i, j), w in g.budgets.items() if (i in cut.source_side) != (j in cut.source_side)
-                )
-                assert crossing == cut.value
+            flow = max_flow(g, s, t)
+            value, brute = min_st_cut_bruteforce(g, s, t)
+            assert flow.value == value
+            for cut in (flow.cut, brute):
+                assert cut.k == 2 and cut.m == g.m
+                where = cut.block_index()
+                assert where[s] != where[t]
+                assert cut.crossing_weight(g) == value
 
     def test_single_edge_cut(self):
         g = NetworkSpec(2, {(0, 1): 5})
-        assert min_st_cut_bruteforce(g, 0, 1).value == 5
+        assert min_st_cut_bruteforce(g, 0, 1) == (5, Partition((frozenset({0}), frozenset({1}))))
 
     def test_guard(self):
         with pytest.raises(InstanceTooLarge):

@@ -53,6 +53,17 @@ class TestNetworkSpec:
         assert len(k4.pairs()) == 6 and not k4.is_star()
         assert TRIANGLE.is_star() is False
 
+    def test_budgets_cannot_be_written_after_validation(self):
+        spec = NetworkSpec(3, {(0, 1): 5})
+        for pair, budget in (((2, 1), 4), ((0, 2), -3), ((0, 1), 6)):
+            with pytest.raises(TypeError):
+                spec.budgets[pair] = budget
+        with pytest.raises(TypeError):
+            del spec.budgets[(0, 1)]
+        assert dict(spec.budgets) == {(0, 1): 5} and spec.total_budget() == 5
+        assert spec == NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 0)])
+        assert TRIANGLE == NetworkSpec(3, dict(TRIANGLE.budgets)) != spec
+
     def test_canonical_pair(self):
         assert canonical_pair(4, 1) == (1, 4)
         with pytest.raises(ValueError):
@@ -179,6 +190,16 @@ class TestIds:
             assert basis.labels_of(ids) == [basis.label(i) for i in ids]
         assert basis.labels[11:16] == ("K1-2:2", "R2:0", "R2:1", "R1:0", "R1:1")
         assert all(basis.id_of(lab) == i for i, lab in enumerate(basis.labels))
+
+    def test_ids_outside_the_basis_have_no_label(self):
+        basis = generate_pairwise_keys(TRIANGLE, 0).basis
+        assert len(basis) == 12 and basis.label(11) == "K1-2:2"
+        for ident in (-1, 12, 99):
+            with pytest.raises(ValueError, match="not in the basis"):
+                basis.label(ident)
+        for ids in ([0, 99], [-1, 0], range(10, 13), range(-1, 2), [12]):
+            with pytest.raises(ValueError, match="not in the basis"):
+                basis.labels_of(ids)
 
     def test_the_basis_reads_as_a_label_to_value_mapping(self):
         store = generate_pairwise_keys(TRIANGLE, 3)

@@ -28,7 +28,7 @@ from pinkey.cli import Scenario, load_scenario, run_scenario
 from pinkey.protocols import PublicMessage, Transcript, _self_check
 from pinkey.secrecy import own_rows
 
-from helpers import random_connected_spec, random_star_spec, transcript_columns
+from helpers import random_connected_spec, random_star_spec, transcript_of
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "demos" / "scenarios").glob("*.txt"))
@@ -160,18 +160,6 @@ class TestRunPathSecrecy:
         assert checked >= 30
 
 
-def test_a_transcript_rebuilt_from_its_messages_has_the_same_columns_and_bytes():
-    checked = 0
-    for scenario in _random_scenarios(random.Random(813), 45, max_m=7, max_budget=12):
-        _, result = run_scenario(scenario)
-        transcript = result.transcript
-        rebuilt = Transcript(list(transcript))
-        assert transcript_columns(rebuilt) == transcript_columns(transcript), scenario
-        assert rebuilt.to_text() == transcript.to_text()
-        checked += len(transcript) > 0
-    assert checked >= 25
-
-
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda p: p.stem)
 def test_outputs_do_not_depend_on_the_hash_seed(scenario, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -236,8 +224,8 @@ def test_the_self_check_reports_a_leak_as_the_oracles_do():
     plain, pad = (k0, x), (x, k1)
     payload = tuple(store.basis.values[a] ^ store.basis.values[b] for a, b in zip(plain, pad))
     extra = PublicMessage(0, 3, 1, payload, plain, pad, store.basis)
-    leaky = Transcript([*result.transcript, extra])
-    report = _self_check(result.holders, result.key, result.key_ids, leaky, result.basis)
+    leaky = transcript_of(store.basis, [*result.transcript, extra])
+    report = _self_check(result.holders, result.key, result.key_ids, leaky)
     assert report.leaked_bits == 1
     assert report == verify_independence(result.key_forms, leaky.forms(), result.basis)
     assert brute_force_mutual_information(result.key_forms, leaky.forms(), len(result.basis)) == 1
@@ -268,8 +256,11 @@ def test_message_views_slice_concatenate_and_print_as_tuples():
 def test_a_transcript_renders_only_from_one_basis():
     spec = NetworkSpec.star([3, 5, 5])
     one, two = (run_broadcast(generate_pairwise_keys(spec, seed), spec) for seed in (1, 2))
+    transcript = Transcript(one.basis)
+    transcript.extend(one.transcript)
     with pytest.raises(ValueError, match="share one basis"):
-        Transcript([*one.transcript, *two.transcript]).to_text()
+        transcript.extend(two.transcript)
+    assert transcript.to_text() == one.transcript.to_text()
 
 
 def test_own_rows_do_not_walk_the_bits_of_a_run():
