@@ -40,7 +40,7 @@ def broadcast_bound(spec: NetworkSpec) -> BoundReport:
     id on ties).  Raises NotAStar when some positive budget avoids the
     center.
     """
-    if not spec.is_star(center=0):
+    if not spec.is_star():
         raise NotAStar("broadcast case needs a star centered at terminal 0")
     leaves = range(1, spec.m)
     poorest = min(leaves, key=lambda i: (spec.budget(0, i), i))

@@ -15,6 +15,9 @@ Subcommands: ``bound`` (print the case's exact bound), ``run`` (execute
 the protocol and print a deterministic report), ``oracle`` (exhaustive
 cross-checks), ``verify`` (re-run and compare a saved transcript).
 
+A ``Scenario`` checks its own fields however it is built: from a file,
+from a file with flag overrides, or in code.
+
 Exit codes: 0 success; 1 verify mismatch; 2 a scenario that fails
 validation, or a scenario or transcript file that cannot be read or written;
 3 an exhaustive guard was exceeded; 4 secrecy, bound or self-check
@@ -30,7 +33,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import floor
 
@@ -62,7 +65,12 @@ _SCALAR_FIELDS = ("version", "m", "protocol", "seed", "s", "t", "tie_break", "fo
 
 @dataclass(frozen=True)
 class Scenario:
-    """A parsed, validated scenario file."""
+    """A network plus the protocol to run on it, checked however it is built.
+
+    ``__post_init__`` raises ValidationError, naming the offending field,
+    so a scenario built in code or by ``dataclasses.replace`` is checked
+    exactly as one read from a file.
+    """
 
     spec: NetworkSpec
     protocol: str
@@ -71,6 +79,32 @@ class Scenario:
     t: int | None = None
     tie_break: str = "lex-kruskal"
     fmt: str = "text"
+
+    def __post_init__(self) -> None:
+        if self.protocol not in PROTOCOLS:
+            raise ValidationError(f"protocol: must be one of {PROTOCOLS}, got {self.protocol!r}")
+        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+            raise ValidationError(f"seed: must fit in an unsigned 64-bit integer, got {self.seed}")
+        if self.tie_break not in TIE_BREAK_POLICIES:
+            raise ValidationError(
+                f"tie_break: must be one of {TIE_BREAK_POLICIES}, got {self.tie_break!r}")
+        if self.fmt not in FORMATS:
+            raise ValidationError(f"format: must be one of {FORMATS}, got {self.fmt!r}")
+        terminals = (("s", self.s), ("t", self.t))
+        if self.protocol != "subgroup":
+            for field, value in terminals:
+                if value is not None:
+                    raise ValidationError(f"{field}: only valid for the subgroup protocol")
+            return
+        for field, value in terminals:
+            if value is None:
+                raise ValidationError(f"{field}: required for the subgroup protocol")
+        m = self.spec.m
+        for field, value in terminals:
+            if not (isinstance(value, int) and 0 <= value < m):
+                raise ValidationError(f"{field}: terminal {value} out of range for m={m}")
+        if self.s == self.t:
+            raise ValidationError("t: source and sink terminals must differ")
 
 
 # int() alone would also take "1_0", "+3" and non-ASCII digits.
@@ -91,7 +125,7 @@ def _int_flag(raw: str) -> int:
 
 
 def load_scenario(path: str) -> Scenario:
-    """Parse and validate a scenario file.
+    """Parse a scenario file into a ``Scenario``, which checks its own fields.
 
     Raises ParseError on malformed lines and ValidationError (naming the
     offending field) on semantic problems, including unknown fields.
@@ -136,44 +170,13 @@ def load_scenario(path: str) -> Scenario:
     m = _parse_int(scalars["m"], "m")
     if m < 2:
         raise ValidationError(f"m: need at least 2 terminals, got {m}")
-    protocol = scalars["protocol"]
-    if protocol not in PROTOCOLS:
-        raise ValidationError(f"protocol: must be one of {PROTOCOLS}, got {protocol!r}")
-
-    seed = _parse_int(scalars.get("seed", "0"), "seed")
-    if not 0 <= seed < 2**64:
-        raise ValidationError(f"seed: must fit in an unsigned 64-bit integer, got {seed}")
-
-    tie_break = scalars.get("tie_break", "lex-kruskal")
-    if tie_break not in TIE_BREAK_POLICIES:
-        raise ValidationError(f"tie_break: must be one of {TIE_BREAK_POLICIES}, got {tie_break!r}")
-    fmt = scalars.get("format", "text")
-    if fmt not in FORMATS:
-        raise ValidationError(f"format: must be one of {FORMATS}, got {fmt!r}")
-
-    s = t = None
-    if protocol == "subgroup":
-        for field in ("s", "t"):
-            if field not in scalars:
-                raise ValidationError(f"{field}: required for the subgroup protocol")
-        s = _parse_int(scalars["s"], "s")
-        t = _parse_int(scalars["t"], "t")
-        for field, value in (("s", s), ("t", t)):
-            if not 0 <= value < m:
-                raise ValidationError(f"{field}: terminal {value} out of range for m={m}")
-        if s == t:
-            raise ValidationError("t: source and sink terminals must differ")
-    else:
-        for field in ("s", "t"):
-            if field in scalars:
-                raise ValidationError(f"{field}: only valid for the subgroup protocol")
-
+    ints = {key: _parse_int(scalars[key], key) for key in ("seed", "s", "t") if key in scalars}
     try:
         spec = NetworkSpec.from_pairs(m, pairs)
     except ValueError as exc:
         raise ValidationError(f"pair: {exc}") from None
-
-    return Scenario(spec=spec, protocol=protocol, seed=seed, s=s, t=t, tie_break=tie_break, fmt=fmt)
+    return Scenario(spec, scalars["protocol"], tie_break=scalars.get("tie_break", "lex-kruskal"),
+                    fmt=scalars.get("format", "text"), **ints)
 
 
 @dataclass(frozen=True)
@@ -204,15 +207,15 @@ class RunReport:
         # a group run keys one bit per tree; a subgroup key is one fresh bit per unit of flow
         if scenario.protocol == "group":
             out.append(("tie_break", scenario.tie_break))
-            out.append(("iterations", len(result.key)))
+            out.append(("iterations", len(result.key_ids)))
         if scenario.protocol == "subgroup":
             out.append(("s", scenario.s))
             out.append(("t", scenario.t))
-            out.append(("flow_value", len(result.key)))
+            out.append(("flow_value", len(result.key_ids)))
         out += [
             ("bound", bound),
             ("bound_floor", None if bound is None else floor(bound)),
-            ("key_length", len(result.key)),
+            ("key_length", len(result.key_ids)),
             ("gap", result.gap),
             ("messages", len(result.transcript)),
             ("public_bits", result.transcript.public_bits),
@@ -260,7 +263,6 @@ def run_scenario(scenario: Scenario) -> tuple[RunReport, GroupKeyResult]:
     if scenario.protocol == "broadcast":
         result = run_broadcast(store, spec)
     elif scenario.protocol == "subgroup":
-        assert scenario.s is not None and scenario.t is not None
         result = run_subgroup(store, spec, scenario.s, scenario.t, scenario.seed)
     else:
         result = run_group_key(store, spec, scenario.tie_break)
@@ -268,20 +270,10 @@ def run_scenario(scenario: Scenario) -> tuple[RunReport, GroupKeyResult]:
 
 
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
-    scenario = load_scenario(args.scenario)
-    updates: dict[str, object] = {}
-    if getattr(args, "seed", None) is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ValidationError(f"seed: must fit in an unsigned 64-bit integer, got {args.seed}")
-        updates["seed"] = args.seed
-    if getattr(args, "tie_break", None) is not None:
-        updates["tie_break"] = args.tie_break
-    if getattr(args, "format", None) is not None:
-        updates["fmt"] = args.format
-    if updates:
-        from dataclasses import replace
-        scenario = replace(scenario, **updates)
-    return scenario
+    """The scenario file with the flags that were given laid over it, checked again."""
+    flags = {"seed": args.seed, "tie_break": args.tie_break, "fmt": args.format}
+    return replace(load_scenario(args.scenario),
+                   **{field: value for field, value in flags.items() if value is not None})
 
 
 def _bound_for(scenario: Scenario) -> BoundReport:
@@ -289,7 +281,6 @@ def _bound_for(scenario: Scenario) -> BoundReport:
     if scenario.protocol == "broadcast":
         return broadcast_bound(spec)
     if scenario.protocol == "subgroup":
-        assert scenario.s is not None and scenario.t is not None
         return subgroup_bound(spec, scenario.s, scenario.t)
     return group_bound(spec)
 

@@ -69,10 +69,6 @@ class Partition:
     def k(self) -> int:
         return len(self.blocks)
 
-    @property
-    def m(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
     def block_index(self) -> dict[int, int]:
         out = {}
         for t, block in enumerate(self.blocks):
@@ -424,9 +420,6 @@ class SpanningTree:
     @property
     def m(self) -> int:
         return len(self.edges) + 1
-
-    def weight(self, spec: NetworkSpec) -> int:
-        return sum(spec.budget(i, j) for i, j in self.edges)
 
     def adjacency(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {v: [] for v in range(self.m)}

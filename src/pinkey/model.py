@@ -128,9 +128,9 @@ class NetworkSpec:
     def total_budget(self) -> int:
         return sum(self.budgets.values())
 
-    def is_star(self, center: int = 0) -> bool:
-        """True when every positive budget touches ``center``."""
-        return all(center in pair for pair in self.budgets)
+    def is_star(self) -> bool:
+        """True when every positive budget touches terminal 0."""
+        return all(0 in pair for pair in self.budgets)
 
 
 class SourceBitBasis:
@@ -164,7 +164,7 @@ class SourceBitBasis:
         return self.id_of(label) is not None
 
     def __getitem__(self, label: str) -> int:
-        return self.value_of(label)
+        return self.values[self._id(label)]
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.labels)
@@ -240,9 +240,6 @@ class SourceBitBasis:
         """The realized values of the given ids."""
         return tuple(map(self.values.__getitem__, ids))
 
-    def value_of(self, label: str) -> int:
-        return self.values[self._id(label)]
-
     def realized(self) -> SourceBitBasis:
         """Label-to-value lookups for evaluating linear forms: the basis itself,
         which reads like a mapping and builds no label map."""
@@ -264,7 +261,6 @@ class PairwiseKeyStore:
     discipline the message constructions rely on.
     """
 
-    spec: NetworkSpec
     basis: SourceBitBasis
     _ids: dict[Pair, range]
     _cursors: dict[Pair, int]
@@ -356,4 +352,4 @@ def generate_pairwise_keys(spec: NetworkSpec, seed: int) -> PairwiseKeyStore:
                                frozenset((i, j)))
         for (i, j), budget in sorted(spec.budgets.items())
     }
-    return PairwiseKeyStore(spec=spec, basis=basis, _ids=ids, _cursors={})
+    return PairwiseKeyStore(basis=basis, _ids=ids, _cursors={})

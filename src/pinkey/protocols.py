@@ -65,11 +65,6 @@ def _hex(digits: str) -> str:
     return f"{int(digits, 2):0{(len(digits) + 3) // 4}x}" if digits else "-"
 
 
-def bits_to_hex(bits: tuple[int, ...]) -> str:
-    """Pack bits MSB-first into the shortest hex string that holds them."""
-    return _hex(bytes(bits).translate(_DIGITS).decode())
-
-
 @dataclass(frozen=True, slots=True)
 class PublicMessage:
     """One public transmission: payload bit k is ``plain[k] XOR pad[k]``.
@@ -214,11 +209,13 @@ def _extremes(ids: Sequence[int]) -> Sequence[int]:
 
 @dataclass(frozen=True)
 class GroupKeyResult:
-    """Outcome of a run: who holds which key, and everything needed to audit it."""
+    """Outcome of a run: who holds which key, and everything needed to audit it.
 
-    case: str
+    The key is the source bits ``key_ids``; ``key`` reads their values
+    from the basis.
+    """
+
     holders: frozenset[int]
-    key: tuple[int, ...]
     key_ids: Sequence[int]
     transcript: Transcript
     bound: Fraction | None  # None for group runs above GROUP_BOUND_AUTO_LIMIT
@@ -229,9 +226,13 @@ class GroupKeyResult:
         return self.transcript.basis
 
     @property
+    def key(self) -> tuple[int, ...]:
+        return self.basis.bits(self.key_ids)
+
+    @property
     def gap(self) -> Fraction | None:
         """How far the key falls short of the bound; None when there is no bound."""
-        return None if self.bound is None else self.bound - len(self.key)
+        return None if self.bound is None else self.bound - len(self.key_ids)
 
     @property
     def key_forms(self) -> tuple[LinearForm, ...]:
@@ -284,8 +285,7 @@ def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
     return tuple(out)
 
 
-def _self_check(holders: frozenset[int], key: tuple[int, ...], key_ids: Sequence[int],
-                transcript: Transcript) -> SecrecyReport:
+def _self_check(holders: frozenset[int], key_ids: Sequence[int], transcript: Transcript) -> SecrecyReport:
     """Check a run's parts; return the secrecy report of its one transcript reduction."""
     basis = transcript.basis
     # The transcript is reduced once: each holder below extends the table
@@ -293,16 +293,15 @@ def _self_check(holders: frozenset[int], key: tuple[int, ...], key_ids: Sequence
     index, reduced = _transcript_table(transcript, key_ids)
     bits, plain, pad = transcript.payload, transcript.plain, transcript.pad
     # Linear-form fidelity: forms evaluated on realized basis bits must
-    # reproduce the actual payload and key bits.
+    # reproduce the actual payload bits.
     value = basis.values.__getitem__
     evaluated = map(xor, bits, map(xor, map(value, plain), map(value, pad)))
     invariant(not any(evaluated), "transcript form does not match payload")
-    invariant(basis.bits(key_ids) == key, "key form does not match key bit")
     # One-time-pad discipline: a basis bit masks at most one public bit, ever.
     invariant(len(pad) == len(set(pad)), "a pad bit was reused")
     # Replay soundness: every holder reconstructs the whole key, that is,
     # the key equations add no rank to the holder's view.
-    key_rows = list(column_rows((key_ids,), index, key))
+    key_rows = list(column_rows((key_ids,), index, basis.bits(key_ids)))
     own = own_rows(basis, index)
     size = len(reduced)
     for holder in sorted(holders):
@@ -314,14 +313,12 @@ def _self_check(holders: frozenset[int], key: tuple[int, ...], key_ids: Sequence
     return secrecy_report(reduced, key_rows)
 
 
-def _result(store: PairwiseKeyStore, case: str, holders: Iterable[int], key_ids: Sequence[int],
-            transcript: Transcript, bound: Fraction | None) -> GroupKeyResult:
+def _result(holders: Iterable[int], key_ids: Sequence[int], transcript: Transcript,
+            bound: Fraction | None) -> GroupKeyResult:
     """The self-checked result of a run whose key is the bits ``key_ids``."""
-    holders, key = frozenset(holders), store.basis.bits(key_ids)
-    return GroupKeyResult(
-        case=case, holders=holders, key=key, key_ids=key_ids, transcript=transcript, bound=bound,
-        secrecy=_self_check(holders, key, key_ids, transcript),
-    )
+    holders = frozenset(holders)
+    return GroupKeyResult(holders=holders, key_ids=key_ids, transcript=transcript, bound=bound,
+                          secrecy=_self_check(holders, key_ids, transcript))
 
 
 def _padded(store: PairwiseKeyStore, sender: int, receiver: int, round: int,
@@ -342,7 +339,8 @@ def run_broadcast(store: PairwiseKeyStore, spec: NetworkSpec) -> GroupKeyResult:
     revealing anything: each published bit is padded by a fresh key bit.
     """
     bound = broadcast_bound(spec)
-    poorest = min(range(1, spec.m), key=lambda i: (spec.budget(0, i), i))
+    # the witness isolates the poorest leaf; block 0 is the rest, the center's block
+    (poorest,) = bound.witness.blocks[1]
     length = spec.budget(0, poorest)
     transcript = Transcript(store.basis)
     key_ids = store.take(0, poorest, length)
@@ -352,7 +350,7 @@ def run_broadcast(store: PairwiseKeyStore, spec: NetworkSpec) -> GroupKeyResult:
             if leaf != poorest and spec.budget(0, leaf) > 0:
                 transcript.extend(_padded(store, 0, leaf, 0, key_ids, key))
     invariant(bound.value == length, "broadcast must meet its bound exactly")
-    return _result(store, "broadcast", range(spec.m), key_ids, transcript, bound.value)
+    return _result(range(spec.m), key_ids, transcript, bound.value)
 
 
 def run_subgroup(
@@ -388,7 +386,7 @@ def run_subgroup(
                 transcript.extend(_padded(store, path[hop], path[hop + 1], hop,
                                           fresh[start:stop], fresh_bits[start:stop]))
 
-    return _result(store, "subgroup", (s, t), fresh, transcript, bound)
+    return _result((s, t), fresh, transcript, bound)
 
 
 def single_bit_round(
@@ -460,4 +458,4 @@ def run_group_key(
                "achieved length exceeds the total/(m-1) ceiling")
     bound = group_bound(spec).value if spec.m <= GROUP_BOUND_AUTO_LIMIT else None
     invariant(bound is None or len(key_ids) <= bound, "achieved length exceeds the partition bound")
-    return _result(store, "group", range(spec.m), tuple(key_ids), transcript, bound)
+    return _result(range(spec.m), tuple(key_ids), transcript, bound)

@@ -52,9 +52,6 @@ class LinearForm:
     def unit(cls, label: str) -> "LinearForm":
         return cls(frozenset((label,)))
 
-    def __xor__(self, other: "LinearForm") -> "LinearForm":
-        return LinearForm(self.labels ^ other.labels)
-
     def evaluate(self, values: Mapping[str, int]) -> int:
         acc = 0
         for label in self.labels:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,52 @@ class TestLoadScenario:
     def test_parse_failures(self, tmp_path, text):
         with pytest.raises(ParseError):
             load_scenario(scenario_file(tmp_path, text))
+
+
+class TestScenario:
+    SPEC = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
+
+    @pytest.mark.parametrize(
+        "fields,lines",
+        [
+            ({"protocol": "telepathy"}, "protocol telepathy\n"),
+            ({"protocol": "group", "seed": -1}, "protocol group\nseed -1\n"),
+            ({"protocol": "group", "seed": 2**64}, "protocol group\nseed 18446744073709551616\n"),
+            ({"protocol": "group", "tie_break": "random"}, "protocol group\ntie_break random\n"),
+            ({"protocol": "group", "fmt": "yaml"}, "protocol group\nformat yaml\n"),
+            ({"protocol": "subgroup"}, "protocol subgroup\n"),
+            ({"protocol": "subgroup", "s": 0}, "protocol subgroup\ns 0\n"),
+            ({"protocol": "subgroup", "s": 1, "t": 1}, "protocol subgroup\ns 1\nt 1\n"),
+            ({"protocol": "subgroup", "s": 3, "t": 1}, "protocol subgroup\ns 3\nt 1\n"),
+            ({"protocol": "subgroup", "s": 0, "t": -1}, "protocol subgroup\ns 0\nt -1\n"),
+            ({"protocol": "group", "s": 0}, "protocol group\ns 0\n"),
+            ({"protocol": "broadcast", "t": 2}, "protocol broadcast\nt 2\n"),
+        ],
+        ids=["protocol", "negative-seed", "seed-overflow", "tie_break", "format", "no-s", "no-t",
+             "s-equals-t", "s-out-of-range", "negative-t", "s-on-group", "t-on-broadcast"],
+    )
+    def test_a_scenario_built_in_code_is_checked_like_a_file(self, tmp_path, fields, lines):
+        text = "version 1\nm 3\n" + lines + "pair 0 1 5\npair 0 2 4\npair 1 2 3\n"
+        with pytest.raises(ValidationError) as from_file:
+            load_scenario(scenario_file(tmp_path, text))
+        with pytest.raises(ValidationError) as in_code:
+            Scenario(self.SPEC, **fields)
+        assert str(in_code.value) == str(from_file.value)
+
+    def test_replace_checks_the_fields_it_sets(self):
+        valid = Scenario(self.SPEC, "subgroup", s=0, t=2)
+        with pytest.raises(ValidationError, match="seed: must fit in an unsigned 64-bit integer"):
+            replace(valid, seed=2**64)
+        with pytest.raises(ValidationError, match="s: only valid for the subgroup protocol"):
+            replace(valid, protocol="group")
+        # a value of the wrong type is a typed error too, not a TypeError or a silent run
+        with pytest.raises(ValidationError, match="seed: must fit"):
+            replace(valid, seed="7")
+        with pytest.raises(ValidationError, match="seed: must fit"):
+            replace(valid, seed=7.0)
+        with pytest.raises(ValidationError, match="t: terminal 2.0 out of range"):
+            replace(valid, t=2.0)
+        assert replace(valid, seed=2**64 - 1).seed == 2**64 - 1
 
 
 class TestRunCommand:

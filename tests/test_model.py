@@ -110,7 +110,7 @@ class TestGeneration:
         assert owners(basis)[basis.id_of("K0-1:0")] == frozenset({0, 1})
         assert owners(basis)[basis.id_of("K1-2:2")] == frozenset({1, 2})
         with pytest.raises(UnknownBasisLabel):
-            basis.value_of("K0-1:99")
+            basis["K0-1:99"]
 
     def test_local_bits_get_fresh_labels_and_one_owner(self):
         store = generate_pairwise_keys(TRIANGLE, 0)
@@ -133,7 +133,7 @@ class TestGeneration:
                 stream = _pair_rng(seed, i, j)
                 expected += [(f"K{i}-{j}:{t}", stream.getrandbits(1), frozenset((i, j)))
                              for t in range(spec.budget(i, j))]
-            assert [(lab, basis.value_of(lab), held)
+            assert [(lab, basis[lab], held)
                     for lab, held in zip(basis.labels, owners(basis))] == expected
 
     def test_local_bits_match_one_getrandbits_call_per_bit(self):
@@ -144,7 +144,7 @@ class TestGeneration:
             ids = basis.new_local_ids(owner, count, drawn)
             labels = basis.labels_of(ids)
             assert labels == [f"R{owner}:{start + t}" for t in range(count)]
-            assert [basis.value_of(lab) for lab in labels] == [reference.getrandbits(1) for _ in labels]
+            assert [basis[lab] for lab in labels] == [reference.getrandbits(1) for _ in labels]
             assert basis.runs()[-1] == (ids, frozenset((owner,)))
             # the stream is left where the bit-by-bit draw leaves it
             assert drawn.getrandbits(64) == reference.getrandbits(64)
@@ -177,7 +177,7 @@ class TestIds:
         for label in ("K0-1:04", "K0-1:+4", "K0-1:\u0664", "K0-1:5", "K1-0:0", "K0-1", "K0-1:", "4"):
             assert basis.id_of(label) is None and label not in basis, label
         with pytest.raises(UnknownBasisLabel):
-            basis.value_of("K0-1:04")
+            basis["K0-1:04"]
 
     def test_labels_render_from_ids_in_bulk_as_one_by_one(self):
         basis = generate_pairwise_keys(TRIANGLE, 0).basis

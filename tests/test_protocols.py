@@ -30,7 +30,7 @@ from pinkey import (
     verify_independence,
 )
 from pinkey.errors import InsufficientKeyMaterial, InvariantViolation, NotAStar
-from pinkey.protocols import PublicMessage, _self_check, bits_to_hex
+from pinkey.protocols import PublicMessage, _hex, _self_check
 
 from helpers import (debit, key_values, known_to, random_connected_spec, random_spec, transcript_columns,
                      transcript_of)
@@ -60,7 +60,7 @@ def reference_replay(result, terminal):
     a new row completely.
     """
     basis = result.basis
-    equations = [({label}, basis.value_of(label)) for label in known_to(basis, terminal)]
+    equations = [({label}, basis[label]) for label in known_to(basis, terminal)]
     equations += [(set(form.labels), bit)
                   for msg in result.transcript for form, bit in zip(msg.forms, msg.payload)]
     rows = []
@@ -89,7 +89,7 @@ def reference_replay(result, terminal):
 
 def self_check(result):
     """The run self-check over a result's parts; raises InvariantViolation."""
-    return _self_check(result.holders, result.key, result.key_ids, result.transcript)
+    return _self_check(result.holders, result.key_ids, result.transcript)
 
 
 def run_optimized(code):
@@ -381,12 +381,12 @@ class TestTranscripts:
         assert transcript.to_text() == transcript.to_text()
 
     def test_hex_packing(self):
-        assert bits_to_hex(()) == "-"
-        assert bits_to_hex((1,)) == "1"
-        assert bits_to_hex((1, 0, 1, 1)) == "b"
-        assert bits_to_hex((1, 0, 1, 1, 0)) == "16"
+        assert _hex("") == "-"
+        assert _hex("1") == "1"
+        assert _hex("1011") == "b"
+        assert _hex("10110") == "16"
 
-    def test_text_hex_fields_match_bits_to_hex(self):
+    def test_text_hex_fields_match_packed_payloads(self):
         def packed(bits):  # MSB first, a bit per step, zero-padded to whole hex digits
             value = 0
             for bit in bits:
@@ -411,7 +411,7 @@ class TestTranscripts:
             lines = transcript.to_text().splitlines()[1:]
             assert len(lines) == len(transcript) > 0
             for line, msg in zip(lines, transcript):
-                assert line.split(" ")[3] == bits_to_hex(msg.payload) == packed(msg.payload)
+                assert line.split(" ")[3] == packed(msg.payload)
         assert {len(msg.payload) for msg in runs[0]} == set(lengths)
 
     def test_a_refused_batch_leaves_every_column_as_it_was(self):
@@ -541,7 +541,7 @@ class TestSelfCheck:
             flipped.extend(result.transcript)
             flipped.payload[0] ^= 1
             try:
-                _self_check(result.holders, result.key, result.key_ids, flipped)
+                _self_check(result.holders, result.key_ids, flipped)
             except InvariantViolation as exc:
                 print("caught:", exc)
         """)

@@ -225,7 +225,7 @@ def test_the_self_check_reports_a_leak_as_the_oracles_do():
     payload = tuple(store.basis.values[a] ^ store.basis.values[b] for a, b in zip(plain, pad))
     extra = PublicMessage(0, 3, 1, payload, plain, pad, store.basis)
     leaky = transcript_of(store.basis, [*result.transcript, extra])
-    report = _self_check(result.holders, result.key, result.key_ids, leaky)
+    report = _self_check(result.holders, result.key_ids, leaky)
     assert report.leaked_bits == 1
     assert report == verify_independence(result.key_forms, leaky.forms(), result.basis)
     assert brute_force_mutual_information(result.key_forms, leaky.forms(), len(result.basis)) == 1

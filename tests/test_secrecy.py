@@ -34,10 +34,6 @@ def form(*labels: str) -> LinearForm:
 
 
 class TestLinearForm:
-    def test_xor_is_symmetric_difference(self):
-        assert form("a", "b") ^ form("b", "c") == form("a", "c")
-        assert form("a") ^ form("a") == form()
-
     def test_evaluate(self):
         values = {"a": 1, "b": 1, "c": 0}
         assert form("a", "b").evaluate(values) == 0
