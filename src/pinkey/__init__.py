@@ -36,11 +36,11 @@ from .protocols import (
     GroupKeyResult,
     PublicMessage,
     Transcript,
+    flood,
     replay_key,
     run_broadcast,
     run_group_key,
     run_subgroup,
-    single_bit_round,
 )
 from .secrecy import (
     LinearForm,
@@ -71,6 +71,7 @@ __all__ = [
     "enumerate_partitions",
     "enumerate_spanning_trees",
     "errors",
+    "flood",
     "generate_pairwise_keys",
     "graph_strength",
     "greedy_spanning_trees",
@@ -85,7 +86,6 @@ __all__ = [
     "run_broadcast",
     "run_group_key",
     "run_subgroup",
-    "single_bit_round",
     "subgroup_bound",
     "verify_independence",
 ]

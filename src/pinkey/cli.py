@@ -322,9 +322,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         t = args.t if args.t is not None else scenario.t
         if s is None or t is None:
             raise ValidationError("mincut: provide --s and --t or a subgroup scenario")
-        if not (0 <= s < spec.m and 0 <= t < spec.m) or s == t:
-            raise ValidationError(f"mincut: bad terminal pair ({s}, {t}) for m={spec.m}")
-        value, witness = min_st_cut_bruteforce(spec, s, t)
+        try:
+            value, witness = min_st_cut_bruteforce(spec, s, t)
+        except ValueError as exc:
+            raise ValidationError(f"mincut: {exc}") from None
         rows = [("kind", kind), ("value", value), ("witness", str(witness))]
     elif kind == "multicut":
         value, witness = min_normalized_multicut(spec)

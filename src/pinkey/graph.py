@@ -284,11 +284,12 @@ def min_st_cut_bruteforce(spec: NetworkSpec, s: int, t: int) -> tuple[int, Parti
 
     Oracle for max_flow; returns the cut's weight and the first minimizer
     in enumeration order, as the partition of its source side and the
-    rest.  Hard guard: m <= 20.
+    rest.  Raises ValueError unless s and t are two distinct terminals,
+    at any m; hard guard: m <= 20.
     """
+    _check_terminals(spec, s, t)
     if spec.m > CUT_ENUM_NODE_LIMIT:
         raise InstanceTooLarge(f"cut enumeration is limited to m <= {CUT_ENUM_NODE_LIMIT}, got {spec.m}")
-    _check_terminals(spec, s, t)
     others = [v for v in range(spec.m) if v not in (s, t)]
     edges = spec.budgets.items()
     best_value: int | None = None

@@ -290,24 +290,6 @@ class PairwiseKeyStore:
         self._cursors[pair] = start + count
         return ids[start:start + count]
 
-    def take_one_each(self, pairs: Iterable[Pair]) -> list[int]:
-        """Consume the next unused bit of every pair, in order; return their ids.
-
-        All or nothing: raises ValueError when a pair repeats, in either
-        order, and InsufficientKeyMaterial when a pair has no unused bit;
-        no cursor moves then.
-        """
-        keys = [canonical_pair(i, j) for i, j in pairs]
-        if len(set(keys)) != len(keys):
-            raise ValueError("a pair can give only one bit per call")
-        ranges = [self._ids.get(pair, range(0)) for pair in keys]
-        starts = [self._cursors.get(pair, 0) for pair in keys]
-        for pair, ids, start in zip(keys, ranges, starts):
-            if start >= len(ids):
-                raise InsufficientKeyMaterial(f"pair {pair} has no unused key bits")
-        self._cursors.update(zip(keys, map((1).__add__, starts)))
-        return list(map(range.__getitem__, ranges, starts))
-
 
 def _pair_rng(seed: int, i: int, j: int) -> random.Random:
     # SHA-256 of a tagged string keeps pair streams disjoint and makes the

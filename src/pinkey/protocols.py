@@ -15,19 +15,19 @@ Every public payload bit is a one-time pad, the XOR of a plain bit and
 the key bit that pads it, and the transcript records that exact GF(2)
 linear form as two source-bit ids, in its ``plain`` and ``pad`` columns;
 labels are rendered from the ids only when read.  So reconstructibility
-and secrecy are verifiable by linear algebra instead of sampling.  Runs
-append their messages to the transcript as column batches, one per group
-round or padded hop, and build no ``PublicMessage``: those are the
-values that iterating a transcript gives.  Runs are pure functions of
-(store, spec, seed): reruns produce byte-identical transcripts.  Each
-run self-checks linear-form fidelity, one-time-pad discipline, and
-per-holder replay before returning, and takes its secrecy report from
-the same reduction of its transcript.
+and secrecy are verifiable by linear algebra instead of sampling.  Each
+run builds its messages as columns in one pass and constructs its
+transcript once, from those columns; it builds no ``PublicMessage``:
+those are the values that iterating a transcript gives.  Runs are pure
+functions of (store, spec, seed): reruns produce byte-identical
+transcripts.  Each run self-checks linear-form fidelity, one-time-pad
+discipline, and per-holder replay before returning, and takes its
+secrecy report from the same reduction of its transcript.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,9 +35,9 @@ from itertools import repeat
 from operator import xor
 
 from .bounds import broadcast_bound, group_bound
-from .errors import invariant
+from .errors import InsufficientKeyMaterial, invariant
 from .graph import SpanningTree, greedy_spanning_trees, max_flow
-from .model import NetworkSpec, PairwiseKeyStore, SourceBitBasis, local_rng
+from .model import NetworkSpec, Pair, PairwiseKeyStore, SourceBitBasis, local_rng
 from .secrecy import (
     LinearForm,
     SecrecyReport,
@@ -100,68 +100,36 @@ class Transcript:
     Per message: ``rounds``, ``senders``, ``receivers`` and ``ends``, the
     cumulative payload offsets, so message k's payload bits are
     ``ends[k - 1]:ends[k]``.  Per payload bit: ``payload`` (a bytearray)
-    and its ``plain`` and ``pad`` source-bit ids.  A transcript starts
-    empty over its basis; ``extend`` is the one append path and checks
-    every batch, built by ``from_columns``, whole.  Iterating builds the
+    and its ``plain`` and ``pad`` source-bit ids.  A run constructs its
+    transcript once, from all its columns, and construction checks them
+    whole: equal column lengths, ``ends`` rising from 0 to the payload
+    length, payload bits of 0 or 1, ``plain`` and ``pad`` ids of bits in
+    the basis, and nondecreasing rounds.  Iterating builds the
     ``PublicMessage`` values.
     """
 
     __slots__ = ("basis", "rounds", "senders", "receivers", "ends", "payload", "plain", "pad")
 
-    def __init__(self, basis: SourceBitBasis):
-        self.basis = basis
-        self.rounds: list[int] = []
-        self.senders: list[int] = []
-        self.receivers: list[int] = []
-        self.ends: list[int] = []
-        self.payload = bytearray()
-        self.plain: list[int] = []
-        self.pad: list[int] = []
-
-    @classmethod
-    def from_columns(cls, basis: SourceBitBasis, rounds: Sequence[int], senders: Sequence[int],
-                     receivers: Sequence[int], ends: Sequence[int], payload: Iterable[int],
-                     plain: Sequence[int], pad: Sequence[int]) -> Transcript:
-        """A batch of messages given as columns, unchecked until ``extend`` appends it."""
-        batch = cls.__new__(cls)
-        batch.basis, batch.rounds, batch.senders, batch.receivers = basis, rounds, senders, receivers
-        batch.ends, batch.payload, batch.plain, batch.pad = ends, bytearray(payload), plain, pad
-        return batch
-
-    def extend(self, batch: Transcript) -> None:
-        """Append a batch whole: nothing is appended unless every check passes.
-
-        The batch must share this transcript's basis, keep the rounds
-        nondecreasing, have equal column lengths, with ``ends`` rising
-        from 0 to the payload length, carry payload bits of 0 or 1, and
-        give ``plain`` and ``pad`` ids of bits in the basis.
-        """
-        if batch.basis is not self.basis:
-            raise ValueError("the messages of a transcript must share one basis")
-        if not len(batch.rounds) == len(batch.senders) == len(batch.receivers) == len(batch.ends):
+    def __init__(self, basis: SourceBitBasis, rounds: Iterable[int], senders: Iterable[int],
+                 receivers: Iterable[int], ends: Iterable[int], payload: Iterable[int],
+                 plain: Iterable[int], pad: Iterable[int]):
+        rounds, senders, receivers, ends = list(rounds), list(senders), list(receivers), list(ends)
+        payload, plain, pad = bytearray(payload), list(plain), list(pad)
+        if not len(rounds) == len(senders) == len(receivers) == len(ends):
             raise ValueError("rounds, senders, receivers, and ends must have equal length")
-        if not len(batch.payload) == len(batch.plain) == len(batch.pad):
+        if not len(payload) == len(plain) == len(pad):
             raise ValueError("payload, plain, and pad must have equal length")
-        offsets = [0, *batch.ends]
-        if offsets[-1] != len(batch.payload) or offsets != sorted(offsets):
+        offsets = [0, *ends]
+        if offsets[-1] != len(payload) or offsets != sorted(offsets):
             raise ValueError("ends must rise from 0 to the payload length")
-        if batch.payload.translate(None, b"\0\1"):
+        if payload.translate(None, b"\0\1"):
             raise ValueError("payload bits must be 0 or 1")
-        if batch.plain:
-            plain, pad = _extremes(batch.plain), _extremes(batch.pad)
-            if min(min(plain), min(pad)) < 0 or max(max(plain), max(pad)) >= len(self.basis):
-                raise ValueError("plain and pad must be ids of bits in the basis")
-        rounds = [*self.rounds[-1:], *batch.rounds]
+        if plain and (min(min(plain), min(pad)) < 0 or max(max(plain), max(pad)) >= len(basis)):
+            raise ValueError("plain and pad must be ids of bits in the basis")
         if rounds != sorted(rounds):
             raise ValueError("round numbers must be nondecreasing")
-        base = len(self.payload)
-        self.rounds += batch.rounds
-        self.senders += batch.senders
-        self.receivers += batch.receivers
-        self.ends += map(base.__add__, batch.ends)
-        self.payload += batch.payload
-        self.plain += batch.plain
-        self.pad += batch.pad
+        self.basis, self.rounds, self.senders, self.receivers = basis, rounds, senders, receivers
+        self.ends, self.payload, self.plain, self.pad = ends, payload, plain, pad
 
     def __len__(self) -> int:
         return len(self.rounds)
@@ -200,11 +168,6 @@ class Transcript:
             lines.append(f"{round} {sender} {receiver} {hex_payload} {forms}")
             start = end
         return "\n".join(lines) + "\n"
-
-
-def _extremes(ids: Sequence[int]) -> Sequence[int]:
-    """Ids with the least and the greatest of ``ids``: a range's two ends, so it is not walked."""
-    return (ids[0], ids[-1]) if isinstance(ids, range) else ids
 
 
 @dataclass(frozen=True)
@@ -321,13 +284,20 @@ def _result(holders: Iterable[int], key_ids: Sequence[int], transcript: Transcri
                           secrecy=_self_check(holders, key_ids, transcript))
 
 
-def _padded(store: PairwiseKeyStore, sender: int, receiver: int, round: int,
-            plain: Sequence[int], plain_bits: Sequence[int]) -> Transcript:
-    """The one-message batch that pads bits ``plain`` with the next unused bits of the pair's key."""
-    pad = store.take(sender, receiver, len(plain))
-    payload = map(xor, plain_bits, map(store.basis.values.__getitem__, pad))
-    return Transcript.from_columns(store.basis, [round], [sender], [receiver], [len(pad)],
-                                   payload, plain, pad)
+def _padded(store: PairwiseKeyStore, hops: Iterable[tuple[int, int, int, Sequence[int]]]) -> Transcript:
+    """The transcript of ``hops``, each (sender, receiver, round, plain ids), in order: one
+    message per hop, padding its plain bits with the next unused bits of its pair's key."""
+    rounds, senders, receivers, ends, plain, pad = [], [], [], [], [], []
+    for sender, receiver, round, ids in hops:
+        pad += store.take(sender, receiver, len(ids))
+        plain += ids
+        rounds.append(round)
+        senders.append(sender)
+        receivers.append(receiver)
+        ends.append(len(plain))
+    value = store.basis.values.__getitem__
+    payload = map(xor, map(value, plain), map(value, pad))
+    return Transcript(store.basis, rounds, senders, receivers, ends, payload, plain, pad)
 
 
 def run_broadcast(store: PairwiseKeyStore, spec: NetworkSpec) -> GroupKeyResult:
@@ -342,13 +312,10 @@ def run_broadcast(store: PairwiseKeyStore, spec: NetworkSpec) -> GroupKeyResult:
     # the witness isolates the poorest leaf; block 0 is the rest, the center's block
     (poorest,) = bound.witness.blocks[1]
     length = spec.budget(0, poorest)
-    transcript = Transcript(store.basis)
     key_ids = store.take(0, poorest, length)
-    key = store.basis.bits(key_ids)
-    if length > 0:
-        for leaf in range(1, spec.m):
-            if leaf != poorest and spec.budget(0, leaf) > 0:
-                transcript.extend(_padded(store, 0, leaf, 0, key_ids, key))
+    # a positive poorest budget means every leaf has a key at least this long
+    transcript = _padded(store, [(0, leaf, 0, key_ids) for leaf in range(1, spec.m)
+                                 if length > 0 and leaf != poorest])
     invariant(bound.value == length, "broadcast must meet its bound exactly")
     return _result(range(spec.m), key_ids, transcript, bound.value)
 
@@ -369,66 +336,78 @@ def run_subgroup(
     flow = max_flow(spec, s, t)
     bound = Fraction(flow.value)
     fresh = store.basis.new_local_ids(s, flow.value, local_rng(seed, s))
-    fresh_bits = store.basis.bits(fresh)
 
     slices = []
     offset = 0
     for path, amount in flow.paths:
-        slices.append((path, offset, offset + amount))
+        slices.append((path, fresh[offset:offset + amount]))
         offset += amount
     invariant(offset == flow.value, "flow paths do not add up to the flow value")
 
-    transcript = Transcript(store.basis)
     longest = max((len(path) - 1 for path, _ in flow.paths), default=0)
-    for hop in range(longest):
-        for path, start, stop in slices:
-            if hop < len(path) - 1:
-                transcript.extend(_padded(store, path[hop], path[hop + 1], hop,
-                                          fresh[start:stop], fresh_bits[start:stop]))
-
+    transcript = _padded(store, [(path[hop], path[hop + 1], hop, ids) for hop in range(longest)
+                                 for path, ids in slices if hop < len(path) - 1])
     return _result((s, t), fresh, transcript, bound)
 
 
-def single_bit_round(
-    tree: SpanningTree, store: PairwiseKeyStore, spec: NetworkSpec, round_base: int = 0
-) -> tuple[int, Transcript]:
-    """Flood one shared secret bit along a spanning tree.
+def flood(
+    store: PairwiseKeyStore, spec: NetworkSpec, trees: Iterable[SpanningTree]
+) -> tuple[tuple[int, ...], Transcript]:
+    """Flood one shared secret bit along each spanning tree, all trees in one pass.
 
-    Consumes one key bit from every tree edge, all in one take, or none
-    when an edge has run dry.  The bit of the lexicographically smallest
-    tree edge becomes the shared bit B; it spreads breadth-first from that
-    edge's endpoints, children in id order: crossing edge (u, v) publishes
-    B XOR that edge's consumed bit.  Exactly m - 2 messages result, since
-    the seed edge needs none.
+    In each tree the bit of the lexicographically smallest edge becomes
+    the shared bit B; it spreads breadth-first from that edge's endpoints,
+    children in id order: crossing edge (u, v) publishes B XOR one bit of
+    that edge's key.  Exactly m - 2 messages per tree result, since the
+    seed edge needs none; round numbers are BFS depths, each tree's
+    going on from the tree before.  The k-th use of a pair, counting the
+    trees in order, takes that pair's k-th unused key bit.
 
-    Returns the shared bit's source-bit id and the messages as a column
-    batch, with round numbers round_base + BFS depth.
+    All or nothing: raises InsufficientKeyMaterial, naming the pair, when
+    some pair has fewer unused bits than the trees use, and no key bit
+    is consumed then.  Returns the shared bits' ids, one per tree, and
+    the transcript.
     """
-    if tree.m != spec.m:
-        raise ValueError(f"tree on {tree.m} nodes does not match m={spec.m}")
-    seed_edge = tree.edges[0]
-    adjacency = tree.adjacency()
-    depth = {seed_edge[0]: 0, seed_edge[1]: 0}
-    queue = deque(seed_edge)
+    uses: list[Pair] = []  # per tree: its seed edge, then its hops, as sorted pairs
     rounds, senders, receivers = [], [], []
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if v in depth:
-                continue
-            depth[v] = depth[u] + 1
-            rounds.append(round_base + depth[u])
-            senders.append(u)
-            receivers.append(v)
-            queue.append(v)
-    hops = len(rounds)
-    invariant(hops == spec.m - 2, "a tree round must send exactly m - 2 messages")
-    shared, *pads = store.take_one_each([seed_edge, *zip(senders, receivers)])
-    values = store.basis.values
-    payload = map(values[shared].__xor__, map(values.__getitem__, pads))
-    batch = Transcript.from_columns(store.basis, rounds, senders, receivers, range(1, hops + 1),
-                                    payload, [shared] * hops, pads)
-    return shared, batch
+    for tree in trees:
+        if tree.m != spec.m:
+            raise ValueError(f"tree on {tree.m} nodes does not match m={spec.m}")
+        seed_edge = tree.edges[0]
+        adjacency = tree.adjacency()
+        base = rounds[-1] + 1 if rounds else 0
+        depth = {seed_edge[0]: base, seed_edge[1]: base}
+        queue = deque(seed_edge)
+        uses.append(seed_edge)
+        start = len(rounds)
+        while queue:
+            u = queue.popleft()
+            for v in adjacency[u]:
+                if v not in depth:
+                    depth[v] = depth[u] + 1
+                    rounds.append(depth[u])
+                    senders.append(u)
+                    receivers.append(v)
+                    uses.append((u, v) if u < v else (v, u))
+                    queue.append(v)
+        invariant(len(rounds) - start == spec.m - 2, "a tree round must send exactly m - 2 messages")
+    counts = Counter(uses)
+    for pair, count in counts.items():
+        if store.remaining(*pair) < count:
+            raise InsufficientKeyMaterial(
+                f"pair {pair} has {store.remaining(*pair)} unused bits, {count} needed")
+    taken = {pair: iter(store.take(*pair, count)) for pair, count in counts.items()}
+    ids = [next(taken[pair]) for pair in uses]
+    # each tree used m - 1 bits: its shared bit, then one pad per hop
+    stride = spec.m - 1
+    key_ids = ids[::stride]
+    plain = [shared for shared in key_ids for _ in range(stride - 1)]
+    pad = [ident for k, ident in enumerate(ids) if k % stride]
+    value = store.basis.values.__getitem__
+    payload = map(xor, map(value, plain), map(value, pad))
+    transcript = Transcript(store.basis, rounds, senders, receivers, range(1, len(rounds) + 1),
+                            payload, plain, pad)
+    return tuple(key_ids), transcript
 
 
 def run_group_key(
@@ -436,26 +415,19 @@ def run_group_key(
 ) -> GroupKeyResult:
     """All-terminal key: one bit per spanning tree of the shrinking budget graph.
 
-    Each iteration floods one shared bit along the next tree of
-    greedy_spanning_trees: a maximum spanning tree of the remaining budgets
-    under the chosen tie-break policy, whose edges are then debited by one.
-    The run stops when the remaining budgets no longer span; the key is one
-    bit per iteration.
+    ``flood`` floods one shared bit along each tree of
+    greedy_spanning_trees, all in one pass: a maximum spanning tree of the
+    remaining budgets under the chosen tie-break policy, whose edges are
+    then debited by one.  The trees stop when the remaining budgets no
+    longer span; the key is one bit per tree.
 
     The exact partition bound is attached to the result (and checked
     against) for m <= GROUP_BOUND_AUTO_LIMIT; beyond that only the
     total/(m-1) ceiling is checked.
     """
-    transcript = Transcript(store.basis)
-    key_ids: list[int] = []
-    for tree in greedy_spanning_trees(spec, tie_break):
-        next_round = transcript.rounds[-1] + 1 if transcript.rounds else 0
-        shared, batch = single_bit_round(tree, store, spec, round_base=next_round)
-        transcript.extend(batch)
-        key_ids.append(shared)
-
+    key_ids, transcript = flood(store, spec, greedy_spanning_trees(spec, tie_break))
     invariant(len(key_ids) <= spec.total_budget() // (spec.m - 1),
                "achieved length exceeds the total/(m-1) ceiling")
     bound = group_bound(spec).value if spec.m <= GROUP_BOUND_AUTO_LIMIT else None
     invariant(bound is None or len(key_ids) <= bound, "achieved length exceeds the partition bound")
-    return _result(range(spec.m), tuple(key_ids), transcript, bound)
+    return _result(range(spec.m), key_ids, transcript, bound)

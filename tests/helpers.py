@@ -44,15 +44,13 @@ def transcript_columns(transcript) -> tuple:
 
 
 def transcript_of(basis, messages) -> Transcript:
-    """A transcript over ``basis`` of the given message values, appended as one column batch."""
+    """A transcript over ``basis`` of the given message values, constructed from their columns."""
     messages = list(messages)
-    transcript = Transcript(basis)
-    transcript.extend(Transcript.from_columns(
+    return Transcript(
         basis, [msg.round for msg in messages], [msg.sender for msg in messages],
         [msg.receiver for msg in messages], list(accumulate(len(msg.payload) for msg in messages)),
         [bit for msg in messages for bit in msg.payload], [i for msg in messages for i in msg.plain],
-        [i for msg in messages for i in msg.pad]))
-    return transcript
+        [i for msg in messages for i in msg.pad])
 
 
 def key_values(store, i: int, j: int) -> tuple[int, ...]:

@@ -22,6 +22,7 @@ from pinkey import (
     broadcast_bound,
     brute_force_mutual_information,
     enumerate_partitions,
+    flood,
     generate_pairwise_keys,
     group_bound,
     is_connected,
@@ -31,7 +32,6 @@ from pinkey import (
     run_broadcast,
     run_group_key,
     run_subgroup,
-    single_bit_round,
     verify_independence,
 )
 
@@ -139,7 +139,7 @@ def test_c3_tree_choice_changes_the_yield():
 
         store = generate_pairwise_keys(spec, 2)
         star = SpanningTree(((0, 1), (0, 2), (0, 3)))
-        single_bit_round(star, store, spec)
+        flood(store, spec, [star])
         star_disconnects = not is_connected(debit(spec, star))
 
         store = generate_pairwise_keys(spec, 2)

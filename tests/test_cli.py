@@ -363,14 +363,14 @@ class TestRunCommand:
 
 
     def test_invariant_violation_exits_4(self, tmp_path, capsys, monkeypatch):
-        real_round = pinkey.protocols.single_bit_round
+        real_flood = pinkey.protocols.flood
 
-        def corrupted_round(*args, **kwargs):
-            shared, batch = real_round(*args, **kwargs)
-            batch.payload[0] ^= 1
-            return shared, batch
+        def corrupted_flood(*args, **kwargs):
+            key_ids, transcript = real_flood(*args, **kwargs)
+            transcript.payload[0] ^= 1
+            return key_ids, transcript
 
-        monkeypatch.setattr(pinkey.protocols, "single_bit_round", corrupted_round)
+        monkeypatch.setattr(pinkey.protocols, "flood", corrupted_flood)
         path = scenario_file(tmp_path, TRIANGLE_SCENARIO)
         assert main(["run", "--scenario", path]) == 4
         captured = capsys.readouterr()
@@ -454,6 +454,19 @@ class TestOracleCommand:
         path = scenario_file(tmp_path, TRIANGLE_SCENARIO)
         assert main(["oracle", "mincut", "--scenario", path]) == 2
         assert "provide --s and --t" in capsys.readouterr().err
+
+    def test_mincut_with_bad_terminals_exits_2(self, tmp_path, capsys):
+        triangle = scenario_file(tmp_path, TRIANGLE_SCENARIO)
+        # past the enumeration guard, the terminals are still checked first
+        large = scenario_file(tmp_path, "version 1\nm 21\nprotocol group\nseed 1\npair 0 1 1\n", "m21.txt")
+        for path, s, t, message in [
+            (triangle, "0", "0", "source and sink must differ"),
+            (triangle, "0", "5", "terminal 5 out of range for m=3"),
+            (large, "3", "3", "source and sink must differ"),
+        ]:
+            assert main(["oracle", "mincut", "--scenario", path, "--s", s, "--t", t]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: mincut: {message}\n")
 
     def test_multicut(self, tmp_path, capsys):
         path = scenario_file(tmp_path, TRIANGLE_SCENARIO)

@@ -242,26 +242,6 @@ class TestConsumption:
         with pytest.raises(InsufficientKeyMaterial):
             store.take(0, 2, 1)
 
-    def test_one_each_gives_the_ids_that_one_bit_takes_give(self):
-        pairs = [(0, 1), (2, 1), (0, 2)]
-        one_by_one = generate_pairwise_keys(TRIANGLE, 3)
-        one_by_one.take(0, 2, 1)
-        batched = generate_pairwise_keys(TRIANGLE, 3)
-        batched.take(0, 2, 1)
-        for _ in range(3):
-            assert batched.take_one_each(pairs) == [one_by_one.take(i, j, 1)[0] for i, j in pairs]
-        assert [batched.remaining(*pair) for pair in pairs] == [2, 0, 0]
-
-    def test_one_each_takes_all_or_nothing(self):
-        store = generate_pairwise_keys(TRIANGLE, 3)
-        store.take(1, 2, 3)
-        with pytest.raises(InsufficientKeyMaterial, match=r"pair \(1, 2\)"):
-            store.take_one_each([(0, 1), (0, 2), (2, 1)])
-        with pytest.raises(ValueError, match="one bit per call"):
-            store.take_one_each([(0, 1), (0, 2), (1, 0)])
-        assert [store.remaining(*pair) for pair in ((0, 1), (0, 2), (1, 2))] == [5, 4, 0]
-        assert store.take_one_each([]) == []
-
     def test_no_bit_is_issued_twice_across_random_consumptions(self):
         rng = random.Random(2024)
         for _ in range(25):

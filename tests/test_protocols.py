@@ -10,6 +10,7 @@ import sys
 import textwrap
 from dataclasses import replace
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -18,6 +19,7 @@ from pinkey import (
     SpanningTree,
     Transcript,
     broadcast_bound,
+    flood,
     generate_pairwise_keys,
     group_bound,
     is_connected,
@@ -26,7 +28,6 @@ from pinkey import (
     run_broadcast,
     run_group_key,
     run_subgroup,
-    single_bit_round,
     verify_independence,
 )
 from pinkey.errors import InsufficientKeyMaterial, InvariantViolation, NotAStar
@@ -236,11 +237,11 @@ class TestSubgroup:
                 assert replay_key(result, terminal) == reference_replay(result, terminal)
 
 
-class TestSingleBitRound:
+class TestFlood:
     def test_path_tree_sends_one_message(self):
         spec = NetworkSpec.from_pairs(3, [(0, 1, 2), (1, 2, 2)])
         store = generate_pairwise_keys(spec, 9)
-        shared, messages = single_bit_round(SpanningTree(((0, 1), (1, 2))), store, spec)
+        (shared,), messages = flood(store, spec, [SpanningTree(((0, 1), (1, 2)))])
         assert store.basis.label(shared) == "K0-1:0"
         assert len(messages) == 1
         msg = list(messages)[0]
@@ -250,7 +251,7 @@ class TestSingleBitRound:
     def test_star_tree_center_relays_to_both(self):
         spec = NetworkSpec.star([1, 1, 1])
         store = generate_pairwise_keys(spec, 9)
-        shared, messages = single_bit_round(SpanningTree(((0, 1), (0, 2), (0, 3))), store, spec)
+        (shared,), messages = flood(store, spec, [SpanningTree(((0, 1), (0, 2), (0, 3)))])
         assert store.basis.label(shared) == "K0-1:0"
         assert [(m.sender, m.receiver) for m in messages] == [(0, 2), (0, 3)]
         assert [str(m.forms[0]) for m in messages] == ["K0-1:0^K0-2:0", "K0-1:0^K0-3:0"]
@@ -258,7 +259,7 @@ class TestSingleBitRound:
     def test_two_terminals_need_no_messages(self):
         spec = NetworkSpec(2, {(0, 1): 3})
         store = generate_pairwise_keys(spec, 9)
-        shared, messages = single_bit_round(SpanningTree(((0, 1),)), store, spec)
+        (shared,), messages = flood(store, spec, [SpanningTree(((0, 1),))])
         assert list(messages) == []
         assert store.basis.label(shared) == "K0-1:0"
 
@@ -266,7 +267,7 @@ class TestSingleBitRound:
         spec = NetworkSpec.complete(4, 2)
         store = generate_pairwise_keys(spec, 9)
         tree = SpanningTree(((0, 1), (1, 2), (2, 3)))
-        single_bit_round(tree, store, spec)
+        flood(store, spec, [tree])
         for edge in tree.edges:
             assert store.remaining(*edge) == 1
         assert store.remaining(0, 2) == 2
@@ -275,19 +276,49 @@ class TestSingleBitRound:
         spec = NetworkSpec.from_pairs(3, [(0, 1, 1), (1, 2, 2)])
         store = generate_pairwise_keys(spec, 9)
         tree = SpanningTree(((0, 1), (1, 2)))
-        single_bit_round(tree, store, spec)
+        flood(store, spec, [tree])
         with pytest.raises(InsufficientKeyMaterial):
-            single_bit_round(tree, store, spec)
+            flood(store, spec, [tree])
         assert store.remaining(1, 2) == 1
 
     def test_a_dry_hop_consumes_nothing_not_even_the_seed_edge(self):
         spec = NetworkSpec.from_pairs(4, [(0, 1, 2), (1, 2, 2), (2, 3, 1)])
         store = generate_pairwise_keys(spec, 9)
         tree = SpanningTree(((0, 1), (1, 2), (2, 3)))
-        single_bit_round(tree, store, spec)
+        flood(store, spec, [tree])
         with pytest.raises(InsufficientKeyMaterial, match=r"pair \(2, 3\)"):
-            single_bit_round(tree, store, spec)
+            flood(store, spec, [tree])
         assert [store.remaining(*edge) for edge in tree.edges] == [1, 1, 0]
+
+    def test_a_list_of_trees_floods_as_its_trees_one_at_a_time(self):
+        spec = NetworkSpec.complete(4, 2)
+        # (0, 2) pads a hop of the first tree and seeds the second; (2, 3) pads a hop of each
+        trees = [SpanningTree(((0, 1), (0, 2), (2, 3))), SpanningTree(((0, 2), (1, 2), (2, 3)))]
+        together = generate_pairwise_keys(spec, 9)
+        key_ids, transcript = flood(together, spec, trees)
+        alone = generate_pairwise_keys(spec, 9)
+        shared, expected = [], ([], [], [], [], b"", [], [])
+        for tree in trees:
+            ids, part = flood(alone, spec, [tree])
+            rounds, senders, receivers, ends, payload, plain, pad = transcript_columns(part)
+            shift = expected[0][-1] + 1 if expected[0] else 0
+            rounds = [r + shift for r in rounds]
+            ends = [end + len(expected[4]) for end in ends]
+            shared += ids
+            expected = tuple(map(add, expected, (rounds, senders, receivers, ends, payload, plain, pad)))
+        assert key_ids == tuple(shared)
+        assert transcript_columns(transcript) == expected
+        assert expected[0] == [0, 1, 2, 2]
+        assert (transcript.pad[0], key_ids[1]) == tuple(together.key_ids(0, 2))
+        assert [i for i in transcript.pad if i in together.key_ids(2, 3)] == list(together.key_ids(2, 3))
+
+    def test_a_pair_dry_in_a_later_tree_consumes_nothing_of_any_tree(self):
+        spec = NetworkSpec.from_pairs(4, [(0, 1, 2), (0, 2, 2), (1, 2, 1), (2, 3, 2)])
+        store = generate_pairwise_keys(spec, 9)
+        trees = [SpanningTree(((0, 1), (1, 2), (2, 3))), SpanningTree(((0, 2), (1, 2), (2, 3)))]
+        with pytest.raises(InsufficientKeyMaterial, match=r"pair \(1, 2\)"):
+            flood(store, spec, trees)
+        assert [store.remaining(*pair) for pair in spec.pairs()] == [2, 2, 1, 2]
 
 
 class TestGroupKey:
@@ -312,7 +343,7 @@ class TestGroupKey:
         spec = NetworkSpec.complete(4, 1)
         store = generate_pairwise_keys(spec, 2)
         star = SpanningTree(((0, 1), (0, 2), (0, 3)))
-        _, messages = single_bit_round(star, store, spec)
+        _, messages = flood(store, spec, [star])
         assert len(messages) == 2
         assert not is_connected(debit(spec, star))
 
@@ -414,41 +445,33 @@ class TestTranscripts:
                 assert line.split(" ")[3] == packed(msg.payload)
         assert {len(msg.payload) for msg in runs[0]} == set(lengths)
 
-    def test_a_refused_batch_leaves_every_column_as_it_was(self):
+    def test_bad_columns_are_refused_by_the_constructor(self):
         spec = NetworkSpec.from_pairs(3, [(0, 1, 4), (0, 2, 4), (1, 2, 4)])
-        store = generate_pairwise_keys(spec, 1)
-        other = generate_pairwise_keys(spec, 1).basis
-        t = Transcript(store.basis)
-        t.extend(Transcript.from_columns(store.basis, [1, 2], [0, 1], [1, 2], [2, 3], (1, 0, 1),
-                                         [0, 1, 2], [4, 5, 6]))
+        basis = generate_pairwise_keys(spec, 1).basis
 
-        def batch(**changes):
-            columns = dict(basis=store.basis, rounds=[2, 3], senders=[0, 2], receivers=[2, 1],
-                           ends=[1, 3], payload=(0, 1, 1), plain=[3, 7, 8], pad=[9, 10, 11])
-            return Transcript.from_columns(**{**columns, **changes})
+        def columns(**changes):
+            return {**dict(basis=basis, rounds=[2, 3], senders=[0, 2], receivers=[2, 1], ends=[1, 3],
+                           payload=(0, 1, 1), plain=[3, 7, 8], pad=[9, 10, 11]), **changes}
 
-        before = transcript_columns(t)
         for bad, match in [
-            (batch(basis=other), "share one basis"),
-            (batch(rounds=[1, 3]), "nondecreasing"),
-            (batch(rounds=[3, 2]), "nondecreasing"),
-            (batch(payload=(0, 2, 1)), "0 or 1"),
-            (batch(senders=[0]), "equal length"),
-            (batch(ends=[1, 2, 3], rounds=[2, 3, 3]), "equal length"),
-            (batch(pad=[9, 10]), "equal length"),
-            (batch(pad=[9, 10, 99]), "ids of bits in the basis"),  # the basis has 12 bits
-            (batch(plain=[-1, 7, 8]), "ids of bits in the basis"),
-            (batch(plain=range(10, 13)), "ids of bits in the basis"),
-            (batch(ends=[1, 4]), "ends must rise"),
-            (batch(ends=[2, 1, 3], rounds=[2, 2, 2], senders=[0] * 3, receivers=[1] * 3), "ends must rise"),
+            (columns(rounds=[3, 2]), "nondecreasing"),
+            (columns(payload=(0, 2, 1)), "0 or 1"),
+            (columns(senders=[0]), "equal length"),
+            (columns(ends=[1, 2, 3], rounds=[2, 3, 3]), "equal length"),
+            (columns(pad=[9, 10]), "equal length"),
+            (columns(pad=[9, 10, 99]), "ids of bits in the basis"),  # the basis has 12 bits
+            (columns(plain=[-1, 7, 8]), "ids of bits in the basis"),
+            (columns(plain=range(10, 13)), "ids of bits in the basis"),
+            (columns(ends=[1, 4]), "ends must rise"),
+            (columns(ends=[2, 1, 3], rounds=[2, 2, 2], senders=[0] * 3, receivers=[1] * 3), "ends must rise"),
         ]:
             with pytest.raises(ValueError, match=match):
-                t.extend(bad)
-            assert transcript_columns(t) == before and t.basis is store.basis
-        t.extend(batch())
-        assert [m.round for m in t] == [1, 2, 2, 3]
-        assert (t.ends, t.plain, t.pad, t.payload) == ([2, 3, 4, 6], [0, 1, 2, 3, 7, 8],
-                                                       [4, 5, 6, 9, 10, 11], bytearray((1, 0, 1, 0, 1, 1)))
+                Transcript(**bad)
+        for rounds in ([2, 3], [2, 2]):
+            t = Transcript(**columns(rounds=rounds))
+            assert [m.round for m in t] == rounds and t.basis is basis
+            assert transcript_columns(t) == (rounds, [0, 2], [2, 1], [1, 3], bytes((0, 1, 1)), [3, 7, 8],
+                                             [9, 10, 11])
 
     def test_bad_bits_and_unequal_columns_are_refused_under_python_O(self):
         code = textwrap.dedent("""
@@ -456,19 +479,19 @@ class TestTranscripts:
 
             assert False, "assertions must be off"
             basis = generate_pairwise_keys(NetworkSpec(2, {(0, 1): 4}), 1).basis
-            t = Transcript(basis)
             for payload, pad in (((2,), [1]), ((1,), [1, 2]), ((1,), [4])):
                 try:
-                    t.extend(Transcript.from_columns(basis, [0], [0], [1], [1], payload, [0], pad))
+                    Transcript(basis, [0], [0], [1], [1], payload, [0], pad)
                 except ValueError as exc:
                     print("refused:", exc)
+            t = Transcript(basis, [0], [0], [1], [1], (1,), [0], [1])
             print(len(t), t.public_bits, t.basis is basis)
         """)
         assert run_optimized(code) == (
             "refused: payload bits must be 0 or 1\n"
             "refused: payload, plain, and pad must have equal length\n"
             "refused: plain and pad must be ids of bits in the basis\n"
-            "0 0 True\n")
+            "1 1 True\n")
 
     def test_pads_are_never_reused_across_a_run(self):
         rng = random.Random(703)
@@ -537,8 +560,8 @@ class TestSelfCheck:
             assert False, "assertions must be off"
             spec = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
             result = run_group_key(generate_pairwise_keys(spec, 7), spec)
-            flipped = Transcript(result.basis)
-            flipped.extend(result.transcript)
+            t = result.transcript
+            flipped = Transcript(t.basis, t.rounds, t.senders, t.receivers, t.ends, t.payload, t.plain, t.pad)
             flipped.payload[0] ^= 1
             try:
                 _self_check(result.holders, result.key_ids, flipped)

@@ -25,7 +25,7 @@ from pinkey import (
     verify_independence,
 )
 from pinkey.cli import Scenario, load_scenario, run_scenario
-from pinkey.protocols import PublicMessage, Transcript, _self_check
+from pinkey.protocols import PublicMessage, _self_check
 from pinkey.secrecy import own_rows
 
 from helpers import random_connected_spec, random_star_spec, transcript_of
@@ -251,16 +251,6 @@ def test_message_views_slice_concatenate_and_print_as_tuples():
     msg = list(run_broadcast(generate_pairwise_keys(spec, 2), spec).transcript)[0]
     assert type(msg.forms) is tuple and type(msg.pads) is tuple
     assert " at 0x" not in repr(msg)
-
-
-def test_a_transcript_renders_only_from_one_basis():
-    spec = NetworkSpec.star([3, 5, 5])
-    one, two = (run_broadcast(generate_pairwise_keys(spec, seed), spec) for seed in (1, 2))
-    transcript = Transcript(one.basis)
-    transcript.extend(one.transcript)
-    with pytest.raises(ValueError, match="share one basis"):
-        transcript.extend(two.transcript)
-    assert transcript.to_text() == one.transcript.to_text()
 
 
 def test_own_rows_do_not_walk_the_bits_of_a_run():
