@@ -83,7 +83,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ValidationError(f"protocol: must be one of {PROTOCOLS}, got {self.protocol!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (type(self.seed) is int and 0 <= self.seed < 2**64):
             raise ValidationError(f"seed: must fit in an unsigned 64-bit integer, got {self.seed}")
         if self.tie_break not in TIE_BREAK_POLICIES:
             raise ValidationError(
@@ -101,7 +101,7 @@ class Scenario:
                 raise ValidationError(f"{field}: required for the subgroup protocol")
         m = self.spec.m
         for field, value in terminals:
-            if not (isinstance(value, int) and 0 <= value < m):
+            if not (type(value) is int and 0 <= value < m):
                 raise ValidationError(f"{field}: terminal {value} out of range for m={m}")
         if self.s == self.t:
             raise ValidationError("t: source and sink terminals must differ")

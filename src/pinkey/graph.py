@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, insort
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GraphDisconnected, InstanceTooLarge, invariant
-from .model import NetworkSpec
+from .model import NetworkSpec, Pair
 
 CUT_ENUM_NODE_LIMIT = 20        # min_st_cut_bruteforce enumerates 2**(m-2) sides
 PARTITION_NODE_LIMIT = 12       # Bell(12) is ~4.2e6, the practical ceiling
@@ -403,7 +403,7 @@ class _UnionFind:
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """m-1 edges forming a tree on nodes 0..m-1, stored in sorted order."""
+    """A checked tree: m-1 edges on nodes 0..m-1, in sorted order.  Runs flood bare edge lists."""
 
     edges: tuple[tuple[int, int], ...]
 
@@ -418,37 +418,27 @@ class SpanningTree:
                 raise ValueError(f"edges {ordered} contain a cycle")
         object.__setattr__(self, "edges", ordered)
 
-    @property
-    def m(self) -> int:
-        return len(self.edges) + 1
-
-    def adjacency(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {v: [] for v in range(self.m)}
-        for i, j in self.edges:
-            out[i].append(j)
-            out[j].append(i)
-        return out  # each list ascends, as the edges are sorted
-
     def max_degree(self) -> int:
-        return max(len(vs) for vs in self.adjacency().values())
+        return max(Counter(node for edge in self.edges for node in edge).values())
 
 
 def maximum_spanning_tree(spec: NetworkSpec, tie_break: str = "lex-kruskal") -> SpanningTree:
     """Maximum-weight spanning tree under a named deterministic tie-break: the first
     of ``greedy_spanning_trees``; GraphDisconnected if none."""
-    for tree in greedy_spanning_trees(spec, tie_break):
-        return tree
+    for edges in greedy_spanning_trees(spec, tie_break):
+        return SpanningTree(edges)
     raise GraphDisconnected("graph has no spanning tree")
 
 
-def greedy_spanning_trees(spec: NetworkSpec, tie_break: str = "lex-kruskal") -> Iterator[SpanningTree]:
-    """The greedy group protocol's trees: each round's maximum spanning tree of the
-    remaining weights, whose edges are debited by one after the round.  The spec's
-    pairs are ranked once into weight classes, each in pair order, and a debited
-    edge moves down one class; the spec itself is not changed.  The trees stop at
-    the first round that cannot span, so the weights left are disconnected.
+def greedy_spanning_trees(spec: NetworkSpec, tie_break: str = "lex-kruskal") -> Iterator[tuple[Pair, ...]]:
+    """The greedy group protocol's trees, each as its edges (i, j) in the order chosen:
+    each round's maximum spanning tree of the remaining weights, whose edges are
+    debited by one after the round.  The spec's pairs are ranked once into weight
+    classes, each in pair order, and a debited edge moves down one class; the spec
+    itself is not changed.  The trees stop at the first round that cannot span, so
+    the weights left are disconnected.
 
-    A round is one Kruskal pass over the classes, heaviest first.  lex-kruskal
+    A round is one ``_kruskal`` scan over the classes, heaviest first.  lex-kruskal
     takes each class's edges in order, each one that joins two components.
     degree-min repeatedly takes the addable edge that minimizes the forest's
     resulting maximum degree, then the smallest pair: as that maximum is the
@@ -457,50 +447,59 @@ def greedy_spanning_trees(spec: NetworkSpec, tie_break: str = "lex-kruskal") -> 
     """
     if tie_break not in TIE_BREAK_POLICIES:
         raise ValueError(f"unknown tie-break policy {tie_break!r}; choose from {TIE_BREAK_POLICIES}")
-    classes: dict[int, list[tuple[int, int]]] = {}
+    classes: dict[int, list[Pair]] = {}
     for pair, w in sorted(spec.budgets.items()):
         classes.setdefault(w, []).append(pair)
     return _greedy_trees(spec.m, classes, tie_break == "degree-min")
 
 
-def _greedy_trees(m: int, classes: dict[int, list[tuple[int, int]]], degree_min: bool) -> Iterator[SpanningTree]:
+def _greedy_trees(m: int, classes: dict[int, list[Pair]], degree_min: bool) -> Iterator[tuple[Pair, ...]]:
     while len(chosen := _kruskal(m, classes, degree_min)) == m - 1:
-        yield SpanningTree(tuple((i, j) for _, i, j in chosen))
-        for w, i, j in chosen:
-            del classes[w][bisect_left(classes[w], (i, j))]
-            if not classes[w]:
+        yield tuple(pair for _, pair in chosen)
+        for w, pair in chosen:
+            pairs = classes[w]
+            del pairs[bisect_left(pairs, pair)]
+            if not pairs:
                 del classes[w]
             if w > 1:
-                insort(classes.setdefault(w - 1, []), (i, j))
+                insort(classes.setdefault(w - 1, []), pair)
 
 
-def _kruskal(m: int, classes: dict[int, list[tuple[int, int]]], degree_min: bool) -> list[tuple[int, int, int]]:
-    """One pass over the weight classes: a spanning tree's (weight, i, j) edges, or fewer if they do not span."""
+def _kruskal(m: int, classes: dict[int, list[Pair]], degree_min: bool) -> list[tuple[int, Pair]]:
+    """One round: a spanning tree's (weight, pair) edges, or fewer if they do not span.
+
+    One forward scan per class passes over each pair inside one component for
+    good, and picks each addable pair with both ends below the bar.  The addable
+    pairs the bar holds back wait in class order.  When nothing ahead qualifies,
+    the first of them is the pick; that raises the bar, so the rest go back in
+    front of the scan, as only now can they qualify.  Stops at m - 1 edges.
+    """
     component = list(range(m))
     members = [[v] for v in range(m)]
     degree = [0] * m
     bar = 0 if degree_min else m  # the peak degree for degree-min, above every degree for lex-kruskal
-    chosen: list[tuple[int, int, int]] = []
+    chosen: list[tuple[int, Pair]] = []
     for w in sorted(classes, reverse=True):
-        live = classes[w][:]  # this round's candidates; pairs found in one component leave
-        while len(chosen) < m - 1:
-            # a scan stops at the first addable pair with both degrees below bar
-            addable: list[tuple[int, int]] = []
-            for n, (i, j) in enumerate(live):
+        ahead, held = iter(classes[w]), []  # held: addable pairs the bar holds back
+        while True:
+            for pick in ahead:
+                i, j = pick
                 if component[i] != component[j]:
-                    addable.append(live[n])
                     if degree[i] < bar > degree[j]:
-                        live[:n + 1] = addable
                         break
+                    held.append(pick)
             else:
-                if not addable:
+                held = [pair for pair in held if component[pair[0]] != component[pair[1]]]
+                if not held:
                     break
-                live = addable
-                i, j = addable[0]
-            chosen.append((w, i, j))
+                i, j = pick = held.pop(0)
+                bar = max(degree[i], degree[j]) + 1
+                ahead, held = itertools.chain(held, ahead), []
+            chosen.append((w, pick))
+            if len(chosen) == m - 1:
+                return chosen
             degree[i] += 1
             degree[j] += 1
-            bar = max(bar, degree[i], degree[j])
             a, b = component[i], component[j]
             if len(members[a]) < len(members[b]):
                 a, b = b, a

@@ -78,7 +78,7 @@ class NetworkSpec:
     budgets: Mapping[Pair, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 2:
+        if type(self.m) is not int or self.m < 2:
             raise ValueError(f"need at least 2 terminals, got m={self.m!r}")
         cleaned: dict[Pair, int] = {}
         for pair, budget in self.budgets.items():
@@ -87,7 +87,7 @@ class NetworkSpec:
                 raise ValueError(f"pair {pair!r} is not in canonical (i < j) form")
             if not (0 <= i < j < self.m):
                 raise ValueError(f"pair {pair!r} out of range for m={self.m}")
-            if not isinstance(budget, int) or budget < 0:
+            if type(budget) is not int or budget < 0:
                 raise ValueError(f"budget for pair {pair!r} must be a nonnegative int, got {budget!r}")
             if budget > 0:
                 cleaned[pair] = budget

@@ -7,18 +7,18 @@ Three cases are implemented over the same pairwise-key substrate:
 - subgroup: two terminals agree on a key of min-cut length by routing
   the source's fresh random bits along a max-flow path decomposition,
   one-time-padded hop by hop;
-- group: flood one shared bit along each spanning tree that
-  ``greedy_spanning_trees`` yields: a maximum spanning tree of the
-  residual budget graph per round, until the residual disconnects.
+- group: flood one shared bit along each spanning tree, given as its
+  edges, that ``greedy_spanning_trees`` yields: a maximum spanning tree
+  of the residual budget graph per round, until the residual
+  disconnects.  ``flood`` is where a run checks its trees.
 
 Every public payload bit is a one-time pad, the XOR of a plain bit and
 the key bit that pads it, and the transcript records that exact GF(2)
 linear form as two source-bit ids, in its ``plain`` and ``pad`` columns;
 labels are rendered from the ids only when read.  So reconstructibility
 and secrecy are verifiable by linear algebra instead of sampling.  Each
-run builds its messages as columns in one pass and constructs its
-transcript once, from those columns; it builds no ``PublicMessage``:
-those are the values that iterating a transcript gives.  Runs are pure
+run constructs its transcript once, from columns built in one pass;
+iterating it gives ``PublicMessage`` values.  Runs are pure
 functions of (store, spec, seed): reruns produce byte-identical
 transcripts.  Each run self-checks linear-form fidelity, one-time-pad
 discipline, and per-holder replay before returning, and takes its
@@ -36,7 +36,7 @@ from operator import xor
 
 from .bounds import broadcast_bound, group_bound
 from .errors import InsufficientKeyMaterial, invariant
-from .graph import SpanningTree, greedy_spanning_trees, max_flow
+from .graph import greedy_spanning_trees, max_flow
 from .model import NetworkSpec, Pair, PairwiseKeyStore, SourceBitBasis, local_rng
 from .secrecy import (
     LinearForm,
@@ -351,35 +351,39 @@ def run_subgroup(
 
 
 def flood(
-    store: PairwiseKeyStore, spec: NetworkSpec, trees: Iterable[SpanningTree]
+    store: PairwiseKeyStore, spec: NetworkSpec, trees: Iterable[Iterable[Pair]]
 ) -> tuple[tuple[int, ...], Transcript]:
     """Flood one shared secret bit along each spanning tree, all trees in one pass.
 
-    In each tree the bit of the lexicographically smallest edge becomes
-    the shared bit B; it spreads breadth-first from that edge's endpoints,
-    children in id order: crossing edge (u, v) publishes B XOR one bit of
-    that edge's key.  Exactly m - 2 messages per tree result, since the
-    seed edge needs none; round numbers are BFS depths, each tree's
-    going on from the tree before.  The k-th use of a pair, counting the
-    trees in order, takes that pair's k-th unused key bit.
-
-    All or nothing: raises InsufficientKeyMaterial, naming the pair, when
-    some pair has fewer unused bits than the trees use, and no key bit
-    is consumed then.  Returns the shared bits' ids, one per tree, and
-    the transcript.
+    A tree is its m - 1 edges (i, j), 0 <= i < j < m, in any order.  Its
+    smallest edge's bit is the shared bit B, which spreads breadth-first
+    from that edge's ends, children in id order: crossing edge (u, v)
+    publishes B XOR one bit of that edge's key, m - 2 messages in all.
+    Rounds are BFS depths, each tree's going on from the tree before.
+    The k-th use of a pair, counting the trees in order, takes that pair's
+    k-th unused key bit.  All or nothing: before any key bit is consumed,
+    raises ValueError for edges that do not form a spanning tree, and
+    InsufficientKeyMaterial, naming the pair, when some pair has fewer
+    unused bits than the trees use.  Returns the shared bits' ids, one per
+    tree, and the transcript.
     """
+    m = spec.m
     uses: list[Pair] = []  # per tree: its seed edge, then its hops, as sorted pairs
     rounds, senders, receivers = [], [], []
     for tree in trees:
-        if tree.m != spec.m:
-            raise ValueError(f"tree on {tree.m} nodes does not match m={spec.m}")
-        seed_edge = tree.edges[0]
-        adjacency = tree.adjacency()
-        base = rounds[-1] + 1 if rounds else 0
-        depth = {seed_edge[0]: base, seed_edge[1]: base}
+        edges = sorted(tree)
+        if len(edges) != m - 1:
+            raise ValueError(f"a tree on m={m} nodes has {m - 1} edges, not {len(edges)}")
+        adjacency: list[list[int]] = [[] for _ in range(m)]
+        for i, j in edges:
+            if not 0 <= i < j < m:
+                raise ValueError(f"edge ({i}, {j}) is not a pair i < j of nodes below m={m}")
+            adjacency[i].append(j)  # each list ascends, as the edges are sorted
+            adjacency[j].append(i)
+        seed_edge = edges[0]
+        depth = dict.fromkeys(seed_edge, rounds[-1] + 1 if rounds else 0)
         queue = deque(seed_edge)
         uses.append(seed_edge)
-        start = len(rounds)
         while queue:
             u = queue.popleft()
             for v in adjacency[u]:
@@ -390,7 +394,8 @@ def flood(
                     receivers.append(v)
                     uses.append((u, v) if u < v else (v, u))
                     queue.append(v)
-        invariant(len(rounds) - start == spec.m - 2, "a tree round must send exactly m - 2 messages")
+        if len(depth) != m:
+            raise ValueError(f"edges {edges} do not span m={m} nodes")
     counts = Counter(uses)
     for pair, count in counts.items():
         if store.remaining(*pair) < count:
@@ -399,10 +404,9 @@ def flood(
     taken = {pair: iter(store.take(*pair, count)) for pair, count in counts.items()}
     ids = [next(taken[pair]) for pair in uses]
     # each tree used m - 1 bits: its shared bit, then one pad per hop
-    stride = spec.m - 1
-    key_ids = ids[::stride]
-    plain = [shared for shared in key_ids for _ in range(stride - 1)]
-    pad = [ident for k, ident in enumerate(ids) if k % stride]
+    key_ids = ids[::m - 1]
+    plain = [shared for shared in key_ids for _ in range(m - 2)]
+    pad = [ident for k, ident in enumerate(ids) if k % (m - 1)]
     value = store.basis.values.__getitem__
     payload = map(xor, map(value, plain), map(value, pad))
     transcript = Transcript(store.basis, rounds, senders, receivers, range(1, len(rounds) + 1),
@@ -415,14 +419,11 @@ def run_group_key(
 ) -> GroupKeyResult:
     """All-terminal key: one bit per spanning tree of the shrinking budget graph.
 
-    ``flood`` floods one shared bit along each tree of
-    greedy_spanning_trees, all in one pass: a maximum spanning tree of the
-    remaining budgets under the chosen tie-break policy, whose edges are
-    then debited by one.  The trees stop when the remaining budgets no
-    longer span; the key is one bit per tree.
-
-    The exact partition bound is attached to the result (and checked
-    against) for m <= GROUP_BOUND_AUTO_LIMIT; beyond that only the
+    ``flood`` floods the edge lists of greedy_spanning_trees in one pass:
+    each a maximum spanning tree of the remaining budgets under the chosen
+    tie-break policy, then debited by one, until the budgets no longer
+    span.  The exact partition bound is attached to the result (and
+    checked against) for m <= GROUP_BOUND_AUTO_LIMIT; beyond that only the
     total/(m-1) ceiling is checked.
     """
     key_ids, transcript = flood(store, spec, greedy_spanning_trees(spec, tie_break))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from itertools import accumulate
 
-from pinkey import NetworkSpec, SpanningTree, Transcript, is_connected
+from pinkey import NetworkSpec, Transcript, is_connected
 
 
 def random_spec(rng: random.Random, max_m: int = 6, max_budget: int = 8, min_m: int = 2) -> NetworkSpec:
@@ -31,9 +31,9 @@ def random_star_spec(rng: random.Random, max_m: int = 8, max_budget: int = 12) -
     return NetworkSpec.star([rng.randint(0, max_budget) for _ in range(m - 1)])
 
 
-def debit(spec: NetworkSpec, tree: SpanningTree) -> NetworkSpec:
-    """The spec's budgets after one bit is spent on every tree edge."""
-    return NetworkSpec(spec.m, {pair: w - (pair in tree.edges) for pair, w in spec.budgets.items()})
+def debit(spec: NetworkSpec, edges) -> NetworkSpec:
+    """The spec's budgets after one bit is spent on every edge (i, j) of a tree."""
+    return NetworkSpec(spec.m, {pair: w - (pair in edges) for pair, w in spec.budgets.items()})
 
 
 def transcript_columns(transcript) -> tuple:

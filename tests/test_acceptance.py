@@ -18,7 +18,6 @@ import pytest
 from pinkey import (
     LinearForm,
     NetworkSpec,
-    SpanningTree,
     broadcast_bound,
     brute_force_mutual_information,
     enumerate_partitions,
@@ -138,7 +137,7 @@ def test_c3_tree_choice_changes_the_yield():
         spec = NetworkSpec.complete(4, 1)
 
         store = generate_pairwise_keys(spec, 2)
-        star = SpanningTree(((0, 1), (0, 2), (0, 3)))
+        star = ((0, 1), (0, 2), (0, 3))
         flood(store, spec, [star])
         star_disconnects = not is_connected(debit(spec, star))
 

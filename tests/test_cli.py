@@ -235,6 +235,20 @@ class TestScenario:
             replace(valid, t=2.0)
         assert replace(valid, seed=2**64 - 1).seed == 2**64 - 1
 
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"protocol": "group", "seed": True}, "seed: must fit in an unsigned 64-bit integer, got True"),
+            ({"protocol": "subgroup", "s": False, "t": 2}, "s: terminal False out of range for m=3"),
+            ({"protocol": "subgroup", "s": 0, "t": True}, "t: terminal True out of range for m=3"),
+        ],
+        ids=["seed", "s", "t"],
+    )
+    def test_a_bool_is_not_an_integer_field(self, fields, message):
+        # bool is a subclass of int, but True would run as seed 1 and print "seed true"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Scenario(self.SPEC, **fields)
+
 
 class TestRunCommand:
     def test_group_report_is_golden(self, tmp_path, capsys):
@@ -364,9 +378,11 @@ class TestRunCommand:
 
     def test_invariant_violation_exits_4(self, tmp_path, capsys, monkeypatch):
         real_flood = pinkey.protocols.flood
+        trees = []
 
-        def corrupted_flood(*args, **kwargs):
-            key_ids, transcript = real_flood(*args, **kwargs)
+        def corrupted_flood(store, spec, edge_lists):
+            trees.extend(edge_lists)
+            key_ids, transcript = real_flood(store, spec, trees)
             transcript.payload[0] ^= 1
             return key_ids, transcript
 
@@ -376,6 +392,9 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: transcript form does not match payload\n"
+        # the run handed flood the greedy trees as bare edges, in the order each round chose them
+        assert trees == [((0, 1), (0, 2)), ((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 1), (0, 2)),
+                         ((1, 2), (0, 1)), ((0, 2), (1, 2))]
 
 
 class TestBoundCommand:

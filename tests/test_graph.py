@@ -111,7 +111,26 @@ def trees_by_repeated_maximum(g: NetworkSpec, policy: str) -> list[SpanningTree]
             trees.append(maximum_spanning_tree(g, policy))
         except GraphDisconnected:
             return trees
-        g = debit(g, trees[-1])
+        g = debit(g, trees[-1].edges)
+
+
+def greedy_rounds_checked_against_references(graphs) -> int:
+    """Check every greedy round of each graph, under both policies, against the
+    policy's reference on the residual, and that the residual ends disconnected;
+    return the number of rounds."""
+    references = {"lex-kruskal": lex_kruskal_reference, "degree-min": degree_min_by_rescan}
+    rounds = 0
+    for g in graphs:
+        for policy, reference in references.items():
+            residual = g
+            for edges in greedy_spanning_trees(g, policy):
+                assert SpanningTree(edges) == reference(residual), (g, policy)
+                residual = debit(residual, edges)
+                rounds += 1
+            assert not bfs_connected(residual)
+            with pytest.raises(GraphDisconnected):
+                reference(residual)
+    return rounds
 
 
 class TestWeightedGraph:
@@ -132,7 +151,7 @@ class TestConnectivity:
         assert not is_connected(NetworkSpec(3, {(0, 1): 1}))
 
     def test_k4_minus_star_edges_is_disconnected(self):
-        g = debit(NetworkSpec.complete(4, 1), SpanningTree(((0, 1), (0, 2), (0, 3))))
+        g = debit(NetworkSpec.complete(4, 1), ((0, 1), (0, 2), (0, 3)))
         assert not is_connected(g)
 
     def test_equals_breadth_first_search(self):
@@ -315,25 +334,20 @@ class TestSpanningTrees:
             pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
             g = NetworkSpec(m, {pair: w for pair in pairs if (w := rng.randint(0, top))})
             for policy in TIE_BREAK_POLICIES:
-                trees = list(greedy_spanning_trees(g, policy))
+                trees = [SpanningTree(edges) for edges in greedy_spanning_trees(g, policy)]
                 assert trees == trees_by_repeated_maximum(g, policy), (g, policy)
 
     def test_every_greedy_round_equals_its_reference_and_the_residual_ends_disconnected(self):
         rng = random.Random(412)
-        references = {"lex-kruskal": lex_kruskal_reference, "degree-min": degree_min_by_rescan}
-        rounds = 0
-        for _ in range(60):
-            g = random_spec(rng, max_m=10, max_budget=rng.choice((1, 3, 8)))
-            for policy, reference in references.items():
-                residual = g
-                for tree in greedy_spanning_trees(g, policy):
-                    assert tree == reference(residual), (g, policy)
-                    residual = debit(residual, tree)
-                    rounds += 1
-                assert not bfs_connected(residual)
-                with pytest.raises(GraphDisconnected):
-                    reference(residual)
-        assert rounds > 500
+        graphs = [random_spec(rng, max_m=10, max_budget=rng.choice((1, 3, 8))) for _ in range(60)]
+        assert greedy_rounds_checked_against_references(graphs) > 500
+
+    def test_every_greedy_round_in_large_tie_heavy_classes_equals_its_reference(self):
+        # budgets 1..3 on m 11..16: few, long weight classes, where degree-min holds
+        # back the most addable pairs and rechecks them as its degree bar rises
+        rng = random.Random(413)
+        graphs = [random_spec(rng, max_m=16, max_budget=3, min_m=11) for _ in range(200)]
+        assert greedy_rounds_checked_against_references(graphs) > 3000
 
     def test_greedy_trees_check_the_policy_when_called(self):
         with pytest.raises(ValueError, match="unknown tie-break"):
@@ -347,7 +361,7 @@ class TestSpanningTrees:
         triangle = NetworkSpec(3, {(1, 2): 3, (0, 2): 4, (0, 1): 5})
         for g in (k5, triangle):
             before = list(g.budgets.items())
-            trees = list(greedy_spanning_trees(g, policy))
+            trees = [SpanningTree(edges) for edges in greedy_spanning_trees(g, policy)]
             assert list(g.budgets.items()) == before and trees == trees_by_repeated_maximum(g, policy)
             for read in (lambda: max_flow(g, 0, 2), lambda: graph_strength(g),
                          lambda: run_group_key(generate_pairwise_keys(g, 1), g, policy),
@@ -364,9 +378,9 @@ class TestSpanningTrees:
             SpanningTree(((0, 1), (0, 2), (1, 2)))  # cycle, misses node 3
         tree = SpanningTree(((2, 3), (0, 1), (1, 2)))
         assert tree.edges == ((0, 1), (1, 2), (2, 3))
-        assert tree.m == 4
+        assert tree.max_degree() == 2
         star = SpanningTree(((3, 4), (2, 3), (1, 3), (0, 3)))
-        assert star.adjacency() == {0: [3], 1: [3], 2: [3], 3: [0, 1, 2, 4], 4: [3]}
+        assert star.edges == ((0, 3), (1, 3), (2, 3), (3, 4)) and star.max_degree() == 4
 
     def test_enumeration_counts(self):
         # Cayley: K4 has 16 spanning trees, K5 has 125

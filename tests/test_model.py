@@ -45,6 +45,16 @@ class TestNetworkSpec:
             with pytest.raises(ValueError):
                 TRIANGLE.budget(i, j)
 
+    @pytest.mark.parametrize(
+        "m,budgets,message",
+        [(True, {}, "need at least 2 terminals, got m=True"),
+         (3, {(0, 1): True}, r"budget for pair \(0, 1\) must be a nonnegative int, got True")],
+        ids=["m", "budget"],
+    )
+    def test_a_bool_is_not_an_integer(self, m, budgets, message):
+        with pytest.raises(ValueError, match=message):
+            NetworkSpec(m, budgets)
+
     def test_star_and_complete_builders(self):
         star = NetworkSpec.star([7, 5, 9])
         assert star.m == 4 and star.is_star()

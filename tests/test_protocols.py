@@ -241,7 +241,7 @@ class TestFlood:
     def test_path_tree_sends_one_message(self):
         spec = NetworkSpec.from_pairs(3, [(0, 1, 2), (1, 2, 2)])
         store = generate_pairwise_keys(spec, 9)
-        (shared,), messages = flood(store, spec, [SpanningTree(((0, 1), (1, 2)))])
+        (shared,), messages = flood(store, spec, [((0, 1), (1, 2))])
         assert store.basis.label(shared) == "K0-1:0"
         assert len(messages) == 1
         msg = list(messages)[0]
@@ -251,7 +251,7 @@ class TestFlood:
     def test_star_tree_center_relays_to_both(self):
         spec = NetworkSpec.star([1, 1, 1])
         store = generate_pairwise_keys(spec, 9)
-        (shared,), messages = flood(store, spec, [SpanningTree(((0, 1), (0, 2), (0, 3)))])
+        (shared,), messages = flood(store, spec, [((0, 1), (0, 2), (0, 3))])
         assert store.basis.label(shared) == "K0-1:0"
         assert [(m.sender, m.receiver) for m in messages] == [(0, 2), (0, 3)]
         assert [str(m.forms[0]) for m in messages] == ["K0-1:0^K0-2:0", "K0-1:0^K0-3:0"]
@@ -259,23 +259,23 @@ class TestFlood:
     def test_two_terminals_need_no_messages(self):
         spec = NetworkSpec(2, {(0, 1): 3})
         store = generate_pairwise_keys(spec, 9)
-        (shared,), messages = flood(store, spec, [SpanningTree(((0, 1),))])
+        (shared,), messages = flood(store, spec, [((0, 1),)])
         assert list(messages) == []
         assert store.basis.label(shared) == "K0-1:0"
 
     def test_consumes_one_bit_per_tree_edge(self):
         spec = NetworkSpec.complete(4, 2)
         store = generate_pairwise_keys(spec, 9)
-        tree = SpanningTree(((0, 1), (1, 2), (2, 3)))
+        tree = ((0, 1), (1, 2), (2, 3))
         flood(store, spec, [tree])
-        for edge in tree.edges:
+        for edge in tree:
             assert store.remaining(*edge) == 1
         assert store.remaining(0, 2) == 2
 
     def test_depleted_edge_raises_before_consuming(self):
         spec = NetworkSpec.from_pairs(3, [(0, 1, 1), (1, 2, 2)])
         store = generate_pairwise_keys(spec, 9)
-        tree = SpanningTree(((0, 1), (1, 2)))
+        tree = ((0, 1), (1, 2))
         flood(store, spec, [tree])
         with pytest.raises(InsufficientKeyMaterial):
             flood(store, spec, [tree])
@@ -284,16 +284,16 @@ class TestFlood:
     def test_a_dry_hop_consumes_nothing_not_even_the_seed_edge(self):
         spec = NetworkSpec.from_pairs(4, [(0, 1, 2), (1, 2, 2), (2, 3, 1)])
         store = generate_pairwise_keys(spec, 9)
-        tree = SpanningTree(((0, 1), (1, 2), (2, 3)))
+        tree = ((0, 1), (1, 2), (2, 3))
         flood(store, spec, [tree])
         with pytest.raises(InsufficientKeyMaterial, match=r"pair \(2, 3\)"):
             flood(store, spec, [tree])
-        assert [store.remaining(*edge) for edge in tree.edges] == [1, 1, 0]
+        assert [store.remaining(*edge) for edge in tree] == [1, 1, 0]
 
     def test_a_list_of_trees_floods_as_its_trees_one_at_a_time(self):
         spec = NetworkSpec.complete(4, 2)
         # (0, 2) pads a hop of the first tree and seeds the second; (2, 3) pads a hop of each
-        trees = [SpanningTree(((0, 1), (0, 2), (2, 3))), SpanningTree(((0, 2), (1, 2), (2, 3)))]
+        trees = [((0, 1), (0, 2), (2, 3)), ((0, 2), (1, 2), (2, 3))]
         together = generate_pairwise_keys(spec, 9)
         key_ids, transcript = flood(together, spec, trees)
         alone = generate_pairwise_keys(spec, 9)
@@ -315,10 +315,46 @@ class TestFlood:
     def test_a_pair_dry_in_a_later_tree_consumes_nothing_of_any_tree(self):
         spec = NetworkSpec.from_pairs(4, [(0, 1, 2), (0, 2, 2), (1, 2, 1), (2, 3, 2)])
         store = generate_pairwise_keys(spec, 9)
-        trees = [SpanningTree(((0, 1), (1, 2), (2, 3))), SpanningTree(((0, 2), (1, 2), (2, 3)))]
+        trees = [((0, 1), (1, 2), (2, 3)), ((0, 2), (1, 2), (2, 3))]
         with pytest.raises(InsufficientKeyMaterial, match=r"pair \(1, 2\)"):
             flood(store, spec, trees)
         assert [store.remaining(*pair) for pair in spec.pairs()] == [2, 2, 1, 2]
+
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            (((0, 1), (1, 2)), "has 3 edges, not 2"),
+            (((0, 1), (1, 2), (2, 3), (0, 3)), "has 3 edges, not 4"),
+            (((0, 1), (1, 2), (2, 4)), r"edge \(2, 4\) is not a pair"),
+            (((-1, 0), (0, 1), (1, 2)), r"edge \(-1, 0\) is not a pair"),
+            (((0, 1), (2, 1), (2, 3)), r"edge \(2, 1\) is not a pair"),
+            (((0, 1), (1, 1), (2, 3)), r"edge \(1, 1\) is not a pair"),
+            (((0, 1), (0, 1), (2, 3)), "do not span"),
+            (((0, 1), (0, 2), (1, 2)), "do not span"),
+        ],
+        ids=["too-few", "too-many", "node-m", "negative-node", "reversed", "self-pair", "repeated",
+             "cycle"],
+    )
+    def test_edges_that_are_no_spanning_tree_raise_before_consuming(self, edges, message):
+        # the good tree goes first: a bad tree anywhere in the list consumes nothing
+        spec = NetworkSpec.complete(4, 2)
+        store = generate_pairwise_keys(spec, 9)
+        with pytest.raises(ValueError, match=message):
+            flood(store, spec, [((0, 1), (1, 2), (2, 3)), edges])
+        assert [store.remaining(*pair) for pair in spec.pairs()] == [2] * 6
+
+    def test_an_unsorted_edge_list_floods_as_its_sorted_form(self):
+        spec = NetworkSpec.complete(5, 3)
+        trees = [((0, 1), (1, 2), (2, 3), (3, 4)), ((0, 3), (1, 4), (2, 4), (0, 2)),
+                 ((0, 4), (0, 1), (0, 3), (0, 2))]
+        runs = []
+        for order in (sorted, lambda tree: tuple(reversed(tree))):
+            store = generate_pairwise_keys(spec, 9)
+            key_ids, transcript = flood(store, spec, [order(tree) for tree in trees])
+            runs.append((key_ids, transcript_columns(transcript)))
+        assert runs[0] == runs[1]
+        # the smallest edge seeds each tree, whatever place it was given in
+        assert [store.basis.label(shared) for shared in runs[1][0]] == ["K0-1:0", "K0-2:0", "K0-1:1"]
 
 
 class TestGroupKey:
@@ -338,11 +374,28 @@ class TestGroupKey:
         store = generate_pairwise_keys(spec, 2)
         assert len(run_group_key(store, spec, "degree-min").key) == 2
 
+    @pytest.mark.parametrize("policy", ["lex-kruskal", "degree-min"])
+    def test_a_run_builds_no_spanning_tree(self, policy, monkeypatch):
+        # flood checks the bare edge lists itself, so no tree is rebuilt per round
+        spec = NetworkSpec.complete(6, 3)
+        expected = run_group_key(generate_pairwise_keys(spec, 4), spec, policy)
+
+        def refuse(tree):
+            raise AssertionError("a run built a SpanningTree")
+
+        monkeypatch.setattr(SpanningTree, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="built a SpanningTree"):
+            SpanningTree(((0, 1),))
+        result = run_group_key(generate_pairwise_keys(spec, 4), spec, policy)
+        assert len(result.key) == {"lex-kruskal": 7, "degree-min": 9}[policy]
+        assert result.key == expected.key
+        assert result.transcript.to_text() == expected.transcript.to_text()
+
     def test_pinned_star_tree_disconnects_after_one_round(self):
         # choosing the star tree first leaves node 0 isolated
         spec = NetworkSpec.complete(4, 1)
         store = generate_pairwise_keys(spec, 2)
-        star = SpanningTree(((0, 1), (0, 2), (0, 3)))
+        star = ((0, 1), (0, 2), (0, 3))
         _, messages = flood(store, spec, [star])
         assert len(messages) == 2
         assert not is_connected(debit(spec, star))
