@@ -18,11 +18,12 @@ linear form as two source-bit ids, in its ``plain`` and ``pad`` columns;
 labels are rendered from the ids only when read.  So reconstructibility
 and secrecy are verifiable by linear algebra instead of sampling.  Each
 run constructs its transcript once, from columns built in one pass;
-iterating it gives ``PublicMessage`` values.  Runs are pure
-functions of (store, spec, seed): reruns produce byte-identical
-transcripts.  Each run self-checks linear-form fidelity, one-time-pad
-discipline, and per-holder replay before returning, and takes its
-secrecy report from the same reduction of its transcript.
+iterating it gives ``PublicMessage`` values.  Runs are pure functions
+of (store, spec, seed): reruns produce byte-identical transcripts.  Each
+run self-checks fidelity, one-time-pad discipline and per-holder replay
+with one reduction of its transcript, which also gives its secrecy
+report and eliminates each private pad, a pad bit no other equation
+mentions, once with its row: holders replay from narrow rows.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
-from operator import xor
+from itertools import compress, repeat
+from operator import not_, xor
 
 from .bounds import broadcast_bound, group_bound
 from .errors import InsufficientKeyMaterial, invariant
@@ -202,39 +203,44 @@ class GroupKeyResult:
         return tuple(map(LinearForm.unit, self.basis.labels_of(self.key_ids)))
 
 
-def _transcript_table(
-    transcript: Transcript, key_ids: Sequence[int]
-) -> tuple[dict[int, int], dict[int, int]]:
-    """The support index of the run's ids, key bits first, and the kernel
-    pivot table of the transcript's public equations, form = payload bit.
+def _eliminate(key_ids: Sequence[int], transcript: Transcript
+               ) -> tuple[int, dict[int, int], dict[int, int], dict[int, list[int]]]:
+    """Reduce a run's transcript once, eliminating each private pad with its row.
 
-    Each public bit is the XOR of a plain bit and the bit that pads it.
-    Each protocol pads a key bit with a fresh bit, so every row's top bit
-    is its pad's and the rows need no reduction.
+    Pads are checked unique (a basis bit masks at most one public bit), so
+    a pad that is no key id or ``plain`` id has a column of its own: its
+    row adds 1 to the transcript's and the joint rank, and tells only the
+    pad's owners the narrow row ``plain = payload XOR value(pad)``, built
+    once.  The other rows go into one pivot table over the key ids, the
+    plain ids and their pads.  Gives the count of rows eliminated, the
+    index, the table, and each terminal's own bits and narrow rows as rows.
     """
-    plain, pad = transcript.plain, transcript.pad
-    index = support_index(key_ids, plain, pad)
+    plain, pad, payload, values = transcript.plain, transcript.pad, transcript.payload, transcript.basis.values
+    invariant(len(pad) == len(set(pad)), "a pad bit was reused")
+    public = list(map({*key_ids, *plain}.__contains__, pad))
+    mine = list(map(not_, public))
+    index = support_index(key_ids, plain, compress(pad, public))
     table: dict[int, int] = {}
-    gf2_rank(column_rows((plain, pad), index, transcript.payload), table)
-    return index, table
-
-
-def _add_own_bits(table: dict[int, int], rows: Iterable[int]) -> None:
-    """Extend ``table`` with a terminal's own-bit rows from ``own_rows``."""
-    gf2_rank(rows, table)
-    invariant(0 not in table, "inconsistent bit equations")
+    gf2_rank(column_rows((compress(plain, public), compress(pad, public)), index,
+                         compress(payload, public)), table)
+    rows = dict(zip(index, column_rows((index,), index, map(values.__getitem__, index))))
+    private = list(compress(pad, mine))
+    narrow = map(xor, compress(payload, mine), map(values.__getitem__, private))
+    rows.update(zip(private, column_rows((compress(plain, mine),), index, narrow)))
+    return len(private), index, table, own_rows(transcript.basis, rows)
 
 
 def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
     """Reconstruct the key from a terminal's own bits plus the transcript.
 
     Returns the reconstructed key bits, or None when some key bit is not
-    in the GF(2) span of what the terminal can see.  Holders must always
-    reconstruct; for anyone else None is the expected outcome unless the
-    protocol intentionally routes the key through them.
+    in the GF(2) span of what the terminal can see: the expected outcome
+    for a non-holder unless the protocol routes the key through it.  A
+    reused pad or inconsistent equations raise InvariantViolation.
     """
-    index, table = _transcript_table(result.transcript, result.key_ids)
-    _add_own_bits(table, own_rows(result.basis, index).get(terminal, ()))
+    _, index, table, own = _eliminate(result.key_ids, result.transcript)
+    gf2_rank(own.get(terminal, ()), table)
+    invariant(0 not in table, "inconsistent bit equations")
     out = []
     # Try each key form as the equation form = 0: it is implied (the bit
     # is 0), contradicted (residue 1, so the bit is 1), or independent.
@@ -251,29 +257,26 @@ def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
 def _self_check(holders: frozenset[int], key_ids: Sequence[int], transcript: Transcript) -> SecrecyReport:
     """Check a run's parts; return the secrecy report of its one transcript reduction."""
     basis = transcript.basis
-    # The transcript is reduced once: each holder below extends the table
-    # with its own bits and pops them off again, and the report extends it.
-    index, reduced = _transcript_table(transcript, key_ids)
     bits, plain, pad = transcript.payload, transcript.plain, transcript.pad
     # Linear-form fidelity: forms evaluated on realized basis bits must
     # reproduce the actual payload bits.
     value = basis.values.__getitem__
     evaluated = map(xor, bits, map(xor, map(value, plain), map(value, pad)))
     invariant(not any(evaluated), "transcript form does not match payload")
-    # One-time-pad discipline: a basis bit masks at most one public bit, ever.
-    invariant(len(pad) == len(set(pad)), "a pad bit was reused")
-    # Replay soundness: every holder reconstructs the whole key, that is,
-    # the key equations add no rank to the holder's view.
+    eliminated, index, table, own = _eliminate(key_ids, transcript)
+    # Replay soundness: every holder reconstructs the whole key.  By fidelity a
+    # holder's row for a key bit is that bit's key row, and only key rows not
+    # among its rows are reduced, against them and the table.
     key_rows = list(column_rows((key_ids,), index, basis.bits(key_ids)))
-    own = own_rows(basis, index)
-    size = len(reduced)
+    wanted, size = set(key_rows), len(table)
     for holder in sorted(holders):
-        _add_own_bits(reduced, own.get(holder, ()))
-        invariant(not gf2_rank(key_rows, reduced), f"holder {holder} cannot replay the key")
-        # gf2_rank only inserts pivots and popitem is LIFO, so this restores the table
-        while len(reduced) > size:
-            reduced.popitem()
-    return secrecy_report(reduced, key_rows)
+        rows = own.get(holder, [])
+        if missing := wanted.difference(rows):
+            gf2_rank(rows, table)
+            invariant(not gf2_rank(missing, table), f"holder {holder} cannot replay the key")
+            while len(table) > size:  # gf2_rank only inserts and popitem is LIFO: restore the table
+                table.popitem()
+    return secrecy_report(table, key_rows, eliminated)
 
 
 def _result(holders: Iterable[int], key_ids: Sequence[int], transcript: Transcript,

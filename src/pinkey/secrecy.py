@@ -16,15 +16,16 @@ numbers the source bits a set of forms mentions, its support: by int id
 on the run path, by label in ``verify_independence``.  Forms are encoded
 as int rows over it, with support position k at row bit k + 1 and bit 0
 carrying the value the row is claimed to take; ``gf2_rank`` reduces rows
-into a pivot table keyed by each row's top bit.  Rows are as wide as the
-support, not the basis: basis bits no form mentions cannot change a rank
-or a replay, so they get no column.  For equations, a row whose residue
-is exactly ``1`` says ``0 = 1``: it lands as pivot 0, so a table holding
-pivot 0 is inconsistent.  A consistent system has the same ranks with
-and without its values, so a run's self-check takes its secrecy report
-from the same table it replays with.  ``verify_independence`` and the
-exhaustive oracle read labelled ``LinearForm``s; runs keep source-bit ids
-and render such forms from them only when they are read.
+into a pivot table keyed by each row's top bit.  Basis bits no form
+mentions cannot change a rank or a replay, so they get no column, and a
+row with a column of its own is eliminated with it: ``secrecy_report``
+counts it.  A row whose residue is exactly ``1`` says ``0 = 1``: it
+lands as pivot 0, so a table holding pivot 0 is inconsistent.  A
+consistent system has the same ranks with and without its values, so a
+run's self-check takes its secrecy report from the table it replays
+with.  ``verify_independence`` and the exhaustive oracle read labelled
+``LinearForm``s; runs keep source-bit ids and render such forms from
+them only when they are read.
 """
 
 from __future__ import annotations
@@ -106,25 +107,20 @@ def column_rows(columns: Iterable[Iterable[Hashable]], index: Mapping[Hashable, 
     return rows
 
 
-def own_rows(basis: SourceBitBasis, index: Mapping[int, int]) -> dict[int, Iterator[int]]:
-    """Each terminal's own source bits inside the support, as kernel rows.
+def own_rows(basis: SourceBitBasis, rows: Mapping[int, int]) -> dict[int, list[int]]:
+    """Each terminal's rows: those in ``rows``, keyed by source-bit id, whose bit it owns.
 
-    A bit's row is what ``column_rows`` gives for its unit form and its
-    realized value.  Own bits outside the support are left out: such a
-    bit's row is a unit on a column no other row has, so it can never
-    reduce another row nor yield ``0 = 1``.  Each run's bits inside the
-    support are found by bisecting the sorted support, so the cost follows
-    the support and the number of runs, not the basis.  The rows are built
-    only as each owner's iterator is read, so each can be read once.
+    Each row is built once and shared by all owners of its bit.  The bits
+    of each run are found by bisecting the sorted ids, so the cost follows
+    the rows and the number of runs, not the basis.
     """
-    values = basis.values
-    support = sorted(index)
+    ids = sorted(rows)
     owned: dict[int, list[int]] = {}
-    for ids, owners in basis.runs():
-        inside = support[bisect_left(support, ids.start):bisect_left(support, ids.stop)]
+    for run, owners in basis.runs():
+        inside = list(map(rows.__getitem__, ids[bisect_left(ids, run.start):bisect_left(ids, run.stop)]))
         for owner in owners if inside else ():
             owned.setdefault(owner, []).extend(inside)
-    return {owner: ((2 << index[i]) | values[i] for i in ids) for owner, ids in owned.items()}
+    return owned
 
 
 def gf2_rank(masks: Iterable[int], pivots: dict[int, int] | None = None) -> int:
@@ -147,10 +143,11 @@ def gf2_rank(masks: Iterable[int], pivots: dict[int, int] | None = None) -> int:
     return rank
 
 
-def secrecy_report(transcript: dict[int, int], key_rows: list[int]) -> SecrecyReport:
+def secrecy_report(transcript: dict[int, int], key_rows: list[int], eliminated: int = 0) -> SecrecyReport:
     """The report for the key rows and a consistent pivot table of the transcript
-    rows, which it extends in place; rows may carry values that hold together."""
-    rank_transcript = len(transcript)
+    rows, which it extends in place; rows may carry values that hold together.
+    Each of ``eliminated`` more transcript rows has a column of its own."""
+    rank_transcript = len(transcript) + eliminated
     return SecrecyReport(
         rank_key=gf2_rank(key_rows),
         rank_transcript=rank_transcript,

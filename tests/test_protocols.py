@@ -14,6 +14,7 @@ from operator import add
 
 import pytest
 
+import pinkey.protocols
 from pinkey import (
     NetworkSpec,
     SpanningTree,
@@ -31,7 +32,8 @@ from pinkey import (
     verify_independence,
 )
 from pinkey.errors import InsufficientKeyMaterial, InvariantViolation, NotAStar
-from pinkey.protocols import PublicMessage, _hex, _self_check
+from pinkey.protocols import GroupKeyResult, PublicMessage, _hex, _self_check
+from pinkey.secrecy import MI_BASIS_LIMIT, brute_force_mutual_information
 
 from helpers import (debit, key_values, known_to, random_connected_spec, random_spec, transcript_columns,
                      transcript_of)
@@ -564,6 +566,85 @@ class TestTranscripts:
                 assert form.evaluate(values) == bit
 
 
+def hand_built(spec, seed, key_ids, plain, pad):
+    """The result of a faithful one-bit-per-message transcript of the rows ``plain[k] ^ pad[k]``
+    over the pair bits of ``spec``, its secrecy report from the label-level audit."""
+    basis = generate_pairwise_keys(spec, seed).basis
+    payload = [basis.values[a] ^ basis.values[b] for a, b in zip(plain, pad)]
+    n = len(pad)
+    transcript = Transcript(basis, [0] * n, [0] * n, [1] * n, range(1, n + 1), payload, plain, pad)
+    result = GroupKeyResult(frozenset(), key_ids, transcript, None, None)
+    return replace(result, secrecy=leak_report(result))
+
+
+# Star of four leaves, ids 0-1 pair {0, 1}, 2-3 {0, 2}, 4-5 {0, 3}, 6 {0, 4}; the key is bit 0.
+# Pad 2 is also a plain bit, so the row 0 ^ 2 is not eliminated; pad 4 is private, which
+# tells terminal 3 bit 2; pad 0 is the key bit.  Terminal 3 sees the key only as the sum of
+# that narrow row and the row 0 ^ 2, and terminal 4 not at all.
+COMBINATION = (NetworkSpec.star([2, 2, 2, 1]), 4, [0], [0, 2, 1], [2, 4, 0])
+
+
+class TestHandBuiltTranscripts:
+    def test_self_check_and_replay_agree_with_the_oracles(self):
+        rng = random.Random(1812)
+        kinds = dict.fromkeys(("private", "key", "plain"), 0)
+        for _ in range(150):
+            spec = (random_connected_spec(rng, max_m=4, max_budget=3) if rng.random() < 0.5
+                    else NetworkSpec.star([rng.randint(1, 3) for _ in range(rng.randint(1, 3))]))
+            ids = list(range(spec.total_budget()))
+            key_ids = rng.sample(ids, rng.randint(1, min(2, len(ids))))
+            pad = rng.sample(ids, rng.randint(0, len(ids) - 1))
+            plain = [rng.choice([i for i in [*pad, *key_ids, *ids] if i != p]) for p in pad]
+            for p in pad:
+                kinds["key" if p in key_ids else "plain" if p in plain else "private"] += 1
+            result = hand_built(spec, rng.randrange(2**16), key_ids, plain, pad)
+            holders = set()
+            for terminal in range(spec.m):
+                replayed = reference_replay(result, terminal)
+                assert replay_key(result, terminal) == replayed
+                if replayed is not None:
+                    assert replayed == result.key
+                    holders.add(terminal)
+            assert _self_check(frozenset(holders), key_ids, result.transcript) == result.secrecy
+            for outsider in set(range(spec.m)) - holders:
+                with pytest.raises(InvariantViolation, match=f"holder {outsider} cannot replay"):
+                    _self_check(frozenset(holders | {outsider}), key_ids, result.transcript)
+            if len(result.basis) <= MI_BASIS_LIMIT:
+                assert result.secrecy.leaked_bits == brute_force_mutual_information(
+                    result.key_forms, result.transcript.forms(), len(result.basis))
+        assert min(kinds.values()) >= 50, kinds
+
+    def test_a_key_bit_seen_only_as_a_combination_is_reduced(self, monkeypatch):
+        result = hand_built(*COMBINATION)
+        assert [replay_key(result, t) for t in range(5)] == [result.key] * 4 + [None]
+        calls = []
+        kernel = pinkey.protocols.gf2_rank
+        monkeypatch.setattr(pinkey.protocols, "gf2_rank", lambda *args: calls.append(1) or kernel(*args))
+        assert _self_check(frozenset({3}), result.key_ids, result.transcript) == result.secrecy
+        # the table of the row 0 ^ 2, then terminal 3's rows, then its missing key row
+        assert len(calls) == 3
+        assert result.secrecy.leaked_bits == 0 and result.secrecy.rank_transcript == 3
+
+    def test_a_holder_that_cannot_replay_is_named_under_python_O(self):
+        code = textwrap.dedent(f"""
+            from pinkey import NetworkSpec, Transcript, generate_pairwise_keys
+            from pinkey.errors import InvariantViolation
+            from pinkey.protocols import _self_check
+
+            assert False, "assertions must be off"
+            spec = NetworkSpec.star({list(COMBINATION[0].budgets.values())!r})
+            seed, key_ids, plain, pad = {COMBINATION[1:]!r}
+            basis = generate_pairwise_keys(spec, seed).basis
+            payload = [basis.values[a] ^ basis.values[b] for a, b in zip(plain, pad)]
+            transcript = Transcript(basis, [0] * 3, [0] * 3, [1] * 3, [1, 2, 3], payload, plain, pad)
+            try:
+                _self_check(frozenset(range(5)), key_ids, transcript)
+            except InvariantViolation as exc:
+                print("caught:", exc)
+        """)
+        assert run_optimized(code) == "caught: holder 4 cannot replay the key\n"
+
+
 class TestSelfCheck:
     def test_a_flipped_payload_bit_is_caught(self):
         store = generate_pairwise_keys(TRIANGLE, 7)
@@ -579,6 +660,9 @@ class TestSelfCheck:
         bad = replace(result, transcript=transcript_of(result.basis, messages + messages[-1:]))
         with pytest.raises(InvariantViolation, match="pad bit was reused"):
             self_check(bad)
+        # replay eliminates pads by the same check
+        with pytest.raises(InvariantViolation, match="pad bit was reused"):
+            replay_key(bad, 1)
 
     def test_a_holder_that_cannot_replay_is_caught(self):
         store = generate_pairwise_keys(TRIANGLE, 5)

@@ -26,7 +26,7 @@ from pinkey import (
 )
 from pinkey.cli import Scenario, load_scenario, run_scenario
 from pinkey.protocols import PublicMessage, _self_check
-from pinkey.secrecy import own_rows
+from pinkey.secrecy import gf2_rank, own_rows
 
 from helpers import random_connected_spec, random_star_spec, transcript_of
 
@@ -184,23 +184,43 @@ def _group_scenario() -> Scenario:
 
 class TestOneReduction:
     def test_run_scenario_indexes_and_reduces_the_transcript_once(self, monkeypatch):
-        calls = {"index": 0, "table": 0}
+        trace = {}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                trace[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
+        def owned(basis, rows):
+            trace["own"].append((dict(rows), own_rows(basis, rows)))
+            return trace["own"][-1][1]
+
         monkeypatch.setattr(pinkey.protocols, "support_index", counted("index", pinkey.protocols.support_index))
         monkeypatch.setattr(pinkey.secrecy, "support_index", counted("index", pinkey.secrecy.support_index))
-        monkeypatch.setattr(pinkey.protocols, "_transcript_table",
-                            counted("table", pinkey.protocols._transcript_table))
+        monkeypatch.setattr(pinkey.protocols, "gf2_rank", counted("kernel", gf2_rank))
+        monkeypatch.setattr(pinkey.protocols, "own_rows", owned)
         for scenario in (_star_scenario(), _relay_scenario(), _group_scenario()):
-            calls.update(index=0, table=0)
+            trace.update(index=0, kernel=0, own=[])
             _, result = run_scenario(scenario)
-            assert len(result.key) > 0
-            assert calls == {"index": 1, "table": 1}, scenario.protocol
+            transcript = result.transcript
+            assert len(result.key) > 0 and transcript.public_bits > 0
+            # One support index and one kernel call from the run: the table of
+            # the rows no pad eliminates, which these protocols never publish.
+            assert (trace["index"], trace["kernel"]) == (1, 1), scenario.protocol
+            ((rows, owned),) = trace["own"]
+            support = {*result.key_ids, *transcript.plain}
+            # one row per support bit and one per private pad: each pad's row is
+            # built once and handed to both owners of the pad
+            assert rows.keys() == support | set(transcript.pad)
+            assert len(rows) == len(support) + transcript.public_bits
+            held = {owner: set(own) for owner, own in owned.items()}
+            for ids, owners in result.basis.runs():
+                for pad in set(ids).intersection(transcript.pad):
+                    assert len(owners) == 2 and all(rows[pad] in held[owner] for owner in owners)
+            # no holder row is wider than the key-and-plain support
+            assert max(row.bit_length() for own in held.values() for row in own) <= len(support) + 1
+            assert result.secrecy.rank_transcript == transcript.public_bits
 
     def test_a_subgroup_run_solves_one_max_flow(self, monkeypatch):
         kernel = pinkey.graph._edmonds_karp
@@ -211,6 +231,28 @@ class TestOneReduction:
         result = run_subgroup(generate_pairwise_keys(spec, 1), spec, scenario.s, scenario.t, 1)
         assert len(calls) == 1
         assert result.bound == len(result.key)
+
+
+_REPORT_TAIL = ("bound {0}\nbound_floor {0}\nkey_length {0}\ngap 0\nmessages 0\npublic_bits 0\n"
+                "rank_key {0}\nrank_transcript 0\nrank_joint {0}\nleaked_bits 0\nuniform true\nstatus ok\n")
+
+
+# runs whose key or transcript is empty, with the report bytes that the
+# self-check gave before it eliminated pads
+@pytest.mark.parametrize("scenario,report", [
+    (Scenario(NetworkSpec(2, {(0, 1): 5}), "group", seed=3),
+     "report v1\nprotocol group\nm 2\nseed 3\ntie_break lex-kruskal\niterations 5\n" + _REPORT_TAIL.format(5)),
+    (Scenario(NetworkSpec(3, {(0, 1): 4}), "group", seed=3),
+     "report v1\nprotocol group\nm 3\nseed 3\ntie_break lex-kruskal\niterations 0\n" + _REPORT_TAIL.format(0)),
+    (Scenario(NetworkSpec.star([3, 0, 2]), "broadcast", seed=3),
+     "report v1\nprotocol broadcast\nm 4\nseed 3\n" + _REPORT_TAIL.format(0)),
+    (Scenario(NetworkSpec(4, {(0, 1): 3, (2, 3): 2}), "subgroup", seed=3, s=0, t=3),
+     "report v1\nprotocol subgroup\nm 4\nseed 3\ns 0\nt 3\nflow_value 0\n" + _REPORT_TAIL.format(0)),
+], ids=["group-m2", "group-one-pair-m3", "star-zero-leaf", "subgroup-disconnected"])
+def test_degenerate_runs_keep_their_report_bytes(scenario, report):
+    got, result = run_scenario(scenario)
+    assert got.to_text() == report
+    assert result.transcript.to_text() == "transcript v1\n"
 
 
 def test_the_self_check_reports_a_leak_as_the_oracles_do():
@@ -267,5 +309,5 @@ def test_own_rows_do_not_walk_the_bits_of_a_run():
         def runs(self):
             return [(Run(0), frozenset({0, 1})), (Run(10**15), frozenset({2}))]
 
-    rows = own_rows(Basis(), {10**15 + 7: 1, 5: 0})
-    assert {owner: list(it) for owner, it in rows.items()} == {0: [0b11], 1: [0b11], 2: [0b100]}
+    rows = own_rows(Basis(), {10**15 + 7: 0b100, 5: 0b11})
+    assert rows == {0: [0b11], 1: [0b11], 2: [0b100]}
