@@ -22,8 +22,8 @@ iterating it gives ``PublicMessage`` values.  Runs are pure functions
 of (store, spec, seed): reruns produce byte-identical transcripts.  Each
 run self-checks fidelity, one-time-pad discipline and per-holder replay
 with one reduction of its transcript, which also gives its secrecy
-report and eliminates each private pad, a pad bit no other equation
-mentions, once with its row: holders replay from narrow rows.
+report.  A private pad, a pad bit no other equation mentions, is
+eliminated once, and it tells its owners its plain bit: holders replay by id.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import not_, xor
+from operator import eq, xor
 
 from .bounds import broadcast_bound, group_bound
 from .errors import InsufficientKeyMaterial, invariant
@@ -44,7 +44,7 @@ from .secrecy import (
     SecrecyReport,
     column_rows,
     gf2_rank,
-    own_rows,
+    owned_ids,
     secrecy_report,
     support_index,
 )
@@ -127,6 +127,8 @@ class Transcript:
             raise ValueError("payload bits must be 0 or 1")
         if plain and (min(min(plain), min(pad)) < 0 or max(max(plain), max(pad)) >= len(basis)):
             raise ValueError("plain and pad must be ids of bits in the basis")
+        if any(map(eq, plain, pad)):
+            raise ValueError("a public bit's plain and pad must be different ids")
         if rounds != sorted(rounds):
             raise ValueError("round numbers must be nondecreasing")
         self.basis, self.rounds, self.senders, self.receivers = basis, rounds, senders, receivers
@@ -148,8 +150,7 @@ class Transcript:
         return len(self.payload)
 
     def forms(self) -> list[LinearForm]:
-        labels = zip(self.basis.labels_of(self.plain), self.basis.labels_of(self.pad))
-        return [LinearForm(frozenset(pair)) for pair in labels]
+        return [form for msg in self for form in msg.forms]
 
     def to_text(self) -> str:
         """Line-oriented serialization, stable for golden-file comparison.
@@ -204,30 +205,26 @@ class GroupKeyResult:
 
 
 def _eliminate(key_ids: Sequence[int], transcript: Transcript
-               ) -> tuple[int, dict[int, int], dict[int, int], dict[int, list[int]]]:
+               ) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
     """Reduce a run's transcript once, eliminating each private pad with its row.
 
-    Pads are checked unique (a basis bit masks at most one public bit), so
-    a pad that is no key id or ``plain`` id has a column of its own: its
-    row adds 1 to the transcript's and the joint rank, and tells only the
-    pad's owners the narrow row ``plain = payload XOR value(pad)``, built
-    once.  The other rows go into one pivot table over the key ids, the
-    plain ids and their pads.  Gives the count of rows eliminated, the
-    index, the table, and each terminal's own bits and narrow rows as rows.
+    Pads are checked unique, so a pad that is no key id or ``plain`` id has
+    a column of its own: its row adds 1 to the transcript's and the joint
+    rank, and a private pad tells its owners its plain bit.  The other rows
+    go into one pivot table over the key ids, the plain ids and their pads.
+    Gives the index, the table, and the id that each bit tells its owners:
+    an indexed id itself, a private pad its ``plain`` id.
     """
-    plain, pad, payload, values = transcript.plain, transcript.pad, transcript.payload, transcript.basis.values
+    plain, pad = transcript.plain, transcript.pad
     invariant(len(pad) == len(set(pad)), "a pad bit was reused")
     public = list(map({*key_ids, *plain}.__contains__, pad))
-    mine = list(map(not_, public))
     index = support_index(key_ids, plain, compress(pad, public))
     table: dict[int, int] = {}
     gf2_rank(column_rows((compress(plain, public), compress(pad, public)), index,
-                         compress(payload, public)), table)
-    rows = dict(zip(index, column_rows((index,), index, map(values.__getitem__, index))))
-    private = list(compress(pad, mine))
-    narrow = map(xor, compress(payload, mine), map(values.__getitem__, private))
-    rows.update(zip(private, column_rows((compress(plain, mine),), index, narrow)))
-    return len(private), index, table, own_rows(transcript.basis, rows)
+                         compress(transcript.payload, public)), table)
+    learned = dict(zip(pad, plain))
+    learned.update(zip(index, index))
+    return index, table, learned
 
 
 def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
@@ -238,8 +235,14 @@ def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
     for a non-holder unless the protocol routes the key through it.  A
     reused pad or inconsistent equations raise InvariantViolation.
     """
-    _, index, table, own = _eliminate(result.key_ids, result.transcript)
-    gf2_rank(own.get(terminal, ()), table)
+    transcript, values = result.transcript, result.basis.values
+    index, table, learned = _eliminate(result.key_ids, transcript)
+    own = owned_ids(result.basis, sorted(learned), (terminal,))[terminal]
+    # A private pad tells its owner its plain bit: the payload bit XOR the pad's value.
+    offset = dict(zip(transcript.pad, transcript.payload))
+    offset.update(dict.fromkeys(index, 0))
+    gf2_rank(column_rows((map(learned.__getitem__, own),), index,
+                         map(xor, map(offset.__getitem__, own), map(values.__getitem__, own))), table)
     invariant(0 not in table, "inconsistent bit equations")
     out = []
     # Try each key form as the equation form = 0: it is implied (the bit
@@ -263,20 +266,21 @@ def _self_check(holders: frozenset[int], key_ids: Sequence[int], transcript: Tra
     value = basis.values.__getitem__
     evaluated = map(xor, bits, map(xor, map(value, plain), map(value, pad)))
     invariant(not any(evaluated), "transcript form does not match payload")
-    eliminated, index, table, own = _eliminate(key_ids, transcript)
+    index, table, learned = _eliminate(key_ids, transcript)
     # Replay soundness: every holder reconstructs the whole key.  By fidelity a
-    # holder's row for a key bit is that bit's key row, and only key rows not
-    # among its rows are reduced, against them and the table.
-    key_rows = list(column_rows((key_ids,), index, basis.bits(key_ids)))
-    wanted, size = set(key_rows), len(table)
-    for holder in sorted(holders):
-        rows = own.get(holder, [])
-        if missing := wanted.difference(rows):
-            gf2_rank(rows, table)
-            invariant(not gf2_rank(missing, table), f"holder {holder} cannot replay the key")
+    # holder learns the value of each id that its own bits tell it, and only
+    # the key ids it does not learn are reduced, against those ids and the table.
+    wanted, size = set(key_ids), len(table)
+    for holder, own in sorted(owned_ids(basis, sorted(learned), holders).items()):
+        known = set(map(learned.__getitem__, own))
+        if missing := wanted.difference(known):
+            gf2_rank(column_rows((known,), index, map(value, known)), table)
+            invariant(not gf2_rank(column_rows((missing,), index, map(value, missing)), table),
+                      f"holder {holder} cannot replay the key")
             while len(table) > size:  # gf2_rank only inserts and popitem is LIFO: restore the table
                 table.popitem()
-    return secrecy_report(table, key_rows, eliminated)
+    key_rows = list(column_rows((key_ids,), index, basis.bits(key_ids)))
+    return secrecy_report(table, key_rows, len(learned) - len(index))
 
 
 def _result(holders: Iterable[int], key_ids: Sequence[int], transcript: Transcript,

@@ -19,19 +19,19 @@ carrying the value the row is claimed to take; ``gf2_rank`` reduces rows
 into a pivot table keyed by each row's top bit.  Basis bits no form
 mentions cannot change a rank or a replay, so they get no column, and a
 row with a column of its own is eliminated with it: ``secrecy_report``
-counts it.  A row whose residue is exactly ``1`` says ``0 = 1``: it
-lands as pivot 0, so a table holding pivot 0 is inconsistent.  A
-consistent system has the same ranks with and without its values, so a
-run's self-check takes its secrecy report from the table it replays
-with.  ``verify_independence`` and the exhaustive oracle read labelled
-``LinearForm``s; runs keep source-bit ids and render such forms from
-them only when they are read.
+counts it, and a private pad tells its owners its plain bit.  A row
+whose residue is exactly ``1`` says ``0 = 1``: it lands as pivot 0, so
+a table holding pivot 0 is inconsistent.  A consistent system has the
+same ranks with and without its values, so a run's self-check takes its
+secrecy report from the table it replays with.  ``verify_independence``
+and the exhaustive oracle read labelled ``LinearForm``s; runs keep
+source-bit ids and render such forms from them only when they are read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Hashable, Iterable, Iterator, Mapping
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, repeat
@@ -107,19 +107,15 @@ def column_rows(columns: Iterable[Iterable[Hashable]], index: Mapping[Hashable, 
     return rows
 
 
-def own_rows(basis: SourceBitBasis, rows: Mapping[int, int]) -> dict[int, list[int]]:
-    """Each terminal's rows: those in ``rows``, keyed by source-bit id, whose bit it owns.
-
-    Each row is built once and shared by all owners of its bit.  The bits
-    of each run are found by bisecting the sorted ids, so the cost follows
-    the rows and the number of runs, not the basis.
-    """
-    ids = sorted(rows)
-    owned: dict[int, list[int]] = {}
+def owned_ids(basis: SourceBitBasis, ids: Sequence[int], terminals: Iterable[int]) -> dict[int, list[int]]:
+    """The ids among the sorted ``ids`` whose bits each of ``terminals`` owns.  Only runs
+    that one of them owns are looked at, their ids found by bisection, not walked."""
+    owned: dict[int, list[int]] = {terminal: [] for terminal in terminals}
     for run, owners in basis.runs():
-        inside = list(map(rows.__getitem__, ids[bisect_left(ids, run.start):bisect_left(ids, run.stop)]))
-        for owner in owners if inside else ():
-            owned.setdefault(owner, []).extend(inside)
+        if served := owners.intersection(owned):
+            inside = ids[bisect_left(ids, run.start):bisect_left(ids, run.stop)]
+            for owner in served:
+                owned[owner] += inside
     return owned
 
 

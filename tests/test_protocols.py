@@ -517,6 +517,7 @@ class TestTranscripts:
             (columns(pad=[9, 10, 99]), "ids of bits in the basis"),  # the basis has 12 bits
             (columns(plain=[-1, 7, 8]), "ids of bits in the basis"),
             (columns(plain=range(10, 13)), "ids of bits in the basis"),
+            (columns(pad=[9, 7, 11]), "plain and pad must be different ids"),
             (columns(ends=[1, 4]), "ends must rise"),
             (columns(ends=[2, 1, 3], rounds=[2, 2, 2], senders=[0] * 3, receivers=[1] * 3), "ends must rise"),
         ]:
@@ -528,13 +529,20 @@ class TestTranscripts:
             assert transcript_columns(t) == (rounds, [0, 2], [2, 1], [1, 3], bytes((0, 1, 1)), [3, 7, 8],
                                              [9, 10, 11])
 
+    def test_a_bit_padded_with_its_own_plain_bit_is_refused(self):
+        # Its kernel row would be 0, but its label set the unit form of that bit:
+        # the self-check would give rank_transcript 0 and the label-level audit 1.
+        basis = generate_pairwise_keys(NetworkSpec.star([2]), 1).basis
+        with pytest.raises(ValueError, match="plain and pad must be different ids"):
+            Transcript(basis, [0], [0], [1], [1], [0], [1], [1])
+
     def test_bad_bits_and_unequal_columns_are_refused_under_python_O(self):
         code = textwrap.dedent("""
             from pinkey import NetworkSpec, Transcript, generate_pairwise_keys
 
             assert False, "assertions must be off"
             basis = generate_pairwise_keys(NetworkSpec(2, {(0, 1): 4}), 1).basis
-            for payload, pad in (((2,), [1]), ((1,), [1, 2]), ((1,), [4])):
+            for payload, pad in (((2,), [1]), ((1,), [1, 2]), ((1,), [4]), ((0,), [0])):
                 try:
                     Transcript(basis, [0], [0], [1], [1], payload, [0], pad)
                 except ValueError as exc:
@@ -546,6 +554,7 @@ class TestTranscripts:
             "refused: payload bits must be 0 or 1\n"
             "refused: payload, plain, and pad must have equal length\n"
             "refused: plain and pad must be ids of bits in the basis\n"
+            "refused: a public bit's plain and pad must be different ids\n"
             "1 1 True\n")
 
     def test_pads_are_never_reused_across_a_run(self):
@@ -684,9 +693,19 @@ class TestSelfCheck:
 
     def test_replay_rejects_inconsistent_equations(self):
         store = generate_pairwise_keys(TRIANGLE, 7)
-        bad = flip_first_payload_bit(run_group_key(store, TRIANGLE))
-        with pytest.raises(InvariantViolation, match="inconsistent"):
-            replay_key(bad, 0)
+        result = run_group_key(store, TRIANGLE)
+        bad = flip_first_payload_bit(result)
+        # Replay reads the payload, not the basis, so both owners of the flipped
+        # bit's pad are told a wrong plain bit.  The sender owns that plain bit
+        # too, which contradicts it; the receiver learns it only so, and replays
+        # a wrong key.  The terminal owning neither end of the message builds no
+        # row of it, so it still replays the true key.
+        first = next(iter(bad.transcript))
+        with pytest.raises(InvariantViolation, match="inconsistent bit equations"):
+            replay_key(bad, first.sender)
+        assert result.key != replay_key(bad, first.receiver) == reference_replay(bad, first.receiver)
+        (outsider,) = {0, 1, 2} - {first.sender, first.receiver}
+        assert replay_key(bad, outsider) == result.key
 
     def test_a_flipped_payload_bit_is_caught_under_python_O(self):
         code = textwrap.dedent("""

@@ -26,7 +26,7 @@ from pinkey import (
 )
 from pinkey.cli import Scenario, load_scenario, run_scenario
 from pinkey.protocols import PublicMessage, _self_check
-from pinkey.secrecy import gf2_rank, own_rows
+from pinkey.secrecy import column_rows, gf2_rank, owned_ids
 
 from helpers import random_connected_spec, random_star_spec, transcript_of
 
@@ -192,34 +192,43 @@ class TestOneReduction:
                 return fn(*args, **kwargs)
             return wrapper
 
-        def owned(basis, rows):
-            trace["own"].append((dict(rows), own_rows(basis, rows)))
-            return trace["own"][-1][1]
+        def traced(name, fn):
+            def wrapper(*args):
+                trace[name].append(fn(*args))
+                return trace[name][-1]
+            return wrapper
+
+        def rows(*args):
+            built = list(column_rows(*args))
+            trace["rows"] += len(built)
+            return iter(built)
 
         monkeypatch.setattr(pinkey.protocols, "support_index", counted("index", pinkey.protocols.support_index))
         monkeypatch.setattr(pinkey.secrecy, "support_index", counted("index", pinkey.secrecy.support_index))
         monkeypatch.setattr(pinkey.protocols, "gf2_rank", counted("kernel", gf2_rank))
-        monkeypatch.setattr(pinkey.protocols, "own_rows", owned)
+        monkeypatch.setattr(pinkey.protocols, "column_rows", rows)
+        monkeypatch.setattr(pinkey.protocols, "_eliminate", traced("eliminate", pinkey.protocols._eliminate))
+        monkeypatch.setattr(pinkey.protocols, "owned_ids", traced("owned", owned_ids))
         for scenario in (_star_scenario(), _relay_scenario(), _group_scenario()):
-            trace.update(index=0, kernel=0, own=[])
+            trace.update(index=0, kernel=0, rows=0, eliminate=[], owned=[])
             _, result = run_scenario(scenario)
             transcript = result.transcript
             assert len(result.key) > 0 and transcript.public_bits > 0
             # One support index and one kernel call from the run: the table of
             # the rows no pad eliminates, which these protocols never publish.
             assert (trace["index"], trace["kernel"]) == (1, 1), scenario.protocol
-            ((rows, owned),) = trace["own"]
-            support = {*result.key_ids, *transcript.plain}
-            # one row per support bit and one per private pad: each pad's row is
-            # built once and handed to both owners of the pad
-            assert rows.keys() == support | set(transcript.pad)
-            assert len(rows) == len(support) + transcript.public_bits
-            held = {owner: set(own) for owner, own in owned.items()}
-            for ids, owners in result.basis.runs():
-                for pad in set(ids).intersection(transcript.pad):
-                    assert len(owners) == 2 and all(rows[pad] in held[owner] for owner in owners)
-            # no holder row is wider than the key-and-plain support
-            assert max(row.bit_length() for own in held.values() for row in own) <= len(support) + 1
+            (((index, _, learned),), (owned,)) = trace["eliminate"], trace["owned"]
+            assert index.keys() == {*result.key_ids, *transcript.plain}
+            # every pad is private and tells its owners its plain bit
+            assert learned == {**dict(zip(transcript.pad, transcript.plain)), **dict(zip(index, index))}
+            assert len(learned) == len(index) + transcript.public_bits
+            # only holders are served, and every one learns every key id, so the
+            # only kernel rows built are the key rows of the secrecy report
+            assert owned.keys() == result.holders
+            if scenario.protocol == "subgroup":  # relays own pads too, and get no entry
+                relays = {*transcript.senders, *transcript.receivers} - {scenario.s, scenario.t}
+                assert relays and owned.keys() == {scenario.s, scenario.t}
+            assert trace["rows"] == len(result.key_ids)
             assert result.secrecy.rank_transcript == transcript.public_bits
 
     def test_a_subgroup_run_solves_one_max_flow(self, monkeypatch):
@@ -295,19 +304,24 @@ def test_message_views_slice_concatenate_and_print_as_tuples():
     assert " at 0x" not in repr(msg)
 
 
-def test_own_rows_do_not_walk_the_bits_of_a_run():
-    class Run:  # a run of 10**15 ids, nearly all outside the support
+def test_owned_ids_look_only_at_served_runs_and_do_not_walk_them():
+    class Run:  # a run of 10**15 ids, nearly all outside the given ids
         def __init__(self, start):
             self.start, self.stop = start, start + 10**15
 
         def __iter__(self):
-            raise AssertionError("own_rows walked a run bit by bit")
+            raise AssertionError("owned_ids walked a run bit by bit")
+
+    class Unserved:  # a run that none of the terminals served owns
+        def __getattr__(self, name):
+            raise AssertionError("owned_ids looked at a run that no terminal served owns")
 
     class Basis:
-        values = {5: 1, 10**15 + 7: 0}
-
         def runs(self):
-            return [(Run(0), frozenset({0, 1})), (Run(10**15), frozenset({2}))]
+            return [(Run(0), frozenset({0, 1})), (Unserved(), frozenset({3})),
+                    (Run(10**15), frozenset({1, 2}))]
 
-    rows = own_rows(Basis(), {10**15 + 7: 0b100, 5: 0b11})
-    assert rows == {0: [0b11], 1: [0b11], 2: [0b100]}
+    ids = [5, 9, 10**15 + 7]
+    assert owned_ids(Basis(), ids, (0, 2)) == {0: [5, 9], 2: [10**15 + 7]}
+    assert owned_ids(Basis(), ids, (1,)) == {1: ids}
+    assert owned_ids(Basis(), ids, ()) == {}
