@@ -18,8 +18,9 @@ Realized source bits are numbered by int id, one contiguous range per
 pair key, with their values in one ``bytearray``.  Every bit has a label
 of one scheme, ``prefix + index``: ``K0-1:3`` is bit 3 of pair {0, 1}'s
 key and ``R2:0`` terminal 2's first local bit.  Labels are never stored
-per bit: they are rendered from ids when read, and parsed back only where
-a caller looks a label up.  The run path works on ids alone.
+per bit: they are rendered from ids when read, through one walk over the
+runs and a digit table that lives for one call, and parsed back only
+where a caller looks a label up.  The run path works on ids alone.
 """
 
 from __future__ import annotations
@@ -179,7 +180,11 @@ class SourceBitBasis:
         Nothing is registered unless every value is 0 or 1 and the owner
         set is not empty.
         """
-        if not _BIT_VALUES.issuperset(values):
+        try:
+            bad = bytes(values).translate(None, b"\0\1")
+        except (TypeError, ValueError):  # refused: a non-bit such as -1 or 0.5, or a bit such as 1.0
+            bad = b"?"
+        if bad and not _BIT_VALUES.issuperset(values):
             value = next(v for v in values if v not in _BIT_VALUES)
             raise ValueError(f"bit value must be 0 or 1, got {value!r}")
         if not owners:
@@ -218,16 +223,24 @@ class SourceBitBasis:
         return f"{prefix}{ident - base}"
 
     def labels_of(self, ids: Sequence[int]) -> list[str]:
-        """``label`` of each id, rendered in bulk run by run over the distinct ids."""
+        """``label`` of each id, rendered in bulk over the distinct ids: one forward walk
+        over the runs they touch, each index read from a digit table built for this call."""
         # an ascending range is already sorted and distinct
         distinct = ids if isinstance(ids, range) and ids.step > 0 else sorted(set(ids))
+        for ident in (distinct[0], distinct[-1]) if distinct else ():
+            self._run(ident)  # range check, on the smallest and largest id
+        digits: list[str] = []  # digits[k] == str(k), as far as the column renders
         rendered: list[str] = []
+        k = 0
         while (lo := len(rendered)) < len(distinct):
-            run, _, prefix, base = self._run(distinct[lo])
+            k = bisect_right(self._starts, distinct[lo], k) - 1
+            run, _, prefix, base = self._runs[k]
             hi = bisect_left(distinct, run.stop, lo)
-            span = range(distinct[lo] - base, distinct[hi - 1] - base + 1)  # label index: ident - base
-            offsets = span if len(span) == hi - lo else map(base.__rsub__, distinct[lo:hi])
-            rendered += map(prefix.__add__, map(str, offsets))
+            first, last = distinct[lo] - base, distinct[hi - 1] - base  # label index: ident - base
+            digits += map(str, range(len(digits), last + 1))
+            offsets = (digits[first:last + 1] if last - first == hi - lo - 1
+                       else map(digits.__getitem__, map(base.__rsub__, distinct[lo:hi])))
+            rendered += map(prefix.__add__, offsets)
         if distinct is ids or distinct == ids:
             return rendered
         return list(map(dict(zip(distinct, rendered)).__getitem__, ids))

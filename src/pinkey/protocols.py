@@ -161,7 +161,7 @@ class Transcript:
         """
         lines = ["transcript v1"]
         labels_of = self.basis.labels_of
-        texts = [a + "^" + b if a < b else b + "^" + a
+        texts = [f"{a}^{b}" if a < b else f"{b}^{a}"
                  for a, b in zip(labels_of(self.plain), labels_of(self.pad))]
         digits = self.payload.translate(_DIGITS).decode()
         start = 0
@@ -262,10 +262,11 @@ def _self_check(holders: frozenset[int], key_ids: Sequence[int], transcript: Tra
     basis = transcript.basis
     bits, plain, pad = transcript.payload, transcript.plain, transcript.pad
     # Linear-form fidelity: forms evaluated on realized basis bits must
-    # reproduce the actual payload bits.
+    # reproduce the actual payload bits, each column read as one big int.
     value = basis.values.__getitem__
-    evaluated = map(xor, bits, map(xor, map(value, plain), map(value, pad)))
-    invariant(not any(evaluated), "transcript form does not match payload")
+    plain_bits, pad_bits = bytes(map(value, plain)), bytes(map(value, pad))
+    evaluated = int.from_bytes(plain_bits, "big") ^ int.from_bytes(pad_bits, "big")
+    invariant(int.from_bytes(bits, "big") == evaluated, "transcript form does not match payload")
     index, table, learned = _eliminate(key_ids, transcript)
     # Replay soundness: every holder reconstructs the whole key.  By fidelity a
     # holder learns the value of each id that its own bits tell it, and only

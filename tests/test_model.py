@@ -168,6 +168,12 @@ class TestGeneration:
                      id="labels3-values3-owners3-must be 0 or 1, got 2"),
         pytest.param(["R0:0"], (1,), frozenset(), "at least one owner",
                      id="labels4-values4-owners4-at least one owner"),
+        # values that bytes() refuses get the same message
+        pytest.param(["R0:0", "R0:1"], (0, -1), frozenset((0,)), "must be 0 or 1, got -1", id="negative"),
+        pytest.param(["R0:0"], (256,), frozenset((0,)), "must be 0 or 1, got 256", id="above-a-byte"),
+        pytest.param(["R0:0", "R0:1"], (1, 0.5), frozenset((0,)), "must be 0 or 1, got 0.5", id="float"),
+        pytest.param(["R0:0"], ("1",), frozenset((0,)), "must be 0 or 1, got '1'", id="string"),
+        pytest.param(["R0:0"], (-1,), frozenset(), "must be 0 or 1, got -1", id="values-before-owners"),
     ])
     def test_bulk_registration_rejects_bad_bits(self, labels, values, owners, needle):
         basis = generate_pairwise_keys(TRIANGLE, 0).basis
@@ -178,6 +184,11 @@ class TestGeneration:
         assert basis.runs() == before and len(basis) == 12
         assert not any(label in basis for label in labels)
         assert basis.labels_of(basis._add_run("R0:", (1,) * len(labels), frozenset((0,)))) == labels
+
+    def test_bools_are_bit_values(self):
+        basis = generate_pairwise_keys(TRIANGLE, 0).basis
+        ids = basis._add_run("R0:", (True, False, True), frozenset((0,)))
+        assert basis.labels_of(ids) == ["R0:0", "R0:1", "R0:2"] and basis.bits(ids) == (1, 0, 1)
 
 
 class TestIds:
@@ -200,6 +211,33 @@ class TestIds:
             assert basis.labels_of(ids) == [basis.label(i) for i in ids]
         assert basis.labels[11:16] == ("K1-2:2", "R2:0", "R2:1", "R1:0", "R1:1")
         assert all(basis.id_of(lab) == i for i, lab in enumerate(basis.labels))
+
+    def test_labels_render_in_bulk_over_many_runs(self):
+        # runs of many lengths, "R" runs whose indices go on across earlier runs, and a
+        # budget of 1500, so that label indices of one to four digits are rendered
+        spec = NetworkSpec(12, {**{(i, j): (7 * i + 3 * j) % 11 + 1 for i in range(12)
+                                   for j in range(i + 1, 12)}, (2, 10): 1500})
+        store = generate_pairwise_keys(spec, 3)
+        basis = store.basis
+        for owner, count in ((3, 4), (5, 2), (3, 9), (5, 1), (3, 1200)):
+            basis.new_local_ids(owner, count, local_rng(3, owner))
+        assert basis.labels_of(range(len(basis) - 1200, len(basis)))[-1] == "R3:1212"
+        pair = store.key_ids(2, 10)
+        # a group pad column: each tree takes the next bit of every pair it uses, in hop order
+        trees = [spec.pairs()[t % 5::3] for t in range(8)]
+        pads = [store.key_ids(*edge)[t] for t, tree in enumerate(trees) for edge in reversed(tree)
+                if t < spec.budget(*edge)]
+        shuffled = list(range(len(basis)))
+        random.Random(9).shuffle(shuffled)
+        columns = [pads, range(len(basis)), pair, pair[::-1], pair[3:1499:7], list(pair[990:1010]),
+                   [pair[i] for i in (999, 1000, 1499, 1000, 0, 9, 10)], range(len(basis) - 1, 0, -13),
+                   list(range(len(basis)))[::-1], shuffled[:3000] * 2, [], range(0), range(5, 5)]
+        for ids in columns:
+            assert basis.labels_of(ids) == [basis.label(i) for i in ids]
+        assert basis.labels_of(pair)[999:1001] == ["K2-10:999", "K2-10:1000"]
+        for ids in ([*pads, len(basis)], [-1, *pads], range(-1, len(basis)), range(len(basis) + 1)):
+            with pytest.raises(ValueError, match="not in the basis"):
+                basis.labels_of(ids)
 
     def test_ids_outside_the_basis_have_no_label(self):
         basis = generate_pairwise_keys(TRIANGLE, 0).basis

@@ -50,6 +50,25 @@ TRIANGLE_GROUP_TRANSCRIPT = """transcript v1
 """
 
 
+def packed(bits):
+    """Payload bits as hex, MSB first, a bit per step, zero-padded to whole hex digits."""
+    value = 0
+    for bit in bits:
+        value = (value << 1) | bit
+    return f"{value:0{(len(bits) + 3) // 4}x}"
+
+
+def reference_text(transcript):
+    """``to_text`` rendered one message at a time: hex from the packed payload, forms as ``str``."""
+    lines = ["transcript v1"]
+    for msg in transcript:
+        n = len(msg.payload)
+        payload = "-" if n == 0 else str(msg.payload[0]) if n == 1 else packed(msg.payload)
+        forms = ";".join(map(str, msg.forms))
+        lines.append(f"{msg.round} {msg.sender} {msg.receiver} {payload} {forms}")
+    return "\n".join(lines) + "\n"
+
+
 def leak_report(result):
     return verify_independence(result.key_forms, result.transcript.forms(), result.basis)
 
@@ -473,12 +492,6 @@ class TestTranscripts:
         assert _hex("10110") == "16"
 
     def test_text_hex_fields_match_packed_payloads(self):
-        def packed(bits):  # MSB first, a bit per step, zero-padded to whole hex digits
-            value = 0
-            for bit in bits:
-                value = (value << 1) | bit
-            return f"{value:0{(len(bits) + 3) // 4}x}"
-
         lengths = [*range(1, 10), 31, 100]
         rng = random.Random(17)
         # one transcript holding every length, and all-zero and all-one payloads among them
@@ -499,6 +512,34 @@ class TestTranscripts:
             for line, msg in zip(lines, transcript):
                 assert line.split(" ")[3] == packed(msg.payload)
         assert {len(msg.payload) for msg in runs[0]} == set(lengths)
+
+    def test_text_matches_a_message_by_message_reference(self):
+        rng = random.Random(41)
+        runs = []
+        for _ in range(12):
+            spec = random_connected_spec(rng, max_m=7, max_budget=14)
+            seed = rng.randrange(2**32)
+            s, t = rng.sample(range(spec.m), 2)
+            runs.append(run_subgroup(generate_pairwise_keys(spec, seed), spec, s, t, seed).transcript)
+            runs.append(run_group_key(generate_pairwise_keys(spec, seed), spec).transcript)
+        spec = NetworkSpec.star([23, 11, 40, 17, 9, 30, 12, 25, 19, 14, 33])
+        runs.append(run_broadcast(generate_pairwise_keys(spec, 2), spec).transcript)
+        spec = NetworkSpec.complete(12, 2)
+        runs.append(run_group_key(generate_pairwise_keys(spec, 5), spec).transcript)
+        # labels that sort against id order: K0-10 after K0-2, index 10 after index 9
+        spec = NetworkSpec(11, {(0, 2): 12, (0, 10): 12, (1, 2): 12})
+        store = generate_pairwise_keys(spec, 8)
+        k02, k010, k12 = store.key_ids(0, 2), store.key_ids(0, 10), store.key_ids(1, 2)
+        columns = [([k02[3]], [k010[3]]), ([k010[4]], [k02[4]]), ([k12[9]], [k12[10]]),
+                   ([k12[11], k12[0]], [k12[8], k12[1]]), ([], []), ([k010[10], k02[2]], [k02[10], k010[9]])]
+        runs.append(transcript_of(store.basis, (
+            PublicMessage(0, 10, r, tuple(rng.getrandbits(1) for _ in plain), plain, pad, store.basis)
+            for r, (plain, pad) in enumerate(columns))))
+        for transcript in runs:
+            assert transcript.to_text() == reference_text(transcript)
+        assert runs[-1].to_text().splitlines()[1:4] == [
+            f"0 0 10 {runs[-1].payload[0]} K0-10:3^K0-2:3", f"1 0 10 {runs[-1].payload[1]} K0-10:4^K0-2:4",
+            f"2 0 10 {runs[-1].payload[2]} K1-2:10^K1-2:9"]
 
     def test_bad_columns_are_refused_by_the_constructor(self):
         spec = NetworkSpec.from_pairs(3, [(0, 1, 4), (0, 2, 4), (1, 2, 4)])
