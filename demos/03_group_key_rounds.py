@@ -5,14 +5,8 @@ floods a single source bit through it, and debits one bit from every
 tree edge.  The loop stops when the budget graph disconnects.
 """
 
-from pinkey import (
-    NetworkSpec,
-    generate_pairwise_keys,
-    group_bound,
-    is_connected,
-    maximum_spanning_tree,
-    run_group_key,
-)
+from pinkey import NetworkSpec, generate_pairwise_keys, group_bound, run_group_key
+from pinkey.oracles import is_connected, maximum_spanning_tree
 
 spec = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
 bound = group_bound(spec)
@@ -23,8 +17,8 @@ left = spec
 iteration = 0
 while is_connected(left):
     tree = maximum_spanning_tree(left, "lex-kruskal")
-    print(f"  iteration {iteration}: budgets {left.budgets}, tree {tree.edges}")
-    left = NetworkSpec(left.m, {pair: w - (pair in tree.edges) for pair, w in left.budgets.items()})
+    print(f"  iteration {iteration}: budgets {left.budgets}, tree {tree}")
+    left = NetworkSpec(left.m, {pair: w - (pair in tree) for pair, w in left.budgets.items()})
     iteration += 1
 print(f"  disconnected after {iteration} iterations")
 

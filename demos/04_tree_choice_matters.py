@@ -6,14 +6,10 @@ path tree doubles the yield, and a brute-force packing confirms two
 bits is the true optimum here.
 """
 
-from pinkey import (
-    NetworkSpec,
-    generate_pairwise_keys,
-    group_bound,
-    maximum_spanning_tree,
-    optimal_tree_packing_bruteforce,
-    run_group_key,
-)
+from collections import Counter
+
+from pinkey import NetworkSpec, generate_pairwise_keys, group_bound, run_group_key
+from pinkey.oracles import maximum_spanning_tree, optimal_tree_packing_bruteforce
 
 spec = NetworkSpec.complete(4, 1)
 
@@ -27,7 +23,8 @@ for policy in ("lex-kruskal", "degree-min"):
     store = generate_pairwise_keys(spec, seed=2)
     result = run_group_key(store, spec, policy)
     print(f"{policy}:")
-    print(f"  first tree {tree.edges} (max degree {tree.max_degree()})")
+    max_degree = max(Counter(node for edge in tree for node in edge).values())
+    print(f"  first tree {tree} (max degree {max_degree})")
     print(f"  key bits: {len(result.key)}")
 
 print()

@@ -7,15 +7,8 @@ small enough to enumerate.
 
 from fractions import Fraction
 
-from pinkey import (
-    NetworkSpec,
-    broadcast_bound,
-    group_bound,
-    min_normalized_multicut,
-    min_st_cut_bruteforce,
-    optimal_tree_packing_bruteforce,
-    subgroup_bound,
-)
+from pinkey import NetworkSpec, broadcast_bound, group_bound, subgroup_bound
+from pinkey.oracles import min_normalized_multicut, min_st_cut_bruteforce, optimal_tree_packing_bruteforce
 
 
 def show(label, report):

@@ -45,16 +45,9 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .graph import (
-    TIE_BREAK_POLICIES,
-    enumerate_partitions,
-    min_normalized_multicut,
-    min_st_cut_bruteforce,
-    optimal_tree_packing_bruteforce,
-)
+from .graph import TIE_BREAK_POLICIES
 from .model import NetworkSpec, generate_pairwise_keys
 from .protocols import GroupKeyResult, run_broadcast, run_group_key, run_subgroup
-from .secrecy import brute_force_mutual_information
 
 PROTOCOLS = ("broadcast", "subgroup", "group")
 FORMATS = ("text", "machine-readable")
@@ -314,6 +307,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from . import oracles  # the exhaustive oracles stay off the run path's imports
+
     scenario = _scenario_from_args(args)
     spec = scenario.spec
     kind = args.kind
@@ -323,21 +318,21 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         if s is None or t is None:
             raise ValidationError("mincut: provide --s and --t or a subgroup scenario")
         try:
-            value, witness = min_st_cut_bruteforce(spec, s, t)
+            value, witness = oracles.min_st_cut_bruteforce(spec, s, t)
         except ValueError as exc:
             raise ValidationError(f"mincut: {exc}") from None
         rows = [("kind", kind), ("value", value), ("witness", str(witness))]
     elif kind == "multicut":
-        value, witness = min_normalized_multicut(spec)
+        value, witness = oracles.min_normalized_multicut(spec)
         rows = [("kind", kind), ("value", value), ("floor", floor(value)), ("witness", str(witness))]
     elif kind == "packing":
-        rows = [("kind", kind), ("value", optimal_tree_packing_bruteforce(spec))]
+        rows = [("kind", kind), ("value", oracles.optimal_tree_packing_bruteforce(spec))]
     elif kind == "partitions":
-        count = sum(1 for _ in enumerate_partitions(spec.m))
+        count = sum(1 for _ in oracles.enumerate_partitions(spec.m))
         rows = [("kind", kind), ("count", count)]
     else:  # mi: exhaustive check of the scenario's own run
         _, result = run_scenario(scenario)
-        value = brute_force_mutual_information(
+        value = oracles.brute_force_mutual_information(
             result.key_forms, result.transcript.forms(), len(result.basis)
         )
         rows = [("kind", kind), ("value", value), ("basis_size", len(result.basis))]

@@ -1,4 +1,4 @@
-"""Weighted-graph machinery: flows, cuts, strength, spanning trees, partitions.
+"""Weighted-graph machinery: flows, cuts, strength, greedy spanning trees, partitions.
 
 The graph here is a `NetworkSpec`: terminals are its nodes and the pair
 budgets its undirected positive integer weights.  A pairwise key is one
@@ -7,38 +7,24 @@ single weight per pair, and zero-budget pairs are simply absent.  Nothing
 here changes a spec's budgets.  Every max flow, including the min cuts
 behind graph strength, runs on one Edmonds-Karp kernel.
 
-The exhaustive operations (cut enumeration, partition enumeration, tree
-packing) are oracles for testing the fast paths and for measuring how far
-the greedy protocols sit from optimal.  Each is protected by a hard
-instance-size guard and raises InstanceTooLarge beyond it rather than
-silently truncating.
+The exhaustive operations that check these fast paths (cut enumeration,
+partition enumeration, tree packing) live in ``pinkey.oracles``, which
+no run imports.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, insort
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GraphDisconnected, InstanceTooLarge, invariant
+from .errors import invariant
 from .model import NetworkSpec, Pair
 
-CUT_ENUM_NODE_LIMIT = 20        # min_st_cut_bruteforce enumerates 2**(m-2) sides
-PARTITION_NODE_LIMIT = 12       # Bell(12) is ~4.2e6, the practical ceiling
-TREE_ENUM_NODE_LIMIT = 8        # spanning-tree enumeration scans C(E, m-1) subsets
-PACKING_NODE_LIMIT = 6          # tree-packing search space explodes past this
-PACKING_WEIGHT_LIMIT = 24
-
 TIE_BREAK_POLICIES = ("lex-kruskal", "degree-min")
-
-
-def is_connected(spec: NetworkSpec) -> bool:
-    """True iff every node is reachable from node 0 over positive edges."""
-    uf = _UnionFind(spec.m)
-    return sum(uf.union(i, j) for i, j in spec.budgets) == spec.m - 1
 
 
 # --- partitions ---------------------------------------------------------
@@ -91,54 +77,6 @@ class Partition:
         return "|".join("{" + ",".join(str(n) for n in sorted(b)) + "}" for b in self.blocks)
 
 
-def enumerate_partitions(m: int):
-    """Yield every partition of [0, m) with k >= 2 blocks.
-
-    Enumeration is by restricted growth strings, so the order is
-    deterministic.  Hard guard: m <= 12.
-    """
-    if m > PARTITION_NODE_LIMIT:
-        raise InstanceTooLarge(f"partition enumeration is limited to m <= {PARTITION_NODE_LIMIT}, got {m}")
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-
-    code = [0] * m
-
-    def extend(pos: int, top: int):
-        if pos == m:
-            yield tuple(code)
-            return
-        for value in range(top + 2):
-            code[pos] = value
-            yield from extend(pos + 1, max(top, value))
-
-    for rgs in extend(1, 0):
-        k = max(rgs) + 1
-        if k < 2:
-            continue
-        blocks = [set() for _ in range(k)]
-        for node, which in enumerate(rgs):
-            blocks[which].add(node)
-        yield Partition(tuple(frozenset(b) for b in blocks))
-
-
-def min_normalized_multicut(spec: NetworkSpec) -> tuple[Fraction, Partition]:
-    """Minimize crossing_weight / (k - 1) over partitions with k >= 2 blocks, exactly.
-
-    Returns the exact rational minimum and the first partition attaining
-    it in enumeration order.  Hard guard: m <= 12.
-    """
-    best: Fraction | None = None
-    witness: Partition | None = None
-    for partition in enumerate_partitions(spec.m):
-        value = partition.normalized_weight(spec)
-        if best is None or value < best:
-            best, witness = value, partition
-    if best is None or witness is None:
-        raise ValueError(f"no qualifying partition of m={spec.m} nodes")
-    return best, witness
-
-
 # --- flows and cuts -----------------------------------------------------
 
 
@@ -156,17 +94,6 @@ class FlowAssignment:
     value: int
     paths: tuple[tuple[tuple[int, ...], int], ...]
     cut: Partition
-
-
-def _undirected_capacities(spec: NetworkSpec) -> dict[int, dict[int, int]]:
-    # Residual capacities start at the full weight in both directions;
-    # pushing f along u->v moves capacity from (u,v) to (v,u), which is
-    # the standard undirected-edge treatment.
-    cap: dict[int, dict[int, int]] = {u: {} for u in range(spec.m)}
-    for (i, j), w in spec.budgets.items():
-        cap[i][j] = w
-        cap[j][i] = w
-    return cap
 
 
 def _edmonds_karp(cap: dict[int, dict[int, int]], s: int, t: int) -> int:
@@ -244,7 +171,11 @@ def max_flow(spec: NetworkSpec, s: int, t: int) -> FlowAssignment:
     cyclic slack the augmenting search produced is left out of it.
     """
     _check_terminals(spec, s, t)
-    cap = _undirected_capacities(spec)
+    # Each pair's weight starts as residual capacity in both directions;
+    # pushing f along u->v moves capacity from (u,v) to (v,u).
+    cap: dict[int, dict[int, int]] = {u: {} for u in range(spec.m)}
+    for (i, j), w in spec.budgets.items():
+        _add_arc(cap, i, j, w, w)
     value = _edmonds_karp(cap, s, t)
     net: dict[tuple[int, int], int] = {}
     for i, j in spec.budgets:
@@ -279,38 +210,13 @@ def _cut(spec: NetworkSpec, side: Iterable[int]) -> Partition:
     return Partition((side, frozenset(range(spec.m)) - side))
 
 
-def min_st_cut_bruteforce(spec: NetworkSpec, s: int, t: int) -> tuple[int, Partition]:
-    """Minimum s-t cut by enumerating all 2**(m-2) source sides.
-
-    Oracle for max_flow; returns the cut's weight and the first minimizer
-    in enumeration order, as the partition of its source side and the
-    rest.  Raises ValueError unless s and t are two distinct terminals,
-    at any m; hard guard: m <= 20.
-    """
-    _check_terminals(spec, s, t)
-    if spec.m > CUT_ENUM_NODE_LIMIT:
-        raise InstanceTooLarge(f"cut enumeration is limited to m <= {CUT_ENUM_NODE_LIMIT}, got {spec.m}")
-    others = [v for v in range(spec.m) if v not in (s, t)]
-    edges = spec.budgets.items()
-    best_value: int | None = None
-    best_side: frozenset[int] | None = None
-    for mask in range(1 << len(others)):
-        side = {s} | {others[b] for b in range(len(others)) if (mask >> b) & 1}
-        crossing = sum(w for (i, j), w in edges if (i in side) != (j in side))
-        if best_value is None or crossing < best_value:
-            best_value = crossing
-            best_side = frozenset(side)
-    assert best_value is not None and best_side is not None
-    return best_value, _cut(spec, best_side)
-
-
 # --- strength -----------------------------------------------------------
 
 
 def graph_strength(spec: NetworkSpec) -> tuple[Fraction, Partition]:
     """Minimize crossing_weight / (k - 1) over partitions with k >= 2 blocks, exactly.
 
-    The same minimum as min_normalized_multicut, in polynomial time
+    The same minimum as oracles.min_normalized_multicut, in polynomial time
     (Cunningham, "Optimal attack and reinforcement of a network", JACM
     1985).  A Newton loop on the ratio starts at the singleton partition's
     W / (m - 1); each step finds a partition minimizing
@@ -401,35 +307,6 @@ class _UnionFind:
         return True
 
 
-@dataclass(frozen=True)
-class SpanningTree:
-    """A checked tree: m-1 edges on nodes 0..m-1, in sorted order.  Runs flood bare edge lists."""
-
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        m = len(self.edges) + 1
-        ordered = tuple(sorted(tuple(sorted(e)) for e in self.edges))
-        uf = _UnionFind(m)
-        for i, j in ordered:
-            if not (0 <= i < j < m):
-                raise ValueError(f"edge ({i}, {j}) cannot belong to a tree on {m} nodes")
-            if not uf.union(i, j):
-                raise ValueError(f"edges {ordered} contain a cycle")
-        object.__setattr__(self, "edges", ordered)
-
-    def max_degree(self) -> int:
-        return max(Counter(node for edge in self.edges for node in edge).values())
-
-
-def maximum_spanning_tree(spec: NetworkSpec, tie_break: str = "lex-kruskal") -> SpanningTree:
-    """Maximum-weight spanning tree under a named deterministic tie-break: the first
-    of ``greedy_spanning_trees``; GraphDisconnected if none."""
-    for edges in greedy_spanning_trees(spec, tie_break):
-        return SpanningTree(edges)
-    raise GraphDisconnected("graph has no spanning tree")
-
-
 def greedy_spanning_trees(spec: NetworkSpec, tie_break: str = "lex-kruskal") -> Iterator[tuple[Pair, ...]]:
     """The greedy group protocol's trees, each as its edges (i, j) in the order chosen:
     each round's maximum spanning tree of the remaining weights, whose edges are
@@ -507,58 +384,3 @@ def _kruskal(m: int, classes: dict[int, list[Pair]], degree_min: bool) -> list[t
                 component[v] = a
             members[a] += members[b]
     return chosen
-
-
-def enumerate_spanning_trees(spec: NetworkSpec):
-    """Yield every spanning tree of the spec's budget graph, in lexicographic edge-set order.
-
-    Exhaustive oracle for maximum_spanning_tree.  Hard guard: m <= 8.
-    """
-    if spec.m > TREE_ENUM_NODE_LIMIT:
-        raise InstanceTooLarge(f"tree enumeration is limited to m <= {TREE_ENUM_NODE_LIMIT}, got {spec.m}")
-    for combo in itertools.combinations(spec.pairs(), spec.m - 1):
-        uf = _UnionFind(spec.m)
-        if all(uf.union(i, j) for i, j in combo):
-            yield SpanningTree(combo)
-
-
-def optimal_tree_packing_bruteforce(spec: NetworkSpec) -> int:
-    """Longest sequence of spanning trees a budget graph can support.
-
-    A tree may be picked when all its edges still have positive weight;
-    picking it costs one unit on each tree edge.  The optimum is searched
-    by DFS over tree choices with memoization on the residual graph.
-    Hard guards: m <= 6 and total weight <= 24.
-    """
-    if spec.m > PACKING_NODE_LIMIT:
-        raise InstanceTooLarge(f"tree packing is limited to m <= {PACKING_NODE_LIMIT}, got {spec.m}")
-    if spec.total_budget() > PACKING_WEIGHT_LIMIT:
-        raise InstanceTooLarge(
-            f"tree packing is limited to total weight <= {PACKING_WEIGHT_LIMIT}, got {spec.total_budget()}"
-        )
-    trees = [t.edges for t in enumerate_spanning_trees(spec)]
-    memo: dict[tuple, int] = {}
-
-    def pack(weights: dict[tuple[int, int], int]) -> int:
-        key = tuple(sorted(weights.items()))
-        if key in memo:
-            return memo[key]
-        if not is_connected(NetworkSpec(spec.m, weights)):
-            memo[key] = 0
-            return 0
-        ceiling = sum(weights.values()) // (spec.m - 1)
-        best = 0
-        for tree in trees:
-            if all(weights.get(e, 0) > 0 for e in tree):
-                child = dict(weights)
-                for e in tree:
-                    child[e] -= 1
-                    if child[e] == 0:
-                        del child[e]
-                best = max(best, 1 + pack(child))
-                if best == ceiling:
-                    break
-        memo[key] = best
-        return best
-
-    return pack(spec.budgets)

@@ -1,0 +1,240 @@
+"""Exhaustive oracles: the references the fast paths are tested against.
+
+Each enumerates what a run computes in polynomial time or greedily:
+s-t cuts against ``max_flow``, partitions against ``graph_strength``,
+spanning trees and tree packings against the greedy tree loop, and the
+joint distribution of key and transcript against the rank audit.  No
+run imports this module; ``pinkey oracle``, the tests and the demos do.
+Each oracle is protected by a hard instance-size guard and raises
+InstanceTooLarge beyond it rather than silently truncating.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections.abc import Iterable
+from fractions import Fraction
+
+from .errors import GraphDisconnected, InstanceTooLarge
+from .graph import Partition, _check_terminals, _cut, _UnionFind, greedy_spanning_trees
+from .model import NetworkSpec, Pair
+from .secrecy import LinearForm
+
+CUT_ENUM_NODE_LIMIT = 20        # min_st_cut_bruteforce enumerates 2**(m-2) sides
+PARTITION_NODE_LIMIT = 12       # Bell(12) is ~4.2e6, the practical ceiling
+TREE_ENUM_NODE_LIMIT = 8        # spanning-tree enumeration scans C(E, m-1) subsets
+PACKING_NODE_LIMIT = 6          # tree-packing search space explodes past this
+PACKING_WEIGHT_LIMIT = 24
+MI_BASIS_LIMIT = 20             # brute_force_mutual_information enumerates 2**basis_size assignments
+
+
+def is_connected(spec: NetworkSpec) -> bool:
+    """True iff every node is reachable from node 0 over positive edges."""
+    uf = _UnionFind(spec.m)
+    return sum(uf.union(i, j) for i, j in spec.budgets) == spec.m - 1
+
+
+# --- cuts and partitions -----------------------------------------------
+
+
+def enumerate_partitions(m: int):
+    """Yield every partition of [0, m) with k >= 2 blocks.
+
+    Enumeration is by restricted growth strings, so the order is
+    deterministic.  Hard guard: m <= 12.
+    """
+    if m > PARTITION_NODE_LIMIT:
+        raise InstanceTooLarge(f"partition enumeration is limited to m <= {PARTITION_NODE_LIMIT}, got {m}")
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+
+    code = [0] * m
+
+    def extend(pos: int, top: int):
+        if pos == m:
+            yield tuple(code)
+            return
+        for value in range(top + 2):
+            code[pos] = value
+            yield from extend(pos + 1, max(top, value))
+
+    for rgs in extend(1, 0):
+        k = max(rgs) + 1
+        if k < 2:
+            continue
+        blocks = [set() for _ in range(k)]
+        for node, which in enumerate(rgs):
+            blocks[which].add(node)
+        yield Partition(tuple(frozenset(b) for b in blocks))
+
+
+def min_normalized_multicut(spec: NetworkSpec) -> tuple[Fraction, Partition]:
+    """Minimize crossing_weight / (k - 1) over partitions with k >= 2 blocks, exactly.
+
+    Returns the exact rational minimum and the first partition attaining
+    it in enumeration order.  Hard guard: m <= 12.
+    """
+    best: Fraction | None = None
+    witness: Partition | None = None
+    for partition in enumerate_partitions(spec.m):
+        value = partition.normalized_weight(spec)
+        if best is None or value < best:
+            best, witness = value, partition
+    if best is None or witness is None:
+        raise ValueError(f"no qualifying partition of m={spec.m} nodes")
+    return best, witness
+
+
+def min_st_cut_bruteforce(spec: NetworkSpec, s: int, t: int) -> tuple[int, Partition]:
+    """Minimum s-t cut by enumerating all 2**(m-2) source sides.
+
+    Oracle for max_flow; returns the cut's weight and the first minimizer
+    in enumeration order, as the partition of its source side and the
+    rest.  Raises ValueError unless s and t are two distinct terminals,
+    at any m; hard guard: m <= 20.
+    """
+    _check_terminals(spec, s, t)
+    if spec.m > CUT_ENUM_NODE_LIMIT:
+        raise InstanceTooLarge(f"cut enumeration is limited to m <= {CUT_ENUM_NODE_LIMIT}, got {spec.m}")
+    others = [v for v in range(spec.m) if v not in (s, t)]
+    edges = spec.budgets.items()
+    best_value: int | None = None
+    best_side: frozenset[int] | None = None
+    for mask in range(1 << len(others)):
+        side = {s} | {others[b] for b in range(len(others)) if (mask >> b) & 1}
+        crossing = sum(w for (i, j), w in edges if (i in side) != (j in side))
+        if best_value is None or crossing < best_value:
+            best_value = crossing
+            best_side = frozenset(side)
+    assert best_value is not None and best_side is not None
+    return best_value, _cut(spec, best_side)
+
+
+# --- spanning trees -----------------------------------------------------
+
+
+def maximum_spanning_tree(spec: NetworkSpec, tie_break: str = "lex-kruskal") -> tuple[Pair, ...]:
+    """Maximum-weight spanning tree under a named deterministic tie-break: the first
+    of ``greedy_spanning_trees``, as its sorted edges; GraphDisconnected if none."""
+    for edges in greedy_spanning_trees(spec, tie_break):
+        return tuple(sorted(edges))
+    raise GraphDisconnected("graph has no spanning tree")
+
+
+def enumerate_spanning_trees(spec: NetworkSpec):
+    """Yield every spanning tree of the spec's budget graph as its sorted edges,
+    in lexicographic edge-set order.
+
+    Exhaustive oracle for maximum_spanning_tree.  Hard guard: m <= 8.
+    """
+    if spec.m > TREE_ENUM_NODE_LIMIT:
+        raise InstanceTooLarge(f"tree enumeration is limited to m <= {TREE_ENUM_NODE_LIMIT}, got {spec.m}")
+    for combo in itertools.combinations(spec.pairs(), spec.m - 1):
+        uf = _UnionFind(spec.m)
+        if all(uf.union(i, j) for i, j in combo):
+            yield combo
+
+
+def optimal_tree_packing_bruteforce(spec: NetworkSpec) -> int:
+    """Longest sequence of spanning trees a budget graph can support.
+
+    A tree may be picked when all its edges still have positive weight;
+    picking it costs one unit on each tree edge.  The optimum is searched
+    by DFS over tree choices with memoization on the residual graph.
+    Hard guards: m <= 6 and total weight <= 24.
+    """
+    if spec.m > PACKING_NODE_LIMIT:
+        raise InstanceTooLarge(f"tree packing is limited to m <= {PACKING_NODE_LIMIT}, got {spec.m}")
+    if spec.total_budget() > PACKING_WEIGHT_LIMIT:
+        raise InstanceTooLarge(
+            f"tree packing is limited to total weight <= {PACKING_WEIGHT_LIMIT}, got {spec.total_budget()}"
+        )
+    trees = list(enumerate_spanning_trees(spec))
+    memo: dict[tuple, int] = {}
+
+    def pack(weights: dict[tuple[int, int], int]) -> int:
+        key = tuple(sorted(weights.items()))
+        if key in memo:
+            return memo[key]
+        if not is_connected(NetworkSpec(spec.m, weights)):
+            memo[key] = 0
+            return 0
+        ceiling = sum(weights.values()) // (spec.m - 1)
+        best = 0
+        for tree in trees:
+            if all(weights.get(e, 0) > 0 for e in tree):
+                child = dict(weights)
+                for e in tree:
+                    child[e] -= 1
+                    if child[e] == 0:
+                        del child[e]
+                best = max(best, 1 + pack(child))
+                if best == ceiling:
+                    break
+        memo[key] = best
+        return best
+
+    return pack(spec.budgets)
+
+
+# --- mutual information -------------------------------------------------
+
+
+def _exact_log2(ratio: Fraction) -> int:
+    num, den = ratio.numerator, ratio.denominator
+    if num & (num - 1) or den & (den - 1):
+        raise ValueError(f"ratio {ratio} is not a power of two; cannot take an exact log")
+    return (num.bit_length() - 1) - (den.bit_length() - 1)
+
+
+def brute_force_mutual_information(
+    key_forms: Iterable[LinearForm],
+    transcript_forms: Iterable[LinearForm],
+    basis_size: int,
+) -> Fraction:
+    """I(K; V) by exhaustive enumeration, with exact dyadic probabilities.
+
+    Enumerates every assignment of the labels the forms reference and
+    histograms the induced (K, V) values.  Basis bits no form mentions are
+    independent of both sides, so skipping them scales every count by the
+    same power of two and leaves the mutual information unchanged.
+
+    Returns 0 iff the joint distribution factorizes.  All probability
+    ratios of linear-form systems are powers of two, so the value is
+    computed log-free as an exact Fraction in bits.
+    """
+    if basis_size > MI_BASIS_LIMIT:
+        raise InstanceTooLarge(
+            f"basis of {basis_size} bits exceeds the exhaustive limit of {MI_BASIS_LIMIT}"
+        )
+    key_forms = list(key_forms)
+    transcript_forms = list(transcript_forms)
+    labels = sorted(set().union(*(f.labels for f in key_forms + transcript_forms)) or set())
+    if len(labels) > basis_size:
+        raise ValueError(
+            f"forms reference {len(labels)} labels but basis_size is {basis_size}"
+        )
+
+    joint: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    key_marginal: dict[tuple[int, ...], int] = {}
+    transcript_marginal: dict[tuple[int, ...], int] = {}
+    total = 1 << len(labels)
+    for assignment in range(total):
+        values = {label: (assignment >> t) & 1 for t, label in enumerate(labels)}
+        k = tuple(f.evaluate(values) for f in key_forms)
+        v = tuple(f.evaluate(values) for f in transcript_forms)
+        joint[(k, v)] = joint.get((k, v), 0) + 1
+        key_marginal[k] = key_marginal.get(k, 0) + 1
+        transcript_marginal[v] = transcript_marginal.get(v, 0) + 1
+
+    if all(
+        count * total == key_marginal[k] * transcript_marginal[v]
+        for (k, v), count in joint.items()
+    ):
+        return Fraction(0)
+
+    info = Fraction(0)
+    for (k, v), count in joint.items():
+        ratio = Fraction(count * total, key_marginal[k] * transcript_marginal[v])
+        info += Fraction(count, total) * _exact_log2(ratio)
+    return info

@@ -150,7 +150,9 @@ class Transcript:
         return len(self.payload)
 
     def forms(self) -> list[LinearForm]:
-        return [form for msg in self for form in msg.forms]
+        """Each public bit's linear form, in payload order."""
+        labels_of = self.basis.labels_of
+        return [LinearForm(frozenset(pair)) for pair in zip(labels_of(self.plain), labels_of(self.pad))]
 
     def to_text(self) -> str:
         """Line-oriented serialization, stable for golden-file comparison.
@@ -336,10 +338,12 @@ def run_subgroup(
     s draws F fresh random bits, F the s-t max-flow value, and routes
     slices of them along the flow's path decomposition.  Every hop (u, v)
     carrying c bits publishes the slice XOR the next c unused bits of
-    pair {u, v}'s key; relays decrypt and re-encrypt, so only s and t end
-    up knowing the plaintext.  Hops advance in lockstep rounds, paths in
-    lexicographic order within a round.  The bound is the min cut that the
-    flow's residual graph gives, checked there to equal the flow value.
+    pair {u, v}'s key.  Relays decrypt and re-encrypt, so a relay can
+    compute every key bit it forwards: relays are trusted helpers, and
+    the key is secret from the eavesdropper, not from them.  Hops
+    advance in lockstep rounds, paths in lexicographic order within a
+    round.  The bound is the min cut that the flow's residual graph
+    gives, checked there to equal the flow value.
     """
     flow = max_flow(spec, s, t)
     bound = Fraction(flow.value)

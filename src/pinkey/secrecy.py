@@ -7,8 +7,9 @@ key bits K and the public transcript bits V is exactly
     I(K; V) = rank(K) + rank(V) - rank(K ∪ V)   bits,
 
 and K is uniform exactly when its forms are linearly independent.  Both
-facts are checked here two ways: a rank computation over int bitsets, and
-an exhaustive histogram oracle that never looks at ranks.
+facts are checked here by a rank computation over int bitsets; the
+exhaustive histogram oracle that never looks at ranks is
+``pinkey.oracles.brute_force_mutual_information``.
 
 All GF(2) elimination in the package, ranks here and the self-check and
 replay in ``protocols``, goes through one kernel.  ``support_index``
@@ -33,14 +34,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, count, repeat
 from operator import xor
 
-from .errors import InstanceTooLarge, UnknownBasisLabel
+from .errors import UnknownBasisLabel
 from .model import SourceBitBasis
-
-MI_BASIS_LIMIT = 20  # exhaustive oracle enumerates 2**basis_size assignments
 
 
 @dataclass(frozen=True)
@@ -176,63 +174,3 @@ def verify_independence(
     table: dict[int, int] = {}
     gf2_rank(transcript_rows, table)
     return secrecy_report(table, key_rows)
-
-
-def _exact_log2(ratio: Fraction) -> int:
-    num, den = ratio.numerator, ratio.denominator
-    if num & (num - 1) or den & (den - 1):
-        raise ValueError(f"ratio {ratio} is not a power of two; cannot take an exact log")
-    return (num.bit_length() - 1) - (den.bit_length() - 1)
-
-
-def brute_force_mutual_information(
-    key_forms: Iterable[LinearForm],
-    transcript_forms: Iterable[LinearForm],
-    basis_size: int,
-) -> Fraction:
-    """I(K; V) by exhaustive enumeration, with exact dyadic probabilities.
-
-    Enumerates every assignment of the labels the forms reference and
-    histograms the induced (K, V) values.  Basis bits no form mentions are
-    independent of both sides, so skipping them scales every count by the
-    same power of two and leaves the mutual information unchanged.
-
-    Returns 0 iff the joint distribution factorizes.  All probability
-    ratios of linear-form systems are powers of two, so the value is
-    computed log-free as an exact Fraction in bits.
-    """
-    if basis_size > MI_BASIS_LIMIT:
-        raise InstanceTooLarge(
-            f"basis of {basis_size} bits exceeds the exhaustive limit of {MI_BASIS_LIMIT}"
-        )
-    key_forms = list(key_forms)
-    transcript_forms = list(transcript_forms)
-    labels = sorted(set().union(*(f.labels for f in key_forms + transcript_forms)) or set())
-    if len(labels) > basis_size:
-        raise ValueError(
-            f"forms reference {len(labels)} labels but basis_size is {basis_size}"
-        )
-
-    joint: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    key_marginal: dict[tuple[int, ...], int] = {}
-    transcript_marginal: dict[tuple[int, ...], int] = {}
-    total = 1 << len(labels)
-    for assignment in range(total):
-        values = {label: (assignment >> t) & 1 for t, label in enumerate(labels)}
-        k = tuple(f.evaluate(values) for f in key_forms)
-        v = tuple(f.evaluate(values) for f in transcript_forms)
-        joint[(k, v)] = joint.get((k, v), 0) + 1
-        key_marginal[k] = key_marginal.get(k, 0) + 1
-        transcript_marginal[v] = transcript_marginal.get(v, 0) + 1
-
-    if all(
-        count * total == key_marginal[k] * transcript_marginal[v]
-        for (k, v), count in joint.items()
-    ):
-        return Fraction(0)
-
-    info = Fraction(0)
-    for (k, v), count in joint.items():
-        ratio = Fraction(count * total, key_marginal[k] * transcript_marginal[v])
-        info += Fraction(count, total) * _exact_log2(ratio)
-    return info

@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from itertools import accumulate
 
-from pinkey import NetworkSpec, Transcript, is_connected
+from pinkey import NetworkSpec, Transcript
+from pinkey.oracles import is_connected
 
 
 def random_spec(rng: random.Random, max_m: int = 6, max_budget: int = 8, min_m: int = 2) -> NetworkSpec:

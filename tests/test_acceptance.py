@@ -19,21 +19,23 @@ from pinkey import (
     LinearForm,
     NetworkSpec,
     broadcast_bound,
-    brute_force_mutual_information,
-    enumerate_partitions,
     flood,
     generate_pairwise_keys,
     group_bound,
-    is_connected,
     max_flow,
-    min_st_cut_bruteforce,
-    optimal_tree_packing_bruteforce,
     run_broadcast,
     run_group_key,
     run_subgroup,
     verify_independence,
 )
 
+from pinkey.oracles import (
+    brute_force_mutual_information,
+    enumerate_partitions,
+    is_connected,
+    min_st_cut_bruteforce,
+    optimal_tree_packing_bruteforce,
+)
 from pinkey.secrecy import gf2_rank
 
 from helpers import debit, random_connected_spec, random_spec, random_star_spec

@@ -7,16 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from pinkey import (
-    NetworkSpec,
-    broadcast_bound,
-    enumerate_partitions,
-    group_bound,
-    min_st_cut_bruteforce,
-    subgroup_bound,
-)
+from pinkey import NetworkSpec, broadcast_bound, group_bound, subgroup_bound
 from pinkey.errors import NotAStar
 from pinkey.graph import Partition
+from pinkey.oracles import enumerate_partitions, min_st_cut_bruteforce
 
 from helpers import random_spec, random_star_spec
 

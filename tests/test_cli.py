@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +17,8 @@ import pinkey.protocols
 from pinkey import NetworkSpec
 from pinkey.cli import Scenario, load_scenario, main
 from pinkey.errors import ParseError, ValidationError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TRIANGLE_SCENARIO = """\
 # the running example: three terminals, uneven budgets
@@ -554,3 +560,82 @@ class TestVerifyCommand:
         saved.write_bytes(TRIANGLE_TRANSCRIPT.encode() + b"\xff\n")
         assert main(["verify", "--scenario", path, str(saved)]) == 2
         assert "error: cannot read transcript" in capsys.readouterr().err
+
+
+def oracle_v1(kind, *rows):
+    return f"oracle v1\nkind {kind}\n" + "".join(f"{row}\n" for row in rows)
+
+
+NO_TERMINALS = "error: mincut: provide --s and --t or a subgroup scenario\n"
+
+# (exit code, stdout, stderr) of each oracle on each demo scenario; mincut01 is mincut --s 0 --t 1
+DEMO_ORACLES = {
+    "k4_uniform_group": {
+        "mincut": (2, "", NO_TERMINALS),
+        "mincut01": (0, oracle_v1("mincut", "value 3", "witness {0}|{1,2,3}"), ""),
+        "multicut": (0, oracle_v1("multicut", "value 2", "floor 2", "witness {0}|{1}|{2}|{3}"), ""),
+        "packing": (0, oracle_v1("packing", "value 2"), ""),
+        "partitions": (0, oracle_v1("partitions", "count 14"), ""),
+        "mi": (0, oracle_v1("mi", "value 0", "basis_size 6"), ""),
+    },
+    "star_broadcast": {
+        "mincut": (2, "", NO_TERMINALS),
+        "mincut01": (0, oracle_v1("mincut", "value 7", "witness {0,2,3}|{1}"), ""),
+        "multicut": (0, oracle_v1("multicut", "value 5", "floor 5", "witness {0,1,3}|{2}"), ""),
+        "packing": (0, oracle_v1("packing", "value 5"), ""),
+        "partitions": (0, oracle_v1("partitions", "count 14"), ""),
+        "mi": (3, "", "error: basis of 21 bits exceeds the exhaustive limit of 20\n"),
+    },
+    "triangle_group": {
+        "mincut": (2, "", NO_TERMINALS),
+        "mincut01": (0, oracle_v1("mincut", "value 8", "witness {0,2}|{1}"), ""),
+        "multicut": (0, oracle_v1("multicut", "value 6", "floor 6", "witness {0}|{1}|{2}"), ""),
+        "packing": (0, oracle_v1("packing", "value 6"), ""),
+        "partitions": (0, oracle_v1("partitions", "count 4"), ""),
+        "mi": (0, oracle_v1("mi", "value 0", "basis_size 12"), ""),
+    },
+    "triangle_subgroup": {
+        "mincut": (0, oracle_v1("mincut", "value 7", "witness {0,1}|{2}"), ""),
+        "mincut01": (0, oracle_v1("mincut", "value 8", "witness {0,2}|{1}"), ""),
+        "multicut": (0, oracle_v1("multicut", "value 6", "floor 6", "witness {0}|{1}|{2}"), ""),
+        "packing": (0, oracle_v1("packing", "value 6"), ""),
+        "partitions": (0, oracle_v1("partitions", "count 4"), ""),
+        "mi": (0, oracle_v1("mi", "value 0", "basis_size 19"), ""),
+    },
+}
+
+
+def test_a_run_imports_no_oracle_and_the_oracles_keep_their_output():
+    # a fresh interpreter, so that no other test has imported pinkey.oracles already
+    code = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from pinkey.cli import main
+
+        def call(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            return code, out.getvalue(), err.getvalue()
+
+        paths = sys.argv[1:]
+        codes = [call(["run", "--scenario", path])[0] for path in paths]
+        if codes != [0] * len(paths):
+            sys.exit(f"run exit codes {codes}")
+        if "pinkey.oracles" in sys.modules:
+            sys.exit("a run imported pinkey.oracles")
+        kinds = {"mincut": ["mincut"], "mincut01": ["mincut", "--s", "0", "--t", "1"],
+                 "multicut": ["multicut"], "packing": ["packing"], "partitions": ["partitions"],
+                 "mi": ["mi"]}
+        print(json.dumps({path: {kind: call(["oracle", *argv, "--scenario", path])
+                                 for kind, argv in kinds.items()} for path in paths}))
+    """)
+    scenarios = sorted((ROOT / "demos" / "scenarios").glob("*.txt"))
+    assert [path.stem for path in scenarios] == sorted(DEMO_ORACLES)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, *map(str, scenarios)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    outputs = json.loads(done.stdout)
+    assert {Path(path).stem: {kind: tuple(call) for kind, call in calls.items()}
+            for path, calls in outputs.items()} == DEMO_ORACLES

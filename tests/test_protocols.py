@@ -17,14 +17,11 @@ import pytest
 import pinkey.protocols
 from pinkey import (
     NetworkSpec,
-    SpanningTree,
     Transcript,
     broadcast_bound,
     flood,
     generate_pairwise_keys,
     group_bound,
-    is_connected,
-    min_st_cut_bruteforce,
     replay_key,
     run_broadcast,
     run_group_key,
@@ -32,8 +29,8 @@ from pinkey import (
     verify_independence,
 )
 from pinkey.errors import InsufficientKeyMaterial, InvariantViolation, NotAStar
+from pinkey.oracles import MI_BASIS_LIMIT, brute_force_mutual_information, is_connected, min_st_cut_bruteforce
 from pinkey.protocols import GroupKeyResult, PublicMessage, _hex, _self_check
-from pinkey.secrecy import MI_BASIS_LIMIT, brute_force_mutual_information
 
 from helpers import (debit, key_values, known_to, random_connected_spec, random_spec, transcript_columns,
                      transcript_of)
@@ -394,23 +391,6 @@ class TestGroupKey:
         assert len(run_group_key(store, spec, "lex-kruskal").key) == 1
         store = generate_pairwise_keys(spec, 2)
         assert len(run_group_key(store, spec, "degree-min").key) == 2
-
-    @pytest.mark.parametrize("policy", ["lex-kruskal", "degree-min"])
-    def test_a_run_builds_no_spanning_tree(self, policy, monkeypatch):
-        # flood checks the bare edge lists itself, so no tree is rebuilt per round
-        spec = NetworkSpec.complete(6, 3)
-        expected = run_group_key(generate_pairwise_keys(spec, 4), spec, policy)
-
-        def refuse(tree):
-            raise AssertionError("a run built a SpanningTree")
-
-        monkeypatch.setattr(SpanningTree, "__post_init__", refuse)
-        with pytest.raises(AssertionError, match="built a SpanningTree"):
-            SpanningTree(((0, 1),))
-        result = run_group_key(generate_pairwise_keys(spec, 4), spec, policy)
-        assert len(result.key) == {"lex-kruskal": 7, "degree-min": 9}[policy]
-        assert result.key == expected.key
-        assert result.transcript.to_text() == expected.transcript.to_text()
 
     def test_pinned_star_tree_disconnects_after_one_round(self):
         # choosing the star tree first leaves node 0 isolated

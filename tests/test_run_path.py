@@ -16,15 +16,9 @@ import pytest
 import pinkey.graph
 import pinkey.protocols
 import pinkey.secrecy
-from pinkey import (
-    NetworkSpec,
-    brute_force_mutual_information,
-    generate_pairwise_keys,
-    run_broadcast,
-    run_subgroup,
-    verify_independence,
-)
+from pinkey import NetworkSpec, generate_pairwise_keys, run_broadcast, run_subgroup, verify_independence
 from pinkey.cli import Scenario, load_scenario, run_scenario
+from pinkey.oracles import brute_force_mutual_information
 from pinkey.protocols import PublicMessage, _self_check
 from pinkey.secrecy import column_rows, gf2_rank, owned_ids
 
@@ -121,6 +115,14 @@ def test_the_label_level_read_api_renders_the_same_labels():
         values = [realized[label] for label in labels]
         digest.update(repr((key_forms, forms, pads, labels, values)).encode())
     assert digest.hexdigest() == "302ec70c23e5e17df36e534cf6e2ad39c3cf74d10b77ad2bd6b2e23e5fc0d552"
+
+
+def test_transcript_forms_are_the_forms_of_its_messages_in_order():
+    # forms() renders the plain and pad columns whole; each message renders its own slice
+    for scenario in (_star_scenario(), _relay_scenario(), _dense_group_scenario("degree-min")):
+        _, result = run_scenario(scenario)
+        transcript = result.transcript
+        assert transcript.forms() == [form for msg in transcript for form in msg.forms], scenario.protocol
 
 
 def _random_scenarios(rng: random.Random, count: int, max_m: int, max_budget: int):

@@ -11,12 +11,12 @@ from pinkey import (
     LinearForm,
     NetworkSpec,
     SourceBitBasis,
-    brute_force_mutual_information,
     generate_pairwise_keys,
     run_group_key,
     verify_independence,
 )
 from pinkey.errors import InstanceTooLarge, UnknownBasisLabel
+from pinkey.oracles import brute_force_mutual_information
 from pinkey.secrecy import gf2_rank
 
 
