@@ -12,7 +12,7 @@ InstanceTooLarge beyond it rather than silently truncating.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 from .errors import GraphDisconnected, InstanceTooLarge
@@ -180,6 +180,14 @@ def optimal_tree_packing_bruteforce(spec: NetworkSpec) -> int:
 # --- mutual information -------------------------------------------------
 
 
+def _evaluate(form: LinearForm, values: Mapping[str, int]) -> int:
+    """The form's value under an assignment of its labels."""
+    acc = 0
+    for label in form.labels:
+        acc ^= values[label]
+    return acc
+
+
 def _exact_log2(ratio: Fraction) -> int:
     num, den = ratio.numerator, ratio.denominator
     if num & (num - 1) or den & (den - 1):
@@ -221,8 +229,8 @@ def brute_force_mutual_information(
     total = 1 << len(labels)
     for assignment in range(total):
         values = {label: (assignment >> t) & 1 for t, label in enumerate(labels)}
-        k = tuple(f.evaluate(values) for f in key_forms)
-        v = tuple(f.evaluate(values) for f in transcript_forms)
+        k = tuple(_evaluate(f, values) for f in key_forms)
+        v = tuple(_evaluate(f, values) for f in transcript_forms)
         joint[(k, v)] = joint.get((k, v), 0) + 1
         key_marginal[k] = key_marginal.get(k, 0) + 1
         transcript_marginal[v] = transcript_marginal.get(v, 0) + 1

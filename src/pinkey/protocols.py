@@ -19,11 +19,16 @@ labels are rendered from the ids only when read.  So reconstructibility
 and secrecy are verifiable by linear algebra instead of sampling.  Each
 run constructs its transcript once, from columns built in one pass;
 iterating it gives ``PublicMessage`` values.  Runs are pure functions
-of (store, spec, seed): reruns produce byte-identical transcripts.  Each
-run self-checks fidelity, one-time-pad discipline and per-holder replay
-with one reduction of its transcript, which also gives its secrecy
-report.  A private pad, a pad bit no other equation mentions, is
-eliminated once, and it tells its owners its plain bit: holders replay by id.
+of (store, spec, seed): reruns produce byte-identical transcripts.
+
+Every pad a run publishes is private: used once, and no key id or plain
+id.  Then each public bit's row has a column of its own, a terminal
+learns exactly the ids it owns plus the plain id of each pad it owns,
+and the run's secrecy report is (|K|, P, |K| + P) for |K| distinct key
+ids and P public bits: the transcript tells nothing about the key.  So
+each run self-checks fidelity, pad privacy and per-holder replay, which
+is set inclusion, with no GF(2) elimination, and a transcript with a
+pad that is not private is refused.
 """
 
 from __future__ import annotations
@@ -32,22 +37,13 @@ from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, repeat
 from operator import eq, xor
 
 from .bounds import broadcast_bound, group_bound
 from .errors import InsufficientKeyMaterial, invariant
 from .graph import greedy_spanning_trees, max_flow
 from .model import NetworkSpec, Pair, PairwiseKeyStore, SourceBitBasis, local_rng
-from .secrecy import (
-    LinearForm,
-    SecrecyReport,
-    column_rows,
-    gf2_rank,
-    owned_ids,
-    secrecy_report,
-    support_index,
-)
+from .secrecy import LinearForm, SecrecyReport, owned_ids
 
 # The group bound costs m min cuts per Newton step, but one call can still
 # take seconds on a sparse graph of m = 128.  Runs attach it to their result
@@ -206,61 +202,43 @@ class GroupKeyResult:
         return tuple(map(LinearForm.unit, self.basis.labels_of(self.key_ids)))
 
 
-def _eliminate(key_ids: Sequence[int], transcript: Transcript
-               ) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
-    """Reduce a run's transcript once, eliminating each private pad with its row.
+def _learned(key_ids: Sequence[int], transcript: Transcript) -> dict[int, int]:
+    """The id that each bit a terminal may own tells it: a key id itself, a pad its ``plain`` id.
 
-    Pads are checked unique, so a pad that is no key id or ``plain`` id has
-    a column of its own: its row adds 1 to the transcript's and the joint
-    rank, and a private pad tells its owners its plain bit.  The other rows
-    go into one pivot table over the key ids, the plain ids and their pads.
-    Gives the index, the table, and the id that each bit tells its owners:
-    an indexed id itself, a private pad its ``plain`` id.
+    Raises InvariantViolation unless every pad is private: used once, and
+    neither a key id nor a ``plain`` id.
     """
     plain, pad = transcript.plain, transcript.pad
-    invariant(len(pad) == len(set(pad)), "a pad bit was reused")
-    public = list(map({*key_ids, *plain}.__contains__, pad))
-    index = support_index(key_ids, plain, compress(pad, public))
-    table: dict[int, int] = {}
-    gf2_rank(column_rows((compress(plain, public), compress(pad, public)), index,
-                         compress(transcript.payload, public)), table)
     learned = dict(zip(pad, plain))
-    learned.update(zip(index, index))
-    return index, table, learned
+    invariant(len(learned) == len(pad), "a pad bit was reused")
+    invariant({*key_ids, *plain}.isdisjoint(learned), "a pad bit is not private")
+    learned.update(zip(key_ids, key_ids))
+    return learned
 
 
 def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
     """Reconstruct the key from a terminal's own bits plus the transcript.
 
-    Returns the reconstructed key bits, or None when some key bit is not
-    in the GF(2) span of what the terminal can see: the expected outcome
-    for a non-holder unless the protocol routes the key through it.  A
-    reused pad or inconsistent equations raise InvariantViolation.
+    The terminal is told the value of each key id it owns, and the plain
+    bit of each pad it owns: the payload bit XOR the pad's value.  Returns
+    the key bits, or None when it is not told some key id: the expected
+    outcome for a non-holder unless the protocol routes the key through
+    it.  A pad that is reused or not private, or two different values told
+    for one id, raise InvariantViolation.
     """
     transcript, values = result.transcript, result.basis.values
-    index, table, learned = _eliminate(result.key_ids, transcript)
-    own = owned_ids(result.basis, sorted(learned), (terminal,))[terminal]
-    # A private pad tells its owner its plain bit: the payload bit XOR the pad's value.
-    offset = dict(zip(transcript.pad, transcript.payload))
-    offset.update(dict.fromkeys(index, 0))
-    gf2_rank(column_rows((map(learned.__getitem__, own),), index,
-                         map(xor, map(offset.__getitem__, own), map(values.__getitem__, own))), table)
-    invariant(0 not in table, "inconsistent bit equations")
-    out = []
-    # Try each key form as the equation form = 0: it is implied (the bit
-    # is 0), contradicted (residue 1, so the bit is 1), or independent.
-    for row in column_rows((result.key_ids,), index, repeat(0)):
-        if not gf2_rank([row], table):
-            out.append(0)
-        elif table.pop(0, None) is not None:
-            out.append(1)
-        else:
-            return None
-    return tuple(out)
+    learned = _learned(result.key_ids, transcript)
+    told = dict(zip(transcript.pad, transcript.payload))
+    known: dict[int, int] = {}
+    for ident in owned_ids(result.basis, sorted(learned), (terminal,))[terminal]:
+        bit = values[ident] ^ told.get(ident, 0)
+        invariant(known.setdefault(learned[ident], bit) == bit, "inconsistent bit equations")
+    key = tuple(map(known.get, result.key_ids))
+    return None if None in key else key
 
 
 def _self_check(holders: frozenset[int], key_ids: Sequence[int], transcript: Transcript) -> SecrecyReport:
-    """Check a run's parts; return the secrecy report of its one transcript reduction."""
+    """Check a run's parts; return its secrecy report, which private pads give in closed form."""
     basis = transcript.basis
     bits, plain, pad = transcript.payload, transcript.plain, transcript.pad
     # Linear-form fidelity: forms evaluated on realized basis bits must
@@ -269,21 +247,19 @@ def _self_check(holders: frozenset[int], key_ids: Sequence[int], transcript: Tra
     plain_bits, pad_bits = bytes(map(value, plain)), bytes(map(value, pad))
     evaluated = int.from_bytes(plain_bits, "big") ^ int.from_bytes(pad_bits, "big")
     invariant(int.from_bytes(bits, "big") == evaluated, "transcript form does not match payload")
-    index, table, learned = _eliminate(key_ids, transcript)
-    # Replay soundness: every holder reconstructs the whole key.  By fidelity a
-    # holder learns the value of each id that its own bits tell it, and only
-    # the key ids it does not learn are reduced, against those ids and the table.
-    wanted, size = set(key_ids), len(table)
+    learned = _learned(key_ids, transcript)
+    # Every pad is private, so a public bit's row is the only one that mentions its
+    # pad.  A terminal's own bits and the transcript then span exactly the ids it
+    # owns and the plain id of each pad it owns: the ids ``learned`` gives it.
+    # Replay soundness: every holder learns every key id.
+    wanted = set(key_ids)
     for holder, own in sorted(owned_ids(basis, sorted(learned), holders).items()):
-        known = set(map(learned.__getitem__, own))
-        if missing := wanted.difference(known):
-            gf2_rank(column_rows((known,), index, map(value, known)), table)
-            invariant(not gf2_rank(column_rows((missing,), index, map(value, missing)), table),
-                      f"holder {holder} cannot replay the key")
-            while len(table) > size:  # gf2_rank only inserts and popitem is LIFO: restore the table
-                table.popitem()
-    key_rows = list(column_rows((key_ids,), index, basis.bits(key_ids)))
-    return secrecy_report(table, key_rows, len(learned) - len(index))
+        invariant(wanted.issubset(map(learned.__getitem__, own)), f"holder {holder} cannot replay the key")
+    # For the same reason the P public rows and the key's distinct unit rows are
+    # independent: ranks |K|, P and |K| + P, and the transcript tells nothing about the key.
+    public_bits = len(bits)
+    return SecrecyReport(rank_key=len(wanted), rank_transcript=public_bits,
+                         rank_joint=len(wanted) + public_bits, key_count=len(key_ids))
 
 
 def _result(holders: Iterable[int], key_ids: Sequence[int], transcript: Transcript,

@@ -11,31 +11,22 @@ facts are checked here by a rank computation over int bitsets; the
 exhaustive histogram oracle that never looks at ranks is
 ``pinkey.oracles.brute_force_mutual_information``.
 
-All GF(2) elimination in the package, ranks here and the self-check and
-replay in ``protocols``, goes through one kernel.  ``support_index``
-numbers the source bits a set of forms mentions, its support: by int id
-on the run path, by label in ``verify_independence``.  Forms are encoded
-as int rows over it, with support position k at row bit k + 1 and bit 0
-carrying the value the row is claimed to take; ``gf2_rank`` reduces rows
-into a pivot table keyed by each row's top bit.  Basis bits no form
-mentions cannot change a rank or a replay, so they get no column, and a
-row with a column of its own is eliminated with it: ``secrecy_report``
-counts it, and a private pad tells its owners its plain bit.  A row
-whose residue is exactly ``1`` says ``0 = 1``: it lands as pivot 0, so
-a table holding pivot 0 is inconsistent.  A consistent system has the
-same ranks with and without its values, so a run's self-check takes its
-secrecy report from the table it replays with.  ``verify_independence``
-and the exhaustive oracle read labelled ``LinearForm``s; runs keep
-source-bit ids and render such forms from them only when they are read.
+Runs need no elimination: every pad a run publishes is private, used
+once and no key id or plain id, so each public bit's row has a column of
+its own and the self-check in ``protocols`` gives the report in closed
+form.  ``verify_independence`` is the general audit, for any forms: it
+numbers the labels the forms mention, packs each form as an int row over
+them and reduces the rows with ``gf2_rank``.  It reads labelled
+``LinearForm``s; runs keep source-bit ids and render such forms from
+them only when they are read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain, count, repeat
-from operator import xor
+from itertools import chain
 
 from .errors import UnknownBasisLabel
 from .model import SourceBitBasis
@@ -50,12 +41,6 @@ class LinearForm:
     @classmethod
     def unit(cls, label: str) -> "LinearForm":
         return cls(frozenset((label,)))
-
-    def evaluate(self, values: Mapping[str, int]) -> int:
-        acc = 0
-        for label in self.labels:
-            acc ^= values[label]
-        return acc
 
     def __str__(self) -> str:
         if not self.labels:
@@ -84,25 +69,6 @@ class SecrecyReport:
         leaked = self.rank_key + self.rank_transcript - self.rank_joint
         if not 0 <= leaked <= min(self.rank_key, self.rank_transcript):
             raise ValueError(f"inconsistent ranks in {self!r}")
-
-
-def support_index(*groups: Iterable[Hashable]) -> dict[Hashable, int]:
-    """Number the distinct keys densely, in order of first appearance: source-bit
-    ids on the run path, labels in the label-level audit, which checks them."""
-    return dict(zip(dict.fromkeys(chain(*groups)), count()))
-
-
-_COLUMN = (2).__lshift__  # support position k -> its row bit, 2 << k
-
-
-def column_rows(columns: Iterable[Iterable[Hashable]], index: Mapping[Hashable, int],
-                values: Iterable[int]) -> Iterator[int]:
-    """Encode forms as kernel rows: form k is the XOR of the k-th key of every
-    column, its support position p at row bit p + 1, and value k sits in bit 0."""
-    rows = values
-    for keys in columns:
-        rows = map(xor, rows, map(_COLUMN, map(index.__getitem__, keys)))
-    return rows
 
 
 def owned_ids(basis: SourceBitBasis, ids: Sequence[int], terminals: Iterable[int]) -> dict[int, list[int]]:
@@ -137,19 +103,6 @@ def gf2_rank(masks: Iterable[int], pivots: dict[int, int] | None = None) -> int:
     return rank
 
 
-def secrecy_report(transcript: dict[int, int], key_rows: list[int], eliminated: int = 0) -> SecrecyReport:
-    """The report for the key rows and a consistent pivot table of the transcript
-    rows, which it extends in place; rows may carry values that hold together.
-    Each of ``eliminated`` more transcript rows has a column of its own."""
-    rank_transcript = len(transcript) + eliminated
-    return SecrecyReport(
-        rank_key=gf2_rank(key_rows),
-        rank_transcript=rank_transcript,
-        rank_joint=rank_transcript + gf2_rank(key_rows, transcript),
-        key_count=len(key_rows),
-    )
-
-
 def verify_independence(
     key_forms: Iterable[LinearForm],
     transcript_forms: Iterable[LinearForm],
@@ -159,18 +112,26 @@ def verify_independence(
 
     leaked_bits == 0 iff the key is statistically independent of the
     public transcript; every label must exist in ``basis``.  This is the
-    label-level audit; runs get the same report from their self-check.
+    label-level audit of any forms; a run's self-check gives the same
+    report in closed form, as its pads are private.
     """
     key_forms = [form.labels for form in key_forms]
     transcript_forms = [form.labels for form in transcript_forms]
-    index = support_index(*transcript_forms, *key_forms)
+    # Number the labels the forms mention, in order of first appearance;
+    # basis bits no form mentions cannot change a rank.
+    index = {label: k for k, label in enumerate(dict.fromkeys(chain(*transcript_forms, *key_forms)))}
     for label in index:
         if label not in basis:
             raise UnknownBasisLabel(f"label {label!r} is not in the basis")
 
-    # A form's row is the sum of its labels' distinct unit rows.
-    transcript_rows, key_rows = ([sum(column_rows((form,), index, repeat(0))) for form in forms]
+    # A form's row has bit k set for each of its labels numbered k.
+    transcript_rows, key_rows = ([sum(1 << index[label] for label in form) for form in forms]
                                  for forms in (transcript_forms, key_forms))
     table: dict[int, int] = {}
-    gf2_rank(transcript_rows, table)
-    return secrecy_report(table, key_rows)
+    rank_transcript = gf2_rank(transcript_rows, table)
+    return SecrecyReport(
+        rank_key=gf2_rank(key_rows),
+        rank_transcript=rank_transcript,
+        rank_joint=rank_transcript + gf2_rank(key_rows, table),
+        key_count=len(key_rows),
+    )

@@ -314,6 +314,23 @@ class TestRunCommand:
         assert m10["bound"] is m10["bound_floor"] is m10["gap"] is None
         assert m10["status"] == "ok"
 
+    def test_a_group_run_attaches_the_bound_up_to_m_9_only(self, tmp_path, capsys):
+        assert pinkey.protocols.GROUP_BOUND_AUTO_LIMIT == 9
+        for m in (9, 10):
+            text = f"version 1\nm {m}\nprotocol group\nseed 2\n" + "".join(
+                f"pair {i} {j} {1 + (i * j) % 3}\n" for i in range(m) for j in range(i + 1, m))
+            path = scenario_file(tmp_path, text, f"m{m}.txt")
+            assert main(["run", "--scenario", path]) == 0
+            report = capsys.readouterr().out.splitlines()
+            assert "status ok" in report
+            # `bound` gives the group bound at any m
+            assert main(["bound", "--scenario", path]) == 0
+            value = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("value "))
+            if m == 9:
+                assert f"bound {value.split()[1]}" in report
+            else:
+                assert {"bound -", "bound_floor -", "gap -"} <= set(report)
+
     def test_emit_transcript(self, tmp_path, capsys):
         path = scenario_file(tmp_path, TRIANGLE_SCENARIO)
         out = tmp_path / "run.transcript"

@@ -256,8 +256,7 @@ class TestIds:
         assert [values[lab] for lab in labels] == list(key_values(store, 0, 2))
         assert "K0-2:3" in values and "K0-2:4" not in values
         assert list(values) == list(store.basis.labels)
-        assert LinearForm(frozenset(("K0-1:0", "K1-2:0"))).evaluate(values) == (
-            key_values(store, 0, 1)[0] ^ key_values(store, 1, 2)[0])
+        assert values["K0-1:0"] ^ values["K1-2:0"] == key_values(store, 0, 1)[0] ^ key_values(store, 1, 2)[0]
 
 
 class TestConsumption:

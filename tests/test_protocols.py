@@ -14,7 +14,6 @@ from operator import add
 
 import pytest
 
-import pinkey.protocols
 from pinkey import (
     NetworkSpec,
     Transcript,
@@ -71,7 +70,7 @@ def leak_report(result):
 
 
 def reference_replay(result, terminal):
-    """Replay by textbook elimination over label sets, independent of the kernel.
+    """Replay by textbook elimination over label sets, independent of the package.
 
     Equations are (labels, value) pairs: the terminal's own source bits,
     then every public payload bit.  Each stored row keeps its pivot label
@@ -593,7 +592,8 @@ class TestTranscripts:
         values = result.basis.realized()
         for msg in result.transcript:
             for bit, form in zip(msg.payload, msg.forms):
-                assert form.evaluate(values) == bit
+                a, b = form.labels
+                assert values[a] ^ values[b] == bit
 
 
 def hand_built(spec, seed, key_ids, plain, pad):
@@ -607,10 +607,23 @@ def hand_built(spec, seed, key_ids, plain, pad):
     return replace(result, secrecy=leak_report(result))
 
 
+def hand_built_pads(rng, kind, ids, key_ids):
+    """Rows ``plain[k] ^ pad[k]`` over ``ids`` with distinct pads that are all private, or,
+    for ``kind`` "key" or "plain", of which one is a key id or another row's plain id."""
+    free = [i for i in ids if i not in key_ids]
+    pad = rng.sample(free, rng.randint(2 if kind == "plain" else 1, len(free)))
+    k = rng.randrange(len(pad))
+    if kind == "key":
+        pad[k] = rng.choice(key_ids)
+    plain = [rng.choice([i for i in ids if i not in pad]) for _ in pad]
+    if kind == "plain":
+        plain[k] = rng.choice([p for p in pad if p != pad[k]])
+    return plain, pad
+
+
 # Star of four leaves, ids 0-1 pair {0, 1}, 2-3 {0, 2}, 4-5 {0, 3}, 6 {0, 4}; the key is bit 0.
-# Pad 2 is also a plain bit, so the row 0 ^ 2 is not eliminated; pad 4 is private, which
-# tells terminal 3 bit 2; pad 0 is the key bit.  Terminal 3 sees the key only as the sum of
-# that narrow row and the row 0 ^ 2, and terminal 4 not at all.
+# Pad 2 is also a plain bit, and pad 0 is the key bit.  Terminal 3 would see the key only as
+# the sum of the rows 0 ^ 2 and 2 ^ 4, and terminal 4 not at all.
 COMBINATION = (NetworkSpec.star([2, 2, 2, 1]), 4, [0], [0, 2, 1], [2, 4, 0])
 
 
@@ -618,16 +631,24 @@ class TestHandBuiltTranscripts:
     def test_self_check_and_replay_agree_with_the_oracles(self):
         rng = random.Random(1812)
         kinds = dict.fromkeys(("private", "key", "plain"), 0)
-        for _ in range(150):
+        for trial in range(210):
+            kind = list(kinds)[trial % 3]
             spec = (random_connected_spec(rng, max_m=4, max_budget=3) if rng.random() < 0.5
                     else NetworkSpec.star([rng.randint(1, 3) for _ in range(rng.randint(1, 3))]))
             ids = list(range(spec.total_budget()))
-            key_ids = rng.sample(ids, rng.randint(1, min(2, len(ids))))
-            pad = rng.sample(ids, rng.randint(0, len(ids) - 1))
-            plain = [rng.choice([i for i in [*pad, *key_ids, *ids] if i != p]) for p in pad]
-            for p in pad:
-                kinds["key" if p in key_ids else "plain" if p in plain else "private"] += 1
+            if len(ids) < 3:
+                continue
+            key_ids = rng.sample(ids, rng.randint(1, min(2, len(ids) - 2)))
+            plain, pad = hand_built_pads(rng, kind, ids, key_ids)
             result = hand_built(spec, rng.randrange(2**16), key_ids, plain, pad)
+            kinds[kind] += 1
+            if kind != "private":
+                with pytest.raises(InvariantViolation, match="a pad bit is not private"):
+                    _self_check(frozenset(), key_ids, result.transcript)
+                for terminal in range(spec.m):
+                    with pytest.raises(InvariantViolation, match="a pad bit is not private"):
+                        replay_key(result, terminal)
+                continue
             holders = set()
             for terminal in range(spec.m):
                 replayed = reference_replay(result, terminal)
@@ -639,40 +660,50 @@ class TestHandBuiltTranscripts:
             for outsider in set(range(spec.m)) - holders:
                 with pytest.raises(InvariantViolation, match=f"holder {outsider} cannot replay"):
                     _self_check(frozenset(holders | {outsider}), key_ids, result.transcript)
+            assert result.secrecy.leaked_bits == 0
             if len(result.basis) <= MI_BASIS_LIMIT:
-                assert result.secrecy.leaked_bits == brute_force_mutual_information(
-                    result.key_forms, result.transcript.forms(), len(result.basis))
+                assert brute_force_mutual_information(
+                    result.key_forms, result.transcript.forms(), len(result.basis)) == 0
         assert min(kinds.values()) >= 50, kinds
 
-    def test_a_key_bit_seen_only_as_a_combination_is_reduced(self, monkeypatch):
+    def test_a_key_bit_seen_only_as_a_combination_is_refused(self):
         result = hand_built(*COMBINATION)
-        assert [replay_key(result, t) for t in range(5)] == [result.key] * 4 + [None]
-        calls = []
-        kernel = pinkey.protocols.gf2_rank
-        monkeypatch.setattr(pinkey.protocols, "gf2_rank", lambda *args: calls.append(1) or kernel(*args))
-        assert _self_check(frozenset({3}), result.key_ids, result.transcript) == result.secrecy
-        # the table of the row 0 ^ 2, then terminal 3's rows, then its missing key row
-        assert len(calls) == 3
+        # the label-level audit finds no leak, but the pads are not private
         assert result.secrecy.leaked_bits == 0 and result.secrecy.rank_transcript == 3
+        with pytest.raises(InvariantViolation, match="a pad bit is not private"):
+            _self_check(frozenset({3}), result.key_ids, result.transcript)
+        for terminal in range(5):
+            with pytest.raises(InvariantViolation, match="a pad bit is not private"):
+                replay_key(result, terminal)
 
     def test_a_holder_that_cannot_replay_is_named_under_python_O(self):
         code = textwrap.dedent(f"""
-            from pinkey import NetworkSpec, Transcript, generate_pairwise_keys
+            from pinkey import NetworkSpec, Transcript, generate_pairwise_keys, run_broadcast
             from pinkey.errors import InvariantViolation
             from pinkey.protocols import _self_check
 
             assert False, "assertions must be off"
+            spec = NetworkSpec.star([7, 5, 9])
+            result = run_broadcast(generate_pairwise_keys(spec, 3), spec)
+            t = result.transcript
+            # leaf 3 loses its re-keying message, the last one
+            n, cut = len(t) - 1, t.ends[-2]
+            dropped = Transcript(t.basis, t.rounds[:n], t.senders[:n], t.receivers[:n], t.ends[:n],
+                                 t.payload[:cut], t.plain[:cut], t.pad[:cut])
             spec = NetworkSpec.star({list(COMBINATION[0].budgets.values())!r})
             seed, key_ids, plain, pad = {COMBINATION[1:]!r}
             basis = generate_pairwise_keys(spec, seed).basis
             payload = [basis.values[a] ^ basis.values[b] for a, b in zip(plain, pad)]
-            transcript = Transcript(basis, [0] * 3, [0] * 3, [1] * 3, [1, 2, 3], payload, plain, pad)
-            try:
-                _self_check(frozenset(range(5)), key_ids, transcript)
-            except InvariantViolation as exc:
-                print("caught:", exc)
+            shared = Transcript(basis, [0] * 3, [0] * 3, [1] * 3, [1, 2, 3], payload, plain, pad)
+            for holders, key, transcript in [(result.holders, result.key_ids, dropped),
+                                             (frozenset(range(5)), key_ids, shared)]:
+                try:
+                    _self_check(holders, key, transcript)
+                except InvariantViolation as exc:
+                    print("caught:", exc)
         """)
-        assert run_optimized(code) == "caught: holder 4 cannot replay the key\n"
+        assert run_optimized(code) == ("caught: holder 3 cannot replay the key\n"
+                                       "caught: a pad bit is not private\n")
 
 
 class TestSelfCheck:
@@ -690,7 +721,7 @@ class TestSelfCheck:
         bad = replace(result, transcript=transcript_of(result.basis, messages + messages[-1:]))
         with pytest.raises(InvariantViolation, match="pad bit was reused"):
             self_check(bad)
-        # replay eliminates pads by the same check
+        # replay checks the pads the same way
         with pytest.raises(InvariantViolation, match="pad bit was reused"):
             replay_key(bad, 1)
 

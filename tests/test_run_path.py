@@ -18,9 +18,10 @@ import pinkey.protocols
 import pinkey.secrecy
 from pinkey import NetworkSpec, generate_pairwise_keys, run_broadcast, run_subgroup, verify_independence
 from pinkey.cli import Scenario, load_scenario, run_scenario
+from pinkey.errors import InvariantViolation
 from pinkey.oracles import brute_force_mutual_information
 from pinkey.protocols import PublicMessage, _self_check
-from pinkey.secrecy import column_rows, gf2_rank, owned_ids
+from pinkey.secrecy import owned_ids
 
 from helpers import random_connected_spec, random_star_spec, transcript_of
 
@@ -184,55 +185,46 @@ def _group_scenario() -> Scenario:
     return Scenario(NetworkSpec(9, budgets), protocol="group", seed=5, tie_break="degree-min")
 
 
+def test_a_run_does_no_elimination(monkeypatch):
+    trace = {}
+
+    def traced(name, fn):
+        def wrapper(*args):
+            trace[name].append(fn(*args))
+            return trace[name][-1]
+        return wrapper
+
+    def kernel(*args):
+        raise AssertionError("a run reduced rows with gf2_rank")
+
+    assert not hasattr(pinkey.protocols, "gf2_rank")
+    monkeypatch.setattr(pinkey.secrecy, "gf2_rank", kernel)
+    monkeypatch.setattr(pinkey.protocols, "_learned", traced("learned", pinkey.protocols._learned))
+    monkeypatch.setattr(pinkey.protocols, "owned_ids", traced("owned", owned_ids))
+    for scenario in (_star_scenario(), _relay_scenario(), _group_scenario()):
+        trace.update(learned=[], owned=[])
+        _, result = run_scenario(scenario)
+        transcript = result.transcript
+        assert len(result.key) > 0 and transcript.public_bits > 0
+        # one pass over the transcript: every pad is private and tells its
+        # owners its plain bit, and a key id tells its owners itself
+        ((learned,), (owned,)) = trace["learned"], trace["owned"]
+        key_ids = result.key_ids
+        assert learned == {**dict(zip(transcript.pad, transcript.plain)), **dict(zip(key_ids, key_ids))}
+        assert len(learned) == len(key_ids) + transcript.public_bits
+        # only holders are served, and every one learns every key id
+        assert owned.keys() == result.holders
+        for own in owned.values():
+            assert set(key_ids) <= {learned[ident] for ident in own}
+        if scenario.protocol == "subgroup":  # relays own pads too, and get no entry
+            relays = {*transcript.senders, *transcript.receivers} - {scenario.s, scenario.t}
+            assert relays and owned.keys() == {scenario.s, scenario.t}
+        bits = transcript.public_bits
+        assert (result.secrecy.rank_key, result.secrecy.rank_transcript,
+                result.secrecy.rank_joint) == (len(key_ids), bits, len(key_ids) + bits)
+
+
 class TestOneReduction:
-    def test_run_scenario_indexes_and_reduces_the_transcript_once(self, monkeypatch):
-        trace = {}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                trace[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        def traced(name, fn):
-            def wrapper(*args):
-                trace[name].append(fn(*args))
-                return trace[name][-1]
-            return wrapper
-
-        def rows(*args):
-            built = list(column_rows(*args))
-            trace["rows"] += len(built)
-            return iter(built)
-
-        monkeypatch.setattr(pinkey.protocols, "support_index", counted("index", pinkey.protocols.support_index))
-        monkeypatch.setattr(pinkey.secrecy, "support_index", counted("index", pinkey.secrecy.support_index))
-        monkeypatch.setattr(pinkey.protocols, "gf2_rank", counted("kernel", gf2_rank))
-        monkeypatch.setattr(pinkey.protocols, "column_rows", rows)
-        monkeypatch.setattr(pinkey.protocols, "_eliminate", traced("eliminate", pinkey.protocols._eliminate))
-        monkeypatch.setattr(pinkey.protocols, "owned_ids", traced("owned", owned_ids))
-        for scenario in (_star_scenario(), _relay_scenario(), _group_scenario()):
-            trace.update(index=0, kernel=0, rows=0, eliminate=[], owned=[])
-            _, result = run_scenario(scenario)
-            transcript = result.transcript
-            assert len(result.key) > 0 and transcript.public_bits > 0
-            # One support index and one kernel call from the run: the table of
-            # the rows no pad eliminates, which these protocols never publish.
-            assert (trace["index"], trace["kernel"]) == (1, 1), scenario.protocol
-            (((index, _, learned),), (owned,)) = trace["eliminate"], trace["owned"]
-            assert index.keys() == {*result.key_ids, *transcript.plain}
-            # every pad is private and tells its owners its plain bit
-            assert learned == {**dict(zip(transcript.pad, transcript.plain)), **dict(zip(index, index))}
-            assert len(learned) == len(index) + transcript.public_bits
-            # only holders are served, and every one learns every key id, so the
-            # only kernel rows built are the key rows of the secrecy report
-            assert owned.keys() == result.holders
-            if scenario.protocol == "subgroup":  # relays own pads too, and get no entry
-                relays = {*transcript.senders, *transcript.receivers} - {scenario.s, scenario.t}
-                assert relays and owned.keys() == {scenario.s, scenario.t}
-            assert trace["rows"] == len(result.key_ids)
-            assert result.secrecy.rank_transcript == transcript.public_bits
-
     def test_a_subgroup_run_solves_one_max_flow(self, monkeypatch):
         kernel = pinkey.graph._edmonds_karp
         calls = []
@@ -268,7 +260,8 @@ def test_degenerate_runs_keep_their_report_bytes(scenario, report):
 
 def test_the_self_check_reports_a_leak_as_the_oracles_do():
     # Two extra public bits k0 ^ x and x ^ k1 are faithful, pad nothing
-    # twice and still let everyone replay, but publish k0 ^ k1.
+    # twice and still let everyone replay, but publish k0 ^ k1: their pads
+    # are a plain bit and a key bit, so the self-check refuses them.
     spec = NetworkSpec.star([3, 5, 5])
     store = generate_pairwise_keys(spec, 9)
     result = run_broadcast(store, spec)
@@ -278,9 +271,9 @@ def test_the_self_check_reports_a_leak_as_the_oracles_do():
     payload = tuple(store.basis.values[a] ^ store.basis.values[b] for a, b in zip(plain, pad))
     extra = PublicMessage(0, 3, 1, payload, plain, pad, store.basis)
     leaky = transcript_of(store.basis, [*result.transcript, extra])
-    report = _self_check(result.holders, result.key_ids, leaky)
-    assert report.leaked_bits == 1
-    assert report == verify_independence(result.key_forms, leaky.forms(), result.basis)
+    with pytest.raises(InvariantViolation, match="a pad bit is not private"):
+        _self_check(result.holders, result.key_ids, leaky)
+    assert verify_independence(result.key_forms, leaky.forms(), result.basis).leaked_bits == 1
     assert brute_force_mutual_information(result.key_forms, leaky.forms(), len(result.basis)) == 1
     assert result.secrecy.leaked_bits == 0
 
