@@ -332,10 +332,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         rows = [("kind", kind), ("count", count)]
     else:  # mi: exhaustive check of the scenario's own run
         _, result = run_scenario(scenario)
+        # the scenario's source bits: every budget bit, drawn or not, and the run's fresh
+        # bits, which have one owner each
+        size = spec.total_budget() + sum(len(ids) for ids, owners in result.basis.runs()
+                                         if len(owners) == 1)
         value = oracles.brute_force_mutual_information(
-            result.key_forms, result.transcript.forms(), len(result.basis)
-        )
-        rows = [("kind", kind), ("value", value), ("basis_size", len(result.basis))]
+            result.key_forms, result.transcript.forms(), size)
+        rows = [("kind", kind), ("value", value), ("basis_size", size)]
     sys.stdout.write(_render_kv(rows, scenario.fmt, "oracle v1"))
     return 0
 

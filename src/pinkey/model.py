@@ -14,8 +14,10 @@ stream is generated from its own ``random.Random`` instance whose seed is
 a SHA-256 mix of the run seed and the pair, so streams are independent of
 generation order and stable across platforms and processes.
 
-Realized source bits are numbered by int id, one contiguous range per
-pair key, with their values in one ``bytearray``.  Every bit has a label
+Realized source bits are numbered by int id, one run of consecutive ids
+per draw, with their values in one ``bytearray``.  A pair's bits are
+drawn only when a protocol takes them, so the basis holds the bits a
+run drew and no others.  Every bit has a label
 of one scheme, ``prefix + index``: ``K0-1:3`` is bit 3 of pair {0, 1}'s
 key and ``R2:0`` terminal 2's first local bit.  Labels are never stored
 per bit: they are rendered from ids when read, through one walk over the
@@ -54,11 +56,6 @@ def canonical_pair(i: int, j: int) -> Pair:
     if i == j:
         raise ValueError(f"self-pair ({i}, {j}) is not allowed")
     return (i, j) if i < j else (j, i)
-
-
-def _pair_label_prefix(i: int, j: int) -> str:
-    i, j = canonical_pair(i, j)
-    return f"K{i}-{j}:"
 
 
 @dataclass(frozen=True, eq=True)
@@ -143,10 +140,10 @@ class SourceBitBasis:
     produces is a GF(2) combination of these, which is what makes exact
     secrecy accounting possible.
 
-    Each registering call adds a run of consecutive ids with one owner
-    set and one label prefix.  Its bits are labelled ``prefix + index``,
-    the indices going on from the prefix's earlier runs, so every label
-    is unique.
+    Each registering call adds runs of consecutive ids, each with one
+    owner set and one label prefix.  A run's bits are labelled ``prefix +
+    index``, the indices going on from the prefix's earlier runs, so
+    every label is unique.
     """
 
     __slots__ = ("values", "_starts", "_runs", "_prefixed")
@@ -174,10 +171,12 @@ class SourceBitBasis:
     def labels(self) -> tuple[str, ...]:
         return tuple(self.labels_of(range(len(self))))
 
-    def _add_run(self, prefix: str, values: Sequence[int], owners: frozenset[int]) -> range:
-        """Register bits labelled ``prefix + index``, the indices going on from the prefix's runs.
+    def _add_runs(self, runs: Sequence[tuple[str, frozenset[int], int]], values: Sequence[int]) -> list[range]:
+        """Register ``values`` as consecutive runs, each (prefix, owners, length), and return
+        their ids.  A run's bits are labelled ``prefix + index``, the indices going on from
+        the prefix's earlier runs.
 
-        Nothing is registered unless every value is 0 or 1 and the owner
+        Nothing is registered unless every value is 0 or 1 and every owner
         set is not empty.
         """
         try:
@@ -187,16 +186,22 @@ class SourceBitBasis:
         if bad and not _BIT_VALUES.issuperset(values):
             value = next(v for v in values if v not in _BIT_VALUES)
             raise ValueError(f"bit value must be 0 or 1, got {value!r}")
-        if not owners:
+        if not all(owners for _, owners, _ in runs):
             raise ValueError("a source bit needs at least one owner")
-        ids = range(len(self), len(self) + len(values))
-        if ids:
-            base = ids.start - sum(len(run) for run, _ in self._prefixed.get(prefix, ()))
-            self.values += bytes(values)
-            self._starts.append(ids.start)
-            self._runs.append((ids, owners, prefix, base))
-            self._prefixed.setdefault(prefix, []).append((ids, base))
-        return ids
+        added, start = [], len(self)
+        self.values += bytes(values)
+        for prefix, owners, length in runs:
+            ids = range(start, start + length)
+            if ids:
+                prefixed = self._prefixed.setdefault(prefix, [])
+                # the prefix's label indices go on from its last run's stop
+                base = start - (prefixed[-1][0].stop - prefixed[-1][1] if prefixed else 0)
+                self._starts.append(start)
+                self._runs.append((ids, owners, prefix, base))
+                prefixed.append((ids, base))
+            added.append(ids)
+            start += length
+        return added
 
     def id_of(self, label: str) -> int | None:
         """The id of a label, or None when the basis has no such bit."""
@@ -262,46 +267,68 @@ class SourceBitBasis:
         """Draw ``count`` fresh local bits for ``owner``, register them, and return their ids."""
         if count < 0:
             raise ValueError(f"count must be nonnegative, got {count}")
-        return self._add_run(f"R{owner}:", _random_bits(rng, count), frozenset((owner,)))
+        return self._add_runs([(f"R{owner}:", frozenset((owner,)), count)], _random_bits(rng, count))[0]
 
 
-@dataclass
 class PairwiseKeyStore:
-    """Holds every pair's key bits, as basis ids, plus a consumption cursor per pair.
+    """Every pair's key, drawn from the pair's own stream as protocols take it.
 
-    Bits are handed out strictly left to right and never twice; once a
-    protocol consumes a bit it is gone, which is exactly the one-time-pad
-    discipline the message constructions rely on.
+    The store holds the spec's budgets, the seed and, per pair, how many
+    bits are drawn so far.  A take draws and registers the pair's next
+    bits, so a pair no protocol touches is never drawn.  Bits are handed
+    out strictly left to right and never twice; once a protocol consumes
+    a bit it is gone, which is exactly the one-time-pad discipline the
+    message constructions rely on.
     """
 
-    basis: SourceBitBasis
-    _ids: dict[Pair, range]
-    _cursors: dict[Pair, int]
+    __slots__ = ("basis", "_budgets", "_seed", "_drawn", "_streams")
 
-    def key_ids(self, i: int, j: int) -> range:
-        return self._ids.get(canonical_pair(i, j), range(0))
+    def __init__(self, spec: NetworkSpec, seed: int) -> None:
+        self.basis = SourceBitBasis()
+        self._budgets, self._seed = spec.budgets, seed
+        self._drawn: dict[Pair, int] = {}
+        self._streams: dict[Pair, random.Random] = {}  # pairs with bits drawn and bits left
 
     def remaining(self, i: int, j: int) -> int:
         pair = canonical_pair(i, j)
-        return len(self._ids.get(pair, ())) - self._cursors.get(pair, 0)
+        return self._budgets.get(pair, 0) - self._drawn.get(pair, 0)
 
     def take(self, i: int, j: int, count: int) -> range:
-        """Consume the next ``count`` unused bits of pair {i, j}'s key; return their ids.
+        """Draw the next ``count`` unused bits of pair {i, j}'s key; return their ids.
 
         Raises InsufficientKeyMaterial when fewer than ``count`` bits
-        remain; the cursor is untouched then.
+        remain; nothing is drawn then.
         """
         if count < 0:
             raise ValueError(f"count must be nonnegative, got {count}")
         pair = canonical_pair(i, j)
-        ids = self._ids.get(pair, range(0))
-        start = self._cursors.get(pair, 0)
-        if count > len(ids) - start:
-            raise InsufficientKeyMaterial(
-                f"pair {pair} has {len(ids) - start} unused bits, {count} requested"
-            )
-        self._cursors[pair] = start + count
-        return ids[start:start + count]
+        if count > (left := self.remaining(*pair)):
+            raise InsufficientKeyMaterial(f"pair {pair} has {left} unused bits, {count} requested")
+        return self._draw({pair: count})[pair] if count else range(0)
+
+    def take_each(self, counts: Mapping[Pair, int]) -> dict[Pair, range]:
+        """Draw the next ``counts[pair]`` unused bits of each canonical pair, all or nothing.
+
+        Raises InsufficientKeyMaterial, naming the pair, before any bit is
+        drawn when some pair has fewer unused bits than its count.
+        """
+        for pair, count in counts.items():
+            if count > (left := self.remaining(*pair)):
+                raise InsufficientKeyMaterial(f"pair {pair} has {left} unused bits, {count} needed")
+        return self._draw(counts)
+
+    def _draw(self, counts: Mapping[Pair, int]) -> dict[Pair, range]:
+        """Draw and register each pair's next ``counts[pair] > 0`` bits in one pass: one run
+        per pair, from the pair's stream, dropped once the pair's budget is drawn."""
+        runs, chunks = [], []
+        for (i, j), count in counts.items():
+            stream = self._streams.pop((i, j), None) or _pair_rng(self._seed, i, j)
+            drawn = self._drawn[i, j] = self._drawn.get((i, j), 0) + count
+            if drawn < self._budgets[i, j]:
+                self._streams[i, j] = stream
+            chunks.append(_random_bits(stream, count))
+            runs.append((f"K{i}-{j}:", frozenset((i, j)), count))
+        return dict(zip(counts, self.basis._add_runs(runs, b"".join(chunks))))
 
 
 def _pair_rng(seed: int, i: int, j: int) -> random.Random:
@@ -328,23 +355,16 @@ def _random_bits(rng: random.Random, count: int) -> bytes:
 
 
 def generate_pairwise_keys(spec: NetworkSpec, seed: int) -> PairwiseKeyStore:
-    """Realize every pair's key material from a single run seed.
+    """The store of every pair's key material for one run seed, with no bit drawn yet.
 
-    Pairs are registered in the basis in ascending canonical order with
-    bit indices ascending, so the basis layout is a pure function of the
-    spec and the generated values a pure function of (spec, seed).
-
-    Bit t of a pair's key is what the t-th one-bit ``getrandbits`` call on
-    the pair's stream returns, drawn in one call: on CPython,
-    ``getrandbits(32 * n)`` packs the next n 32-bit Mersenne Twister words
-    little-endian, word 0 lowest, and a one-bit call returns the top bit
-    of the next word.  So bit t is the top bit of byte 4t + 3 of
-    ``getrandbits(32 * n).to_bytes(4 * n, "little")``.
+    Values are a pure function of (spec, seed): bit t of a pair's key is
+    what the t-th one-bit ``getrandbits`` call on the pair's stream
+    returns, however the takes split the key.  Each take draws its bits
+    in one call: on CPython, ``getrandbits(32 * n)`` packs the next n
+    32-bit Mersenne Twister words little-endian, word 0 lowest, and a
+    one-bit call returns the top bit of the next word.  So bit t of a
+    draw is the top bit of byte 4t + 3 of
+    ``getrandbits(32 * n).to_bytes(4 * n, "little")``, and draws in
+    chunks concatenate.
     """
-    basis = SourceBitBasis()
-    ids = {
-        (i, j): basis._add_run(_pair_label_prefix(i, j), _random_bits(_pair_rng(seed, i, j), budget),
-                               frozenset((i, j)))
-        for (i, j), budget in sorted(spec.budgets.items())
-    }
-    return PairwiseKeyStore(basis=basis, _ids=ids, _cursors={})
+    return PairwiseKeyStore(spec, seed)

@@ -40,7 +40,7 @@ from fractions import Fraction
 from operator import eq, xor
 
 from .bounds import broadcast_bound, group_bound
-from .errors import InsufficientKeyMaterial, invariant
+from .errors import invariant
 from .graph import greedy_spanning_trees, max_flow
 from .model import NetworkSpec, Pair, PairwiseKeyStore, SourceBitBasis, local_rng
 from .secrecy import LinearForm, SecrecyReport, owned_ids
@@ -349,11 +349,11 @@ def flood(
     publishes B XOR one bit of that edge's key, m - 2 messages in all.
     Rounds are BFS depths, each tree's going on from the tree before.
     The k-th use of a pair, counting the trees in order, takes that pair's
-    k-th unused key bit.  All or nothing: before any key bit is consumed,
-    raises ValueError for edges that do not form a spanning tree, and
-    InsufficientKeyMaterial, naming the pair, when some pair has fewer
-    unused bits than the trees use.  Returns the shared bits' ids, one per
-    tree, and the transcript.
+    k-th unused key bit, and every pair's bits are drawn in one batch.  All
+    or nothing: before any key bit is drawn, raises ValueError for edges
+    that do not form a spanning tree, and InsufficientKeyMaterial, naming
+    the pair, when some pair has fewer unused bits than the trees use.
+    Returns the shared bits' ids, one per tree, and the transcript.
     """
     m = spec.m
     uses: list[Pair] = []  # per tree: its seed edge, then its hops, as sorted pairs
@@ -384,12 +384,7 @@ def flood(
                     queue.append(v)
         if len(depth) != m:
             raise ValueError(f"edges {edges} do not span m={m} nodes")
-    counts = Counter(uses)
-    for pair, count in counts.items():
-        if store.remaining(*pair) < count:
-            raise InsufficientKeyMaterial(
-                f"pair {pair} has {store.remaining(*pair)} unused bits, {count} needed")
-    taken = {pair: iter(store.take(*pair, count)) for pair, count in counts.items()}
+    taken = {pair: iter(ids) for pair, ids in store.take_each(Counter(uses)).items()}
     ids = [next(taken[pair]) for pair in uses]
     # each tree used m - 1 bits: its shared bit, then one pad per hop
     key_ids = ids[::m - 1]

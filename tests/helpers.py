@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from itertools import accumulate
 
-from pinkey import NetworkSpec, Transcript
+from pinkey import NetworkSpec, Transcript, generate_pairwise_keys
 from pinkey.oracles import is_connected
 
 
@@ -55,8 +55,25 @@ def transcript_of(basis, messages) -> Transcript:
 
 
 def key_values(store, i: int, j: int) -> tuple[int, ...]:
-    """The realized values of pair {i, j}'s key bits, in key order."""
-    return store.basis.bits(store.key_ids(i, j))
+    """Take pair {i, j}'s unused key bits; their realized values, in key order.
+
+    On a fresh store these are the pair's whole key."""
+    return store.basis.bits(store.take(i, j, store.remaining(i, j)))
+
+
+def take_all(store, spec: NetworkSpec) -> dict[tuple[int, int], range]:
+    """Take every pair's unused key bits, pairs in ascending order; each pair's ids.
+
+    On a fresh store this draws the whole budget, one run per pair, so the
+    basis holds every budget bit, laid out pair by pair."""
+    return {pair: store.take(*pair, store.remaining(*pair)) for pair in spec.pairs()}
+
+
+def full_basis(spec: NetworkSpec, seed: int):
+    """The basis of a fresh store for (spec, seed) once ``take_all`` has drawn every budget bit."""
+    store = generate_pairwise_keys(spec, seed)
+    take_all(store, spec)
+    return store.basis
 
 
 def owners(basis) -> list[frozenset[int]]:

@@ -38,7 +38,7 @@ from pinkey.oracles import (
 )
 from pinkey.secrecy import gf2_rank
 
-from helpers import debit, random_connected_spec, random_spec, random_star_spec
+from helpers import debit, random_connected_spec, random_spec, random_star_spec, take_all
 
 TRIANGLE = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
 
@@ -252,6 +252,7 @@ def test_c7_bounds_are_consistent():
                 assert report.value <= two_block
             assert report.value <= Fraction(total, spec.m - 1)
 
+            take_all(store, spec)  # the pairs' unused bits too, so the basis holds the whole budget
             basis = store.basis
             for partition in enumerate_partitions(spec.m):
                 where = partition.block_index()

@@ -8,9 +8,10 @@ import pytest
 
 from pinkey import LinearForm, NetworkSpec, generate_pairwise_keys, verify_independence
 from pinkey.errors import InsufficientKeyMaterial, UnknownBasisLabel
+from pinkey import model
 from pinkey.model import SourceBitBasis, _pair_rng, canonical_pair, local_rng
 
-from helpers import key_values, owners, random_spec
+from helpers import full_basis, key_values, owners, random_spec, take_all
 
 TRIANGLE = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
 
@@ -83,10 +84,11 @@ class TestNetworkSpec:
 class TestGeneration:
     def test_lengths_match_budgets(self):
         store = generate_pairwise_keys(TRIANGLE, 7)
-        assert len(key_values(store, 0, 1)) == 5
+        k01 = key_values(store, 0, 1)
+        assert len(k01) == 5
         assert len(key_values(store, 0, 2)) == 4
         assert len(key_values(store, 1, 2)) == 3
-        assert key_values(store, 0, 1) == key_values(store, 1, 0)
+        assert k01 == key_values(generate_pairwise_keys(TRIANGLE, 7), 1, 0)
 
     def test_same_seed_reproduces_exactly(self):
         a = generate_pairwise_keys(TRIANGLE, 42)
@@ -106,15 +108,14 @@ class TestGeneration:
         assert key_values(a, 0, 1) != key_values(b, 0, 1)
 
     def test_basis_layout_is_canonical(self):
-        store = generate_pairwise_keys(TRIANGLE, 0)
-        labels = store.basis.labels
+        labels = full_basis(TRIANGLE, 0).labels
         assert labels[:5] == tuple(f"K0-1:{t}" for t in range(5))
         assert labels[5:9] == tuple(f"K0-2:{t}" for t in range(4))
         assert len(labels) == TRIANGLE.total_budget()
         assert len(set(labels)) == len(labels)
 
     def test_owners_are_the_endpoints(self):
-        basis = generate_pairwise_keys(TRIANGLE, 0).basis
+        basis = full_basis(TRIANGLE, 0)
         assert basis.runs() == [(range(0, 5), frozenset({0, 1})), (range(5, 9), frozenset({0, 2})),
                                 (range(9, 12), frozenset({1, 2}))]
         assert owners(basis)[basis.id_of("K0-1:0")] == frozenset({0, 1})
@@ -137,7 +138,7 @@ class TestGeneration:
         specs = [random_spec(rng, max_m=5, max_budget=300) for _ in range(8)]
         specs.append(NetworkSpec(2, {(0, 1): 1000}))
         for seed, spec in enumerate(specs):
-            basis = generate_pairwise_keys(spec, seed).basis
+            basis = full_basis(spec, seed)
             expected = []
             for i, j in spec.pairs():
                 stream = _pair_rng(seed, i, j)
@@ -176,24 +177,25 @@ class TestGeneration:
         pytest.param(["R0:0"], (-1,), frozenset(), "must be 0 or 1, got -1", id="values-before-owners"),
     ])
     def test_bulk_registration_rejects_bad_bits(self, labels, values, owners, needle):
-        basis = generate_pairwise_keys(TRIANGLE, 0).basis
+        basis = full_basis(TRIANGLE, 0)
         before = basis.runs()
         with pytest.raises(ValueError, match=needle):
-            basis._add_run("R0:", values, owners)
+            basis._add_runs([("R0:", owners, len(values))], values)
         # nothing of a rejected call is registered
         assert basis.runs() == before and len(basis) == 12
         assert not any(label in basis for label in labels)
-        assert basis.labels_of(basis._add_run("R0:", (1,) * len(labels), frozenset((0,)))) == labels
+        (ids,) = basis._add_runs([("R0:", frozenset((0,)), len(labels))], (1,) * len(labels))
+        assert basis.labels_of(ids) == labels
 
     def test_bools_are_bit_values(self):
-        basis = generate_pairwise_keys(TRIANGLE, 0).basis
-        ids = basis._add_run("R0:", (True, False, True), frozenset((0,)))
+        basis = full_basis(TRIANGLE, 0)
+        (ids,) = basis._add_runs([("R0:", frozenset((0,)), 3)], (True, False, True))
         assert basis.labels_of(ids) == ["R0:0", "R0:1", "R0:2"] and basis.bits(ids) == (1, 0, 1)
 
 
 class TestIds:
     def test_labels_are_parsed_only_when_written_canonically(self):
-        basis = generate_pairwise_keys(TRIANGLE, 0).basis
+        basis = full_basis(TRIANGLE, 0)
         assert [basis.id_of(lab) for lab in ("K0-1:0", "K0-1:4", "K0-2:0", "K1-2:2")] == [0, 4, 5, 11]
         for label in ("K0-1:04", "K0-1:+4", "K0-1:\u0664", "K0-1:5", "K1-0:0", "K0-1", "K0-1:", "4"):
             assert basis.id_of(label) is None and label not in basis, label
@@ -201,7 +203,7 @@ class TestIds:
             basis["K0-1:04"]
 
     def test_labels_render_from_ids_in_bulk_as_one_by_one(self):
-        basis = generate_pairwise_keys(TRIANGLE, 0).basis
+        basis = full_basis(TRIANGLE, 0)
         basis.new_local_ids(2, 2, local_rng(0, 2))
         basis.new_local_ids(1, 3, local_rng(0, 1))
         shuffled = list(range(len(basis))) * 2
@@ -218,14 +220,15 @@ class TestIds:
         spec = NetworkSpec(12, {**{(i, j): (7 * i + 3 * j) % 11 + 1 for i in range(12)
                                    for j in range(i + 1, 12)}, (2, 10): 1500})
         store = generate_pairwise_keys(spec, 3)
+        keys = take_all(store, spec)
         basis = store.basis
         for owner, count in ((3, 4), (5, 2), (3, 9), (5, 1), (3, 1200)):
             basis.new_local_ids(owner, count, local_rng(3, owner))
         assert basis.labels_of(range(len(basis) - 1200, len(basis)))[-1] == "R3:1212"
-        pair = store.key_ids(2, 10)
+        pair = keys[2, 10]
         # a group pad column: each tree takes the next bit of every pair it uses, in hop order
         trees = [spec.pairs()[t % 5::3] for t in range(8)]
-        pads = [store.key_ids(*edge)[t] for t, tree in enumerate(trees) for edge in reversed(tree)
+        pads = [keys[edge][t] for t, tree in enumerate(trees) for edge in reversed(tree)
                 if t < spec.budget(*edge)]
         shuffled = list(range(len(basis)))
         random.Random(9).shuffle(shuffled)
@@ -240,7 +243,7 @@ class TestIds:
                 basis.labels_of(ids)
 
     def test_ids_outside_the_basis_have_no_label(self):
-        basis = generate_pairwise_keys(TRIANGLE, 0).basis
+        basis = full_basis(TRIANGLE, 0)
         assert len(basis) == 12 and basis.label(11) == "K1-2:2"
         for ident in (-1, 12, 99):
             with pytest.raises(ValueError, match="not in the basis"):
@@ -251,18 +254,20 @@ class TestIds:
 
     def test_the_basis_reads_as_a_label_to_value_mapping(self):
         store = generate_pairwise_keys(TRIANGLE, 3)
+        keys = take_all(store, TRIANGLE)
         values = store.basis.realized()
-        labels = store.basis.labels_of(store.key_ids(0, 2))
-        assert [values[lab] for lab in labels] == list(key_values(store, 0, 2))
+        labels = store.basis.labels_of(keys[0, 2])
+        assert [values[lab] for lab in labels] == list(key_values(generate_pairwise_keys(TRIANGLE, 3), 0, 2))
         assert "K0-2:3" in values and "K0-2:4" not in values
         assert list(values) == list(store.basis.labels)
-        assert values["K0-1:0"] ^ values["K1-2:0"] == key_values(store, 0, 1)[0] ^ key_values(store, 1, 2)[0]
+        k01, k12 = store.basis.bits(keys[0, 1]), store.basis.bits(keys[1, 2])
+        assert values["K0-1:0"] ^ values["K1-2:0"] == k01[0] ^ k12[0]
 
 
 class TestConsumption:
     def test_sequential_calls_are_disjoint_and_cover(self):
         store = generate_pairwise_keys(TRIANGLE, 3)
-        full = key_values(store, 0, 1)
+        full = key_values(generate_pairwise_keys(TRIANGLE, 3), 0, 1)
         first, second = store.take(0, 1, 3), store.take(0, 1, 2)
         assert store.basis.bits(first) + store.basis.bits(second) == full
         assert not set(store.basis.labels_of(first)) & set(store.basis.labels_of(second))
@@ -276,11 +281,38 @@ class TestConsumption:
         assert store.remaining(1, 2) == 1
         assert len(store.take(1, 2, 1)) == 1
 
-    def test_zero_count_is_a_noop(self):
+    def test_zero_count_is_a_noop(self, monkeypatch):
         store = generate_pairwise_keys(TRIANGLE, 3)
+        # a take of no bits seeds no generator and registers no run
+        monkeypatch.setattr(model, "_pair_rng", None)
         ids = store.take(0, 2, 0)
         assert store.basis.bits(ids) == () and store.basis.labels_of(ids) == []
         assert store.remaining(0, 2) == 4
+        assert store.basis.runs() == [] and len(store.basis) == 0
+
+    def test_takes_in_any_split_give_the_bits_of_one_draw(self):
+        # Each pair's takes, interleaved with the other pairs' and cut at random,
+        # must give the pair's key as one bit-by-bit draw of its whole budget.
+        rng = random.Random(2310)
+        for seed in range(30):
+            spec = random_spec(rng, max_m=5, max_budget=90)
+            store = generate_pairwise_keys(spec, seed)
+            taken = {pair: [] for pair in spec.pairs()}
+            while open_pairs := [pair for pair in taken if store.remaining(*pair)]:
+                if rng.random() < 0.3:
+                    counts = {pair: rng.randint(1, store.remaining(*pair))
+                              for pair in rng.sample(open_pairs, rng.randint(1, len(open_pairs)))}
+                    for pair, ids in store.take_each(counts).items():
+                        taken[pair] += ids
+                else:
+                    i, j = rng.choice(open_pairs)
+                    taken[i, j] += store.take(j, i, rng.randint(0, min(store.remaining(i, j), 40)))
+            for (i, j), ids in taken.items():
+                stream = _pair_rng(seed, i, j)
+                reference = tuple(stream.getrandbits(1) for _ in range(spec.budget(i, j)))
+                assert store.basis.bits(ids) == reference
+                assert store.basis.labels_of(ids) == [f"K{i}-{j}:{t}" for t in range(len(ids))]
+            assert len(store.basis) == spec.total_budget()
 
     def test_unknown_pair_has_nothing(self):
         spec = NetworkSpec(3, {(0, 1): 2})

@@ -31,8 +31,8 @@ from pinkey.errors import InsufficientKeyMaterial, InvariantViolation, NotAStar
 from pinkey.oracles import MI_BASIS_LIMIT, brute_force_mutual_information, is_connected, min_st_cut_bruteforce
 from pinkey.protocols import GroupKeyResult, PublicMessage, _hex, _self_check
 
-from helpers import (debit, key_values, known_to, random_connected_spec, random_spec, transcript_columns,
-                     transcript_of)
+from helpers import (debit, full_basis, key_values, known_to, random_connected_spec, random_spec, take_all,
+                     transcript_columns, transcript_of)
 
 TRIANGLE = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
 
@@ -125,6 +125,24 @@ def flip_first_payload_bit(result):
     first, *rest = result.transcript
     flipped = replace(first, payload=(first.payload[0] ^ 1,) + first.payload[1:])
     return replace(result, transcript=transcript_of(result.basis, [flipped, *rest]))
+
+
+@pytest.mark.parametrize("spec,run,undrawn,size", [
+    # the flow from 0 to 1 rides the direct pair alone: its 3 bits pad 3 fresh bits
+    (NetworkSpec.from_pairs(4, [(0, 1, 3), (1, 2, 3), (2, 3, 5)]),
+     lambda store, spec: run_subgroup(store, spec, 0, 1, 4), {(1, 2): 3, (2, 3): 5}, 6),
+    # leaf 2 spends 2 bits of its 5, as each of the other leaves does of its 2
+    (NetworkSpec.star([2, 5, 2]), run_broadcast, {(0, 2): 3}, 6),
+], ids=["subgroup", "broadcast"])
+def test_a_pair_no_protocol_touches_is_never_drawn(spec, run, undrawn, size):
+    store = generate_pairwise_keys(spec, 4)
+    basis = run(store, spec).basis
+    assert len(basis) == size
+    for (i, j), left in undrawn.items():
+        assert store.remaining(i, j) == left
+        drawn = spec.budget(i, j) - left
+        assert [lab for lab in basis.labels if lab.startswith(f"K{i}-{j}:")] == [
+            f"K{i}-{j}:{t}" for t in range(drawn)]
 
 
 class TestBroadcast:
@@ -323,11 +341,16 @@ class TestFlood:
             ends = [end + len(expected[4]) for end in ends]
             shared += ids
             expected = tuple(map(add, expected, (rounds, senders, receivers, ends, payload, plain, pad)))
-        assert key_ids == tuple(shared)
-        assert transcript_columns(transcript) == expected
+        # pair bits are drawn as they are taken, so the two stores number them differently:
+        # compare labels, which name each bit by its pair and its place in the pair's key
+        labels, alone_labels = together.basis.labels_of, alone.basis.labels_of
+        columns = transcript_columns(transcript)
+        assert labels(key_ids) == alone_labels(shared)
+        assert (*columns[:5], labels(columns[5]), labels(columns[6])) == (
+            *expected[:5], alone_labels(expected[5]), alone_labels(expected[6]))
         assert expected[0] == [0, 1, 2, 2]
-        assert (transcript.pad[0], key_ids[1]) == tuple(together.key_ids(0, 2))
-        assert [i for i in transcript.pad if i in together.key_ids(2, 3)] == list(together.key_ids(2, 3))
+        assert labels([transcript.pad[0], key_ids[1]]) == ["K0-2:0", "K0-2:1"]
+        assert [lab for lab in labels(transcript.pad) if lab.startswith("K2-3:")] == ["K2-3:0", "K2-3:1"]
 
     def test_a_pair_dry_in_a_later_tree_consumes_nothing_of_any_tree(self):
         spec = NetworkSpec.from_pairs(4, [(0, 1, 2), (0, 2, 2), (1, 2, 1), (2, 3, 2)])
@@ -336,6 +359,17 @@ class TestFlood:
         with pytest.raises(InsufficientKeyMaterial, match=r"pair \(1, 2\)"):
             flood(store, spec, trees)
         assert [store.remaining(*pair) for pair in spec.pairs()] == [2, 2, 1, 2]
+
+    def test_a_dry_pair_leaves_the_basis_and_every_pair_as_they_were(self):
+        spec = NetworkSpec.from_pairs(4, [(0, 1, 2), (0, 2, 2), (1, 2, 1), (2, 3, 2)])
+        store = generate_pairwise_keys(spec, 9)
+        flood(store, spec, [((0, 1), (1, 2), (2, 3))])
+        size, remaining = len(store.basis), [store.remaining(*pair) for pair in spec.pairs()]
+        assert (size, remaining) == (3, [1, 2, 0, 1])
+        with pytest.raises(InsufficientKeyMaterial, match=r"^pair \(1, 2\) has 0 unused bits, 1 needed$"):
+            flood(store, spec, [((0, 2), (1, 2), (2, 3))])  # (0, 2) and (2, 3) have bits left
+        assert len(store.basis) == size
+        assert [store.remaining(*pair) for pair in spec.pairs()] == remaining
 
     @pytest.mark.parametrize(
         "edges,message",
@@ -508,7 +542,8 @@ class TestTranscripts:
         # labels that sort against id order: K0-10 after K0-2, index 10 after index 9
         spec = NetworkSpec(11, {(0, 2): 12, (0, 10): 12, (1, 2): 12})
         store = generate_pairwise_keys(spec, 8)
-        k02, k010, k12 = store.key_ids(0, 2), store.key_ids(0, 10), store.key_ids(1, 2)
+        keys = take_all(store, spec)
+        k02, k010, k12 = keys[0, 2], keys[0, 10], keys[1, 2]
         columns = [([k02[3]], [k010[3]]), ([k010[4]], [k02[4]]), ([k12[9]], [k12[10]]),
                    ([k12[11], k12[0]], [k12[8], k12[1]]), ([], []), ([k010[10], k02[2]], [k02[10], k010[9]])]
         runs.append(transcript_of(store.basis, (
@@ -522,7 +557,7 @@ class TestTranscripts:
 
     def test_bad_columns_are_refused_by_the_constructor(self):
         spec = NetworkSpec.from_pairs(3, [(0, 1, 4), (0, 2, 4), (1, 2, 4)])
-        basis = generate_pairwise_keys(spec, 1).basis
+        basis = full_basis(spec, 1)
 
         def columns(**changes):
             return {**dict(basis=basis, rounds=[2, 3], senders=[0, 2], receivers=[2, 1], ends=[1, 3],
@@ -552,7 +587,7 @@ class TestTranscripts:
     def test_a_bit_padded_with_its_own_plain_bit_is_refused(self):
         # Its kernel row would be 0, but its label set the unit form of that bit:
         # the self-check would give rank_transcript 0 and the label-level audit 1.
-        basis = generate_pairwise_keys(NetworkSpec.star([2]), 1).basis
+        basis = full_basis(NetworkSpec.star([2]), 1)
         with pytest.raises(ValueError, match="plain and pad must be different ids"):
             Transcript(basis, [0], [0], [1], [1], [0], [1], [1])
 
@@ -561,7 +596,9 @@ class TestTranscripts:
             from pinkey import NetworkSpec, Transcript, generate_pairwise_keys
 
             assert False, "assertions must be off"
-            basis = generate_pairwise_keys(NetworkSpec(2, {(0, 1): 4}), 1).basis
+            store = generate_pairwise_keys(NetworkSpec(2, {(0, 1): 4}), 1)
+            store.take(0, 1, 4)
+            basis = store.basis
             for payload, pad in (((2,), [1]), ((1,), [1, 2]), ((1,), [4]), ((0,), [0])):
                 try:
                     Transcript(basis, [0], [0], [1], [1], payload, [0], pad)
@@ -599,7 +636,7 @@ class TestTranscripts:
 def hand_built(spec, seed, key_ids, plain, pad):
     """The result of a faithful one-bit-per-message transcript of the rows ``plain[k] ^ pad[k]``
     over the pair bits of ``spec``, its secrecy report from the label-level audit."""
-    basis = generate_pairwise_keys(spec, seed).basis
+    basis = full_basis(spec, seed)
     payload = [basis.values[a] ^ basis.values[b] for a, b in zip(plain, pad)]
     n = len(pad)
     transcript = Transcript(basis, [0] * n, [0] * n, [1] * n, range(1, n + 1), payload, plain, pad)
@@ -692,7 +729,10 @@ class TestHandBuiltTranscripts:
                                  t.payload[:cut], t.plain[:cut], t.pad[:cut])
             spec = NetworkSpec.star({list(COMBINATION[0].budgets.values())!r})
             seed, key_ids, plain, pad = {COMBINATION[1:]!r}
-            basis = generate_pairwise_keys(spec, seed).basis
+            store = generate_pairwise_keys(spec, seed)
+            for pair in spec.pairs():
+                store.take(*pair, spec.budget(*pair))
+            basis = store.basis
             payload = [basis.values[a] ^ basis.values[b] for a, b in zip(plain, pad)]
             shared = Transcript(basis, [0] * 3, [0] * 3, [1] * 3, [1, 2, 3], payload, plain, pad)
             for holders, key, transcript in [(result.holders, result.key_ids, dropped),

@@ -19,10 +19,12 @@ from pinkey.errors import InstanceTooLarge, UnknownBasisLabel
 from pinkey.oracles import _evaluate, brute_force_mutual_information
 from pinkey.secrecy import gf2_rank
 
+from helpers import full_basis, take_all
+
 
 def small_basis(n: int) -> SourceBitBasis:
-    """Pair {0, 1}'s n key bits, labelled K0-1:0 to K0-1:{n-1}."""
-    return generate_pairwise_keys(NetworkSpec(2, {(0, 1): n}), 0).basis
+    """Pair {0, 1}'s n key bits, labelled K0-1:0 to K0-1:{n-1}, all taken."""
+    return full_basis(NetworkSpec(2, {(0, 1): n}), 0)
 
 
 # the labels of small_basis's first bits
@@ -83,11 +85,11 @@ class TestRank:
         for _ in range(20):
             n = rng.randint(1, 6)
             labels = [f"K0-2:{t}" for t in range(n)]
-            padded = generate_pairwise_keys(NetworkSpec(3, {(0, 1): 3000, (0, 2): n, (1, 2): 3000}), 0).basis
+            padded = full_basis(NetworkSpec(3, {(0, 1): 3000, (0, 2): n, (1, 2): 3000}), 0)
             key = [form(*rng.sample(labels, rng.randint(1, n))) for _ in range(rng.randint(0, 3))]
             transcript = [form(*rng.sample(labels, rng.randint(1, n))) for _ in range(rng.randint(0, 4))]
             assert verify_independence(key, transcript, padded) == verify_independence(
-                key, transcript, generate_pairwise_keys(NetworkSpec(3, {(0, 2): n}), 0).basis)
+                key, transcript, full_basis(NetworkSpec(3, {(0, 2): n}), 0))
 
     def test_unknown_label(self):
         basis = small_basis(1)
@@ -169,7 +171,7 @@ def test_distinct_pairs_use_disjoint_labels():
     spec = NetworkSpec.from_pairs(4, [(0, 1, 3), (1, 2, 3), (2, 3, 2), (0, 3, 1)])
     store = generate_pairwise_keys(spec, 5)
     seen: set[str] = set()
-    for pair in spec.pairs():
-        labels = set(store.basis.labels_of(store.key_ids(*pair)))
+    for ids in take_all(store, spec).values():
+        labels = set(store.basis.labels_of(ids))
         assert not labels & seen
         seen.update(labels)
