@@ -12,7 +12,7 @@ print(f"star with {spec.m} terminals, leaf budgets:",
       {leaf: spec.budget(0, leaf) for leaf in range(1, spec.m)})
 
 store = generate_pairwise_keys(spec, seed=3)
-result = run_broadcast(store, spec)
+result = run_broadcast(store)
 
 print(f"\ngroup key ({len(result.key)} bits): {''.join(map(str, result.key))}")
 print("the poorest leaf (terminal 2, budget 5) sets the length\n")

@@ -25,7 +25,7 @@ for path, amount in flow.paths:
     print(f"  {amount} bits along {' -> '.join(map(str, path))}")
 
 store = generate_pairwise_keys(spec, seed=5)
-result = run_subgroup(store, spec, s=0, t=2, seed=5)
+result = run_subgroup(store, s=0, t=2)
 
 print(f"\nkey ({len(result.key)} bits): {''.join(map(str, result.key))}")
 print("transcript:")
@@ -36,8 +36,8 @@ print("terminal 2 replays:", replay_key(result, 2) == result.key)
 # The relay carries 3 of the 7 bits but never sees the direct-edge slice:
 # what it can compute is what the transcript plus its own pads leak.
 basis = result.basis
-relay_forms = [LinearForm.unit(label) for run, owners in basis.runs() if 1 in owners
-               for label in basis.labels_of(run)]
+relay_forms = [LinearForm.unit(basis.label(ident)) for run, owners in basis.runs() if 1 in owners
+               for ident in run]
 relay = verify_independence(result.key_forms, result.transcript.forms() + relay_forms, basis)
 print("relay (terminal 1) can reconstruct the key:", replay_key(result, 1) is not None)
 print(f"key bits the relay (terminal 1) can compute: {relay.leaked_bits} of {len(result.key)}")

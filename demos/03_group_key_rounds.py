@@ -23,7 +23,7 @@ while is_connected(left):
 print(f"  disconnected after {iteration} iterations")
 
 store = generate_pairwise_keys(spec, seed=7)
-result = run_group_key(store, spec)
+result = run_group_key(store)
 print(f"\nkey ({len(result.key)} bits): {''.join(map(str, result.key))}")
 print(f"bound {result.bound}, gap {result.gap}")
 print(f"messages {len(result.transcript)}, public bits {result.transcript.public_bits}")

@@ -21,7 +21,7 @@ print()
 for policy in ("lex-kruskal", "degree-min"):
     tree = maximum_spanning_tree(spec, policy)
     store = generate_pairwise_keys(spec, seed=2)
-    result = run_group_key(store, spec, policy)
+    result = run_group_key(store, policy)
     print(f"{policy}:")
     max_degree = max(Counter(node for edge in tree for node in edge).values())
     print(f"  first tree {tree} (max degree {max_degree})")

@@ -12,7 +12,7 @@ from pinkey.oracles import brute_force_mutual_information
 
 spec = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
 store = generate_pairwise_keys(spec, seed=7)
-result = run_group_key(store, spec)
+result = run_group_key(store)
 
 print(f"source bits: {len(result.basis)}, key bits: {len(result.key)}, "
       f"public bits: {result.transcript.public_bits}")

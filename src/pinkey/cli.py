@@ -250,15 +250,14 @@ def _render_kv(pairs: list[tuple[str, object]], fmt: str, header: str) -> str:
 
 def run_scenario(scenario: Scenario) -> tuple[RunReport, GroupKeyResult]:
     """Execute the scenario's protocol and assemble the auditable report."""
-    spec = scenario.spec
-    store = generate_pairwise_keys(spec, scenario.seed)
+    store = generate_pairwise_keys(scenario.spec, scenario.seed)
     started = time.perf_counter()
     if scenario.protocol == "broadcast":
-        result = run_broadcast(store, spec)
+        result = run_broadcast(store)
     elif scenario.protocol == "subgroup":
-        result = run_subgroup(store, spec, scenario.s, scenario.t, scenario.seed)
+        result = run_subgroup(store, scenario.s, scenario.t)
     else:
-        result = run_group_key(store, spec, scenario.tie_break)
+        result = run_group_key(store, scenario.tie_break)
     return RunReport(scenario, result, time.perf_counter() - started), result
 
 

@@ -9,27 +9,26 @@ Terminals are 0-indexed everywhere.  Budgets are stored once per unordered
 pair under the canonical key ``(min(i, j), max(i, j))``; an absent pair is
 a budget of zero.
 
-All randomness in a run descends from one 64-bit seed.  Each pair's key
-stream is generated from its own ``random.Random`` instance whose seed is
-a SHA-256 mix of the run seed and the pair, so streams are independent of
-generation order and stable across platforms and processes.
+All randomness in a run descends from one 64-bit seed, and the
+``PairwiseKeyStore`` of (spec, seed) draws every bit: each pair's key
+and each terminal's local bits from their own ``random.Random`` stream,
+seeded by a SHA-256 mix of the run seed and the pair or terminal, so
+streams are independent of draw order and stable across processes.
 
 Realized source bits are numbered by int id, one run of consecutive ids
-per draw, with their values in one ``bytearray``.  A pair's bits are
-drawn only when a protocol takes them, so the basis holds the bits a
-run drew and no others.  Every bit has a label
-of one scheme, ``prefix + index``: ``K0-1:3`` is bit 3 of pair {0, 1}'s
-key and ``R2:0`` terminal 2's first local bit.  Labels are never stored
-per bit: they are rendered from ids when read, through one walk over the
-runs and a digit table that lives for one call, and parsed back only
-where a caller looks a label up.  The run path works on ids alone.
+per draw, with their values in one ``bytearray``; the basis holds the
+bits a run drew and no others.  Every bit has a label ``prefix +
+index``: ``K0-1:3`` is bit 3 of pair {0, 1}'s key and ``R2:0`` terminal
+2's first local bit.  Labels are never stored: ``labels`` renders them
+all, run by run, ``label`` one, and a label is parsed back only where a
+caller looks it up.  The run path works on ids alone.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -162,14 +161,23 @@ class SourceBitBasis:
         return self.id_of(label) is not None
 
     def __getitem__(self, label: str) -> int:
-        return self.values[self._id(label)]
+        if (ident := self.id_of(label)) is None:
+            raise UnknownBasisLabel(f"label {label!r} is not in the basis")
+        return self.values[ident]
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.labels)
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(self.labels_of(range(len(self))))
+        """Every bit's label, in id order: each run slices one digit table, ``digits[k] == str(k)``."""
+        digits: list[str] = []
+        labels: list[str] = []
+        for ids, _, prefix, base in self._runs:
+            first, stop = ids.start - base, ids.stop - base  # the run's label indices
+            digits += map(str, range(len(digits), stop))
+            labels += map(prefix.__add__, digits[first:stop])
+        return tuple(labels)
 
     def _add_runs(self, runs: Sequence[tuple[str, frozenset[int], int]], values: Sequence[int]) -> list[range]:
         """Register ``values`` as consecutive runs, each (prefix, owners, length), and return
@@ -212,43 +220,11 @@ class SourceBitBasis:
                     return int(digits) + base
         return None
 
-    def _id(self, label: str) -> int:
-        ident = self.id_of(label)
-        if ident is None:
-            raise UnknownBasisLabel(f"label {label!r} is not in the basis")
-        return ident
-
-    def _run(self, ident: int) -> tuple[range, frozenset[int], str, int]:
+    def label(self, ident: int) -> str:
         if not 0 <= ident < len(self.values):
             raise ValueError(f"id {ident} is not in the basis of {len(self.values)} bits")
-        return self._runs[bisect_right(self._starts, ident) - 1]
-
-    def label(self, ident: int) -> str:
-        _, _, prefix, base = self._run(ident)
+        _, _, prefix, base = self._runs[bisect_right(self._starts, ident) - 1]
         return f"{prefix}{ident - base}"
-
-    def labels_of(self, ids: Sequence[int]) -> list[str]:
-        """``label`` of each id, rendered in bulk over the distinct ids: one forward walk
-        over the runs they touch, each index read from a digit table built for this call."""
-        # an ascending range is already sorted and distinct
-        distinct = ids if isinstance(ids, range) and ids.step > 0 else sorted(set(ids))
-        for ident in (distinct[0], distinct[-1]) if distinct else ():
-            self._run(ident)  # range check, on the smallest and largest id
-        digits: list[str] = []  # digits[k] == str(k), as far as the column renders
-        rendered: list[str] = []
-        k = 0
-        while (lo := len(rendered)) < len(distinct):
-            k = bisect_right(self._starts, distinct[lo], k) - 1
-            run, _, prefix, base = self._runs[k]
-            hi = bisect_left(distinct, run.stop, lo)
-            first, last = distinct[lo] - base, distinct[hi - 1] - base  # label index: ident - base
-            digits += map(str, range(len(digits), last + 1))
-            offsets = (digits[first:last + 1] if last - first == hi - lo - 1
-                       else map(digits.__getitem__, map(base.__rsub__, distinct[lo:hi])))
-            rendered += map(prefix.__add__, offsets)
-        if distinct is ids or distinct == ids:
-            return rendered
-        return list(map(dict(zip(distinct, rendered)).__getitem__, ids))
 
     def runs(self) -> list[tuple[range, frozenset[int]]]:
         """Each run's ids and owners, in id order."""
@@ -263,72 +239,88 @@ class SourceBitBasis:
         which reads like a mapping and builds no label map."""
         return self
 
-    def new_local_ids(self, owner: int, count: int, rng: random.Random) -> range:
-        """Draw ``count`` fresh local bits for ``owner``, register them, and return their ids."""
-        if count < 0:
-            raise ValueError(f"count must be nonnegative, got {count}")
-        return self._add_runs([(f"R{owner}:", frozenset((owner,)), count)], _random_bits(rng, count))[0]
-
 
 class PairwiseKeyStore:
-    """Every pair's key, drawn from the pair's own stream as protocols take it.
+    """The whole input of a run, and the only thing that draws its bits.
 
-    The store holds the spec's budgets, the seed and, per pair, how many
-    bits are drawn so far.  A take draws and registers the pair's next
-    bits, so a pair no protocol touches is never drawn.  Bits are handed
-    out strictly left to right and never twice; once a protocol consumes
-    a bit it is gone, which is exactly the one-time-pad discipline the
-    message constructions rely on.
+    The store holds the spec, the seed and the basis, and keeps one
+    stream per pair and one per terminal.  A take draws and registers
+    the pair's next key bits, so a pair no protocol touches is never
+    drawn; ``fresh`` draws a terminal's next local bits.  Bits are handed
+    out strictly left to right and never twice, across runs too: once a
+    protocol consumes a bit it is gone, which is exactly the one-time-pad
+    discipline the message constructions rely on.
     """
 
-    __slots__ = ("basis", "_budgets", "_seed", "_drawn", "_streams")
+    __slots__ = ("basis", "_spec", "_seed", "_drawn", "_streams", "_locals")
 
     def __init__(self, spec: NetworkSpec, seed: int) -> None:
         self.basis = SourceBitBasis()
-        self._budgets, self._seed = spec.budgets, seed
+        self._spec, self._seed = spec, seed
         self._drawn: dict[Pair, int] = {}
         self._streams: dict[Pair, random.Random] = {}  # pairs with bits drawn and bits left
+        self._locals: dict[int, random.Random] = {}  # terminals with local bits drawn
+
+    @property
+    def spec(self) -> NetworkSpec:
+        return self._spec
+
+    @property
+    def seed(self) -> int:
+        return self._seed
 
     def remaining(self, i: int, j: int) -> int:
         pair = canonical_pair(i, j)
-        return self._budgets.get(pair, 0) - self._drawn.get(pair, 0)
+        return self._spec.budgets.get(pair, 0) - self._drawn.get(pair, 0)
 
     def take(self, i: int, j: int, count: int) -> range:
         """Draw the next ``count`` unused bits of pair {i, j}'s key; return their ids.
 
-        Raises InsufficientKeyMaterial when fewer than ``count`` bits
-        remain; nothing is drawn then.
+        ``take_each`` of the one pair: it raises as that does, and nothing is drawn then.
         """
-        if count < 0:
-            raise ValueError(f"count must be nonnegative, got {count}")
         pair = canonical_pair(i, j)
-        if count > (left := self.remaining(*pair)):
-            raise InsufficientKeyMaterial(f"pair {pair} has {left} unused bits, {count} requested")
-        return self._draw({pair: count})[pair] if count else range(0)
+        return self.take_each({pair: count})[pair]
 
     def take_each(self, counts: Mapping[Pair, int]) -> dict[Pair, range]:
-        """Draw the next ``counts[pair]`` unused bits of each canonical pair, all or nothing.
+        """Draw the next ``counts[pair]`` unused bits of each canonical pair, all or nothing;
+        return each pair's ids, one run per pair with a positive count.
 
-        Raises InsufficientKeyMaterial, naming the pair, before any bit is
-        drawn when some pair has fewer unused bits than its count.
+        Before any bit is drawn, raises ValueError for a pair that is not
+        (i, j) with 0 <= i < j < m or a count that is not a nonnegative
+        int, and InsufficientKeyMaterial, naming the pair, when some pair
+        has fewer unused bits than its count.
         """
+        m = self._spec.m
         for pair, count in counts.items():
-            if count > (left := self.remaining(*pair)):
+            i, j = pair
+            if not 0 <= i < j < m:
+                raise ValueError(f"pair {pair!r} is not (i, j) with 0 <= i < j < m={m}")
+            if type(count) is not int or count < 0:
+                raise ValueError(f"count for pair {pair!r} must be a nonnegative int, got {count!r}")
+            if count > (left := self.remaining(i, j)):
                 raise InsufficientKeyMaterial(f"pair {pair} has {left} unused bits, {count} needed")
-        return self._draw(counts)
-
-    def _draw(self, counts: Mapping[Pair, int]) -> dict[Pair, range]:
-        """Draw and register each pair's next ``counts[pair] > 0`` bits in one pass: one run
-        per pair, from the pair's stream, dropped once the pair's budget is drawn."""
+        # each pair's next bits, from its stream, which is dropped once its budget is drawn
         runs, chunks = [], []
         for (i, j), count in counts.items():
-            stream = self._streams.pop((i, j), None) or _pair_rng(self._seed, i, j)
-            drawn = self._drawn[i, j] = self._drawn.get((i, j), 0) + count
-            if drawn < self._budgets[i, j]:
-                self._streams[i, j] = stream
-            chunks.append(_random_bits(stream, count))
-            runs.append((f"K{i}-{j}:", frozenset((i, j)), count))
-        return dict(zip(counts, self.basis._add_runs(runs, b"".join(chunks))))
+            if count:
+                stream = self._streams.pop((i, j), None) or _pair_rng(self._seed, i, j)
+                drawn = self._drawn[i, j] = self._drawn.get((i, j), 0) + count
+                if drawn < self._spec.budgets[i, j]:
+                    self._streams[i, j] = stream
+                chunks.append(_random_bits(stream, count))
+                runs.append((f"K{i}-{j}:", frozenset((i, j)), count))
+        added = iter(self.basis._add_runs(runs, b"".join(chunks)))
+        return {pair: next(added) if count else range(0) for pair, count in counts.items()}
+
+    def fresh(self, owner: int, count: int) -> range:
+        """Draw ``count`` local bits of terminal ``owner``, the next of its own stream; return their ids."""
+        if not 0 <= owner < self._spec.m:
+            raise ValueError(f"owner {owner!r} is not a terminal below m={self._spec.m}")
+        if type(count) is not int or count < 0:
+            raise ValueError(f"count must be a nonnegative int, got {count!r}")
+        stream = self._locals.get(owner) or self._locals.setdefault(owner, _local_rng(self._seed, owner))
+        return self.basis._add_runs([(f"R{owner}:", frozenset((owner,)), count)],
+                                    _random_bits(stream, count))[0]
 
 
 def _pair_rng(seed: int, i: int, j: int) -> random.Random:
@@ -338,7 +330,7 @@ def _pair_rng(seed: int, i: int, j: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def local_rng(seed: int, owner: int) -> random.Random:
+def _local_rng(seed: int, owner: int) -> random.Random:
     """Stream for terminal-local randomness, disjoint from every pair stream."""
     digest = hashlib.sha256(f"pinkey:local:{seed}:{owner}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
@@ -357,13 +349,13 @@ def _random_bits(rng: random.Random, count: int) -> bytes:
 def generate_pairwise_keys(spec: NetworkSpec, seed: int) -> PairwiseKeyStore:
     """The store of every pair's key material for one run seed, with no bit drawn yet.
 
-    Values are a pure function of (spec, seed): bit t of a pair's key is
-    what the t-th one-bit ``getrandbits`` call on the pair's stream
-    returns, however the takes split the key.  Each take draws its bits
-    in one call: on CPython, ``getrandbits(32 * n)`` packs the next n
-    32-bit Mersenne Twister words little-endian, word 0 lowest, and a
-    one-bit call returns the top bit of the next word.  So bit t of a
-    draw is the top bit of byte 4t + 3 of
+    Values are a pure function of (spec, seed): bit t of a pair's key, or
+    of a terminal's local bits, is what the t-th one-bit ``getrandbits``
+    call on its stream returns, however the draws split it.  Each draw
+    takes its bits in one call: on CPython, ``getrandbits(32 * n)`` packs
+    the next n 32-bit Mersenne Twister words little-endian, word 0
+    lowest, and a one-bit call returns the top bit of the next word.  So
+    bit t of a draw is the top bit of byte 4t + 3 of
     ``getrandbits(32 * n).to_bytes(4 * n, "little")``, and draws in
     chunks concatenate.
     """

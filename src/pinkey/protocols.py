@@ -18,8 +18,10 @@ linear form as two source-bit ids, in its ``plain`` and ``pad`` columns;
 labels are rendered from the ids only when read.  So reconstructibility
 and secrecy are verifiable by linear algebra instead of sampling.  Each
 run constructs its transcript once, from columns built in one pass;
-iterating it gives ``PublicMessage`` values.  Runs are pure functions
-of (store, spec, seed): reruns produce byte-identical transcripts.
+iterating it gives ``PublicMessage`` values.  A run's one input is its
+store, which holds the spec and seed and draws every bit the run uses:
+reruns on fresh stores produce byte-identical transcripts, and a second
+run on one store gets bits no earlier run used.
 
 Every pad a run publishes is private: used once, and no key id or plain
 id.  Then each public bit's row has a column of its own, a terminal
@@ -37,12 +39,13 @@ from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, islice
 from operator import eq, xor
 
 from .bounds import broadcast_bound, group_bound
 from .errors import invariant
 from .graph import greedy_spanning_trees, max_flow
-from .model import NetworkSpec, Pair, PairwiseKeyStore, SourceBitBasis, local_rng
+from .model import Pair, PairwiseKeyStore, SourceBitBasis, canonical_pair
 from .secrecy import LinearForm, SecrecyReport, owned_ids
 
 # The group bound costs m min cuts per Newton step, but one call can still
@@ -83,12 +86,12 @@ class PublicMessage:
 
     @property
     def forms(self) -> tuple[LinearForm, ...]:
-        labels = zip(self.basis.labels_of(self.plain), self.basis.labels_of(self.pad))
-        return tuple(LinearForm(frozenset(pair)) for pair in labels)
+        label = self.basis.label
+        return tuple(LinearForm(frozenset((label(a), label(b)))) for a, b in zip(self.plain, self.pad))
 
     @property
     def pads(self) -> tuple[str, ...]:
-        return tuple(self.basis.labels_of(self.pad))
+        return tuple(map(self.basis.label, self.pad))
 
 
 class Transcript:
@@ -147,8 +150,8 @@ class Transcript:
 
     def forms(self) -> list[LinearForm]:
         """Each public bit's linear form, in payload order."""
-        labels_of = self.basis.labels_of
-        return [LinearForm(frozenset(pair)) for pair in zip(labels_of(self.plain), labels_of(self.pad))]
+        labels = self.basis.labels  # construction checked that every id has one
+        return [LinearForm(frozenset((labels[a], labels[b]))) for a, b in zip(self.plain, self.pad)]
 
     def to_text(self) -> str:
         """Line-oriented serialization, stable for golden-file comparison.
@@ -158,9 +161,9 @@ class Transcript:
         payload digits render in one pass over their columns.
         """
         lines = ["transcript v1"]
-        labels_of = self.basis.labels_of
+        labels = self.basis.labels  # construction checked that every id has one
         texts = [f"{a}^{b}" if a < b else f"{b}^{a}"
-                 for a, b in zip(labels_of(self.plain), labels_of(self.pad))]
+                 for a, b in zip(map(labels.__getitem__, self.plain), map(labels.__getitem__, self.pad))]
         digits = self.payload.translate(_DIGITS).decode()
         start = 0
         for round, sender, receiver, end in zip(self.rounds, self.senders, self.receivers, self.ends):
@@ -199,7 +202,7 @@ class GroupKeyResult:
 
     @property
     def key_forms(self) -> tuple[LinearForm, ...]:
-        return tuple(map(LinearForm.unit, self.basis.labels_of(self.key_ids)))
+        return tuple(LinearForm.unit(self.basis.label(ident)) for ident in self.key_ids)
 
 
 def _learned(key_ids: Sequence[int], transcript: Transcript) -> dict[int, int]:
@@ -270,45 +273,53 @@ def _result(holders: Iterable[int], key_ids: Sequence[int], transcript: Transcri
                           secrecy=_self_check(holders, key_ids, transcript))
 
 
-def _padded(store: PairwiseKeyStore, hops: Iterable[tuple[int, int, int, Sequence[int]]]) -> Transcript:
+def _padded_hops(basis: SourceBitBasis, hops: Iterable[tuple[int, int, int, Sequence[int]]],
+                 pad: list[int]) -> Transcript:
     """The transcript of ``hops``, each (sender, receiver, round, plain ids), in order: one
-    message per hop, padding its plain bits with the next unused bits of its pair's key."""
-    rounds, senders, receivers, ends, plain, pad = [], [], [], [], [], []
+    message per hop, the hops' plain bits padded in turn by the ids of ``pad``."""
+    rounds, senders, receivers, ends, plain = [], [], [], [], []
     for sender, receiver, round, ids in hops:
-        pad += store.take(sender, receiver, len(ids))
         plain += ids
         rounds.append(round)
         senders.append(sender)
         receivers.append(receiver)
         ends.append(len(plain))
-    value = store.basis.values.__getitem__
+    return _transcript(basis, rounds, senders, receivers, ends, plain, pad)
+
+
+def _transcript(basis: SourceBitBasis, rounds: list[int], senders: list[int], receivers: list[int],
+                ends: Iterable[int], plain: list[int], pad: list[int]) -> Transcript:
+    """The transcript of the given columns, its payload bit k ``plain[k] XOR pad[k]``."""
+    value = basis.values.__getitem__
     payload = map(xor, map(value, plain), map(value, pad))
-    return Transcript(store.basis, rounds, senders, receivers, ends, payload, plain, pad)
+    return Transcript(basis, rounds, senders, receivers, ends, payload, plain, pad)
 
 
-def run_broadcast(store: PairwiseKeyStore, spec: NetworkSpec) -> GroupKeyResult:
+def run_broadcast(store: PairwiseKeyStore) -> GroupKeyResult:
     """Star-network group key: everyone ends up holding the shortest leaf key.
 
     The poorest leaf's whole key (ties to the smallest id) becomes the
     group key.  For every other leaf the center publishes the XOR of that
     leaf's key prefix with the group key, which re-keys the leaf without
     revealing anything: each published bit is padded by a fresh key bit.
+    The key and the pads are drawn in one batch, all or nothing.
     """
+    spec = store.spec
     bound = broadcast_bound(spec)
     # the witness isolates the poorest leaf; block 0 is the rest, the center's block
     (poorest,) = bound.witness.blocks[1]
     length = spec.budget(0, poorest)
-    key_ids = store.take(0, poorest, length)
     # a positive poorest budget means every leaf has a key at least this long
-    transcript = _padded(store, [(0, leaf, 0, key_ids) for leaf in range(1, spec.m)
-                                 if length > 0 and leaf != poorest])
+    leaves = [leaf for leaf in range(1, spec.m) if length > 0 and leaf != poorest]
+    taken = store.take_each({(0, poorest): length, **{(0, leaf): length for leaf in leaves}})
+    key_ids = taken[0, poorest]
+    transcript = _padded_hops(store.basis, [(0, leaf, 0, key_ids) for leaf in leaves],
+                              [ident for leaf in leaves for ident in taken[0, leaf]])
     invariant(bound.value == length, "broadcast must meet its bound exactly")
     return _result(range(spec.m), key_ids, transcript, bound.value)
 
 
-def run_subgroup(
-    store: PairwiseKeyStore, spec: NetworkSpec, s: int, t: int, seed: int
-) -> GroupKeyResult:
+def run_subgroup(store: PairwiseKeyStore, s: int, t: int) -> GroupKeyResult:
     """Two-terminal key of exactly min-cut length, relayed by the others.
 
     s draws F fresh random bits, F the s-t max-flow value, and routes
@@ -319,34 +330,34 @@ def run_subgroup(
     the key is secret from the eavesdropper, not from them.  Hops
     advance in lockstep rounds, paths in lexicographic order within a
     round.  The bound is the min cut that the flow's residual graph
-    gives, checked there to equal the flow value.
+    gives, checked there to equal the flow value.  The pads are drawn in
+    one batch before the fresh bits, so nothing is drawn if a pair is short.
     """
-    flow = max_flow(spec, s, t)
-    bound = Fraction(flow.value)
-    fresh = store.basis.new_local_ids(s, flow.value, local_rng(seed, s))
-
-    slices = []
-    offset = 0
-    for path, amount in flow.paths:
-        slices.append((path, fresh[offset:offset + amount]))
-        offset += amount
-    invariant(offset == flow.value, "flow paths do not add up to the flow value")
-
+    flow = max_flow(store.spec, s, t)
+    starts = [0, *accumulate(amount for _, amount in flow.paths)]  # each path's slice of the fresh bits
+    invariant(starts[-1] == flow.value, "flow paths do not add up to the flow value")
     longest = max((len(path) - 1 for path, _ in flow.paths), default=0)
-    transcript = _padded(store, [(path[hop], path[hop + 1], hop, ids) for hop in range(longest)
-                                 for path, ids in slices if hop < len(path) - 1])
-    return _result((s, t), fresh, transcript, bound)
+    hops = [(path[hop], path[hop + 1], hop, start, amount) for hop in range(longest)
+            for (path, amount), start in zip(flow.paths, starts) if hop < len(path) - 1]
+    # the uses of a pair take its next unused bits in turn
+    counts: Counter[Pair] = Counter()
+    for u, v, _, _, amount in hops:
+        counts[canonical_pair(u, v)] += amount
+    taken = {pair: iter(ids) for pair, ids in store.take_each(counts).items()}
+    pad = [ident for u, v, _, _, amount in hops for ident in islice(taken[canonical_pair(u, v)], amount)]
+    fresh = store.fresh(s, flow.value)
+    transcript = _padded_hops(store.basis, [(u, v, hop, fresh[start:start + amount])
+                                            for u, v, hop, start, amount in hops], pad)
+    return _result((s, t), fresh, transcript, Fraction(flow.value))
 
 
-def flood(
-    store: PairwiseKeyStore, spec: NetworkSpec, trees: Iterable[Iterable[Pair]]
-) -> tuple[tuple[int, ...], Transcript]:
+def flood(store: PairwiseKeyStore, trees: Iterable[Iterable[Pair]]) -> tuple[tuple[int, ...], Transcript]:
     """Flood one shared secret bit along each spanning tree, all trees in one pass.
 
-    A tree is its m - 1 edges (i, j), 0 <= i < j < m, in any order.  Its
-    smallest edge's bit is the shared bit B, which spreads breadth-first
-    from that edge's ends, children in id order: crossing edge (u, v)
-    publishes B XOR one bit of that edge's key, m - 2 messages in all.
+    A tree is its m - 1 edges (i, j), 0 <= i < j < m = store.spec.m, in
+    any order.  Its smallest edge's bit is the shared bit B, which spreads
+    breadth-first from that edge's ends, children in id order: crossing
+    edge (u, v) publishes B XOR one bit of that edge's key, m - 2 messages.
     Rounds are BFS depths, each tree's going on from the tree before.
     The k-th use of a pair, counting the trees in order, takes that pair's
     k-th unused key bit, and every pair's bits are drawn in one batch.  All
@@ -355,7 +366,7 @@ def flood(
     the pair, when some pair has fewer unused bits than the trees use.
     Returns the shared bits' ids, one per tree, and the transcript.
     """
-    m = spec.m
+    m = store.spec.m
     uses: list[Pair] = []  # per tree: its seed edge, then its hops, as sorted pairs
     rounds, senders, receivers = [], [], []
     for tree in trees:
@@ -390,16 +401,11 @@ def flood(
     key_ids = ids[::m - 1]
     plain = [shared for shared in key_ids for _ in range(m - 2)]
     pad = [ident for k, ident in enumerate(ids) if k % (m - 1)]
-    value = store.basis.values.__getitem__
-    payload = map(xor, map(value, plain), map(value, pad))
-    transcript = Transcript(store.basis, rounds, senders, receivers, range(1, len(rounds) + 1),
-                            payload, plain, pad)
+    transcript = _transcript(store.basis, rounds, senders, receivers, range(1, len(rounds) + 1), plain, pad)
     return tuple(key_ids), transcript
 
 
-def run_group_key(
-    store: PairwiseKeyStore, spec: NetworkSpec, tie_break: str = "lex-kruskal"
-) -> GroupKeyResult:
+def run_group_key(store: PairwiseKeyStore, tie_break: str = "lex-kruskal") -> GroupKeyResult:
     """All-terminal key: one bit per spanning tree of the shrinking budget graph.
 
     ``flood`` floods the edge lists of greedy_spanning_trees in one pass:
@@ -409,7 +415,8 @@ def run_group_key(
     checked against) for m <= GROUP_BOUND_AUTO_LIMIT; beyond that only the
     total/(m-1) ceiling is checked.
     """
-    key_ids, transcript = flood(store, spec, greedy_spanning_trees(spec, tie_break))
+    spec = store.spec
+    key_ids, transcript = flood(store, greedy_spanning_trees(spec, tie_break))
     invariant(len(key_ids) <= spec.total_budget() // (spec.m - 1),
                "achieved length exceeds the total/(m-1) ceiling")
     bound = group_bound(spec).value if spec.m <= GROUP_BOUND_AUTO_LIMIT else None

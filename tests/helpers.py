@@ -61,18 +61,18 @@ def key_values(store, i: int, j: int) -> tuple[int, ...]:
     return store.basis.bits(store.take(i, j, store.remaining(i, j)))
 
 
-def take_all(store, spec: NetworkSpec) -> dict[tuple[int, int], range]:
-    """Take every pair's unused key bits, pairs in ascending order; each pair's ids.
+def take_all(store) -> dict[tuple[int, int], range]:
+    """Take the unused key bits of every pair of the store's spec, pairs in ascending order; each pair's ids.
 
     On a fresh store this draws the whole budget, one run per pair, so the
     basis holds every budget bit, laid out pair by pair."""
-    return {pair: store.take(*pair, store.remaining(*pair)) for pair in spec.pairs()}
+    return {pair: store.take(*pair, store.remaining(*pair)) for pair in store.spec.pairs()}
 
 
 def full_basis(spec: NetworkSpec, seed: int):
     """The basis of a fresh store for (spec, seed) once ``take_all`` has drawn every budget bit."""
     store = generate_pairwise_keys(spec, seed)
-    take_all(store, spec)
+    take_all(store)
     return store.basis
 
 

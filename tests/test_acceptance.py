@@ -57,7 +57,7 @@ def timed(fn):
 def triangle_run():
     def work():
         store = generate_pairwise_keys(TRIANGLE, 7)
-        return run_group_key(store, TRIANGLE)
+        return run_group_key(store)
 
     return timed(work)
 
@@ -69,7 +69,7 @@ def complete_runs():
         for m, u in [(4, 1), (4, 2), (5, 1)]:
             spec = NetworkSpec.complete(m, 2 * u)
             store = generate_pairwise_keys(spec, 11)
-            out.append((m, u, run_group_key(store, spec)))
+            out.append((m, u, run_group_key(store)))
         return out
 
     return timed(work)
@@ -84,7 +84,7 @@ def subgroup_runs():
             spec = random_connected_spec(rng, max_m=6, max_budget=8)
             s, t = rng.sample(range(spec.m), 2)
             store = generate_pairwise_keys(spec, rng.randrange(2**32))
-            result = run_subgroup(store, spec, s, t, rng.randrange(2**32))
+            result = run_subgroup(store, s, t)
             expected = min_st_cut_bruteforce(spec, s, t)[0]
             out.append((result, expected))
         return out
@@ -100,7 +100,7 @@ def broadcast_runs():
         for _ in range(50):
             spec = random_star_spec(rng, max_m=8, max_budget=12)
             store = generate_pairwise_keys(spec, rng.randrange(2**32))
-            out.append((spec, run_broadcast(store, spec)))
+            out.append((spec, run_broadcast(store)))
         return out
 
     return timed(work)
@@ -140,13 +140,13 @@ def test_c3_tree_choice_changes_the_yield():
 
         store = generate_pairwise_keys(spec, 2)
         star = ((0, 1), (0, 2), (0, 3))
-        flood(store, spec, [star])
+        flood(store, [star])
         star_disconnects = not is_connected(debit(spec, star))
 
         store = generate_pairwise_keys(spec, 2)
-        lex_bits = len(run_group_key(store, spec, "lex-kruskal").key)
+        lex_bits = len(run_group_key(store, "lex-kruskal").key)
         store = generate_pairwise_keys(spec, 2)
-        degree_bits = len(run_group_key(store, spec, "degree-min").key)
+        degree_bits = len(run_group_key(store, "degree-min").key)
         packed = optimal_tree_packing_bruteforce(spec)
         bound = group_bound(spec).value
         return star_disconnects, lex_bits, degree_bits, packed, bound
@@ -165,7 +165,7 @@ def test_c4_subgroup_keys_match_the_min_cut(subgroup_runs):
     runs, elapsed = subgroup_runs
 
     store = generate_pairwise_keys(TRIANGLE, 5)
-    result = run_subgroup(store, TRIANGLE, 0, 2, 5)
+    result = run_subgroup(store, 0, 2)
     assert len(result.key) == 7
     assert max_flow(TRIANGLE, 0, 2).value == 7
     assert min_st_cut_bruteforce(TRIANGLE, 0, 2)[0] == 7
@@ -239,7 +239,7 @@ def test_c7_bounds_are_consistent():
             spec = random_spec(rng, max_m=6, max_budget=8)
             report = group_bound(spec)
             store = generate_pairwise_keys(spec, rng.randrange(2**32))
-            result = run_group_key(store, spec)
+            result = run_group_key(store)
             assert len(result.key) <= floor(report.value)
 
             total = spec.total_budget()
@@ -252,7 +252,7 @@ def test_c7_bounds_are_consistent():
                 assert report.value <= two_block
             assert report.value <= Fraction(total, spec.m - 1)
 
-            take_all(store, spec)  # the pairs' unused bits too, so the basis holds the whole budget
+            take_all(store)  # the pairs' unused bits too, so the basis holds the whole budget
             basis = store.basis
             for partition in enumerate_partitions(spec.m):
                 where = partition.block_index()

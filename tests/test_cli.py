@@ -403,9 +403,9 @@ class TestRunCommand:
         real_flood = pinkey.protocols.flood
         trees = []
 
-        def corrupted_flood(store, spec, edge_lists):
+        def corrupted_flood(store, edge_lists):
             trees.extend(edge_lists)
-            key_ids, transcript = real_flood(store, spec, trees)
+            key_ids, transcript = real_flood(store, trees)
             transcript.payload[0] ^= 1
             return key_ids, transcript
 

@@ -367,8 +367,8 @@ class TestSpanningTrees:
             trees = [tuple(sorted(edges)) for edges in greedy_spanning_trees(g, policy)]
             assert list(g.budgets.items()) == before and trees == trees_by_repeated_maximum(g, policy)
             for read in (lambda: max_flow(g, 0, 2), lambda: graph_strength(g),
-                         lambda: run_group_key(generate_pairwise_keys(g, 1), g, policy),
-                         lambda: run_subgroup(generate_pairwise_keys(g, 1), g, 0, 2, 1)):
+                         lambda: run_group_key(generate_pairwise_keys(g, 1), policy),
+                         lambda: run_subgroup(generate_pairwise_keys(g, 1), 0, 2)):
                 read()
                 assert list(g.budgets.items()) == before
         optimal_tree_packing_bruteforce(triangle)

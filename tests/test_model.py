@@ -9,7 +9,7 @@ import pytest
 from pinkey import LinearForm, NetworkSpec, generate_pairwise_keys, verify_independence
 from pinkey.errors import InsufficientKeyMaterial, UnknownBasisLabel
 from pinkey import model
-from pinkey.model import SourceBitBasis, _pair_rng, canonical_pair, local_rng
+from pinkey.model import PairwiseKeyStore, _local_rng, _pair_rng, canonical_pair
 
 from helpers import full_basis, key_values, owners, random_spec, take_all
 
@@ -125,9 +125,10 @@ class TestGeneration:
 
     def test_local_bits_get_fresh_labels_and_one_owner(self):
         store = generate_pairwise_keys(TRIANGLE, 0)
+        take_all(store)
         before = len(store.basis)
-        ids = store.basis.new_local_ids(1, 3, local_rng(0, 1))
-        assert store.basis.labels_of(ids) == ["R1:0", "R1:1", "R1:2"]
+        ids = store.fresh(1, 3)
+        assert list(map(store.basis.label, ids)) == ["R1:0", "R1:1", "R1:2"]
         assert len(store.basis) == before + 3
         assert owners(store.basis)[store.basis.id_of("R1:1")] == frozenset({1})
 
@@ -148,17 +149,19 @@ class TestGeneration:
                     for lab, held in zip(basis.labels, owners(basis))] == expected
 
     def test_local_bits_match_one_getrandbits_call_per_bit(self):
-        basis = SourceBitBasis()
+        # each terminal's draws go on along its own stream, however they interleave
+        store = PairwiseKeyStore(TRIANGLE, 7)
+        basis, references = store.basis, {owner: _local_rng(7, owner) for owner in (0, 2)}
         for owner, count in ((2, 1), (2, 33), (0, 240), (2, 5)):
-            drawn, reference = local_rng(7, owner), local_rng(7, owner)
+            reference = references[owner]
             start = len([lab for lab in basis.labels if lab.startswith(f"R{owner}:")])
-            ids = basis.new_local_ids(owner, count, drawn)
-            labels = basis.labels_of(ids)
+            ids = store.fresh(owner, count)
+            labels = list(map(basis.label, ids))
             assert labels == [f"R{owner}:{start + t}" for t in range(count)]
             assert [basis[lab] for lab in labels] == [reference.getrandbits(1) for _ in labels]
             assert basis.runs()[-1] == (ids, frozenset((owner,)))
             # the stream is left where the bit-by-bit draw leaves it
-            assert drawn.getrandbits(64) == reference.getrandbits(64)
+            assert store._locals[owner].getstate() == reference.getstate()
 
     # labels: those the rejected bits would get.  The ids are written out so
     # that each case keeps the id it has always had.
@@ -185,12 +188,12 @@ class TestGeneration:
         assert basis.runs() == before and len(basis) == 12
         assert not any(label in basis for label in labels)
         (ids,) = basis._add_runs([("R0:", frozenset((0,)), len(labels))], (1,) * len(labels))
-        assert basis.labels_of(ids) == labels
+        assert list(map(basis.label, ids)) == labels
 
     def test_bools_are_bit_values(self):
         basis = full_basis(TRIANGLE, 0)
         (ids,) = basis._add_runs([("R0:", frozenset((0,)), 3)], (True, False, True))
-        assert basis.labels_of(ids) == ["R0:0", "R0:1", "R0:2"] and basis.bits(ids) == (1, 0, 1)
+        assert list(map(basis.label, ids)) == ["R0:0", "R0:1", "R0:2"] and basis.bits(ids) == (1, 0, 1)
 
 
 class TestIds:
@@ -203,44 +206,34 @@ class TestIds:
             basis["K0-1:04"]
 
     def test_labels_render_from_ids_in_bulk_as_one_by_one(self):
-        basis = full_basis(TRIANGLE, 0)
-        basis.new_local_ids(2, 2, local_rng(0, 2))
-        basis.new_local_ids(1, 3, local_rng(0, 1))
-        shuffled = list(range(len(basis))) * 2
-        random.Random(5).shuffle(shuffled)
-        for ids in (range(len(basis)), list(range(len(basis))), shuffled, range(3, 7), range(4, 5),
-                    range(10, 16), range(1, 16, 4), range(15, 2, -3), [15, 0, 12, 12], [2, 5, 13, 15]):
-            assert basis.labels_of(ids) == [basis.label(i) for i in ids]
+        store = generate_pairwise_keys(TRIANGLE, 0)
+        take_all(store)
+        store.fresh(2, 2)
+        store.fresh(1, 3)
+        basis = store.basis
+        assert basis.labels == tuple(basis.label(i) for i in range(len(basis)))
         assert basis.labels[11:16] == ("K1-2:2", "R2:0", "R2:1", "R1:0", "R1:1")
         assert all(basis.id_of(lab) == i for i, lab in enumerate(basis.labels))
 
     def test_labels_render_in_bulk_over_many_runs(self):
-        # runs of many lengths, "R" runs whose indices go on across earlier runs, and a
-        # budget of 1500, so that label indices of one to four digits are rendered
+        # runs of many lengths, runs of one prefix interleaved with others' so that their
+        # indices go on across them, and a budget of 1500, so that label indices of one to
+        # four digits are rendered, and indices past 1000 that an earlier run's table holds
         spec = NetworkSpec(12, {**{(i, j): (7 * i + 3 * j) % 11 + 1 for i in range(12)
                                    for j in range(i + 1, 12)}, (2, 10): 1500})
         store = generate_pairwise_keys(spec, 3)
-        keys = take_all(store, spec)
+        for count in (4, 990, 3, 500):
+            store.take(2, 10, count)
+            store.take(0, 1, min(1, store.remaining(0, 1)))
+            store.fresh(3, count)
+        take_all(store)
+        for owner, count in ((5, 2), (3, 9), (5, 1), (3, 1200)):
+            store.fresh(owner, count)
         basis = store.basis
-        for owner, count in ((3, 4), (5, 2), (3, 9), (5, 1), (3, 1200)):
-            basis.new_local_ids(owner, count, local_rng(3, owner))
-        assert basis.labels_of(range(len(basis) - 1200, len(basis)))[-1] == "R3:1212"
-        pair = keys[2, 10]
-        # a group pad column: each tree takes the next bit of every pair it uses, in hop order
-        trees = [spec.pairs()[t % 5::3] for t in range(8)]
-        pads = [keys[edge][t] for t, tree in enumerate(trees) for edge in reversed(tree)
-                if t < spec.budget(*edge)]
-        shuffled = list(range(len(basis)))
-        random.Random(9).shuffle(shuffled)
-        columns = [pads, range(len(basis)), pair, pair[::-1], pair[3:1499:7], list(pair[990:1010]),
-                   [pair[i] for i in (999, 1000, 1499, 1000, 0, 9, 10)], range(len(basis) - 1, 0, -13),
-                   list(range(len(basis)))[::-1], shuffled[:3000] * 2, [], range(0), range(5, 5)]
-        for ids in columns:
-            assert basis.labels_of(ids) == [basis.label(i) for i in ids]
-        assert basis.labels_of(pair)[999:1001] == ["K2-10:999", "K2-10:1000"]
-        for ids in ([*pads, len(basis)], [-1, *pads], range(-1, len(basis)), range(len(basis) + 1)):
-            with pytest.raises(ValueError, match="not in the basis"):
-                basis.labels_of(ids)
+        assert basis.labels == tuple(basis.label(i) for i in range(len(basis)))
+        assert basis.labels[-1] == "R3:2705" and basis.label(basis.id_of("K2-10:1000")) == "K2-10:1000"
+        assert basis.labels[basis.id_of("K2-10:997"):][:4] == ("K2-10:997", "K2-10:998", "K2-10:999",
+                                                                  "K2-10:1000")
 
     def test_ids_outside_the_basis_have_no_label(self):
         basis = full_basis(TRIANGLE, 0)
@@ -248,15 +241,12 @@ class TestIds:
         for ident in (-1, 12, 99):
             with pytest.raises(ValueError, match="not in the basis"):
                 basis.label(ident)
-        for ids in ([0, 99], [-1, 0], range(10, 13), range(-1, 2), [12]):
-            with pytest.raises(ValueError, match="not in the basis"):
-                basis.labels_of(ids)
 
     def test_the_basis_reads_as_a_label_to_value_mapping(self):
         store = generate_pairwise_keys(TRIANGLE, 3)
-        keys = take_all(store, TRIANGLE)
+        keys = take_all(store)
         values = store.basis.realized()
-        labels = store.basis.labels_of(keys[0, 2])
+        labels = list(map(store.basis.label, keys[0, 2]))
         assert [values[lab] for lab in labels] == list(key_values(generate_pairwise_keys(TRIANGLE, 3), 0, 2))
         assert "K0-2:3" in values and "K0-2:4" not in values
         assert list(values) == list(store.basis.labels)
@@ -270,7 +260,7 @@ class TestConsumption:
         full = key_values(generate_pairwise_keys(TRIANGLE, 3), 0, 1)
         first, second = store.take(0, 1, 3), store.take(0, 1, 2)
         assert store.basis.bits(first) + store.basis.bits(second) == full
-        assert not set(store.basis.labels_of(first)) & set(store.basis.labels_of(second))
+        assert not set(map(store.basis.label, first)) & set(map(store.basis.label, second))
         assert store.remaining(0, 1) == 0
 
     def test_overdraw_raises_and_leaves_cursor_alone(self):
@@ -282,13 +272,18 @@ class TestConsumption:
         assert len(store.take(1, 2, 1)) == 1
 
     def test_zero_count_is_a_noop(self, monkeypatch):
-        store = generate_pairwise_keys(TRIANGLE, 3)
-        # a take of no bits seeds no generator and registers no run
+        spec = NetworkSpec(3, {(0, 1): 4, (1, 2): 2})
+        store = generate_pairwise_keys(spec, 3)
+        # a take of no bits seeds no generator and registers no run, on a pair with no budget too
         monkeypatch.setattr(model, "_pair_rng", None)
-        ids = store.take(0, 2, 0)
-        assert store.basis.bits(ids) == () and store.basis.labels_of(ids) == []
-        assert store.remaining(0, 2) == 4
-        assert store.basis.runs() == [] and len(store.basis) == 0
+        ids = store.take(2, 1, 0)
+        assert store.basis.bits(ids) == () and ids == range(0)
+        assert store.take_each({(0, 2): 0, (1, 2): 0}) == {(0, 2): range(0), (1, 2): range(0)}
+        assert store.remaining(1, 2) == 2
+        assert store.basis.runs() == [] and len(store.basis) == 0 and store._drawn == {}
+        monkeypatch.undo()
+        taken = store.take_each({(1, 2): 0, (0, 1): 2, (0, 2): 0})
+        assert taken == {(1, 2): range(0), (0, 1): range(0, 2), (0, 2): range(0)}
 
     def test_takes_in_any_split_give_the_bits_of_one_draw(self):
         # Each pair's takes, interleaved with the other pairs' and cut at random,
@@ -311,8 +306,50 @@ class TestConsumption:
                 stream = _pair_rng(seed, i, j)
                 reference = tuple(stream.getrandbits(1) for _ in range(spec.budget(i, j)))
                 assert store.basis.bits(ids) == reference
-                assert store.basis.labels_of(ids) == [f"K{i}-{j}:{t}" for t in range(len(ids))]
+                assert list(map(store.basis.label, ids)) == [f"K{i}-{j}:{t}" for t in range(len(ids))]
             assert len(store.basis) == spec.total_budget()
+
+    # pair (0, 1) has 4 bits, (1, 2) has 2 and (0, 2) none
+    @pytest.mark.parametrize("counts,error", [
+        ({(0, 1): -1}, ValueError),
+        ({(0, 1): 1.0}, ValueError),
+        ({(0, 1): True}, ValueError),
+        ({(1, 0): 2}, ValueError),
+        ({(0, 3): 1}, ValueError),
+        ({(1, 1): 0}, ValueError),
+        ({(0, 1): 2, (1, 2): -1}, ValueError),
+        ({(0, 1): 2, (1, 2): 3}, InsufficientKeyMaterial),
+        ({(0, 1): 2, (0, 2): 1}, InsufficientKeyMaterial),
+    ], ids=["negative", "float", "bool", "not-canonical", "out-of-range", "self-pair",
+            "bad-count-after-a-good-one", "short-after-a-good-one", "zero-budget"])
+    def test_a_refused_batch_draws_nothing(self, counts, error, monkeypatch):
+        spec = NetworkSpec(3, {(0, 1): 4, (1, 2): 2})
+        store = generate_pairwise_keys(spec, 3)
+        monkeypatch.setattr(model, "_pair_rng", None)  # no generator is seeded either
+        with pytest.raises(error):
+            store.take_each(counts)
+        assert [store.remaining(*pair) for pair in ((0, 1), (0, 2), (1, 2))] == [4, 0, 2]
+        assert len(store.basis) == 0 and store._drawn == {}
+        monkeypatch.undo()
+        # the budget still bounds later takes
+        with pytest.raises(InsufficientKeyMaterial):
+            store.take(0, 1, 5)
+        assert len(store.take(1, 0, 4)) == 4 and store.remaining(0, 1) == 0
+
+    def test_fresh_refuses_a_bad_owner_or_count(self):
+        store = generate_pairwise_keys(TRIANGLE, 3)
+        for owner, count in ((3, 1), (-1, 1), (0, -1), (0, 1.0), (0, True)):
+            with pytest.raises(ValueError):
+                store.fresh(owner, count)
+        assert store.fresh(2, 0) == range(0)
+        assert len(store.basis) == 0
+
+    def test_the_store_holds_its_spec_and_seed(self):
+        store = generate_pairwise_keys(TRIANGLE, 3)
+        assert store.spec is TRIANGLE and store.seed == 3
+        for name in ("spec", "seed"):
+            with pytest.raises(AttributeError):
+                setattr(store, name, None)
 
     def test_unknown_pair_has_nothing(self):
         spec = NetworkSpec(3, {(0, 1): 2})
@@ -335,8 +372,8 @@ class TestConsumption:
                 want = rng.randint(0, 2)
                 if store.remaining(i, j) < want:
                     continue
-                labels = store.basis.labels_of(store.take(i, j, want))
-                assert not set(labels) & seen
+                labels = set(map(store.basis.label, store.take(i, j, want)))
+                assert not labels & seen
                 seen.update(labels)
 
 
@@ -345,7 +382,7 @@ def test_issued_key_bits_are_jointly_uniform():
     store = generate_pairwise_keys(TRIANGLE, 11)
     forms = []
     for pair in TRIANGLE.pairs():
-        labels = store.basis.labels_of(store.take(*pair, 2))
+        labels = map(store.basis.label, store.take(*pair, 2))
         forms.extend(LinearForm.unit(lab) for lab in labels)
     assert verify_independence(forms, [], store.basis).uniform
 

@@ -29,6 +29,7 @@ from pinkey import (
 )
 from pinkey.errors import InsufficientKeyMaterial, InvariantViolation, NotAStar
 from pinkey.oracles import MI_BASIS_LIMIT, brute_force_mutual_information, is_connected, min_st_cut_bruteforce
+from pinkey.model import _local_rng
 from pinkey.protocols import GroupKeyResult, PublicMessage, _hex, _self_check
 
 from helpers import (debit, full_basis, key_values, known_to, random_connected_spec, random_spec, take_all,
@@ -130,13 +131,13 @@ def flip_first_payload_bit(result):
 @pytest.mark.parametrize("spec,run,undrawn,size", [
     # the flow from 0 to 1 rides the direct pair alone: its 3 bits pad 3 fresh bits
     (NetworkSpec.from_pairs(4, [(0, 1, 3), (1, 2, 3), (2, 3, 5)]),
-     lambda store, spec: run_subgroup(store, spec, 0, 1, 4), {(1, 2): 3, (2, 3): 5}, 6),
+     lambda store: run_subgroup(store, 0, 1), {(1, 2): 3, (2, 3): 5}, 6),
     # leaf 2 spends 2 bits of its 5, as each of the other leaves does of its 2
     (NetworkSpec.star([2, 5, 2]), run_broadcast, {(0, 2): 3}, 6),
 ], ids=["subgroup", "broadcast"])
 def test_a_pair_no_protocol_touches_is_never_drawn(spec, run, undrawn, size):
     store = generate_pairwise_keys(spec, 4)
-    basis = run(store, spec).basis
+    basis = run(store).basis
     assert len(basis) == size
     for (i, j), left in undrawn.items():
         assert store.remaining(i, j) == left
@@ -149,7 +150,7 @@ class TestBroadcast:
     def test_star_with_budgets_7_5_9(self):
         spec = NetworkSpec.star([7, 5, 9])
         store = generate_pairwise_keys(spec, 3)
-        result = run_broadcast(store, spec)
+        result = run_broadcast(store)
         assert len(result.key) == 5
         assert result.key == key_values(generate_pairwise_keys(spec, 3), 0, 2)[:5]
         assert len(result.transcript) == 2
@@ -161,14 +162,14 @@ class TestBroadcast:
     def test_two_terminals_need_no_messages(self):
         spec = NetworkSpec.star([5])
         store = generate_pairwise_keys(spec, 1)
-        result = run_broadcast(store, spec)
+        result = run_broadcast(store)
         assert len(result.key) == 5
         assert len(result.transcript) == 0
 
     def test_zero_budget_leaf_degenerates_cleanly(self):
         spec = NetworkSpec.star([4, 0, 6])
         store = generate_pairwise_keys(spec, 1)
-        result = run_broadcast(store, spec)
+        result = run_broadcast(store)
         assert result.key == ()
         assert len(result.transcript) == 0
         assert result.bound == 0 and result.gap == 0
@@ -176,12 +177,12 @@ class TestBroadcast:
     def test_non_star_rejected(self):
         store = generate_pairwise_keys(TRIANGLE, 1)
         with pytest.raises(NotAStar):
-            run_broadcast(store, TRIANGLE)
+            run_broadcast(store)
 
     def test_every_terminal_replays_but_an_outsider_cannot(self):
         spec = NetworkSpec.star([7, 5, 9])
         store = generate_pairwise_keys(spec, 8)
-        result = run_broadcast(store, spec)
+        result = run_broadcast(store)
         for terminal in range(4):
             assert replay_key(result, terminal) == result.key
         # an eavesdropper owns no source bits at all
@@ -190,7 +191,7 @@ class TestBroadcast:
     def test_replay_matches_the_reference_when_pads_go_unused(self):
         spec = NetworkSpec.star([9, 4, 30, 17, 4, 12])
         store = generate_pairwise_keys(spec, 21)
-        result = run_broadcast(store, spec)
+        result = run_broadcast(store)
         assert sum(store.remaining(0, leaf) for leaf in range(1, spec.m)) == 52
         # every leaf and the center, plus an outsider with no bits
         for terminal in range(spec.m + 1):
@@ -199,14 +200,14 @@ class TestBroadcast:
     def test_messages_reveal_nothing(self):
         spec = NetworkSpec.star([3, 3, 3, 3, 3])
         store = generate_pairwise_keys(spec, 13)
-        report = leak_report(run_broadcast(store, spec))
+        report = leak_report(run_broadcast(store))
         assert report.leaked_bits == 0 and report.uniform
 
 
 class TestSubgroup:
     def test_triangle_key_is_the_min_cut(self):
         store = generate_pairwise_keys(TRIANGLE, 5)
-        result = run_subgroup(store, TRIANGLE, 0, 2, 5)
+        result = run_subgroup(store, 0, 2)
         assert len(result.key) == 7
         assert result.gap == 0
         assert result.transcript.public_bits == 10
@@ -215,13 +216,13 @@ class TestSubgroup:
 
     def test_rounds_advance_hop_by_hop(self):
         store = generate_pairwise_keys(TRIANGLE, 5)
-        result = run_subgroup(store, TRIANGLE, 0, 2, 5)
+        result = run_subgroup(store, 0, 2)
         hops = [(m.round, m.sender, m.receiver, len(m.payload)) for m in result.transcript]
         assert hops == [(0, 0, 1, 3), (0, 0, 2, 4), (1, 1, 2, 3)]
 
     def test_terminals_replay_but_the_relay_cannot(self):
         store = generate_pairwise_keys(TRIANGLE, 5)
-        result = run_subgroup(store, TRIANGLE, 0, 2, 5)
+        result = run_subgroup(store, 0, 2)
         assert replay_key(result, 0) == result.key
         assert replay_key(result, 2) == result.key
         # terminal 1 relays only 3 of the 7 bits
@@ -229,20 +230,20 @@ class TestSubgroup:
 
     def test_a_cut_vertex_relay_sees_the_whole_key(self):
         spec = NetworkSpec.from_pairs(3, [(0, 1, 4), (1, 2, 4)])
-        result = run_subgroup(generate_pairwise_keys(spec, 3), spec, 0, 2, 3)
+        result = run_subgroup(generate_pairwise_keys(spec, 3), 0, 2)
         assert replay_key(result, 1) == result.key == reference_replay(result, 1)
 
     def test_single_edge(self):
         spec = NetworkSpec(2, {(0, 1): 6})
         store = generate_pairwise_keys(spec, 2)
-        result = run_subgroup(store, spec, 0, 1, 2)
+        result = run_subgroup(store, 0, 1)
         assert len(result.key) == 6
         assert len(result.transcript) == 1
 
     def test_disconnected_terminals_get_an_empty_key(self):
         spec = NetworkSpec(3, {(0, 1): 4})
         store = generate_pairwise_keys(spec, 2)
-        result = run_subgroup(store, spec, 0, 2, 2)
+        result = run_subgroup(store, 0, 2)
         assert result.key == ()
         assert len(result.transcript) == 0
         assert result.bound == 0 and result.gap == 0
@@ -251,10 +252,9 @@ class TestSubgroup:
         texts = set()
         for _ in range(2):
             store = generate_pairwise_keys(TRIANGLE, 5)
-            texts.add(run_subgroup(store, TRIANGLE, 0, 2, 5).transcript.to_text())
+            texts.add(run_subgroup(store, 0, 2).transcript.to_text())
         assert len(texts) == 1
-        store = generate_pairwise_keys(TRIANGLE, 5)
-        other = run_subgroup(store, TRIANGLE, 0, 2, 99)
+        other = run_subgroup(generate_pairwise_keys(TRIANGLE, 99), 0, 2)
         assert other.transcript.to_text() not in texts
 
     def test_matches_bruteforce_cut_on_random_graphs(self):
@@ -263,7 +263,7 @@ class TestSubgroup:
             spec = random_connected_spec(rng, max_m=5, max_budget=6)
             s, t = rng.sample(range(spec.m), 2)
             store = generate_pairwise_keys(spec, rng.randrange(2**32))
-            result = run_subgroup(store, spec, s, t, rng.randrange(2**32))
+            result = run_subgroup(store, s, t)
             assert len(result.key) == min_st_cut_bruteforce(spec, s, t)[0]
             report = leak_report(result)
             assert report.leaked_bits == 0 and report.uniform
@@ -272,11 +272,40 @@ class TestSubgroup:
                 assert replay_key(result, terminal) == reference_replay(result, terminal)
 
 
+    def test_a_second_run_from_one_source_gets_new_fresh_bits(self):
+        spec = NetworkSpec.from_pairs(3, [(0, 1, 16), (0, 2, 16)])
+        store = generate_pairwise_keys(spec, 5)
+        first, second = run_subgroup(store, 0, 1), run_subgroup(store, 0, 2)
+        # the two keys are bits 1-16 and 17-32 of terminal 0's one local stream
+        stream = _local_rng(5, 0)
+        bits = tuple(stream.getrandbits(1) for _ in range(32))
+        assert [store.basis.label(i) for i in first.key_ids] == [f"R0:{t}" for t in range(16)]
+        assert [store.basis.label(i) for i in second.key_ids] == [f"R0:{t}" for t in range(16, 32)]
+        assert first.key == bits[:16] and second.key == bits[16:] and first.key != second.key
+
+
+@pytest.mark.parametrize("spec,before,run", [
+    # the second subgroup run's first hop, over (0, 2), has its bits, and its second, over
+    # (1, 2), none: the first run spent them
+    (NetworkSpec(3, {(0, 2): 2, (1, 2): 2}), lambda store: run_subgroup(store, 2, 1),
+     lambda store: run_subgroup(store, 0, 1)),
+    # the key pair (0, 1) has its 2 bits, and the pad pair (0, 2) 1 of the 2 it needs
+    (NetworkSpec.star([2, 3]), lambda store: store.take(0, 2, 2), run_broadcast),
+], ids=["subgroup", "broadcast"])
+def test_a_run_that_a_pair_is_short_for_draws_nothing(spec, before, run):
+    store = generate_pairwise_keys(spec, 1)
+    before(store)
+    remaining, size = [store.remaining(*pair) for pair in spec.pairs()], len(store.basis)
+    with pytest.raises(InsufficientKeyMaterial):
+        run(store)
+    assert [store.remaining(*pair) for pair in spec.pairs()] == remaining and len(store.basis) == size
+
+
 class TestFlood:
     def test_path_tree_sends_one_message(self):
         spec = NetworkSpec.from_pairs(3, [(0, 1, 2), (1, 2, 2)])
         store = generate_pairwise_keys(spec, 9)
-        (shared,), messages = flood(store, spec, [((0, 1), (1, 2))])
+        (shared,), messages = flood(store, [((0, 1), (1, 2))])
         assert store.basis.label(shared) == "K0-1:0"
         assert len(messages) == 1
         msg = list(messages)[0]
@@ -286,7 +315,7 @@ class TestFlood:
     def test_star_tree_center_relays_to_both(self):
         spec = NetworkSpec.star([1, 1, 1])
         store = generate_pairwise_keys(spec, 9)
-        (shared,), messages = flood(store, spec, [((0, 1), (0, 2), (0, 3))])
+        (shared,), messages = flood(store, [((0, 1), (0, 2), (0, 3))])
         assert store.basis.label(shared) == "K0-1:0"
         assert [(m.sender, m.receiver) for m in messages] == [(0, 2), (0, 3)]
         assert [str(m.forms[0]) for m in messages] == ["K0-1:0^K0-2:0", "K0-1:0^K0-3:0"]
@@ -294,7 +323,7 @@ class TestFlood:
     def test_two_terminals_need_no_messages(self):
         spec = NetworkSpec(2, {(0, 1): 3})
         store = generate_pairwise_keys(spec, 9)
-        (shared,), messages = flood(store, spec, [((0, 1),)])
+        (shared,), messages = flood(store, [((0, 1),)])
         assert list(messages) == []
         assert store.basis.label(shared) == "K0-1:0"
 
@@ -302,7 +331,7 @@ class TestFlood:
         spec = NetworkSpec.complete(4, 2)
         store = generate_pairwise_keys(spec, 9)
         tree = ((0, 1), (1, 2), (2, 3))
-        flood(store, spec, [tree])
+        flood(store, [tree])
         for edge in tree:
             assert store.remaining(*edge) == 1
         assert store.remaining(0, 2) == 2
@@ -311,18 +340,18 @@ class TestFlood:
         spec = NetworkSpec.from_pairs(3, [(0, 1, 1), (1, 2, 2)])
         store = generate_pairwise_keys(spec, 9)
         tree = ((0, 1), (1, 2))
-        flood(store, spec, [tree])
+        flood(store, [tree])
         with pytest.raises(InsufficientKeyMaterial):
-            flood(store, spec, [tree])
+            flood(store, [tree])
         assert store.remaining(1, 2) == 1
 
     def test_a_dry_hop_consumes_nothing_not_even_the_seed_edge(self):
         spec = NetworkSpec.from_pairs(4, [(0, 1, 2), (1, 2, 2), (2, 3, 1)])
         store = generate_pairwise_keys(spec, 9)
         tree = ((0, 1), (1, 2), (2, 3))
-        flood(store, spec, [tree])
+        flood(store, [tree])
         with pytest.raises(InsufficientKeyMaterial, match=r"pair \(2, 3\)"):
-            flood(store, spec, [tree])
+            flood(store, [tree])
         assert [store.remaining(*edge) for edge in tree] == [1, 1, 0]
 
     def test_a_list_of_trees_floods_as_its_trees_one_at_a_time(self):
@@ -330,11 +359,11 @@ class TestFlood:
         # (0, 2) pads a hop of the first tree and seeds the second; (2, 3) pads a hop of each
         trees = [((0, 1), (0, 2), (2, 3)), ((0, 2), (1, 2), (2, 3))]
         together = generate_pairwise_keys(spec, 9)
-        key_ids, transcript = flood(together, spec, trees)
+        key_ids, transcript = flood(together, trees)
         alone = generate_pairwise_keys(spec, 9)
         shared, expected = [], ([], [], [], [], b"", [], [])
         for tree in trees:
-            ids, part = flood(alone, spec, [tree])
+            ids, part = flood(alone, [tree])
             rounds, senders, receivers, ends, payload, plain, pad = transcript_columns(part)
             shift = expected[0][-1] + 1 if expected[0] else 0
             rounds = [r + shift for r in rounds]
@@ -343,7 +372,12 @@ class TestFlood:
             expected = tuple(map(add, expected, (rounds, senders, receivers, ends, payload, plain, pad)))
         # pair bits are drawn as they are taken, so the two stores number them differently:
         # compare labels, which name each bit by its pair and its place in the pair's key
-        labels, alone_labels = together.basis.labels_of, alone.basis.labels_of
+        def labels(ids):
+            return [together.basis.label(i) for i in ids]
+
+        def alone_labels(ids):
+            return [alone.basis.label(i) for i in ids]
+
         columns = transcript_columns(transcript)
         assert labels(key_ids) == alone_labels(shared)
         assert (*columns[:5], labels(columns[5]), labels(columns[6])) == (
@@ -357,17 +391,17 @@ class TestFlood:
         store = generate_pairwise_keys(spec, 9)
         trees = [((0, 1), (1, 2), (2, 3)), ((0, 2), (1, 2), (2, 3))]
         with pytest.raises(InsufficientKeyMaterial, match=r"pair \(1, 2\)"):
-            flood(store, spec, trees)
+            flood(store, trees)
         assert [store.remaining(*pair) for pair in spec.pairs()] == [2, 2, 1, 2]
 
     def test_a_dry_pair_leaves_the_basis_and_every_pair_as_they_were(self):
         spec = NetworkSpec.from_pairs(4, [(0, 1, 2), (0, 2, 2), (1, 2, 1), (2, 3, 2)])
         store = generate_pairwise_keys(spec, 9)
-        flood(store, spec, [((0, 1), (1, 2), (2, 3))])
+        flood(store, [((0, 1), (1, 2), (2, 3))])
         size, remaining = len(store.basis), [store.remaining(*pair) for pair in spec.pairs()]
         assert (size, remaining) == (3, [1, 2, 0, 1])
         with pytest.raises(InsufficientKeyMaterial, match=r"^pair \(1, 2\) has 0 unused bits, 1 needed$"):
-            flood(store, spec, [((0, 2), (1, 2), (2, 3))])  # (0, 2) and (2, 3) have bits left
+            flood(store, [((0, 2), (1, 2), (2, 3))])  # (0, 2) and (2, 3) have bits left
         assert len(store.basis) == size
         assert [store.remaining(*pair) for pair in spec.pairs()] == remaining
 
@@ -391,7 +425,7 @@ class TestFlood:
         spec = NetworkSpec.complete(4, 2)
         store = generate_pairwise_keys(spec, 9)
         with pytest.raises(ValueError, match=message):
-            flood(store, spec, [((0, 1), (1, 2), (2, 3)), edges])
+            flood(store, [((0, 1), (1, 2), (2, 3)), edges])
         assert [store.remaining(*pair) for pair in spec.pairs()] == [2] * 6
 
     def test_an_unsorted_edge_list_floods_as_its_sorted_form(self):
@@ -401,7 +435,7 @@ class TestFlood:
         runs = []
         for order in (sorted, lambda tree: tuple(reversed(tree))):
             store = generate_pairwise_keys(spec, 9)
-            key_ids, transcript = flood(store, spec, [order(tree) for tree in trees])
+            key_ids, transcript = flood(store, [order(tree) for tree in trees])
             runs.append((key_ids, transcript_columns(transcript)))
         assert runs[0] == runs[1]
         # the smallest edge seeds each tree, whatever place it was given in
@@ -412,7 +446,7 @@ class TestGroupKey:
     def test_triangle_runs_six_iterations(self):
         for policy in ("lex-kruskal", "degree-min"):
             store = generate_pairwise_keys(TRIANGLE, 7)
-            result = run_group_key(store, TRIANGLE, policy)
+            result = run_group_key(store, policy)
             assert len(result.key) == 6
             assert result.bound == Fraction(6)
             assert result.gap == 0
@@ -421,16 +455,16 @@ class TestGroupKey:
     def test_uniform_k4_star_trap_vs_degree_min(self):
         spec = NetworkSpec.complete(4, 1)
         store = generate_pairwise_keys(spec, 2)
-        assert len(run_group_key(store, spec, "lex-kruskal").key) == 1
+        assert len(run_group_key(store, "lex-kruskal").key) == 1
         store = generate_pairwise_keys(spec, 2)
-        assert len(run_group_key(store, spec, "degree-min").key) == 2
+        assert len(run_group_key(store, "degree-min").key) == 2
 
     def test_pinned_star_tree_disconnects_after_one_round(self):
         # choosing the star tree first leaves node 0 isolated
         spec = NetworkSpec.complete(4, 1)
         store = generate_pairwise_keys(spec, 2)
         star = ((0, 1), (0, 2), (0, 3))
-        _, messages = flood(store, spec, [star])
+        _, messages = flood(store, [star])
         assert len(messages) == 2
         assert not is_connected(debit(spec, star))
 
@@ -438,21 +472,21 @@ class TestGroupKey:
         for m, u in [(4, 1), (4, 2), (5, 1)]:
             spec = NetworkSpec.complete(m, 2 * u)
             store = generate_pairwise_keys(spec, 1)
-            result = run_group_key(store, spec)
+            result = run_group_key(store)
             assert len(result.key) == m * u
             assert result.gap == 0
 
     def test_two_terminal_group_run_uses_the_whole_pair_key(self):
         spec = NetworkSpec(2, {(0, 1): 4})
         store = generate_pairwise_keys(spec, 6)
-        result = run_group_key(store, spec)
+        result = run_group_key(store)
         assert result.key == key_values(generate_pairwise_keys(spec, 6), 0, 1)
         assert len(result.transcript) == 0
 
     def test_disconnected_network_yields_nothing(self):
         spec = NetworkSpec(3, {(0, 1): 5})
         store = generate_pairwise_keys(spec, 6)
-        result = run_group_key(store, spec)
+        result = run_group_key(store)
         assert result.key == ()
 
     @pytest.mark.parametrize("policy,bits,digest", [
@@ -464,14 +498,14 @@ class TestGroupKey:
         # either policy's tree choice changes the transcript
         rng = random.Random(4)
         spec = NetworkSpec(12, {(i, j): rng.randint(1, 9) for i in range(12) for j in range(i + 1, 12)})
-        result = run_group_key(generate_pairwise_keys(spec, 5), spec, policy)
+        result = run_group_key(generate_pairwise_keys(spec, 5), policy)
         assert len(result.key) == bits
         assert hashlib.sha256(result.transcript.to_text().encode()).hexdigest() == digest
 
     def test_everyone_replays_every_bit(self):
         spec = NetworkSpec.complete(5, 2)
         store = generate_pairwise_keys(spec, 4)
-        result = run_group_key(store, spec)
+        result = run_group_key(store)
         for terminal in range(5):
             assert replay_key(result, terminal) == result.key
 
@@ -481,7 +515,7 @@ class TestGroupKey:
             spec = random_spec(rng, max_m=6, max_budget=8)
             store = generate_pairwise_keys(spec, rng.randrange(2**32))
             policy = rng.choice(("lex-kruskal", "degree-min"))
-            result = run_group_key(store, spec, policy)
+            result = run_group_key(store, policy)
             assert len(result.key) <= group_bound(spec).value
             report = leak_report(result)
             assert report.leaked_bits == 0 and report.uniform
@@ -490,12 +524,12 @@ class TestGroupKey:
 class TestTranscripts:
     def test_group_golden_transcript(self):
         store = generate_pairwise_keys(TRIANGLE, 7)
-        result = run_group_key(store, TRIANGLE)
+        result = run_group_key(store)
         assert result.transcript.to_text() == TRIANGLE_GROUP_TRANSCRIPT
 
     def test_serialization_is_stable(self):
         store = generate_pairwise_keys(TRIANGLE, 7)
-        transcript = run_group_key(store, TRIANGLE).transcript
+        transcript = run_group_key(store).transcript
         assert transcript.to_text() == transcript.to_text()
 
     def test_hex_packing(self):
@@ -518,7 +552,7 @@ class TestTranscripts:
         # broadcast runs re-key each leaf with one message as long as the key
         for n in lengths:
             spec = NetworkSpec.star([n, n + 2, n + 7])
-            runs.append(run_broadcast(generate_pairwise_keys(spec, n), spec).transcript)
+            runs.append(run_broadcast(generate_pairwise_keys(spec, n)).transcript)
         for transcript in runs:
             lines = transcript.to_text().splitlines()[1:]
             assert len(lines) == len(transcript) > 0
@@ -533,16 +567,16 @@ class TestTranscripts:
             spec = random_connected_spec(rng, max_m=7, max_budget=14)
             seed = rng.randrange(2**32)
             s, t = rng.sample(range(spec.m), 2)
-            runs.append(run_subgroup(generate_pairwise_keys(spec, seed), spec, s, t, seed).transcript)
-            runs.append(run_group_key(generate_pairwise_keys(spec, seed), spec).transcript)
+            runs.append(run_subgroup(generate_pairwise_keys(spec, seed), s, t).transcript)
+            runs.append(run_group_key(generate_pairwise_keys(spec, seed)).transcript)
         spec = NetworkSpec.star([23, 11, 40, 17, 9, 30, 12, 25, 19, 14, 33])
-        runs.append(run_broadcast(generate_pairwise_keys(spec, 2), spec).transcript)
+        runs.append(run_broadcast(generate_pairwise_keys(spec, 2)).transcript)
         spec = NetworkSpec.complete(12, 2)
-        runs.append(run_group_key(generate_pairwise_keys(spec, 5), spec).transcript)
+        runs.append(run_group_key(generate_pairwise_keys(spec, 5)).transcript)
         # labels that sort against id order: K0-10 after K0-2, index 10 after index 9
         spec = NetworkSpec(11, {(0, 2): 12, (0, 10): 12, (1, 2): 12})
         store = generate_pairwise_keys(spec, 8)
-        keys = take_all(store, spec)
+        keys = take_all(store)
         k02, k010, k12 = keys[0, 2], keys[0, 10], keys[1, 2]
         columns = [([k02[3]], [k010[3]]), ([k010[4]], [k02[4]]), ([k12[9]], [k12[10]]),
                    ([k12[11], k12[0]], [k12[8], k12[1]]), ([], []), ([k010[10], k02[2]], [k02[10], k010[9]])]
@@ -619,13 +653,13 @@ class TestTranscripts:
         for _ in range(10):
             spec = random_connected_spec(rng, max_m=5, max_budget=5)
             store = generate_pairwise_keys(spec, rng.randrange(2**32))
-            result = run_group_key(store, spec)
+            result = run_group_key(store)
             pads = [p for msg in result.transcript for p in msg.pads]
             assert len(pads) == len(set(pads))
 
     def test_forms_reproduce_payload_bits(self):
         store = generate_pairwise_keys(TRIANGLE, 15)
-        result = run_subgroup(store, TRIANGLE, 0, 2, 15)
+        result = run_subgroup(store, 0, 2)
         values = result.basis.realized()
         for msg in result.transcript:
             for bit, form in zip(msg.payload, msg.forms):
@@ -721,7 +755,7 @@ class TestHandBuiltTranscripts:
 
             assert False, "assertions must be off"
             spec = NetworkSpec.star([7, 5, 9])
-            result = run_broadcast(generate_pairwise_keys(spec, 3), spec)
+            result = run_broadcast(generate_pairwise_keys(spec, 3))
             t = result.transcript
             # leaf 3 loses its re-keying message, the last one
             n, cut = len(t) - 1, t.ends[-2]
@@ -749,13 +783,13 @@ class TestHandBuiltTranscripts:
 class TestSelfCheck:
     def test_a_flipped_payload_bit_is_caught(self):
         store = generate_pairwise_keys(TRIANGLE, 7)
-        bad = flip_first_payload_bit(run_group_key(store, TRIANGLE))
+        bad = flip_first_payload_bit(run_group_key(store))
         with pytest.raises(InvariantViolation, match="does not match payload"):
             self_check(bad)
 
     def test_a_reused_pad_is_caught(self):
         spec = NetworkSpec.star([7, 5, 9])
-        result = run_broadcast(generate_pairwise_keys(spec, 3), spec)
+        result = run_broadcast(generate_pairwise_keys(spec, 3))
         # resending a message keeps every form faithful but pads twice
         messages = list(result.transcript)
         bad = replace(result, transcript=transcript_of(result.basis, messages + messages[-1:]))
@@ -767,7 +801,7 @@ class TestSelfCheck:
 
     def test_a_holder_that_cannot_replay_is_caught(self):
         store = generate_pairwise_keys(TRIANGLE, 5)
-        result = run_subgroup(store, TRIANGLE, 0, 2, 5)
+        result = run_subgroup(store, 0, 2)
         # the relay sees only 3 of the 7 key bits
         bad = replace(result, holders=frozenset({0, 1, 2}))
         with pytest.raises(InvariantViolation, match="holder 1 cannot replay"):
@@ -775,7 +809,7 @@ class TestSelfCheck:
 
     def test_a_holder_is_checked_without_the_bits_of_the_holders_before_it(self):
         spec = NetworkSpec.star([7, 5, 9])
-        result = run_broadcast(generate_pairwise_keys(spec, 3), spec)
+        result = run_broadcast(generate_pairwise_keys(spec, 3))
         # leaf 3 loses its re-keying message; the center, checked first, owns
         # every key bit, so its own rows must be gone again when leaf 3 is checked
         bad = replace(result, transcript=transcript_of(result.basis, list(result.transcript)[:-1]))
@@ -785,7 +819,7 @@ class TestSelfCheck:
 
     def test_replay_rejects_inconsistent_equations(self):
         store = generate_pairwise_keys(TRIANGLE, 7)
-        result = run_group_key(store, TRIANGLE)
+        result = run_group_key(store)
         bad = flip_first_payload_bit(result)
         # Replay reads the payload, not the basis, so both owners of the flipped
         # bit's pad are told a wrong plain bit.  The sender owns that plain bit
@@ -807,7 +841,7 @@ class TestSelfCheck:
 
             assert False, "assertions must be off"
             spec = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
-            result = run_group_key(generate_pairwise_keys(spec, 7), spec)
+            result = run_group_key(generate_pairwise_keys(spec, 7))
             t = result.transcript
             flipped = Transcript(t.basis, t.rounds, t.senders, t.receivers, t.ends, t.payload, t.plain, t.pad)
             flipped.payload[0] ^= 1

@@ -231,7 +231,7 @@ class TestOneReduction:
         monkeypatch.setattr(pinkey.graph, "_edmonds_karp", lambda *args: calls.append(1) or kernel(*args))
         scenario = _relay_scenario()
         spec = scenario.spec
-        result = run_subgroup(generate_pairwise_keys(spec, 1), spec, scenario.s, scenario.t, 1)
+        result = run_subgroup(generate_pairwise_keys(spec, 1), scenario.s, scenario.t)
         assert len(calls) == 1
         assert result.bound == len(result.key)
 
@@ -264,7 +264,7 @@ def test_the_self_check_reports_a_leak_as_the_oracles_do():
     # are a plain bit and a key bit, so the self-check refuses them.
     spec = NetworkSpec.star([3, 5, 5])
     store = generate_pairwise_keys(spec, 9)
-    result = run_broadcast(store, spec)
+    result = run_broadcast(store)
     k0, k1 = result.key_ids[:2]
     x = store.take(0, 3, 1)[0]
     plain, pad = (k0, x), (x, k1)
@@ -280,9 +280,9 @@ def test_the_self_check_reports_a_leak_as_the_oracles_do():
 
 def test_message_views_render_the_labels_of_their_ids():
     spec = NetworkSpec.star([4, 2, 6])
-    result = run_broadcast(generate_pairwise_keys(spec, 2), spec)
+    result = run_broadcast(generate_pairwise_keys(spec, 2))
     # messages compare and hash by their ids, not their basis, so reruns give equal messages
-    assert list(result.transcript) == list(run_broadcast(generate_pairwise_keys(spec, 2), spec).transcript)
+    assert list(result.transcript) == list(run_broadcast(generate_pairwise_keys(spec, 2)).transcript)
     assert len({hash(msg) for msg in result.transcript}) == len(result.transcript)
     for msg in result.transcript:
         assert msg.pads == tuple(result.basis.label(i) for i in msg.pad)
@@ -294,7 +294,7 @@ def test_message_views_render_the_labels_of_their_ids():
 
 def test_message_views_slice_concatenate_and_print_as_tuples():
     spec = NetworkSpec.star([4, 2, 6])
-    msg = list(run_broadcast(generate_pairwise_keys(spec, 2), spec).transcript)[0]
+    msg = list(run_broadcast(generate_pairwise_keys(spec, 2)).transcript)[0]
     assert type(msg.forms) is tuple and type(msg.pads) is tuple
     assert " at 0x" not in repr(msg)
 

@@ -155,7 +155,7 @@ class TestExhaustiveOracle:
 def test_full_protocol_run_has_rank_six_and_no_leak():
     spec = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
     store = generate_pairwise_keys(spec, 7)
-    result = run_group_key(store, spec)
+    result = run_group_key(store)
     report = verify_independence(result.key_forms, result.transcript.forms(), result.basis)
     assert report.rank_key == 6
     assert report.leaked_bits == 0
@@ -171,7 +171,7 @@ def test_distinct_pairs_use_disjoint_labels():
     spec = NetworkSpec.from_pairs(4, [(0, 1, 3), (1, 2, 3), (2, 3, 2), (0, 3, 1)])
     store = generate_pairwise_keys(spec, 5)
     seen: set[str] = set()
-    for ids in take_all(store, spec).values():
-        labels = set(store.basis.labels_of(ids))
+    for ids in take_all(store).values():
+        labels = set(map(store.basis.label, ids))
         assert not labels & seen
         seen.update(labels)
