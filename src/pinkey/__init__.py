@@ -23,7 +23,6 @@ from .model import (
     NetworkSpec,
     PairwiseKeyStore,
     SourceBitBasis,
-    TerminalId,
     generate_pairwise_keys,
 )
 from .protocols import (
@@ -52,7 +51,6 @@ __all__ = [
     "SecrecyReport",
     "SourceBitBasis",
     "TIE_BREAK_POLICIES",
-    "TerminalId",
     "Transcript",
     "broadcast_bound",
     "errors",

@@ -190,11 +190,11 @@ def max_flow(spec: NetworkSpec, s: int, t: int) -> FlowAssignment:
 
 
 def _check_terminals(spec: NetworkSpec, s: int, t: int) -> None:
+    for node in (s, t):
+        if not (type(node) is int and 0 <= node < spec.m):
+            raise ValueError(f"terminal {node} out of range for m={spec.m}")
     if s == t:
         raise ValueError("source and sink must differ")
-    for node in (s, t):
-        if not (0 <= node < spec.m):
-            raise ValueError(f"terminal {node} out of range for m={spec.m}")
 
 
 def _residual_cut(spec: NetworkSpec, cap: dict[int, dict[int, int]], s: int, value: int) -> Partition:

@@ -35,9 +35,6 @@ from types import MappingProxyType
 
 from .errors import InsufficientKeyMaterial, UnknownBasisLabel
 
-# Terminals are plain ints in [0, m).  The alias marks intent in signatures.
-TerminalId = int
-
 Pair = tuple[int, int]
 
 _BIT_VALUES = frozenset((0, 1))
@@ -82,7 +79,7 @@ class NetworkSpec:
             i, j = pair
             if canonical_pair(i, j) != (i, j):
                 raise ValueError(f"pair {pair!r} is not in canonical (i < j) form")
-            if not (0 <= i < j < self.m):
+            if not (type(i) is type(j) is int and 0 <= i < j < self.m):
                 raise ValueError(f"pair {pair!r} out of range for m={self.m}")
             if type(budget) is not int or budget < 0:
                 raise ValueError(f"budget for pair {pair!r} must be a nonnegative int, got {budget!r}")
@@ -105,7 +102,7 @@ class NetworkSpec:
     def star(cls, leaf_budgets: list[int]) -> "NetworkSpec":
         """Star centered at terminal 0; leaf i+1 gets leaf_budgets[i]."""
         m = len(leaf_budgets) + 1
-        return cls(m, {(0, i + 1): b for i, b in enumerate(leaf_budgets) if b > 0})
+        return cls(m, {(0, i + 1): b for i, b in enumerate(leaf_budgets)})
 
     @classmethod
     def complete(cls, m: int, weight: int) -> "NetworkSpec":
@@ -286,14 +283,14 @@ class PairwiseKeyStore:
         return each pair's ids, one run per pair with a positive count.
 
         Before any bit is drawn, raises ValueError for a pair that is not
-        (i, j) with 0 <= i < j < m or a count that is not a nonnegative
-        int, and InsufficientKeyMaterial, naming the pair, when some pair
-        has fewer unused bits than its count.
+        (i, j) of ints with 0 <= i < j < m or a count that is not a
+        nonnegative int, and InsufficientKeyMaterial, naming the pair, when
+        some pair has fewer unused bits than its count.
         """
         m = self._spec.m
         for pair, count in counts.items():
             i, j = pair
-            if not 0 <= i < j < m:
+            if not (type(i) is type(j) is int and 0 <= i < j < m):
                 raise ValueError(f"pair {pair!r} is not (i, j) with 0 <= i < j < m={m}")
             if type(count) is not int or count < 0:
                 raise ValueError(f"count for pair {pair!r} must be a nonnegative int, got {count!r}")
@@ -303,7 +300,7 @@ class PairwiseKeyStore:
         runs, chunks = [], []
         for (i, j), count in counts.items():
             if count:
-                stream = self._streams.pop((i, j), None) or _pair_rng(self._seed, i, j)
+                stream = self._streams.pop((i, j), None) or _stream(f"pair:{self._seed}:{i}:{j}")
                 drawn = self._drawn[i, j] = self._drawn.get((i, j), 0) + count
                 if drawn < self._spec.budgets[i, j]:
                     self._streams[i, j] = stream
@@ -314,25 +311,24 @@ class PairwiseKeyStore:
 
     def fresh(self, owner: int, count: int) -> range:
         """Draw ``count`` local bits of terminal ``owner``, the next of its own stream; return their ids."""
-        if not 0 <= owner < self._spec.m:
+        if not (type(owner) is int and 0 <= owner < self._spec.m):
             raise ValueError(f"owner {owner!r} is not a terminal below m={self._spec.m}")
         if type(count) is not int or count < 0:
             raise ValueError(f"count must be a nonnegative int, got {count!r}")
-        stream = self._locals.get(owner) or self._locals.setdefault(owner, _local_rng(self._seed, owner))
+        if (stream := self._locals.get(owner)) is None:
+            stream = self._locals[owner] = _stream(f"local:{self._seed}:{owner}")
         return self.basis._add_runs([(f"R{owner}:", frozenset((owner,)), count)],
                                     _random_bits(stream, count))[0]
 
 
-def _pair_rng(seed: int, i: int, j: int) -> random.Random:
-    # SHA-256 of a tagged string keeps pair streams disjoint and makes the
-    # derivation independent of Python's salted hash().
-    digest = hashlib.sha256(f"pinkey:pair:{seed}:{i}:{j}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+def _stream(tag: str) -> random.Random:
+    """The stream of ``tag``: ``pair:{seed}:{i}:{j}`` for pair {i, j}'s key, ``local:{seed}:{owner}``
+    for a terminal's local bits.
 
-
-def _local_rng(seed: int, owner: int) -> random.Random:
-    """Stream for terminal-local randomness, disjoint from every pair stream."""
-    digest = hashlib.sha256(f"pinkey:local:{seed}:{owner}".encode()).digest()
+    SHA-256 of the tagged string keeps the streams disjoint and makes the
+    derivation independent of Python's salted hash().
+    """
+    digest = hashlib.sha256(f"pinkey:{tag}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 

@@ -13,11 +13,12 @@ Three cases are implemented over the same pairwise-key substrate:
   disconnects.  ``flood`` is where a run checks its trees.
 
 Every public payload bit is a one-time pad, the XOR of a plain bit and
-the key bit that pads it, and the transcript records that exact GF(2)
-linear form as two source-bit ids, in its ``plain`` and ``pad`` columns;
-labels are rendered from the ids only when read.  So reconstructibility
-and secrecy are verifiable by linear algebra instead of sampling.  Each
-run constructs its transcript once, from columns built in one pass;
+the key bit that pads it.  The transcript records that exact GF(2)
+linear form as two source-bit ids, in its ``plain`` and ``pad`` columns,
+and computes each payload bit from them when it is built; labels are
+rendered from the ids only when read.  So reconstructibility and secrecy
+are verifiable by linear algebra instead of sampling.  Each run
+constructs its transcript once, from columns built in one pass;
 iterating it gives ``PublicMessage`` values.  A run's one input is its
 store, which holds the spec and seed and draws every bit the run uses:
 reruns on fresh stores produce byte-identical transcripts, and a second
@@ -28,9 +29,9 @@ id.  Then each public bit's row has a column of its own, a terminal
 learns exactly the ids it owns plus the plain id of each pad it owns,
 and the run's secrecy report is (|K|, P, |K| + P) for |K| distinct key
 ids and P public bits: the transcript tells nothing about the key.  So
-each run self-checks fidelity, pad privacy and per-holder replay, which
-is set inclusion, with no GF(2) elimination, and a transcript with a
-pad that is not private is refused.
+each run self-checks pad privacy and per-holder replay, which is set
+inclusion, with no GF(2) elimination, and a transcript with a pad that
+is not private is refused.
 """
 
 from __future__ import annotations
@@ -99,39 +100,40 @@ class Transcript:
 
     Per message: ``rounds``, ``senders``, ``receivers`` and ``ends``, the
     cumulative payload offsets, so message k's payload bits are
-    ``ends[k - 1]:ends[k]``.  Per payload bit: ``payload`` (a bytearray)
-    and its ``plain`` and ``pad`` source-bit ids.  A run constructs its
-    transcript once, from all its columns, and construction checks them
-    whole: equal column lengths, ``ends`` rising from 0 to the payload
-    length, payload bits of 0 or 1, ``plain`` and ``pad`` ids of bits in
-    the basis, and nondecreasing rounds.  Iterating builds the
-    ``PublicMessage`` values.
+    ``ends[k - 1]:ends[k]``.  Per payload bit: its ``plain`` and ``pad``
+    source-bit ids.  A run constructs its transcript once, from all its
+    columns, and construction checks them whole: equal column lengths,
+    ``ends`` rising from 0 to the payload length, ``plain`` and ``pad``
+    ids of bits in the basis, and nondecreasing rounds.  It then computes
+    ``payload`` (immutable bytes), bit k the value of ``plain[k]`` XOR
+    that of ``pad[k]``, so a payload never disagrees with its forms.
+    Iterating builds the ``PublicMessage`` values.
     """
 
     __slots__ = ("basis", "rounds", "senders", "receivers", "ends", "payload", "plain", "pad")
 
     def __init__(self, basis: SourceBitBasis, rounds: Iterable[int], senders: Iterable[int],
-                 receivers: Iterable[int], ends: Iterable[int], payload: Iterable[int],
-                 plain: Iterable[int], pad: Iterable[int]):
+                 receivers: Iterable[int], ends: Iterable[int], plain: Iterable[int], pad: Iterable[int]):
         rounds, senders, receivers, ends = list(rounds), list(senders), list(receivers), list(ends)
-        payload, plain, pad = bytearray(payload), list(plain), list(pad)
+        plain, pad = list(plain), list(pad)
         if not len(rounds) == len(senders) == len(receivers) == len(ends):
             raise ValueError("rounds, senders, receivers, and ends must have equal length")
-        if not len(payload) == len(plain) == len(pad):
-            raise ValueError("payload, plain, and pad must have equal length")
+        if len(plain) != len(pad):
+            raise ValueError("plain and pad must have equal length")
         offsets = [0, *ends]
-        if offsets[-1] != len(payload) or offsets != sorted(offsets):
+        if offsets[-1] != len(plain) or offsets != sorted(offsets):
             raise ValueError("ends must rise from 0 to the payload length")
-        if payload.translate(None, b"\0\1"):
-            raise ValueError("payload bits must be 0 or 1")
+        # before any value is read: a negative id would index from the end of the values
         if plain and (min(min(plain), min(pad)) < 0 or max(max(plain), max(pad)) >= len(basis)):
             raise ValueError("plain and pad must be ids of bits in the basis")
         if any(map(eq, plain, pad)):
             raise ValueError("a public bit's plain and pad must be different ids")
         if rounds != sorted(rounds):
             raise ValueError("round numbers must be nondecreasing")
+        value = basis.values.__getitem__
         self.basis, self.rounds, self.senders, self.receivers = basis, rounds, senders, receivers
-        self.ends, self.payload, self.plain, self.pad = ends, payload, plain, pad
+        self.ends, self.plain, self.pad = ends, plain, pad
+        self.payload = bytes(map(xor, map(value, plain), map(value, pad)))
 
     def __len__(self) -> int:
         return len(self.rounds)
@@ -226,16 +228,15 @@ def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
     bit of each pad it owns: the payload bit XOR the pad's value.  Returns
     the key bits, or None when it is not told some key id: the expected
     outcome for a non-holder unless the protocol routes the key through
-    it.  A pad that is reused or not private, or two different values told
-    for one id, raise InvariantViolation.
+    it.  A pad that is reused or not private raises InvariantViolation.
+    Pads are private and the payload is computed from its forms, so each
+    id is told its own value, however many bits tell it.
     """
     transcript, values = result.transcript, result.basis.values
     learned = _learned(result.key_ids, transcript)
     told = dict(zip(transcript.pad, transcript.payload))
-    known: dict[int, int] = {}
-    for ident in owned_ids(result.basis, sorted(learned), (terminal,))[terminal]:
-        bit = values[ident] ^ told.get(ident, 0)
-        invariant(known.setdefault(learned[ident], bit) == bit, "inconsistent bit equations")
+    known = {learned[ident]: values[ident] ^ told.get(ident, 0)
+             for ident in owned_ids(result.basis, sorted(learned), (terminal,))[terminal]}
     key = tuple(map(known.get, result.key_ids))
     return None if None in key else key
 
@@ -243,13 +244,6 @@ def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
 def _self_check(holders: frozenset[int], key_ids: Sequence[int], transcript: Transcript) -> SecrecyReport:
     """Check a run's parts; return its secrecy report, which private pads give in closed form."""
     basis = transcript.basis
-    bits, plain, pad = transcript.payload, transcript.plain, transcript.pad
-    # Linear-form fidelity: forms evaluated on realized basis bits must
-    # reproduce the actual payload bits, each column read as one big int.
-    value = basis.values.__getitem__
-    plain_bits, pad_bits = bytes(map(value, plain)), bytes(map(value, pad))
-    evaluated = int.from_bytes(plain_bits, "big") ^ int.from_bytes(pad_bits, "big")
-    invariant(int.from_bytes(bits, "big") == evaluated, "transcript form does not match payload")
     learned = _learned(key_ids, transcript)
     # Every pad is private, so a public bit's row is the only one that mentions its
     # pad.  A terminal's own bits and the transcript then span exactly the ids it
@@ -260,7 +254,7 @@ def _self_check(holders: frozenset[int], key_ids: Sequence[int], transcript: Tra
         invariant(wanted.issubset(map(learned.__getitem__, own)), f"holder {holder} cannot replay the key")
     # For the same reason the P public rows and the key's distinct unit rows are
     # independent: ranks |K|, P and |K| + P, and the transcript tells nothing about the key.
-    public_bits = len(bits)
+    public_bits = transcript.public_bits
     return SecrecyReport(rank_key=len(wanted), rank_transcript=public_bits,
                          rank_joint=len(wanted) + public_bits, key_count=len(key_ids))
 
@@ -284,15 +278,7 @@ def _padded_hops(basis: SourceBitBasis, hops: Iterable[tuple[int, int, int, Sequ
         senders.append(sender)
         receivers.append(receiver)
         ends.append(len(plain))
-    return _transcript(basis, rounds, senders, receivers, ends, plain, pad)
-
-
-def _transcript(basis: SourceBitBasis, rounds: list[int], senders: list[int], receivers: list[int],
-                ends: Iterable[int], plain: list[int], pad: list[int]) -> Transcript:
-    """The transcript of the given columns, its payload bit k ``plain[k] XOR pad[k]``."""
-    value = basis.values.__getitem__
-    payload = map(xor, map(value, plain), map(value, pad))
-    return Transcript(basis, rounds, senders, receivers, ends, payload, plain, pad)
+    return Transcript(basis, rounds, senders, receivers, ends, plain, pad)
 
 
 def run_broadcast(store: PairwiseKeyStore) -> GroupKeyResult:
@@ -335,7 +321,6 @@ def run_subgroup(store: PairwiseKeyStore, s: int, t: int) -> GroupKeyResult:
     """
     flow = max_flow(store.spec, s, t)
     starts = [0, *accumulate(amount for _, amount in flow.paths)]  # each path's slice of the fresh bits
-    invariant(starts[-1] == flow.value, "flow paths do not add up to the flow value")
     longest = max((len(path) - 1 for path, _ in flow.paths), default=0)
     hops = [(path[hop], path[hop + 1], hop, start, amount) for hop in range(longest)
             for (path, amount), start in zip(flow.paths, starts) if hop < len(path) - 1]
@@ -401,7 +386,7 @@ def flood(store: PairwiseKeyStore, trees: Iterable[Iterable[Pair]]) -> tuple[tup
     key_ids = ids[::m - 1]
     plain = [shared for shared in key_ids for _ in range(m - 2)]
     pad = [ident for k, ident in enumerate(ids) if k % (m - 1)]
-    transcript = _transcript(store.basis, rounds, senders, receivers, range(1, len(rounds) + 1), plain, pad)
+    transcript = Transcript(store.basis, rounds, senders, receivers, range(1, len(rounds) + 1), plain, pad)
     return tuple(key_ids), transcript
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import accumulate
 
@@ -37,6 +38,13 @@ def debit(spec: NetworkSpec, edges) -> NetworkSpec:
     return NetworkSpec(spec.m, {pair: w - (pair in edges) for pair, w in spec.budgets.items()})
 
 
+def tagged_stream(tag: str) -> random.Random:
+    """The bit stream that the store seeds for ``tag``, ``pair:{seed}:{i}:{j}`` or ``local:{seed}:{owner}``,
+    derived here from the documented SHA-256 mix rather than the package's helper."""
+    digest = hashlib.sha256(f"pinkey:{tag}".encode()).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))
+
+
 def transcript_columns(transcript) -> tuple:
     """Copies of a transcript's seven columns."""
     return (list(transcript.rounds), list(transcript.senders), list(transcript.receivers),
@@ -45,13 +53,13 @@ def transcript_columns(transcript) -> tuple:
 
 
 def transcript_of(basis, messages) -> Transcript:
-    """A transcript over ``basis`` of the given message values, constructed from their columns."""
+    """A transcript over ``basis`` of the given messages' ids, constructed from their columns;
+    it computes its own payload, whatever the messages carry."""
     messages = list(messages)
     return Transcript(
         basis, [msg.round for msg in messages], [msg.sender for msg in messages],
-        [msg.receiver for msg in messages], list(accumulate(len(msg.payload) for msg in messages)),
-        [bit for msg in messages for bit in msg.payload], [i for msg in messages for i in msg.plain],
-        [i for msg in messages for i in msg.pad])
+        [msg.receiver for msg in messages], list(accumulate(len(msg.plain) for msg in messages)),
+        [i for msg in messages for i in msg.plain], [i for msg in messages for i in msg.pad])
 
 
 def key_values(store, i: int, j: int) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import pinkey.protocols
-from pinkey import NetworkSpec
+from pinkey import NetworkSpec, Transcript
 from pinkey.cli import Scenario, load_scenario, main
 from pinkey.errors import ParseError, ValidationError
 
@@ -405,16 +405,19 @@ class TestRunCommand:
 
         def corrupted_flood(store, edge_lists):
             trees.extend(edge_lists)
-            key_ids, transcript = real_flood(store, trees)
-            transcript.payload[0] ^= 1
-            return key_ids, transcript
+            key_ids, t = real_flood(store, trees)
+            # drop the last message, which tells terminal 1 the last tree's shared bit
+            n, cut = len(t) - 1, t.ends[-2]
+            dropped = Transcript(t.basis, t.rounds[:n], t.senders[:n], t.receivers[:n], t.ends[:n],
+                                 t.plain[:cut], t.pad[:cut])
+            return key_ids, dropped
 
         monkeypatch.setattr(pinkey.protocols, "flood", corrupted_flood)
         path = scenario_file(tmp_path, TRIANGLE_SCENARIO)
         assert main(["run", "--scenario", path]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: transcript form does not match payload\n"
+        assert captured.err == "error: holder 1 cannot replay the key\n"
         # the run handed flood the greedy trees as bare edges, in the order each round chose them
         assert trees == [((0, 1), (0, 2)), ((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 1), (0, 2)),
                          ((1, 2), (0, 1)), ((0, 2), (1, 2))]

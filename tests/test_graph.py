@@ -189,7 +189,7 @@ class TestMaxFlow:
     def test_rejects_equal_terminals(self):
         # and terminals outside 0..m-1, in the flow and in its brute-force oracle
         for oracle in (max_flow, min_st_cut_bruteforce):
-            for s, t in ((1, 1), (0, 5), (-1, 2)):
+            for s, t in ((1, 1), (0, 5), (-1, 2), (True, 2), (0, False), (0.0, 2)):
                 with pytest.raises(ValueError):
                     oracle(TRIANGLE, s, t)
 

@@ -9,9 +9,9 @@ import pytest
 from pinkey import LinearForm, NetworkSpec, generate_pairwise_keys, verify_independence
 from pinkey.errors import InsufficientKeyMaterial, UnknownBasisLabel
 from pinkey import model
-from pinkey.model import PairwiseKeyStore, _local_rng, _pair_rng, canonical_pair
+from pinkey.model import PairwiseKeyStore, canonical_pair
 
-from helpers import full_basis, key_values, owners, random_spec, take_all
+from helpers import full_basis, key_values, owners, random_spec, tagged_stream, take_all
 
 TRIANGLE = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
 
@@ -49,12 +49,18 @@ class TestNetworkSpec:
     @pytest.mark.parametrize(
         "m,budgets,message",
         [(True, {}, "need at least 2 terminals, got m=True"),
-         (3, {(0, 1): True}, r"budget for pair \(0, 1\) must be a nonnegative int, got True")],
-        ids=["m", "budget"],
+         (3, {(0, 1): True}, r"budget for pair \(0, 1\) must be a nonnegative int, got True"),
+         (3, {(False, 1): 2}, r"pair \(False, 1\) out of range for m=3")],
+        ids=["m", "budget", "terminal"],
     )
     def test_a_bool_is_not_an_integer(self, m, budgets, message):
         with pytest.raises(ValueError, match=message):
             NetworkSpec(m, budgets)
+
+    def test_star_refuses_a_negative_leaf_budget_and_drops_a_zero(self):
+        with pytest.raises(ValueError, match=r"budget for pair \(0, 1\) must be a nonnegative int, got -3"):
+            NetworkSpec.star([-3, 2])
+        assert dict(NetworkSpec.star([0, 2]).budgets) == {(0, 2): 2}
 
     def test_star_and_complete_builders(self):
         star = NetworkSpec.star([7, 5, 9])
@@ -142,7 +148,7 @@ class TestGeneration:
             basis = full_basis(spec, seed)
             expected = []
             for i, j in spec.pairs():
-                stream = _pair_rng(seed, i, j)
+                stream = tagged_stream(f"pair:{seed}:{i}:{j}")
                 expected += [(f"K{i}-{j}:{t}", stream.getrandbits(1), frozenset((i, j)))
                              for t in range(spec.budget(i, j))]
             assert [(lab, basis[lab], held)
@@ -151,7 +157,7 @@ class TestGeneration:
     def test_local_bits_match_one_getrandbits_call_per_bit(self):
         # each terminal's draws go on along its own stream, however they interleave
         store = PairwiseKeyStore(TRIANGLE, 7)
-        basis, references = store.basis, {owner: _local_rng(7, owner) for owner in (0, 2)}
+        basis, references = store.basis, {owner: tagged_stream(f"local:7:{owner}") for owner in (0, 2)}
         for owner, count in ((2, 1), (2, 33), (0, 240), (2, 5)):
             reference = references[owner]
             start = len([lab for lab in basis.labels if lab.startswith(f"R{owner}:")])
@@ -275,7 +281,7 @@ class TestConsumption:
         spec = NetworkSpec(3, {(0, 1): 4, (1, 2): 2})
         store = generate_pairwise_keys(spec, 3)
         # a take of no bits seeds no generator and registers no run, on a pair with no budget too
-        monkeypatch.setattr(model, "_pair_rng", None)
+        monkeypatch.setattr(model, "_stream", None)
         ids = store.take(2, 1, 0)
         assert store.basis.bits(ids) == () and ids == range(0)
         assert store.take_each({(0, 2): 0, (1, 2): 0}) == {(0, 2): range(0), (1, 2): range(0)}
@@ -303,7 +309,7 @@ class TestConsumption:
                     i, j = rng.choice(open_pairs)
                     taken[i, j] += store.take(j, i, rng.randint(0, min(store.remaining(i, j), 40)))
             for (i, j), ids in taken.items():
-                stream = _pair_rng(seed, i, j)
+                stream = tagged_stream(f"pair:{seed}:{i}:{j}")
                 reference = tuple(stream.getrandbits(1) for _ in range(spec.budget(i, j)))
                 assert store.basis.bits(ids) == reference
                 assert list(map(store.basis.label, ids)) == [f"K{i}-{j}:{t}" for t in range(len(ids))]
@@ -314,18 +320,20 @@ class TestConsumption:
         ({(0, 1): -1}, ValueError),
         ({(0, 1): 1.0}, ValueError),
         ({(0, 1): True}, ValueError),
+        ({(0, True): 1}, ValueError),
+        ({(False, 1): 1}, ValueError),
         ({(1, 0): 2}, ValueError),
         ({(0, 3): 1}, ValueError),
         ({(1, 1): 0}, ValueError),
         ({(0, 1): 2, (1, 2): -1}, ValueError),
         ({(0, 1): 2, (1, 2): 3}, InsufficientKeyMaterial),
         ({(0, 1): 2, (0, 2): 1}, InsufficientKeyMaterial),
-    ], ids=["negative", "float", "bool", "not-canonical", "out-of-range", "self-pair",
-            "bad-count-after-a-good-one", "short-after-a-good-one", "zero-budget"])
+    ], ids=["negative", "float", "bool", "bool-terminal", "bool-first-terminal", "not-canonical", "out-of-range",
+            "self-pair", "bad-count-after-a-good-one", "short-after-a-good-one", "zero-budget"])
     def test_a_refused_batch_draws_nothing(self, counts, error, monkeypatch):
         spec = NetworkSpec(3, {(0, 1): 4, (1, 2): 2})
         store = generate_pairwise_keys(spec, 3)
-        monkeypatch.setattr(model, "_pair_rng", None)  # no generator is seeded either
+        monkeypatch.setattr(model, "_stream", None)  # no generator is seeded either
         with pytest.raises(error):
             store.take_each(counts)
         assert [store.remaining(*pair) for pair in ((0, 1), (0, 2), (1, 2))] == [4, 0, 2]
@@ -338,7 +346,7 @@ class TestConsumption:
 
     def test_fresh_refuses_a_bad_owner_or_count(self):
         store = generate_pairwise_keys(TRIANGLE, 3)
-        for owner, count in ((3, 1), (-1, 1), (0, -1), (0, 1.0), (0, True)):
+        for owner, count in ((3, 1), (-1, 1), (True, 1), (1.0, 1), (0, -1), (0, 1.0), (0, True)):
             with pytest.raises(ValueError):
                 store.fresh(owner, count)
         assert store.fresh(2, 0) == range(0)

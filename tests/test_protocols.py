@@ -29,11 +29,10 @@ from pinkey import (
 )
 from pinkey.errors import InsufficientKeyMaterial, InvariantViolation, NotAStar
 from pinkey.oracles import MI_BASIS_LIMIT, brute_force_mutual_information, is_connected, min_st_cut_bruteforce
-from pinkey.model import _local_rng
 from pinkey.protocols import GroupKeyResult, PublicMessage, _hex, _self_check
 
 from helpers import (debit, full_basis, key_values, known_to, random_connected_spec, random_spec, take_all,
-                     transcript_columns, transcript_of)
+                     tagged_stream, transcript_columns, transcript_of)
 
 TRIANGLE = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
 
@@ -120,12 +119,6 @@ def run_optimized(code):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return done.stdout
-
-
-def flip_first_payload_bit(result):
-    first, *rest = result.transcript
-    flipped = replace(first, payload=(first.payload[0] ^ 1,) + first.payload[1:])
-    return replace(result, transcript=transcript_of(result.basis, [flipped, *rest]))
 
 
 @pytest.mark.parametrize("spec,run,undrawn,size", [
@@ -271,13 +264,23 @@ class TestSubgroup:
             for terminal in range(spec.m + 1):
                 assert replay_key(result, terminal) == reference_replay(result, terminal)
 
+    def test_a_terminal_that_is_not_an_int_is_refused_before_any_draw(self):
+        # True == 1 as a dict key, so it would draw as terminal 1 under the label "RTrue:0"
+        store = generate_pairwise_keys(TRIANGLE, 5)
+        for s, t in ((True, 2), (0, True), (0, 2.0), (True, 1)):
+            with pytest.raises(ValueError, match="out of range"):
+                run_subgroup(store, s, t)
+        with pytest.raises(ValueError):
+            store.take(True, 2, 1)
+        assert len(store.basis) == 0
+        assert [store.basis.label(i) for i in run_subgroup(store, 1, 2).key_ids[:1]] == ["R1:0"]
 
     def test_a_second_run_from_one_source_gets_new_fresh_bits(self):
         spec = NetworkSpec.from_pairs(3, [(0, 1, 16), (0, 2, 16)])
         store = generate_pairwise_keys(spec, 5)
         first, second = run_subgroup(store, 0, 1), run_subgroup(store, 0, 2)
         # the two keys are bits 1-16 and 17-32 of terminal 0's one local stream
-        stream = _local_rng(5, 0)
+        stream = tagged_stream("local:5:0")
         bits = tuple(stream.getrandbits(1) for _ in range(32))
         assert [store.basis.label(i) for i in first.key_ids] == [f"R0:{t}" for t in range(16)]
         assert [store.basis.label(i) for i in second.key_ids] == [f"R0:{t}" for t in range(16, 32)]
@@ -541,14 +544,22 @@ class TestTranscripts:
     def test_text_hex_fields_match_packed_payloads(self):
         lengths = [*range(1, 10), 31, 100]
         rng = random.Random(17)
-        # one transcript holding every length, and all-zero and all-one payloads among them
-        store = generate_pairwise_keys(NetworkSpec.star([3 * sum(lengths)] * 2), 1)
+        # one transcript holding every length, and all-zero and all-one payloads among them:
+        # each plain bit of pair {0, 1} is padded by a bit of pair {0, 2} chosen by its value
+        store = generate_pairwise_keys(NetworkSpec.star([3 * sum(lengths), 6 * sum(lengths)]), 1)
+        values = store.basis.values
+        plain_ids = iter(store.take(0, 1, 3 * sum(lengths)))
+        pads_by_value = ([], [])
+        for ident in store.take(0, 2, 6 * sum(lengths)):
+            pads_by_value[values[ident]].append(ident)
         messages = []
         for n in lengths:
             for payload in ((0,) * n, (1,) * n, tuple(rng.getrandbits(1) for _ in range(n))):
-                plain, pad = store.take(0, 1, n), store.take(0, 2, n)
+                plain = [next(plain_ids) for _ in payload]
+                pad = [pads_by_value[values[a] ^ bit].pop() for a, bit in zip(plain, payload)]
                 messages.append(PublicMessage(1, 2, len(messages), payload, plain, pad, store.basis))
         runs = [transcript_of(store.basis, messages)]
+        assert [msg.payload for msg in runs[0]] == [msg.payload for msg in messages]
         # broadcast runs re-key each leaf with one message as long as the key
         for n in lengths:
             spec = NetworkSpec.star([n, n + 2, n + 7])
@@ -595,14 +606,13 @@ class TestTranscripts:
 
         def columns(**changes):
             return {**dict(basis=basis, rounds=[2, 3], senders=[0, 2], receivers=[2, 1], ends=[1, 3],
-                           payload=(0, 1, 1), plain=[3, 7, 8], pad=[9, 10, 11]), **changes}
+                           plain=[3, 7, 8], pad=[9, 10, 11]), **changes}
 
         for bad, match in [
             (columns(rounds=[3, 2]), "nondecreasing"),
-            (columns(payload=(0, 2, 1)), "0 or 1"),
             (columns(senders=[0]), "equal length"),
             (columns(ends=[1, 2, 3], rounds=[2, 3, 3]), "equal length"),
-            (columns(pad=[9, 10]), "equal length"),
+            (columns(pad=[9, 10]), "plain and pad must have equal length"),
             (columns(pad=[9, 10, 99]), "ids of bits in the basis"),  # the basis has 12 bits
             (columns(plain=[-1, 7, 8]), "ids of bits in the basis"),
             (columns(plain=range(10, 13)), "ids of bits in the basis"),
@@ -615,15 +625,15 @@ class TestTranscripts:
         for rounds in ([2, 3], [2, 2]):
             t = Transcript(**columns(rounds=rounds))
             assert [m.round for m in t] == rounds and t.basis is basis
-            assert transcript_columns(t) == (rounds, [0, 2], [2, 1], [1, 3], bytes((0, 1, 1)), [3, 7, 8],
-                                             [9, 10, 11])
+            payload = bytes(basis.values[a] ^ basis.values[b] for a, b in ((3, 9), (7, 10), (8, 11)))
+            assert transcript_columns(t) == (rounds, [0, 2], [2, 1], [1, 3], payload, [3, 7, 8], [9, 10, 11])
 
     def test_a_bit_padded_with_its_own_plain_bit_is_refused(self):
         # Its kernel row would be 0, but its label set the unit form of that bit:
         # the self-check would give rank_transcript 0 and the label-level audit 1.
         basis = full_basis(NetworkSpec.star([2]), 1)
         with pytest.raises(ValueError, match="plain and pad must be different ids"):
-            Transcript(basis, [0], [0], [1], [1], [0], [1], [1])
+            Transcript(basis, [0], [0], [1], [1], [1], [1])
 
     def test_bad_bits_and_unequal_columns_are_refused_under_python_O(self):
         code = textwrap.dedent("""
@@ -633,17 +643,17 @@ class TestTranscripts:
             store = generate_pairwise_keys(NetworkSpec(2, {(0, 1): 4}), 1)
             store.take(0, 1, 4)
             basis = store.basis
-            for payload, pad in (((2,), [1]), ((1,), [1, 2]), ((1,), [4]), ((0,), [0])):
+            for pad in ([1, 2], [4], [-1], [0]):
                 try:
-                    Transcript(basis, [0], [0], [1], [1], payload, [0], pad)
+                    Transcript(basis, [0], [0], [1], [1], [0], pad)
                 except ValueError as exc:
                     print("refused:", exc)
-            t = Transcript(basis, [0], [0], [1], [1], (1,), [0], [1])
+            t = Transcript(basis, [0], [0], [1], [1], [0], [1])
             print(len(t), t.public_bits, t.basis is basis)
         """)
         assert run_optimized(code) == (
-            "refused: payload bits must be 0 or 1\n"
-            "refused: payload, plain, and pad must have equal length\n"
+            "refused: plain and pad must have equal length\n"
+            "refused: plain and pad must be ids of bits in the basis\n"
             "refused: plain and pad must be ids of bits in the basis\n"
             "refused: a public bit's plain and pad must be different ids\n"
             "1 1 True\n")
@@ -666,14 +676,33 @@ class TestTranscripts:
                 a, b = form.labels
                 assert values[a] ^ values[b] == bit
 
+    def test_the_payload_is_computed_from_the_plain_and_pad_ids_and_is_immutable(self):
+        rng = random.Random(2502)
+        for _ in range(40):
+            spec = random_spec(rng, max_m=5, max_budget=9)
+            basis = full_basis(spec, rng.randrange(2**16))
+            if len(basis) < 2:
+                continue
+            n = rng.randint(0, 2 * len(basis))
+            plain = [rng.randrange(len(basis)) for _ in range(n)]
+            pad = [rng.choice([i for i in range(len(basis)) if i != a]) for a in plain]
+            cuts = sorted(rng.randint(0, n) for _ in range(rng.randint(0, 4)))
+            ends = [*cuts, n]
+            t = Transcript(basis, [0] * len(ends), [0] * len(ends), [1] * len(ends), ends, plain, pad)
+            assert type(t.payload) is bytes
+            assert t.payload == bytes(basis.values[a] ^ basis.values[b] for a, b in zip(plain, pad))
+            assert [bit for msg in t for bit in msg.payload] == list(t.payload)
+            if n:
+                with pytest.raises(TypeError):
+                    t.payload[0] ^= 1
+
 
 def hand_built(spec, seed, key_ids, plain, pad):
     """The result of a faithful one-bit-per-message transcript of the rows ``plain[k] ^ pad[k]``
     over the pair bits of ``spec``, its secrecy report from the label-level audit."""
     basis = full_basis(spec, seed)
-    payload = [basis.values[a] ^ basis.values[b] for a, b in zip(plain, pad)]
     n = len(pad)
-    transcript = Transcript(basis, [0] * n, [0] * n, [1] * n, range(1, n + 1), payload, plain, pad)
+    transcript = Transcript(basis, [0] * n, [0] * n, [1] * n, range(1, n + 1), plain, pad)
     result = GroupKeyResult(frozenset(), key_ids, transcript, None, None)
     return replace(result, secrecy=leak_report(result))
 
@@ -760,15 +789,13 @@ class TestHandBuiltTranscripts:
             # leaf 3 loses its re-keying message, the last one
             n, cut = len(t) - 1, t.ends[-2]
             dropped = Transcript(t.basis, t.rounds[:n], t.senders[:n], t.receivers[:n], t.ends[:n],
-                                 t.payload[:cut], t.plain[:cut], t.pad[:cut])
+                                 t.plain[:cut], t.pad[:cut])
             spec = NetworkSpec.star({list(COMBINATION[0].budgets.values())!r})
             seed, key_ids, plain, pad = {COMBINATION[1:]!r}
             store = generate_pairwise_keys(spec, seed)
             for pair in spec.pairs():
                 store.take(*pair, spec.budget(*pair))
-            basis = store.basis
-            payload = [basis.values[a] ^ basis.values[b] for a, b in zip(plain, pad)]
-            shared = Transcript(basis, [0] * 3, [0] * 3, [1] * 3, [1, 2, 3], payload, plain, pad)
+            shared = Transcript(store.basis, [0] * 3, [0] * 3, [1] * 3, [1, 2, 3], plain, pad)
             for holders, key, transcript in [(result.holders, result.key_ids, dropped),
                                              (frozenset(range(5)), key_ids, shared)]:
                 try:
@@ -781,12 +808,6 @@ class TestHandBuiltTranscripts:
 
 
 class TestSelfCheck:
-    def test_a_flipped_payload_bit_is_caught(self):
-        store = generate_pairwise_keys(TRIANGLE, 7)
-        bad = flip_first_payload_bit(run_group_key(store))
-        with pytest.raises(InvariantViolation, match="does not match payload"):
-            self_check(bad)
-
     def test_a_reused_pad_is_caught(self):
         spec = NetworkSpec.star([7, 5, 9])
         result = run_broadcast(generate_pairwise_keys(spec, 3))
@@ -816,38 +837,3 @@ class TestSelfCheck:
         assert list(bad.transcript)[-1].receiver == 1
         with pytest.raises(InvariantViolation, match="holder 3 cannot replay"):
             self_check(bad)
-
-    def test_replay_rejects_inconsistent_equations(self):
-        store = generate_pairwise_keys(TRIANGLE, 7)
-        result = run_group_key(store)
-        bad = flip_first_payload_bit(result)
-        # Replay reads the payload, not the basis, so both owners of the flipped
-        # bit's pad are told a wrong plain bit.  The sender owns that plain bit
-        # too, which contradicts it; the receiver learns it only so, and replays
-        # a wrong key.  The terminal owning neither end of the message builds no
-        # row of it, so it still replays the true key.
-        first = next(iter(bad.transcript))
-        with pytest.raises(InvariantViolation, match="inconsistent bit equations"):
-            replay_key(bad, first.sender)
-        assert result.key != replay_key(bad, first.receiver) == reference_replay(bad, first.receiver)
-        (outsider,) = {0, 1, 2} - {first.sender, first.receiver}
-        assert replay_key(bad, outsider) == result.key
-
-    def test_a_flipped_payload_bit_is_caught_under_python_O(self):
-        code = textwrap.dedent("""
-            from pinkey import NetworkSpec, Transcript, generate_pairwise_keys, run_group_key
-            from pinkey.errors import InvariantViolation
-            from pinkey.protocols import _self_check
-
-            assert False, "assertions must be off"
-            spec = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
-            result = run_group_key(generate_pairwise_keys(spec, 7))
-            t = result.transcript
-            flipped = Transcript(t.basis, t.rounds, t.senders, t.receivers, t.ends, t.payload, t.plain, t.pad)
-            flipped.payload[0] ^= 1
-            try:
-                _self_check(result.holders, result.key_ids, flipped)
-            except InvariantViolation as exc:
-                print("caught:", exc)
-        """)
-        assert run_optimized(code) == "caught: transcript form does not match payload\n"
