@@ -111,7 +111,7 @@ class NetworkSpec:
 
     def budget(self, i: int, j: int) -> int:
         pair = canonical_pair(i, j)
-        if not (0 <= pair[0] and pair[1] < self.m):
+        if not (type(i) is type(j) is int and 0 <= pair[0] and pair[1] < self.m):
             raise ValueError(f"pair {pair!r} out of range for m={self.m}")
         return self.budgets.get(pair, 0)
 
@@ -267,8 +267,8 @@ class PairwiseKeyStore:
         return self._seed
 
     def remaining(self, i: int, j: int) -> int:
-        pair = canonical_pair(i, j)
-        return self._spec.budgets.get(pair, 0) - self._drawn.get(pair, 0)
+        """Pair {i, j}'s unused bits; ValueError, as from ``NetworkSpec.budget``, for no pair of the spec."""
+        return self._spec.budget(i, j) - self._drawn.get(canonical_pair(i, j), 0)
 
     def take(self, i: int, j: int, count: int) -> range:
         """Draw the next ``count`` unused bits of pair {i, j}'s key; return their ids.
@@ -294,7 +294,7 @@ class PairwiseKeyStore:
                 raise ValueError(f"pair {pair!r} is not (i, j) with 0 <= i < j < m={m}")
             if type(count) is not int or count < 0:
                 raise ValueError(f"count for pair {pair!r} must be a nonnegative int, got {count!r}")
-            if count > (left := self.remaining(i, j)):
+            if count > (left := self._spec.budgets.get(pair, 0) - self._drawn.get(pair, 0)):
                 raise InsufficientKeyMaterial(f"pair {pair} has {left} unused bits, {count} needed")
         # each pair's next bits, from its stream, which is dropped once its budget is drawn
         runs, chunks = [], []

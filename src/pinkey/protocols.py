@@ -1,16 +1,14 @@
 """Key-agreement protocols as deterministic message-passing runs.
 
-Three cases are implemented over the same pairwise-key substrate:
+Three cases, each a list of routes that ``flood`` checks and floods:
 
 - broadcast: on a star, the center re-keys every leaf to the shortest
-  leaf key by publishing XOR offsets;
+  leaf key by publishing XOR offsets, one star route;
 - subgroup: two terminals agree on a key of min-cut length by routing
   the source's fresh random bits along a max-flow path decomposition,
-  one-time-padded hop by hop;
-- group: flood one shared bit along each spanning tree, given as its
-  edges, that ``greedy_spanning_trees`` yields: a maximum spanning tree
-  of the residual budget graph per round, until the residual
-  disconnects.  ``flood`` is where a run checks its trees.
+  one-time-padded hop by hop, one route per path;
+- group: one shared bit along each spanning tree, given as its edges,
+  that ``greedy_spanning_trees`` yields, until the residual disconnects.
 
 Every public payload bit is a one-time pad, the XOR of a plain bit and
 the key bit that pads it.  The transcript records that exact GF(2)
@@ -18,8 +16,8 @@ linear form as two source-bit ids, in its ``plain`` and ``pad`` columns,
 and computes each payload bit from them when it is built; labels are
 rendered from the ids only when read.  So reconstructibility and secrecy
 are verifiable by linear algebra instead of sampling.  Each run
-constructs its transcript once, from columns built in one pass;
-iterating it gives ``PublicMessage`` values.  A run's one input is its
+constructs its transcript once, in one ``flood`` pass; iterating it
+gives ``PublicMessage`` values.  A run's one input is its
 store, which holds the spec and seed and draws every bit the run uses:
 reruns on fresh stores produce byte-identical transcripts, and a second
 run on one store gets bits no earlier run used.
@@ -37,14 +35,14 @@ is not private is refused.
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from operator import eq, xor
 
 from .bounds import broadcast_bound, group_bound
-from .errors import invariant
+from .errors import InvariantViolation, invariant
 from .graph import greedy_spanning_trees, max_flow
 from .model import Pair, PairwiseKeyStore, SourceBitBasis, canonical_pair
 from .secrecy import LinearForm, SecrecyReport, owned_ids
@@ -207,7 +205,7 @@ class GroupKeyResult:
         return tuple(LinearForm.unit(self.basis.label(ident)) for ident in self.key_ids)
 
 
-def _learned(key_ids: Sequence[int], transcript: Transcript) -> dict[int, int]:
+def _learned(key_ids: Collection[int], transcript: Transcript) -> dict[int, int]:
     """The id that each bit a terminal may own tells it: a key id itself, a pad its ``plain`` id.
 
     Raises InvariantViolation unless every pad is private: used once, and
@@ -221,39 +219,36 @@ def _learned(key_ids: Sequence[int], transcript: Transcript) -> dict[int, int]:
     return learned
 
 
+def _cannot_replay(wanted: set[int], transcript: Transcript, terminals: Iterable[int]) -> list[int]:
+    """The terminals, ascending, that cannot replay the key ids ``wanted`` from their own bits
+    and the transcript.  Every pad is private (``_learned`` checks it), so a public bit's row
+    is the only one that mentions its pad: a terminal's own bits and the transcript span
+    exactly the ids that ``learned`` gives it for the ids it owns."""
+    learned = _learned(wanted, transcript)
+    owned = owned_ids(transcript.basis, sorted(learned), terminals)
+    return [terminal for terminal, own in sorted(owned.items()) if not wanted.issubset(map(learned.__getitem__, own))]
+
+
 def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
     """Reconstruct the key from a terminal's own bits plus the transcript.
 
-    The terminal is told the value of each key id it owns, and the plain
-    bit of each pad it owns: the payload bit XOR the pad's value.  Returns
-    the key bits, or None when it is not told some key id: the expected
-    outcome for a non-holder unless the protocol routes the key through
-    it.  A pad that is reused or not private raises InvariantViolation.
-    Pads are private and the payload is computed from its forms, so each
-    id is told its own value, however many bits tell it.
+    Returns the key bits when the terminal learns every key id, or None:
+    the expected outcome for a non-holder unless the protocol routes the
+    key through it: private pads and payload bits computed from their
+    forms tell a learned id its own value.  A pad that is reused or not
+    private raises InvariantViolation.
     """
-    transcript, values = result.transcript, result.basis.values
-    learned = _learned(result.key_ids, transcript)
-    told = dict(zip(transcript.pad, transcript.payload))
-    known = {learned[ident]: values[ident] ^ told.get(ident, 0)
-             for ident in owned_ids(result.basis, sorted(learned), (terminal,))[terminal]}
-    key = tuple(map(known.get, result.key_ids))
-    return None if None in key else key
+    return None if _cannot_replay(set(result.key_ids), result.transcript, (terminal,)) else result.key
 
 
 def _self_check(holders: frozenset[int], key_ids: Sequence[int], transcript: Transcript) -> SecrecyReport:
     """Check a run's parts; return its secrecy report, which private pads give in closed form."""
-    basis = transcript.basis
-    learned = _learned(key_ids, transcript)
-    # Every pad is private, so a public bit's row is the only one that mentions its
-    # pad.  A terminal's own bits and the transcript then span exactly the ids it
-    # owns and the plain id of each pad it owns: the ids ``learned`` gives it.
     # Replay soundness: every holder learns every key id.
     wanted = set(key_ids)
-    for holder, own in sorted(owned_ids(basis, sorted(learned), holders).items()):
-        invariant(wanted.issubset(map(learned.__getitem__, own)), f"holder {holder} cannot replay the key")
-    # For the same reason the P public rows and the key's distinct unit rows are
-    # independent: ranks |K|, P and |K| + P, and the transcript tells nothing about the key.
+    if stuck := _cannot_replay(wanted, transcript, holders):
+        raise InvariantViolation(f"holder {stuck[0]} cannot replay the key")
+    # Private pads make the P public rows and the key's distinct unit rows independent:
+    # ranks |K|, P and |K| + P, and the transcript tells nothing about the key.
     public_bits = transcript.public_bits
     return SecrecyReport(rank_key=len(wanted), rank_transcript=public_bits,
                          rank_joint=len(wanted) + public_bits, key_count=len(key_ids))
@@ -267,20 +262,6 @@ def _result(holders: Iterable[int], key_ids: Sequence[int], transcript: Transcri
                           secrecy=_self_check(holders, key_ids, transcript))
 
 
-def _padded_hops(basis: SourceBitBasis, hops: Iterable[tuple[int, int, int, Sequence[int]]],
-                 pad: list[int]) -> Transcript:
-    """The transcript of ``hops``, each (sender, receiver, round, plain ids), in order: one
-    message per hop, the hops' plain bits padded in turn by the ids of ``pad``."""
-    rounds, senders, receivers, ends, plain = [], [], [], [], []
-    for sender, receiver, round, ids in hops:
-        plain += ids
-        rounds.append(round)
-        senders.append(sender)
-        receivers.append(receiver)
-        ends.append(len(plain))
-    return Transcript(basis, rounds, senders, receivers, ends, plain, pad)
-
-
 def run_broadcast(store: PairwiseKeyStore) -> GroupKeyResult:
     """Star-network group key: everyone ends up holding the shortest leaf key.
 
@@ -288,7 +269,8 @@ def run_broadcast(store: PairwiseKeyStore) -> GroupKeyResult:
     group key.  For every other leaf the center publishes the XOR of that
     leaf's key prefix with the group key, which re-keys the leaf without
     revealing anything: each published bit is padded by a fresh key bit.
-    The key and the pads are drawn in one batch, all or nothing.
+    The one route is the star, seeded by the poorest leaf's pair and as
+    wide as its key, so the key and the pads are drawn all or nothing.
     """
     spec = store.spec
     bound = broadcast_bound(spec)
@@ -296,11 +278,8 @@ def run_broadcast(store: PairwiseKeyStore) -> GroupKeyResult:
     (poorest,) = bound.witness.blocks[1]
     length = spec.budget(0, poorest)
     # a positive poorest budget means every leaf has a key at least this long
-    leaves = [leaf for leaf in range(1, spec.m) if length > 0 and leaf != poorest]
-    taken = store.take_each({(0, poorest): length, **{(0, leaf): length for leaf in leaves}})
-    key_ids = taken[0, poorest]
-    transcript = _padded_hops(store.basis, [(0, leaf, 0, key_ids) for leaf in leaves],
-                              [ident for leaf in leaves for ident in taken[0, leaf]])
+    star = [(0, leaf) for leaf in range(1, spec.m)]
+    key_ids, transcript = flood(store, [(star, (0, poorest), length)] if length else [])
     invariant(bound.value == length, "broadcast must meet its bound exactly")
     return _result(range(spec.m), key_ids, transcript, bound.value)
 
@@ -309,65 +288,63 @@ def run_subgroup(store: PairwiseKeyStore, s: int, t: int) -> GroupKeyResult:
     """Two-terminal key of exactly min-cut length, relayed by the others.
 
     s draws F fresh random bits, F the s-t max-flow value, and routes
-    slices of them along the flow's path decomposition.  Every hop (u, v)
+    slices of them along the flow's path decomposition, one route per
+    path, seeded by s and as wide as the path's amount: every hop (u, v)
     carrying c bits publishes the slice XOR the next c unused bits of
     pair {u, v}'s key.  Relays decrypt and re-encrypt, so a relay can
     compute every key bit it forwards: relays are trusted helpers, and
-    the key is secret from the eavesdropper, not from them.  Hops
-    advance in lockstep rounds, paths in lexicographic order within a
-    round.  The bound is the min cut that the flow's residual graph
-    gives, checked there to equal the flow value.  The pads are drawn in
-    one batch before the fresh bits, so nothing is drawn if a pair is short.
+    the key is secret from the eavesdropper, not from them.  The routes
+    go together: hops advance in lockstep rounds, paths in lexicographic
+    order within a round.  The bound is the min cut that the flow's
+    residual graph gives, checked there to equal the flow value.
     """
     flow = max_flow(store.spec, s, t)
-    starts = [0, *accumulate(amount for _, amount in flow.paths)]  # each path's slice of the fresh bits
-    longest = max((len(path) - 1 for path, _ in flow.paths), default=0)
-    hops = [(path[hop], path[hop + 1], hop, start, amount) for hop in range(longest)
-            for (path, amount), start in zip(flow.paths, starts) if hop < len(path) - 1]
-    # the uses of a pair take its next unused bits in turn
-    counts: Counter[Pair] = Counter()
-    for u, v, _, _, amount in hops:
-        counts[canonical_pair(u, v)] += amount
-    taken = {pair: iter(ids) for pair, ids in store.take_each(counts).items()}
-    pad = [ident for u, v, _, _, amount in hops for ident in islice(taken[canonical_pair(u, v)], amount)]
-    fresh = store.fresh(s, flow.value)
-    transcript = _padded_hops(store.basis, [(u, v, hop, fresh[start:start + amount])
-                                            for u, v, hop, start, amount in hops], pad)
-    return _result((s, t), fresh, transcript, Fraction(flow.value))
+    routes = [([canonical_pair(u, v) for u, v in zip(path, path[1:])], s, amount) for path, amount in flow.paths]
+    key_ids, transcript = flood(store, routes, together=True)
+    return _result((s, t), key_ids, transcript, Fraction(flow.value))
 
 
-def flood(store: PairwiseKeyStore, trees: Iterable[Iterable[Pair]]) -> tuple[tuple[int, ...], Transcript]:
-    """Flood one shared secret bit along each spanning tree, all trees in one pass.
+Route = tuple[Iterable[Pair], Pair | int, int]  # a tree's edges (i, j), its seed, its bits per message
 
-    A tree is its m - 1 edges (i, j), 0 <= i < j < m = store.spec.m, in
-    any order.  Its smallest edge's bit is the shared bit B, which spreads
-    breadth-first from that edge's ends, children in id order: crossing
-    edge (u, v) publishes B XOR one bit of that edge's key, m - 2 messages.
-    Rounds are BFS depths, each tree's going on from the tree before.
-    The k-th use of a pair, counting the trees in order, takes that pair's
-    k-th unused key bit, and every pair's bits are drawn in one batch.  All
-    or nothing: before any key bit is drawn, raises ValueError for edges
-    that do not form a spanning tree, and InsufficientKeyMaterial, naming
-    the pair, when some pair has fewer unused bits than the trees use.
-    Returns the shared bits' ids, one per tree, and the transcript.
+
+def flood(store: PairwiseKeyStore, routes: Iterable[Route],
+          together: bool = False) -> tuple[tuple[int, ...], Transcript]:
+    """Flood each route's shared bits along its tree: the one place a run draws bits.
+
+    A route's edges (i, j), 0 <= i < j < m = store.spec.m, in any order,
+    form a tree.  Its seed is a pair on the tree, whose next ``width`` key
+    bits are the shared bits, or a terminal in it, whose next ``width``
+    local bits are.  They spread breadth-first from the seed's ends,
+    children in id order: crossing edge (u, v) publishes them XOR the next
+    ``width`` unused bits of that edge's key.  Rounds are BFS depths, each
+    route's going on from the route before; ``together``, all start at 0
+    and the messages merge by (round, route).  The k-th use of a pair
+    takes its next unused bits, in take order: each pair seed before its
+    route's messages (together, every seed first), then the messages as
+    emitted.  All pair bits are drawn in one batch, then each seed
+    terminal's.  All or nothing: before any bit is drawn, raises ValueError
+    for a route that is not a tree holding its seed or has no positive int
+    width, and InsufficientKeyMaterial, naming the pair, when some pair has
+    fewer unused bits than the routes use.  Returns the shared bits' ids,
+    route by route, and the transcript.
     """
     m = store.spec.m
-    uses: list[Pair] = []  # per tree: its seed edge, then its hops, as sorted pairs
     rounds, senders, receivers = [], [], []
-    for tree in trees:
-        edges = sorted(tree)
-        if len(edges) != m - 1:
-            raise ValueError(f"a tree on m={m} nodes has {m - 1} edges, not {len(edges)}")
+    uses: list[Pair | int] = []  # each route's seed, then the pair of each message it sends
+    blocks = []  # in take order, uses of one route in a row: route, width, first, stop, whether the first is its seed
+    for edges, seed, width in routes:
+        edges = sorted(edges)
         adjacency: list[list[int]] = [[] for _ in range(m)]
         for i, j in edges:
             if not 0 <= i < j < m:
                 raise ValueError(f"edge ({i}, {j}) is not a pair i < j of nodes below m={m}")
             adjacency[i].append(j)  # each list ascends, as the edges are sorted
             adjacency[j].append(i)
-        seed_edge = edges[0]
-        depth = dict.fromkeys(seed_edge, rounds[-1] + 1 if rounds else 0)
-        queue = deque(seed_edge)
-        uses.append(seed_edge)
+        starts = (seed,) if type(seed) is int and 0 <= seed < m else seed if seed in edges else ()
+        depth = dict.fromkeys(starts, rounds[-1] + 1 if rounds and not together else 0)
+        queue = deque(starts)
+        first = len(uses)
+        uses.append(seed)
         while queue:
             u = queue.popleft()
             for v in adjacency[u]:
@@ -378,30 +355,52 @@ def flood(store: PairwiseKeyStore, trees: Iterable[Iterable[Pair]]) -> tuple[tup
                     receivers.append(v)
                     uses.append((u, v) if u < v else (v, u))
                     queue.append(v)
-        if len(depth) != m:
-            raise ValueError(f"edges {edges} do not span m={m} nodes")
-    taken = {pair: iter(ids) for pair, ids in store.take_each(Counter(uses)).items()}
-    ids = [next(taken[pair]) for pair in uses]
-    # each tree used m - 1 bits: its shared bit, then one pad per hop
-    key_ids = ids[::m - 1]
-    plain = [shared for shared in key_ids for _ in range(m - 2)]
-    pad = [ident for k, ident in enumerate(ids) if k % (m - 1)]
-    transcript = Transcript(store.basis, rounds, senders, receivers, range(1, len(rounds) + 1), plain, pad)
-    return tuple(key_ids), transcript
+        if not starts or len(depth) != len(edges) + 1 or type(width) is not int or width < 1:
+            raise ValueError(f"route ({edges}, {seed!r}, {width!r}) is no tree holding its seed, of positive int width")
+        blocks.append((len(blocks), width, first, len(uses), True))
+    if together:
+        # every seed, then a block per message by (round, route); use k of route r is message k - r - 1
+        hops = sorted((rounds[k - r - 1], r, k) for r, _, first, stop, _ in blocks for k in range(first + 1, stop))
+        rounds, senders, receivers = ([column[k - r - 1] for _, r, k in hops] for column in (rounds, senders, receivers))
+        uses = [uses[first] for _, _, first, _, _ in blocks] + [uses[k] for _, _, k in hops]
+        blocks = [(r, width, r, r + 1, True) for r, width, *_ in blocks] + [
+            (r, blocks[r][1], n, n + 1, False) for n, (_, r, _) in enumerate(hops, len(blocks))]
+    # a width-1 use takes its key's next bit; a wider one, if a route is wider, a slice
+    wide = ([width for _, width, first, stop, _ in blocks for _ in range(first, stop)]
+            if any(block[1] > 1 for block in blocks) else None)
+    counts: Counter[Pair | int] = Counter(uses if wide is None else ())
+    for use, width in zip(uses, wide or ()):
+        counts[use] += width
+    local = {key: counts.pop(key) for key in [key for key in counts if type(key) is int]}
+    taken: dict[Pair | int, Iterator[int]] = {pair: iter(ids) for pair, ids in store.take_each(counts).items()}
+    taken.update((terminal, iter(store.fresh(terminal, count))) for terminal, count in local.items())
+    keys = map(taken.__getitem__, uses)
+    ids = list(map(next, keys) if wide is None else chain.from_iterable(map(islice, keys, wide)))
+    at = range(len(uses) + 1) if wide is None else [0, *accumulate(wide)]  # use k's ids: ids[at[k]:at[k + 1]]
+    shared, plain, pad = [], [], []  # shared: per route, its shared bits' ids
+    for r, _, first, stop, seeded in blocks:
+        if seeded:
+            shared.append(ids[at[first]:at[first + 1]])
+            first += 1
+        pad += ids[at[first]:at[stop]]
+        plain += shared[r] * (stop - first)
+    ends = range(1, len(pad) + 1) if wide is None else list(accumulate(
+        width for _, width, first, stop, seeded in blocks for _ in range(first + seeded, stop)))
+    return tuple(chain.from_iterable(shared)), Transcript(store.basis, rounds, senders, receivers, ends, plain, pad)
 
 
 def run_group_key(store: PairwiseKeyStore, tie_break: str = "lex-kruskal") -> GroupKeyResult:
     """All-terminal key: one bit per spanning tree of the shrinking budget graph.
 
-    ``flood`` floods the edge lists of greedy_spanning_trees in one pass:
-    each a maximum spanning tree of the remaining budgets under the chosen
-    tie-break policy, then debited by one, until the budgets no longer
-    span.  The exact partition bound is attached to the result (and
-    checked against) for m <= GROUP_BOUND_AUTO_LIMIT; beyond that only the
-    total/(m-1) ceiling is checked.
+    One route per tree of greedy_spanning_trees, seeded by its smallest
+    edge and one bit wide: each a maximum spanning tree of the remaining
+    budgets under the chosen tie-break policy, then debited by one, until
+    the budgets no longer span.  The exact partition bound is attached to
+    the result (and checked against) for m <= GROUP_BOUND_AUTO_LIMIT;
+    beyond that only the total/(m-1) ceiling is checked.
     """
     spec = store.spec
-    key_ids, transcript = flood(store, greedy_spanning_trees(spec, tie_break))
+    key_ids, transcript = flood(store, ((tree, min(tree), 1) for tree in greedy_spanning_trees(spec, tie_break)))
     invariant(len(key_ids) <= spec.total_budget() // (spec.m - 1),
                "achieved length exceeds the total/(m-1) ceiling")
     bound = group_bound(spec).value if spec.m <= GROUP_BOUND_AUTO_LIMIT else None

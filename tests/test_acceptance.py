@@ -140,7 +140,7 @@ def test_c3_tree_choice_changes_the_yield():
 
         store = generate_pairwise_keys(spec, 2)
         star = ((0, 1), (0, 2), (0, 3))
-        flood(store, [star])
+        flood(store, [(star, (0, 1), 1)])
         star_disconnects = not is_connected(debit(spec, star))
 
         store = generate_pairwise_keys(spec, 2)

@@ -403,9 +403,10 @@ class TestRunCommand:
         real_flood = pinkey.protocols.flood
         trees = []
 
-        def corrupted_flood(store, edge_lists):
-            trees.extend(edge_lists)
-            key_ids, t = real_flood(store, trees)
+        def corrupted_flood(store, routes, together=False):
+            routes = list(routes)
+            trees.extend(edges for edges, _, _ in routes)
+            key_ids, t = real_flood(store, routes, together)
             # drop the last message, which tells terminal 1 the last tree's shared bit
             n, cut = len(t) - 1, t.ends[-2]
             dropped = Transcript(t.basis, t.rounds[:n], t.senders[:n], t.receivers[:n], t.ends[:n],
@@ -418,7 +419,7 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: holder 1 cannot replay the key\n"
-        # the run handed flood the greedy trees as bare edges, in the order each round chose them
+        # the run handed flood one route per greedy tree, its edges in the order each round chose them
         assert trees == [((0, 1), (0, 2)), ((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 1), (0, 2)),
                          ((1, 2), (0, 1)), ((0, 2), (1, 2))]
 

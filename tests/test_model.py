@@ -57,6 +57,15 @@ class TestNetworkSpec:
         with pytest.raises(ValueError, match=message):
             NetworkSpec(m, budgets)
 
+    @pytest.mark.parametrize("i,j", [(True, 2), (2, True), (0, 1.0), (0.0, 2)])
+    @pytest.mark.parametrize("lookup", ["budget", "remaining"])
+    def test_a_budget_lookup_refuses_a_terminal_that_is_not_an_int(self, lookup, i, j):
+        # (True, 2) would read pair {1, 2}'s budget of 3, and (0, 1.0) pair {0, 1}'s of 5
+        store = generate_pairwise_keys(TRIANGLE, 3)
+        with pytest.raises(ValueError, match="out of range for m=3"):
+            getattr(TRIANGLE if lookup == "budget" else store, lookup)(i, j)
+        assert len(store.basis) == 0
+
     def test_star_refuses_a_negative_leaf_budget_and_drops_a_zero(self):
         with pytest.raises(ValueError, match=r"budget for pair \(0, 1\) must be a nonnegative int, got -3"):
             NetworkSpec.star([-3, 2])

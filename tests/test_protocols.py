@@ -304,11 +304,16 @@ def test_a_run_that_a_pair_is_short_for_draws_nothing(spec, before, run):
     assert [store.remaining(*pair) for pair in spec.pairs()] == remaining and len(store.basis) == size
 
 
+def tree_routes(trees):
+    """Group routes: each tree seeded by its smallest edge, one bit wide."""
+    return [(tree, min(tree), 1) for tree in trees]
+
+
 class TestFlood:
     def test_path_tree_sends_one_message(self):
         spec = NetworkSpec.from_pairs(3, [(0, 1, 2), (1, 2, 2)])
         store = generate_pairwise_keys(spec, 9)
-        (shared,), messages = flood(store, [((0, 1), (1, 2))])
+        (shared,), messages = flood(store, [(((0, 1), (1, 2)), (0, 1), 1)])
         assert store.basis.label(shared) == "K0-1:0"
         assert len(messages) == 1
         msg = list(messages)[0]
@@ -318,7 +323,7 @@ class TestFlood:
     def test_star_tree_center_relays_to_both(self):
         spec = NetworkSpec.star([1, 1, 1])
         store = generate_pairwise_keys(spec, 9)
-        (shared,), messages = flood(store, [((0, 1), (0, 2), (0, 3))])
+        (shared,), messages = flood(store, [(((0, 1), (0, 2), (0, 3)), (0, 1), 1)])
         assert store.basis.label(shared) == "K0-1:0"
         assert [(m.sender, m.receiver) for m in messages] == [(0, 2), (0, 3)]
         assert [str(m.forms[0]) for m in messages] == ["K0-1:0^K0-2:0", "K0-1:0^K0-3:0"]
@@ -326,7 +331,7 @@ class TestFlood:
     def test_two_terminals_need_no_messages(self):
         spec = NetworkSpec(2, {(0, 1): 3})
         store = generate_pairwise_keys(spec, 9)
-        (shared,), messages = flood(store, [((0, 1),)])
+        (shared,), messages = flood(store, [(((0, 1),), (0, 1), 1)])
         assert list(messages) == []
         assert store.basis.label(shared) == "K0-1:0"
 
@@ -334,7 +339,7 @@ class TestFlood:
         spec = NetworkSpec.complete(4, 2)
         store = generate_pairwise_keys(spec, 9)
         tree = ((0, 1), (1, 2), (2, 3))
-        flood(store, [tree])
+        flood(store, tree_routes([tree]))
         for edge in tree:
             assert store.remaining(*edge) == 1
         assert store.remaining(0, 2) == 2
@@ -343,18 +348,18 @@ class TestFlood:
         spec = NetworkSpec.from_pairs(3, [(0, 1, 1), (1, 2, 2)])
         store = generate_pairwise_keys(spec, 9)
         tree = ((0, 1), (1, 2))
-        flood(store, [tree])
+        flood(store, tree_routes([tree]))
         with pytest.raises(InsufficientKeyMaterial):
-            flood(store, [tree])
+            flood(store, tree_routes([tree]))
         assert store.remaining(1, 2) == 1
 
     def test_a_dry_hop_consumes_nothing_not_even_the_seed_edge(self):
         spec = NetworkSpec.from_pairs(4, [(0, 1, 2), (1, 2, 2), (2, 3, 1)])
         store = generate_pairwise_keys(spec, 9)
         tree = ((0, 1), (1, 2), (2, 3))
-        flood(store, [tree])
+        flood(store, tree_routes([tree]))
         with pytest.raises(InsufficientKeyMaterial, match=r"pair \(2, 3\)"):
-            flood(store, [tree])
+            flood(store, tree_routes([tree]))
         assert [store.remaining(*edge) for edge in tree] == [1, 1, 0]
 
     def test_a_list_of_trees_floods_as_its_trees_one_at_a_time(self):
@@ -362,11 +367,11 @@ class TestFlood:
         # (0, 2) pads a hop of the first tree and seeds the second; (2, 3) pads a hop of each
         trees = [((0, 1), (0, 2), (2, 3)), ((0, 2), (1, 2), (2, 3))]
         together = generate_pairwise_keys(spec, 9)
-        key_ids, transcript = flood(together, trees)
+        key_ids, transcript = flood(together, tree_routes(trees))
         alone = generate_pairwise_keys(spec, 9)
         shared, expected = [], ([], [], [], [], b"", [], [])
         for tree in trees:
-            ids, part = flood(alone, [tree])
+            ids, part = flood(alone, tree_routes([tree]))
             rounds, senders, receivers, ends, payload, plain, pad = transcript_columns(part)
             shift = expected[0][-1] + 1 if expected[0] else 0
             rounds = [r + shift for r in rounds]
@@ -394,42 +399,89 @@ class TestFlood:
         store = generate_pairwise_keys(spec, 9)
         trees = [((0, 1), (1, 2), (2, 3)), ((0, 2), (1, 2), (2, 3))]
         with pytest.raises(InsufficientKeyMaterial, match=r"pair \(1, 2\)"):
-            flood(store, trees)
+            flood(store, tree_routes(trees))
         assert [store.remaining(*pair) for pair in spec.pairs()] == [2, 2, 1, 2]
 
     def test_a_dry_pair_leaves_the_basis_and_every_pair_as_they_were(self):
         spec = NetworkSpec.from_pairs(4, [(0, 1, 2), (0, 2, 2), (1, 2, 1), (2, 3, 2)])
         store = generate_pairwise_keys(spec, 9)
-        flood(store, [((0, 1), (1, 2), (2, 3))])
+        flood(store, tree_routes([((0, 1), (1, 2), (2, 3))]))
         size, remaining = len(store.basis), [store.remaining(*pair) for pair in spec.pairs()]
         assert (size, remaining) == (3, [1, 2, 0, 1])
         with pytest.raises(InsufficientKeyMaterial, match=r"^pair \(1, 2\) has 0 unused bits, 1 needed$"):
-            flood(store, [((0, 2), (1, 2), (2, 3))])  # (0, 2) and (2, 3) have bits left
+            flood(store, tree_routes([((0, 2), (1, 2), (2, 3))]))  # (0, 2) and (2, 3) have bits left
         assert len(store.basis) == size
         assert [store.remaining(*pair) for pair in spec.pairs()] == remaining
 
+    def test_a_pair_short_in_a_later_route_draws_no_fresh_bit_either(self):
+        # two paths from terminal 0, as a subgroup run floods them: the second path's
+        # (1, 3) has 1 bit of the 2 it needs, so neither the pads nor terminal 0's bits are drawn
+        spec = NetworkSpec.from_pairs(4, [(0, 1, 4), (0, 2, 2), (1, 3, 1), (2, 3, 2)])
+        store = generate_pairwise_keys(spec, 9)
+        routes = [([(0, 2), (2, 3)], 0, 2), ([(0, 1), (1, 3)], 0, 2)]
+        with pytest.raises(InsufficientKeyMaterial, match=r"pair \(1, 3\)"):
+            flood(store, routes, together=True)
+        assert len(store.basis) == 0
+        assert [store.remaining(*pair) for pair in spec.pairs()] == [4, 2, 1, 2]
+        assert [store.basis.label(i) for i in store.fresh(0, 2)] == ["R0:0", "R0:1"]
+
+    def test_a_wide_star_route_is_the_broadcast_run(self):
+        spec = NetworkSpec.star([4, 3, 5, 3])
+        star = [(0, leaf) for leaf in range(1, spec.m)]
+        store = generate_pairwise_keys(spec, 9)
+        key_ids, transcript = flood(store, [(star, (0, 2), 3)])
+        result = run_broadcast(generate_pairwise_keys(spec, 9))
+        assert [store.basis.label(i) for i in key_ids] == ["K0-2:0", "K0-2:1", "K0-2:2"]
+        assert key_ids == tuple(result.key_ids)
+        assert transcript_columns(transcript) == transcript_columns(result.transcript)
+        assert transcript.ends == [3, 6, 9] and set(transcript.rounds) == {0}
+
     @pytest.mark.parametrize(
-        "edges,message",
+        "edges,seed,message",
         [
-            (((0, 1), (1, 2)), "has 3 edges, not 2"),
-            (((0, 1), (1, 2), (2, 3), (0, 3)), "has 3 edges, not 4"),
-            (((0, 1), (1, 2), (2, 4)), r"edge \(2, 4\) is not a pair"),
-            (((-1, 0), (0, 1), (1, 2)), r"edge \(-1, 0\) is not a pair"),
-            (((0, 1), (2, 1), (2, 3)), r"edge \(2, 1\) is not a pair"),
-            (((0, 1), (1, 1), (2, 3)), r"edge \(1, 1\) is not a pair"),
-            (((0, 1), (0, 1), (2, 3)), "do not span"),
-            (((0, 1), (0, 2), (1, 2)), "do not span"),
+            # each a route after a good one: a bad route anywhere in the list consumes nothing
+            (((0, 1), (2, 3)), (0, 1), "is no tree holding its seed"),
+            (((0, 1), (1, 2), (2, 3), (0, 3)), (0, 1), "is no tree holding its seed"),
+            (((0, 1), (1, 2), (2, 4)), (0, 1), r"edge \(2, 4\) is not a pair"),
+            (((-1, 0), (0, 1), (1, 2)), (0, 1), r"edge \(-1, 0\) is not a pair"),
+            (((0, 1), (2, 1), (2, 3)), (0, 1), r"edge \(2, 1\) is not a pair"),
+            (((0, 1), (1, 1), (2, 3)), (0, 1), r"edge \(1, 1\) is not a pair"),
+            (((0, 1), (0, 1), (2, 3)), (0, 1), "is no tree holding its seed"),
+            (((0, 1), (0, 2), (1, 2)), (0, 1), "is no tree holding its seed"),
+            (((0, 1), (1, 2)), (0, 2), r"\(0, 2\), 1\) is no tree holding its seed"),
+            (((0, 1), (1, 2)), 3, r"\], 3, 1\) is no tree holding its seed"),
+            (((0, 1), (1, 2)), 4, r"\], 4, 1\) is no tree holding its seed"),
+            (((0, 1), (1, 2)), True, r"\], True, 1\) is no tree holding its seed"),
         ],
         ids=["too-few", "too-many", "node-m", "negative-node", "reversed", "self-pair", "repeated",
-             "cycle"],
+             "cycle", "seed-pair-off-the-edges", "seed-terminal-off-the-tree", "seed-terminal-m",
+             "seed-bool"],
     )
-    def test_edges_that_are_no_spanning_tree_raise_before_consuming(self, edges, message):
-        # the good tree goes first: a bad tree anywhere in the list consumes nothing
+    def test_edges_that_are_no_spanning_tree_raise_before_consuming(self, edges, seed, message):
+        # a route need not span, but it must be a tree that holds its seed
         spec = NetworkSpec.complete(4, 2)
         store = generate_pairwise_keys(spec, 9)
         with pytest.raises(ValueError, match=message):
-            flood(store, [((0, 1), (1, 2), (2, 3)), edges])
-        assert [store.remaining(*pair) for pair in spec.pairs()] == [2] * 6
+            flood(store, [(((0, 1), (1, 2), (2, 3)), (0, 1), 1), (edges, seed, 1)])
+        assert [store.remaining(*pair) for pair in spec.pairs()] == [2] * 6 and len(store.basis) == 0
+
+    @pytest.mark.parametrize("width", [0, -1, 1.0, True, None])
+    def test_a_width_that_is_no_positive_int_raises_before_consuming(self, width):
+        spec = NetworkSpec.complete(4, 2)
+        store = generate_pairwise_keys(spec, 9)
+        with pytest.raises(ValueError, match=rf", 0, {width!r}\) is no tree holding its seed, of positive int width"):
+            flood(store, [(((0, 1), (1, 2), (2, 3)), (0, 1), 1), (((0, 1), (1, 2)), 0, width)])
+        assert len(store.basis) == 0
+
+    def test_a_route_need_not_span(self):
+        # a path on three of five terminals, seeded by its middle terminal
+        spec = NetworkSpec.complete(5, 2)
+        store = generate_pairwise_keys(spec, 9)
+        key_ids, transcript = flood(store, [([(1, 3), (3, 4)], 3, 2)])
+        assert [store.basis.label(i) for i in key_ids] == ["R3:0", "R3:1"]
+        assert [(m.sender, m.receiver, m.round) for m in transcript] == [(3, 1, 0), (3, 4, 0)]
+        assert [str(form) for form in transcript.forms()] == [
+            "K1-3:0^R3:0", "K1-3:1^R3:1", "K3-4:0^R3:0", "K3-4:1^R3:1"]
 
     def test_an_unsorted_edge_list_floods_as_its_sorted_form(self):
         spec = NetworkSpec.complete(5, 3)
@@ -438,7 +490,7 @@ class TestFlood:
         runs = []
         for order in (sorted, lambda tree: tuple(reversed(tree))):
             store = generate_pairwise_keys(spec, 9)
-            key_ids, transcript = flood(store, [order(tree) for tree in trees])
+            key_ids, transcript = flood(store, tree_routes([order(tree) for tree in trees]))
             runs.append((key_ids, transcript_columns(transcript)))
         assert runs[0] == runs[1]
         # the smallest edge seeds each tree, whatever place it was given in
@@ -467,7 +519,7 @@ class TestGroupKey:
         spec = NetworkSpec.complete(4, 1)
         store = generate_pairwise_keys(spec, 2)
         star = ((0, 1), (0, 2), (0, 3))
-        _, messages = flood(store, [star])
+        _, messages = flood(store, [(star, (0, 1), 1)])
         assert len(messages) == 2
         assert not is_connected(debit(spec, star))
 
