@@ -223,6 +223,16 @@ class SourceBitBasis:
         _, _, prefix, base = self._runs[bisect_right(self._starts, ident) - 1]
         return f"{prefix}{ident - base}"
 
+    def run_of(self, ids: list[int]) -> tuple[str, int] | None:
+        """The label prefix and first label index of the list ``ids`` when they are consecutive
+        ids of one run, else None."""
+        first = ids[0] if ids else -1
+        k = bisect_right(self._starts, first) - 1
+        if k < 0 or first + len(ids) > self._runs[k][0].stop or ids != [*range(first, first + len(ids))]:
+            return None
+        _, _, prefix, base = self._runs[k]
+        return prefix, first - base
+
     def runs(self) -> list[tuple[range, frozenset[int]]]:
         """Each run's ids and owners, in id order."""
         return [run[:2] for run in self._runs]
@@ -289,7 +299,7 @@ class PairwiseKeyStore:
         """
         m = self._spec.m
         for pair, count in counts.items():
-            i, j = pair
+            i, j = pair if type(pair) is tuple and len(pair) == 2 else (None, None)
             if not (type(i) is type(j) is int and 0 <= i < j < m):
                 raise ValueError(f"pair {pair!r} is not (i, j) with 0 <= i < j < m={m}")
             if type(count) is not int or count < 0:

@@ -39,7 +39,7 @@ from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, islice
-from operator import eq, xor
+from operator import eq, itemgetter
 
 from .bounds import broadcast_bound, group_bound
 from .errors import InvariantViolation, invariant
@@ -55,12 +55,17 @@ GROUP_BOUND_AUTO_LIMIT = 9
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # payload bit -> its ASCII digit
+_OUTSIDE = "plain and pad must be ids of bits in the basis"
+
+
+def _gather(values: bytearray, ids: list[int]) -> bytes:
+    """The values of ``ids``, in one C-level pass; IndexError for an id past the end."""
+    # itemgetter of one id returns its value alone, and of none refuses to be made
+    return bytes(itemgetter(*ids)(values)) if len(ids) > 1 else bytes(map(values.__getitem__, ids))
 
 
 def _hex(digits: str) -> str:
     """Payload digits, MSB first, in the shortest hex string that holds them."""
-    if len(digits) == 1:
-        return digits
     return f"{int(digits, 2):0{(len(digits) + 3) // 4}x}" if digits else "-"
 
 
@@ -104,7 +109,9 @@ class Transcript:
     ``ends`` rising from 0 to the payload length, ``plain`` and ``pad``
     ids of bits in the basis, and nondecreasing rounds.  It then computes
     ``payload`` (immutable bytes), bit k the value of ``plain[k]`` XOR
-    that of ``pad[k]``, so a payload never disagrees with its forms.
+    that of ``pad[k]``, so a payload never disagrees with its forms: it
+    gathers each id column's values once, which also bounds the ids, and
+    XORs the two as big ints.
     Iterating builds the ``PublicMessage`` values.
     """
 
@@ -121,17 +128,27 @@ class Transcript:
         offsets = [0, *ends]
         if offsets[-1] != len(plain) or offsets != sorted(offsets):
             raise ValueError("ends must rise from 0 to the payload length")
-        # before any value is read: a negative id would index from the end of the values
-        if plain and (min(min(plain), min(pad)) < 0 or max(max(plain), max(pad)) >= len(basis)):
-            raise ValueError("plain and pad must be ids of bits in the basis")
+        # before any value is read: a gather would read a negative id from the end of the values
+        if plain and min(min(plain), min(pad)) < 0:
+            raise ValueError(_OUTSIDE)
+        refused = None
+        try:  # one gather per column, whose IndexError is the upper-bound check
+            bits = _gather(basis.values, plain), _gather(basis.values, pad)
+        except IndexError:
+            raise ValueError(_OUTSIDE) from None
+        except TypeError as exc:  # an id that is no int, such as 1.0: out of range, or refused last
+            if max(max(plain), max(pad)) >= len(basis):
+                raise ValueError(_OUTSIDE) from None
+            refused = exc
         if any(map(eq, plain, pad)):
             raise ValueError("a public bit's plain and pad must be different ids")
         if rounds != sorted(rounds):
             raise ValueError("round numbers must be nondecreasing")
-        value = basis.values.__getitem__
+        if refused:
+            raise refused
         self.basis, self.rounds, self.senders, self.receivers = basis, rounds, senders, receivers
         self.ends, self.plain, self.pad = ends, plain, pad
-        self.payload = bytes(map(xor, map(value, plain), map(value, pad)))
+        self.payload = (int.from_bytes(bits[0], "big") ^ int.from_bytes(bits[1], "big")).to_bytes(len(plain), "big")
 
     def __len__(self) -> int:
         return len(self.rounds)
@@ -157,20 +174,49 @@ class Transcript:
         """Line-oriented serialization, stable for golden-file comparison.
 
         One line per message: round, sender, receiver, hex payload, and
-        the payload's linear forms as sorted label XOR lists.  Labels and
-        payload digits render in one pass over their columns.
+        the payload's linear forms as sorted label XOR lists.  Payload
+        digits render in one pass over the payload, and so do the forms
+        when every message is one bit wide.  Otherwise a message wider
+        than one bit whose plain ids are consecutive ids of one basis run,
+        and whose pad ids are consecutive ids of a run of another prefix,
+        renders from one table of index digits, in an order set once:
+        every prefix (``K{i}-{j}:`` or ``R{v}:``) ends in its only colon,
+        so no prefix starts another, and two labels of different prefixes
+        compare as their prefixes do.  Every other message slices the
+        forms of all payload bits, rendered, from every label of the
+        basis, when the first such message needs them.
         """
-        lines = ["transcript v1"]
-        labels = self.basis.labels  # construction checked that every id has one
-        texts = [f"{a}^{b}" if a < b else f"{b}^{a}"
-                 for a, b in zip(map(labels.__getitem__, self.plain), map(labels.__getitem__, self.pad))]
+        basis, plain, pad, ends = self.basis, self.plain, self.pad, self.ends
         digits = self.payload.translate(_DIGITS).decode()
-        start = 0
-        for round, sender, receiver, end in zip(self.rounds, self.senders, self.receivers, self.ends):
-            hex_payload, forms = _hex(digits[start:end]), ";".join(texts[start:end])
-            lines.append(f"{round} {sender} {receiver} {hex_payload} {forms}")
-            start = end
-        return "\n".join(lines) + "\n"
+        if ends == [*range(1, len(ends) + 1)]:  # one bit per message, as in group runs
+            payloads, forms = digits, self._texts()
+        else:
+            payloads, forms, texts, start = [], [], None, 0
+            numbers: list[str] = []  # numbers[k] == str(k), as far as a run message has needed
+            for end in ends:
+                width = end - start
+                a = width > 1 and basis.run_of(plain[start:end])  # (prefix, first index) or None
+                b = a and basis.run_of(pad[start:end])
+                if b and a[0] != b[0]:
+                    (left, x), (right, y) = sorted((a, b))
+                    numbers += map(str, range(len(numbers), max(x, y) + width))
+                    # "{left}{i}^{right}{j}" per bit, joined by ";", built by joins alone
+                    pairs = zip(numbers[x:x + width], numbers[y:y + width])
+                    forms.append(left + f";{left}".join(map(f"^{right}".join, pairs)))
+                else:
+                    texts = self._texts() if texts is None else texts
+                    forms.append(";".join(texts[start:end]))
+                payloads.append(_hex(digits[start:end]))
+                start = end
+        lines = map("{} {} {} {} {}".format, self.rounds, self.senders, self.receivers, payloads, forms)
+        return "\n".join(["transcript v1", *lines]) + "\n"
+
+    def _texts(self) -> list[str]:
+        """Each public bit's form as ``to_text`` writes it, in payload order, from every label of
+        the basis."""
+        labels = self.basis.labels  # construction checked that every id has one
+        return [f"{a}^{b}" if a < b else f"{b}^{a}"
+                for a, b in zip(map(labels.__getitem__, self.plain), map(labels.__getitem__, self.pad))]
 
 
 @dataclass(frozen=True)
@@ -323,8 +369,9 @@ def flood(store: PairwiseKeyStore, routes: Iterable[Route],
     route's messages (together, every seed first), then the messages as
     emitted.  All pair bits are drawn in one batch, then each seed
     terminal's.  All or nothing: before any bit is drawn, raises ValueError
-    for a route that is not a tree holding its seed or has no positive int
-    width, and InsufficientKeyMaterial, naming the pair, when some pair has
+    for an edge that is no pair (i, j) as above, or a route that is not a
+    tree holding its seed or has no positive int width, and
+    InsufficientKeyMaterial, naming the pair, when some pair has
     fewer unused bits than the routes use.  Returns the shared bits' ids,
     route by route, and the transcript.
     """
@@ -335,9 +382,13 @@ def flood(store: PairwiseKeyStore, routes: Iterable[Route],
     for edges, seed, width in routes:
         edges = sorted(edges)
         adjacency: list[list[int]] = [[] for _ in range(m)]
-        for i, j in edges:
+        for edge in edges:
+            try:
+                i, j = edge
+            except (TypeError, ValueError):  # no pair: an int, or a tuple of another length
+                i = j = -1
             if not 0 <= i < j < m:
-                raise ValueError(f"edge ({i}, {j}) is not a pair i < j of nodes below m={m}")
+                raise ValueError(f"edge {edge!r} is not a pair i < j of nodes below m={m}")
             adjacency[i].append(j)  # each list ascends, as the edges are sorted
             adjacency[j].append(i)
         starts = (seed,) if type(seed) is int and 0 <= seed < m else seed if seed in edges else ()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -257,6 +258,21 @@ class TestIds:
             with pytest.raises(ValueError, match="not in the basis"):
                 basis.label(ident)
 
+    def test_run_of_names_the_run_of_consecutive_ids(self):
+        store = generate_pairwise_keys(NetworkSpec(3, {(0, 1): 8, (1, 2): 4}), 2)
+        first, other, second, fresh = store.take(0, 1, 3), store.take(1, 2, 4), store.take(0, 1, 5), store.fresh(2, 2)
+        basis = store.basis
+        assert basis.run_of(list(first)) == ("K0-1:", 0)
+        assert basis.run_of(list(second[1:4])) == ("K0-1:", 4)  # the prefix's indices go on across runs
+        assert basis.run_of(list(fresh)) == ("R2:", 0)
+        assert basis.run_of([other[3]]) == ("K1-2:", 3)
+        for ids in ([], [first[2], other[0]], [other[0], other[2]], [other[1], other[0]], [other[1], other[1]],
+                    [fresh[1], fresh[1] + 1], [-1, 0]):
+            assert basis.run_of(ids) is None, ids
+        for ident in range(len(basis)):
+            prefix, index = basis.run_of([ident])
+            assert f"{prefix}{index}" == basis.label(ident)
+
     def test_the_basis_reads_as_a_label_to_value_mapping(self):
         store = generate_pairwise_keys(TRIANGLE, 3)
         keys = take_all(store)
@@ -337,8 +353,12 @@ class TestConsumption:
         ({(0, 1): 2, (1, 2): -1}, ValueError),
         ({(0, 1): 2, (1, 2): 3}, InsufficientKeyMaterial),
         ({(0, 1): 2, (0, 2): 1}, InsufficientKeyMaterial),
+        ({(0, 1): 2, 3: 1}, ValueError),
+        ({(0, 1): 2, (0, 1, 2): 1}, ValueError),
+        ({(0, 1): 2, (1,): 1}, ValueError),
     ], ids=["negative", "float", "bool", "bool-terminal", "bool-first-terminal", "not-canonical", "out-of-range",
-            "self-pair", "bad-count-after-a-good-one", "short-after-a-good-one", "zero-budget"])
+            "self-pair", "bad-count-after-a-good-one", "short-after-a-good-one", "zero-budget",
+            "int-pair", "three-tuple-pair", "one-tuple-pair"])
     def test_a_refused_batch_draws_nothing(self, counts, error, monkeypatch):
         spec = NetworkSpec(3, {(0, 1): 4, (1, 2): 2})
         store = generate_pairwise_keys(spec, 3)
@@ -352,6 +372,13 @@ class TestConsumption:
         with pytest.raises(InsufficientKeyMaterial):
             store.take(0, 1, 5)
         assert len(store.take(1, 0, 4)) == 4 and store.remaining(0, 1) == 0
+
+    @pytest.mark.parametrize("pair", [3, (0, 1, 2), (1,), ()], ids=["int", "three-tuple", "one-tuple", "empty-tuple"])
+    def test_a_pair_that_is_no_two_tuple_is_named_in_a_value_error(self, pair):
+        store = generate_pairwise_keys(NetworkSpec(3, {(0, 1): 4, (1, 2): 2}), 3)
+        with pytest.raises(ValueError, match=rf"^pair {re.escape(repr(pair))} is not \(i, j\) with 0 <= i < j < m=3$"):
+            store.take_each({(0, 1): 2, pair: 1})
+        assert len(store.basis) == 0 and store.remaining(0, 1) == 4
 
     def test_fresh_refuses_a_bad_owner_or_count(self):
         store = generate_pairwise_keys(TRIANGLE, 3)

@@ -10,6 +10,7 @@ import sys
 import textwrap
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
 from operator import add
 
 import pytest
@@ -28,6 +29,7 @@ from pinkey import (
     verify_independence,
 )
 from pinkey.errors import InsufficientKeyMaterial, InvariantViolation, NotAStar
+from pinkey.model import SourceBitBasis
 from pinkey.oracles import MI_BASIS_LIMIT, brute_force_mutual_information, is_connected, min_st_cut_bruteforce
 from pinkey.protocols import GroupKeyResult, PublicMessage, _hex, _self_check
 
@@ -452,10 +454,13 @@ class TestFlood:
             (((0, 1), (1, 2)), 3, r"\], 3, 1\) is no tree holding its seed"),
             (((0, 1), (1, 2)), 4, r"\], 4, 1\) is no tree holding its seed"),
             (((0, 1), (1, 2)), True, r"\], True, 1\) is no tree holding its seed"),
+            (((0, 1), (1, 2, 3)), (0, 1), r"^edge \(1, 2, 3\) is not a pair i < j of nodes below m=4$"),
+            (((0, 1), (2,)), (0, 1), r"^edge \(2,\) is not a pair"),
+            ((3,), 3, r"^edge 3 is not a pair"),
         ],
         ids=["too-few", "too-many", "node-m", "negative-node", "reversed", "self-pair", "repeated",
              "cycle", "seed-pair-off-the-edges", "seed-terminal-off-the-tree", "seed-terminal-m",
-             "seed-bool"],
+             "seed-bool", "three-tuple-edge", "one-tuple-edge", "int-edge"],
     )
     def test_edges_that_are_no_spanning_tree_raise_before_consuming(self, edges, seed, message):
         # a route need not span, but it must be a tree that holds its seed
@@ -687,6 +692,40 @@ class TestTranscripts:
         with pytest.raises(ValueError, match="plain and pad must be different ids"):
             Transcript(basis, [0], [0], [1], [1], [1], [1])
 
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("column", ["plain", "pad"])
+    def test_an_id_outside_the_basis_is_refused_in_either_column(self, column, width):
+        basis = full_basis(TRIANGLE, 1)
+        n = len(basis)
+        for bad in (-1, -n, -n - 1, n, n + 1, 2**70):
+            for at in {0, width - 1}:
+                ids = {"plain": list(range(width)), "pad": list(range(width, 2 * width))}
+                ids[column][at] = bad
+                with pytest.raises(ValueError, match=r"^plain and pad must be ids of bits in the basis$"):
+                    Transcript(basis, [0], [0], [1], [width], **ids)
+
+    def test_an_id_outside_the_basis_that_is_also_its_pad_is_refused_as_outside(self):
+        basis = full_basis(TRIANGLE, 1)
+        for bad in (-1, len(basis)):
+            for plain, pad in (([bad], [bad]), ([0, bad], [1, bad])):
+                # the rounds are out of order too: the range check still comes first
+                with pytest.raises(ValueError, match=r"^plain and pad must be ids of bits in the basis$"):
+                    Transcript(basis, [1, 0], [0, 0], [1, 1], [0, len(plain)], plain, pad)
+
+    def test_a_float_id_is_refused(self):
+        basis = full_basis(TRIANGLE, 1)
+        n = len(basis)
+        for plain, pad in (([1.0], [2]), ([0, 1], [2, 3.0]), ([0.5, 1], [2, 3])):
+            with pytest.raises(TypeError, match="indices must be integers"):
+                Transcript(basis, [0], [0], [1], [len(plain)], plain, pad)
+        # in the order of the checks: an id past the end, a bit padded by itself, rounds that go back
+        for plain, pad, rounds, match in (([float(n)], [2], [0], "ids of bits in the basis"),
+                                          ([0, 2.0], [1, 2], [0], "must be different ids"),
+                                          ([0.5], [2], [1, 0], "nondecreasing")):
+            ends = [0, len(plain)] if len(rounds) == 2 else [len(plain)]
+            with pytest.raises(ValueError, match=match):
+                Transcript(basis, rounds, [0] * len(rounds), [1] * len(rounds), ends, plain, pad)
+
     def test_bad_bits_and_unequal_columns_are_refused_under_python_O(self):
         code = textwrap.dedent("""
             from pinkey import NetworkSpec, Transcript, generate_pairwise_keys
@@ -747,6 +786,72 @@ class TestTranscripts:
             if n:
                 with pytest.raises(TypeError):
                     t.payload[0] ^= 1
+
+
+def columns_transcript(basis, messages):
+    """A transcript over ``basis`` of messages given as (plain ids, pad ids), one round each."""
+    n = len(messages)
+    return Transcript(basis, range(n), [0] * n, [1] * n, list(accumulate(len(plain) for plain, _ in messages)),
+                      [i for plain, _ in messages for i in plain], [i for _, pad in messages for i in pad])
+
+
+class TestRenderingPaths:
+    """``to_text`` renders a message of two runs from their prefixes and every other message
+    from all the basis labels; both must give the bytes of bit-by-bit rendering."""
+
+    @staticmethod
+    def store():
+        # K0-1 sorts after K0-12 and K1-2 before R1; pair {0, 1} is drawn in two runs
+        spec = NetworkSpec(13, {(0, 1): 240, (0, 12): 120, (1, 2): 120, (0, 2): 120})
+        store = generate_pairwise_keys(spec, 5)
+        ids = {"K0-1": list(store.take(0, 1, 120)), "K0-12": list(store.take(0, 12, 120)),
+               "K1-2": list(store.take(1, 2, 120)), "R1": list(store.fresh(1, 120)),
+               "K0-1 again": list(store.take(0, 1, 120)), "K0-2": list(store.take(0, 2, 120))}
+        return store, ids
+
+    def test_both_paths_render_every_form_as_bit_by_bit(self):
+        store, ids = self.store()
+        a, b, c, r, again, d = ids.values()
+        runs = [(a[0:5], b[3:8]), (b[0:4], a[5:9]), (a[95:105], b[7:17]), (c[0:6], r[0:6]), (r[6:12], c[6:12]),
+                (again[5:10], d[0:5]), (d[98:118], again[90:110])]
+        others = [
+            (again[0:5], a[5:10]),  # two runs of one prefix
+            (d[0:5], d[10:15]),  # one run
+            (a[118:120] + b[0:2], d[20:24]),  # consecutive ids across a run boundary, K0-1 then K0-12
+            (c[20:24], a[117:120] + again[0:1]),  # consecutive labels, but ids of two runs
+            (a[30:36:2], d[30:33]),  # not consecutive
+            (a[42:39:-1], d[40:43]),  # descending
+            (a[50:52], a[53:55]),  # one run, one prefix
+        ]
+        ones = [(a[60:61], b[60:61]), (r[60:61], c[60:61]), (again[60:61], a[61:62]), (d[9:10], d[99:100])]
+        cases = [runs, others, ones, runs + ones, others + runs, runs + [([], [])] + others + ones,
+                 [([], [])] * 3, []]
+        for messages in cases:
+            transcript = columns_transcript(store.basis, messages)
+            assert transcript.to_text() == reference_text(transcript)
+        lines = columns_transcript(store.basis, runs[:3]).to_text().splitlines()
+        assert lines[1].endswith(" K0-12:3^K0-1:0;K0-12:4^K0-1:1;K0-12:5^K0-1:2;K0-12:6^K0-1:3;K0-12:7^K0-1:4")
+        assert lines[2].endswith(" K0-12:0^K0-1:5;K0-12:1^K0-1:6;K0-12:2^K0-1:7;K0-12:3^K0-1:8")
+        assert lines[3].split(" ")[4].split(";")[4:6] == ["K0-12:11^K0-1:99", "K0-12:12^K0-1:100"]
+
+    def test_run_messages_read_no_basis_labels(self, monkeypatch):
+        store, ids = self.store()
+        a, b, c, r, again, d = ids.values()
+        star = run_broadcast(generate_pairwise_keys(NetworkSpec.star([7, 5, 9, 12]), 3)).transcript
+        # two paths from 0 to 2, each of 3 or 4 bits: every message is wider than 1
+        relay = run_subgroup(generate_pairwise_keys(TRIANGLE, 4), 0, 2).transcript
+        hand = columns_transcript(store.basis, [(a[0:5], b[3:8]), (r[6:12], c[6:12]), (again[5:10], d[0:5])])
+        assert {msg.round for msg in relay} == {0, 1} and min(len(msg.payload) for msg in relay) > 1
+        transcripts = [star, relay, hand]
+        expected = [reference_text(transcript) for transcript in transcripts]
+
+        def refuse(basis):
+            raise AssertionError("a run message read every label of the basis")
+
+        monkeypatch.setattr(SourceBitBasis, "labels", property(refuse))
+        assert [transcript.to_text() for transcript in transcripts] == expected
+        with pytest.raises(AssertionError, match="every label"):
+            columns_transcript(store.basis, [(a[0:2], a[2:4])]).to_text()
 
 
 def hand_built(spec, seed, key_ids, plain, pad):
