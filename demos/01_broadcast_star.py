@@ -5,7 +5,8 @@ whole group wants one common key.  The hub picks the shortest pad as the
 key and XORs it onto every other leaf's pad in public.
 """
 
-from pinkey import NetworkSpec, generate_pairwise_keys, replay_key, run_broadcast, verify_independence
+from pinkey import NetworkSpec, generate_pairwise_keys, replay_key, run_broadcast
+from pinkey.oracles import verify_independence
 
 spec = NetworkSpec.star([7, 5, 9])
 print(f"star with {spec.m} terminals, leaf budgets:",

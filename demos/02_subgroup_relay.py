@@ -15,8 +15,8 @@ from pinkey import (
     max_flow,
     replay_key,
     run_subgroup,
-    verify_independence,
 )
+from pinkey.oracles import verify_independence
 
 spec = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
 flow = max_flow(spec, 0, 2)

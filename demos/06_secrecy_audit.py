@@ -7,8 +7,8 @@ joint rank.  For small runs we can also enumerate every possible world
 and histogram the joint distribution directly.
 """
 
-from pinkey import NetworkSpec, generate_pairwise_keys, run_group_key, verify_independence
-from pinkey.oracles import brute_force_mutual_information
+from pinkey import NetworkSpec, generate_pairwise_keys, run_group_key
+from pinkey.oracles import brute_force_mutual_information, verify_independence
 
 spec = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
 store = generate_pairwise_keys(spec, seed=7)

@@ -5,8 +5,8 @@ among m terminals that start from independent pairwise shared keys and
 may talk only over a public channel.  Everything is exact: integer key
 budgets, rational bounds, and GF(2) linear algebra for secrecy, so every
 claim the protocols make is checkable bit for bit.  The exhaustive
-oracles that the tests check the fast paths against live in
-``pinkey.oracles``, which is not imported here.
+oracles and the GF(2) rank audit that the tests check the runs against
+live in ``pinkey.oracles``, which is not imported here.
 """
 
 from . import errors
@@ -27,6 +27,7 @@ from .model import (
 )
 from .protocols import (
     GroupKeyResult,
+    LinearForm,
     PublicMessage,
     Transcript,
     flood,
@@ -35,7 +36,6 @@ from .protocols import (
     run_group_key,
     run_subgroup,
 )
-from .secrecy import LinearForm, SecrecyReport, verify_independence
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,6 @@ __all__ = [
     "PairwiseKeyStore",
     "Partition",
     "PublicMessage",
-    "SecrecyReport",
     "SourceBitBasis",
     "TIE_BREAK_POLICIES",
     "Transcript",
@@ -65,5 +64,4 @@ __all__ = [
     "run_group_key",
     "run_subgroup",
     "subgroup_bound",
-    "verify_independence",
 ]

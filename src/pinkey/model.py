@@ -76,11 +76,12 @@ class NetworkSpec:
             raise ValueError(f"need at least 2 terminals, got m={self.m!r}")
         cleaned: dict[Pair, int] = {}
         for pair, budget in self.budgets.items():
-            i, j = pair
+            i, j = pair if type(pair) is tuple and len(pair) == 2 else (None, None)
+            # ints before any comparison, which a pair of another type would fail with TypeError
+            if not (type(i) is type(j) is int and 0 <= i < self.m and 0 <= j < self.m):
+                raise ValueError(f"pair {pair!r} out of range for m={self.m}")
             if canonical_pair(i, j) != (i, j):
                 raise ValueError(f"pair {pair!r} is not in canonical (i < j) form")
-            if not (type(i) is type(j) is int and 0 <= i < j < self.m):
-                raise ValueError(f"pair {pair!r} out of range for m={self.m}")
             if type(budget) is not int or budget < 0:
                 raise ValueError(f"budget for pair {pair!r} must be a nonnegative int, got {budget!r}")
             if budget > 0:
@@ -92,6 +93,8 @@ class NetworkSpec:
         """Build a spec from (i, j, budget) triples, canonicalizing pairs."""
         budgets: dict[Pair, int] = {}
         for i, j, budget in pairs:
+            if not type(i) is type(j) is int:
+                raise ValueError(f"pair {(i, j)!r} out of range for m={m}")
             key = canonical_pair(i, j)
             if key in budgets:
                 raise ValueError(f"duplicate pair {key!r}")

@@ -1,24 +1,29 @@
-"""Exhaustive oracles: the references the fast paths are tested against.
+"""Exhaustive oracles and the rank audit: the references the runs are tested against.
 
-Each enumerates what a run computes in polynomial time or greedily:
+Each oracle enumerates what a run computes in polynomial time or greedily:
 s-t cuts against ``max_flow``, partitions against ``graph_strength``,
 spanning trees and tree packings against the greedy tree loop, and the
-joint distribution of key and transcript against the rank audit.  No
-run imports this module; ``pinkey oracle``, the tests and the demos do.
-Each oracle is protected by a hard instance-size guard and raises
-InstanceTooLarge beyond it rather than silently truncating.
+joint distribution of key and transcript against the rank audit.  The
+rank audit, ``verify_independence``, reduces any label-level forms over
+GF(2); on a run's forms it gives the ranks that the run's self-check
+gives in closed form.  No run imports this module; ``pinkey oracle``,
+the tests and the demos do.  Each exhaustive oracle is protected by a
+hard instance-size guard and raises InstanceTooLarge beyond it rather
+than silently truncating.  The rank audit is polynomial and has no size
+guard.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GraphDisconnected, InstanceTooLarge
+from .errors import GraphDisconnected, InstanceTooLarge, UnknownBasisLabel
 from .graph import Partition, _check_terminals, _cut, _UnionFind, greedy_spanning_trees
-from .model import NetworkSpec, Pair
-from .secrecy import LinearForm
+from .model import NetworkSpec, Pair, SourceBitBasis
+from .protocols import LinearForm
 
 CUT_ENUM_NODE_LIMIT = 20        # min_st_cut_bruteforce enumerates 2**(m-2) sides
 PARTITION_NODE_LIMIT = 12       # Bell(12) is ~4.2e6, the practical ceiling
@@ -246,3 +251,90 @@ def brute_force_mutual_information(
         ratio = Fraction(count * total, key_marginal[k] * transcript_marginal[v])
         info += Fraction(count, total) * _exact_log2(ratio)
     return info
+
+
+# --- rank audit ---------------------------------------------------------
+#
+# For jointly linear collections the mutual information between the key
+# bits K and the public transcript bits V is exactly
+#
+#     I(K; V) = rank(K) + rank(V) - rank(K ∪ V)   bits,
+#
+# and K is uniform exactly when its forms are linearly independent.
+
+
+@dataclass(frozen=True)
+class SecrecyReport:
+    """Ranks of the key forms, transcript forms, and their union."""
+
+    rank_key: int
+    rank_transcript: int
+    rank_joint: int
+    key_count: int
+
+    @property
+    def leaked_bits(self) -> int:
+        return self.rank_key + self.rank_transcript - self.rank_joint
+
+    @property
+    def uniform(self) -> bool:
+        return self.rank_key == self.key_count
+
+    def __post_init__(self) -> None:
+        leaked = self.rank_key + self.rank_transcript - self.rank_joint
+        if not 0 <= leaked <= min(self.rank_key, self.rank_transcript):
+            raise ValueError(f"inconsistent ranks in {self!r}")
+
+
+def gf2_rank(masks: Iterable[int], pivots: dict[int, int] | None = None) -> int:
+    """Rank of a set of GF(2) row vectors packed as ints.
+
+    With ``pivots``, reduce against that table and extend it in place; the
+    result is then the rank the rows add to it.
+    """
+    if pivots is None:
+        pivots = {}
+    rank = 0
+    for mask in masks:
+        while mask:
+            top = mask.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = mask
+                rank += 1
+                break
+            mask ^= pivots[top]
+    return rank
+
+
+def verify_independence(
+    key_forms: Iterable[LinearForm],
+    transcript_forms: Iterable[LinearForm],
+    basis: SourceBitBasis,
+) -> SecrecyReport:
+    """Exact leakage between key and transcript, in bits.
+
+    leaked_bits == 0 iff the key is statistically independent of the
+    public transcript; every label must exist in ``basis``.  It numbers
+    the labels the forms mention, packs each form as an int row over them
+    and reduces the rows with ``gf2_rank``.
+    """
+    key_forms = [form.labels for form in key_forms]
+    transcript_forms = [form.labels for form in transcript_forms]
+    # Number the labels the forms mention, in order of first appearance;
+    # basis bits no form mentions cannot change a rank.
+    index = {label: k for k, label in enumerate(dict.fromkeys(itertools.chain(*transcript_forms, *key_forms)))}
+    for label in index:
+        if label not in basis:
+            raise UnknownBasisLabel(f"label {label!r} is not in the basis")
+
+    # A form's row has bit k set for each of its labels numbered k.
+    transcript_rows, key_rows = ([sum(1 << index[label] for label in form) for form in forms]
+                                 for forms in (transcript_forms, key_forms))
+    table: dict[int, int] = {}
+    rank_transcript = gf2_rank(transcript_rows, table)
+    return SecrecyReport(
+        rank_key=gf2_rank(key_rows),
+        rank_transcript=rank_transcript,
+        rank_joint=rank_transcript + gf2_rank(key_rows, table),
+        key_count=len(key_rows),
+    )

@@ -25,15 +25,17 @@ run on one store gets bits no earlier run used.
 Every pad a run publishes is private: used once, and no key id or plain
 id.  Then each public bit's row has a column of its own, a terminal
 learns exactly the ids it owns plus the plain id of each pad it owns,
-and the run's secrecy report is (|K|, P, |K| + P) for |K| distinct key
-ids and P public bits: the transcript tells nothing about the key.  So
-each run self-checks pad privacy and per-holder replay, which is set
-inclusion, with no GF(2) elimination, and a transcript with a pad that
-is not private is refused.
+and the ranks of key, transcript and both are (|K|, P, |K| + P) for |K|
+distinct key ids and P public bits: the transcript tells nothing about
+the key.  So each run self-checks distinct key ids, pad privacy and
+per-holder replay, which is set inclusion, with no GF(2) elimination,
+and a transcript with a pad that is not private is refused.  The rank
+audit of any forms, ``oracles.verify_independence``, is not imported.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, deque
 from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -45,7 +47,6 @@ from .bounds import broadcast_bound, group_bound
 from .errors import InvariantViolation, invariant
 from .graph import greedy_spanning_trees, max_flow
 from .model import Pair, PairwiseKeyStore, SourceBitBasis, canonical_pair
-from .secrecy import LinearForm, SecrecyReport, owned_ids
 
 # The group bound costs m min cuts per Newton step, but one call can still
 # take seconds on a sparse graph of m = 128.  Runs attach it to their result
@@ -67,6 +68,22 @@ def _gather(values: bytearray, ids: list[int]) -> bytes:
 def _hex(digits: str) -> str:
     """Payload digits, MSB first, in the shortest hex string that holds them."""
     return f"{int(digits, 2):0{(len(digits) + 3) // 4}x}" if digits else "-"
+
+
+@dataclass(frozen=True)
+class LinearForm:
+    """A GF(2) linear combination of source bits, stored as a label set."""
+
+    labels: frozenset[str]
+
+    @classmethod
+    def unit(cls, label: str) -> "LinearForm":
+        return cls(frozenset((label,)))
+
+    def __str__(self) -> str:
+        if not self.labels:
+            return "0"
+        return "^".join(sorted(self.labels))
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,7 +248,6 @@ class GroupKeyResult:
     key_ids: Sequence[int]
     transcript: Transcript
     bound: Fraction | None  # None for group runs above GROUP_BOUND_AUTO_LIMIT
-    secrecy: SecrecyReport  # from the run's self-check
 
     @property
     def basis(self) -> SourceBitBasis:
@@ -265,6 +281,18 @@ def _learned(key_ids: Collection[int], transcript: Transcript) -> dict[int, int]
     return learned
 
 
+def owned_ids(basis: SourceBitBasis, ids: Sequence[int], terminals: Iterable[int]) -> dict[int, list[int]]:
+    """The ids among the sorted ``ids`` whose bits each of ``terminals`` owns.  Only runs
+    that one of them owns are looked at, their ids found by bisection, not walked."""
+    owned: dict[int, list[int]] = {terminal: [] for terminal in terminals}
+    for run, owners in basis.runs():
+        if served := owners.intersection(owned):
+            inside = ids[bisect_left(ids, run.start):bisect_left(ids, run.stop)]
+            for owner in served:
+                owned[owner] += inside
+    return owned
+
+
 def _cannot_replay(wanted: set[int], transcript: Transcript, terminals: Iterable[int]) -> list[int]:
     """The terminals, ascending, that cannot replay the key ids ``wanted`` from their own bits
     and the transcript.  Every pad is private (``_learned`` checks it), so a public bit's row
@@ -287,25 +315,26 @@ def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
     return None if _cannot_replay(set(result.key_ids), result.transcript, (terminal,)) else result.key
 
 
-def _self_check(holders: frozenset[int], key_ids: Sequence[int], transcript: Transcript) -> SecrecyReport:
-    """Check a run's parts; return its secrecy report, which private pads give in closed form."""
-    # Replay soundness: every holder learns every key id.
+def _self_check(holders: frozenset[int], key_ids: Sequence[int], transcript: Transcript) -> None:
+    """Check a run's parts: distinct key ids, private pads and replay by every holder.
+
+    Private pads make the P public rows and the key's |K| distinct unit
+    rows independent: ranks |K|, P and |K| + P, and the transcript tells
+    nothing about the key, which is uniform.  Raises InvariantViolation.
+    """
     wanted = set(key_ids)
+    invariant(len(wanted) == len(key_ids), "a key bit repeats")
+    # Replay soundness: every holder learns every key id.
     if stuck := _cannot_replay(wanted, transcript, holders):
         raise InvariantViolation(f"holder {stuck[0]} cannot replay the key")
-    # Private pads make the P public rows and the key's distinct unit rows independent:
-    # ranks |K|, P and |K| + P, and the transcript tells nothing about the key.
-    public_bits = transcript.public_bits
-    return SecrecyReport(rank_key=len(wanted), rank_transcript=public_bits,
-                         rank_joint=len(wanted) + public_bits, key_count=len(key_ids))
 
 
 def _result(holders: Iterable[int], key_ids: Sequence[int], transcript: Transcript,
             bound: Fraction | None) -> GroupKeyResult:
     """The self-checked result of a run whose key is the bits ``key_ids``."""
     holders = frozenset(holders)
-    return GroupKeyResult(holders=holders, key_ids=key_ids, transcript=transcript, bound=bound,
-                          secrecy=_self_check(holders, key_ids, transcript))
+    _self_check(holders, key_ids, transcript)
+    return GroupKeyResult(holders=holders, key_ids=key_ids, transcript=transcript, bound=bound)
 
 
 def run_broadcast(store: PairwiseKeyStore) -> GroupKeyResult:
@@ -369,10 +398,10 @@ def flood(store: PairwiseKeyStore, routes: Iterable[Route],
     route's messages (together, every seed first), then the messages as
     emitted.  All pair bits are drawn in one batch, then each seed
     terminal's.  All or nothing: before any bit is drawn, raises ValueError
-    for an edge that is no pair (i, j) as above, or a route that is not a
-    tree holding its seed or has no positive int width, and
-    InsufficientKeyMaterial, naming the pair, when some pair has
-    fewer unused bits than the routes use.  Returns the shared bits' ids,
+    for an edge that is no tuple (i, j) of ints as above, or a route that
+    is not a tree holding its seed or has no positive int width, and
+    InsufficientKeyMaterial, naming the pair, when some pair has fewer
+    unused bits than the routes use.  Returns the shared bits' ids,
     route by route, and the transcript.
     """
     m = store.spec.m
@@ -380,15 +409,14 @@ def flood(store: PairwiseKeyStore, routes: Iterable[Route],
     uses: list[Pair | int] = []  # each route's seed, then the pair of each message it sends
     blocks = []  # in take order, uses of one route in a row: route, width, first, stop, whether the first is its seed
     for edges, seed, width in routes:
-        edges = sorted(edges)
-        adjacency: list[list[int]] = [[] for _ in range(m)]
-        for edge in edges:
-            try:
-                i, j = edge
-            except (TypeError, ValueError):  # no pair: an int, or a tuple of another length
-                i = j = -1
-            if not 0 <= i < j < m:
+        edges = list(edges)
+        for edge in edges:  # before sorting, which would compare an edge of another type
+            i, j = edge if type(edge) is tuple and len(edge) == 2 else (None, None)
+            if not (type(i) is type(j) is int and 0 <= i < j < m):
                 raise ValueError(f"edge {edge!r} is not a pair i < j of nodes below m={m}")
+        edges.sort()
+        adjacency: list[list[int]] = [[] for _ in range(m)]
+        for i, j in edges:
             adjacency[i].append(j)  # each list ascends, as the edges are sorted
             adjacency[j].append(i)
         starts = (seed,) if type(seed) is int and 0 <= seed < m else seed if seed in edges else ()

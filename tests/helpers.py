@@ -92,3 +92,22 @@ def owners(basis) -> list[frozenset[int]]:
 def known_to(basis, terminal: int) -> list[str]:
     """Labels the terminal holds natively, in basis order."""
     return [label for label, held in zip(basis.labels, owners(basis)) if terminal in held]
+
+
+SECRECY_FIELDS = ("rank_key", "rank_transcript", "rank_joint", "leaked_bits", "uniform")
+
+
+def report_secrecy(report) -> dict:
+    """The secrecy fields that a run's ``RunReport`` writes, by name."""
+    return {key: value for key, value in report._fields() if key in SECRECY_FIELDS}
+
+
+def audited(audit) -> dict:
+    """The rank audit's ``SecrecyReport`` as the secrecy fields of a report."""
+    return {key: getattr(audit, key) for key in SECRECY_FIELDS}
+
+
+def closed_form(key_bits: int, public_bits: int) -> dict:
+    """The secrecy fields of a self-checked key of ``key_bits`` distinct ids and a transcript of
+    ``public_bits`` bits whose pads are private: ranks |K|, P and |K| + P, no leak, uniform."""
+    return dict(zip(SECRECY_FIELDS, (key_bits, public_bits, key_bits + public_bits, 0, True)))

@@ -26,17 +26,17 @@ from pinkey import (
     run_broadcast,
     run_group_key,
     run_subgroup,
-    verify_independence,
 )
 
 from pinkey.oracles import (
     brute_force_mutual_information,
     enumerate_partitions,
+    gf2_rank,
     is_connected,
     min_st_cut_bruteforce,
     optimal_tree_packing_bruteforce,
+    verify_independence,
 )
-from pinkey.secrecy import gf2_rank
 
 from helpers import debit, random_connected_spec, random_spec, random_star_spec, take_all
 

@@ -7,10 +7,11 @@ import re
 
 import pytest
 
-from pinkey import LinearForm, NetworkSpec, generate_pairwise_keys, verify_independence
+from pinkey import LinearForm, NetworkSpec, generate_pairwise_keys
 from pinkey.errors import InsufficientKeyMaterial, UnknownBasisLabel
 from pinkey import model
 from pinkey.model import PairwiseKeyStore, canonical_pair
+from pinkey.oracles import verify_independence
 
 from helpers import full_basis, key_values, owners, random_spec, tagged_stream, take_all
 
@@ -35,6 +36,12 @@ class TestNetworkSpec:
     def test_rejects_self_pair_and_bad_ranges(self):
         with pytest.raises(ValueError):
             NetworkSpec.from_pairs(3, [(1, 1, 4)])
+        # a pair of another type is refused, naming it, before it is compared
+        for budgets in ({(0, "a"): 1}, {("a", 0): 1}, {3: 1}, {(0, 1, 2): 1}, {(0, None): 1}):
+            with pytest.raises(ValueError, match=rf"^pair {re.escape(repr(next(iter(budgets))))} out of range"):
+                NetworkSpec(3, budgets)
+        with pytest.raises(ValueError, match=r"^pair \(0, None\) out of range for m=3$"):
+            NetworkSpec.from_pairs(3, [(0, None, 1)])
         with pytest.raises(ValueError):
             NetworkSpec(3, {(0, 3): 1})
         with pytest.raises(ValueError):

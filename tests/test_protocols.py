@@ -26,15 +26,15 @@ from pinkey import (
     run_broadcast,
     run_group_key,
     run_subgroup,
-    verify_independence,
 )
 from pinkey.errors import InsufficientKeyMaterial, InvariantViolation, NotAStar
 from pinkey.model import SourceBitBasis
-from pinkey.oracles import MI_BASIS_LIMIT, brute_force_mutual_information, is_connected, min_st_cut_bruteforce
+from pinkey.oracles import (MI_BASIS_LIMIT, brute_force_mutual_information, is_connected, min_st_cut_bruteforce,
+                            verify_independence)
 from pinkey.protocols import GroupKeyResult, PublicMessage, _hex, _self_check
 
-from helpers import (debit, full_basis, key_values, known_to, random_connected_spec, random_spec, take_all,
-                     tagged_stream, transcript_columns, transcript_of)
+from helpers import (audited, closed_form, debit, full_basis, key_values, known_to, random_connected_spec,
+                     random_spec, take_all, tagged_stream, transcript_columns, transcript_of)
 
 TRIANGLE = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
 
@@ -457,10 +457,16 @@ class TestFlood:
             (((0, 1), (1, 2, 3)), (0, 1), r"^edge \(1, 2, 3\) is not a pair i < j of nodes below m=4$"),
             (((0, 1), (2,)), (0, 1), r"^edge \(2,\) is not a pair"),
             ((3,), 3, r"^edge 3 is not a pair"),
+            (((0, 1), 3), (0, 1), r"^edge 3 is not a pair"),
+            (((0, 1), None), (0, 1), r"^edge None is not a pair"),
+            (([0, 1], [1, 2]), 0, r"^edge \[0, 1\] is not a pair"),
+            (((0, 1), (1, 2.0)), (0, 1), r"^edge \(1, 2.0\) is not a pair"),
+            (((0, 1), (True, 2)), (0, 1), r"^edge \(True, 2\) is not a pair"),
         ],
         ids=["too-few", "too-many", "node-m", "negative-node", "reversed", "self-pair", "repeated",
              "cycle", "seed-pair-off-the-edges", "seed-terminal-off-the-tree", "seed-terminal-m",
-             "seed-bool", "three-tuple-edge", "one-tuple-edge", "int-edge"],
+             "seed-bool", "three-tuple-edge", "one-tuple-edge", "int-edge", "int-after-a-pair",
+             "none-after-a-pair", "list-edges", "float-node", "bool-node"],
     )
     def test_edges_that_are_no_spanning_tree_raise_before_consuming(self, edges, seed, message):
         # a route need not span, but it must be a tree that holds its seed
@@ -856,12 +862,12 @@ class TestRenderingPaths:
 
 def hand_built(spec, seed, key_ids, plain, pad):
     """The result of a faithful one-bit-per-message transcript of the rows ``plain[k] ^ pad[k]``
-    over the pair bits of ``spec``, its secrecy report from the label-level audit."""
+    over the pair bits of ``spec``, and its secrecy report from the label-level audit."""
     basis = full_basis(spec, seed)
     n = len(pad)
     transcript = Transcript(basis, [0] * n, [0] * n, [1] * n, range(1, n + 1), plain, pad)
-    result = GroupKeyResult(frozenset(), key_ids, transcript, None, None)
-    return replace(result, secrecy=leak_report(result))
+    result = GroupKeyResult(frozenset(), key_ids, transcript, None)
+    return result, leak_report(result)
 
 
 def hand_built_pads(rng, kind, ids, key_ids):
@@ -897,7 +903,7 @@ class TestHandBuiltTranscripts:
                 continue
             key_ids = rng.sample(ids, rng.randint(1, min(2, len(ids) - 2)))
             plain, pad = hand_built_pads(rng, kind, ids, key_ids)
-            result = hand_built(spec, rng.randrange(2**16), key_ids, plain, pad)
+            result, audit = hand_built(spec, rng.randrange(2**16), key_ids, plain, pad)
             kinds[kind] += 1
             if kind != "private":
                 with pytest.raises(InvariantViolation, match="a pad bit is not private"):
@@ -913,20 +919,21 @@ class TestHandBuiltTranscripts:
                 if replayed is not None:
                     assert replayed == result.key
                     holders.add(terminal)
-            assert _self_check(frozenset(holders), key_ids, result.transcript) == result.secrecy
+            # the self-check passes, and the closed form it stands for is the audit's
+            _self_check(frozenset(holders), key_ids, result.transcript)
+            assert audited(audit) == closed_form(len(key_ids), result.transcript.public_bits)
             for outsider in set(range(spec.m)) - holders:
                 with pytest.raises(InvariantViolation, match=f"holder {outsider} cannot replay"):
                     _self_check(frozenset(holders | {outsider}), key_ids, result.transcript)
-            assert result.secrecy.leaked_bits == 0
             if len(result.basis) <= MI_BASIS_LIMIT:
                 assert brute_force_mutual_information(
                     result.key_forms, result.transcript.forms(), len(result.basis)) == 0
         assert min(kinds.values()) >= 50, kinds
 
     def test_a_key_bit_seen_only_as_a_combination_is_refused(self):
-        result = hand_built(*COMBINATION)
+        result, audit = hand_built(*COMBINATION)
         # the label-level audit finds no leak, but the pads are not private
-        assert result.secrecy.leaked_bits == 0 and result.secrecy.rank_transcript == 3
+        assert audit.leaked_bits == 0 and audit.rank_transcript == 3
         with pytest.raises(InvariantViolation, match="a pad bit is not private"):
             _self_check(frozenset({3}), result.key_ids, result.transcript)
         for terminal in range(5):
@@ -994,3 +1001,26 @@ class TestSelfCheck:
         assert list(bad.transcript)[-1].receiver == 1
         with pytest.raises(InvariantViolation, match="holder 3 cannot replay"):
             self_check(bad)
+
+    def test_a_repeated_key_bit_is_caught_under_python_O(self):
+        # every holder replays [k, k], but a key of one bit twice is not uniform
+        result = run_broadcast(generate_pairwise_keys(NetworkSpec.star([7, 5, 9]), 3))
+        k = result.key_ids[0]
+        bad = replace(result, key_ids=(k, k))
+        with pytest.raises(InvariantViolation, match="a key bit repeats"):
+            self_check(bad)
+        code = textwrap.dedent("""
+            from pinkey import NetworkSpec, generate_pairwise_keys, run_broadcast
+            from pinkey.errors import InvariantViolation
+            from pinkey.protocols import _self_check
+
+            assert False, "assertions must be off"
+            result = run_broadcast(generate_pairwise_keys(NetworkSpec.star([7, 5, 9]), 3))
+            k = result.key_ids[0]
+            _self_check(result.holders, result.key_ids[:1], result.transcript)
+            try:
+                _self_check(result.holders, [k, k], result.transcript)
+            except InvariantViolation as exc:
+                print("caught:", exc)
+        """)
+        assert run_optimized(code) == "caught: a key bit repeats\n"

@@ -14,16 +14,16 @@ from pathlib import Path
 import pytest
 
 import pinkey.graph
+import pinkey.oracles
 import pinkey.protocols
-import pinkey.secrecy
-from pinkey import NetworkSpec, generate_pairwise_keys, run_broadcast, run_subgroup, verify_independence
+from pinkey import NetworkSpec, generate_pairwise_keys, run_broadcast, run_subgroup
 from pinkey.cli import Scenario, load_scenario, run_scenario
 from pinkey.errors import InvariantViolation
-from pinkey.oracles import brute_force_mutual_information
-from pinkey.protocols import PublicMessage, _self_check
-from pinkey.secrecy import owned_ids
+from pinkey.oracles import brute_force_mutual_information, verify_independence
+from pinkey.protocols import PublicMessage, _self_check, owned_ids
 
-from helpers import random_connected_spec, random_star_spec, transcript_of
+from helpers import (audited, closed_form, random_connected_spec, random_star_spec, report_secrecy,
+                     transcript_of)
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "demos" / "scenarios").glob("*.txt"))
@@ -145,20 +145,21 @@ def _random_scenarios(rng: random.Random, count: int, max_m: int, max_budget: in
 
 class TestRunPathSecrecy:
     def test_report_equals_the_label_level_audit(self):
+        # the report's closed form, (|K|, P, |K| + P) with no leak and a uniform key, is the audit's
         for scenario in _random_scenarios(random.Random(811), 45, max_m=7, max_budget=12):
-            _, result = run_scenario(scenario)
-            assert result.secrecy == verify_independence(
-                result.key_forms, result.transcript.forms(), result.basis), scenario
+            report, result = run_scenario(scenario)
+            assert report_secrecy(report) == audited(verify_independence(
+                result.key_forms, result.transcript.forms(), result.basis)), scenario
 
     def test_report_agrees_with_exhaustive_mutual_information(self):
         checked = 0
         for scenario in _random_scenarios(random.Random(812), 60, max_m=4, max_budget=3):
-            _, result = run_scenario(scenario)
+            report, result = run_scenario(scenario)
             if len(result.basis) > 14:
                 continue
             mi = brute_force_mutual_information(
                 result.key_forms, result.transcript.forms(), len(result.basis))
-            assert Fraction(result.secrecy.leaked_bits) == mi
+            assert Fraction(report_secrecy(report)["leaked_bits"]) == mi
             checked += 1
         assert checked >= 30
 
@@ -198,12 +199,12 @@ def test_a_run_does_no_elimination(monkeypatch):
         raise AssertionError("a run reduced rows with gf2_rank")
 
     assert not hasattr(pinkey.protocols, "gf2_rank")
-    monkeypatch.setattr(pinkey.secrecy, "gf2_rank", kernel)
+    monkeypatch.setattr(pinkey.oracles, "gf2_rank", kernel)
     monkeypatch.setattr(pinkey.protocols, "_learned", traced("learned", pinkey.protocols._learned))
     monkeypatch.setattr(pinkey.protocols, "owned_ids", traced("owned", owned_ids))
     for scenario in (_star_scenario(), _relay_scenario(), _group_scenario()):
         trace.update(learned=[], owned=[])
-        _, result = run_scenario(scenario)
+        report, result = run_scenario(scenario)
         transcript = result.transcript
         assert len(result.key) > 0 and transcript.public_bits > 0
         # one pass over the transcript: every pad is private and tells its
@@ -219,9 +220,7 @@ def test_a_run_does_no_elimination(monkeypatch):
         if scenario.protocol == "subgroup":  # relays own pads too, and get no entry
             relays = {*transcript.senders, *transcript.receivers} - {scenario.s, scenario.t}
             assert relays and owned.keys() == {scenario.s, scenario.t}
-        bits = transcript.public_bits
-        assert (result.secrecy.rank_key, result.secrecy.rank_transcript,
-                result.secrecy.rank_joint) == (len(key_ids), bits, len(key_ids) + bits)
+        assert report_secrecy(report) == closed_form(len(key_ids), transcript.public_bits)
 
 
 class TestOneReduction:
@@ -275,7 +274,9 @@ def test_the_self_check_reports_a_leak_as_the_oracles_do():
         _self_check(result.holders, result.key_ids, leaky)
     assert verify_independence(result.key_forms, leaky.forms(), result.basis).leaked_bits == 1
     assert brute_force_mutual_information(result.key_forms, leaky.forms(), len(result.basis)) == 1
-    assert result.secrecy.leaked_bits == 0
+    # the run's own transcript passes the self-check, and the audit finds no leak in it
+    _self_check(result.holders, result.key_ids, result.transcript)
+    assert verify_independence(result.key_forms, result.transcript.forms(), result.basis).leaked_bits == 0
 
 
 def test_message_views_render_the_labels_of_their_ids():

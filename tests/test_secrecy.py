@@ -13,11 +13,9 @@ from pinkey import (
     SourceBitBasis,
     generate_pairwise_keys,
     run_group_key,
-    verify_independence,
 )
 from pinkey.errors import InstanceTooLarge, UnknownBasisLabel
-from pinkey.oracles import _evaluate, brute_force_mutual_information
-from pinkey.secrecy import gf2_rank
+from pinkey.oracles import _evaluate, brute_force_mutual_information, gf2_rank, verify_independence
 
 from helpers import full_basis, take_all
 
