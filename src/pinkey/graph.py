@@ -310,10 +310,11 @@ class _UnionFind:
 def greedy_spanning_trees(spec: NetworkSpec, tie_break: str = "lex-kruskal") -> Iterator[tuple[Pair, ...]]:
     """The greedy group protocol's trees, each as its edges (i, j) in the order chosen:
     each round's maximum spanning tree of the remaining weights, whose edges are
-    debited by one after the round.  The spec's pairs are ranked once into weight
-    classes, each in pair order, and a debited edge moves down one class; the spec
-    itself is not changed.  The trees stop at the first round that cannot span, so
-    the weights left are disconnected.
+    debited by one after the round.  The spec's pairs are ranked once, in pair
+    order, and each weight class holds its pairs' ranks, ascending: the scans go
+    in pair order, and the debit, which moves a rank down one class, bisects
+    ints, not pairs.  The spec itself is not changed.  The trees stop at the
+    first round that cannot span, so the weights left are disconnected.
 
     A round is one ``_kruskal`` scan over the classes, heaviest first.  lex-kruskal
     takes each class's edges in order, each one that joins two components.
@@ -324,26 +325,29 @@ def greedy_spanning_trees(spec: NetworkSpec, tie_break: str = "lex-kruskal") -> 
     """
     if tie_break not in TIE_BREAK_POLICIES:
         raise ValueError(f"unknown tie-break policy {tie_break!r}; choose from {TIE_BREAK_POLICIES}")
-    classes: dict[int, list[Pair]] = {}
-    for pair, w in sorted(spec.budgets.items()):
-        classes.setdefault(w, []).append(pair)
-    return _greedy_trees(spec.m, classes, tie_break == "degree-min")
+    pairs = sorted(spec.budgets)
+    classes: dict[int, list[int]] = {}
+    for rank, pair in enumerate(pairs):
+        classes.setdefault(spec.budgets[pair], []).append(rank)
+    return _greedy_trees(spec.m, pairs, classes, tie_break == "degree-min")
 
 
-def _greedy_trees(m: int, classes: dict[int, list[Pair]], degree_min: bool) -> Iterator[tuple[Pair, ...]]:
-    while len(chosen := _kruskal(m, classes, degree_min)) == m - 1:
-        yield tuple(pair for _, pair in chosen)
-        for w, pair in chosen:
-            pairs = classes[w]
-            del pairs[bisect_left(pairs, pair)]
-            if not pairs:
+def _greedy_trees(m: int, pairs: list[Pair], classes: dict[int, list[int]],
+                  degree_min: bool) -> Iterator[tuple[Pair, ...]]:
+    while len(chosen := _kruskal(m, pairs, classes, degree_min)) == m - 1:
+        yield tuple(pairs[rank] for _, rank in chosen)
+        for w, rank in chosen:
+            ranks = classes[w]
+            del ranks[bisect_left(ranks, rank)]
+            if not ranks:
                 del classes[w]
             if w > 1:
-                insort(classes.setdefault(w - 1, []), pair)
+                insort(classes.setdefault(w - 1, []), rank)
 
 
-def _kruskal(m: int, classes: dict[int, list[Pair]], degree_min: bool) -> list[tuple[int, Pair]]:
-    """One round: a spanning tree's (weight, pair) edges, or fewer if they do not span.
+def _kruskal(m: int, pairs: list[Pair], classes: dict[int, list[int]], degree_min: bool) -> list[tuple[int, int]]:
+    """One round: a spanning tree's (weight, rank) edges, or fewer if they do not span.
+    The pair of rank r is ``pairs[r]``.
 
     One forward scan per class passes over each pair inside one component for
     good, and picks each addable pair with both ends below the bar.  The addable
@@ -355,21 +359,22 @@ def _kruskal(m: int, classes: dict[int, list[Pair]], degree_min: bool) -> list[t
     members = [[v] for v in range(m)]
     degree = [0] * m
     bar = 0 if degree_min else m  # the peak degree for degree-min, above every degree for lex-kruskal
-    chosen: list[tuple[int, Pair]] = []
+    chosen: list[tuple[int, int]] = []
     for w in sorted(classes, reverse=True):
-        ahead, held = iter(classes[w]), []  # held: addable pairs the bar holds back
+        ahead, held = iter(classes[w]), []  # held: addable ranks the bar holds back
         while True:
             for pick in ahead:
-                i, j = pick
+                i, j = pairs[pick]
                 if component[i] != component[j]:
                     if degree[i] < bar > degree[j]:
                         break
                     held.append(pick)
             else:
-                held = [pair for pair in held if component[pair[0]] != component[pair[1]]]
+                held = [rank for rank in held if component[pairs[rank][0]] != component[pairs[rank][1]]]
                 if not held:
                     break
-                i, j = pick = held.pop(0)
+                pick = held.pop(0)
+                i, j = pairs[pick]
                 bar = max(degree[i], degree[j]) + 1
                 ahead, held = itertools.chain(held, ahead), []
             chosen.append((w, pick))

@@ -20,8 +20,9 @@ per draw, with their values in one ``bytearray``; the basis holds the
 bits a run drew and no others.  Every bit has a label ``prefix +
 index``: ``K0-1:3`` is bit 3 of pair {0, 1}'s key and ``R2:0`` terminal
 2's first local bit.  Labels are never stored: ``labels`` renders them
-all, run by run, ``label`` one, and a label is parsed back only where a
-caller looks it up.  The run path works on ids alone.
+all, run by run, ``labels_from`` those from one id on, ``label`` one,
+and a label is parsed back only where a caller looks it up.  The run
+path works on ids alone.
 """
 
 from __future__ import annotations
@@ -170,14 +171,23 @@ class SourceBitBasis:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        """Every bit's label, in id order: each run slices one digit table, ``digits[k] == str(k)``."""
+        """Every bit's label, in id order."""
+        return tuple(self.labels_from(0))
+
+    def labels_from(self, first: int) -> list[str]:
+        """Each bit's label at its id, rendered from id ``first`` on: the ``first`` entries
+        before it are empty strings, so ids index the list and no earlier bit is rendered.
+
+        Only the runs from the one holding ``first`` are looked at, and each
+        renders its label indices through one ``index_digits`` table, so the
+        work is proportional to the bits rendered.
+        """
         digits: list[str] = []
-        labels: list[str] = []
-        for ids, _, prefix, base in self._runs:
-            first, stop = ids.start - base, ids.stop - base  # the run's label indices
-            digits += map(str, range(len(digits), stop))
-            labels += map(prefix.__add__, digits[first:stop])
-        return tuple(labels)
+        labels = [""] * first
+        for ids, _, prefix, base in self._runs_from(first):
+            # the run's label indices from id first on
+            labels += map(prefix.__add__, index_digits(digits, max(ids.start, first) - base, ids.stop - base))
+        return labels
 
     def _add_runs(self, runs: Sequence[tuple[str, frozenset[int], int]], values: Sequence[int]) -> list[range]:
         """Register ``values`` as consecutive runs, each (prefix, owners, length), and return
@@ -236,9 +246,14 @@ class SourceBitBasis:
         _, _, prefix, base = self._runs[k]
         return prefix, first - base
 
-    def runs(self) -> list[tuple[range, frozenset[int]]]:
-        """Each run's ids and owners, in id order."""
-        return [run[:2] for run in self._runs]
+    def runs(self, first: int = 0) -> list[tuple[range, frozenset[int]]]:
+        """Each run's ids and owners, in id order, from the run holding id ``first`` on: the
+        runs that end at or below ``first`` are skipped by bisection, not looked at."""
+        return [run[:2] for run in self._runs_from(first)]
+
+    def _runs_from(self, first: int) -> list[tuple[range, frozenset[int], str, int]]:
+        """The runs from the one holding id ``first`` on, found by bisection; none past the end."""
+        return self._runs[max(bisect_right(self._starts, first) - 1, 0):] if first < len(self.values) else []
 
     def bits(self, ids: Iterable[int]) -> tuple[int, ...]:
         """The realized values of the given ids."""
@@ -248,6 +263,20 @@ class SourceBitBasis:
         """Label-to-value lookups for evaluating linear forms: the basis itself,
         which reads like a mapping and builds no label map."""
         return self
+
+
+def index_digits(table: list[str], first: int, stop: int) -> list[str]:
+    """``str(k)`` for each k in range(first, stop), from ``table``, which holds ``str(k)`` at k.
+
+    When the range meets the table, the table grows to ``stop`` and the range
+    is sliced from it, so indices that runs share are rendered once; a range
+    that starts past the table is rendered on its own.  Either way the work
+    is proportional to the range, not to ``stop``.
+    """
+    if first > len(table):
+        return list(map(str, range(first, stop)))
+    table += map(str, range(len(table), stop))
+    return table[first:stop]
 
 
 class PairwiseKeyStore:

@@ -27,17 +27,19 @@ id.  Then each public bit's row has a column of its own, a terminal
 learns exactly the ids it owns plus the plain id of each pad it owns,
 and the ranks of key, transcript and both are (|K|, P, |K| + P) for |K|
 distinct key ids and P public bits: the transcript tells nothing about
-the key.  So each run self-checks distinct key ids, pad privacy and
-per-holder replay, which is set inclusion, with no GF(2) elimination,
-and a transcript with a pad that is not private is refused.  The rank
-audit of any forms, ``oracles.verify_independence``, is not imported.
+the key.  So each run self-checks distinct key ids, then pad privacy and
+every holder's replay in one pass with no GF(2) elimination: one table,
+indexed by id, holds what each pad and key id tells its owners, and a
+holder replays when the table's slices over the basis runs it owns hold
+every key id.  A transcript with a pad that is not private is refused.
+The rank audit of any forms, ``oracles.verify_independence``, is not
+imported.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter, deque
-from collections.abc import Collection, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, islice
@@ -46,7 +48,7 @@ from operator import eq, itemgetter
 from .bounds import broadcast_bound, group_bound
 from .errors import InvariantViolation, invariant
 from .graph import greedy_spanning_trees, max_flow
-from .model import Pair, PairwiseKeyStore, SourceBitBasis, canonical_pair
+from .model import Pair, PairwiseKeyStore, SourceBitBasis, canonical_pair, index_digits
 
 # The group bound costs m min cuts per Newton step, but one call can still
 # take seconds on a sparse graph of m = 128.  Runs attach it to their result
@@ -184,7 +186,7 @@ class Transcript:
 
     def forms(self) -> list[LinearForm]:
         """Each public bit's linear form, in payload order."""
-        labels = self.basis.labels  # construction checked that every id has one
+        labels = self._labels()
         return [LinearForm(frozenset((labels[a], labels[b]))) for a, b in zip(self.plain, self.pad)]
 
     def to_text(self) -> str:
@@ -192,48 +194,54 @@ class Transcript:
 
         One line per message: round, sender, receiver, hex payload, and
         the payload's linear forms as sorted label XOR lists.  Payload
-        digits render in one pass over the payload, and so do the forms
-        when every message is one bit wide.  Otherwise a message wider
-        than one bit whose plain ids are consecutive ids of one basis run,
-        and whose pad ids are consecutive ids of a run of another prefix,
-        renders from one table of index digits, in an order set once:
-        every prefix (``K{i}-{j}:`` or ``R{v}:``) ends in its only colon,
-        so no prefix starts another, and two labels of different prefixes
-        compare as their prefixes do.  Every other message slices the
-        forms of all payload bits, rendered, from every label of the
-        basis, when the first such message needs them.
+        digits render in one pass over the payload.  When every message is
+        one bit wide, so are the lines: one comprehension over the columns.
+        Otherwise a message wider than one bit whose plain ids are
+        consecutive ids of one basis run, and whose pad ids are consecutive
+        ids of a run of another prefix, renders from one table of index
+        digits, in an order set once: every prefix (``K{i}-{j}:`` or
+        ``R{v}:``) ends in its only colon, so no prefix starts another, and
+        two labels of different prefixes compare as their prefixes do.
+        Every other message slices the forms of all payload bits, rendered
+        when the first such message needs them.  Labels are rendered from
+        the transcript's smallest id up, not for the bits drawn before it.
         """
         basis, plain, pad, ends = self.basis, self.plain, self.pad, self.ends
         digits = self.payload.translate(_DIGITS).decode()
         if ends == [*range(1, len(ends) + 1)]:  # one bit per message, as in group runs
-            payloads, forms = digits, self._texts()
+            label = self._labels().__getitem__
+            lines = [f"{r} {s} {v} {d} {a}^{b}" if a < b else f"{r} {s} {v} {d} {b}^{a}"
+                     for r, s, v, d, a, b in zip(self.rounds, self.senders, self.receivers, digits,
+                                                 map(label, plain), map(label, pad))]
         else:
             payloads, forms, texts, start = [], [], None, 0
-            numbers: list[str] = []  # numbers[k] == str(k), as far as a run message has needed
+            numbers: list[str] = []  # numbers[k] == str(k), as far as index_digits has grown it
             for end in ends:
                 width = end - start
                 a = width > 1 and basis.run_of(plain[start:end])  # (prefix, first index) or None
                 b = a and basis.run_of(pad[start:end])
                 if b and a[0] != b[0]:
                     (left, x), (right, y) = sorted((a, b))
-                    numbers += map(str, range(len(numbers), max(x, y) + width))
                     # "{left}{i}^{right}{j}" per bit, joined by ";", built by joins alone
-                    pairs = zip(numbers[x:x + width], numbers[y:y + width])
+                    pairs = zip(index_digits(numbers, x, x + width), index_digits(numbers, y, y + width))
                     forms.append(left + f";{left}".join(map(f"^{right}".join, pairs)))
                 else:
                     texts = self._texts() if texts is None else texts
                     forms.append(";".join(texts[start:end]))
                 payloads.append(_hex(digits[start:end]))
                 start = end
-        lines = map("{} {} {} {} {}".format, self.rounds, self.senders, self.receivers, payloads, forms)
+            lines = map("{} {} {} {} {}".format, self.rounds, self.senders, self.receivers, payloads, forms)
         return "\n".join(["transcript v1", *lines]) + "\n"
 
+    def _labels(self) -> list[str]:
+        """Labels indexed by id, rendered from the smallest ``plain`` or ``pad`` id up."""
+        plain, pad = self.plain, self.pad  # construction checked that every id has a label
+        return self.basis.labels_from(min(min(plain), min(pad))) if plain else []
+
     def _texts(self) -> list[str]:
-        """Each public bit's form as ``to_text`` writes it, in payload order, from every label of
-        the basis."""
-        labels = self.basis.labels  # construction checked that every id has one
-        return [f"{a}^{b}" if a < b else f"{b}^{a}"
-                for a, b in zip(map(labels.__getitem__, self.plain), map(labels.__getitem__, self.pad))]
+        """Each public bit's form as ``to_text`` writes it, in payload order."""
+        label = self._labels().__getitem__
+        return [f"{a}^{b}" if a < b else f"{b}^{a}" for a, b in zip(map(label, self.plain), map(label, self.pad))]
 
 
 @dataclass(frozen=True)
@@ -267,40 +275,41 @@ class GroupKeyResult:
         return tuple(LinearForm.unit(self.basis.label(ident)) for ident in self.key_ids)
 
 
-def _learned(key_ids: Collection[int], transcript: Transcript) -> dict[int, int]:
-    """The id that each bit a terminal may own tells it: a key id itself, a pad its ``plain`` id.
-
-    Raises InvariantViolation unless every pad is private: used once, and
-    neither a key id nor a ``plain`` id.
-    """
-    plain, pad = transcript.plain, transcript.pad
-    learned = dict(zip(pad, plain))
-    invariant(len(learned) == len(pad), "a pad bit was reused")
-    invariant({*key_ids, *plain}.isdisjoint(learned), "a pad bit is not private")
-    learned.update(zip(key_ids, key_ids))
-    return learned
-
-
-def owned_ids(basis: SourceBitBasis, ids: Sequence[int], terminals: Iterable[int]) -> dict[int, list[int]]:
-    """The ids among the sorted ``ids`` whose bits each of ``terminals`` owns.  Only runs
-    that one of them owns are looked at, their ids found by bisection, not walked."""
-    owned: dict[int, list[int]] = {terminal: [] for terminal in terminals}
-    for run, owners in basis.runs():
-        if served := owners.intersection(owned):
-            inside = ids[bisect_left(ids, run.start):bisect_left(ids, run.stop)]
-            for owner in served:
-                owned[owner] += inside
-    return owned
-
-
 def _cannot_replay(wanted: set[int], transcript: Transcript, terminals: Iterable[int]) -> list[int]:
     """The terminals, ascending, that cannot replay the key ids ``wanted`` from their own bits
-    and the transcript.  Every pad is private (``_learned`` checks it), so a public bit's row
-    is the only one that mentions its pad: a terminal's own bits and the transcript span
-    exactly the ids that ``learned`` gives it for the ids it owns."""
-    learned = _learned(wanted, transcript)
-    owned = owned_ids(transcript.basis, sorted(learned), terminals)
-    return [terminal for terminal, own in sorted(owned.items()) if not wanted.issubset(map(learned.__getitem__, own))]
+    and the transcript.
+
+    Raises InvariantViolation unless every pad is private: used once, and
+    neither a key id nor a ``plain`` id.  Then a public bit's row is the
+    only one that mentions its pad, so a terminal's own bits and the
+    transcript span exactly what its ids tell it: a key id itself, a pad
+    its ``plain`` id.  One table, indexed by id from the smallest pad or
+    key id up, holds what each such id tells, and a terminal replays when
+    the slices of the table over the basis runs it owns hold every key id.
+    The runs that end below the table are not looked at.
+    """
+    plain, pad = transcript.plain, transcript.pad
+    pads = set(pad)
+    invariant(len(pads) == len(pad), "a pad bit was reused")
+    invariant(pads.isdisjoint(wanted) and pads.isdisjoint(plain), "a pad bit is not private")
+    if not wanted:
+        return []
+    start = min(min(pad), min(wanted)) if pad else min(wanted)
+    basis = transcript.basis
+    # told[i - start]: what id i tells its owners; a key id past the basis gets a cell no run slices
+    told: list[int | None] = [None] * (max(len(basis), max(wanted) + 1) - start)
+    keys = list(wanted)
+    cells = ([i - start for i in pad], [k - start for k in keys]) if start else (pad, keys)
+    # each deque(map(...), 0) writes its cells in one C-level pass, keeping nothing
+    deque(map(told.__setitem__, cells[0], plain), 0)  # a pad tells its plain id
+    deque(map(told.__setitem__, cells[1], keys), 0)  # a key id tells itself
+    slices: dict[int, list[list[int | None]]] = {terminal: [] for terminal in terminals}
+    for ids, owners in basis.runs(start):
+        part = told[max(ids.start - start, 0):ids.stop - start]
+        for owner in owners:
+            if owner in slices:
+                slices[owner].append(part)
+    return [terminal for terminal in sorted(slices) if wanted.difference(*slices[terminal])]
 
 
 def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
@@ -308,15 +317,20 @@ def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
 
     Returns the key bits when the terminal learns every key id, or None:
     the expected outcome for a non-holder unless the protocol routes the
-    key through it: private pads and payload bits computed from their
-    forms tell a learned id its own value.  A pad that is reused or not
-    private raises InvariantViolation.
+    key through it, and for a terminal that owns no bit of the basis.
+    Private pads and payload bits computed from their forms tell a
+    learned id its own value.  Raises ValueError for a terminal that is
+    not a nonnegative int (a bool, such as True, is no terminal), and
+    InvariantViolation for a pad that is reused or not private.
     """
+    if type(terminal) is not int or terminal < 0:
+        raise ValueError(f"terminal {terminal!r} is not a nonnegative int")
     return None if _cannot_replay(set(result.key_ids), result.transcript, (terminal,)) else result.key
 
 
 def _self_check(holders: frozenset[int], key_ids: Sequence[int], transcript: Transcript) -> None:
-    """Check a run's parts: distinct key ids, private pads and replay by every holder.
+    """Check a run's parts: distinct key ids, then private pads and replay by every holder,
+    both in one ``_cannot_replay`` pass over one table of what each id tells.
 
     Private pads make the P public rows and the key's |K| distinct unit
     rows independent: ranks |K|, P and |K| + P, and the transcript tells
@@ -426,10 +440,11 @@ def flood(store: PairwiseKeyStore, routes: Iterable[Route],
         uses.append(seed)
         while queue:
             u = queue.popleft()
+            level = depth[u]
             for v in adjacency[u]:
                 if v not in depth:
-                    depth[v] = depth[u] + 1
-                    rounds.append(depth[u])
+                    depth[v] = level + 1
+                    rounds.append(level)
                     senders.append(u)
                     receivers.append(v)
                     uses.append((u, v) if u < v else (v, u))

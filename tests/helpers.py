@@ -94,6 +94,42 @@ def known_to(basis, terminal: int) -> list[str]:
     return [label for label, held in zip(basis.labels, owners(basis)) if terminal in held]
 
 
+def reference_replay(result, terminal):
+    """Replay by textbook elimination over label sets, independent of the package.
+
+    Equations are (labels, value) pairs: the terminal's own source bits,
+    then every public payload bit.  Each stored row keeps its pivot label
+    and is reduced against all earlier rows, so one pass in order reduces
+    a new row completely.
+    """
+    basis = result.basis
+    equations = [({label}, basis[label]) for label in known_to(basis, terminal)]
+    equations += [(set(form.labels), bit)
+                  for msg in result.transcript for form, bit in zip(msg.forms, msg.payload)]
+    rows = []
+
+    def reduce(labels, value):
+        for pivot, row_labels, row_value in rows:
+            if pivot in labels:
+                labels = labels ^ row_labels
+                value ^= row_value
+        return labels, value
+
+    for labels, value in equations:
+        labels, value = reduce(labels, value)
+        if labels:
+            rows.append((min(labels), labels, value))
+        else:
+            assert value == 0, "inconsistent equations"
+    out = []
+    for form in result.key_forms:
+        labels, value = reduce(set(form.labels), 0)
+        if labels:
+            return None
+        out.append(value)
+    return tuple(out)
+
+
 SECRECY_FIELDS = ("rank_key", "rank_transcript", "rank_joint", "leaked_bits", "uniform")
 
 

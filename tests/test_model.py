@@ -280,6 +280,19 @@ class TestIds:
             prefix, index = basis.run_of([ident])
             assert f"{prefix}{index}" == basis.label(ident)
 
+    def test_labels_and_runs_from_an_id_on_skip_the_bits_before_it(self):
+        # pair {0, 1}'s indices go on past 300 in its second run, where no digit table reaches
+        store = generate_pairwise_keys(NetworkSpec(3, {(0, 1): 310, (1, 2): 4}), 2)
+        runs = [store.take(0, 1, 300), store.take(1, 2, 4), store.take(0, 1, 10), store.fresh(2, 3)]
+        basis = store.basis
+        labels = [basis.label(ident) for ident in range(len(basis))]
+        assert list(basis.labels) == labels and labels[304] == "K0-1:300"
+        for first in (0, 1, 299, 300, 302, 304, 309, 314, 316, len(basis)):
+            assert basis.labels_from(first) == [""] * first + labels[first:], first
+            skipped = sum(ids.stop <= first for ids in runs)
+            assert basis.runs(first) == basis.runs()[skipped:], first
+        assert basis.runs() == [(ids, frozenset(held)) for ids, held in zip(runs, [(0, 1), (1, 2), (0, 1), (2,)])]
+
     def test_the_basis_reads_as_a_label_to_value_mapping(self):
         store = generate_pairwise_keys(TRIANGLE, 3)
         keys = take_all(store)

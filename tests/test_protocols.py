@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
 import random
 import subprocess
@@ -33,8 +35,8 @@ from pinkey.oracles import (MI_BASIS_LIMIT, brute_force_mutual_information, is_c
                             verify_independence)
 from pinkey.protocols import GroupKeyResult, PublicMessage, _hex, _self_check
 
-from helpers import (audited, closed_form, debit, full_basis, key_values, known_to, random_connected_spec,
-                     random_spec, take_all, tagged_stream, transcript_columns, transcript_of)
+from helpers import (audited, closed_form, debit, full_basis, key_values, random_connected_spec, random_spec,
+                     reference_replay, take_all, tagged_stream, transcript_columns, transcript_of)
 
 TRIANGLE = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
 
@@ -69,42 +71,6 @@ def reference_text(transcript):
 
 def leak_report(result):
     return verify_independence(result.key_forms, result.transcript.forms(), result.basis)
-
-
-def reference_replay(result, terminal):
-    """Replay by textbook elimination over label sets, independent of the package.
-
-    Equations are (labels, value) pairs: the terminal's own source bits,
-    then every public payload bit.  Each stored row keeps its pivot label
-    and is reduced against all earlier rows, so one pass in order reduces
-    a new row completely.
-    """
-    basis = result.basis
-    equations = [({label}, basis[label]) for label in known_to(basis, terminal)]
-    equations += [(set(form.labels), bit)
-                  for msg in result.transcript for form, bit in zip(msg.forms, msg.payload)]
-    rows = []
-
-    def reduce(labels, value):
-        for pivot, row_labels, row_value in rows:
-            if pivot in labels:
-                labels = labels ^ row_labels
-                value ^= row_value
-        return labels, value
-
-    for labels, value in equations:
-        labels, value = reduce(labels, value)
-        if labels:
-            rows.append((min(labels), labels, value))
-        else:
-            assert value == 0, "inconsistent equations"
-    out = []
-    for form in result.key_forms:
-        labels, value = reduce(set(form.labels), 0)
-        if labels:
-            return None
-        out.append(value)
-    return tuple(out)
 
 
 def self_check(result):
@@ -851,12 +817,13 @@ class TestRenderingPaths:
         transcripts = [star, relay, hand]
         expected = [reference_text(transcript) for transcript in transcripts]
 
-        def refuse(basis):
-            raise AssertionError("a run message read every label of the basis")
+        def refuse(basis, first=0):
+            raise AssertionError("a run message rendered labels of the basis")
 
         monkeypatch.setattr(SourceBitBasis, "labels", property(refuse))
+        monkeypatch.setattr(SourceBitBasis, "labels_from", refuse)
         assert [transcript.to_text() for transcript in transcripts] == expected
-        with pytest.raises(AssertionError, match="every label"):
+        with pytest.raises(AssertionError, match="rendered labels"):
             columns_transcript(store.basis, [(a[0:2], a[2:4])]).to_text()
 
 
@@ -1024,3 +991,112 @@ class TestSelfCheck:
                 print("caught:", exc)
         """)
         assert run_optimized(code) == "caught: a key bit repeats\n"
+
+
+def random_routes(rng, store, count):
+    """Up to ``count`` random routes over the pairs with unused bits: a random tree on a random
+    node set, seeded by one of its edges or nodes, one or two bits wide."""
+    spec, routes = store.spec, []
+    for _ in range(count):
+        nodes = rng.sample(range(spec.m), rng.randint(2, spec.m))
+        pairs = [(i, j) for i in nodes for j in nodes if i < j and store.remaining(i, j) > 0]
+        rng.shuffle(pairs)
+        component = {v: v for v in nodes}
+        tree = []
+        for i, j in pairs:
+            a, b = component[i], component[j]
+            if a != b:
+                tree.append((i, j))
+                component = {v: a if c == b else c for v, c in component.items()}
+        if len(tree) == len(nodes) - 1:
+            routes.append((tree, rng.choice([rng.choice(tree), rng.choice(nodes)]), rng.randint(1, 2)))
+    return routes
+
+
+class TestReplay:
+    def test_replay_matches_the_reference_on_shared_stores(self):
+        rng = random.Random(2903)
+        results, later = 0, 0
+        for _ in range(80):
+            spec = random_connected_spec(rng, max_m=5, max_budget=9)
+            store = generate_pairwise_keys(spec, rng.randrange(2**16))
+            runs = []
+            for _ in range(rng.randint(2, 4)):
+                if rng.random() < 0.3:
+                    s, t = rng.sample(range(spec.m), 2)
+                    try:
+                        runs.append(run_subgroup(store, s, t))
+                    except InsufficientKeyMaterial:
+                        pass
+                    continue
+                routes = random_routes(rng, store, rng.randint(1, 3))
+                if not routes:
+                    continue
+                try:
+                    key_ids, transcript = flood(store, routes)
+                except InsufficientKeyMaterial:
+                    continue
+                nodes = set.intersection(*({v for edge in tree for v in edge} for tree, _, _ in routes))
+                runs.append(GroupKeyResult(frozenset(nodes), key_ids, transcript, None))
+            # earlier runs are replayed after later runs drew from the store too
+            for result in runs:
+                holders = set()
+                for terminal in range(spec.m + 1):
+                    replayed = reference_replay(result, terminal)
+                    assert replay_key(result, terminal) == replayed
+                    if replayed is not None:
+                        holders.add(terminal)
+                assert result.holders <= holders
+                _self_check(frozenset(holders), result.key_ids, result.transcript)
+                results += 1
+                later += min(result.transcript.pad, default=0) > 0  # the run's ids start past 0
+        assert results >= 100 and later >= 40, (results, later)
+
+    def test_a_key_id_outside_the_basis_is_learned_by_no_terminal(self):
+        result = run_subgroup(generate_pairwise_keys(TRIANGLE, 7), 0, 2)
+        for outside in (-1, len(result.basis), len(result.basis) + 5):
+            bad = replace(result, key_ids=(*result.key_ids, outside))
+            assert [replay_key(bad, terminal) for terminal in range(4)] == [None] * 4
+            with pytest.raises(InvariantViolation, match="holder 0 cannot replay"):
+                self_check(bad)
+
+    @pytest.mark.parametrize("terminal", [2.0, True, False, None, -1, "2", 1.5])
+    def test_a_terminal_that_is_no_nonnegative_int_is_refused(self, terminal):
+        result = run_subgroup(generate_pairwise_keys(TRIANGLE, 7), 0, 2)
+        # 2.0 == 2 and True == 1 would otherwise answer as terminals 2 and 1
+        assert replay_key(result, 2) == result.key and replay_key(result, 1) is None
+        with pytest.raises(ValueError, match="is not a nonnegative int"):
+            replay_key(result, terminal)
+
+    def test_each_pad_that_is_not_private_is_refused_alike_under_python_O(self):
+        # an earlier draw, so that the run's ids start past 0; then key bit k and pads a, b, c
+        code = textwrap.dedent("""
+            from pinkey import NetworkSpec, Transcript, generate_pairwise_keys, replay_key
+            from pinkey.errors import InvariantViolation
+            from pinkey.protocols import GroupKeyResult, _self_check
+
+            store = generate_pairwise_keys(NetworkSpec.star([6, 6, 6]), 3)
+            store.take(0, 1, 2)
+            k, a, b, c = store.take(0, 2, 4)
+            cases = {"private": ([k], [a]), "reused": ([k, b], [a, a]), "key": ([b], [k]),
+                     "plain": ([k, b], [b, c]), "reused and plain": ([k, b, a], [b, c, c])}
+            for name, (plain, pad) in cases.items():
+                n = len(pad)
+                transcript = Transcript(store.basis, [0] * n, [0] * n, [2] * n, range(1, n + 1), plain, pad)
+                result = GroupKeyResult(frozenset({0, 2}), (k,), transcript, None)
+                for check in (lambda: _self_check(result.holders, result.key_ids, transcript),
+                              lambda: replay_key(result, 2)):
+                    try:
+                        print(name, check() is None)
+                    except InvariantViolation as exc:
+                        print(name, "caught:", exc)
+        """)
+        expected = ("private True\nprivate False\n"
+                    + "".join(f"{name} caught: {message}\n" * 2 for name, message in [
+                        ("reused", "a pad bit was reused"), ("key", "a pad bit is not private"),
+                        ("plain", "a pad bit is not private"), ("reused and plain", "a pad bit was reused")]))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(code, {})
+        assert out.getvalue() == expected
+        assert run_optimized('assert False, "assertions must be off"\n' + code) == expected

@@ -14,16 +14,18 @@ from pathlib import Path
 import pytest
 
 import pinkey.graph
+import pinkey.model
 import pinkey.oracles
 import pinkey.protocols
-from pinkey import NetworkSpec, generate_pairwise_keys, run_broadcast, run_subgroup
+from pinkey import NetworkSpec, flood, generate_pairwise_keys, replay_key, run_broadcast, run_subgroup
 from pinkey.cli import Scenario, load_scenario, run_scenario
 from pinkey.errors import InvariantViolation
+from pinkey.model import SourceBitBasis
 from pinkey.oracles import brute_force_mutual_information, verify_independence
-from pinkey.protocols import PublicMessage, _self_check, owned_ids
+from pinkey.protocols import GroupKeyResult, PublicMessage, _self_check
 
-from helpers import (audited, closed_form, random_connected_spec, random_star_spec, report_secrecy,
-                     transcript_of)
+from helpers import (audited, closed_form, random_connected_spec, random_star_spec, reference_replay,
+                     report_secrecy, transcript_of)
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "demos" / "scenarios").glob("*.txt"))
@@ -187,39 +189,42 @@ def _group_scenario() -> Scenario:
 
 
 def test_a_run_does_no_elimination(monkeypatch):
-    trace = {}
+    calls = []
+    cannot_replay = pinkey.protocols._cannot_replay
 
-    def traced(name, fn):
-        def wrapper(*args):
-            trace[name].append(fn(*args))
-            return trace[name][-1]
-        return wrapper
+    def traced(wanted, transcript, terminals):
+        terminals = list(terminals)
+        calls.append((set(wanted), transcript, terminals, cannot_replay(wanted, transcript, terminals)))
+        return calls[-1][-1]
 
     def kernel(*args):
         raise AssertionError("a run reduced rows with gf2_rank")
 
     assert not hasattr(pinkey.protocols, "gf2_rank")
     monkeypatch.setattr(pinkey.oracles, "gf2_rank", kernel)
-    monkeypatch.setattr(pinkey.protocols, "_learned", traced("learned", pinkey.protocols._learned))
-    monkeypatch.setattr(pinkey.protocols, "owned_ids", traced("owned", owned_ids))
+    monkeypatch.setattr(pinkey.protocols, "_cannot_replay", traced)
     for scenario in (_star_scenario(), _relay_scenario(), _group_scenario()):
-        trace.update(learned=[], owned=[])
+        calls.clear()
         report, result = run_scenario(scenario)
         transcript = result.transcript
-        assert len(result.key) > 0 and transcript.public_bits > 0
-        # one pass over the transcript: every pad is private and tells its
-        # owners its plain bit, and a key id tells its owners itself
-        ((learned,), (owned,)) = trace["learned"], trace["owned"]
         key_ids = result.key_ids
-        assert learned == {**dict(zip(transcript.pad, transcript.plain)), **dict(zip(key_ids, key_ids))}
-        assert len(learned) == len(key_ids) + transcript.public_bits
-        # only holders are served, and every one learns every key id
-        assert owned.keys() == result.holders
-        for own in owned.values():
-            assert set(key_ids) <= {learned[ident] for ident in own}
-        if scenario.protocol == "subgroup":  # relays own pads too, and get no entry
+        assert len(result.key) > 0 and transcript.public_bits > 0
+        # one pass over the transcript, for the run's key ids
+        ((wanted, checked, asked, stuck),) = calls
+        assert wanted == set(key_ids) and checked is transcript
+        # every pad is private: used once, and neither a key id nor a plain id
+        pads = set(transcript.pad)
+        assert len(pads) == transcript.public_bits and pads.isdisjoint({*key_ids, *transcript.plain})
+        # only holders are asked, and every one learns every key id: a pad it
+        # owns tells it its plain id, and a key id it owns tells it itself
+        assert sorted(asked) == sorted(result.holders) and stuck == []
+        learned = {**dict(zip(transcript.pad, transcript.plain)), **dict(zip(key_ids, key_ids))}
+        for holder in asked:
+            own = [ident for ids, owners in result.basis.runs() if holder in owners for ident in ids]
+            assert set(key_ids) <= {learned[ident] for ident in own if ident in learned}
+        if scenario.protocol == "subgroup":  # relays own pads too, and are not asked
             relays = {*transcript.senders, *transcript.receivers} - {scenario.s, scenario.t}
-            assert relays and owned.keys() == {scenario.s, scenario.t}
+            assert relays and set(asked) == {scenario.s, scenario.t}
         assert report_secrecy(report) == closed_form(len(key_ids), transcript.public_bits)
 
 
@@ -300,24 +305,52 @@ def test_message_views_slice_concatenate_and_print_as_tuples():
     assert " at 0x" not in repr(msg)
 
 
-def test_owned_ids_look_only_at_served_runs_and_do_not_walk_them():
-    class Run:  # a run of 10**15 ids, nearly all outside the given ids
-        def __init__(self, start):
-            self.start, self.stop = start, start + 10**15
+def test_a_run_on_a_drawn_store_reads_none_of_the_earlier_runs(monkeypatch):
+    # 600 bits of pair {0, 1} and of terminal 0's local stream, then runs of 4 bits and of 2 trees
+    spec = NetworkSpec(5, {(0, 1): 600, (0, 2): 4, (2, 3): 2, (3, 4): 2})
+    store = generate_pairwise_keys(spec, 8)
+    earlier = run_subgroup(store, 0, 1)
+    drawn = len(store.basis)
+    texts = (earlier.transcript.to_text(), earlier.transcript.forms())
+    sliced, rendered = [], []
+    runs, labels_from = SourceBitBasis.runs, SourceBitBasis.labels_from
 
-        def __iter__(self):
-            raise AssertionError("owned_ids walked a run bit by bit")
+    def traced_runs(basis, first=0):
+        sliced.extend(got := runs(basis, first))
+        return got
 
-    class Unserved:  # a run that none of the terminals served owns
-        def __getattr__(self, name):
-            raise AssertionError("owned_ids looked at a run that no terminal served owns")
+    def traced_labels(basis, first):
+        rendered.append(first)
+        return labels_from(basis, first)
 
-    class Basis:
-        def runs(self):
-            return [(Run(0), frozenset({0, 1})), (Unserved(), frozenset({3})),
-                    (Run(10**15), frozenset({1, 2}))]
-
-    ids = [5, 9, 10**15 + 7]
-    assert owned_ids(Basis(), ids, (0, 2)) == {0: [5, 9], 2: [10**15 + 7]}
-    assert owned_ids(Basis(), ids, (1,)) == {1: ids}
-    assert owned_ids(Basis(), ids, ()) == {}
+    monkeypatch.setattr(SourceBitBasis, "runs", traced_runs)
+    monkeypatch.setattr(SourceBitBasis, "labels_from", traced_labels)
+    later = run_subgroup(store, 0, 2)
+    assert drawn == 1200 and len(later.key_ids) == 4 and min(later.transcript.pad) == drawn
+    # the self-check slices the later run's basis runs only
+    assert sliced and all(ids.start >= drawn for ids, _ in sliced)
+    forms = [f"K0-2:{k}^R0:{600 + k}" for k in range(4)]
+    # each of the 8 later bits' label indices is rendered once per view, not indices 0-599 of R0
+    indices = []
+    monkeypatch.setattr(pinkey.model, "str", lambda k: indices.append(k) or f"{k}", raising=False)
+    assert later.transcript.to_text().split("\n")[1].endswith(" " + ";".join(forms))
+    assert [str(form) for form in later.transcript.forms()] == forms
+    assert sorted(indices) == sorted([*range(4), *range(600, 604)] * 2)
+    monkeypatch.delattr(pinkey.model, "str")
+    # one bit per message: two trees 2-3-4, seeded by pair {2, 3}
+    key_ids, transcript = flood(store, [([(2, 3), (3, 4)], (2, 3), 1)] * 2)
+    trees = GroupKeyResult(frozenset({2, 3, 4}), key_ids, transcript, None)
+    assert transcript.to_text() == "transcript v1\n" + "".join(
+        f"{k} 3 4 {transcript.payload[k]} K2-3:{k}^K3-4:{k}\n" for k in range(2))
+    # labels render from each run's smallest id up, and the earlier run renders as before
+    assert set(rendered) == {drawn, drawn + 8}
+    assert (earlier.transcript.to_text(), earlier.transcript.forms()) == texts
+    # replay of every run, earlier ones too, slices from the run's smallest id up
+    for result in (earlier, later, trees):
+        first = min(min(result.transcript.pad), min(result.key_ids))
+        for terminal in range(6):
+            sliced.clear()
+            replayed = replay_key(result, terminal)
+            assert sliced and all(ids.stop > first for ids, _ in sliced)
+            assert replayed == reference_replay(result, terminal)
+    assert [replay_key(trees, t) is None for t in range(6)] == [True, True, False, False, False, True]
