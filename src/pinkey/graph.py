@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, insort
-from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .errors import invariant
 from .model import NetworkSpec, Pair
@@ -56,11 +56,7 @@ class Partition:
         return len(self.blocks)
 
     def block_index(self) -> dict[int, int]:
-        out = {}
-        for t, block in enumerate(self.blocks):
-            for node in block:
-                out[node] = t
-        return out
+        return {node: t for t, block in enumerate(self.blocks) for node in block}
 
     def crossing_weight(self, spec: NetworkSpec) -> int:
         """Total weight of edges whose endpoints lie in different blocks."""
@@ -96,72 +92,80 @@ class FlowAssignment:
     cut: Partition
 
 
-def _edmonds_karp(cap: dict[int, dict[int, int]], s: int, t: int) -> int:
-    """Augment the residual table ``cap`` to a maximum s-t flow; return its value.
+def _edmonds_karp(cap: list[list[int]], s: int, t: int) -> int:
+    """Augment the residual matrix ``cap`` to a maximum s-t flow; return its value.
 
-    ``cap[u][v]`` is the residual capacity of arc u->v, and every arc
-    needs its reverse entry (zero for a one-way arc).  Neighbours are
-    scanned in ascending order, which fixes the flow found and so the
-    path decomposition that subgroup transcripts follow.
+    ``cap[u][v]`` is the residual capacity of arc u->v.  Each search scans
+    neighbours in ascending order, which fixes the flow found and so the
+    path decomposition that subgroup transcripts follow.  The arc s->t and
+    then each path s->u->t, u ascending, are pushed in bulk first: they are
+    the searches' first augmentations, in their order, as a search finds t
+    among s's neighbours, else from the first of them with an arc to t, and
+    a push only adds arcs into s and out of t.
     """
-    order = {u: sorted(arcs) for u, arcs in cap.items()}
-    value = 0
-    while True:
-        parent = _reach(cap, order, s, t)
-        if t not in parent:
-            return value
-        bottleneck = None
-        node = t
-        while parent[node] is not None:
-            prev = parent[node]
-            c = cap[prev][node]
-            bottleneck = c if bottleneck is None else min(bottleneck, c)
-            node = prev
-        invariant(bottleneck is not None and bottleneck > 0, "augmenting path has no capacity")
-        node = t
-        while parent[node] is not None:
-            prev = parent[node]
-            cap[prev][node] -= bottleneck
-            cap[node][prev] += bottleneck
-            node = prev
-        value += bottleneck
+    source, sink = cap[s], cap[t]
+    value = source[t]
+    source[t] = 0
+    sink[s] += value
+    for u, row in enumerate(cap):
+        if c := min(source[u], row[t]):
+            source[u] -= c
+            row[s] += c
+            row[t] -= c
+            sink[u] += c
+            value += c
+    if not any(source):  # no search can leave s
+        return value
+    return value + sum(amount for _, amount in _augmenting_paths(cap, s, t, True))
 
 
-def _reach(
-    cap: dict[int, dict[int, int]], order: dict[int, Iterable[int]], s: int, t: int | None = None
-) -> dict[int, int | None]:
-    """Breadth-first parents from s over arcs with ``cap[u][v] > 0``, scanning
-    each node's neighbours in ``order``, until t is reached."""
+def _augmenting_paths(cap: list[list[int]], s: int, t: int, residual: bool) -> Iterator[tuple[list[int], int]]:
+    """Each breadth-first s-t path over the arcs of ``cap`` and its bottleneck,
+    taken off each arc before the next search, and put on its reverse if
+    ``residual``."""
+    arcs: list[int | None] = [None] * len(cap)
+    while t in (parent := _reach(cap, arcs, s, t)):
+        path = [t]
+        while (u := parent[path[-1]]) is not None:
+            path.append(u)
+        path.reverse()
+        hops = list(zip(path, path[1:]))
+        amount = min(cap[u][v] for u, v in hops)
+        invariant(amount > 0, "augmenting path has no capacity")
+        for u, v in hops:  # the search cached row u, and row v unless v is t
+            cap[u][v] -= amount
+            if not cap[u][v]:
+                arcs[u] ^= 1 << v
+            if residual:
+                cap[v][u] += amount
+                if arcs[v] is not None:
+                    arcs[v] |= 1 << u
+        yield path, amount
+
+
+def _reach(cap: list[list[int]], arcs: list[int | None], s: int, t: int | None = None) -> dict[int, int | None]:
+    """Breadth-first parents from s over the arcs u->v with ``cap[u][v] > 0``,
+    each node's in ascending order, until t is reached.  ``arcs[u]`` caches
+    row u's arcs as the bits v of an int, filled in as rows are scanned."""
     parent: dict[int, int | None] = {s: None}
-    queue = deque([s])
-    while queue and t not in parent:
-        u = queue.popleft()
-        for v in order.get(u, ()):
-            if v not in parent and cap[u][v] > 0:
-                parent[v] = u
-                queue.append(v)
+    unseen = ~(1 << s)
+    queue = [s]
+    for u in queue:
+        if (new := arcs[u]) is None:
+            new = arcs[u] = sum(map(_BIT, itertools.compress(range(len(cap)), cap[u])))
+        new &= unseen
+        unseen ^= new
+        while new:
+            low = new & -new
+            parent[v := low.bit_length() - 1] = u
+            queue.append(v)
+            new ^= low
+        if t in parent:
+            break
     return parent
 
 
-def _decompose(
-    flows: dict[tuple[int, int], int], s: int, t: int
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    remaining: dict[int, dict[int, int]] = {}
-    for (u, v), f in flows.items():
-        remaining.setdefault(u, {})[v] = f
-    order = {u: sorted(arcs) for u, arcs in remaining.items()}
-    paths = []
-    while t in (parent := _reach(remaining, order, s, t)):
-        path = [t]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])  # type: ignore[arg-type]
-        path.reverse()
-        hops = list(zip(path, path[1:]))
-        amount = min(remaining[u][v] for u, v in hops)
-        for u, v in hops:
-            remaining[u][v] -= amount
-        paths.append((tuple(path), amount))
-    return tuple(sorted(paths))
+_BIT = (1).__lshift__  # v -> 1 << v
 
 
 def max_flow(spec: NetworkSpec, s: int, t: int) -> FlowAssignment:
@@ -173,18 +177,13 @@ def max_flow(spec: NetworkSpec, s: int, t: int) -> FlowAssignment:
     _check_terminals(spec, s, t)
     # Each pair's weight starts as residual capacity in both directions;
     # pushing f along u->v moves capacity from (u,v) to (v,u).
-    cap: dict[int, dict[int, int]] = {u: {} for u in range(spec.m)}
-    for (i, j), w in spec.budgets.items():
-        _add_arc(cap, i, j, w, w)
+    cap = _weights(spec)
     value = _edmonds_karp(cap, s, t)
-    net: dict[tuple[int, int], int] = {}
+    net = [[0] * spec.m for _ in range(spec.m)]
     for i, j in spec.budgets:
-        x = (cap[j][i] - cap[i][j]) // 2
-        if x > 0:
-            net[(i, j)] = x
-        elif x < 0:
-            net[(j, i)] = -x
-    paths = _decompose(net, s, t)
+        if f := (cap[j][i] - cap[i][j]) // 2:  # the net flow i -> j
+            net[i][j], net[j][i] = max(f, 0), max(-f, 0)
+    paths = tuple(sorted((tuple(path), amount) for path, amount in _augmenting_paths(net, s, t, False)))
     invariant(sum(amount for _, amount in paths) == value, "flow paths do not add up to the flow value")
     return FlowAssignment(value=value, paths=paths, cut=_residual_cut(spec, cap, s, value))
 
@@ -197,11 +196,19 @@ def _check_terminals(spec: NetworkSpec, s: int, t: int) -> None:
         raise ValueError("source and sink must differ")
 
 
-def _residual_cut(spec: NetworkSpec, cap: dict[int, dict[int, int]], s: int, value: int) -> Partition:
-    """The cut around what s reaches in the residual table of a flow of ``value``."""
-    cut = _cut(spec, _reach(cap, cap, s))  # around the smallest min-cut side
+def _residual_cut(spec: NetworkSpec, cap: list[list[int]], s: int, value: int) -> Partition:
+    """The cut around what s reaches in the residual matrix of a flow of ``value``."""
+    cut = _cut(spec, _reach(cap, [None] * len(cap), s))  # around the smallest min-cut side
     invariant(cut.crossing_weight(spec) == value, "residual cut does not match the flow value")
     return cut
+
+
+def _weights(spec: NetworkSpec, scale: int = 1) -> list[list[int]]:
+    """The m x m matrix of scale times each pair's weight, zero off the pairs."""
+    matrix = [[0] * spec.m for _ in range(spec.m)]
+    for (i, j), w in spec.budgets.items():
+        matrix[i][j] = matrix[j][i] = scale * w
+    return matrix
 
 
 def _cut(spec: NetworkSpec, side: Iterable[int]) -> Partition:
@@ -218,26 +225,23 @@ def graph_strength(spec: NetworkSpec) -> tuple[Fraction, Partition]:
 
     The same minimum as oracles.min_normalized_multicut, in polynomial time
     (Cunningham, "Optimal attack and reinforcement of a network", JACM
-    1985).  A Newton loop on the ratio starts at the singleton partition's
-    W / (m - 1); each step finds a partition minimizing
-    crossing_weight - ratio * (k - 1), and moves to that partition's ratio
-    while it is smaller.
+    1985).  A Newton loop on the ratio starts at the smaller of the
+    singletons' W / (m - 1) and the least weighted degree, the ratio of that
+    node against the rest.  Each step finds a partition minimizing
+    crossing_weight - ratio * (k - 1), whose ratio is at most the current
+    one, as the current one's partition scores zero, and moves to it.
 
-    The witness is the partition of the last improving step, or the
-    singletons if none improved: the finest partition attaining the
-    minimum, which refines every other partition that attains it.
+    The witness is the step's partition once its ratio ties: the finest
+    partition attaining the minimum, which refines every other that does.
     """
-    best = Fraction(spec.total_budget(), spec.m - 1)
-    witness = Partition(tuple(frozenset((v,)) for v in range(spec.m)))
+    best = min(Fraction(spec.total_budget(), spec.m - 1), Fraction(min(map(sum, _weights(spec)))))
     while True:
         partition = _min_penalized_partition(spec, best)
-        if partition.k < 2:
-            break
         ratio = partition.normalized_weight(spec)
-        if ratio >= best:
-            break
-        best, witness = ratio, partition
-    return best, witness
+        invariant(ratio <= best, "a strength step raised the ratio")
+        if ratio == best:
+            return best, partition
+        best = ratio
 
 
 def _min_penalized_partition(spec: NetworkSpec, ratio: Fraction) -> Partition:
@@ -251,39 +255,35 @@ def _min_penalized_partition(spec: NetworkSpec, ratio: Fraction) -> Partition:
     node after i merged into a sink, the sign of each earlier x_u as an
     arc from the source or to the sink.  Each smallest minimizing S is
     tight for the final x, so the sets merged where they meet are the
-    blocks of a minimizer.
+    blocks of a minimizer.  Each cut's network is row slices of one weight
+    matrix, with each earlier node's running weight to the nodes after i.
     """
     p, q = ratio.numerator, ratio.denominator
-    edges = sorted(spec.budgets.items())
+    weight = _weights(spec, q)
+    to_sink = [sum(row) for row in weight]
     x = [0] * spec.m
     blocks = _UnionFind(spec.m)
     for i in range(spec.m):
         sink = i + 1  # stands for all of i + 1 .. m - 1
-        cap: dict[int, dict[int, int]] = {u: {} for u in range(i + 2)}
-        for (u, v), w in edges:
-            if u > i:
-                break
-            _add_arc(cap, u, min(v, sink), q * w, q * w)
+        to_sink = list(map(sub, to_sink, weight[i]))  # for each u <= i, its weight after i
+        cap = [weight[u][:sink] + [to_sink[u]] for u in range(sink)]
+        cap.append(to_sink[:sink] + [0])
         offset = 0
         for u in range(i):
             if x[u] > 0:
-                _add_arc(cap, i, u, x[u])
+                cap[i][u] += x[u]
                 offset += x[u]
             elif x[u] < 0:
-                _add_arc(cap, u, sink, -x[u])
+                cap[u][sink] -= x[u]
         # The cut of side S is q d(S) + offset - x(S - i).
         x[i] = _edmonds_karp(cap, i, sink) - offset - 2 * p
-        for u in _reach(cap, cap, i):
-            blocks.union(i, u)
+        if any(cap[i]):  # else i's residual side is i alone
+            for u in _reach(cap, [None] * len(cap), i):
+                blocks.union(i, u)
     members: dict[int, set[int]] = {}
     for v in range(spec.m):
         members.setdefault(blocks.find(v), set()).add(v)
     return Partition(tuple(frozenset(b) for b in members.values()))
-
-
-def _add_arc(cap: dict[int, dict[int, int]], u: int, v: int, c: int, back: int = 0) -> None:
-    cap[u][v] = cap[u].get(v, 0) + c
-    cap[v][u] = cap[v].get(u, 0) + back
 
 
 # --- spanning trees -----------------------------------------------------

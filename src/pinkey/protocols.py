@@ -50,10 +50,11 @@ from .errors import InvariantViolation, invariant
 from .graph import greedy_spanning_trees, max_flow
 from .model import Pair, PairwiseKeyStore, SourceBitBasis, canonical_pair, index_digits
 
-# The group bound costs m min cuts per Newton step, but one call can still
-# take seconds on a sparse graph of m = 128.  Runs attach it to their result
-# only up to this size, which keeps the reports of larger group runs as
-# they were, with bound and gap "-".
+# The group bound costs m min cuts per Newton step: under a second on a
+# sparse graph of m = 128, but on the dense m = 16..40 graphs still about a
+# sixth of what their key generation and run take.  Runs attach it to their
+# result only up to this size, which keeps the reports of larger group runs
+# as they were, with bound and gap "-".
 GROUP_BOUND_AUTO_LIMIT = 9
 
 

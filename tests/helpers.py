@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import deque
 from itertools import accumulate
 
 from pinkey import NetworkSpec, Transcript, generate_pairwise_keys
@@ -21,6 +22,14 @@ def random_spec(rng: random.Random, max_m: int = 6, max_budget: int = 8, min_m: 
     return NetworkSpec(m, budgets)
 
 
+def sparse_spec(m: int, p: float, seed: int, max_budget: int = 5) -> NetworkSpec:
+    """Each pair i < j, in order, kept if ``r.random() < p`` and then given ``r.randint(1, max_budget)``,
+    for ``r = random.Random(seed)``."""
+    r = random.Random(seed)
+    return NetworkSpec(m, {(i, j): r.randint(1, max_budget)
+                           for i in range(m) for j in range(i + 1, m) if r.random() < p})
+
+
 def random_connected_spec(rng: random.Random, max_m: int = 6, max_budget: int = 8) -> NetworkSpec:
     while True:
         spec = random_spec(rng, max_m, max_budget)
@@ -36,6 +45,53 @@ def random_star_spec(rng: random.Random, max_m: int = 8, max_budget: int = 12) -
 def debit(spec: NetworkSpec, edges) -> NetworkSpec:
     """The spec's budgets after one bit is spent on every edge (i, j) of a tree."""
     return NetworkSpec(spec.m, {pair: w - (pair in edges) for pair, w in spec.budgets.items()})
+
+
+def plain_max_flow(spec: NetworkSpec, s: int, t: int) -> tuple[int, tuple, frozenset[int]]:
+    """Textbook Edmonds-Karp over dict residuals, independent of the package: the flow value,
+    the net flow's breadth-first path decomposition as sorted (path, amount) pairs, and the
+    nodes s reaches in the final residual.
+
+    Every search is a full breadth-first search that scans each node's neighbours in
+    ascending order, and every augmentation follows one searched path."""
+    def search(graph, source):
+        parent = {source: None}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for v in sorted(graph[u]):
+                if v not in parent and graph[u][v] > 0:
+                    parent[v] = u
+                    queue.append(v)
+        return parent
+
+    def augment(graph, residual):
+        paths = []
+        while t in (parent := search(graph, s)):
+            path = [t]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            path.reverse()
+            amount = min(graph[u][v] for u, v in zip(path, path[1:]))
+            for u, v in zip(path, path[1:]):
+                graph[u][v] -= amount
+                if residual:
+                    graph[v][u] += amount
+            paths.append((tuple(path), amount))
+        return paths
+
+    graph = {u: {} for u in range(spec.m)}
+    for (i, j), w in spec.budgets.items():
+        graph[i][j] = graph[j][i] = w
+    value = sum(amount for _, amount in augment(graph, True))
+    net = {u: {} for u in range(spec.m)}
+    for (i, j), w in spec.budgets.items():
+        flow = w - graph[i][j]  # net flow i -> j; negative when it goes j -> i
+        if flow > 0:
+            net[i][j] = flow
+        elif flow < 0:
+            net[j][i] = -flow
+    return value, tuple(sorted(augment(net, False))), frozenset(search(graph, s))
 
 
 def tagged_stream(tag: str) -> random.Random:

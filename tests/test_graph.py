@@ -31,7 +31,7 @@ from pinkey.oracles import (
     optimal_tree_packing_bruteforce,
 )
 
-from helpers import debit, random_connected_spec, random_spec
+from helpers import debit, plain_max_flow, random_connected_spec, random_spec, sparse_spec
 
 TRIANGLE = NetworkSpec(3, {(0, 1): 5, (0, 2): 4, (1, 2): 3})
 
@@ -225,6 +225,22 @@ class TestMaxFlow:
                 else:
                     assert inflow == outflow
 
+    def test_equals_a_plain_edmonds_karp(self):
+        # the kernel pushes its first paths in bulk and searches residual matrices; the
+        # textbook kernel must give the same value, path decomposition and cut
+        rng = random.Random(409)
+        lengths = set()
+        for _ in range(100):
+            m = rng.randint(2, 12)
+            g = sparse_spec(m, rng.choice((0.2, 0.4, 0.7, 1.0)), rng.randrange(1 << 32), rng.choice((1, 3, 9)))
+            s, t = rng.sample(range(m), 2)
+            value, paths, side = plain_max_flow(g, s, t)
+            fa = max_flow(g, s, t)
+            assert (fa.value, fa.paths, fa.cut) == (value, paths, Partition((side, frozenset(range(m)) - side)))
+            lengths.update(min(len(path), 5) for path, _ in paths)
+        # direct arcs, two-hop paths and longer ones all occur
+        assert lengths == {2, 3, 4, 5}
+
 
 class TestMinCut:
     def test_fast_and_bruteforce_agree_with_witnesses(self):
@@ -250,9 +266,7 @@ class TestMinCut:
             min_st_cut_bruteforce(NetworkSpec(21), 0, 1)
 
     def test_wrong_flow_value_is_an_invariant_violation(self, monkeypatch):
-        cap = {u: {} for u in range(TRIANGLE.m)}
-        for (i, j), w in TRIANGLE.budgets.items():
-            pinkey.graph._add_arc(cap, i, j, w, w)
+        cap = pinkey.graph._weights(TRIANGLE)
         value = pinkey.graph._edmonds_karp(cap, 0, 2)
         with pytest.raises(InvariantViolation, match="residual cut"):
             pinkey.graph._residual_cut(TRIANGLE, cap, 0, value + 1)
@@ -440,7 +454,7 @@ class TestGraphStrength:
         # max_budget=1 gives unit weights: many ties and many disconnected graphs
         rng = random.Random(407)
         graphs = [NetworkSpec(2), NetworkSpec(2, {(0, 1): 3})]
-        graphs += [random_spec(rng, max_m=8, max_budget=rng.choice((1, 2, 8))) for _ in range(80)]
+        graphs += [random_spec(rng, max_m=9, max_budget=rng.choice((1, 2, 8))) for _ in range(80)]
         assert any(not is_connected(g) for g in graphs)
         for g in graphs:
             value, witness = graph_strength(g)
@@ -476,6 +490,27 @@ class TestGraphStrength:
             poorest = frozenset(i + 1 for i, b in enumerate(leaves) if b == min(leaves))
             assert graph_strength(star) == (Fraction(min(leaves)), Partition(
                 (frozenset(range(m)) - poorest, *(frozenset((v,)) for v in poorest))))
+
+    def test_a_step_that_raises_the_ratio_is_an_invariant_violation(self, monkeypatch):
+        # Newton starts the triangle at W / 2 = 6; a step to {0}|{1,2}, of ratio 9, must not be taken
+        step = Partition((frozenset({0}), frozenset({1, 2})))
+        monkeypatch.setattr(pinkey.graph, "_min_penalized_partition", lambda spec, ratio: step)
+        with pytest.raises(InvariantViolation, match="raised the ratio"):
+            graph_strength(TRIANGLE)
+
+    @pytest.mark.parametrize("m,p,seed,value,isolated", [
+        (64, 0.3, 3, Fraction(641, 21), range(64)),
+        (128, 0.1, 3, Fraction(13), (33, 116)),
+        (128, 0.1, 4, Fraction(12), (105,)),
+    ])
+    def test_sparse_graphs_past_the_enumeration_guard(self, m, p, seed, value, isolated):
+        # the m = 128 graphs start Newton at their least weighted degree, which is the
+        # strength; the finest witness isolates every node of that degree
+        g = sparse_spec(m, p, seed)
+        rest = frozenset(range(m)).difference(isolated)
+        witness = Partition(tuple(frozenset((v,)) for v in isolated) + ((rest,) if rest else ()))
+        assert graph_strength(g) == (value, witness)
+        assert witness.normalized_weight(g) == value
 
 
 class TestTreePacking:
