@@ -103,6 +103,8 @@ class Scenario:
 
 # int() alone would also take "1_0", "+3" and non-ASCII digits.
 _INTEGER = re.compile(r"-?[0-9]+")
+# A well-formed pair line, whole: the tokens that str.split() gives and an optional comment.
+_PAIR_LINE = re.compile(r"\s*pair\s+(-?[0-9]+)\s+(-?[0-9]+)\s+(-?[0-9]+)\s*(?:#.*)?", re.DOTALL)
 
 
 def _parse_int(raw: str, where: str) -> int:
@@ -133,6 +135,9 @@ def load_scenario(path: str) -> Scenario:
     scalars: dict[str, str] = {}
     pairs: list[tuple[int, int, int]] = []
     for lineno, raw in enumerate(raw_lines, start=1):
+        if match := _PAIR_LINE.fullmatch(raw):
+            pairs.append((int(match[1]), int(match[2]), int(match[3])))
+            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -141,10 +146,7 @@ def load_scenario(path: str) -> Scenario:
         if tokens[0] == "pair":
             if len(tokens) != 4:
                 raise ParseError(f"{where}: pair lines are 'pair i j budget'")
-            i = _parse_int(tokens[1], where)
-            j = _parse_int(tokens[2], where)
-            w = _parse_int(tokens[3], where)
-            pairs.append((i, j, w))
+            pairs.append(tuple(_parse_int(token, where) for token in tokens[1:]))
             continue
         if len(tokens) != 2:
             raise ParseError(f"{where}: expected 'key value', got {line!r}")

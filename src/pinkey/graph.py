@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, insort
+from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +26,7 @@ from .errors import invariant
 from .model import NetworkSpec, Pair
 
 TIE_BREAK_POLICIES = ("lex-kruskal", "degree-min")
+Row = list[int] | dict[int, int]  # a node's residual capacities, by head node
 
 
 # --- partitions ---------------------------------------------------------
@@ -92,38 +94,46 @@ class FlowAssignment:
     cut: Partition
 
 
-def _edmonds_karp(cap: list[list[int]], s: int, t: int) -> int:
-    """Augment the residual matrix ``cap`` to a maximum s-t flow; return its value.
+def _edmonds_karp(cap: list[Row], s: int, t: int) -> tuple[int, Iterable[int]]:
+    """Augment the residual capacities ``cap`` to a maximum s-t flow; return its value and
+    s's residual side, s first: its last search's parents, or s alone if no arc leaves s.
 
-    ``cap[u][v]`` is the residual capacity of arc u->v.  Each search scans
-    neighbours in ascending order, which fixes the flow found and so the
-    path decomposition that subgroup transcripts follow.  The arc s->t and
-    then each path s->u->t, u ascending, are pushed in bulk first: they are
-    the searches' first augmentations, in their order, as a search finds t
-    among s's neighbours, else from the first of them with an arc to t, and
-    a push only adds arcs into s and out of t.
+    Row ``cap[u]`` holds the residual capacity ``cap[u][v]`` of each arc u->v:
+    a list over all nodes, or a ``defaultdict(int)`` keyed by u's heads in
+    ascending order, reverse arcs included, where a read may add only a zero
+    arc that no push raises.  Each search scans neighbours in ascending
+    order, which fixes the flow found and so the path decomposition that
+    subgroup transcripts follow.  The arc s->t and then each path s->u->t, u
+    ascending, are pushed in bulk first: they are the searches' first
+    augmentations, in their order, as a search finds t among s's neighbours,
+    else from the first of them with an arc to t, and a push only adds arcs
+    into s and out of t.
     """
     source, sink = cap[s], cap[t]
     value = source[t]
     source[t] = 0
     sink[s] += value
-    for u, row in enumerate(cap):
+    values = source if type(source) is list else source.values()  # a live view of a row of arcs
+    for u in itertools.compress(range(len(source)) if values is source else source, values):
+        row = cap[u]
         if c := min(source[u], row[t]):
             source[u] -= c
             row[s] += c
             row[t] -= c
             sink[u] += c
             value += c
-    if not any(source):  # no search can leave s
-        return value
-    return value + sum(amount for _, amount in _augmenting_paths(cap, s, t, True))
+    if not any(values):  # no search can leave s
+        return value, (s,)
+    paths, side = _augmenting_paths(cap, s, t, True)
+    return value + sum(amount for _, amount in paths), side
 
 
-def _augmenting_paths(cap: list[list[int]], s: int, t: int, residual: bool) -> Iterator[tuple[list[int], int]]:
-    """Each breadth-first s-t path over the arcs of ``cap`` and its bottleneck,
-    taken off each arc before the next search, and put on its reverse if
-    ``residual``."""
-    arcs: list[int | None] = [None] * len(cap)
+def _augmenting_paths(cap: list[Row], s: int, t: int, residual: bool) -> tuple[list, dict[int, int | None]]:
+    """Each breadth-first s-t path over the arcs of ``cap`` and its bottleneck, taken off
+    each arc before the next search, and put on its reverse if ``residual``; and the
+    parents of the last search, which did not reach t."""
+    arcs: list[int | None] | None = [None] * len(cap) if type(cap[s]) is list else None
+    paths = []
     while t in (parent := _reach(cap, arcs, s, t)):
         path = [t]
         while (u := parent[path[-1]]) is not None:
@@ -134,32 +144,39 @@ def _augmenting_paths(cap: list[list[int]], s: int, t: int, residual: bool) -> I
         invariant(amount > 0, "augmenting path has no capacity")
         for u, v in hops:  # the search cached row u, and row v unless v is t
             cap[u][v] -= amount
-            if not cap[u][v]:
+            if arcs is not None and not cap[u][v]:
                 arcs[u] ^= 1 << v
             if residual:
                 cap[v][u] += amount
-                if arcs[v] is not None:
+                if arcs is not None and arcs[v] is not None:
                     arcs[v] |= 1 << u
-        yield path, amount
+        paths.append((path, amount))
+    return paths, parent
 
 
-def _reach(cap: list[list[int]], arcs: list[int | None], s: int, t: int | None = None) -> dict[int, int | None]:
-    """Breadth-first parents from s over the arcs u->v with ``cap[u][v] > 0``,
-    each node's in ascending order, until t is reached.  ``arcs[u]`` caches
-    row u's arcs as the bits v of an int, filled in as rows are scanned."""
+def _reach(cap: list[Row], arcs: list[int | None] | None, s: int, t: int) -> dict[int, int | None]:
+    """Breadth-first parents from s over the arcs u->v with ``cap[u][v] > 0``, each node's
+    in ascending order, until t is reached.  A row of arcs is scanned in key order; ``arcs[u]``
+    caches list row u's arcs as the bits v of an int, filled in as rows are scanned."""
     parent: dict[int, int | None] = {s: None}
     unseen = ~(1 << s)
     queue = [s]
     for u in queue:
-        if (new := arcs[u]) is None:
-            new = arcs[u] = sum(map(_BIT, itertools.compress(range(len(cap)), cap[u])))
-        new &= unseen
-        unseen ^= new
-        while new:
-            low = new & -new
-            parent[v := low.bit_length() - 1] = u
-            queue.append(v)
-            new ^= low
+        if arcs is None:
+            for v, c in cap[u].items():
+                if c and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        else:
+            if (new := arcs[u]) is None:
+                new = arcs[u] = sum(map(_BIT, itertools.compress(range(len(cap)), cap[u])))
+            new &= unseen
+            unseen ^= new
+            while new:
+                low = new & -new
+                parent[v := low.bit_length() - 1] = u
+                queue.append(v)
+                new ^= low
         if t in parent:
             break
     return parent
@@ -169,7 +186,8 @@ _BIT = (1).__lshift__  # v -> 1 << v
 
 
 def max_flow(spec: NetworkSpec, s: int, t: int) -> FlowAssignment:
-    """Maximum s-t flow with an exact integral path decomposition.
+    """Maximum s-t flow with an exact integral path decomposition, over rows of arcs built
+    from the spec's pairs in pair order: O(m + E) space, and O(m + E) time per search.
 
     The decomposition follows the s-t paths of the net flow, so any
     cyclic slack the augmenting search produced is left out of it.
@@ -177,15 +195,19 @@ def max_flow(spec: NetworkSpec, s: int, t: int) -> FlowAssignment:
     _check_terminals(spec, s, t)
     # Each pair's weight starts as residual capacity in both directions;
     # pushing f along u->v moves capacity from (u,v) to (v,u).
-    cap = _weights(spec)
-    value = _edmonds_karp(cap, s, t)
-    net = [[0] * spec.m for _ in range(spec.m)]
-    for i, j in spec.budgets:
+    cap: list[Row] = [defaultdict(int) for _ in range(spec.m)]
+    net: list[Row] = [{} for _ in range(spec.m)]
+    for i, j in (pairs := spec.pairs()):
+        cap[i][j] = cap[j][i] = spec.budgets[i, j]
+    value, side = _edmonds_karp(cap, s, t)
+    for i, j in pairs:
         if f := (cap[j][i] - cap[i][j]) // 2:  # the net flow i -> j
-            net[i][j], net[j][i] = max(f, 0), max(-f, 0)
-    paths = tuple(sorted((tuple(path), amount) for path, amount in _augmenting_paths(net, s, t, False)))
+            net[i if f > 0 else j][j if f > 0 else i] = abs(f)
+    paths = tuple(sorted((tuple(path), amount) for path, amount in _augmenting_paths(net, s, t, False)[0]))
     invariant(sum(amount for _, amount in paths) == value, "flow paths do not add up to the flow value")
-    return FlowAssignment(value=value, paths=paths, cut=_residual_cut(spec, cap, s, value))
+    cut = _cut(spec, side)  # around the smallest min-cut side
+    invariant(cut.crossing_weight(spec) == value, "residual cut does not match the flow value")
+    return FlowAssignment(value=value, paths=paths, cut=cut)
 
 
 def _check_terminals(spec: NetworkSpec, s: int, t: int) -> None:
@@ -194,13 +216,6 @@ def _check_terminals(spec: NetworkSpec, s: int, t: int) -> None:
             raise ValueError(f"terminal {node} out of range for m={spec.m}")
     if s == t:
         raise ValueError("source and sink must differ")
-
-
-def _residual_cut(spec: NetworkSpec, cap: list[list[int]], s: int, value: int) -> Partition:
-    """The cut around what s reaches in the residual matrix of a flow of ``value``."""
-    cut = _cut(spec, _reach(cap, [None] * len(cap), s))  # around the smallest min-cut side
-    invariant(cut.crossing_weight(spec) == value, "residual cut does not match the flow value")
-    return cut
 
 
 def _weights(spec: NetworkSpec, scale: int = 1) -> list[list[int]]:
@@ -276,10 +291,10 @@ def _min_penalized_partition(spec: NetworkSpec, ratio: Fraction) -> Partition:
             elif x[u] < 0:
                 cap[u][sink] -= x[u]
         # The cut of side S is q d(S) + offset - x(S - i).
-        x[i] = _edmonds_karp(cap, i, sink) - offset - 2 * p
-        if any(cap[i]):  # else i's residual side is i alone
-            for u in _reach(cap, [None] * len(cap), i):
-                blocks.union(i, u)
+        flow, side = _edmonds_karp(cap, i, sink)
+        x[i] = flow - offset - 2 * p
+        for u in itertools.islice(side, 1, None):  # after i itself
+            blocks.union(i, u)
     members: dict[int, set[int]] = {}
     for v in range(spec.m):
         members.setdefault(blocks.find(v), set()).add(v)

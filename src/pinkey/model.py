@@ -11,9 +11,10 @@ a budget of zero.
 
 All randomness in a run descends from one 64-bit seed, and the
 ``PairwiseKeyStore`` of (spec, seed) draws every bit: each pair's key
-and each terminal's local bits from their own ``random.Random`` stream,
-seeded by a SHA-256 mix of the run seed and the pair or terminal, so
-streams are independent of draw order and stable across processes.
+and each terminal's local bits are a Mersenne Twister stream of their
+own, seeded by a SHA-256 mix of the run seed and the pair or terminal,
+so streams are independent of draw order and stable across processes.
+Each draw reseeds the store's one generator.
 
 Realized source bits are numbered by int id, one run of consecutive ids
 per draw, with their values in one ``bytearray``; the basis holds the
@@ -180,13 +181,14 @@ class SourceBitBasis:
 
         Only the runs from the one holding ``first`` are looked at, and each
         renders its label indices through one ``index_digits`` table, so the
-        work is proportional to the bits rendered.
+        work is proportional to the bits rendered, prefixed in one join.
         """
         digits: list[str] = []
         labels = [""] * first
         for ids, _, prefix, base in self._runs_from(first):
-            # the run's label indices from id first on
-            labels += map(prefix.__add__, index_digits(digits, max(ids.start, first) - base, ids.stop - base))
+            # the run's label indices from id first on, at least one; no label holds a space
+            indices = index_digits(digits, max(ids.start, first) - base, ids.stop - base)
+            labels += (prefix + f" {prefix}".join(indices)).split(" ")
         return labels
 
     def _add_runs(self, runs: Sequence[tuple[str, frozenset[int], int]], values: Sequence[int]) -> list[range]:
@@ -282,23 +284,22 @@ def index_digits(table: list[str], first: int, stop: int) -> list[str]:
 class PairwiseKeyStore:
     """The whole input of a run, and the only thing that draws its bits.
 
-    The store holds the spec, the seed and the basis, and keeps one
-    stream per pair and one per terminal.  A take draws and registers
-    the pair's next key bits, so a pair no protocol touches is never
-    drawn; ``fresh`` draws a terminal's next local bits.  Bits are handed
-    out strictly left to right and never twice, across runs too: once a
-    protocol consumes a bit it is gone, which is exactly the one-time-pad
-    discipline the message constructions rely on.
+    The store holds the spec, the seed and the basis, one generator, and
+    each pair's and terminal's count of drawn bits.  A take draws and
+    registers the pair's next key bits, so a pair no protocol touches is
+    never drawn; ``fresh`` draws a terminal's next local bits.  Bits are
+    handed out strictly left to right and never twice, across runs too:
+    once a protocol consumes a bit it is gone, which is exactly the
+    one-time-pad discipline the message constructions rely on.
     """
 
-    __slots__ = ("basis", "_spec", "_seed", "_drawn", "_streams", "_locals")
+    __slots__ = ("basis", "_spec", "_seed", "_drawn", "_rng")
 
     def __init__(self, spec: NetworkSpec, seed: int) -> None:
         self.basis = SourceBitBasis()
         self._spec, self._seed = spec, seed
-        self._drawn: dict[Pair, int] = {}
-        self._streams: dict[Pair, random.Random] = {}  # pairs with bits drawn and bits left
-        self._locals: dict[int, random.Random] = {}  # terminals with local bits drawn
+        self._drawn: dict[Pair | int, int] = {}  # bits drawn per pair, and per terminal of its local bits
+        self._rng = random.Random(0)  # reseeded by every draw
 
     @property
     def spec(self) -> NetworkSpec:
@@ -338,15 +339,12 @@ class PairwiseKeyStore:
                 raise ValueError(f"count for pair {pair!r} must be a nonnegative int, got {count!r}")
             if count > (left := self._spec.budgets.get(pair, 0) - self._drawn.get(pair, 0)):
                 raise InsufficientKeyMaterial(f"pair {pair} has {left} unused bits, {count} needed")
-        # each pair's next bits, from its stream, which is dropped once its budget is drawn
         runs, chunks = [], []
         for (i, j), count in counts.items():
             if count:
-                stream = self._streams.pop((i, j), None) or _stream(f"pair:{self._seed}:{i}:{j}")
-                drawn = self._drawn[i, j] = self._drawn.get((i, j), 0) + count
-                if drawn < self._spec.budgets[i, j]:
-                    self._streams[i, j] = stream
-                chunks.append(_random_bits(stream, count))
+                done = self._drawn.get((i, j), 0)
+                self._drawn[i, j] = done + count
+                chunks.append(_draw(self._rng, f"pinkey:pair:{self._seed}:{i}:{j}", done, count))
                 runs.append((f"K{i}-{j}:", frozenset((i, j)), count))
         added = iter(self.basis._add_runs(runs, b"".join(chunks)))
         return {pair: next(added) if count else range(0) for pair, count in counts.items()}
@@ -357,31 +355,21 @@ class PairwiseKeyStore:
             raise ValueError(f"owner {owner!r} is not a terminal below m={self._spec.m}")
         if type(count) is not int or count < 0:
             raise ValueError(f"count must be a nonnegative int, got {count!r}")
-        if (stream := self._locals.get(owner)) is None:
-            stream = self._locals[owner] = _stream(f"local:{self._seed}:{owner}")
+        done = self._drawn.get(owner, 0)
+        self._drawn[owner] = done + count
         return self.basis._add_runs([(f"R{owner}:", frozenset((owner,)), count)],
-                                    _random_bits(stream, count))[0]
+                                    _draw(self._rng, f"pinkey:local:{self._seed}:{owner}", done, count))[0]
 
 
-def _stream(tag: str) -> random.Random:
-    """The stream of ``tag``: ``pair:{seed}:{i}:{j}`` for pair {i, j}'s key, ``local:{seed}:{owner}``
-    for a terminal's local bits.
-
-    SHA-256 of the tagged string keeps the streams disjoint and makes the
-    derivation independent of Python's salted hash().
+def _draw(rng: random.Random, tag: str, done: int, count: int) -> bytes:
+    """Bits ``done`` .. ``done + count - 1`` of the stream of ``tag``: ``rng`` reseeded by
+    SHA-256 of ``tag``, which keeps the streams disjoint and independent of Python's
+    salted hash().  One ``getrandbits`` call reads the stream from its start, so a later take
+    of a pair re-derives its ``done`` earlier words; ``flood`` takes each pair once per run.
     """
-    digest = hashlib.sha256(f"pinkey:{tag}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
-def _random_bits(rng: random.Random, count: int) -> bytes:
-    """The bits of ``count`` one-bit ``rng.getrandbits`` calls, from one draw.
-
-    See ``generate_pairwise_keys`` for why the two agree; ``rng`` ends in
-    the same state either way.
-    """
-    words = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
-    return words[3::4].translate(_TOP_BIT)
+    rng.seed(int.from_bytes(hashlib.sha256(tag.encode()).digest()[:8], "big"))
+    words = done + count
+    return rng.getrandbits(32 * words).to_bytes(4 * words, "little")[4 * done + 3::4].translate(_TOP_BIT)
 
 
 def generate_pairwise_keys(spec: NetworkSpec, seed: int) -> PairwiseKeyStore:
@@ -389,12 +377,12 @@ def generate_pairwise_keys(spec: NetworkSpec, seed: int) -> PairwiseKeyStore:
 
     Values are a pure function of (spec, seed): bit t of a pair's key, or
     of a terminal's local bits, is what the t-th one-bit ``getrandbits``
-    call on its stream returns, however the draws split it.  Each draw
-    takes its bits in one call: on CPython, ``getrandbits(32 * n)`` packs
-    the next n 32-bit Mersenne Twister words little-endian, word 0
-    lowest, and a one-bit call returns the top bit of the next word.  So
-    bit t of a draw is the top bit of byte 4t + 3 of
-    ``getrandbits(32 * n).to_bytes(4 * n, "little")``, and draws in
-    chunks concatenate.
+    call on its stream (``pinkey:pair:{seed}:{i}:{j}`` or ``pinkey:local:{seed}:{owner}``)
+    returns, however the draws split it.  Each draw takes its bits in one
+    call: on CPython, ``getrandbits(32 * n)`` packs the next n 32-bit
+    Mersenne Twister words little-endian, word 0 lowest, and a one-bit call
+    returns the top bit of the next word.  So bit t is the top bit of byte
+    4t + 3 of ``getrandbits(32 * n).to_bytes(4 * n, "little")`` for any n > t
+    read from the stream's start, and draws in chunks concatenate.
     """
     return PairwiseKeyStore(spec, seed)

@@ -127,7 +127,8 @@ class Transcript:
     source-bit ids.  A run constructs its transcript once, from all its
     columns, and construction checks them whole: equal column lengths,
     ``ends`` rising from 0 to the payload length, ``plain`` and ``pad``
-    ids of bits in the basis, and nondecreasing rounds.  It then computes
+    ids of bits in the basis, rounds, senders and receivers that are
+    nonnegative ints, and nondecreasing rounds.  It then computes
     ``payload`` (immutable bytes), bit k the value of ``plain[k]`` XOR
     that of ``pad[k]``, so a payload never disagrees with its forms: it
     gathers each id column's values once, which also bounds the ids, and
@@ -162,6 +163,9 @@ class Transcript:
             refused = exc
         if any(map(eq, plain, pad)):
             raise ValueError("a public bit's plain and pad must be different ids")
+        numbers = [*rounds, *senders, *receivers]  # no bool, which to_text would write as True
+        if set(map(type, numbers)) - {int} or min(numbers, default=0) < 0:
+            raise ValueError("rounds, senders and receivers must be nonnegative ints")
         if rounds != sorted(rounds):
             raise ValueError("round numbers must be nondecreasing")
         if refused:
@@ -209,11 +213,14 @@ class Transcript:
         """
         basis, plain, pad, ends = self.basis, self.plain, self.pad, self.ends
         digits = self.payload.translate(_DIGITS).decode()
+        # rounds, senders and receivers as strings, from one table if it needs no more entries than messages
+        top = max(chain(self.rounds, self.senders, self.receivers), default=0)
+        number = [*map(str, range(top + 1))].__getitem__ if top <= len(ends) else str
+        rounds, senders, receivers = (map(number, column) for column in (self.rounds, self.senders, self.receivers))
         if ends == [*range(1, len(ends) + 1)]:  # one bit per message, as in group runs
             label = self._labels().__getitem__
             lines = [f"{r} {s} {v} {d} {a}^{b}" if a < b else f"{r} {s} {v} {d} {b}^{a}"
-                     for r, s, v, d, a, b in zip(self.rounds, self.senders, self.receivers, digits,
-                                                 map(label, plain), map(label, pad))]
+                     for r, s, v, d, a, b in zip(rounds, senders, receivers, digits, map(label, plain), map(label, pad))]
         else:
             payloads, forms, texts, start = [], [], None, 0
             numbers: list[str] = []  # numbers[k] == str(k), as far as index_digits has grown it
@@ -231,7 +238,7 @@ class Transcript:
                     forms.append(";".join(texts[start:end]))
                 payloads.append(_hex(digits[start:end]))
                 start = end
-            lines = map("{} {} {} {} {}".format, self.rounds, self.senders, self.receivers, payloads, forms)
+            lines = map("{} {} {} {} {}".format, rounds, senders, receivers, payloads, forms)
         return "\n".join(["transcript v1", *lines]) + "\n"
 
     def _labels(self) -> list[str]:

@@ -195,6 +195,36 @@ class TestLoadScenario:
         with pytest.raises(ParseError):
             load_scenario(scenario_file(tmp_path, text))
 
+    # a well-formed pair line is matched whole, every other one tokenized: each line gives the
+    # budgets, or the ParseError text, of splitting the line before any "#" at its whitespace
+    @pytest.mark.parametrize("line,expected", [
+        ("pair\t0\t1\t5", {(0, 1): 5}),
+        ("  pair 0  2 4 # a comment", {(0, 2): 4}),
+        ("pair 0 1 5# one # two", {(0, 1): 5}),
+        ("pair 0 1 5 #", {(0, 1): 5}),
+        ("#pair 0 1 5", {}),
+        ("pair\u00a00 1 5\u2003", {(0, 1): 5}),  # str.split() whitespace beyond ASCII
+        ("pair 0 1 5\x0c", {(0, 1): 5}),
+        ("pair 0 1 -0", {}),
+        ("pair -0 1 5", {(0, 1): 5}),
+        ("pair 0 1 +3", "line 4: expected an integer, got '+3'"),
+        ("pair +0 1 5", "line 4: expected an integer, got '+0'"),
+        ("pair 0 1 1_0", "line 4: expected an integer, got '1_0'"),
+        ("pair 0 1 \u0663", "line 4: expected an integer, got '\u0663'"),
+        ("pair 0 1 0x5", "line 4: expected an integer, got '0x5'"),
+        ("pair 1 2", "line 4: pair lines are 'pair i j budget'"),
+        ("pair 1 2 3 4", "line 4: pair lines are 'pair i j budget'"),
+        ("pair0 1 5", "line 4: expected 'key value', got 'pair0 1 5'"),
+        ("Pair 0 1 5", "line 4: expected 'key value', got 'Pair 0 1 5'"),
+    ])
+    def test_pair_lines_parse_as_their_tokens(self, tmp_path, line, expected):
+        path = scenario_file(tmp_path, f"version 1\nm 3\nprotocol group\n{line}\n")
+        if isinstance(expected, str):
+            with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
+                load_scenario(path)
+        else:
+            assert load_scenario(path) == Scenario(NetworkSpec(3, expected), "group")
+
 
 class TestScenario:
     SPEC = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter, deque
 from fractions import Fraction
 
@@ -241,6 +242,24 @@ class TestMaxFlow:
         # direct arcs, two-hop paths and longer ones all occur
         assert lengths == {2, 3, 4, 5}
 
+    def test_a_sparse_flow_takes_memory_in_its_arcs_not_in_m_squared(self):
+        # a path 0-1-...-2999 of budget 3 plus 3,000 random chords: two m x m matrices
+        # would take over 100 MiB
+        m, rng = 3000, random.Random(5)
+        budgets = {(i, i + 1): 3 for i in range(m - 1)}
+        for _ in range(m):
+            budgets.setdefault(tuple(sorted(rng.sample(range(m), 2))), rng.randint(1, 3))
+        spec = NetworkSpec(m, budgets)
+        tracemalloc.start()
+        try:
+            fa = max_flow(spec, 0, m - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert fa.value == 7 == sum(amount for _, amount in fa.paths) and len(fa.paths) == 7
+        assert fa.cut == Partition((frozenset({0}), frozenset(range(1, m))))
+
 
 class TestMinCut:
     def test_fast_and_bruteforce_agree_with_witnesses(self):
@@ -266,12 +285,13 @@ class TestMinCut:
             min_st_cut_bruteforce(NetworkSpec(21), 0, 1)
 
     def test_wrong_flow_value_is_an_invariant_violation(self, monkeypatch):
-        cap = pinkey.graph._weights(TRIANGLE)
-        value = pinkey.graph._edmonds_karp(cap, 0, 2)
-        with pytest.raises(InvariantViolation, match="residual cut"):
-            pinkey.graph._residual_cut(TRIANGLE, cap, 0, value + 1)
         real_kernel = pinkey.graph._edmonds_karp
-        monkeypatch.setattr(pinkey.graph, "_edmonds_karp", lambda *args: real_kernel(*args) + 1)
+        # the flow of 7 from 0 to 2 with the side {0}, whose cut weighs 9
+        monkeypatch.setattr(pinkey.graph, "_edmonds_karp", lambda *args: (real_kernel(*args)[0], (0,)))
+        with pytest.raises(InvariantViolation, match="residual cut"):
+            max_flow(TRIANGLE, 0, 2)
+        monkeypatch.setattr(pinkey.graph, "_edmonds_karp",
+                            lambda *args: (lambda value, side: (value + 1, side))(*real_kernel(*args)))
         with pytest.raises(InvariantViolation, match="flow paths"):
             max_flow(TRIANGLE, 0, 2)
 

@@ -183,8 +183,28 @@ class TestGeneration:
             assert labels == [f"R{owner}:{start + t}" for t in range(count)]
             assert [basis[lab] for lab in labels] == [reference.getrandbits(1) for _ in labels]
             assert basis.runs()[-1] == (ids, frozenset((owner,)))
-            # the stream is left where the bit-by-bit draw leaves it
-            assert store._locals[owner].getstate() == reference.getstate()
+        # a following draw goes on where the bit-by-bit draws left each stream
+        for owner, reference in references.items():
+            assert basis.bits(store.fresh(owner, 3)) == tuple(reference.getrandbits(1) for _ in range(3))
+
+    def test_pieces_give_the_bits_of_one_take(self):
+        # every draw reseeds the store's one generator, so pieces of a pair's key and of a
+        # terminal's local bits, interleaved, are the bits one take of 8 gives on a fresh store
+        spec = NetworkSpec(3, {(0, 2): 9, (1, 2): 8})
+        whole = generate_pairwise_keys(spec, 5)
+        pair, local = whole.basis.bits(whole.take(2, 1, 8)), whole.basis.bits(whole.fresh(1, 8))
+        store = generate_pairwise_keys(spec, 5)
+        pieces = [store.take(1, 2, 3), store.fresh(1, 3), store.take(0, 2, 1), store.take(1, 2, 5),
+                  store.fresh(1, 5), store.take_each({(0, 2): 2})[0, 2]]
+        assert store.remaining(1, 2) == 0 and store.remaining(0, 2) == 6
+        # then through take_each, in one batch with another pair
+        again = generate_pairwise_keys(spec, 5)
+        first = again.take(1, 2, 3)
+        rest = again.take_each({(0, 2): 4, (1, 2): 5})[1, 2]
+        bits = store.basis.bits
+        assert bits(pieces[0]) + bits(pieces[3]) == again.basis.bits(first) + again.basis.bits(rest) == pair
+        assert bits(pieces[1]) + bits(pieces[4]) == local
+        assert len(set(pair + local)) == 2  # not a constant stream
 
     # labels: those the rejected bits would get.  The ids are written out so
     # that each case keeps the id it has always had.
@@ -325,8 +345,8 @@ class TestConsumption:
     def test_zero_count_is_a_noop(self, monkeypatch):
         spec = NetworkSpec(3, {(0, 1): 4, (1, 2): 2})
         store = generate_pairwise_keys(spec, 3)
-        # a take of no bits seeds no generator and registers no run, on a pair with no budget too
-        monkeypatch.setattr(model, "_stream", None)
+        # a take of no bits draws nothing and registers no run, on a pair with no budget too
+        monkeypatch.setattr(model, "_draw", None)
         ids = store.take(2, 1, 0)
         assert store.basis.bits(ids) == () and ids == range(0)
         assert store.take_each({(0, 2): 0, (1, 2): 0}) == {(0, 2): range(0), (1, 2): range(0)}
@@ -382,7 +402,7 @@ class TestConsumption:
     def test_a_refused_batch_draws_nothing(self, counts, error, monkeypatch):
         spec = NetworkSpec(3, {(0, 1): 4, (1, 2): 2})
         store = generate_pairwise_keys(spec, 3)
-        monkeypatch.setattr(model, "_stream", None)  # no generator is seeded either
+        monkeypatch.setattr(model, "_draw", None)  # no stream is drawn either
         with pytest.raises(error):
             store.take_each(counts)
         assert [store.remaining(*pair) for pair in ((0, 1), (0, 2), (1, 2))] == [4, 0, 2]

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
@@ -656,6 +657,44 @@ class TestTranscripts:
             assert [m.round for m in t] == rounds and t.basis is basis
             payload = bytes(basis.values[a] ^ basis.values[b] for a, b in ((3, 9), (7, 10), (8, 11)))
             assert transcript_columns(t) == (rounds, [0, 2], [2, 1], [1, 3], payload, [3, 7, 8], [9, 10, 11])
+
+    @pytest.mark.parametrize("column", ["rounds", "senders", "receivers"])
+    @pytest.mark.parametrize("bad", [True, False, -1, -3, 1.0, "1", None], ids=repr)
+    def test_rounds_senders_and_receivers_must_be_nonnegative_ints(self, column, bad):
+        # to_text would write a bool as True, and a str table would read -1 from its end
+        basis = full_basis(TRIANGLE, 1)
+        columns = {"rounds": [0, 0], "senders": [0, 2], "receivers": [2, 1], column: [1, bad]}
+        with pytest.raises(ValueError, match=r"^rounds, senders and receivers must be nonnegative ints$"):
+            Transcript(basis, ends=[1, 2], plain=[0, 1], pad=[5, 6], **columns)
+
+    def test_large_rounds_and_terminals_render_without_a_table_of_their_size(self):
+        basis = full_basis(TRIANGLE, 1)
+        for big in (10**6, 10**9):  # a table of the first's size alone would pass a megabyte
+            transcript = Transcript(basis, [3, big], [big, 0], [2, big + 1], [1, 2], [0, 1], [5, 6])
+            tracemalloc.start()
+            try:
+                text = transcript.to_text()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 100_000
+            assert text.splitlines()[1:] == [f"3 {big} 2 {transcript.payload[0]} K0-1:0^K0-2:0",
+                                             f"{big} 0 {big + 1} {transcript.payload[1]} K0-1:1^K0-2:1"]
+
+    def test_a_bool_or_negative_round_is_refused_under_python_O(self):
+        code = textwrap.dedent("""
+            from pinkey import NetworkSpec, Transcript, generate_pairwise_keys
+
+            assert False, "assertions must be off"
+            store = generate_pairwise_keys(NetworkSpec(3, {(0, 1): 2, (0, 2): 2}), 1)
+            a, b = store.take(0, 1, 1)[0], store.take(0, 2, 1)[0]
+            for columns in (([-3], [True], [-1]), ([0], [True], [1]), ([-1], [0], [1]), ([0], [0], [1.0])):
+                try:
+                    Transcript(store.basis, *columns, [1], [a], [b])
+                except ValueError as exc:
+                    print("refused:", exc)
+        """)
+        assert run_optimized(code) == "refused: rounds, senders and receivers must be nonnegative ints\n" * 4
 
     def test_a_bit_padded_with_its_own_plain_bit_is_refused(self):
         # Its kernel row would be 0, but its label set the unit form of that bit:
