@@ -16,7 +16,8 @@ guard.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Mapping
+from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,52 +43,85 @@ def is_connected(spec: NetworkSpec) -> bool:
 # --- cuts and partitions -----------------------------------------------
 
 
-def enumerate_partitions(m: int):
-    """Yield every partition of [0, m) with k >= 2 blocks.
+def _codes(m: int, spec: NetworkSpec | None = None) -> Iterator[tuple[list[int], int, int]]:
+    """Yield (code, k, crossing) for every partition of [0, m) with k >= 2 blocks.
 
-    Enumeration is by restricted growth strings, so the order is
-    deterministic.  Hard guard: m <= 12.
+    code[v] is node v's block, blocks numbered in order of their first
+    node: a restricted growth string, one list updated in place, the codes
+    in lexicographic order.  crossing is the weight of the spec's pairs
+    between blocks, 0 without a spec, carried along: node v adds its
+    weight to the nodes before it, less its weight into the block it
+    joins.  The last node's weight into each block is summed once for all
+    its choices.  Hard guard: m <= 12.
     """
     if m > PARTITION_NODE_LIMIT:
         raise InstanceTooLarge(f"partition enumeration is limited to m <= {PARTITION_NODE_LIMIT}, got {m}")
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-
+    below: list[list[tuple[int, int]]] = [[] for _ in range(m)]  # below[v]: (u, weight) per pair u < v
+    for (u, v), weight in spec.budgets.items() if spec else ():
+        below[v].append((u, weight))
     code = [0] * m
-
-    def extend(pos: int, top: int):
-        if pos == m:
-            yield tuple(code)
+    blocks = [0] * m  # blocks[v]: how many blocks nodes 0..v-1 use
+    crossing = [0] * m  # crossing[v]: the weight between those nodes' blocks
+    last, v = m - 1, 0
+    while True:
+        for node in range(v, last):  # node joins block code[node]; the nodes after it restart at block 0
+            block = code[node]
+            blocks[node + 1] = max(blocks[node], block + 1)
+            crossing[node + 1] = crossing[node] + sum(weight for u, weight in below[node] if code[u] != block)
+            code[node + 1] = 0
+        top = blocks[last]  # the last node joins each of these blocks in turn, then opens block top
+        into = [0] * (top + 1)
+        for u, weight in below[last]:
+            into[code[u]] += weight
+        reach = crossing[last] + sum(into)
+        for block in range(top + 1):
+            k = max(top, block + 1)
+            if k > 1:
+                code[last] = block
+                yield code, k, reach - into[block]
+        v = last - 1  # back to the latest node before the last that can join a later block, maybe a new one
+        while v > 0 and code[v] == blocks[v]:
+            v -= 1
+        if v <= 0:
             return
-        for value in range(top + 2):
-            code[pos] = value
-            yield from extend(pos + 1, max(top, value))
+        code[v] += 1
 
-    for rgs in extend(1, 0):
-        k = max(rgs) + 1
-        if k < 2:
-            continue
-        blocks = [set() for _ in range(k)]
-        for node, which in enumerate(rgs):
-            blocks[which].add(node)
-        yield Partition(tuple(frozenset(b) for b in blocks))
+
+def enumerate_partitions(m: int) -> Iterator[Partition]:
+    """Yield every partition of [0, m) with k >= 2 blocks.
+
+    Enumeration is by restricted growth strings, so the order is
+    deterministic.  Hard guard: m <= 12.
+    """
+    for code, k, _ in _codes(m):
+        yield _partition(code, k)
+
+
+def _partition(code: list[int], k: int) -> Partition:
+    """The partition of the k blocks that ``code`` numbers."""
+    blocks: list[set[int]] = [set() for _ in range(k)]
+    for node, which in enumerate(code):
+        blocks[which].add(node)
+    return Partition(tuple(map(frozenset, blocks)))
 
 
 def min_normalized_multicut(spec: NetworkSpec) -> tuple[Fraction, Partition]:
     """Minimize crossing_weight / (k - 1) over partitions with k >= 2 blocks, exactly.
 
     Returns the exact rational minimum and the first partition attaining
-    it in enumeration order.  Hard guard: m <= 12.
+    it in enumeration order.  Each code is scored by its crossing weight
+    and k - 1, compared by cross-multiplication; only the witness becomes
+    a ``Partition``.  Hard guard: m <= 12.
     """
-    best: Fraction | None = None
-    witness: Partition | None = None
-    for partition in enumerate_partitions(spec.m):
-        value = partition.normalized_weight(spec)
-        if best is None or value < best:
-            best, witness = value, partition
-    if best is None or witness is None:
+    best: tuple[int, int, list[int]] | None = None  # crossing, k - 1 and a copy of the code
+    for code, k, crossing in _codes(spec.m, spec):
+        if best is None or crossing * best[1] < best[0] * (k - 1):
+            best = crossing, k - 1, code[:]
+    if best is None:
         raise ValueError(f"no qualifying partition of m={spec.m} nodes")
-    return best, witness
+    return Fraction(best[0], best[1]), _partition(best[2], best[1] + 1)
 
 
 def min_st_cut_bruteforce(spec: NetworkSpec, s: int, t: int) -> tuple[int, Partition]:
@@ -185,14 +219,6 @@ def optimal_tree_packing_bruteforce(spec: NetworkSpec) -> int:
 # --- mutual information -------------------------------------------------
 
 
-def _evaluate(form: LinearForm, values: Mapping[str, int]) -> int:
-    """The form's value under an assignment of its labels."""
-    acc = 0
-    for label in form.labels:
-        acc ^= values[label]
-    return acc
-
-
 def _exact_log2(ratio: Fraction) -> int:
     num, den = ratio.numerator, ratio.denominator
     if num & (num - 1) or den & (den - 1):
@@ -210,7 +236,11 @@ def brute_force_mutual_information(
     Enumerates every assignment of the labels the forms reference and
     histograms the induced (K, V) values.  Basis bits no form mentions are
     independent of both sides, so skipping them scales every count by the
-    same power of two and leaves the mutual information unchanged.
+    same power of two and leaves the mutual information unchanged.  The
+    values of all forms under one assignment are one int, bit f the value
+    of form f, key forms first; setting label t flips the bits of the
+    forms that mention it, so the values of every assignment come from
+    XORs of those flips, the first twelve labels' in one list.
 
     Returns 0 iff the joint distribution factorizes.  All probability
     ratios of linear-form systems are powers of two, so the value is
@@ -221,36 +251,43 @@ def brute_force_mutual_information(
             f"basis of {basis_size} bits exceeds the exhaustive limit of {MI_BASIS_LIMIT}"
         )
     key_forms = list(key_forms)
-    transcript_forms = list(transcript_forms)
-    labels = sorted(set().union(*(f.labels for f in key_forms + transcript_forms)) or set())
+    forms = key_forms + list(transcript_forms)
+    labels = sorted(set().union(*(f.labels for f in forms)) or set())
     if len(labels) > basis_size:
         raise ValueError(
             f"forms reference {len(labels)} labels but basis_size is {basis_size}"
         )
 
-    joint: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    key_marginal: dict[tuple[int, ...], int] = {}
-    transcript_marginal: dict[tuple[int, ...], int] = {}
+    index = {label: t for t, label in enumerate(labels)}
+    flips = [0] * len(labels)  # flips[t]: bit f set for each form f that mentions label t
+    for f, form in enumerate(forms):
+        for label in form.labels:
+            flips[index[label]] |= 1 << f
+    low, high = [0], [0]  # the values of every assignment of the first twelve labels, of the rest
+    for t, flip in enumerate(flips):
+        half = low if t < 12 else high
+        half += [values ^ flip for values in half]
+    keys, split = (1 << len(key_forms)) - 1, len(key_forms)
+    joint: Counter[int] = Counter()
+    key_marginal: Counter[int] = Counter()
+    transcript_marginal: Counter[int] = Counter()
+    for rest in high:
+        values = [first ^ rest for first in low]
+        joint.update(values)
+        key_marginal.update(map(keys.__and__, values))
+        transcript_marginal.update(map(split.__rrshift__, values))  # each value >> split
+
+    # I(K; V) in units of 1/total bits, zero exactly when the distribution factorizes;
+    # the log of each distinct (count, marginals) triple is taken once
     total = 1 << len(labels)
-    for assignment in range(total):
-        values = {label: (assignment >> t) & 1 for t, label in enumerate(labels)}
-        k = tuple(_evaluate(f, values) for f in key_forms)
-        v = tuple(_evaluate(f, values) for f in transcript_forms)
-        joint[(k, v)] = joint.get((k, v), 0) + 1
-        key_marginal[k] = key_marginal.get(k, 0) + 1
-        transcript_marginal[v] = transcript_marginal.get(v, 0) + 1
-
-    if all(
-        count * total == key_marginal[k] * transcript_marginal[v]
-        for (k, v), count in joint.items()
-    ):
-        return Fraction(0)
-
-    info = Fraction(0)
-    for (k, v), count in joint.items():
-        ratio = Fraction(count * total, key_marginal[k] * transcript_marginal[v])
-        info += Fraction(count, total) * _exact_log2(ratio)
-    return info
+    info = 0
+    logs: dict[tuple[int, int, int], int] = {}
+    for values, count in joint.items():
+        triple = (count, key_marginal[values & keys], transcript_marginal[values >> split])
+        if triple not in logs:
+            logs[triple] = _exact_log2(Fraction(count * total, triple[1] * triple[2]))
+        info += count * logs[triple]
+    return Fraction(info, total)
 
 
 # --- rank audit ---------------------------------------------------------

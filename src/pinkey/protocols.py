@@ -27,13 +27,14 @@ id.  Then each public bit's row has a column of its own, a terminal
 learns exactly the ids it owns plus the plain id of each pad it owns,
 and the ranks of key, transcript and both are (|K|, P, |K| + P) for |K|
 distinct key ids and P public bits: the transcript tells nothing about
-the key.  So each run self-checks distinct key ids, then pad privacy and
-every holder's replay in one pass with no GF(2) elimination: one table,
-indexed by id, holds what each pad and key id tells its owners, and a
-holder replays when the table's slices over the basis runs it owns hold
-every key id.  A transcript with a pad that is not private is refused.
-The rank audit of any forms, ``oracles.verify_independence``, is not
-imported.
+the key.  So a run's ``GroupKeyResult`` checks itself when it is built:
+distinct key ids and a key within its bound, then pad privacy and every
+holder's replay in one pass with no GF(2) elimination.  One table,
+indexed by id, holds what each pad and key id tells its owners, and
+``_learned`` counts the key ids that the table's slices over the basis
+runs a terminal owns hold: a holder replays when it learns them all.  No
+result has a pad that is not private.  The rank audit of any forms,
+``oracles.verify_independence``, is not imported.
 """
 
 from __future__ import annotations
@@ -257,13 +258,29 @@ class GroupKeyResult:
     """Outcome of a run: who holds which key, and everything needed to audit it.
 
     The key is the source bits ``key_ids``; ``key`` reads their values
-    from the basis.
+    from the basis.  Building a result is the run's self-check, also when
+    ``dataclasses.replace`` builds it, so every result passes it: it
+    raises InvariantViolation for a key id that repeats, then for a key
+    longer than ``bound``, then, in one ``_learned`` pass, for a reused
+    pad, a pad that is not private and the smallest holder that does not
+    learn every key id.  Private pads make the P public rows and the
+    key's |K| distinct unit rows independent: ranks |K|, P and |K| + P,
+    and the transcript tells nothing about the key, which is uniform.
     """
 
     holders: frozenset[int]
     key_ids: Sequence[int]
     transcript: Transcript
     bound: Fraction | None  # None for group runs above GROUP_BOUND_AUTO_LIMIT
+
+    def __post_init__(self) -> None:
+        wanted = set(self.key_ids)
+        invariant(len(wanted) == len(self.key_ids), "a key bit repeats")
+        invariant(self.bound is None or len(wanted) <= self.bound, "achieved length exceeds the partition bound")
+        holders = sorted(self.holders)
+        for holder, count in zip(holders, _learned(wanted, self.transcript, holders)):
+            if count < len(wanted):
+                raise InvariantViolation(f"holder {holder} cannot replay the key")
 
     @property
     def basis(self) -> SourceBitBasis:
@@ -283,41 +300,42 @@ class GroupKeyResult:
         return tuple(LinearForm.unit(self.basis.label(ident)) for ident in self.key_ids)
 
 
-def _cannot_replay(wanted: set[int], transcript: Transcript, terminals: Iterable[int]) -> list[int]:
-    """The terminals, ascending, that cannot replay the key ids ``wanted`` from their own bits
-    and the transcript.
+def _learned(wanted: set[int], transcript: Transcript, terminals: Iterable[int]) -> list[int]:
+    """How many of the ids ``wanted`` each terminal, in the order given, learns from its own
+    bits and the transcript.
 
     Raises InvariantViolation unless every pad is private: used once, and
-    neither a key id nor a ``plain`` id.  Then a public bit's row is the
+    neither a wanted id nor a ``plain`` id.  Then a public bit's row is the
     only one that mentions its pad, so a terminal's own bits and the
-    transcript span exactly what its ids tell it: a key id itself, a pad
+    transcript span exactly what its ids tell it: a wanted id itself, a pad
     its ``plain`` id.  One table, indexed by id from the smallest pad or
-    key id up, holds what each such id tells, and a terminal replays when
-    the slices of the table over the basis runs it owns hold every key id.
-    The runs that end below the table are not looked at.
+    wanted id up, holds what each such id tells, and a terminal learns the
+    wanted ids that the slices of the table over the basis runs it owns
+    hold.  The runs that end below the table are not looked at.
     """
     plain, pad = transcript.plain, transcript.pad
     pads = set(pad)
     invariant(len(pads) == len(pad), "a pad bit was reused")
     invariant(pads.isdisjoint(wanted) and pads.isdisjoint(plain), "a pad bit is not private")
+    terminals = list(terminals)
     if not wanted:
-        return []
+        return [0] * len(terminals)
     start = min(min(pad), min(wanted)) if pad else min(wanted)
     basis = transcript.basis
-    # told[i - start]: what id i tells its owners; a key id past the basis gets a cell no run slices
+    # told[i - start]: what id i tells its owners; a wanted id past the basis gets a cell no run slices
     told: list[int | None] = [None] * (max(len(basis), max(wanted) + 1) - start)
     keys = list(wanted)
     cells = ([i - start for i in pad], [k - start for k in keys]) if start else (pad, keys)
     # each deque(map(...), 0) writes its cells in one C-level pass, keeping nothing
     deque(map(told.__setitem__, cells[0], plain), 0)  # a pad tells its plain id
-    deque(map(told.__setitem__, cells[1], keys), 0)  # a key id tells itself
+    deque(map(told.__setitem__, cells[1], keys), 0)  # a wanted id tells itself
     slices: dict[int, list[list[int | None]]] = {terminal: [] for terminal in terminals}
     for ids, owners in basis.runs(start):
         part = told[max(ids.start - start, 0):ids.stop - start]
         for owner in owners:
             if owner in slices:
                 slices[owner].append(part)
-    return [terminal for terminal in sorted(slices) if wanted.difference(*slices[terminal])]
+    return [len(wanted) - len(wanted.difference(*slices[terminal])) for terminal in terminals]
 
 
 def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
@@ -328,35 +346,12 @@ def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:
     key through it, and for a terminal that owns no bit of the basis.
     Private pads and payload bits computed from their forms tell a
     learned id its own value.  Raises ValueError for a terminal that is
-    not a nonnegative int (a bool, such as True, is no terminal), and
-    InvariantViolation for a pad that is reused or not private.
+    not a nonnegative int (a bool, such as True, is no terminal).
     """
     if type(terminal) is not int or terminal < 0:
         raise ValueError(f"terminal {terminal!r} is not a nonnegative int")
-    return None if _cannot_replay(set(result.key_ids), result.transcript, (terminal,)) else result.key
-
-
-def _self_check(holders: frozenset[int], key_ids: Sequence[int], transcript: Transcript) -> None:
-    """Check a run's parts: distinct key ids, then private pads and replay by every holder,
-    both in one ``_cannot_replay`` pass over one table of what each id tells.
-
-    Private pads make the P public rows and the key's |K| distinct unit
-    rows independent: ranks |K|, P and |K| + P, and the transcript tells
-    nothing about the key, which is uniform.  Raises InvariantViolation.
-    """
-    wanted = set(key_ids)
-    invariant(len(wanted) == len(key_ids), "a key bit repeats")
-    # Replay soundness: every holder learns every key id.
-    if stuck := _cannot_replay(wanted, transcript, holders):
-        raise InvariantViolation(f"holder {stuck[0]} cannot replay the key")
-
-
-def _result(holders: Iterable[int], key_ids: Sequence[int], transcript: Transcript,
-            bound: Fraction | None) -> GroupKeyResult:
-    """The self-checked result of a run whose key is the bits ``key_ids``."""
-    holders = frozenset(holders)
-    _self_check(holders, key_ids, transcript)
-    return GroupKeyResult(holders=holders, key_ids=key_ids, transcript=transcript, bound=bound)
+    (count,) = _learned(set(result.key_ids), result.transcript, (terminal,))
+    return result.key if count == len(result.key_ids) else None
 
 
 def run_broadcast(store: PairwiseKeyStore) -> GroupKeyResult:
@@ -377,8 +372,7 @@ def run_broadcast(store: PairwiseKeyStore) -> GroupKeyResult:
     # a positive poorest budget means every leaf has a key at least this long
     star = [(0, leaf) for leaf in range(1, spec.m)]
     key_ids, transcript = flood(store, [(star, (0, poorest), length)] if length else [])
-    invariant(bound.value == length, "broadcast must meet its bound exactly")
-    return _result(range(spec.m), key_ids, transcript, bound.value)
+    return GroupKeyResult(frozenset(range(spec.m)), key_ids, transcript, bound.value)
 
 
 def run_subgroup(store: PairwiseKeyStore, s: int, t: int) -> GroupKeyResult:
@@ -398,7 +392,7 @@ def run_subgroup(store: PairwiseKeyStore, s: int, t: int) -> GroupKeyResult:
     flow = max_flow(store.spec, s, t)
     routes = [([canonical_pair(u, v) for u, v in zip(path, path[1:])], s, amount) for path, amount in flow.paths]
     key_ids, transcript = flood(store, routes, together=True)
-    return _result((s, t), key_ids, transcript, Fraction(flow.value))
+    return GroupKeyResult(frozenset((s, t)), key_ids, transcript, Fraction(flow.value))
 
 
 Route = tuple[Iterable[Pair], Pair | int, int]  # a tree's edges (i, j), its seed, its bits per message
@@ -498,13 +492,13 @@ def run_group_key(store: PairwiseKeyStore, tie_break: str = "lex-kruskal") -> Gr
     edge and one bit wide: each a maximum spanning tree of the remaining
     budgets under the chosen tie-break policy, then debited by one, until
     the budgets no longer span.  The exact partition bound is attached to
-    the result (and checked against) for m <= GROUP_BOUND_AUTO_LIMIT;
-    beyond that only the total/(m-1) ceiling is checked.
+    the result, which checks the key against it, for m <=
+    GROUP_BOUND_AUTO_LIMIT; beyond that the run checks the total/(m-1)
+    ceiling.
     """
     spec = store.spec
     key_ids, transcript = flood(store, ((tree, min(tree), 1) for tree in greedy_spanning_trees(spec, tie_break)))
-    invariant(len(key_ids) <= spec.total_budget() // (spec.m - 1),
-               "achieved length exceeds the total/(m-1) ceiling")
     bound = group_bound(spec).value if spec.m <= GROUP_BOUND_AUTO_LIMIT else None
-    invariant(bound is None or len(key_ids) <= bound, "achieved length exceeds the partition bound")
-    return _result(range(spec.m), key_ids, transcript, bound)
+    invariant(bound is not None or len(key_ids) <= spec.total_budget() // (spec.m - 1),
+              "achieved length exceeds the total/(m-1) ceiling")
+    return GroupKeyResult(frozenset(range(spec.m)), key_ids, transcript, bound)

@@ -107,7 +107,7 @@ def broadcast_runs():
 
 
 @pytest.fixture(scope="module")
-def all_results(triangle_run, complete_runs, subgroup_runs, broadcast_runs):
+def all_runs(triangle_run, complete_runs, subgroup_runs, broadcast_runs):
     collected = [triangle_run[0]]
     collected += [result for _, _, result in complete_runs[0]]
     collected += [result for result, _ in subgroup_runs[0]]
@@ -188,9 +188,9 @@ def test_c5_broadcast_keys_match_the_poorest_leaf(broadcast_runs):
     announce(5, "50 random stars all yield the poorest leaf's budget")
 
 
-def test_c6_nothing_leaks_anywhere(all_results):
+def test_c6_nothing_leaks_anywhere(all_runs):
     def work():
-        for result in all_results:
+        for result in all_runs:
             report = verify_independence(
                 result.key_forms, result.transcript.forms(), result.basis
             )

@@ -457,6 +457,16 @@ class TestNormalizedMulticut:
             value, witness = min_normalized_multicut(g)
             assert witness.normalized_weight(g) == value
 
+    def test_scores_each_partition_as_its_blocks_do(self):
+        # the incremental crossing weights, compared by cross-multiplication, pick the value and
+        # the first witness that scoring every enumerated Partition by its blocks picks
+        rng = random.Random(409)
+        for _ in range(40):
+            g = random_spec(rng, max_m=6, max_budget=rng.choice((1, 2, 8)))
+            scored = [(p.normalized_weight(g), k, p) for k, p in enumerate(enumerate_partitions(g.m))]
+            value, _, witness = min(scored, key=lambda entry: entry[:2])
+            assert min_normalized_multicut(g) == (value, witness)
+
     def test_never_exceeds_its_own_two_block_and_singleton_relaxations(self):
         rng = random.Random(406)
         for _ in range(40):

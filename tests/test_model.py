@@ -54,6 +54,30 @@ class TestNetworkSpec:
             with pytest.raises(ValueError):
                 TRIANGLE.budget(i, j)
 
+    @pytest.mark.parametrize("m,pairs,message", [
+        (1, [], r"need at least 2 terminals, got m=1"),
+        (True, [(0, 1, 1)], r"need at least 2 terminals, got m=True"),
+        # a pair that is no two ints, a self-pair or a repeat comes first, in list order
+        (1, [(0, 0, 1)], r"self-pair \(0, 0\) is not allowed"),
+        (3, [(0, 5, 1), (1, 1, 1)], r"self-pair \(1, 1\) is not allowed"),
+        (3, [(0, 5, 1), (5, 0, 2)], r"duplicate pair \(0, 5\)"),
+        (3, [(0, -1, 1), (0, 1.0, 1)], r"pair \(0, 1.0\) out of range for m=3"),
+        # then m, then the first pair out of range or with a bad budget
+        (1, [(0, 5, 1)], r"need at least 2 terminals, got m=1"),
+        (3, [(0, 1, -1), (0, 5, 1)], r"budget for pair \(0, 1\) must be a nonnegative int, got -1"),
+        (3, [(5, 0, 1), (0, 1, -1)], r"pair \(0, 5\) out of range for m=3"),
+        (3, [(2, 0, True)], r"budget for pair \(0, 2\) must be a nonnegative int, got True"),
+    ])
+    def test_from_pairs_reports_the_first_fault_in_order(self, m, pairs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NetworkSpec.from_pairs(m, pairs)
+
+    def test_from_pairs_builds_the_spec_the_constructor_builds(self):
+        spec = NetworkSpec.from_pairs(3, [(1, 0, 0), (2, 0, 4)])
+        assert spec == NetworkSpec(3, {(0, 2): 4}) and dict(spec.budgets) == {(0, 2): 4}
+        with pytest.raises(TypeError):
+            spec.budgets[(0, 1)] = 1
+
     @pytest.mark.parametrize(
         "m,budgets,message",
         [(True, {}, "need at least 2 terminals, got m=True"),

@@ -34,7 +34,7 @@ from pinkey.errors import InsufficientKeyMaterial, InvariantViolation, NotAStar
 from pinkey.model import SourceBitBasis
 from pinkey.oracles import (MI_BASIS_LIMIT, brute_force_mutual_information, is_connected, min_st_cut_bruteforce,
                             verify_independence)
-from pinkey.protocols import GroupKeyResult, PublicMessage, _hex, _self_check
+from pinkey.protocols import GroupKeyResult, LinearForm, PublicMessage, _hex, _learned
 
 from helpers import (audited, closed_form, debit, full_basis, key_values, random_connected_spec, random_spec,
                      reference_replay, take_all, tagged_stream, transcript_columns, transcript_of)
@@ -72,11 +72,6 @@ def reference_text(transcript):
 
 def leak_report(result):
     return verify_independence(result.key_forms, result.transcript.forms(), result.basis)
-
-
-def self_check(result):
-    """The run self-check over a result's parts; raises InvariantViolation."""
-    return _self_check(result.holders, result.key_ids, result.transcript)
 
 
 def run_optimized(code):
@@ -867,13 +862,14 @@ class TestRenderingPaths:
 
 
 def hand_built(spec, seed, key_ids, plain, pad):
-    """The result of a faithful one-bit-per-message transcript of the rows ``plain[k] ^ pad[k]``
-    over the pair bits of ``spec``, and its secrecy report from the label-level audit."""
+    """A faithful one-bit-per-message transcript of the rows ``plain[k] ^ pad[k]`` over the
+    pair bits of ``spec``, and the label-level audit's secrecy report of the key ``key_ids``
+    against it; no result is built, as one with a pad that is not private cannot be."""
     basis = full_basis(spec, seed)
     n = len(pad)
     transcript = Transcript(basis, [0] * n, [0] * n, [1] * n, range(1, n + 1), plain, pad)
-    result = GroupKeyResult(frozenset(), key_ids, transcript, None)
-    return result, leak_report(result)
+    key_forms = [LinearForm.unit(basis.label(ident)) for ident in key_ids]
+    return transcript, verify_independence(key_forms, transcript.forms(), basis)
 
 
 def hand_built_pads(rng, kind, ids, key_ids):
@@ -897,7 +893,7 @@ COMBINATION = (NetworkSpec.star([2, 2, 2, 1]), 4, [0], [0, 2, 1], [2, 4, 0])
 
 
 class TestHandBuiltTranscripts:
-    def test_self_check_and_replay_agree_with_the_oracles(self):
+    def test_construction_and_replay_agree_with_the_oracles(self):
         rng = random.Random(1812)
         kinds = dict.fromkeys(("private", "key", "plain"), 0)
         for trial in range(210):
@@ -909,15 +905,16 @@ class TestHandBuiltTranscripts:
                 continue
             key_ids = rng.sample(ids, rng.randint(1, min(2, len(ids) - 2)))
             plain, pad = hand_built_pads(rng, kind, ids, key_ids)
-            result, audit = hand_built(spec, rng.randrange(2**16), key_ids, plain, pad)
+            transcript, audit = hand_built(spec, rng.randrange(2**16), key_ids, plain, pad)
             kinds[kind] += 1
             if kind != "private":
                 with pytest.raises(InvariantViolation, match="a pad bit is not private"):
-                    _self_check(frozenset(), key_ids, result.transcript)
-                for terminal in range(spec.m):
+                    GroupKeyResult(frozenset(), key_ids, transcript, None)
+                for terminal in range(spec.m):  # the count that replay_key reads
                     with pytest.raises(InvariantViolation, match="a pad bit is not private"):
-                        replay_key(result, terminal)
+                        _learned(set(key_ids), transcript, (terminal,))
                 continue
+            result = GroupKeyResult(frozenset(), key_ids, transcript, None)
             holders = set()
             for terminal in range(spec.m):
                 replayed = reference_replay(result, terminal)
@@ -926,31 +923,32 @@ class TestHandBuiltTranscripts:
                     assert replayed == result.key
                     holders.add(terminal)
             # the self-check passes, and the closed form it stands for is the audit's
-            _self_check(frozenset(holders), key_ids, result.transcript)
+            replace(result, holders=frozenset(holders))
             assert audited(audit) == closed_form(len(key_ids), result.transcript.public_bits)
             for outsider in set(range(spec.m)) - holders:
                 with pytest.raises(InvariantViolation, match=f"holder {outsider} cannot replay"):
-                    _self_check(frozenset(holders | {outsider}), key_ids, result.transcript)
+                    replace(result, holders=frozenset(holders | {outsider}))
             if len(result.basis) <= MI_BASIS_LIMIT:
                 assert brute_force_mutual_information(
                     result.key_forms, result.transcript.forms(), len(result.basis)) == 0
         assert min(kinds.values()) >= 50, kinds
 
     def test_a_key_bit_seen_only_as_a_combination_is_refused(self):
-        result, audit = hand_built(*COMBINATION)
+        transcript, audit = hand_built(*COMBINATION)
+        key_ids = COMBINATION[2]
         # the label-level audit finds no leak, but the pads are not private
         assert audit.leaked_bits == 0 and audit.rank_transcript == 3
         with pytest.raises(InvariantViolation, match="a pad bit is not private"):
-            _self_check(frozenset({3}), result.key_ids, result.transcript)
+            GroupKeyResult(frozenset({3}), key_ids, transcript, None)
         for terminal in range(5):
             with pytest.raises(InvariantViolation, match="a pad bit is not private"):
-                replay_key(result, terminal)
+                _learned(set(key_ids), transcript, (terminal,))
 
-    def test_a_holder_that_cannot_replay_is_named_under_python_O(self):
+    def test_a_holder_short_of_the_key_is_named_under_python_O(self):
         code = textwrap.dedent(f"""
             from pinkey import NetworkSpec, Transcript, generate_pairwise_keys, run_broadcast
             from pinkey.errors import InvariantViolation
-            from pinkey.protocols import _self_check
+            from pinkey.protocols import GroupKeyResult
 
             assert False, "assertions must be off"
             spec = NetworkSpec.star([7, 5, 9])
@@ -969,7 +967,7 @@ class TestHandBuiltTranscripts:
             for holders, key, transcript in [(result.holders, result.key_ids, dropped),
                                              (frozenset(range(5)), key_ids, shared)]:
                 try:
-                    _self_check(holders, key, transcript)
+                    GroupKeyResult(holders, key, transcript, None)
                 except InvariantViolation as exc:
                     print("caught:", exc)
         """)
@@ -983,49 +981,48 @@ class TestSelfCheck:
         result = run_broadcast(generate_pairwise_keys(spec, 3))
         # resending a message keeps every form faithful but pads twice
         messages = list(result.transcript)
-        bad = replace(result, transcript=transcript_of(result.basis, messages + messages[-1:]))
+        bad = transcript_of(result.basis, messages + messages[-1:])
         with pytest.raises(InvariantViolation, match="pad bit was reused"):
-            self_check(bad)
-        # replay checks the pads the same way
+            replace(result, transcript=bad)
+        # the count that replay reads checks the pads the same way
         with pytest.raises(InvariantViolation, match="pad bit was reused"):
-            replay_key(bad, 1)
+            _learned(set(result.key_ids), bad, (1,))
 
-    def test_a_holder_that_cannot_replay_is_caught(self):
+    def test_a_holder_short_of_the_key_is_caught(self):
         store = generate_pairwise_keys(TRIANGLE, 5)
         result = run_subgroup(store, 0, 2)
         # the relay sees only 3 of the 7 key bits
-        bad = replace(result, holders=frozenset({0, 1, 2}))
         with pytest.raises(InvariantViolation, match="holder 1 cannot replay"):
-            self_check(bad)
+            replace(result, holders=frozenset({0, 1, 2}))
 
     def test_a_holder_is_checked_without_the_bits_of_the_holders_before_it(self):
         spec = NetworkSpec.star([7, 5, 9])
         result = run_broadcast(generate_pairwise_keys(spec, 3))
         # leaf 3 loses its re-keying message; the center, checked first, owns
         # every key bit, so its own rows must be gone again when leaf 3 is checked
-        bad = replace(result, transcript=transcript_of(result.basis, list(result.transcript)[:-1]))
-        assert list(bad.transcript)[-1].receiver == 1
+        bad = transcript_of(result.basis, list(result.transcript)[:-1])
+        assert list(bad)[-1].receiver == 1
         with pytest.raises(InvariantViolation, match="holder 3 cannot replay"):
-            self_check(bad)
+            replace(result, transcript=bad)
 
     def test_a_repeated_key_bit_is_caught_under_python_O(self):
         # every holder replays [k, k], but a key of one bit twice is not uniform
         result = run_broadcast(generate_pairwise_keys(NetworkSpec.star([7, 5, 9]), 3))
         k = result.key_ids[0]
-        bad = replace(result, key_ids=(k, k))
         with pytest.raises(InvariantViolation, match="a key bit repeats"):
-            self_check(bad)
+            replace(result, key_ids=(k, k))
         code = textwrap.dedent("""
+            from dataclasses import replace
+
             from pinkey import NetworkSpec, generate_pairwise_keys, run_broadcast
             from pinkey.errors import InvariantViolation
-            from pinkey.protocols import _self_check
 
             assert False, "assertions must be off"
             result = run_broadcast(generate_pairwise_keys(NetworkSpec.star([7, 5, 9]), 3))
             k = result.key_ids[0]
-            _self_check(result.holders, result.key_ids[:1], result.transcript)
+            replace(result, key_ids=result.key_ids[:1])
             try:
-                _self_check(result.holders, [k, k], result.transcript)
+                replace(result, key_ids=[k, k])
             except InvariantViolation as exc:
                 print("caught:", exc)
         """)
@@ -1086,7 +1083,7 @@ class TestReplay:
                     if replayed is not None:
                         holders.add(terminal)
                 assert result.holders <= holders
-                _self_check(frozenset(holders), result.key_ids, result.transcript)
+                replace(result, holders=frozenset(holders))
                 results += 1
                 later += min(result.transcript.pad, default=0) > 0  # the run's ids start past 0
         assert results >= 100 and later >= 40, (results, later)
@@ -1094,10 +1091,14 @@ class TestReplay:
     def test_a_key_id_outside_the_basis_is_learned_by_no_terminal(self):
         result = run_subgroup(generate_pairwise_keys(TRIANGLE, 7), 0, 2)
         for outside in (-1, len(result.basis), len(result.basis) + 5):
-            bad = replace(result, key_ids=(*result.key_ids, outside))
-            assert [replay_key(bad, terminal) for terminal in range(4)] == [None] * 4
+            key_ids = (*result.key_ids, outside)
+            # no terminal learns all 8 ids, so none would replay: the relay learns 3 of the 7 others
+            assert _learned(set(key_ids), result.transcript, range(4)) == [7, 3, 7, 0]
+            # the key of 8 ids exceeds the run's bound of 7 first
+            with pytest.raises(InvariantViolation, match="exceeds the partition bound"):
+                replace(result, key_ids=key_ids)
             with pytest.raises(InvariantViolation, match="holder 0 cannot replay"):
-                self_check(bad)
+                replace(result, key_ids=key_ids, bound=None)
 
     @pytest.mark.parametrize("terminal", [2.0, True, False, None, -1, "2", 1.5])
     def test_a_terminal_that_is_no_nonnegative_int_is_refused(self, terminal):
@@ -1110,9 +1111,9 @@ class TestReplay:
     def test_each_pad_that_is_not_private_is_refused_alike_under_python_O(self):
         # an earlier draw, so that the run's ids start past 0; then key bit k and pads a, b, c
         code = textwrap.dedent("""
-            from pinkey import NetworkSpec, Transcript, generate_pairwise_keys, replay_key
+            from pinkey import NetworkSpec, Transcript, generate_pairwise_keys
             from pinkey.errors import InvariantViolation
-            from pinkey.protocols import GroupKeyResult, _self_check
+            from pinkey.protocols import GroupKeyResult, _learned
 
             store = generate_pairwise_keys(NetworkSpec.star([6, 6, 6]), 3)
             store.take(0, 1, 2)
@@ -1122,15 +1123,15 @@ class TestReplay:
             for name, (plain, pad) in cases.items():
                 n = len(pad)
                 transcript = Transcript(store.basis, [0] * n, [0] * n, [2] * n, range(1, n + 1), plain, pad)
-                result = GroupKeyResult(frozenset({0, 2}), (k,), transcript, None)
-                for check in (lambda: _self_check(result.holders, result.key_ids, transcript),
-                              lambda: replay_key(result, 2)):
+                # the self-check of a result, and the count that replay_key reads
+                for check in (lambda: GroupKeyResult(frozenset({0, 2}), (k,), transcript, None).key_ids == (k,),
+                              lambda: _learned({k}, transcript, (2,)) == [1]):
                     try:
-                        print(name, check() is None)
+                        print(name, check())
                     except InvariantViolation as exc:
                         print(name, "caught:", exc)
         """)
-        expected = ("private True\nprivate False\n"
+        expected = ("private True\nprivate True\n"
                     + "".join(f"{name} caught: {message}\n" * 2 for name, message in [
                         ("reused", "a pad bit was reused"), ("key", "a pad bit is not private"),
                         ("plain", "a pad bit is not private"), ("reused and plain", "a pad bit was reused")]))

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from pinkey.cli import Scenario, load_scenario, run_scenario
 from pinkey.errors import InvariantViolation
 from pinkey.model import SourceBitBasis
 from pinkey.oracles import brute_force_mutual_information, verify_independence
-from pinkey.protocols import GroupKeyResult, PublicMessage, _self_check
+from pinkey.protocols import GroupKeyResult, PublicMessage
 
 from helpers import (audited, closed_form, random_connected_spec, random_star_spec, reference_replay,
                      report_secrecy, transcript_of)
@@ -190,11 +191,11 @@ def _group_scenario() -> Scenario:
 
 def test_a_run_does_no_elimination(monkeypatch):
     calls = []
-    cannot_replay = pinkey.protocols._cannot_replay
+    count_learned = pinkey.protocols._learned
 
     def traced(wanted, transcript, terminals):
         terminals = list(terminals)
-        calls.append((set(wanted), transcript, terminals, cannot_replay(wanted, transcript, terminals)))
+        calls.append((set(wanted), transcript, terminals, count_learned(wanted, transcript, terminals)))
         return calls[-1][-1]
 
     def kernel(*args):
@@ -202,7 +203,7 @@ def test_a_run_does_no_elimination(monkeypatch):
 
     assert not hasattr(pinkey.protocols, "gf2_rank")
     monkeypatch.setattr(pinkey.oracles, "gf2_rank", kernel)
-    monkeypatch.setattr(pinkey.protocols, "_cannot_replay", traced)
+    monkeypatch.setattr(pinkey.protocols, "_learned", traced)
     for scenario in (_star_scenario(), _relay_scenario(), _group_scenario()):
         calls.clear()
         report, result = run_scenario(scenario)
@@ -210,14 +211,14 @@ def test_a_run_does_no_elimination(monkeypatch):
         key_ids = result.key_ids
         assert len(result.key) > 0 and transcript.public_bits > 0
         # one pass over the transcript, for the run's key ids
-        ((wanted, checked, asked, stuck),) = calls
+        ((wanted, checked, asked, counts),) = calls
         assert wanted == set(key_ids) and checked is transcript
         # every pad is private: used once, and neither a key id nor a plain id
         pads = set(transcript.pad)
         assert len(pads) == transcript.public_bits and pads.isdisjoint({*key_ids, *transcript.plain})
         # only holders are asked, and every one learns every key id: a pad it
         # owns tells it its plain id, and a key id it owns tells it itself
-        assert sorted(asked) == sorted(result.holders) and stuck == []
+        assert sorted(asked) == sorted(result.holders) and counts == [len(key_ids)] * len(asked)
         learned = {**dict(zip(transcript.pad, transcript.plain)), **dict(zip(key_ids, key_ids))}
         for holder in asked:
             own = [ident for ids, owners in result.basis.runs() if holder in owners for ident in ids]
@@ -262,7 +263,7 @@ def test_degenerate_runs_keep_their_report_bytes(scenario, report):
     assert result.transcript.to_text() == "transcript v1\n"
 
 
-def test_the_self_check_reports_a_leak_as_the_oracles_do():
+def test_a_leak_is_refused_at_construction_as_the_oracles_report_it():
     # Two extra public bits k0 ^ x and x ^ k1 are faithful, pad nothing
     # twice and still let everyone replay, but publish k0 ^ k1: their pads
     # are a plain bit and a key bit, so the self-check refuses them.
@@ -276,11 +277,11 @@ def test_the_self_check_reports_a_leak_as_the_oracles_do():
     extra = PublicMessage(0, 3, 1, payload, plain, pad, store.basis)
     leaky = transcript_of(store.basis, [*result.transcript, extra])
     with pytest.raises(InvariantViolation, match="a pad bit is not private"):
-        _self_check(result.holders, result.key_ids, leaky)
+        replace(result, transcript=leaky)
     assert verify_independence(result.key_forms, leaky.forms(), result.basis).leaked_bits == 1
     assert brute_force_mutual_information(result.key_forms, leaky.forms(), len(result.basis)) == 1
     # the run's own transcript passes the self-check, and the audit finds no leak in it
-    _self_check(result.holders, result.key_ids, result.transcript)
+    replace(result, transcript=result.transcript)
     assert verify_independence(result.key_forms, result.transcript.forms(), result.basis).leaked_bits == 0
 
 

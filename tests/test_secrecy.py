@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,12 +14,18 @@ from pinkey import (
     NetworkSpec,
     SourceBitBasis,
     generate_pairwise_keys,
+    run_broadcast,
     run_group_key,
+    run_subgroup,
 )
-from pinkey.errors import InstanceTooLarge, UnknownBasisLabel
-from pinkey.oracles import _evaluate, brute_force_mutual_information, gf2_rank, verify_independence
+from pinkey.cli import load_scenario, run_scenario
+from pinkey.errors import InstanceTooLarge, InsufficientKeyMaterial, UnknownBasisLabel
+from pinkey.oracles import MI_BASIS_LIMIT, brute_force_mutual_information, gf2_rank, verify_independence
+from pinkey.protocols import _learned
 
-from helpers import full_basis, take_all
+from helpers import full_basis, random_connected_spec, take_all
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
 
 def small_basis(n: int) -> SourceBitBasis:
@@ -34,14 +42,13 @@ def form(*labels: str) -> LinearForm:
 
 
 class TestLinearForm:
-    def test_evaluate(self):
-        # the MI oracle evaluates a form as the XOR of its labels' values
-        values = {"a": 1, "b": 1, "c": 0}
+    def test_the_oracle_evaluates_a_form_as_the_xor_of_its_labels(self):
+        # a form is one uniform bit that all its labels fix together and no fewer of them do
         for labels in [("a", "b"), ("a", "c"), (), ("a", "b", "c"), ("c",)]:
-            expected = 0
-            for label in labels:
-                expected ^= values[label]
-            assert _evaluate(form(*labels), values) == expected
+            units = [form(label) for label in labels]
+            assert brute_force_mutual_information([form(*labels)], units, 3) == (1 if labels else 0)
+            for k in range(len(labels)):
+                assert brute_force_mutual_information([form(*labels)], units[:k] + units[k + 1:], 3) == 0
 
     def test_str_is_sorted(self):
         assert str(form("z", "a")) == "a^z"
@@ -128,6 +135,28 @@ class TestExhaustiveOracle:
         with pytest.raises(ValueError):
             brute_force_mutual_information([form(B0, B1, B2)], [], 2)
 
+    def test_equals_the_histogram_of_each_assignment(self):
+        # the reference: each form evaluated under each assignment of all n labels, one at a time
+        rng = random.Random(602)
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            labels = [f"x{t}" for t in range(n)]
+            key = [form(*rng.sample(labels, rng.randint(0, n))) for _ in range(rng.randint(0, 3))]
+            transcript = [form(*rng.sample(labels, rng.randint(0, n))) for _ in range(rng.randint(0, 4))]
+            joint, keys, views = Counter(), Counter(), Counter()
+            for assignment in range(2**n):
+                def value(f):
+                    return sum(assignment >> labels.index(label) & 1 for label in f.labels) % 2
+                k, v = tuple(map(value, key)), tuple(map(value, transcript))
+                joint[k, v] += 1
+                keys[k] += 1
+                views[v] += 1
+            info = Fraction(0)
+            for (k, v), count in joint.items():
+                ratio = Fraction(count * 2**n, keys[k] * views[v])  # a power of two
+                info += Fraction(count, 2**n) * (ratio.numerator.bit_length() - ratio.denominator.bit_length())
+            assert brute_force_mutual_information(key, transcript, n) == info
+
     def test_rank_formula_matches_oracle_on_random_systems(self):
         # 50 random linear systems over at most 5 basis bits
         rng = random.Random(601)
@@ -173,3 +202,60 @@ def test_distinct_pairs_use_disjoint_labels():
         labels = set(map(store.basis.label, ids))
         assert not labels & seen
         seen.update(labels)
+
+
+def own_forms(basis, terminal: int) -> list[LinearForm]:
+    """The unit forms of the source bits the terminal owns."""
+    return [LinearForm.unit(basis.label(ident)) for ids, owners in basis.runs() if terminal in owners
+            for ident in ids]
+
+
+def learned_by_the_oracle(result, terminals) -> list[Fraction]:
+    """I(K; V, X_v) for each terminal v: how many key bits v computes from the transcript V and its
+    own bits X_v, by exhaustive enumeration."""
+    forms = result.transcript.forms()
+    return [brute_force_mutual_information(result.key_forms, forms + own_forms(result.basis, v), len(result.basis))
+            for v in terminals]
+
+
+class TestWhatEachTerminalLearns:
+    @pytest.mark.parametrize("name,counts", [
+        ("k4_uniform_group", [1, 1, 1, 1, 0]),
+        ("triangle_group", [6, 6, 6, 0]),
+        # the relay forwards 3 of the 7 key bits, as demo 02 prints
+        ("triangle_subgroup", [7, 3, 7, 0]),
+    ])
+    def test_demo_counts_equal_the_oracle(self, name, counts):
+        scenario = load_scenario(str(SCENARIOS / f"{name}.txt"))
+        _, result = run_scenario(scenario)
+        assert len(result.basis) <= MI_BASIS_LIMIT
+        terminals = range(scenario.spec.m + 1)  # terminal m owns no bit
+        assert _learned(set(result.key_ids), result.transcript, terminals) == counts
+        assert learned_by_the_oracle(result, terminals) == counts
+
+    def test_counts_equal_the_oracle_on_random_bases(self):
+        rng = random.Random(1004)
+        checked, partial, later = 0, 0, 0
+        while checked < 100:
+            spec = (random_connected_spec(rng, max_m=4, max_budget=3) if rng.random() < 0.7
+                    else NetworkSpec.star([rng.randint(1, 3) for _ in range(rng.randint(1, 3))]))
+            store = generate_pairwise_keys(spec, rng.randrange(2**16))
+            runs = [lambda: run_group_key(store, rng.choice(("lex-kruskal", "degree-min"))),
+                    lambda: run_subgroup(store, *rng.sample(range(spec.m), 2))]
+            if spec.is_star():
+                runs.append(lambda: run_broadcast(store))
+            if rng.random() < 0.3:  # a second run on the store, whose ids start past the first's
+                rng.choice(runs)()
+            try:
+                result = rng.choice(runs)()
+            except InsufficientKeyMaterial:
+                continue
+            if len(result.basis) > MI_BASIS_LIMIT:
+                continue
+            terminals = range(spec.m + 1)
+            counts = _learned(set(result.key_ids), result.transcript, terminals)
+            assert counts == learned_by_the_oracle(result, terminals), (spec, result.key_ids)
+            checked += 1
+            partial += any(0 < count < len(result.key_ids) for count in counts)
+            later += min(result.transcript.pad, default=0) > 0
+        assert partial >= 5 and later >= 10, (partial, later)
