@@ -82,7 +82,9 @@ class NetworkSpec:
             # ints before any comparison, which a pair of another type would fail with TypeError
             if not (type(i) is type(j) is int and 0 <= i < self.m and 0 <= j < self.m):
                 raise ValueError(f"pair {pair!r} out of range for m={self.m}")
-            if canonical_pair(i, j) != (i, j):
+            if i == j:
+                raise ValueError(f"self-pair ({i}, {j}) is not allowed")
+            if i > j:
                 raise ValueError(f"pair {pair!r} is not in canonical (i < j) form")
             if type(budget) is not int or budget < 0:
                 raise ValueError(f"budget for pair {pair!r} must be a nonnegative int, got {budget!r}")
@@ -92,18 +94,8 @@ class NetworkSpec:
 
     @classmethod
     def from_pairs(cls, m: int, pairs: list[tuple[int, int, int]]) -> "NetworkSpec":
-        """Build a spec from (i, j, budget) triples, canonicalizing pairs.
-
-        Each pair is checked once, here, and the constructor's checks are
-        not run again.  The errors are the ones that canonicalizing and then
-        constructing would raise, in the same order: a pair that is no two
-        ints, a self-pair or a repeat, as the list reaches it; then an m
-        below 2; then the first pair out of range or with a budget that is
-        no nonnegative int.
-        """
+        """Build a spec from (i, j, budget) triples, canonicalizing pairs."""
         budgets: dict[Pair, int] = {}
-        sized = type(m) is int and m >= 2
-        fault = None  # what the constructor would raise for the first bad pair, once m is checked
         for i, j, budget in pairs:
             if not type(i) is type(j) is int:
                 raise ValueError(f"pair {(i, j)!r} out of range for m={m}")
@@ -111,19 +103,7 @@ class NetworkSpec:
             if key in budgets:
                 raise ValueError(f"duplicate pair {key!r}")
             budgets[key] = budget
-            if fault is None and sized:
-                if key[0] < 0 or key[1] >= m:
-                    fault = f"pair {key!r} out of range for m={m}"
-                elif type(budget) is not int or budget < 0:
-                    fault = f"budget for pair {key!r} must be a nonnegative int, got {budget!r}"
-        if not sized:
-            raise ValueError(f"need at least 2 terminals, got m={m!r}")
-        if fault:
-            raise ValueError(fault)
-        spec = object.__new__(cls)  # the fields as __post_init__ would leave them, without its checks
-        object.__setattr__(spec, "m", m)
-        object.__setattr__(spec, "budgets", MappingProxyType({key: b for key, b in budgets.items() if b}))
-        return spec
+        return cls(m, budgets)
 
     @classmethod
     def star(cls, leaf_budgets: list[int]) -> "NetworkSpec":

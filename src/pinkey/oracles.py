@@ -16,8 +16,7 @@ guard.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -219,6 +218,14 @@ def optimal_tree_packing_bruteforce(spec: NetworkSpec) -> int:
 # --- mutual information -------------------------------------------------
 
 
+def _evaluate(form: LinearForm, values: Mapping[str, int]) -> int:
+    """The form's value under an assignment of its labels."""
+    acc = 0
+    for label in form.labels:
+        acc ^= values[label]
+    return acc
+
+
 def _exact_log2(ratio: Fraction) -> int:
     num, den = ratio.numerator, ratio.denominator
     if num & (num - 1) or den & (den - 1):
@@ -236,11 +243,7 @@ def brute_force_mutual_information(
     Enumerates every assignment of the labels the forms reference and
     histograms the induced (K, V) values.  Basis bits no form mentions are
     independent of both sides, so skipping them scales every count by the
-    same power of two and leaves the mutual information unchanged.  The
-    values of all forms under one assignment are one int, bit f the value
-    of form f, key forms first; setting label t flips the bits of the
-    forms that mention it, so the values of every assignment come from
-    XORs of those flips, the first twelve labels' in one list.
+    same power of two and leaves the mutual information unchanged.
 
     Returns 0 iff the joint distribution factorizes.  All probability
     ratios of linear-form systems are powers of two, so the value is
@@ -251,43 +254,36 @@ def brute_force_mutual_information(
             f"basis of {basis_size} bits exceeds the exhaustive limit of {MI_BASIS_LIMIT}"
         )
     key_forms = list(key_forms)
-    forms = key_forms + list(transcript_forms)
-    labels = sorted(set().union(*(f.labels for f in forms)) or set())
+    transcript_forms = list(transcript_forms)
+    labels = sorted(set().union(*(f.labels for f in key_forms + transcript_forms)) or set())
     if len(labels) > basis_size:
         raise ValueError(
             f"forms reference {len(labels)} labels but basis_size is {basis_size}"
         )
 
-    index = {label: t for t, label in enumerate(labels)}
-    flips = [0] * len(labels)  # flips[t]: bit f set for each form f that mentions label t
-    for f, form in enumerate(forms):
-        for label in form.labels:
-            flips[index[label]] |= 1 << f
-    low, high = [0], [0]  # the values of every assignment of the first twelve labels, of the rest
-    for t, flip in enumerate(flips):
-        half = low if t < 12 else high
-        half += [values ^ flip for values in half]
-    keys, split = (1 << len(key_forms)) - 1, len(key_forms)
-    joint: Counter[int] = Counter()
-    key_marginal: Counter[int] = Counter()
-    transcript_marginal: Counter[int] = Counter()
-    for rest in high:
-        values = [first ^ rest for first in low]
-        joint.update(values)
-        key_marginal.update(map(keys.__and__, values))
-        transcript_marginal.update(map(split.__rrshift__, values))  # each value >> split
-
-    # I(K; V) in units of 1/total bits, zero exactly when the distribution factorizes;
-    # the log of each distinct (count, marginals) triple is taken once
+    joint: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    key_marginal: dict[tuple[int, ...], int] = {}
+    transcript_marginal: dict[tuple[int, ...], int] = {}
     total = 1 << len(labels)
-    info = 0
-    logs: dict[tuple[int, int, int], int] = {}
-    for values, count in joint.items():
-        triple = (count, key_marginal[values & keys], transcript_marginal[values >> split])
-        if triple not in logs:
-            logs[triple] = _exact_log2(Fraction(count * total, triple[1] * triple[2]))
-        info += count * logs[triple]
-    return Fraction(info, total)
+    for assignment in range(total):
+        values = {label: (assignment >> t) & 1 for t, label in enumerate(labels)}
+        k = tuple(_evaluate(f, values) for f in key_forms)
+        v = tuple(_evaluate(f, values) for f in transcript_forms)
+        joint[(k, v)] = joint.get((k, v), 0) + 1
+        key_marginal[k] = key_marginal.get(k, 0) + 1
+        transcript_marginal[v] = transcript_marginal.get(v, 0) + 1
+
+    if all(
+        count * total == key_marginal[k] * transcript_marginal[v]
+        for (k, v), count in joint.items()
+    ):
+        return Fraction(0)
+
+    info = Fraction(0)
+    for (k, v), count in joint.items():
+        ratio = Fraction(count * total, key_marginal[k] * transcript_marginal[v])
+        info += Fraction(count, total) * _exact_log2(ratio)
+    return info
 
 
 # --- rank audit ---------------------------------------------------------

@@ -42,6 +42,21 @@ def random_star_spec(rng: random.Random, max_m: int = 8, max_budget: int = 12) -
     return NetworkSpec.star([rng.randint(0, max_budget) for _ in range(m - 1)])
 
 
+def restricted_growth_partitions(m: int) -> list[tuple[frozenset[int], ...]]:
+    """Every partition of [0, m) into at least 2 blocks, block b holding the nodes of code b,
+    for every restricted growth code in lexicographic order: node 0 has code 0, and each later
+    node the code of a node before it or one past their largest."""
+    def codes(prefix: list[int]):
+        if len(prefix) == m:
+            yield prefix
+            return
+        for code in range(max(prefix, default=-1) + 2):
+            yield from codes(prefix + [code])
+
+    return [tuple(frozenset(v for v in range(m) if code[v] == b) for b in range(max(code) + 1))
+            for code in codes([]) if max(code) >= 1]
+
+
 def debit(spec: NetworkSpec, edges) -> NetworkSpec:
     """The spec's budgets after one bit is spent on every edge (i, j) of a tree."""
     return NetworkSpec(spec.m, {pair: w - (pair in edges) for pair, w in spec.budgets.items()})

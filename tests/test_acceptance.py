@@ -18,7 +18,6 @@ import pytest
 from pinkey import (
     LinearForm,
     NetworkSpec,
-    broadcast_bound,
     flood,
     generate_pairwise_keys,
     group_bound,

@@ -32,7 +32,8 @@ from pinkey.oracles import (
     optimal_tree_packing_bruteforce,
 )
 
-from helpers import debit, plain_max_flow, random_connected_spec, random_spec, sparse_spec
+from helpers import (debit, plain_max_flow, random_connected_spec, random_spec, restricted_growth_partitions,
+                     sparse_spec)
 
 TRIANGLE = NetworkSpec(3, {(0, 1): 5, (0, 2): 4, (1, 2): 3})
 
@@ -421,6 +422,16 @@ class TestPartitions:
         assert sum(1 for _ in enumerate_partitions(3)) == 4
         assert sum(1 for _ in enumerate_partitions(4)) == 14
 
+    def test_counts_are_the_bell_numbers_less_one(self):
+        # Bell(1..9); the one-block partition is not enumerated
+        for m, bell in enumerate([1, 2, 5, 15, 52, 203, 877, 4140, 21147], start=1):
+            assert sum(1 for _ in enumerate_partitions(m)) == bell - 1
+
+    def test_order_is_that_of_a_recursive_restricted_growth_walk(self):
+        for m in range(1, 7):
+            expected = [Partition(blocks) for blocks in restricted_growth_partitions(m)]
+            assert list(enumerate_partitions(m)) == expected
+
     def test_guard(self):
         with pytest.raises(InstanceTooLarge):
             next(enumerate_partitions(13))
@@ -459,11 +470,12 @@ class TestNormalizedMulticut:
 
     def test_scores_each_partition_as_its_blocks_do(self):
         # the incremental crossing weights, compared by cross-multiplication, pick the value and
-        # the first witness that scoring every enumerated Partition by its blocks picks
+        # the first witness that scoring each Partition of the recursive reference walk picks
         rng = random.Random(409)
         for _ in range(40):
             g = random_spec(rng, max_m=6, max_budget=rng.choice((1, 2, 8)))
-            scored = [(p.normalized_weight(g), k, p) for k, p in enumerate(enumerate_partitions(g.m))]
+            partitions = map(Partition, restricted_growth_partitions(g.m))
+            scored = [(p.normalized_weight(g), k, p) for k, p in enumerate(partitions)]
             value, _, witness = min(scored, key=lambda entry: entry[:2])
             assert min_normalized_multicut(g) == (value, witness)
 

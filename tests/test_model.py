@@ -44,8 +44,10 @@ class TestNetworkSpec:
             NetworkSpec.from_pairs(3, [(0, None, 1)])
         with pytest.raises(ValueError):
             NetworkSpec(3, {(0, 3): 1})
-        with pytest.raises(ValueError):
-            NetworkSpec(3, {(1, 0): 1})  # non-canonical key
+        with pytest.raises(ValueError, match=r"^pair \(1, 0\) is not in canonical \(i < j\) form$"):
+            NetworkSpec(3, {(1, 0): 1})
+        with pytest.raises(ValueError, match=r"^self-pair \(1, 1\) is not allowed$"):
+            NetworkSpec(3, {(1, 1): 1})
         with pytest.raises(ValueError):
             NetworkSpec(3, {(0, 1): -2})
         with pytest.raises(ValueError):

