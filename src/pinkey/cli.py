@@ -47,7 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import TIE_BREAK_POLICIES
-from .model import NetworkSpec, generate_pairwise_keys
+from .model import NetworkSpec, check_seed, generate_pairwise_keys
 from .protocols import GroupKeyResult, run_broadcast, run_group_key, run_subgroup
 
 PROTOCOLS = ("broadcast", "subgroup", "group")
@@ -77,8 +77,10 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ValidationError(f"protocol: must be one of {PROTOCOLS}, got {self.protocol!r}")
-        if not (type(self.seed) is int and 0 <= self.seed < 2**64):
-            raise ValidationError(f"seed: must fit in an unsigned 64-bit integer, got {self.seed}")
+        try:
+            check_seed(self.seed)
+        except ValueError as exc:
+            raise ValidationError(f"seed: {exc}") from None
         if self.tie_break not in TIE_BREAK_POLICIES:
             raise ValidationError(
                 f"tie_break: must be one of {TIE_BREAK_POLICIES}, got {self.tie_break!r}")
@@ -144,10 +146,10 @@ def load_scenario(path: str) -> Scenario:
         tokens = line.split()
         where = f"line {lineno}"
         if tokens[0] == "pair":
-            if len(tokens) != 4:
-                raise ParseError(f"{where}: pair lines are 'pair i j budget'")
-            pairs.append(tuple(_parse_int(token, where) for token in tokens[1:]))
-            continue
+            # a malformed pair line: _PAIR_LINE took the rest, as its \s is str.split()'s whitespace
+            for token in tokens[1:] if len(tokens) == 4 else ():
+                _parse_int(token, where)
+            raise ParseError(f"{where}: pair lines are 'pair i j budget'")
         if len(tokens) != 2:
             raise ParseError(f"{where}: expected 'key value', got {line!r}")
         key, value = tokens
@@ -326,7 +328,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     elif kind == "packing":
         rows = [("kind", kind), ("value", oracles.optimal_tree_packing_bruteforce(spec))]
     elif kind == "partitions":
-        count = sum(1 for _ in oracles.enumerate_partitions(spec.m))
+        count = sum(1 for _ in oracles._codes(spec.m))  # the codes of enumerate_partitions, unbuilt
         rows = [("kind", kind), ("count", count)]
     else:  # mi: exhaustive check of the scenario's own run
         _, result = run_scenario(scenario)

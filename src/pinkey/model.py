@@ -14,16 +14,18 @@ All randomness in a run descends from one 64-bit seed, and the
 and each terminal's local bits are a Mersenne Twister stream of their
 own, seeded by a SHA-256 mix of the run seed and the pair or terminal,
 so streams are independent of draw order and stable across processes.
-Each draw reseeds the store's one generator.
+Each draw reseeds the store's one generator.  ``check_seed`` is the one
+rule for a seed, which the store and a scenario both apply: an ``int``
+in [0, 2**64), so no bool, float or string stands in for one.
 
-Realized source bits are numbered by int id, one run of consecutive ids
-per draw, with their values in one ``bytearray``; the basis holds the
-bits a run drew and no others.  Every bit has a label ``prefix +
-index``: ``K0-1:3`` is bit 3 of pair {0, 1}'s key and ``R2:0`` terminal
-2's first local bit.  Labels are never stored: ``labels`` renders them
-all, run by run, ``labels_from`` those from one id on, ``label`` one,
-and a label is parsed back only where a caller looks it up.  The run
-path works on ids alone.
+Realized source bits are numbered by int id from 0, one run of
+consecutive ids per draw, with their values in one ``bytearray``; the
+basis holds the bits its store drew and no others.  Every bit has a
+label ``prefix + index``: ``K0-1:3`` is bit 3 of pair {0, 1}'s key and
+``R2:0`` terminal 2's first local bit.  Labels are never stored:
+``labels_from`` renders them all, run by run, into a list that ids
+index, ``labels`` into a tuple, ``label`` one, and a label is parsed
+back only where a caller looks it up.  The run path works on ids alone.
 """
 
 from __future__ import annotations
@@ -43,6 +45,12 @@ _BIT_VALUES = frozenset((0, 1))
 
 # Byte b of a Mersenne Twister word maps to its top bit, b >> 7.
 _TOP_BIT = bytes(b >> 7 for b in range(256))
+
+
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` is an ``int`` in [0, 2**64); a bool is no seed."""
+    if not (type(seed) is int and 0 <= seed < 2**64):
+        raise ValueError(f"must fit in an unsigned 64-bit integer, got {seed!r}")
 
 
 def canonical_pair(i: int, j: int) -> Pair:
@@ -175,22 +183,20 @@ class SourceBitBasis:
     @property
     def labels(self) -> tuple[str, ...]:
         """Every bit's label, in id order."""
-        return tuple(self.labels_from(0))
+        return tuple(self.labels_from())
 
-    def labels_from(self, first: int) -> list[str]:
-        """Each bit's label at its id, rendered from id ``first`` on: the ``first`` entries
-        before it are empty strings, so ids index the list and no earlier bit is rendered.
+    def labels_from(self) -> list[str]:
+        """Every bit's label, in a list that ids index.
 
-        Only the runs from the one holding ``first`` are looked at, and each
-        renders its label indices through one ``index_digits`` table, so the
-        work is proportional to the bits rendered, prefixed in one join.
+        Each run renders its label indices through one ``index_digits``
+        table, so indices that runs share are rendered once, and prefixes
+        them in one join.
         """
         digits: list[str] = []
-        labels = [""] * first
-        for ids, _, prefix, base in self._runs_from(first):
-            # the run's label indices from id first on, at least one; no label holds a space
-            indices = index_digits(digits, max(ids.start, first) - base, ids.stop - base)
-            labels += (prefix + f" {prefix}".join(indices)).split(" ")
+        labels: list[str] = []
+        for ids, _, prefix, base in self._runs:
+            indices = index_digits(digits, ids.start - base, ids.stop - base)
+            labels += (prefix + f" {prefix}".join(indices)).split(" ")  # no label holds a space
         return labels
 
     def _add_runs(self, runs: Sequence[tuple[str, frozenset[int], int]], values: Sequence[int]) -> list[range]:
@@ -250,14 +256,9 @@ class SourceBitBasis:
         _, _, prefix, base = self._runs[k]
         return prefix, first - base
 
-    def runs(self, first: int = 0) -> list[tuple[range, frozenset[int]]]:
-        """Each run's ids and owners, in id order, from the run holding id ``first`` on: the
-        runs that end at or below ``first`` are skipped by bisection, not looked at."""
-        return [run[:2] for run in self._runs_from(first)]
-
-    def _runs_from(self, first: int) -> list[tuple[range, frozenset[int], str, int]]:
-        """The runs from the one holding id ``first`` on, found by bisection; none past the end."""
-        return self._runs[max(bisect_right(self._starts, first) - 1, 0):] if first < len(self.values) else []
+    def runs(self) -> list[tuple[range, frozenset[int]]]:
+        """Each run's ids and owners, in id order."""
+        return [run[:2] for run in self._runs]
 
     def bits(self, ids: Iterable[int]) -> tuple[int, ...]:
         """The realized values of the given ids."""
@@ -272,13 +273,9 @@ class SourceBitBasis:
 def index_digits(table: list[str], first: int, stop: int) -> list[str]:
     """``str(k)`` for each k in range(first, stop), from ``table``, which holds ``str(k)`` at k.
 
-    When the range meets the table, the table grows to ``stop`` and the range
-    is sliced from it, so indices that runs share are rendered once; a range
-    that starts past the table is rendered on its own.  Either way the work
-    is proportional to the range, not to ``stop``.
+    The table first grows to ``stop``, so each index is rendered once for
+    all the ranges sliced from one table.
     """
-    if first > len(table):
-        return list(map(str, range(first, stop)))
     table += map(str, range(len(table), stop))
     return table[first:stop]
 
@@ -292,12 +289,14 @@ class PairwiseKeyStore:
     never drawn; ``fresh`` draws a terminal's next local bits.  Bits are
     handed out strictly left to right and never twice, across runs too:
     once a protocol consumes a bit it is gone, which is exactly the
-    one-time-pad discipline the message constructions rely on.
+    one-time-pad discipline the message constructions rely on.  A seed
+    that ``check_seed`` refuses raises ValueError before any bit is drawn.
     """
 
     __slots__ = ("basis", "_spec", "_seed", "_drawn", "_rng")
 
     def __init__(self, spec: NetworkSpec, seed: int) -> None:
+        check_seed(seed)
         self.basis = SourceBitBasis()
         self._spec, self._seed = spec, seed
         self._drawn: dict[Pair | int, int] = {}  # bits drawn per pair, and per terminal of its local bits

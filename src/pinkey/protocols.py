@@ -28,9 +28,10 @@ learns exactly the ids it owns plus the plain id of each pad it owns,
 and the ranks of key, transcript and both are (|K|, P, |K| + P) for |K|
 distinct key ids and P public bits: the transcript tells nothing about
 the key.  So a run's ``GroupKeyResult`` checks itself when it is built:
-distinct key ids and a key within its bound, then pad privacy and every
-holder's replay in one pass with no GF(2) elimination.  One table,
-indexed by id, holds what each pad and key id tells its owners, and
+key ids of its basis, distinct and within its bound, and holders that
+are nonnegative ints, then pad privacy and every holder's replay in one pass
+with no GF(2) elimination.  One table, indexed by id from 0 over the
+basis, holds what each pad and key id tells its owners, and
 ``_learned`` counts the key ids that the table's slices over the basis
 runs a terminal owns hold: a holder replays when it learns them all.  No
 result has a pad that is not private.  The rank audit of any forms,
@@ -192,7 +193,7 @@ class Transcript:
 
     def forms(self) -> list[LinearForm]:
         """Each public bit's linear form, in payload order."""
-        labels = self._labels()
+        labels = self.basis.labels_from()
         return [LinearForm(frozenset((labels[a], labels[b]))) for a, b in zip(self.plain, self.pad)]
 
     def to_text(self) -> str:
@@ -209,8 +210,7 @@ class Transcript:
         ``R{v}:``) ends in its only colon, so no prefix starts another, and
         two labels of different prefixes compare as their prefixes do.
         Every other message slices the forms of all payload bits, rendered
-        when the first such message needs them.  Labels are rendered from
-        the transcript's smallest id up, not for the bits drawn before it.
+        when the first such message needs them.
         """
         basis, plain, pad, ends = self.basis, self.plain, self.pad, self.ends
         digits = self.payload.translate(_DIGITS).decode()
@@ -219,7 +219,7 @@ class Transcript:
         number = [*map(str, range(top + 1))].__getitem__ if top <= len(ends) else str
         rounds, senders, receivers = (map(number, column) for column in (self.rounds, self.senders, self.receivers))
         if ends == [*range(1, len(ends) + 1)]:  # one bit per message, as in group runs
-            label = self._labels().__getitem__
+            label = basis.labels_from().__getitem__
             lines = [f"{r} {s} {v} {d} {a}^{b}" if a < b else f"{r} {s} {v} {d} {b}^{a}"
                      for r, s, v, d, a, b in zip(rounds, senders, receivers, digits, map(label, plain), map(label, pad))]
         else:
@@ -242,14 +242,9 @@ class Transcript:
             lines = map("{} {} {} {} {}".format, rounds, senders, receivers, payloads, forms)
         return "\n".join(["transcript v1", *lines]) + "\n"
 
-    def _labels(self) -> list[str]:
-        """Labels indexed by id, rendered from the smallest ``plain`` or ``pad`` id up."""
-        plain, pad = self.plain, self.pad  # construction checked that every id has a label
-        return self.basis.labels_from(min(min(plain), min(pad))) if plain else []
-
     def _texts(self) -> list[str]:
         """Each public bit's form as ``to_text`` writes it, in payload order."""
-        label = self._labels().__getitem__
+        label = self.basis.labels_from().__getitem__
         return [f"{a}^{b}" if a < b else f"{b}^{a}" for a, b in zip(map(label, self.plain), map(label, self.pad))]
 
 
@@ -260,12 +255,14 @@ class GroupKeyResult:
     The key is the source bits ``key_ids``; ``key`` reads their values
     from the basis.  Building a result is the run's self-check, also when
     ``dataclasses.replace`` builds it, so every result passes it: it
-    raises InvariantViolation for a key id that repeats, then for a key
-    longer than ``bound``, then, in one ``_learned`` pass, for a reused
-    pad, a pad that is not private and the smallest holder that does not
-    learn every key id.  Private pads make the P public rows and the
-    key's |K| distinct unit rows independent: ranks |K|, P and |K| + P,
-    and the transcript tells nothing about the key, which is uniform.
+    raises InvariantViolation for a key id that is no ``int`` id of the
+    basis, then for a key id that repeats, then for a key longer than
+    ``bound``, then for a holder that is no nonnegative ``int``, then, in
+    one ``_learned`` pass, for a reused pad, a pad that is not private and
+    the smallest holder that does not learn every key id.  Private pads
+    make the P public rows and the key's |K| distinct unit rows
+    independent: ranks |K|, P and |K| + P, and the transcript tells
+    nothing about the key, which is uniform.
     """
 
     holders: frozenset[int]
@@ -274,9 +271,15 @@ class GroupKeyResult:
     bound: Fraction | None  # None for group runs above GROUP_BOUND_AUTO_LIMIT
 
     def __post_init__(self) -> None:
-        wanted = set(self.key_ids)
-        invariant(len(wanted) == len(self.key_ids), "a key bit repeats")
+        key_ids = self.key_ids
+        # a bool is no id: True would read id 1
+        invariant(not key_ids or (set(map(type, key_ids)) == {int} and 0 <= min(key_ids)
+                                  and max(key_ids) < len(self.basis)), "a key bit is not in the basis")
+        wanted = set(key_ids)
+        invariant(len(wanted) == len(key_ids), "a key bit repeats")
         invariant(self.bound is None or len(wanted) <= self.bound, "achieved length exceeds the partition bound")
+        invariant(all(type(holder) is int and holder >= 0 for holder in self.holders),
+                  "a holder is not a nonnegative int")
         holders = sorted(self.holders)
         for holder, count in zip(holders, _learned(wanted, self.transcript, holders)):
             if count < len(wanted):
@@ -300,7 +303,7 @@ class GroupKeyResult:
         return tuple(LinearForm.unit(self.basis.label(ident)) for ident in self.key_ids)
 
 
-def _learned(wanted: set[int], transcript: Transcript, terminals: Iterable[int]) -> list[int]:
+def _learned(wanted: set[int], transcript: Transcript, terminals: Sequence[int]) -> list[int]:
     """How many of the ids ``wanted`` each terminal, in the order given, learns from its own
     bits and the transcript.
 
@@ -308,30 +311,24 @@ def _learned(wanted: set[int], transcript: Transcript, terminals: Iterable[int])
     neither a wanted id nor a ``plain`` id.  Then a public bit's row is the
     only one that mentions its pad, so a terminal's own bits and the
     transcript span exactly what its ids tell it: a wanted id itself, a pad
-    its ``plain`` id.  One table, indexed by id from the smallest pad or
-    wanted id up, holds what each such id tells, and a terminal learns the
-    wanted ids that the slices of the table over the basis runs it owns
-    hold.  The runs that end below the table are not looked at.
+    its ``plain`` id.  One table, indexed by the basis's ids, holds what
+    each such id tells, and a terminal learns the wanted ids that the
+    slices of the table over the basis runs it owns hold.  Every wanted id
+    is an id of the basis, as a result checks before it counts.
     """
     plain, pad = transcript.plain, transcript.pad
     pads = set(pad)
     invariant(len(pads) == len(pad), "a pad bit was reused")
     invariant(pads.isdisjoint(wanted) and pads.isdisjoint(plain), "a pad bit is not private")
-    terminals = list(terminals)
-    if not wanted:
-        return [0] * len(terminals)
-    start = min(min(pad), min(wanted)) if pad else min(wanted)
     basis = transcript.basis
-    # told[i - start]: what id i tells its owners; a wanted id past the basis gets a cell no run slices
-    told: list[int | None] = [None] * (max(len(basis), max(wanted) + 1) - start)
+    told: list[int | None] = [None] * len(basis)  # told[i]: what id i tells its owners
     keys = list(wanted)
-    cells = ([i - start for i in pad], [k - start for k in keys]) if start else (pad, keys)
     # each deque(map(...), 0) writes its cells in one C-level pass, keeping nothing
-    deque(map(told.__setitem__, cells[0], plain), 0)  # a pad tells its plain id
-    deque(map(told.__setitem__, cells[1], keys), 0)  # a wanted id tells itself
+    deque(map(told.__setitem__, pad, plain), 0)  # a pad tells its plain id
+    deque(map(told.__setitem__, keys, keys), 0)  # a wanted id tells itself
     slices: dict[int, list[list[int | None]]] = {terminal: [] for terminal in terminals}
-    for ids, owners in basis.runs(start):
-        part = told[max(ids.start - start, 0):ids.stop - start]
+    for ids, owners in basis.runs():
+        part = told[ids.start:ids.stop]
         for owner in owners:
             if owner in slices:
                 slices[owner].append(part)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import pinkey.cli
 import pinkey.protocols
 from pinkey import NetworkSpec, Transcript
 from pinkey.cli import Scenario, load_scenario, main
@@ -224,6 +225,37 @@ class TestLoadScenario:
                 load_scenario(path)
         else:
             assert load_scenario(path) == Scenario(NetworkSpec(3, expected), "group")
+
+    def test_a_pair_line_is_accepted_exactly_when_it_matches_whole(self, tmp_path):
+        # the token path only raises: a line that str.split() reads as a pair line is one that
+        # _PAIR_LINE matches, as both split at the 29 str.isspace() characters; "\n" and "\r" end
+        # the line as a file is read, and "\u200b", "\ufeff", "\x00" and "_" split neither
+        spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        assert len(spaces) == 29
+        separators = [c for c in spaces if c not in "\n\r"] + ["\u200b", "\ufeff", "\x00", "_"]
+        numbers = [("0", "1", "2"), ("00", "01", "002"), ("-0", "1", "-2"), ("+0", "1", "2"),
+                   ("0", "1", "\u0663"), ("0", "1"), ("0", "1", "2", "3")]
+        outcomes = set()
+        for c in separators:
+            for tokens in numbers:
+                for tail in ("", "#", f"{c}# one # two", "\r"):
+                    line = f"{c}pair{c}{c.join(tokens)}{c}{tail}\n"
+                    path = scenario_file(tmp_path, f"version 1\nm 3\nprotocol group\n{line}")
+                    with open(path, encoding="utf-8") as fh:
+                        line = fh.readlines()[3:]
+                    assert len(line) == 1, line
+                    match = pinkey.cli._PAIR_LINE.fullmatch(line[0])
+                    try:
+                        budgets = load_scenario(path).spec.budgets
+                    except ParseError:
+                        accepted = False
+                    except ValidationError as exc:  # a negative budget, past the parse
+                        accepted = str(exc).startswith("pair: ")
+                    else:
+                        accepted = budgets == {(int(match[1]), int(match[2])): int(match[3])} if match else True
+                    assert accepted == bool(match), (c, tokens, tail)
+                    outcomes.add(accepted)
+        assert outcomes == {True, False}
 
 
 class TestScenario:

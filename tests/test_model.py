@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 
@@ -326,17 +327,14 @@ class TestIds:
             prefix, index = basis.run_of([ident])
             assert f"{prefix}{index}" == basis.label(ident)
 
-    def test_labels_and_runs_from_an_id_on_skip_the_bits_before_it(self):
-        # pair {0, 1}'s indices go on past 300 in its second run, where no digit table reaches
+    def test_labels_and_runs_cover_every_take_of_a_store(self):
+        # pair {0, 1}'s indices go on past 300 in its second run
         store = generate_pairwise_keys(NetworkSpec(3, {(0, 1): 310, (1, 2): 4}), 2)
         runs = [store.take(0, 1, 300), store.take(1, 2, 4), store.take(0, 1, 10), store.fresh(2, 3)]
         basis = store.basis
         labels = [basis.label(ident) for ident in range(len(basis))]
         assert list(basis.labels) == labels and labels[304] == "K0-1:300"
-        for first in (0, 1, 299, 300, 302, 304, 309, 314, 316, len(basis)):
-            assert basis.labels_from(first) == [""] * first + labels[first:], first
-            skipped = sum(ids.stop <= first for ids in runs)
-            assert basis.runs(first) == basis.runs()[skipped:], first
+        assert basis.labels_from() == labels
         assert basis.runs() == [(ids, frozenset(held)) for ids, held in zip(runs, [(0, 1), (1, 2), (0, 1), (2,)])]
 
     def test_the_basis_reads_as_a_label_to_value_mapping(self):
@@ -453,6 +451,27 @@ class TestConsumption:
                 store.fresh(owner, count)
         assert store.fresh(2, 0) == range(0)
         assert len(store.basis) == 0
+
+    @pytest.mark.parametrize("seed", [True, False, 1.0, "1", -1, 2**64, None])
+    def test_a_seed_that_is_no_unsigned_64_bit_int_is_refused(self, seed):
+        # True and 1.0 would draw another key than 1, and "1" the same as 1
+        with pytest.raises(ValueError, match=rf"^must fit in an unsigned 64-bit integer, got {re.escape(repr(seed))}$"):
+            generate_pairwise_keys(NetworkSpec.complete(3, 2), seed)
+        with pytest.raises(ValueError, match="must fit in an unsigned 64-bit integer"):
+            PairwiseKeyStore(NetworkSpec.complete(3, 2), seed)
+
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "2e3381e32024193a2adb279e4157a512789b51f91f31c5b031285db1a805a46e"),
+        (1, "b7828c0281ca134ac13d82ce4b974def7a824aeb4bc70167a4f507a2916b0e3b"),
+        (2**63, "8c14f7f6008cddaa8416e52db65741ae076c6f8d422a6122e957288efa96f6a0"),
+        (2**64 - 1, "f5a872a58e0d16b5413d46c7513f455e8ae4847c969451ebbae35c0edec22363"),
+    ])
+    def test_a_valid_seed_draws_its_recorded_bits(self, seed, digest):
+        # every pair's 64 bits of a complete m = 4 network, then 64 local bits of terminal 3
+        store = generate_pairwise_keys(NetworkSpec.complete(4, 64), seed)
+        take_all(store)
+        store.fresh(3, 64)
+        assert hashlib.sha256(bytes(store.basis.values)).hexdigest() == digest
 
     def test_the_store_holds_its_spec_and_seed(self):
         store = generate_pairwise_keys(TRIANGLE, 3)

@@ -1087,19 +1087,43 @@ class TestReplay:
                 later += min(result.transcript.pad, default=0) > 0  # the run's ids start past 0
         assert results >= 100 and later >= 40, (results, later)
 
-    def test_a_key_id_outside_the_basis_is_learned_by_no_terminal(self):
+    def test_a_key_id_outside_the_basis_is_refused_under_python_O(self):
+        code = textwrap.dedent("""
+            from dataclasses import replace
+            from pinkey import NetworkSpec, generate_pairwise_keys, run_subgroup
+            from pinkey.errors import InvariantViolation
+
+            triangle = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
+            result = run_subgroup(generate_pairwise_keys(triangle, 7), 0, 2)
+            size = len(result.basis)
+            # -1 would read the last bit and True id 1; a bound of 7 or none, and no holder or one
+            for outside in (-1, size, size + 5, True):
+                for change in ({}, {"bound": None}, {"bound": None, "holders": frozenset()},
+                               *({"bound": None, "holders": frozenset({v})} for v in range(4))):
+                    try:
+                        replace(result, key_ids=(*result.key_ids, outside), **change)
+                        print(outside, "built")
+                    except InvariantViolation as exc:
+                        print(outside, "caught:", exc)
+            # a key of the last id alone is in the basis
+            print(replace(result, key_ids=(size - 1,), bound=None, holders=frozenset()).key == result.basis.bits([size - 1]))
+        """)
+        size = len(run_subgroup(generate_pairwise_keys(TRIANGLE, 7), 0, 2).basis)
+        expected = "".join(f"{outside} caught: a key bit is not in the basis\n" * 7
+                           for outside in (-1, size, size + 5, True)) + "True\n"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(code, {})
+        assert out.getvalue() == expected
+        assert run_optimized('assert False, "assertions must be off"\n' + code) == expected
+
+    @pytest.mark.parametrize("holder", [True, "a", -1, 1.0, None])
+    def test_a_holder_that_is_no_nonnegative_int_is_refused(self, holder):
         result = run_subgroup(generate_pairwise_keys(TRIANGLE, 7), 0, 2)
-        for outside in (-1, len(result.basis), len(result.basis) + 5):
-            key_ids = (*result.key_ids, outside)
-            # the key of 8 ids exceeds the run's bound of 7 first
-            with pytest.raises(InvariantViolation, match="exceeds the partition bound"):
-                replace(result, key_ids=key_ids)
-            with pytest.raises(InvariantViolation, match="holder 0 cannot replay"):
-                replace(result, key_ids=key_ids, bound=None)
-            # no terminal learns all 8 ids, so none can hold that key
-            for terminal in range(4):
-                with pytest.raises(InvariantViolation, match=f"holder {terminal} cannot replay"):
-                    replace(result, key_ids=key_ids, bound=None, holders=frozenset({terminal}))
+        # True would stand for terminal 1, and "a" could not be sorted with the ints
+        for holders in ({holder}, {holder, 0, 2}):
+            with pytest.raises(InvariantViolation, match="a holder is not a nonnegative int"):
+                replace(result, holders=frozenset(holders))
 
     @pytest.mark.parametrize("terminal", [2.0, True, False, None, -1, "2", 1.5])
     def test_a_terminal_that_is_no_nonnegative_int_is_refused(self, terminal):
