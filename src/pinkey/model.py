@@ -23,9 +23,9 @@ consecutive ids per draw, with their values in one ``bytearray``; the
 basis holds the bits its store drew and no others.  Every bit has a
 label ``prefix + index``: ``K0-1:3`` is bit 3 of pair {0, 1}'s key and
 ``R2:0`` terminal 2's first local bit.  Labels are never stored:
-``labels_from`` renders them all, run by run, into a list that ids
-index, ``labels`` into a tuple, ``label`` one, and a label is parsed
-back only where a caller looks it up.  The run path works on ids alone.
+``labels`` renders them all, run by run, into a list that ids index,
+``label`` one, and a label is parsed back only where a caller looks it
+up.  The run path works on ids alone.
 """
 
 from __future__ import annotations
@@ -181,12 +181,8 @@ class SourceBitBasis:
         return iter(self.labels)
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        """Every bit's label, in id order."""
-        return tuple(self.labels_from())
-
-    def labels_from(self) -> list[str]:
-        """Every bit's label, in a list that ids index.
+    def labels(self) -> list[str]:
+        """Every bit's label, in a new list that ids index.
 
         Each run renders its label indices through one ``index_digits``
         table, so indices that runs share are rendered once, and prefixes
@@ -246,15 +242,14 @@ class SourceBitBasis:
         _, _, prefix, base = self._runs[bisect_right(self._starts, ident) - 1]
         return f"{prefix}{ident - base}"
 
-    def run_of(self, ids: list[int]) -> tuple[str, int] | None:
-        """The label prefix and first label index of the list ``ids`` when they are consecutive
-        ids of one run, else None."""
-        first = ids[0] if ids else -1
-        k = bisect_right(self._starts, first) - 1
-        if k < 0 or first + len(ids) > self._runs[k][0].stop or ids != [*range(first, first + len(ids))]:
+    def run_of(self, ids: range) -> tuple[str, int] | None:
+        """The label prefix and first label index of ``ids`` when they ascend by one over ids of
+        one run, else None."""
+        k = bisect_right(self._starts, ids[0]) - 1 if ids else -1
+        if k < 0 or ids[-1] - ids[0] != len(ids) - 1 or ids[-1] >= self._runs[k][0].stop:
             return None
         _, _, prefix, base = self._runs[k]
-        return prefix, first - base
+        return prefix, ids[0] - base
 
     def runs(self) -> list[tuple[range, frozenset[int]]]:
         """Each run's ids and owners, in id order."""

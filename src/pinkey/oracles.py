@@ -16,9 +16,11 @@ guard.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Mapping
+from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import xor
 
 from .errors import GraphDisconnected, InstanceTooLarge, UnknownBasisLabel
 from .graph import Partition, _check_terminals, _cut, _UnionFind, greedy_spanning_trees
@@ -218,14 +220,6 @@ def optimal_tree_packing_bruteforce(spec: NetworkSpec) -> int:
 # --- mutual information -------------------------------------------------
 
 
-def _evaluate(form: LinearForm, values: Mapping[str, int]) -> int:
-    """The form's value under an assignment of its labels."""
-    acc = 0
-    for label in form.labels:
-        acc ^= values[label]
-    return acc
-
-
 def _exact_log2(ratio: Fraction) -> int:
     num, den = ratio.numerator, ratio.denominator
     if num & (num - 1) or den & (den - 1):
@@ -245,9 +239,17 @@ def brute_force_mutual_information(
     independent of both sides, so skipping them scales every count by the
     same power of two and leaves the mutual information unchanged.
 
+    Form f's value is bit f of one int state, the key forms below the
+    transcript forms, and each label is the mask of the forms that hold
+    it.  The assignments go in Gray-code order, step i flipping the label
+    numbered by the trailing zeros of i, so each state is the one before
+    XOR one label's mask, and one ``Counter`` over the states is the
+    joint histogram.
+
     Returns 0 iff the joint distribution factorizes.  All probability
     ratios of linear-form systems are powers of two, so the value is
-    computed log-free as an exact Fraction in bits.
+    computed log-free as an exact Fraction in bits, from integer
+    exponents.
     """
     if basis_size > MI_BASIS_LIMIT:
         raise InstanceTooLarge(
@@ -261,29 +263,32 @@ def brute_force_mutual_information(
             f"forms reference {len(labels)} labels but basis_size is {basis_size}"
         )
 
-    joint: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    key_marginal: dict[tuple[int, ...], int] = {}
-    transcript_marginal: dict[tuple[int, ...], int] = {}
+    index = {label: t for t, label in enumerate(labels)}
+    masks = [0] * len(labels)
+    for f, form in enumerate(key_forms + transcript_forms):
+        for label in form.labels:
+            masks[index[label]] |= 1 << f
+    steps: list[int] = []  # steps[i - 1]: the label that step i flips
+    for t in range(len(labels)):
+        steps += [t, *steps]
+    joint = Counter(itertools.accumulate(map(masks.__getitem__, steps), xor, initial=0))
+    key_mask, shift = (1 << len(key_forms)) - 1, len(key_forms)
+    key_marginal: Counter[int] = Counter()
+    transcript_marginal: Counter[int] = Counter()
+    for state, count in joint.items():
+        key_marginal[state & key_mask] += count
+        transcript_marginal[state >> shift] += count
     total = 1 << len(labels)
-    for assignment in range(total):
-        values = {label: (assignment >> t) & 1 for t, label in enumerate(labels)}
-        k = tuple(_evaluate(f, values) for f in key_forms)
-        v = tuple(_evaluate(f, values) for f in transcript_forms)
-        joint[(k, v)] = joint.get((k, v), 0) + 1
-        key_marginal[k] = key_marginal.get(k, 0) + 1
-        transcript_marginal[v] = transcript_marginal.get(v, 0) + 1
 
-    if all(
-        count * total == key_marginal[k] * transcript_marginal[v]
-        for (k, v), count in joint.items()
-    ):
-        return Fraction(0)
-
-    info = Fraction(0)
-    for (k, v), count in joint.items():
-        ratio = Fraction(count * total, key_marginal[k] * transcript_marginal[v])
-        info += Fraction(count, total) * _exact_log2(ratio)
-    return info
+    # sum of count * log2(count * total / (key count * transcript count)) over the states, in bits
+    bits = 0
+    for state, count in joint.items():
+        num, den = count * total, key_marginal[state & key_mask] * transcript_marginal[state >> shift]
+        if num & (num - 1) or den & (den - 1):  # not both powers of two: reduce, or refuse
+            bits += count * _exact_log2(Fraction(num, den))
+        else:
+            bits += count * (num.bit_length() - den.bit_length())
+    return Fraction(bits, total)
 
 
 # --- rank audit ---------------------------------------------------------

@@ -33,9 +33,13 @@ are nonnegative ints, then pad privacy and every holder's replay in one pass
 with no GF(2) elimination.  One table, indexed by id from 0 over the
 basis, holds what each pad and key id tells its owners, and
 ``_learned`` counts the key ids that the table's slices over the basis
-runs a terminal owns hold: a holder replays when it learns them all.  No
-result has a pad that is not private.  The rank audit of any forms,
-``oracles.verify_independence``, is not imported.
+runs a terminal owns hold: a holder replays when it learns them all.
+Wide messages, as broadcast and subgroup runs send, cost per message,
+not per bit: the transcript finds each message's runs of ascending ids
+once, when it is built, and its payload, its text and the table are
+written from them by slices.  No result has a pad that is not private.
+The rank audit of any forms, ``oracles.verify_independence``, is not
+imported.
 """
 
 from __future__ import annotations
@@ -68,6 +72,23 @@ def _gather(values: bytearray, ids: list[int]) -> bytes:
     """The values of ``ids``, in one C-level pass; IndexError for an id past the end."""
     # itemgetter of one id returns its value alone, and of none refuses to be made
     return bytes(itemgetter(*ids)(values)) if len(ids) > 1 else bytes(map(values.__getitem__, ids))
+
+
+def _runs(size: int, plain: list[int], pad: list[int], offsets: list[int]) -> list[tuple[int, int] | None]:
+    """Per message, its first plain and pad ids when its plain ids and its pad ids each ascend by
+    one over ids below ``size``, and every id of both columns is an ``int``; else None."""
+    try:  # a sum of ints is an int, so no 3.0, which equals 3, passes for an id
+        whole = type(sum(plain)) is type(sum(pad)) is int
+    except TypeError:
+        whole = False
+    ids = list(range(size)) if whole else None
+    runs = []
+    for start, end in zip(offsets, offsets[1:]):
+        a, b = (plain[start], pad[start]) if ids and start < end else (None, None)
+        # an id past the basis or below 0 equals no id of the table, so the slices differ
+        runs.append(None if a is None or plain[start:end] != ids[a:a + end - start]
+                    or pad[start:end] != ids[b:b + end - start] else (a, b))
+    return runs
 
 
 def _hex(digits: str) -> str:
@@ -132,13 +153,20 @@ class Transcript:
     ids of bits in the basis, rounds, senders and receivers that are
     nonnegative ints, and nondecreasing rounds.  It then computes
     ``payload`` (immutable bytes), bit k the value of ``plain[k]`` XOR
-    that of ``pad[k]``, so a payload never disagrees with its forms: it
-    gathers each id column's values once, which also bounds the ids, and
-    XORs the two as big ints.
+    that of ``pad[k]``, so a payload never disagrees with its forms.
+    Unless every message is one bit wide, construction first finds each
+    message's runs: the first plain and pad ids of a message whose plain
+    ids and whose pad ids each ascend by one over ids of the basis, every
+    id an ``int``.  When every message has runs, each column's values are
+    slices of the basis values, which also bounds the ids, and a message
+    pads a bit with itself only if its two runs start at one id; otherwise
+    construction gathers each id column's values once, which bounds the
+    ids.  Either way it XORs the two as big ints.  ``to_text`` and the
+    self-check read the runs found here.
     Iterating builds the ``PublicMessage`` values.
     """
 
-    __slots__ = ("basis", "rounds", "senders", "receivers", "ends", "payload", "plain", "pad")
+    __slots__ = ("basis", "rounds", "senders", "receivers", "ends", "payload", "plain", "pad", "_runs")
 
     def __init__(self, basis: SourceBitBasis, rounds: Iterable[int], senders: Iterable[int],
                  receivers: Iterable[int], ends: Iterable[int], plain: Iterable[int], pad: Iterable[int]):
@@ -151,19 +179,28 @@ class Transcript:
         offsets = [0, *ends]
         if offsets[-1] != len(plain) or offsets != sorted(offsets):
             raise ValueError("ends must rise from 0 to the payload length")
-        # before any value is read: a gather would read a negative id from the end of the values
-        if plain and min(min(plain), min(pad)) < 0:
-            raise ValueError(_OUTSIDE)
+        # per message, (first plain id, first pad id) or None; None for one bit per message, as in group runs
+        runs = None if ends == [*range(1, len(ends) + 1)] else _runs(len(basis), plain, pad, offsets)
         refused = None
-        try:  # one gather per column, whose IndexError is the upper-bound check
-            bits = _gather(basis.values, plain), _gather(basis.values, pad)
-        except IndexError:
-            raise ValueError(_OUTSIDE) from None
-        except TypeError as exc:  # an id that is no int, such as 1.0: out of range, or refused last
-            if max(max(plain), max(pad)) >= len(basis):
+        if runs and None not in runs:  # every id is in the basis, so the slices gather every value
+            values = basis.values
+            bits = [b"".join([values[run[k]:run[k] + end - start] for run, start, end in zip(runs, offsets, ends)])
+                    for k in (0, 1)]
+            clash = any(a == b for a, b in runs)  # plain[k] == pad[k] inside a message only if its runs start together
+        else:
+            # before any value is read: a gather would read a negative id from the end of the values
+            if plain and min(min(plain), min(pad)) < 0:
+                raise ValueError(_OUTSIDE)
+            try:  # one gather per column, whose IndexError is the upper-bound check
+                bits = [_gather(basis.values, plain), _gather(basis.values, pad)]
+            except IndexError:
                 raise ValueError(_OUTSIDE) from None
-            refused = exc
-        if any(map(eq, plain, pad)):
+            except TypeError as exc:  # an id that is no int, such as 1.0: out of range, or refused last
+                if max(max(plain), max(pad)) >= len(basis):
+                    raise ValueError(_OUTSIDE) from None
+                refused = exc
+            clash = any(map(eq, plain, pad))
+        if clash:
             raise ValueError("a public bit's plain and pad must be different ids")
         numbers = [*rounds, *senders, *receivers]  # no bool, which to_text would write as True
         if set(map(type, numbers)) - {int} or min(numbers, default=0) < 0:
@@ -173,7 +210,7 @@ class Transcript:
         if refused:
             raise refused
         self.basis, self.rounds, self.senders, self.receivers = basis, rounds, senders, receivers
-        self.ends, self.plain, self.pad = ends, plain, pad
+        self.ends, self.plain, self.pad, self._runs = ends, plain, pad, runs
         self.payload = (int.from_bytes(bits[0], "big") ^ int.from_bytes(bits[1], "big")).to_bytes(len(plain), "big")
 
     def __len__(self) -> int:
@@ -193,7 +230,7 @@ class Transcript:
 
     def forms(self) -> list[LinearForm]:
         """Each public bit's linear form, in payload order."""
-        labels = self.basis.labels_from()
+        labels = self.basis.labels
         return [LinearForm(frozenset((labels[a], labels[b]))) for a, b in zip(self.plain, self.pad)]
 
     def to_text(self) -> str:
@@ -203,37 +240,42 @@ class Transcript:
         the payload's linear forms as sorted label XOR lists.  Payload
         digits render in one pass over the payload.  When every message is
         one bit wide, so are the lines: one comprehension over the columns.
-        Otherwise a message wider than one bit whose plain ids are
-        consecutive ids of one basis run, and whose pad ids are consecutive
-        ids of a run of another prefix, renders from one table of index
-        digits, in an order set once: every prefix (``K{i}-{j}:`` or
-        ``R{v}:``) ends in its only colon, so no prefix starts another, and
-        two labels of different prefixes compare as their prefixes do.
-        Every other message slices the forms of all payload bits, rendered
-        when the first such message needs them.
+        Otherwise a message wider than one bit whose runs, found when the
+        transcript was built, each lie in one basis run, of two prefixes,
+        renders from one table of index digits, in an order set once: every
+        prefix (``K{i}-{j}:`` or ``R{v}:``) ends in its only colon, so no
+        prefix starts another, and two labels of different prefixes compare
+        as their prefixes do.  Its two lists of index digits are
+        slice-assigned into one list of pieces, interleaved with the
+        prefixes, and joined once.  Every other message slices the forms of
+        all payload bits, rendered when the first such message needs them.
         """
-        basis, plain, pad, ends = self.basis, self.plain, self.pad, self.ends
+        basis, ends = self.basis, self.ends
         digits = self.payload.translate(_DIGITS).decode()
         # rounds, senders and receivers as strings, from one table if it needs no more entries than messages
         top = max(chain(self.rounds, self.senders, self.receivers), default=0)
         number = [*map(str, range(top + 1))].__getitem__ if top <= len(ends) else str
         rounds, senders, receivers = (map(number, column) for column in (self.rounds, self.senders, self.receivers))
-        if ends == [*range(1, len(ends) + 1)]:  # one bit per message, as in group runs
-            label = basis.labels_from().__getitem__
+        if self._runs is None:  # one bit per message
+            label = basis.labels.__getitem__
             lines = [f"{r} {s} {v} {d} {a}^{b}" if a < b else f"{r} {s} {v} {d} {b}^{a}"
-                     for r, s, v, d, a, b in zip(rounds, senders, receivers, digits, map(label, plain), map(label, pad))]
+                     for r, s, v, d, a, b in zip(rounds, senders, receivers, digits,
+                                                 map(label, self.plain), map(label, self.pad))]
         else:
             payloads, forms, texts, start = [], [], None, 0
             numbers: list[str] = []  # numbers[k] == str(k), as far as index_digits has grown it
-            for end in ends:
+            for run, end in zip(self._runs, ends):
                 width = end - start
-                a = width > 1 and basis.run_of(plain[start:end])  # (prefix, first index) or None
-                b = a and basis.run_of(pad[start:end])
+                a = run and width > 1 and basis.run_of(range(run[0], run[0] + width))  # (prefix, first index)
+                b = a and basis.run_of(range(run[1], run[1] + width))
                 if b and a[0] != b[0]:
                     (left, x), (right, y) = sorted((a, b))
-                    # "{left}{i}^{right}{j}" per bit, joined by ";", built by joins alone
-                    pairs = zip(index_digits(numbers, x, x + width), index_digits(numbers, y, y + width))
-                    forms.append(left + f";{left}".join(map(f"^{right}".join, pairs)))
+                    # "{left}{i}^{right}{j}" per bit, joined by ";"
+                    pieces = [f";{left}", "", f"^{right}", ""] * width
+                    pieces[0] = left
+                    pieces[1::4] = index_digits(numbers, x, x + width)
+                    pieces[3::4] = index_digits(numbers, y, y + width)
+                    forms.append("".join(pieces))
                 else:
                     texts = self._texts() if texts is None else texts
                     forms.append(";".join(texts[start:end]))
@@ -244,7 +286,7 @@ class Transcript:
 
     def _texts(self) -> list[str]:
         """Each public bit's form as ``to_text`` writes it, in payload order."""
-        label = self.basis.labels_from().__getitem__
+        label = self.basis.labels.__getitem__
         return [f"{a}^{b}" if a < b else f"{b}^{a}" for a, b in zip(map(label, self.plain), map(label, self.pad))]
 
 
@@ -259,10 +301,12 @@ class GroupKeyResult:
     basis, then for a key id that repeats, then for a key longer than
     ``bound``, then for a holder that is no nonnegative ``int``, then, in
     one ``_learned`` pass, for a reused pad, a pad that is not private and
-    the smallest holder that does not learn every key id.  Private pads
-    make the P public rows and the key's |K| distinct unit rows
-    independent: ranks |K|, P and |K| + P, and the transcript tells
-    nothing about the key, which is uniform.
+    the smallest holder that does not learn every key id.  That pass
+    writes its table a slice per message when the transcript found runs
+    in every message, and stops scanning a holder's basis runs once it has learned every
+    key id.  Private pads make the P public rows and the key's |K|
+    distinct unit rows independent: ranks |K|, P and |K| + P, and the
+    transcript tells nothing about the key, which is uniform.
     """
 
     holders: frozenset[int]
@@ -312,11 +356,15 @@ def _learned(wanted: set[int], transcript: Transcript, terminals: Sequence[int])
     only one that mentions its pad, so a terminal's own bits and the
     transcript span exactly what its ids tell it: a wanted id itself, a pad
     its ``plain`` id.  One table, indexed by the basis's ids, holds what
-    each such id tells, and a terminal learns the wanted ids that the
-    slices of the table over the basis runs it owns hold.  Every wanted id
-    is an id of the basis, as a result checks before it counts.
+    each such id tells: when the transcript found runs in every message,
+    each message writes its pads' cells as one slice, and otherwise, as in
+    a transcript of one bit per message, each pad its own cell.  A
+    terminal learns the wanted ids that the slices of the table over the
+    basis runs it owns hold; its scan of those runs stops once it has
+    learned every wanted id.  Every wanted id is an id of the basis, as a
+    result checks before it counts.
     """
-    plain, pad = transcript.plain, transcript.pad
+    plain, pad, runs = transcript.plain, transcript.pad, transcript._runs
     pads = set(pad)
     invariant(len(pads) == len(pad), "a pad bit was reused")
     invariant(pads.isdisjoint(wanted) and pads.isdisjoint(plain), "a pad bit is not private")
@@ -324,7 +372,11 @@ def _learned(wanted: set[int], transcript: Transcript, terminals: Sequence[int])
     told: list[int | None] = [None] * len(basis)  # told[i]: what id i tells its owners
     keys = list(wanted)
     # each deque(map(...), 0) writes its cells in one C-level pass, keeping nothing
-    deque(map(told.__setitem__, pad, plain), 0)  # a pad tells its plain id
+    if runs and None not in runs:  # a pad tells its plain id, a message's pads as one slice
+        for (_, first), start, end in zip(runs, [0, *transcript.ends], transcript.ends):
+            told[first:first + end - start] = plain[start:end]
+    else:
+        deque(map(told.__setitem__, pad, plain), 0)
     deque(map(told.__setitem__, keys, keys), 0)  # a wanted id tells itself
     slices: dict[int, list[list[int | None]]] = {terminal: [] for terminal in terminals}
     for ids, owners in basis.runs():
@@ -332,7 +384,15 @@ def _learned(wanted: set[int], transcript: Transcript, terminals: Sequence[int])
         for owner in owners:
             if owner in slices:
                 slices[owner].append(part)
-    return [len(wanted) - len(wanted.difference(*slices[terminal])) for terminal in terminals]
+    counts = []
+    for terminal in terminals:
+        left = set(wanted)
+        for part in slices[terminal]:
+            if not left:
+                break
+            left.difference_update(part)
+        counts.append(len(wanted) - len(left))
+    return counts
 
 
 def replay_key(result: GroupKeyResult, terminal: int) -> tuple[int, ...] | None:

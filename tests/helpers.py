@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import deque
+from collections.abc import Mapping
+from fractions import Fraction
 from itertools import accumulate
 
 from pinkey import NetworkSpec, Transcript, generate_pairwise_keys
@@ -133,6 +135,25 @@ def transcript_of(basis, messages) -> Transcript:
         [i for msg in messages for i in msg.plain], [i for msg in messages for i in msg.pad])
 
 
+def packed(bits):
+    """Payload bits as hex, MSB first, a bit per step, zero-padded to whole hex digits."""
+    value = 0
+    for bit in bits:
+        value = (value << 1) | bit
+    return f"{value:0{(len(bits) + 3) // 4}x}"
+
+
+def reference_text(transcript):
+    """``to_text`` rendered one message at a time: hex from the packed payload, forms as ``str``."""
+    lines = ["transcript v1"]
+    for msg in transcript:
+        n = len(msg.payload)
+        payload = "-" if n == 0 else str(msg.payload[0]) if n == 1 else packed(msg.payload)
+        forms = ";".join(map(str, msg.forms))
+        lines.append(f"{msg.round} {msg.sender} {msg.receiver} {payload} {forms}")
+    return "\n".join(lines) + "\n"
+
+
 def key_values(store, i: int, j: int) -> tuple[int, ...]:
     """Take pair {i, j}'s unused key bits; their realized values, in key order.
 
@@ -218,3 +239,37 @@ def closed_form(key_bits: int, public_bits: int) -> dict:
     """The secrecy fields of a self-checked key of ``key_bits`` distinct ids and a transcript of
     ``public_bits`` bits whose pads are private: ranks |K|, P and |K| + P, no leak, uniform."""
     return dict(zip(SECRECY_FIELDS, (key_bits, public_bits, key_bits + public_bits, 0, True)))
+
+
+def evaluate(form, values: Mapping[str, int]) -> int:
+    """The form's value under an assignment of its labels."""
+    acc = 0
+    for label in form.labels:
+        acc ^= values[label]
+    return acc
+
+
+def reference_mutual_information(key_forms, transcript_forms) -> Fraction:
+    """I(K; V) by exhaustive enumeration, one dict of label values per assignment: the reference
+    for ``oracles.brute_force_mutual_information``, with no size guard."""
+    key_forms = list(key_forms)
+    transcript_forms = list(transcript_forms)
+    labels = sorted(set().union(*(f.labels for f in key_forms + transcript_forms)))
+    joint: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    key_marginal: dict[tuple[int, ...], int] = {}
+    transcript_marginal: dict[tuple[int, ...], int] = {}
+    total = 1 << len(labels)
+    for assignment in range(total):
+        values = {label: (assignment >> t) & 1 for t, label in enumerate(labels)}
+        k = tuple(evaluate(f, values) for f in key_forms)
+        v = tuple(evaluate(f, values) for f in transcript_forms)
+        joint[(k, v)] = joint.get((k, v), 0) + 1
+        key_marginal[k] = key_marginal.get(k, 0) + 1
+        transcript_marginal[v] = transcript_marginal.get(v, 0) + 1
+    info = Fraction(0)
+    for (k, v), count in joint.items():
+        ratio = Fraction(count * total, key_marginal[k] * transcript_marginal[v])
+        num, den = ratio.numerator, ratio.denominator
+        assert not (num & (num - 1) or den & (den - 1)), f"ratio {ratio} is not a power of two"
+        info += Fraction(count, total) * ((num.bit_length() - 1) - (den.bit_length() - 1))
+    return info

@@ -159,8 +159,8 @@ class TestGeneration:
 
     def test_basis_layout_is_canonical(self):
         labels = full_basis(TRIANGLE, 0).labels
-        assert labels[:5] == tuple(f"K0-1:{t}" for t in range(5))
-        assert labels[5:9] == tuple(f"K0-2:{t}" for t in range(4))
+        assert labels[:5] == [f"K0-1:{t}" for t in range(5)]
+        assert labels[5:9] == [f"K0-2:{t}" for t in range(4)]
         assert len(labels) == TRIANGLE.total_budget()
         assert len(set(labels)) == len(labels)
 
@@ -281,8 +281,8 @@ class TestIds:
         store.fresh(2, 2)
         store.fresh(1, 3)
         basis = store.basis
-        assert basis.labels == tuple(basis.label(i) for i in range(len(basis)))
-        assert basis.labels[11:16] == ("K1-2:2", "R2:0", "R2:1", "R1:0", "R1:1")
+        assert basis.labels == [basis.label(i) for i in range(len(basis))]
+        assert basis.labels[11:16] == ["K1-2:2", "R2:0", "R2:1", "R1:0", "R1:1"]
         assert all(basis.id_of(lab) == i for i, lab in enumerate(basis.labels))
 
     def test_labels_render_in_bulk_over_many_runs(self):
@@ -300,10 +300,10 @@ class TestIds:
         for owner, count in ((5, 2), (3, 9), (5, 1), (3, 1200)):
             store.fresh(owner, count)
         basis = store.basis
-        assert basis.labels == tuple(basis.label(i) for i in range(len(basis)))
+        assert basis.labels == [basis.label(i) for i in range(len(basis))]
         assert basis.labels[-1] == "R3:2705" and basis.label(basis.id_of("K2-10:1000")) == "K2-10:1000"
-        assert basis.labels[basis.id_of("K2-10:997"):][:4] == ("K2-10:997", "K2-10:998", "K2-10:999",
-                                                                  "K2-10:1000")
+        assert basis.labels[basis.id_of("K2-10:997"):][:4] == ["K2-10:997", "K2-10:998", "K2-10:999",
+                                                                  "K2-10:1000"]
 
     def test_ids_outside_the_basis_have_no_label(self):
         basis = full_basis(TRIANGLE, 0)
@@ -316,15 +316,17 @@ class TestIds:
         store = generate_pairwise_keys(NetworkSpec(3, {(0, 1): 8, (1, 2): 4}), 2)
         first, other, second, fresh = store.take(0, 1, 3), store.take(1, 2, 4), store.take(0, 1, 5), store.fresh(2, 2)
         basis = store.basis
-        assert basis.run_of(list(first)) == ("K0-1:", 0)
-        assert basis.run_of(list(second[1:4])) == ("K0-1:", 4)  # the prefix's indices go on across runs
-        assert basis.run_of(list(fresh)) == ("R2:", 0)
-        assert basis.run_of([other[3]]) == ("K1-2:", 3)
-        for ids in ([], [first[2], other[0]], [other[0], other[2]], [other[1], other[0]], [other[1], other[1]],
-                    [fresh[1], fresh[1] + 1], [-1, 0]):
+        assert basis.run_of(first) == ("K0-1:", 0)
+        assert basis.run_of(second[1:4]) == ("K0-1:", 4)  # the prefix's indices go on across runs
+        assert basis.run_of(fresh) == ("R2:", 0)
+        assert basis.run_of(other[3:4]) == ("K1-2:", 3)
+        assert basis.run_of(range(other[3], other[3] + 1, 2)) == ("K1-2:", 3)  # one id ascends by one
+        # empty, across two runs, skipping an id, descending, past the basis, below 0
+        for ids in (range(0), range(first[2], other[0] + 1), range(other[0], other[2] + 1, 2),
+                    range(other[1], other[0] - 1, -1), range(fresh[1], fresh[1] + 2), range(-1, 1)):
             assert basis.run_of(ids) is None, ids
         for ident in range(len(basis)):
-            prefix, index = basis.run_of([ident])
+            prefix, index = basis.run_of(range(ident, ident + 1))
             assert f"{prefix}{index}" == basis.label(ident)
 
     def test_labels_and_runs_cover_every_take_of_a_store(self):
@@ -333,8 +335,8 @@ class TestIds:
         runs = [store.take(0, 1, 300), store.take(1, 2, 4), store.take(0, 1, 10), store.fresh(2, 3)]
         basis = store.basis
         labels = [basis.label(ident) for ident in range(len(basis))]
-        assert list(basis.labels) == labels and labels[304] == "K0-1:300"
-        assert basis.labels_from() == labels
+        assert basis.labels == labels and labels[304] == "K0-1:300"
+        assert basis.labels is not basis.labels  # a new list per read, which a caller may change
         assert basis.runs() == [(ids, frozenset(held)) for ids, held in zip(runs, [(0, 1), (1, 2), (0, 1), (2,)])]
 
     def test_the_basis_reads_as_a_label_to_value_mapping(self):

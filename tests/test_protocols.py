@@ -35,8 +35,8 @@ from pinkey.oracles import (MI_BASIS_LIMIT, brute_force_mutual_information, is_c
                             verify_independence)
 from pinkey.protocols import GroupKeyResult, LinearForm, PublicMessage, _hex
 
-from helpers import (audited, closed_form, debit, full_basis, key_values, random_connected_spec, random_spec,
-                     reference_replay, take_all, tagged_stream, transcript_columns, transcript_of)
+from helpers import (audited, closed_form, debit, full_basis, key_values, packed, random_connected_spec, random_spec,
+                     reference_replay, reference_text, take_all, tagged_stream, transcript_columns, transcript_of)
 
 TRIANGLE = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
 
@@ -48,25 +48,6 @@ TRIANGLE_GROUP_TRANSCRIPT = """transcript v1
 4 1 2 1 K0-1:4^K1-2:1
 5 2 1 1 K0-2:3^K1-2:2
 """
-
-
-def packed(bits):
-    """Payload bits as hex, MSB first, a bit per step, zero-padded to whole hex digits."""
-    value = 0
-    for bit in bits:
-        value = (value << 1) | bit
-    return f"{value:0{(len(bits) + 3) // 4}x}"
-
-
-def reference_text(transcript):
-    """``to_text`` rendered one message at a time: hex from the packed payload, forms as ``str``."""
-    lines = ["transcript v1"]
-    for msg in transcript:
-        n = len(msg.payload)
-        payload = "-" if n == 0 else str(msg.payload[0]) if n == 1 else packed(msg.payload)
-        forms = ";".join(map(str, msg.forms))
-        lines.append(f"{msg.round} {msg.sender} {msg.receiver} {payload} {forms}")
-    return "\n".join(lines) + "\n"
 
 
 def leak_report(result):
@@ -792,6 +773,41 @@ class TestTranscripts:
                 with pytest.raises(TypeError):
                     t.payload[0] ^= 1
 
+    def test_messages_of_runs_give_the_payload_or_error_of_one_bit_per_message(self):
+        # a transcript whose every message's ids ascend by one gathers and bounds them by slices;
+        # the same ids one bit per message take the column path
+        basis = full_basis(TRIANGLE, 1)
+        n = len(basis)  # 12
+        rng = random.Random(3404)
+        cases = [[([0, 1, 2], [5, 6, 7]), ([8, 9], [3, 4])],
+                 [([3, 4, 5], [3, 4, 5])],  # a bit padded with itself in each place
+                 [([0, 1], [5, 6]), ([10, 11, 12], [1, 2, 3])],  # past the basis
+                 [([-1, 0], [5, 6])], [([2, 3.0], [5, 6])], [([True, 2], [5, 6])], [([0, 1], [5, 6]), ([], [])]]
+        for _ in range(600):
+            messages = []
+            for _ in range(rng.randint(1, 4)):
+                width = rng.randint(1, 4)
+                plain, pad = (list(range(rng.randint(-2, n), n + 3))[:width] for _ in "ab")
+                if rng.random() < 0.2:
+                    rng.shuffle(pad)
+                messages.append((plain[:len(pad)], pad[:len(plain)]))
+            cases.append(messages)
+        slices = 0
+        for messages in cases:
+            plain = [i for ids, _ in messages for i in ids]
+            pad = [i for _, ids in messages for i in ids]
+            outcomes = []
+            for ends in (list(accumulate(len(ids) for ids, _ in messages)), range(1, len(plain) + 1)):
+                try:
+                    t = Transcript(basis, [0] * len(ends), [0] * len(ends), [1] * len(ends), ends, plain, pad)
+                    outcomes.append(t.payload)
+                except (TypeError, ValueError) as exc:
+                    outcomes.append((type(exc), str(exc)))
+            slices += type(outcomes[0]) is bytes and len(plain) > len(messages) and all(
+                ids == [*range(ids[0], ids[0] + len(ids))] for message in messages for ids in message)
+            assert outcomes[0] == outcomes[1], (messages, outcomes)
+        assert slices >= 50, slices
+
 
 def columns_transcript(basis, messages):
     """A transcript over ``basis`` of messages given as (plain ids, pad ids), one round each."""
@@ -850,11 +866,10 @@ class TestRenderingPaths:
         transcripts = [star, relay, hand]
         expected = [reference_text(transcript) for transcript in transcripts]
 
-        def refuse(basis, first=0):
+        def refuse(basis):
             raise AssertionError("a run message rendered labels of the basis")
 
         monkeypatch.setattr(SourceBitBasis, "labels", property(refuse))
-        monkeypatch.setattr(SourceBitBasis, "labels_from", refuse)
         assert [transcript.to_text() for transcript in transcripts] == expected
         with pytest.raises(AssertionError, match="rendered labels"):
             columns_transcript(store.basis, [(a[0:2], a[2:4])]).to_text()

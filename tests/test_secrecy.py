@@ -12,6 +12,7 @@ from pinkey import (
     LinearForm,
     NetworkSpec,
     SourceBitBasis,
+    Transcript,
     generate_pairwise_keys,
     run_broadcast,
     run_group_key,
@@ -19,10 +20,11 @@ from pinkey import (
 )
 from pinkey.cli import load_scenario, run_scenario
 from pinkey.errors import InstanceTooLarge, InsufficientKeyMaterial, UnknownBasisLabel
-from pinkey.oracles import MI_BASIS_LIMIT, _evaluate, brute_force_mutual_information, gf2_rank, verify_independence
-from pinkey.protocols import _learned
+from pinkey.oracles import MI_BASIS_LIMIT, brute_force_mutual_information, gf2_rank, verify_independence
+from pinkey.protocols import GroupKeyResult, _learned
 
-from helpers import full_basis, random_connected_spec, take_all
+from helpers import (evaluate, full_basis, random_connected_spec, reference_mutual_information, reference_text,
+                     take_all)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
@@ -42,13 +44,13 @@ def form(*labels: str) -> LinearForm:
 
 class TestLinearForm:
     def test_evaluate(self):
-        # the MI oracle evaluates a form as the XOR of its labels' values
+        # the reference MI oracle evaluates a form as the XOR of its labels' values
         values = {"a": 1, "b": 1, "c": 0}
         for labels in [("a", "b"), ("a", "c"), (), ("a", "b", "c"), ("c",)]:
             expected = 0
             for label in labels:
                 expected ^= values[label]
-            assert _evaluate(form(*labels), values) == expected
+            assert evaluate(form(*labels), values) == expected
 
     def test_str_is_sorted(self):
         assert str(form("z", "a")) == "a^z"
@@ -134,6 +136,38 @@ class TestExhaustiveOracle:
             brute_force_mutual_information([form(B0)], [], 21)
         with pytest.raises(ValueError):
             brute_force_mutual_information([form(B0, B1, B2)], [], 2)
+
+    def test_equals_the_reference_on_random_systems(self):
+        # 300 random systems over at most 10 labels, forms of any weight, leaks of 0 to 4 bits
+        rng = random.Random(1034)
+        leaks = set()
+        for _ in range(300):
+            labels = [f"K0-1:{t}" for t in range(rng.randint(0, 10))]
+
+            def random_forms(count: int) -> list[LinearForm]:
+                return [form(*(lab for lab in labels if rng.random() < rng.random())) for _ in range(count)]
+
+            key, transcript = random_forms(rng.randint(0, 4)), random_forms(rng.randint(0, 6))
+            value = brute_force_mutual_information(key, transcript, len(labels))
+            assert value == reference_mutual_information(key, transcript), (key, transcript)
+            leaks.add(value)
+        assert {0, 1, 2, 3} <= leaks, leaks
+
+    @pytest.mark.parametrize("name,views", [
+        ("k4_uniform_group", range(5)),
+        ("triangle_group", range(4)),
+        ("star_broadcast", (1,)),
+        # the relay, which learns 3 of the 7 key bits; the 17-bit basis takes the reference seconds per view
+        ("triangle_subgroup", (1,)),
+    ])
+    def test_equals_the_reference_on_the_demo_bases(self, name, views):
+        _, result = run_scenario(load_scenario(str(SCENARIOS / f"{name}.txt")))
+        forms = result.transcript.forms()
+        assert brute_force_mutual_information(result.key_forms, forms, len(result.basis)) == 0
+        for v in views:
+            own = forms + own_forms(result.basis, v)
+            assert (brute_force_mutual_information(result.key_forms, own, len(result.basis))
+                    == reference_mutual_information(result.key_forms, own))
 
     def test_rank_formula_matches_oracle_on_random_systems(self):
         # 50 random linear systems over at most 5 basis bits
@@ -237,3 +271,38 @@ class TestWhatEachTerminalLearns:
             partial += any(0 < count < len(result.key_ids) for count in counts)
             later += min(result.transcript.pad, default=0) > 0
         assert partial >= 5 and later >= 10, (partial, later)
+
+    @pytest.mark.parametrize("case", ["pads descend", "pads skip an id", "pads span two basis runs",
+                                      "plain ids repeat"])
+    def test_counts_on_wide_messages_equal_the_oracle(self, case):
+        # terminal 0 sends its local bits r to 1 padded by the ids below, and r[2:5] to 2 padded by
+        # K0-2 bits; terminal 1 owns K1-2, so it learns the one bit that a K1-2 bit pads
+        store = generate_pairwise_keys(NetworkSpec(3, {(0, 1): 4, (0, 2): 4, (1, 2): 4}), 1)
+        _, c, d = store.take(0, 1, 4), store.take(0, 2, 4), store.take(1, 2, 4)
+        r = store.fresh(0, 5)
+        plain, pad, runs = {
+            "pads descend": ([r[0], r[1]], [d[0], c[3]], None),
+            "pads skip an id": ([r[0], r[1]], [c[3], d[1]], None),  # ids 7 and 9
+            "pads span two basis runs": ([r[0], r[1]], [c[3], d[0]], (r[0], c[3])),  # ids 7 and 8: K0-2:3, K1-2:0
+            "plain ids repeat": ([r[0], r[0]], [c[3], d[0]], None),
+        }[case]
+        transcript = Transcript(store.basis, [0, 0], [0, 0], [1, 2], [2, 5], [*plain, *r[2:5]], [*pad, *c[0:3]])
+        assert transcript._runs == [runs, (r[2], c[0])]
+        assert transcript.to_text() == reference_text(transcript)
+        result = GroupKeyResult(frozenset(), tuple(r), transcript, None)
+        terminals = range(4)
+        counts = _learned(set(result.key_ids), transcript, terminals)
+        assert counts == learned_by_the_oracle(result, terminals)
+        assert counts == ([5, 1, 4, 0] if case == "plain ids repeat" else [5, 1, 5, 0])
+
+    def test_a_terminal_that_learns_the_key_from_its_first_run_counts_as_the_oracle(self):
+        # every tree is seeded by pair {0, 1}, so terminals 0 and 1 own all four key ids in their
+        # first run, K0-1, and each owns a later run; terminal 2 learns the key through its pads
+        result = run_group_key(generate_pairwise_keys(NetworkSpec(3, {(0, 1): 4, (0, 2): 2, (1, 2): 2}), 2))
+        (first, _), *later = result.basis.runs()
+        assert set(result.key_ids) <= set(first)
+        assert all(any(terminal in owners for _, owners in later) for terminal in (0, 1))
+        assert result.transcript.to_text() == reference_text(result.transcript)
+        terminals = range(4)
+        counts = _learned(set(result.key_ids), result.transcript, terminals)
+        assert counts == learned_by_the_oracle(result, terminals) == [4, 4, 4, 0]
