@@ -10,10 +10,11 @@ Three cases, each a list of routes that ``flood`` checks and floods:
 - group: one shared bit along each spanning tree, given as its edges,
   that ``greedy_spanning_trees`` yields, until the residual disconnects.
 
-Every public payload bit is a one-time pad, the XOR of a plain bit and
-the key bit that pads it.  The transcript records that exact GF(2)
-linear form as two source-bit ids, in its ``plain`` and ``pad`` columns,
-and computes each payload bit from them when it is built; labels are
+Every public message is a one-time pad, a run of shared bits XOR an
+equally long run of one edge's key bits, each run of consecutive ids that
+one draw gave.  The transcript records that exact GF(2) linear form as
+the first ids of the two runs, in its ``plain`` and ``pad`` columns, and
+computes each payload bit from them when it is built; labels are
 rendered from the ids only when read.  So reconstructibility and secrecy
 are verifiable by linear algebra instead of sampling.  Each run
 constructs its transcript once, in one ``flood`` pass; iterating it
@@ -35,9 +36,8 @@ basis, holds what each pad and key id tells its owners, and
 ``_learned`` counts the key ids that the table's slices over the basis
 runs a terminal owns hold: a holder replays when it learns them all.
 Wide messages, as broadcast and subgroup runs send, cost per message,
-not per bit: the transcript finds each message's runs of ascending ids
-once, when it is built, and its payload, its text and the table are
-written from them by slices.  No result has a pad that is not private.
+not per bit: their payload, their text and the table are written from
+each message's two runs by slices.  No result has a pad that is not private.
 The rank audit of any forms, ``oracles.verify_independence``, is not
 imported.
 """
@@ -48,8 +48,8 @@ from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, islice
-from operator import eq, itemgetter
+from itertools import accumulate, chain
+from operator import add, eq, ge, itemgetter, sub
 
 from .bounds import broadcast_bound, group_bound
 from .errors import InvariantViolation, invariant
@@ -69,31 +69,14 @@ _OUTSIDE = "plain and pad must be ids of bits in the basis"
 
 
 def _gather(values: bytearray, ids: list[int]) -> bytes:
-    """The values of ``ids``, in one C-level pass; IndexError for an id past the end."""
+    """The values of ``ids``, which are ids of ``values``, in one C-level pass."""
     # itemgetter of one id returns its value alone, and of none refuses to be made
     return bytes(itemgetter(*ids)(values)) if len(ids) > 1 else bytes(map(values.__getitem__, ids))
 
 
-def _runs(size: int, plain: list[int], pad: list[int], offsets: list[int]) -> list[tuple[int, int] | None]:
-    """Per message, its first plain and pad ids when its plain ids and its pad ids each ascend by
-    one over ids below ``size``, and every id of both columns is an ``int``; else None."""
-    try:  # a sum of ints is an int, so no 3.0, which equals 3, passes for an id
-        whole = type(sum(plain)) is type(sum(pad)) is int
-    except TypeError:
-        whole = False
-    ids = list(range(size)) if whole else None
-    runs = []
-    for start, end in zip(offsets, offsets[1:]):
-        a, b = (plain[start], pad[start]) if ids and start < end else (None, None)
-        # an id past the basis or below 0 equals no id of the table, so the slices differ
-        runs.append(None if a is None or plain[start:end] != ids[a:a + end - start]
-                    or pad[start:end] != ids[b:b + end - start] else (a, b))
-    return runs
-
-
 def _hex(digits: str) -> str:
     """Payload digits, MSB first, in the shortest hex string that holds them."""
-    return f"{int(digits, 2):0{(len(digits) + 3) // 4}x}" if digits else "-"
+    return f"{int(digits, 2):0{(len(digits) + 3) // 4}x}"
 
 
 @dataclass(frozen=True)
@@ -144,29 +127,25 @@ class PublicMessage:
 class Transcript:
     """Ordered public messages over one basis, as columns; rounds never decrease.
 
-    Per message: ``rounds``, ``senders``, ``receivers`` and ``ends``, the
+    Per message: ``rounds``, ``senders``, ``receivers``, ``ends``, the
     cumulative payload offsets, so message k's payload bits are
-    ``ends[k - 1]:ends[k]``.  Per payload bit: its ``plain`` and ``pad``
-    source-bit ids.  A run constructs its transcript once, from all its
-    columns, and construction checks them whole: equal column lengths,
-    ``ends`` rising from 0 to the payload length, ``plain`` and ``pad``
-    ids of bits in the basis, rounds, senders and receivers that are
-    nonnegative ints, and nondecreasing rounds.  It then computes
-    ``payload`` (immutable bytes), bit k the value of ``plain[k]`` XOR
-    that of ``pad[k]``, so a payload never disagrees with its forms.
-    Unless every message is one bit wide, construction first finds each
-    message's runs: the first plain and pad ids of a message whose plain
-    ids and whose pad ids each ascend by one over ids of the basis, every
-    id an ``int``.  When every message has runs, each column's values are
-    slices of the basis values, which also bounds the ids, and a message
-    pads a bit with itself only if its two runs start at one id; otherwise
-    construction gathers each id column's values once, which bounds the
-    ids.  Either way it XORs the two as big ints.  ``to_text`` and the
-    self-check read the runs found here.
-    Iterating builds the ``PublicMessage`` values.
+    ``ends[k - 1]:ends[k]``, and ``plain`` and ``pad``, the first ids of
+    its two runs: payload bit i of a message of width w is the value of
+    ``plain[k] + i`` XOR that of ``pad[k] + i``.  So a transcript of one
+    bit per message, as group runs send, holds each bit's two ids.  A run
+    constructs its transcript once, from all its columns, and construction
+    checks them whole: equal column lengths, ``ends`` ints rising strictly
+    from 0, every id an ``int`` and each run inside the basis, rounds,
+    senders and receivers that are nonnegative ints, and nondecreasing
+    rounds.  It then computes ``payload`` (immutable bytes) from the
+    values of the two runs, gathered per column when every message is one
+    bit and sliced per message otherwise, and XORs the two as big ints, so
+    a payload never disagrees with its forms.  A message pads a bit with
+    itself exactly when its two runs start at one id.  Iterating builds
+    the ``PublicMessage`` values.
     """
 
-    __slots__ = ("basis", "rounds", "senders", "receivers", "ends", "payload", "plain", "pad", "_runs")
+    __slots__ = ("basis", "rounds", "senders", "receivers", "ends", "payload", "plain", "pad")
 
     def __init__(self, basis: SourceBitBasis, rounds: Iterable[int], senders: Iterable[int],
                  receivers: Iterable[int], ends: Iterable[int], plain: Iterable[int], pad: Iterable[int]):
@@ -176,53 +155,51 @@ class Transcript:
             raise ValueError("rounds, senders, receivers, and ends must have equal length")
         if len(plain) != len(pad):
             raise ValueError("plain and pad must have equal length")
-        offsets = [0, *ends]
-        if offsets[-1] != len(plain) or offsets != sorted(offsets):
-            raise ValueError("ends must rise from 0 to the payload length")
-        # per message, (first plain id, first pad id) or None; None for one bit per message, as in group runs
-        runs = None if ends == [*range(1, len(ends) + 1)] else _runs(len(basis), plain, pad, offsets)
-        refused = None
-        if runs and None not in runs:  # every id is in the basis, so the slices gather every value
-            values = basis.values
-            bits = [b"".join([values[run[k]:run[k] + end - start] for run, start, end in zip(runs, offsets, ends)])
-                    for k in (0, 1)]
-            clash = any(a == b for a, b in runs)  # plain[k] == pad[k] inside a message only if its runs start together
-        else:
-            # before any value is read: a gather would read a negative id from the end of the values
-            if plain and min(min(plain), min(pad)) < 0:
-                raise ValueError(_OUTSIDE)
-            try:  # one gather per column, whose IndexError is the upper-bound check
-                bits = [_gather(basis.values, plain), _gather(basis.values, pad)]
-            except IndexError:
-                raise ValueError(_OUTSIDE) from None
-            except TypeError as exc:  # an id that is no int, such as 1.0: out of range, or refused last
-                if max(max(plain), max(pad)) >= len(basis):
-                    raise ValueError(_OUTSIDE) from None
-                refused = exc
-            clash = any(map(eq, plain, pad))
-        if clash:
+        if len(plain) != len(ends):
+            raise ValueError("plain and pad must hold one id per message")
+        # before any end is compared: a bool is no end, and a float would slice nothing
+        if set(map(type, ends)) - {int} or any(map(ge, [0, *ends], ends)):
+            raise ValueError("ends must be ints rising strictly from 0")
+        wide = bool(ends) and ends[-1] > len(ends)  # some message carries more than one bit
+        widths = list(map(sub, ends, [0, *ends])) if wide else None
+        ids = [*plain, *pad]
+        # before any value is read: a negative id would read from the end of the values, and a bool
+        # or a float would stand for an int
+        if (set(map(type, ids)) - {int} or min(ids, default=0) < 0  # then one past the last id of any run:
+                or (max(map(add, ids, widths * 2)) if wide else max(ids, default=-1) + 1) > len(basis)):
+            raise ValueError(_OUTSIDE)
+        if any(map(eq, plain, pad)):  # a message's two runs share an id only if they start at one
             raise ValueError("a public bit's plain and pad must be different ids")
         numbers = [*rounds, *senders, *receivers]  # no bool, which to_text would write as True
         if set(map(type, numbers)) - {int} or min(numbers, default=0) < 0:
             raise ValueError("rounds, senders and receivers must be nonnegative ints")
         if rounds != sorted(rounds):
             raise ValueError("round numbers must be nondecreasing")
-        if refused:
-            raise refused
+        values = basis.values
+        bits = ([b"".join([values[a:a + w] for a, w in zip(column, widths)]) for column in (plain, pad)] if wide
+                else [_gather(values, plain), _gather(values, pad)])
         self.basis, self.rounds, self.senders, self.receivers = basis, rounds, senders, receivers
-        self.ends, self.plain, self.pad, self._runs = ends, plain, pad, runs
-        self.payload = (int.from_bytes(bits[0], "big") ^ int.from_bytes(bits[1], "big")).to_bytes(len(plain), "big")
+        self.ends, self.plain, self.pad = ends, plain, pad
+        self.payload = (int.from_bytes(bits[0], "big") ^ int.from_bytes(bits[1], "big")).to_bytes(len(bits[0]), "big")
 
     def __len__(self) -> int:
         return len(self.rounds)
 
     def __iter__(self) -> Iterator[PublicMessage]:
-        payload, plain, pad = self.payload, self.plain, self.pad
+        payload, plain, pad = self.payload, self._bits(self.plain), self._bits(self.pad)
         start = 0
         for round, sender, receiver, end in zip(self.rounds, self.senders, self.receivers, self.ends):
             yield PublicMessage(sender, receiver, round, tuple(payload[start:end]),
                                 tuple(plain[start:end]), tuple(pad[start:end]), self.basis)
             start = end
+
+    def _bits(self, firsts: list[int]) -> list[int]:
+        """Each payload bit's id in the column of first ids ``firsts``: ``firsts`` itself when
+        every message is one bit wide, else each message's run of ids in turn."""
+        ends = self.ends
+        if not ends or ends[-1] == len(ends):
+            return firsts
+        return [*chain.from_iterable(map(range, firsts, map(add, firsts, map(sub, ends, [0, *ends]))))]
 
     @property
     def public_bits(self) -> int:
@@ -231,7 +208,8 @@ class Transcript:
     def forms(self) -> list[LinearForm]:
         """Each public bit's linear form, in payload order."""
         labels = self.basis.labels
-        return [LinearForm(frozenset((labels[a], labels[b]))) for a, b in zip(self.plain, self.pad)]
+        return [LinearForm(frozenset((labels[a], labels[b])))
+                for a, b in zip(self._bits(self.plain), self._bits(self.pad))]
 
     def to_text(self) -> str:
         """Line-oriented serialization, stable for golden-file comparison.
@@ -240,15 +218,14 @@ class Transcript:
         the payload's linear forms as sorted label XOR lists.  Payload
         digits render in one pass over the payload.  When every message is
         one bit wide, so are the lines: one comprehension over the columns.
-        Otherwise a message wider than one bit whose runs, found when the
-        transcript was built, each lie in one basis run, of two prefixes,
-        renders from one table of index digits, in an order set once: every
-        prefix (``K{i}-{j}:`` or ``R{v}:``) ends in its only colon, so no
-        prefix starts another, and two labels of different prefixes compare
-        as their prefixes do.  Its two lists of index digits are
-        slice-assigned into one list of pieces, interleaved with the
-        prefixes, and joined once.  Every other message slices the forms of
-        all payload bits, rendered when the first such message needs them.
+        Otherwise a message whose two runs each lie in one basis run, of
+        two prefixes, renders from one table of index digits, in an order
+        set once: every prefix (``K{i}-{j}:`` or ``R{v}:``) ends in its
+        only colon, so no prefix starts another, and two labels of
+        different prefixes compare as their prefixes do.  Its two lists of
+        index digits are slice-assigned into one list of pieces,
+        interleaved with the prefixes, and joined once.  Any other message
+        renders its own bits' labels.
         """
         basis, ends = self.basis, self.ends
         digits = self.payload.translate(_DIGITS).decode()
@@ -256,18 +233,18 @@ class Transcript:
         top = max(chain(self.rounds, self.senders, self.receivers), default=0)
         number = [*map(str, range(top + 1))].__getitem__ if top <= len(ends) else str
         rounds, senders, receivers = (map(number, column) for column in (self.rounds, self.senders, self.receivers))
-        if self._runs is None:  # one bit per message
+        if not ends or ends[-1] == len(ends):  # one bit per message
             label = basis.labels.__getitem__
             lines = [f"{r} {s} {v} {d} {a}^{b}" if a < b else f"{r} {s} {v} {d} {b}^{a}"
                      for r, s, v, d, a, b in zip(rounds, senders, receivers, digits,
                                                  map(label, self.plain), map(label, self.pad))]
         else:
-            payloads, forms, texts, start = [], [], None, 0
+            payloads, forms, start = [], [], 0
             numbers: list[str] = []  # numbers[k] == str(k), as far as index_digits has grown it
-            for run, end in zip(self._runs, ends):
+            for first, other, end in zip(self.plain, self.pad, ends):
                 width = end - start
-                a = run and width > 1 and basis.run_of(range(run[0], run[0] + width))  # (prefix, first index)
-                b = a and basis.run_of(range(run[1], run[1] + width))
+                a = basis.run_of(range(first, first + width))  # (prefix, first index)
+                b = a and basis.run_of(range(other, other + width))
                 if b and a[0] != b[0]:
                     (left, x), (right, y) = sorted((a, b))
                     # "{left}{i}^{right}{j}" per bit, joined by ";"
@@ -277,17 +254,13 @@ class Transcript:
                     pieces[3::4] = index_digits(numbers, y, y + width)
                     forms.append("".join(pieces))
                 else:
-                    texts = self._texts() if texts is None else texts
-                    forms.append(";".join(texts[start:end]))
+                    label = basis.label
+                    forms.append(";".join(f"{x}^{y}" if x < y else f"{y}^{x}" for x, y in zip(
+                        map(label, range(first, first + width)), map(label, range(other, other + width)))))
                 payloads.append(_hex(digits[start:end]))
                 start = end
             lines = map("{} {} {} {} {}".format, rounds, senders, receivers, payloads, forms)
         return "\n".join(["transcript v1", *lines]) + "\n"
-
-    def _texts(self) -> list[str]:
-        """Each public bit's form as ``to_text`` writes it, in payload order."""
-        label = self.basis.labels.__getitem__
-        return [f"{a}^{b}" if a < b else f"{b}^{a}" for a, b in zip(map(label, self.plain), map(label, self.pad))]
 
 
 @dataclass(frozen=True)
@@ -302,8 +275,8 @@ class GroupKeyResult:
     ``bound``, then for a holder that is no nonnegative ``int``, then, in
     one ``_learned`` pass, for a reused pad, a pad that is not private and
     the smallest holder that does not learn every key id.  That pass
-    writes its table a slice per message when the transcript found runs
-    in every message, and stops scanning a holder's basis runs once it has learned every
+    writes its table a slice per message when a message is wider than one
+    bit, and stops scanning a holder's basis runs once it has learned every
     key id.  Private pads make the P public rows and the key's |K|
     distinct unit rows independent: ranks |K|, P and |K| + P, and the
     transcript tells nothing about the key, which is uniform.
@@ -355,16 +328,17 @@ def _learned(wanted: set[int], transcript: Transcript, terminals: Sequence[int])
     neither a wanted id nor a ``plain`` id.  Then a public bit's row is the
     only one that mentions its pad, so a terminal's own bits and the
     transcript span exactly what its ids tell it: a wanted id itself, a pad
-    its ``plain`` id.  One table, indexed by the basis's ids, holds what
-    each such id tells: when the transcript found runs in every message,
-    each message writes its pads' cells as one slice, and otherwise, as in
-    a transcript of one bit per message, each pad its own cell.  A
+    its ``plain`` id.  Pads are checked per id, over each message's runs.
+    One table, indexed by the basis's ids, holds what each such id tells:
+    when a message is wider than one bit, each message writes its pad
+    run's cells as one slice of its plain run, and otherwise, as in a
+    transcript of one bit per message, each pad its own cell.  A
     terminal learns the wanted ids that the slices of the table over the
     basis runs it owns hold; its scan of those runs stops once it has
     learned every wanted id.  Every wanted id is an id of the basis, as a
     result checks before it counts.
     """
-    plain, pad, runs = transcript.plain, transcript.pad, transcript._runs
+    plain, pad = transcript._bits(transcript.plain), transcript._bits(transcript.pad)
     pads = set(pad)
     invariant(len(pads) == len(pad), "a pad bit was reused")
     invariant(pads.isdisjoint(wanted) and pads.isdisjoint(plain), "a pad bit is not private")
@@ -372,11 +346,11 @@ def _learned(wanted: set[int], transcript: Transcript, terminals: Sequence[int])
     told: list[int | None] = [None] * len(basis)  # told[i]: what id i tells its owners
     keys = list(wanted)
     # each deque(map(...), 0) writes its cells in one C-level pass, keeping nothing
-    if runs and None not in runs:  # a pad tells its plain id, a message's pads as one slice
-        for (_, first), start, end in zip(runs, [0, *transcript.ends], transcript.ends):
-            told[first:first + end - start] = plain[start:end]
-    else:
+    if plain is transcript.plain:  # one bit per message: a pad tells its plain id
         deque(map(told.__setitem__, pad, plain), 0)
+    else:  # a message's pads tell its plain ids, as one slice
+        for a, b, start, end in zip(transcript.plain, transcript.pad, [0, *transcript.ends], transcript.ends):
+            told[b:b + end - start] = range(a, a + end - start)
     deque(map(told.__setitem__, keys, keys), 0)  # a wanted id tells itself
     slices: dict[int, list[list[int | None]]] = {terminal: [] for terminal in terminals}
     for ids, owners in basis.runs():
@@ -474,8 +448,10 @@ def flood(store: PairwiseKeyStore, routes: Iterable[Route],
     for an edge that is no tuple (i, j) of ints as above, or a route that
     is not a tree holding its seed or has no positive int width, and
     InsufficientKeyMaterial, naming the pair, when some pair has fewer
-    unused bits than the routes use.  Returns the shared bits' ids,
-    route by route, and the transcript.
+    unused bits than the routes use.  Each use's bits are one run of its
+    key's ids, so a message is its route's first shared id and its
+    use's first pad id.  Returns the shared bits' ids, route by route,
+    and the transcript.
     """
     m = store.spec.m
     rounds, senders, receivers = [], [], []
@@ -518,28 +494,32 @@ def flood(store: PairwiseKeyStore, routes: Iterable[Route],
         uses = [uses[first] for _, _, first, _, _ in blocks] + [uses[k] for _, _, k in hops]
         blocks = [(r, width, r, r + 1, True) for r, width, *_ in blocks] + [
             (r, blocks[r][1], n, n + 1, False) for n, (_, r, _) in enumerate(hops, len(blocks))]
-    # a width-1 use takes its key's next bit; a wider one, if a route is wider, a slice
+    # a width-1 use takes its key's next bit; a wider one, if a route is wider, the next run of its key
     wide = ([width for _, width, first, stop, _ in blocks for _ in range(first, stop)]
             if any(block[1] > 1 for block in blocks) else None)
     counts: Counter[Pair | int] = Counter(uses if wide is None else ())
+    at = []  # per use, where its run starts in the bits its key is drawn
     for use, width in zip(uses, wide or ()):
+        at.append(counts[use])
         counts[use] += width
     local = {key: counts.pop(key) for key in [key for key in counts if type(key) is int]}
-    taken: dict[Pair | int, Iterator[int]] = {pair: iter(ids) for pair, ids in store.take_each(counts).items()}
-    taken.update((terminal, iter(store.fresh(terminal, count))) for terminal, count in local.items())
-    keys = map(taken.__getitem__, uses)
-    ids = list(map(next, keys) if wide is None else chain.from_iterable(map(islice, keys, wide)))
-    at = range(len(uses) + 1) if wide is None else [0, *accumulate(wide)]  # use k's ids: ids[at[k]:at[k + 1]]
-    shared, plain, pad = [], [], []  # shared: per route, its shared bits' ids
-    for r, _, first, stop, seeded in blocks:
+    taken: dict[Pair | int, range] = store.take_each(counts)
+    taken.update((terminal, store.fresh(terminal, count)) for terminal, count in local.items())
+    if wide is None:
+        firsts = list(map(next, map({key: iter(ids) for key, ids in taken.items()}.__getitem__, uses)))
+    else:
+        firsts = [taken[use].start + offset for use, offset in zip(uses, at)]
+    shared, plain, pad = [], [], []  # shared: per route, its first shared id and its width
+    for r, width, first, stop, seeded in blocks:
         if seeded:
-            shared.append(ids[at[first]:at[first + 1]])
+            shared.append((firsts[first], width))
             first += 1
-        pad += ids[at[first]:at[stop]]
-        plain += shared[r] * (stop - first)
+        pad += firsts[first:stop]
+        plain += [shared[r][0]] * (stop - first)
     ends = range(1, len(pad) + 1) if wide is None else list(accumulate(
         width for _, width, first, stop, seeded in blocks for _ in range(first + seeded, stop)))
-    return tuple(chain.from_iterable(shared)), Transcript(store.basis, rounds, senders, receivers, ends, plain, pad)
+    key_ids = tuple(chain.from_iterable(range(first, first + width) for first, width in shared))
+    return key_ids, Transcript(store.basis, rounds, senders, receivers, ends, plain, pad)
 
 
 def run_group_key(store: PairwiseKeyStore, tie_break: str = "lex-kruskal") -> GroupKeyResult:

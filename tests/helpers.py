@@ -119,7 +119,8 @@ def tagged_stream(tag: str) -> random.Random:
 
 
 def transcript_columns(transcript) -> tuple:
-    """Copies of a transcript's seven columns."""
+    """Copies of a transcript's seven columns: per message its round, sender, receiver, end and
+    the first ids of its plain and pad runs, and the payload."""
     return (list(transcript.rounds), list(transcript.senders), list(transcript.receivers),
             list(transcript.ends), bytes(transcript.payload), list(transcript.plain),
             list(transcript.pad))
@@ -127,12 +128,17 @@ def transcript_columns(transcript) -> tuple:
 
 def transcript_of(basis, messages) -> Transcript:
     """A transcript over ``basis`` of the given messages' ids, constructed from their columns;
-    it computes its own payload, whatever the messages carry."""
+    it computes its own payload, whatever the messages carry.  Raises ValueError for a message
+    whose plain ids or pad ids are no run: none, or not ascending by one."""
     messages = list(messages)
+    for msg in messages:
+        for ids in (msg.plain, msg.pad):
+            if not ids or list(ids) != list(range(ids[0], ids[0] + len(ids))):
+                raise ValueError(f"ids {list(ids)} of a message are no run")
     return Transcript(
         basis, [msg.round for msg in messages], [msg.sender for msg in messages],
         [msg.receiver for msg in messages], list(accumulate(len(msg.plain) for msg in messages)),
-        [i for msg in messages for i in msg.plain], [i for msg in messages for i in msg.pad])
+        [msg.plain[0] for msg in messages], [msg.pad[0] for msg in messages])
 
 
 def packed(bits):
@@ -147,10 +153,8 @@ def reference_text(transcript):
     """``to_text`` rendered one message at a time: hex from the packed payload, forms as ``str``."""
     lines = ["transcript v1"]
     for msg in transcript:
-        n = len(msg.payload)
-        payload = "-" if n == 0 else str(msg.payload[0]) if n == 1 else packed(msg.payload)
         forms = ";".join(map(str, msg.forms))
-        lines.append(f"{msg.round} {msg.sender} {msg.receiver} {payload} {forms}")
+        lines.append(f"{msg.round} {msg.sender} {msg.receiver} {packed(msg.payload)} {forms}")
     return "\n".join(lines) + "\n"
 
 

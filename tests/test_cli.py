@@ -470,9 +470,9 @@ class TestRunCommand:
             trees.extend(edges for edges, _, _ in routes)
             key_ids, t = real_flood(store, routes, together)
             # drop the last message, which tells terminal 1 the last tree's shared bit
-            n, cut = len(t) - 1, t.ends[-2]
+            n = len(t) - 1
             dropped = Transcript(t.basis, t.rounds[:n], t.senders[:n], t.receivers[:n], t.ends[:n],
-                                 t.plain[:cut], t.pad[:cut])
+                                 t.plain[:n], t.pad[:n])
             return key_ids, dropped
 
         monkeypatch.setattr(pinkey.protocols, "flood", corrupted_flood)

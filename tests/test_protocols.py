@@ -14,7 +14,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
-from operator import add
+from operator import add, sub, xor
 
 import pytest
 
@@ -30,10 +30,10 @@ from pinkey import (
     run_subgroup,
 )
 from pinkey.errors import InsufficientKeyMaterial, InvariantViolation, NotAStar
-from pinkey.model import SourceBitBasis
+from pinkey.model import SourceBitBasis, canonical_pair
 from pinkey.oracles import (MI_BASIS_LIMIT, brute_force_mutual_information, is_connected, min_st_cut_bruteforce,
                             verify_independence)
-from pinkey.protocols import GroupKeyResult, LinearForm, PublicMessage, _hex
+from pinkey.protocols import GroupKeyResult, LinearForm, PublicMessage, _hex, _learned
 
 from helpers import (audited, closed_form, debit, full_basis, key_values, packed, random_connected_spec, random_spec,
                      reference_replay, reference_text, take_all, tagged_stream, transcript_columns, transcript_of)
@@ -541,7 +541,6 @@ class TestTranscripts:
         assert transcript.to_text() == transcript.to_text()
 
     def test_hex_packing(self):
-        assert _hex("") == "-"
         assert _hex("1") == "1"
         assert _hex("1011") == "b"
         assert _hex("10110") == "16"
@@ -550,21 +549,19 @@ class TestTranscripts:
         lengths = [*range(1, 10), 31, 100]
         rng = random.Random(17)
         # one transcript holding every length, and all-zero and all-one payloads among them:
-        # each plain bit of pair {0, 1} is padded by a bit of pair {0, 2} chosen by its value
-        store = generate_pairwise_keys(NetworkSpec.star([3 * sum(lengths), 6 * sum(lengths)]), 1)
-        values = store.basis.values
-        plain_ids = iter(store.take(0, 1, 3 * sum(lengths)))
-        pads_by_value = ([], [])
-        for ident in store.take(0, 2, 6 * sum(lengths)):
-            pads_by_value[values[ident]].append(ident)
-        messages = []
-        for n in lengths:
-            for payload in ((0,) * n, (1,) * n, tuple(rng.getrandbits(1) for _ in range(n))):
-                plain = [next(plain_ids) for _ in payload]
-                pad = [pads_by_value[values[a] ^ bit].pop() for a, bit in zip(plain, payload)]
-                messages.append(PublicMessage(1, 2, len(messages), payload, plain, pad, store.basis))
-        runs = [transcript_of(store.basis, messages)]
-        assert [msg.payload for msg in runs[0]] == [msg.payload for msg in messages]
+        # each message's plain run holds its payload XOR the random bits of its pad run
+        payloads = [payload for n in lengths
+                    for payload in ((0,) * n, (1,) * n, tuple(rng.getrandbits(1) for _ in range(n)))]
+        bits = [bit for payload in payloads for bit in payload]
+        pads = [rng.getrandbits(1) for _ in bits]
+        basis = SourceBitBasis()
+        plain, pad = basis._add_runs([("R1:", frozenset((1,)), len(bits)), ("R2:", frozenset((2,)), len(bits))],
+                                     [*map(xor, bits, pads), *pads])
+        messages = [PublicMessage(1, 2, k, payload, plain[start:end], pad[start:end], basis)
+                    for k, (payload, start, end) in enumerate(zip(payloads, [0, *accumulate(map(len, payloads))],
+                                                                  accumulate(map(len, payloads))))]
+        runs = [transcript_of(basis, messages)]
+        assert [msg.payload for msg in runs[0]] == payloads
         # broadcast runs re-key each leaf with one message as long as the key
         for n in lengths:
             spec = NetworkSpec.star([n, n + 2, n + 7])
@@ -595,7 +592,7 @@ class TestTranscripts:
         keys = take_all(store)
         k02, k010, k12 = keys[0, 2], keys[0, 10], keys[1, 2]
         columns = [([k02[3]], [k010[3]]), ([k010[4]], [k02[4]]), ([k12[9]], [k12[10]]),
-                   ([k12[11], k12[0]], [k12[8], k12[1]]), ([], []), ([k010[10], k02[2]], [k02[10], k010[9]])]
+                   (k12[8:11], k12[0:3]), (k010[8:11], k02[9:12]), ([k02[2]], [k010[9]])]
         runs.append(transcript_of(store.basis, (
             PublicMessage(0, 10, r, tuple(rng.getrandbits(1) for _ in plain), plain, pad, store.basis)
             for r, (plain, pad) in enumerate(columns))))
@@ -610,20 +607,26 @@ class TestTranscripts:
         basis = full_basis(spec, 1)
 
         def columns(**changes):
+            # message 1 is the runs 7, 8 and 10, 11
             return {**dict(basis=basis, rounds=[2, 3], senders=[0, 2], receivers=[2, 1], ends=[1, 3],
-                           plain=[3, 7, 8], pad=[9, 10, 11]), **changes}
+                           plain=[3, 7], pad=[9, 10]), **changes}
 
         for bad, match in [
             (columns(rounds=[3, 2]), "nondecreasing"),
             (columns(senders=[0]), "equal length"),
             (columns(ends=[1, 2, 3], rounds=[2, 3, 3]), "equal length"),
-            (columns(pad=[9, 10]), "plain and pad must have equal length"),
-            (columns(pad=[9, 10, 99]), "ids of bits in the basis"),  # the basis has 12 bits
-            (columns(plain=[-1, 7, 8]), "ids of bits in the basis"),
-            (columns(plain=range(10, 13)), "ids of bits in the basis"),
-            (columns(pad=[9, 7, 11]), "plain and pad must be different ids"),
-            (columns(ends=[1, 4]), "ends must rise"),
-            (columns(ends=[2, 1, 3], rounds=[2, 2, 2], senders=[0] * 3, receivers=[1] * 3), "ends must rise"),
+            (columns(pad=[9]), "^plain and pad must have equal length$"),
+            (columns(plain=[3, 7, 8], pad=[9, 10, 11]), "^plain and pad must hold one id per message$"),
+            (columns(pad=[9, 99]), "ids of bits in the basis"),  # the basis has 12 bits
+            (columns(pad=[9, 11]), "ids of bits in the basis"),  # the run 11, 12
+            (columns(plain=[-1, 7]), "ids of bits in the basis"),
+            (columns(plain=range(10, 12)), "ids of bits in the basis"),
+            (columns(pad=[9, 7]), "plain and pad must be different ids"),
+            (columns(pad=[3, 10]), "plain and pad must be different ids"),
+            (columns(ends=[1, 1]), "^ends must be ints rising strictly from 0$"),
+            (columns(ends=[0, 2]), "^ends must be ints rising strictly from 0$"),  # an empty message
+            (columns(ends=[2, 1]), "^ends must be ints rising strictly from 0$"),
+            (columns(ends=[-1, 2]), "^ends must be ints rising strictly from 0$"),
         ]:
             with pytest.raises(ValueError, match=match):
                 Transcript(**bad)
@@ -631,7 +634,36 @@ class TestTranscripts:
             t = Transcript(**columns(rounds=rounds))
             assert [m.round for m in t] == rounds and t.basis is basis
             payload = bytes(basis.values[a] ^ basis.values[b] for a, b in ((3, 9), (7, 10), (8, 11)))
-            assert transcript_columns(t) == (rounds, [0, 2], [2, 1], [1, 3], payload, [3, 7, 8], [9, 10, 11])
+            assert transcript_columns(t) == (rounds, [0, 2], [2, 1], [1, 3], payload, [3, 7], [9, 10])
+            assert [(m.plain, m.pad) for m in t] == [((3,), (9,)), ((7, 8), (10, 11))]
+
+    @pytest.mark.parametrize("at", [0, 1])
+    @pytest.mark.parametrize("bad", [1.0, True, "1", None], ids=repr)
+    def test_an_end_that_is_no_int_is_refused(self, bad, at):
+        # a float would slice nothing when the messages are read, and True would stand for 1
+        basis = full_basis(TRIANGLE, 1)
+        for good, plain, pad in (([1, 2], [0, 1], [5, 6]), ([1, 4], [0, 1], [5, 8])):  # one bit, then wide
+            ends = list(good)
+            ends[at] = bad
+            with pytest.raises(ValueError, match=r"^ends must be ints rising strictly from 0$"):
+                Transcript(basis, [0, 0], [0, 0], [1, 2], ends, plain, pad)
+        with pytest.raises(ValueError, match=r"^ends must be ints rising strictly from 0$"):
+            Transcript(basis, [0, 0], [0, 0], [1, 2], [1.0, 2.0], [0, 1], [5, 6])
+
+    def test_an_end_that_is_no_int_is_refused_under_python_O(self):
+        code = textwrap.dedent("""
+            from pinkey import NetworkSpec, Transcript, generate_pairwise_keys
+
+            assert False, "assertions must be off"
+            store = generate_pairwise_keys(NetworkSpec(2, {(0, 1): 8}), 1)
+            store.take(0, 1, 8)
+            for ends in ([1.0, 2.0], [True, 2], [2.0, 4.0], [1, None], ["1", 3]):
+                try:
+                    Transcript(store.basis, [0, 0], [0, 0], [1, 1], ends, [0, 2], [4, 6])
+                except ValueError as exc:
+                    print("refused:", exc)
+        """)
+        assert run_optimized(code) == "refused: ends must be ints rising strictly from 0\n" * 5
 
     @pytest.mark.parametrize("column", ["rounds", "senders", "receivers"])
     @pytest.mark.parametrize("bad", [True, False, -1, -3, 1.0, "1", None], ids=repr)
@@ -683,34 +715,33 @@ class TestTranscripts:
     def test_an_id_outside_the_basis_is_refused_in_either_column(self, column, width):
         basis = full_basis(TRIANGLE, 1)
         n = len(basis)
-        for bad in (-1, -n, -n - 1, n, n + 1, 2**70):
-            for at in {0, width - 1}:
-                ids = {"plain": list(range(width)), "pad": list(range(width, 2 * width))}
-                ids[column][at] = bad
-                with pytest.raises(ValueError, match=r"^plain and pad must be ids of bits in the basis$"):
-                    Transcript(basis, [0], [0], [1], [width], **ids)
+        # a run's first id outside, or its last: a run of 3 from n - 2 ends at n
+        for bad in (-1, -n, -n - 1, n, n + 1, 2**70, n - width + 1):
+            ids = {"plain": [0], "pad": [width]}
+            ids[column] = [bad]
+            with pytest.raises(ValueError, match=r"^plain and pad must be ids of bits in the basis$"):
+                Transcript(basis, [0], [0], [1], [width], **ids)
+        ids = {"plain": [0], "pad": [width], column: [n - width]}  # the last run of the basis
+        assert len(Transcript(basis, [0], [0], [1], [width], **ids).payload) == width
 
     def test_an_id_outside_the_basis_that_is_also_its_pad_is_refused_as_outside(self):
         basis = full_basis(TRIANGLE, 1)
-        for bad in (-1, len(basis)):
-            for plain, pad in (([bad], [bad]), ([0, bad], [1, bad])):
+        n = len(basis)
+        for bad in (-1, n):
+            for ends, plain, pad in (([1, 2], [bad, 0], [bad, 1]), ([1, 2], [0, bad], [1, bad]),
+                                     ([1, 3], [0, bad], [1, bad]), ([1, 3], [0, n - 1], [1, n - 1])):
                 # the rounds are out of order too: the range check still comes first
                 with pytest.raises(ValueError, match=r"^plain and pad must be ids of bits in the basis$"):
-                    Transcript(basis, [1, 0], [0, 0], [1, 1], [0, len(plain)], plain, pad)
+                    Transcript(basis, [1, 0], [0, 0], [1, 1], ends, plain, pad)
 
-    def test_a_float_id_is_refused(self):
+    @pytest.mark.parametrize("bad", [1.0, 3.0, 0.5, True, "1", None], ids=repr)
+    def test_an_id_that_is_no_int_is_refused(self, bad):
+        # before a bit padded by itself or rounds that go back, in one-bit and wide transcripts
         basis = full_basis(TRIANGLE, 1)
-        n = len(basis)
-        for plain, pad in (([1.0], [2]), ([0, 1], [2, 3.0]), ([0.5, 1], [2, 3])):
-            with pytest.raises(TypeError, match="indices must be integers"):
-                Transcript(basis, [0], [0], [1], [len(plain)], plain, pad)
-        # in the order of the checks: an id past the end, a bit padded by itself, rounds that go back
-        for plain, pad, rounds, match in (([float(n)], [2], [0], "ids of bits in the basis"),
-                                          ([0, 2.0], [1, 2], [0], "must be different ids"),
-                                          ([0.5], [2], [1, 0], "nondecreasing")):
-            ends = [0, len(plain)] if len(rounds) == 2 else [len(plain)]
-            with pytest.raises(ValueError, match=match):
-                Transcript(basis, rounds, [0] * len(rounds), [1] * len(rounds), ends, plain, pad)
+        for ends, rounds in (([1, 2], [0, 0]), ([1, 3], [0, 0]), ([1, 2], [1, 0]), ([2, 4], [1, 0])):
+            for plain, pad in (([bad, 4], [2, 4]), ([0, 4], [2, bad])):
+                with pytest.raises(ValueError, match=r"^plain and pad must be ids of bits in the basis$"):
+                    Transcript(basis, rounds, [0, 0], [1, 1], ends, plain, pad)
 
     def test_bad_bits_and_unequal_columns_are_refused_under_python_O(self):
         code = textwrap.dedent("""
@@ -758,67 +789,62 @@ class TestTranscripts:
         for _ in range(40):
             spec = random_spec(rng, max_m=5, max_budget=9)
             basis = full_basis(spec, rng.randrange(2**16))
-            if len(basis) < 2:
+            n = len(basis)
+            if n < 2:
                 continue
-            n = rng.randint(0, 2 * len(basis))
-            plain = [rng.randrange(len(basis)) for _ in range(n)]
-            pad = [rng.choice([i for i in range(len(basis)) if i != a]) for a in plain]
-            cuts = sorted(rng.randint(0, n) for _ in range(rng.randint(0, 4)))
-            ends = [*cuts, n]
+            widths = [rng.randint(1, min(4, n - 1)) for _ in range(rng.randint(0, 5))]
+            plain = [rng.randrange(n - width + 1) for width in widths]
+            pad = [rng.choice([i for i in range(n - width + 1) if i != a]) for a, width in zip(plain, widths)]
+            ends = list(accumulate(widths))
             t = Transcript(basis, [0] * len(ends), [0] * len(ends), [1] * len(ends), ends, plain, pad)
             assert type(t.payload) is bytes
-            assert t.payload == bytes(basis.values[a] ^ basis.values[b] for a, b in zip(plain, pad))
+            assert t.payload == bytes(basis.values[a + i] ^ basis.values[b + i]
+                                      for a, b, width in zip(plain, pad, widths) for i in range(width))
             assert [bit for msg in t for bit in msg.payload] == list(t.payload)
-            if n:
+            if widths:
                 with pytest.raises(TypeError):
                     t.payload[0] ^= 1
 
-    def test_messages_of_runs_give_the_payload_or_error_of_one_bit_per_message(self):
-        # a transcript whose every message's ids ascend by one gathers and bounds them by slices;
-        # the same ids one bit per message take the column path
-        basis = full_basis(TRIANGLE, 1)
-        n = len(basis)  # 12
+    def test_runs_equal_their_one_bit_per_message_expansion(self):
+        # random routes through flood: each transcript read as runs gives what its bits give one per message
         rng = random.Random(3404)
-        cases = [[([0, 1, 2], [5, 6, 7]), ([8, 9], [3, 4])],
-                 [([3, 4, 5], [3, 4, 5])],  # a bit padded with itself in each place
-                 [([0, 1], [5, 6]), ([10, 11, 12], [1, 2, 3])],  # past the basis
-                 [([-1, 0], [5, 6])], [([2, 3.0], [5, 6])], [([True, 2], [5, 6])], [([0, 1], [5, 6]), ([], [])]]
-        for _ in range(600):
-            messages = []
-            for _ in range(rng.randint(1, 4)):
-                width = rng.randint(1, 4)
-                plain, pad = (list(range(rng.randint(-2, n), n + 3))[:width] for _ in "ab")
-                if rng.random() < 0.2:
-                    rng.shuffle(pad)
-                messages.append((plain[:len(pad)], pad[:len(plain)]))
-            cases.append(messages)
-        slices = 0
-        for messages in cases:
-            plain = [i for ids, _ in messages for i in ids]
-            pad = [i for _, ids in messages for i in ids]
-            outcomes = []
-            for ends in (list(accumulate(len(ids) for ids, _ in messages)), range(1, len(plain) + 1)):
-                try:
-                    t = Transcript(basis, [0] * len(ends), [0] * len(ends), [1] * len(ends), ends, plain, pad)
-                    outcomes.append(t.payload)
-                except (TypeError, ValueError) as exc:
-                    outcomes.append((type(exc), str(exc)))
-            slices += type(outcomes[0]) is bytes and len(plain) > len(messages) and all(
-                ids == [*range(ids[0], ids[0] + len(ids))] for message in messages for ids in message)
-            assert outcomes[0] == outcomes[1], (messages, outcomes)
-        assert slices >= 50, slices
+        wide = 0
+        for _ in range(150):
+            m = rng.randint(2, 6)
+            store = generate_pairwise_keys(NetworkSpec.complete(m, 40), rng.randrange(2**32))
+            routes = []
+            for _ in range(rng.randint(1, 3)):
+                nodes = rng.sample(range(m), rng.randint(2, m))
+                edges = [canonical_pair(v, rng.choice(nodes[:k])) for k, v in enumerate(nodes) if k]
+                seed = rng.choice(edges) if rng.random() < 0.5 else rng.choice(nodes)
+                routes.append((edges, seed, rng.randint(1, 4)))
+            key_ids, t = flood(store, routes, together=rng.random() < 0.5)
+            widths = list(map(sub, t.ends, [0, *t.ends]))
+            plain, pad = ([a + i for a, width in zip(column, widths) for i in range(width)]
+                          for column in (t.plain, t.pad))
+            rounds, senders, receivers = ([x for x, width in zip(column, widths) for _ in range(width)]
+                                          for column in (t.rounds, t.senders, t.receivers))
+            ones = Transcript(t.basis, rounds, senders, receivers, range(1, len(plain) + 1), plain, pad)
+            assert t.payload == ones.payload and t.forms() == ones.forms()
+            assert [(msg.plain, msg.pad) for msg in t] == [
+                (tuple(plain[start:end]), tuple(pad[start:end])) for start, end in zip([0, *t.ends], t.ends)]
+            terminals = range(m + 1)
+            assert _learned(set(key_ids), t, terminals) == _learned(set(key_ids), ones, terminals)
+            assert t.to_text() == reference_text(t)
+            wide += max(widths, default=1) > 1
+        assert wide >= 100, wide
 
 
 def columns_transcript(basis, messages):
-    """A transcript over ``basis`` of messages given as (plain ids, pad ids), one round each."""
-    n = len(messages)
-    return Transcript(basis, range(n), [0] * n, [1] * n, list(accumulate(len(plain) for plain, _ in messages)),
-                      [i for plain, _ in messages for i in plain], [i for _, pad in messages for i in pad])
+    """A transcript over ``basis`` of messages given as runs (plain ids, pad ids), one round each."""
+    return transcript_of(basis, (PublicMessage(0, 1, r, (), plain, pad, basis)
+                                 for r, (plain, pad) in enumerate(messages)))
 
 
 class TestRenderingPaths:
-    """``to_text`` renders a message of two runs from their prefixes and every other message
-    from all the basis labels; both must give the bytes of bit-by-bit rendering."""
+    """``to_text`` renders a message whose runs each lie in one basis run, of two prefixes, from
+    their prefixes and every other message from its own bits' labels; both must give the bytes
+    of bit-by-bit rendering."""
 
     @staticmethod
     def store():
@@ -839,14 +865,11 @@ class TestRenderingPaths:
             (again[0:5], a[5:10]),  # two runs of one prefix
             (d[0:5], d[10:15]),  # one run
             (a[118:120] + b[0:2], d[20:24]),  # consecutive ids across a run boundary, K0-1 then K0-12
-            (c[20:24], a[117:120] + again[0:1]),  # consecutive labels, but ids of two runs
-            (a[30:36:2], d[30:33]),  # not consecutive
-            (a[42:39:-1], d[40:43]),  # descending
+            (c[20:24], r[117:120] + again[0:1]),  # consecutive ids across a run boundary, R1 then K0-1
             (a[50:52], a[53:55]),  # one run, one prefix
         ]
         ones = [(a[60:61], b[60:61]), (r[60:61], c[60:61]), (again[60:61], a[61:62]), (d[9:10], d[99:100])]
-        cases = [runs, others, ones, runs + ones, others + runs, runs + [([], [])] + others + ones,
-                 [([], [])] * 3, []]
+        cases = [runs, others, ones, runs + ones, others + runs, runs + others + ones, []]
         for messages in cases:
             transcript = columns_transcript(store.basis, messages)
             assert transcript.to_text() == reference_text(transcript)
@@ -861,9 +884,16 @@ class TestRenderingPaths:
         star = run_broadcast(generate_pairwise_keys(NetworkSpec.star([7, 5, 9, 12]), 3)).transcript
         # two paths from 0 to 2, each of 3 or 4 bits: every message is wider than 1
         relay = run_subgroup(generate_pairwise_keys(TRIANGLE, 4), 0, 2).transcript
+        # four paths from 0 to 4 of 3, 1, 3 and 2 bits: one-bit messages among wide ones
+        spec = NetworkSpec(5, {(0, 1): 3, (0, 2): 3, (0, 3): 3, (0, 4): 2, (1, 2): 4, (1, 3): 3, (1, 4): 3,
+                               (2, 3): 3, (3, 4): 4})
+        paths = run_subgroup(generate_pairwise_keys(spec, 4), 0, 4).transcript
         hand = columns_transcript(store.basis, [(a[0:5], b[3:8]), (r[6:12], c[6:12]), (again[5:10], d[0:5])])
         assert {msg.round for msg in relay} == {0, 1} and min(len(msg.payload) for msg in relay) > 1
-        transcripts = [star, relay, hand]
+        assert {len(msg.payload) for msg in paths} == {1, 2, 3}
+        # a message whose two runs share a prefix renders its own bits' labels
+        shared = columns_transcript(store.basis, [(a[0:2], a[2:4])])
+        transcripts = [star, relay, paths, hand, shared]
         expected = [reference_text(transcript) for transcript in transcripts]
 
         def refuse(basis):
@@ -871,8 +901,6 @@ class TestRenderingPaths:
 
         monkeypatch.setattr(SourceBitBasis, "labels", property(refuse))
         assert [transcript.to_text() for transcript in transcripts] == expected
-        with pytest.raises(AssertionError, match="rendered labels"):
-            columns_transcript(store.basis, [(a[0:2], a[2:4])]).to_text()
 
 
 def hand_built(spec, seed, key_ids, plain, pad):
@@ -969,9 +997,9 @@ class TestHandBuiltTranscripts:
             result = run_broadcast(generate_pairwise_keys(spec, 3))
             t = result.transcript
             # leaf 3 loses its re-keying message, the last one
-            n, cut = len(t) - 1, t.ends[-2]
+            n = len(t) - 1
             dropped = Transcript(t.basis, t.rounds[:n], t.senders[:n], t.receivers[:n], t.ends[:n],
-                                 t.plain[:cut], t.pad[:cut])
+                                 t.plain[:n], t.pad[:n])
             spec = NetworkSpec.star({list(COMBINATION[0].budgets.values())!r})
             seed, key_ids, plain, pad = {COMBINATION[1:]!r}
             store = generate_pairwise_keys(spec, seed)

@@ -212,12 +212,14 @@ def test_a_run_does_no_elimination(monkeypatch):
         ((wanted, checked, asked, counts),) = calls
         assert wanted == set(key_ids) and checked is transcript
         # every pad is private: used once, and neither a key id nor a plain id
-        pads = set(transcript.pad)
-        assert len(pads) == transcript.public_bits and pads.isdisjoint({*key_ids, *transcript.plain})
+        plain = [ident for msg in transcript for ident in msg.plain]
+        pad = [ident for msg in transcript for ident in msg.pad]
+        pads = set(pad)
+        assert len(pads) == transcript.public_bits and pads.isdisjoint({*key_ids, *plain})
         # only holders are asked, and every one learns every key id: a pad it
         # owns tells it its plain id, and a key id it owns tells it itself
         assert sorted(asked) == sorted(result.holders) and counts == [len(key_ids)] * len(asked)
-        learned = {**dict(zip(transcript.pad, transcript.plain)), **dict(zip(key_ids, key_ids))}
+        learned = {**dict(zip(pad, plain)), **dict(zip(key_ids, key_ids))}
         for holder in asked:
             own = [ident for ids, owners in result.basis.runs() if holder in owners for ident in ids]
             assert set(key_ids) <= {learned[ident] for ident in own if ident in learned}
@@ -270,10 +272,9 @@ def test_a_leak_is_refused_at_construction_as_the_oracles_report_it():
     result = run_broadcast(store)
     k0, k1 = result.key_ids[:2]
     x = store.take(0, 3, 1)[0]
-    plain, pad = (k0, x), (x, k1)
-    payload = tuple(store.basis.values[a] ^ store.basis.values[b] for a, b in zip(plain, pad))
-    extra = PublicMessage(0, 3, 1, payload, plain, pad, store.basis)
-    leaky = transcript_of(store.basis, [*result.transcript, extra])
+    extra = [PublicMessage(0, 3, 1, (store.basis.values[a] ^ store.basis.values[b],), (a,), (b,), store.basis)
+             for a, b in ((k0, x), (x, k1))]
+    leaky = transcript_of(store.basis, [*result.transcript, *extra])
     with pytest.raises(InvariantViolation, match="a pad bit is not private"):
         replace(result, transcript=leaky)
     assert verify_independence(result.key_forms, leaky.forms(), result.basis).leaked_bits == 1

@@ -272,28 +272,21 @@ class TestWhatEachTerminalLearns:
             later += min(result.transcript.pad, default=0) > 0
         assert partial >= 5 and later >= 10, (partial, later)
 
-    @pytest.mark.parametrize("case", ["pads descend", "pads skip an id", "pads span two basis runs",
-                                      "plain ids repeat"])
-    def test_counts_on_wide_messages_equal_the_oracle(self, case):
-        # terminal 0 sends its local bits r to 1 padded by the ids below, and r[2:5] to 2 padded by
-        # K0-2 bits; terminal 1 owns K1-2, so it learns the one bit that a K1-2 bit pads
+    def test_counts_on_wide_messages_equal_the_oracle(self):
+        # terminal 0 sends its local bits r[0:2] to 1 padded by the ids 7 and 8, K0-2:3 and K1-2:0, a
+        # pad run across two basis runs, and r[2:5] to 2 padded by K0-2 bits; terminal 1 owns K1-2, so
+        # it learns the one bit that a K1-2 bit pads
         store = generate_pairwise_keys(NetworkSpec(3, {(0, 1): 4, (0, 2): 4, (1, 2): 4}), 1)
         _, c, d = store.take(0, 1, 4), store.take(0, 2, 4), store.take(1, 2, 4)
         r = store.fresh(0, 5)
-        plain, pad, runs = {
-            "pads descend": ([r[0], r[1]], [d[0], c[3]], None),
-            "pads skip an id": ([r[0], r[1]], [c[3], d[1]], None),  # ids 7 and 9
-            "pads span two basis runs": ([r[0], r[1]], [c[3], d[0]], (r[0], c[3])),  # ids 7 and 8: K0-2:3, K1-2:0
-            "plain ids repeat": ([r[0], r[0]], [c[3], d[0]], None),
-        }[case]
-        transcript = Transcript(store.basis, [0, 0], [0, 0], [1, 2], [2, 5], [*plain, *r[2:5]], [*pad, *c[0:3]])
-        assert transcript._runs == [runs, (r[2], c[0])]
+        assert c[3] + 1 == d[0] and store.basis.label(d[0]) == "K1-2:0"
+        transcript = Transcript(store.basis, [0, 0], [0, 0], [1, 2], [2, 5], [r[0], r[2]], [c[3], c[0]])
         assert transcript.to_text() == reference_text(transcript)
         result = GroupKeyResult(frozenset(), tuple(r), transcript, None)
         terminals = range(4)
         counts = _learned(set(result.key_ids), transcript, terminals)
         assert counts == learned_by_the_oracle(result, terminals)
-        assert counts == ([5, 1, 4, 0] if case == "plain ids repeat" else [5, 1, 5, 0])
+        assert counts == [5, 1, 5, 0]
 
     def test_a_terminal_that_learns_the_key_from_its_first_run_counts_as_the_oracle(self):
         # every tree is seeded by pair {0, 1}, so terminals 0 and 1 own all four key ids in their
