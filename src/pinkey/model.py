@@ -46,6 +46,10 @@ _BIT_VALUES = frozenset((0, 1))
 # Byte b of a Mersenne Twister word maps to its top bit, b >> 7.
 _TOP_BIT = bytes(b >> 7 for b in range(256))
 
+# The C-level seed of random.Random's base, which random.Random.seed calls after checking its
+# argument's type in Python: an int seeds the generator alike, with no Python frame per draw.
+_SEED = random.Random.__base__.seed
+
 
 def check_seed(seed: int) -> None:
     """Raise ValueError unless ``seed`` is an ``int`` in [0, 2**64); a bool is no seed."""
@@ -363,7 +367,7 @@ def _draw(rng: random.Random, tag: str, done: int, count: int) -> bytes:
     salted hash().  One ``getrandbits`` call reads the stream from its start, so a later take
     of a pair re-derives its ``done`` earlier words; ``flood`` takes each pair once per run.
     """
-    rng.seed(int.from_bytes(hashlib.sha256(tag.encode()).digest()[:8], "big"))
+    _SEED(rng, int.from_bytes(hashlib.sha256(tag.encode()).digest()[:8], "big"))
     words = done + count
     return rng.getrandbits(32 * words).to_bytes(4 * words, "little")[4 * done + 3::4].translate(_TOP_BIT)
 

@@ -31,25 +31,30 @@ distinct key ids and P public bits: the transcript tells nothing about
 the key.  So a run's ``GroupKeyResult`` checks itself when it is built:
 key ids of its basis, distinct and within its bound, and holders that
 are nonnegative ints, then pad privacy and every holder's replay in one pass
-with no GF(2) elimination.  One table, indexed by id from 0 over the
-basis, holds what each pad and key id tells its owners, and
-``_learned`` counts the key ids that the table's slices over the basis
-runs a terminal owns hold: a holder replays when it learns them all.
-Wide messages, as broadcast and subgroup runs send, cost per message,
-not per bit: their payload, their text and the table are written from
-each message's two runs by slices.  No result has a pad that is not private.
+with no GF(2) elimination: ``_learned`` counts the key ids each terminal
+learns, and a holder replays when it learns them all.  When every
+message is one bit, as in group runs, an id is a message: pads are
+checked per id, one table, indexed by id from 0 over the basis, holds
+what each pad and key id tells its owners, and a terminal learns the key
+ids in the table's slices over the basis runs it owns.  Wide messages,
+as broadcast and subgroup runs send, cost per message, not per bit:
+their payload and text are written from each message's two runs by
+slices, and the self-check compares id intervals, the pad and plain
+runs, the runs of key ids and the basis runs each terminal owns.  No
+result has a pad that is not private.
 The rank audit of any forms, ``oracles.verify_independence``, is not
 imported.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain
-from operator import add, eq, ge, itemgetter, sub
+from itertools import accumulate, chain, compress, repeat
+from operator import add, eq, ge, gt, itemgetter, ne, sub
 
 from .bounds import broadcast_bound, group_bound
 from .errors import InvariantViolation, invariant
@@ -137,7 +142,9 @@ class Transcript:
     checks them whole: equal column lengths, ``ends`` ints rising strictly
     from 0, every id an ``int`` and each run inside the basis, rounds,
     senders and receivers that are nonnegative ints, and nondecreasing
-    rounds.  It then computes ``payload`` (immutable bytes) from the
+    rounds.  ``ends`` given as ``range(1, n + 1)``, one bit per message as
+    ``flood`` gives it, is kept as it is, with no copy and no check per
+    end.  It then computes ``payload`` (immutable bytes) from the
     values of the two runs, gathered per column when every message is one
     bit and sliced per message otherwise, and XORs the two as big ints, so
     a payload never disagrees with its forms.  A message pads a bit with
@@ -149,8 +156,11 @@ class Transcript:
 
     def __init__(self, basis: SourceBitBasis, rounds: Iterable[int], senders: Iterable[int],
                  receivers: Iterable[int], ends: Iterable[int], plain: Iterable[int], pad: Iterable[int]):
-        rounds, senders, receivers, ends = list(rounds), list(senders), list(receivers), list(ends)
-        plain, pad = list(plain), list(pad)
+        rounds, senders, receivers, plain, pad = list(rounds), list(senders), list(receivers), list(plain), list(pad)
+        # one bit per message, as flood gives it: range(1, n + 1) is kept as it is, its ends ints rising by one from 1
+        one_bit = type(ends) is range and ends.start == ends.step == 1
+        if not one_bit:
+            ends = list(ends)
         if not len(rounds) == len(senders) == len(receivers) == len(ends):
             raise ValueError("rounds, senders, receivers, and ends must have equal length")
         if len(plain) != len(pad):
@@ -158,7 +168,7 @@ class Transcript:
         if len(plain) != len(ends):
             raise ValueError("plain and pad must hold one id per message")
         # before any end is compared: a bool is no end, and a float would slice nothing
-        if set(map(type, ends)) - {int} or any(map(ge, [0, *ends], ends)):
+        if not one_bit and (set(map(type, ends)) - {int} or any(map(ge, [0, *ends], ends))):
             raise ValueError("ends must be ints rising strictly from 0")
         wide = bool(ends) and ends[-1] > len(ends)  # some message carries more than one bit
         widths = list(map(sub, ends, [0, *ends])) if wide else None
@@ -274,10 +284,11 @@ class GroupKeyResult:
     basis, then for a key id that repeats, then for a key longer than
     ``bound``, then for a holder that is no nonnegative ``int``, then, in
     one ``_learned`` pass, for a reused pad, a pad that is not private and
-    the smallest holder that does not learn every key id.  That pass
-    writes its table a slice per message when a message is wider than one
-    bit, and stops scanning a holder's basis runs once it has learned every
-    key id.  Private pads make the P public rows and the key's |K|
+    the smallest holder that does not learn every key id.  When a message
+    is wider than one bit, that pass checks pads and counts over each
+    message's runs, as id intervals, with no step per bit; otherwise it
+    checks pads per id and counts from a table of what each id tells.
+    Private pads make the P public rows and the key's |K|
     distinct unit rows independent: ranks |K|, P and |K| + P, and the
     transcript tells nothing about the key, which is uniform.
     """
@@ -328,17 +339,19 @@ def _learned(wanted: set[int], transcript: Transcript, terminals: Sequence[int])
     neither a wanted id nor a ``plain`` id.  Then a public bit's row is the
     only one that mentions its pad, so a terminal's own bits and the
     transcript span exactly what its ids tell it: a wanted id itself, a pad
-    its ``plain`` id.  Pads are checked per id, over each message's runs.
-    One table, indexed by the basis's ids, holds what each such id tells:
-    when a message is wider than one bit, each message writes its pad
-    run's cells as one slice of its plain run, and otherwise, as in a
-    transcript of one bit per message, each pad its own cell.  A
-    terminal learns the wanted ids that the slices of the table over the
-    basis runs it owns hold; its scan of those runs stops once it has
-    learned every wanted id.  Every wanted id is an id of the basis, as a
-    result checks before it counts.
+    its ``plain`` id.  When a message is wider than one bit,
+    ``_learned_by_runs`` checks and counts over id intervals, a step per
+    message run and none per bit.  Otherwise, as in a transcript of one
+    bit per message, where an id is a message, pads are checked per id,
+    and one table, indexed by the basis's ids, holds what each pad and
+    wanted id tells.  A terminal learns the wanted ids that the slices of
+    the table over the basis runs it owns hold; its scan of those runs
+    stops once it has learned every wanted id.  Every wanted id is an id
+    of the basis, as a result checks before it counts.
     """
-    plain, pad = transcript._bits(transcript.plain), transcript._bits(transcript.pad)
+    if transcript.ends and transcript.ends[-1] > len(transcript.ends):
+        return _learned_by_runs(wanted, transcript, terminals)
+    plain, pad = transcript.plain, transcript.pad
     pads = set(pad)
     invariant(len(pads) == len(pad), "a pad bit was reused")
     invariant(pads.isdisjoint(wanted) and pads.isdisjoint(plain), "a pad bit is not private")
@@ -346,11 +359,7 @@ def _learned(wanted: set[int], transcript: Transcript, terminals: Sequence[int])
     told: list[int | None] = [None] * len(basis)  # told[i]: what id i tells its owners
     keys = list(wanted)
     # each deque(map(...), 0) writes its cells in one C-level pass, keeping nothing
-    if plain is transcript.plain:  # one bit per message: a pad tells its plain id
-        deque(map(told.__setitem__, pad, plain), 0)
-    else:  # a message's pads tell its plain ids, as one slice
-        for a, b, start, end in zip(transcript.plain, transcript.pad, [0, *transcript.ends], transcript.ends):
-            told[b:b + end - start] = range(a, a + end - start)
+    deque(map(told.__setitem__, pad, plain), 0)  # a pad tells its plain id
     deque(map(told.__setitem__, keys, keys), 0)  # a wanted id tells itself
     slices: dict[int, list[list[int | None]]] = {terminal: [] for terminal in terminals}
     for ids, owners in basis.runs():
@@ -366,6 +375,74 @@ def _learned(wanted: set[int], transcript: Transcript, terminals: Sequence[int])
                 break
             left.difference_update(part)
         counts.append(len(wanted) - len(left))
+    return counts
+
+
+def _meets(starts: list[int], stops: list[int], lows: Iterable[int], highs: Iterable[int]) -> bool:
+    """Whether some interval ``[lows[k], highs[k])`` meets one of the disjoint runs
+    ``[starts[i], stops[i])``, which ascend: in C-level passes, none per id."""
+    # of the runs that start before an interval's high, the last reaches furthest; reach[i] is the
+    # stop of run i - 1, and 0, which reaches no id, before the first run
+    reach = [0, *stops]
+    return any(map(gt, map(reach.__getitem__, map(bisect_left, repeat(starts), highs)), lows))
+
+
+def _learned_by_runs(wanted: set[int], transcript: Transcript, terminals: Sequence[int]) -> list[int]:
+    """``_learned`` over id intervals, for a transcript with a message wider than one bit.
+
+    Pad runs, sorted by first id, must not overlap (a pad bit was reused),
+    and then no pad run may meet a plain run or a run of wanted ids (a pad
+    bit is not private).  A terminal learns the wanted ids in the basis
+    runs it owns and, for each pad run, the plain-run image of the part
+    that lies in a basis run it owns; a pad run may cross basis runs.
+    Each such interval is clipped to the maximal runs of wanted ids, and a
+    terminal's count is the length of the union of its clipped intervals.
+    Steps are per message, basis run and wanted run, none per id.
+    """
+    ends = transcript.ends
+    widths = list(map(sub, ends, [0, *ends]))
+    # per message by its pad run: the pad run's first id and stop, and the plain run's first id
+    starts, stops, plains = map(list, zip(*sorted(zip(transcript.pad, map(add, transcript.pad, widths),
+                                                      transcript.plain))))
+    invariant(not any(map(gt, stops, starts[1:])), "a pad bit was reused")
+    keys = sorted(wanted)
+    # the wanted ids as maximal runs [start, stop): a run breaks where an id is not one past the id before
+    breaks = [*compress(range(1, len(keys)), map(ne, keys[1:], map(add, keys, repeat(1))))]
+    key_starts = [keys[k] for k in [0, *breaks]] if keys else []
+    key_stops = [keys[k - 1] + 1 for k in [*breaks, len(keys)]] if keys else []
+    invariant(not _meets(starts, stops, transcript.plain, map(add, transcript.plain, widths))
+              and not _meets(starts, stops, key_starts, key_stops), "a pad bit is not private")
+    learned: dict[int, list[tuple[int, int]]] = {terminal: [] for terminal in terminals}
+
+    def tell(low: int, high: int, owners: list[int]) -> None:
+        """Give ``owners`` the wanted ids in ``[low, high)``, a piece per wanted run it meets."""
+        k = bisect_right(key_stops, low)  # the first wanted run that stops past low
+        while k < len(key_starts) and key_starts[k] < high:
+            piece = (max(low, key_starts[k]), min(high, key_stops[k]))
+            for owner in owners:
+                learned[owner].append(piece)
+            k += 1
+
+    runs = transcript.basis.runs()
+    run_starts = [ids.start for ids, _ in runs]
+    # a wanted run tells its owners itself, and a pad run its plain run, id for id: per run, its
+    # first id and stop and what to add to an id of it for the id it tells
+    told = [*zip(key_starts, key_stops, repeat(0)), *zip(starts, stops, map(sub, plains, starts))]
+    for start, stop, shift in told:
+        k = bisect_right(run_starts, start) - 1
+        while k < len(runs) and run_starts[k] < stop:  # each basis run it crosses
+            ids, owners = runs[k]
+            if counted := [owner for owner in owners if owner in learned]:
+                tell(max(start, ids.start) + shift, min(stop, ids.stop) + shift, counted)
+            k += 1
+    counts = []
+    for terminal in terminals:
+        count = reach = 0
+        for low, high in sorted(set(learned[terminal])):  # pieces by first id: count what each adds
+            if high > reach:
+                count += high - max(low, reach)
+                reach = high
+        counts.append(count)
     return counts
 
 

@@ -9,7 +9,8 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import accumulate
 
-from pinkey import NetworkSpec, Transcript, generate_pairwise_keys
+from pinkey import NetworkSpec, Transcript, flood, generate_pairwise_keys
+from pinkey.errors import InsufficientKeyMaterial, InvariantViolation
 from pinkey.oracles import is_connected
 
 
@@ -224,6 +225,126 @@ def reference_replay(result, terminal):
             return None
         out.append(value)
     return tuple(out)
+
+
+def reference_learned(wanted, transcript, terminals) -> list[int]:
+    """What ``protocols._learned`` counts, per id: how many of the ids ``wanted`` each terminal
+    learns, every message's two runs expanded into one id per payload bit.
+
+    Raises InvariantViolation("a pad bit was reused") when a pad id repeats, and then "a pad
+    bit is not private" when a pad id is a wanted id or a plain id.  A table indexed by id holds
+    what each pad (its plain id) and wanted id (itself) tells, and a terminal learns the wanted
+    ids among the cells of the ids it owns.
+    """
+    plain, pad, start = [], [], 0
+    for a, b, end in zip(transcript.plain, transcript.pad, transcript.ends):
+        plain += range(a, a + end - start)
+        pad += range(b, b + end - start)
+        start = end
+    pads = set(pad)
+    if len(pads) != len(pad):
+        raise InvariantViolation("a pad bit was reused")
+    if pads & set(wanted) or pads & set(plain):
+        raise InvariantViolation("a pad bit is not private")
+    told = [None] * len(transcript.basis)
+    for a, b in zip(plain, pad):
+        told[b] = a
+    for ident in wanted:
+        told[ident] = ident
+    return [len(set(wanted) & {told[ident] for ids, held in transcript.basis.runs() if terminal in held
+                               for ident in ids})
+            for terminal in terminals]
+
+
+def learned_or_fault(count, wanted, transcript, terminals):
+    """``count(wanted, transcript, terminals)``, or the message of the InvariantViolation it raises."""
+    try:
+        return count(wanted, transcript, terminals)
+    except InvariantViolation as exc:
+        return str(exc)
+
+
+def random_tree(rng: random.Random, spec: NetworkSpec) -> list[tuple[int, int]]:
+    """A tree of the spec's positive-budget pairs, grown from a random terminal by random pairs
+    that reach a new terminal, stopping at random; it may be a single pair, never empty."""
+    pairs = spec.pairs()
+    reached = {rng.randrange(spec.m)}
+    tree: list[tuple[int, int]] = []
+    while True:
+        out = [(i, j) for i, j in pairs if (i in reached) != (j in reached)]
+        if not out or (tree and rng.random() < 0.3):
+            return tree
+        i, j = rng.choice(out)
+        tree.append((i, j))
+        reached |= {i, j}
+
+
+def random_flood(rng: random.Random):
+    """A store of a random connected spec and what one random ``flood`` on it returned, its key
+    ids and transcript, or None when a pair ran short: one to three routes, each a random tree
+    seeded by one of its pairs or terminals, of width 1 to 4 (all 1 half the time), together or
+    not.  A third of the time an earlier flood drew from the store first."""
+    spec = random_connected_spec(rng, max_m=5, max_budget=12)
+    store = generate_pairwise_keys(spec, rng.randrange(2**16))
+    one_bit = rng.random() < 0.5
+    for _ in range(1 + (rng.random() < 1 / 3)):
+        routes = []
+        for _ in range(rng.randint(1, 3)):
+            tree = random_tree(rng, spec)
+            seed = rng.choice(tree) if rng.random() < 0.5 else rng.choice(sorted({v for edge in tree for v in edge}))
+            routes.append((tree, seed, 1 if one_bit else rng.randint(1, 4)))
+        try:
+            key_ids, transcript = flood(store, routes, together=rng.random() < 0.5)
+        except InsufficientKeyMaterial:
+            return None
+    return store, key_ids, transcript
+
+
+def wide_cases() -> dict[str, tuple[set[int], Transcript]]:
+    """Hand-built transcripts of messages up to three bits wide, by name, each with its wanted
+    ids.  The basis holds pairs {0, 1}, {0, 2} and {1, 2}, 8 key bits each, at ids 0-7, 8-15 and
+    16-23, then terminal 0's local bits at ids 24-29.  A message is (plain run's first id, pad
+    run's first id, width)."""
+    spec = NetworkSpec(3, {(0, 1): 8, (0, 2): 8, (1, 2): 8})
+    store = generate_pairwise_keys(spec, 6)
+    take_all(store)
+    store.fresh(0, 6)
+    local = set(range(24, 29))
+    cases = {
+        # pad ids 6-8 cross from pair {0, 1} to pair {0, 2}; terminal 1 owns 6-7 and 16, so it learns 24-25 and 28
+        "a pad run crosses a basis run": (local, [(24, 6, 3), (27, 9, 1), (28, 16, 1)]),
+        "pad runs meet by one id": (local, [(24, 6, 3), (27, 8, 2)]),
+        "pad runs side by side": (local, [(24, 6, 3), (27, 9, 2)]),
+        "a pad run meets a plain run by one id": (local, [(24, 8, 3), (6, 16, 3)]),
+        "a pad run beside a plain run": (local, [(24, 8, 3), (5, 16, 3)]),
+        "a pad run meets its own plain run": (local, [(8, 9, 3)]),
+        "a pad run meets a wanted id by one id": (local | {10}, [(24, 8, 3)]),
+        "a pad run beside a wanted id": (local | {11}, [(24, 8, 3)]),
+        "pad runs reused and plain": (local, [(24, 8, 3), (25, 10, 2), (9, 16, 2)]),
+        "wanted runs of one id": ({1, 3, 24, 26, 28}, [(24, 8, 3), (28, 16, 2), (2, 18, 1)]),
+    }
+    return {name: (wanted, Transcript(store.basis, [0] * len(messages), [0] * len(messages), [1] * len(messages),
+                                      list(accumulate(width for _, _, width in messages)),
+                                      [plain for plain, _, _ in messages], [pad for _, pad, _ in messages]))
+            for name, (wanted, messages) in cases.items()}
+
+
+def learned_cases(rng: random.Random, count: int):
+    """``count`` (wanted ids, transcript) pairs from ``random_flood``, each wanted the flood's key
+    ids, those with one more id of the basis (which may be a pad), or a random sample of the
+    basis's ids; the ``wide_cases`` follow."""
+    made = 0
+    while made < count:
+        flooded = random_flood(rng)
+        if flooded is None:
+            continue
+        store, key_ids, transcript = flooded
+        size = len(store.basis)
+        wanted = rng.choice([set(key_ids), {*key_ids, rng.randrange(size)},
+                             set(rng.sample(range(size), rng.randint(0, min(size, 6))))])
+        yield wanted, transcript
+        made += 1
+    yield from wide_cases().values()
 
 
 SECRECY_FIELDS = ("rank_key", "rank_transcript", "rank_joint", "leaked_bits", "uniform")

@@ -35,8 +35,9 @@ from pinkey.oracles import (MI_BASIS_LIMIT, brute_force_mutual_information, is_c
                             verify_independence)
 from pinkey.protocols import GroupKeyResult, LinearForm, PublicMessage, _hex, _learned
 
-from helpers import (audited, closed_form, debit, full_basis, key_values, packed, random_connected_spec, random_spec,
-                     reference_replay, reference_text, take_all, tagged_stream, transcript_columns, transcript_of)
+from helpers import (audited, closed_form, debit, full_basis, key_values, learned_cases, learned_or_fault, packed,
+                     random_connected_spec, random_spec, reference_learned, reference_replay, reference_text, take_all,
+                     tagged_stream, transcript_columns, transcript_of, wide_cases)
 
 TRIANGLE = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
 
@@ -665,6 +666,34 @@ class TestTranscripts:
         """)
         assert run_optimized(code) == "refused: ends must be ints rising strictly from 0\n" * 5
 
+    def test_ends_given_as_a_range_build_the_transcript_of_their_list(self):
+        basis = full_basis(TRIANGLE, 1)  # 12 bits
+        for n, ends, plain, pad in [(3, range(1, 4), [0, 1, 2], [5, 6, 9]), (0, range(1, 1), [], []),
+                                    (2, range(1, 4, 2), [0, 2], [5, 8]), (2, range(2, 6, 2), [0, 2], [5, 8])]:
+            made = [Transcript(basis, [0] * n, [0] * n, [1] * n, column, plain, pad) for column in (ends, list(ends))]
+            assert transcript_columns(made[0]) == transcript_columns(made[1])
+            assert made[0].to_text() == made[1].to_text() == reference_text(made[1])
+            assert list(made[0]) == list(made[1])
+        # a run's one-bit transcript keeps the range flood gives it, and a prefix of its messages slices it
+        t = run_group_key(generate_pairwise_keys(TRIANGLE, 5)).transcript
+        assert t.ends == range(1, len(t) + 1)
+        for n in (0, 2, len(t)):
+            head = Transcript(t.basis, t.rounds[:n], t.senders[:n], t.receivers[:n], t.ends[:n], t.plain[:n], t.pad[:n])
+            assert transcript_columns(head) == tuple(column[:n] for column in transcript_columns(t)[:4]) + (
+                t.payload[:n], t.plain[:n], t.pad[:n])
+
+    @pytest.mark.parametrize("ends,match", [
+        (range(0, 3), "^ends must be ints rising strictly from 0$"),
+        (range(3, 0, -1), "^ends must be ints rising strictly from 0$"),
+        (range(1, 3), "equal length"),
+        (range(1, 5), "equal length"),
+    ])
+    def test_a_range_of_ends_is_checked_as_its_list(self, ends, match):
+        basis = full_basis(TRIANGLE, 1)
+        for column in (ends, list(ends)):
+            with pytest.raises(ValueError, match=match):
+                Transcript(basis, [0] * 3, [0] * 3, [1] * 3, column, [0, 1, 2], [5, 6, 7])
+
     @pytest.mark.parametrize("column", ["rounds", "senders", "receivers"])
     @pytest.mark.parametrize("bad", [True, False, -1, -3, 1.0, "1", None], ids=repr)
     def test_rounds_senders_and_receivers_must_be_nonnegative_ints(self, column, bad):
@@ -1208,3 +1237,85 @@ class TestReplay:
             exec(code, {})
         assert out.getvalue() == expected
         assert run_optimized('assert False, "assertions must be off"\n' + code) == expected
+
+
+def is_wide(transcript) -> bool:
+    return bool(transcript.ends) and transcript.ends[-1] > len(transcript.ends)
+
+
+class TestLearnedAgainstThePerIdReference:
+    """``_learned`` checks and counts wide transcripts over id intervals; ``reference_learned``
+    does it per id, as every transcript was once checked."""
+
+    EXPECTED = {
+        "a pad run crosses a basis run": [5, 3, 3, 0],
+        "pad runs meet by one id": "a pad bit was reused",
+        "pad runs side by side": [5, 2, 3, 0],
+        "a pad run meets a plain run by one id": "a pad bit is not private",
+        "a pad run beside a plain run": [5, 0, 3, 0],
+        "a pad run meets its own plain run": "a pad bit is not private",
+        "a pad run meets a wanted id by one id": "a pad bit is not private",
+        "a pad run beside a wanted id": [6, 0, 4, 0],
+        "pad runs reused and plain": "a pad bit was reused",
+        "wanted runs of one id": [5, 3, 3, 0],
+    }
+
+    def test_hand_built_wide_transcripts(self):
+        cases = wide_cases()
+        assert cases.keys() == self.EXPECTED.keys()
+        for name, (wanted, transcript) in cases.items():
+            assert is_wide(transcript), name
+            got = learned_or_fault(_learned, wanted, transcript, range(4))
+            assert got == learned_or_fault(reference_learned, wanted, transcript, range(4)) == self.EXPECTED[name], name
+
+    def test_random_floods(self):
+        seen = {(wide, fault): 0 for wide in (False, True) for fault in (False, True)}
+        for wanted, transcript in learned_cases(random.Random(3606), 400):
+            got = learned_or_fault(_learned, wanted, transcript, range(6))
+            assert got == learned_or_fault(reference_learned, wanted, transcript, range(6)), (wanted, transcript.to_text())
+            seen[is_wide(transcript), type(got) is str] += 1
+        assert min(seen.values()) >= 30, seen
+
+    def test_counts_and_faults_are_the_same_under_python_O(self):
+        code = textwrap.dedent(f"""
+            import random, sys
+            sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})
+            from helpers import learned_cases, learned_or_fault, reference_learned
+            from pinkey.protocols import _learned
+
+            assert False, "assertions must be off"
+            for wanted, transcript in learned_cases(random.Random(3607), 150):
+                got = learned_or_fault(_learned, wanted, transcript, range(6))
+                print(got, got == learned_or_fault(reference_learned, wanted, transcript, range(6)))
+        """)
+        expected = [f"{got} True" for got in (learned_or_fault(_learned, wanted, transcript, range(6))
+                                              for wanted, transcript in learned_cases(random.Random(3607), 150))]
+        assert run_optimized(code).splitlines() == expected
+
+    def test_a_wide_check_takes_no_step_per_payload_bit(self, monkeypatch):
+        # star broadcasts of 8 and of 800 key bits: the self-check runs the same Python lines, and
+        # never expands a message into its bits
+        def refuse(self, firsts):
+            raise AssertionError("a wide message was expanded into its bits")
+
+        lines = []
+
+        def trace(frame, event, arg):  # the lines run in the package's protocols module
+            if frame.f_code.co_filename != _learned.__code__.co_filename:
+                return None
+            if event == "line":
+                lines.append(frame.f_lineno)
+            return trace
+
+        monkeypatch.setattr(Transcript, "_bits", refuse)
+        traced = []
+        for budget in (8, 800):
+            result = run_broadcast(generate_pairwise_keys(NetworkSpec.star([budget + 3, budget, budget + 1]), 2))
+            lines.clear()
+            sys.settrace(trace)
+            try:
+                replace(result)
+            finally:
+                sys.settrace(None)
+            traced.append(list(lines))
+        assert traced[0] and traced[0] == traced[1]
