@@ -37,7 +37,8 @@ class Partition:
     """A partition of the node set [0, m) into disjoint nonempty blocks.
 
     Blocks are canonically ordered by their smallest element, so equal
-    partitions compare and print identically.
+    partitions compare and print identically.  Nodes are ints: a bool or
+    a float, which would equal one, is refused.
     """
 
     blocks: tuple[frozenset[int], ...]
@@ -45,7 +46,10 @@ class Partition:
     def __post_init__(self) -> None:
         if not self.blocks or any(not b for b in self.blocks):
             raise ValueError("blocks must be nonempty")
-        nodes = sorted(n for b in self.blocks for n in b)
+        nodes = [n for b in self.blocks for n in b]
+        if set(map(type, nodes)) - {int}:  # before sorting, which would compare a node of another type
+            raise ValueError("nodes must be ints")
+        nodes.sort()
         if len(nodes) != len(set(nodes)):
             raise ValueError("blocks must be disjoint")
         if nodes != list(range(len(nodes))):

@@ -129,8 +129,12 @@ class NetworkSpec:
         return cls(m, {(i, j): weight for i in range(m) for j in range(i + 1, m)})
 
     def budget(self, i: int, j: int) -> int:
+        """Pair {i, j}'s budget, 0 for a pair with none; ValueError for terminals that are not
+        two distinct ints below m (a bool or a float is no terminal)."""
+        if not type(i) is type(j) is int:  # before canonical_pair compares them
+            raise ValueError(f"pair {(i, j)!r} out of range for m={self.m}")
         pair = canonical_pair(i, j)
-        if not (type(i) is type(j) is int and 0 <= pair[0] and pair[1] < self.m):
+        if not (0 <= pair[0] and pair[1] < self.m):
             raise ValueError(f"pair {pair!r} out of range for m={self.m}")
         return self.budgets.get(pair, 0)
 
@@ -318,6 +322,8 @@ class PairwiseKeyStore:
 
         ``take_each`` of the one pair: it raises as that does, and nothing is drawn then.
         """
+        if not type(i) is type(j) is int:  # before canonical_pair compares them: as take_each refuses them
+            raise ValueError(f"pair {(i, j)!r} is not (i, j) with 0 <= i < j < m={self._spec.m}")
         pair = canonical_pair(i, j)
         return self.take_each({pair: count})[pair]
 

@@ -1,6 +1,7 @@
 """Key-agreement protocols as deterministic message-passing runs.
 
-Three cases, each a list of routes that ``flood`` checks and floods:
+Three cases, each a list of routes of the spec's own pairs that ``_flood``
+floods, ``flood`` without its check of every edge:
 
 - broadcast: on a star, the center re-keys every leaf to the shortest
   leaf key by publishing XOR offsets, one star route;
@@ -17,8 +18,8 @@ the first ids of the two runs, in its ``plain`` and ``pad`` columns, and
 computes each payload bit from them when it is built; labels are
 rendered from the ids only when read.  So reconstructibility and secrecy
 are verifiable by linear algebra instead of sampling.  Each run
-constructs its transcript once, in one ``flood`` pass; iterating it
-gives ``PublicMessage`` values.  A run's one input is its
+builds its transcript once, unchecked, in one ``_flood`` pass; iterating
+it gives ``PublicMessage`` values.  A run's one input is its
 store, which holds the spec and seed and draws every bit the run uses:
 reruns on fresh stores produce byte-identical transcripts, and a second
 run on one store gets bits no earlier run used.
@@ -137,30 +138,28 @@ class Transcript:
     ``ends[k - 1]:ends[k]``, and ``plain`` and ``pad``, the first ids of
     its two runs: payload bit i of a message of width w is the value of
     ``plain[k] + i`` XOR that of ``pad[k] + i``.  So a transcript of one
-    bit per message, as group runs send, holds each bit's two ids.  A run
-    constructs its transcript once, from all its columns, and construction
-    checks them whole: equal column lengths, ``ends`` ints rising strictly
-    from 0, every id an ``int`` and each run inside the basis, rounds,
-    senders and receivers that are nonnegative ints, and nondecreasing
-    rounds.  ``ends`` given as ``range(1, n + 1)``, one bit per message as
-    ``flood`` gives it, is kept as it is, with no copy and no check per
-    end.  It then computes ``payload`` (immutable bytes) from the
-    values of the two runs, gathered per column when every message is one
-    bit and sliced per message otherwise, and XORs the two as big ints, so
-    a payload never disagrees with its forms.  A message pads a bit with
-    itself exactly when its two runs start at one id.  Iterating builds
-    the ``PublicMessage`` values.
+    bit per message, as group runs send, holds each bit's two ids.
+    ``Transcript(...)`` is the checked constructor: it takes the columns
+    as lists and checks them whole, equal column lengths, ``ends`` ints
+    rising strictly from 0, every id an ``int`` and each run inside the
+    basis, rounds, senders and receivers that are nonnegative ints, and
+    nondecreasing rounds.  ``flood`` builds a run's transcript once with
+    ``_built``, which checks nothing: its columns are ints taken from
+    the routes' edges, BFS depths and the store's own id runs, and its
+    ``ends`` of one bit per message stay ``range(1, n + 1)``.  Either way
+    ``payload`` (immutable bytes) is computed from the values of the two
+    runs, gathered per column when every message is one bit and sliced
+    per message otherwise, and the two XORed as big ints, so a payload
+    never disagrees with its forms.  A message pads a bit with itself
+    exactly when its two runs start at one id.  Iterating builds the
+    ``PublicMessage`` values.
     """
 
     __slots__ = ("basis", "rounds", "senders", "receivers", "ends", "payload", "plain", "pad")
 
     def __init__(self, basis: SourceBitBasis, rounds: Iterable[int], senders: Iterable[int],
                  receivers: Iterable[int], ends: Iterable[int], plain: Iterable[int], pad: Iterable[int]):
-        rounds, senders, receivers, plain, pad = list(rounds), list(senders), list(receivers), list(plain), list(pad)
-        # one bit per message, as flood gives it: range(1, n + 1) is kept as it is, its ends ints rising by one from 1
-        one_bit = type(ends) is range and ends.start == ends.step == 1
-        if not one_bit:
-            ends = list(ends)
+        rounds, senders, receivers, ends, plain, pad = map(list, (rounds, senders, receivers, ends, plain, pad))
         if not len(rounds) == len(senders) == len(receivers) == len(ends):
             raise ValueError("rounds, senders, receivers, and ends must have equal length")
         if len(plain) != len(pad):
@@ -168,7 +167,7 @@ class Transcript:
         if len(plain) != len(ends):
             raise ValueError("plain and pad must hold one id per message")
         # before any end is compared: a bool is no end, and a float would slice nothing
-        if not one_bit and (set(map(type, ends)) - {int} or any(map(ge, [0, *ends], ends))):
+        if set(map(type, ends)) - {int} or any(map(ge, [0, *ends], ends)):
             raise ValueError("ends must be ints rising strictly from 0")
         wide = bool(ends) and ends[-1] > len(ends)  # some message carries more than one bit
         widths = list(map(sub, ends, [0, *ends])) if wide else None
@@ -185,9 +184,25 @@ class Transcript:
             raise ValueError("rounds, senders and receivers must be nonnegative ints")
         if rounds != sorted(rounds):
             raise ValueError("round numbers must be nondecreasing")
+        self._fill(basis, rounds, senders, receivers, ends, plain, pad)
+
+    @classmethod
+    def _built(cls, basis: SourceBitBasis, rounds: list[int], senders: list[int], receivers: list[int],
+               ends: Sequence[int], plain: list[int], pad: list[int]) -> Transcript:
+        """The transcript of columns that the constructor would accept, kept as given: no check."""
+        transcript = cls.__new__(cls)
+        transcript._fill(basis, rounds, senders, receivers, ends, plain, pad)
+        return transcript
+
+    def _fill(self, basis: SourceBitBasis, rounds: list[int], senders: list[int], receivers: list[int],
+              ends: Sequence[int], plain: list[int], pad: list[int]) -> None:
+        """Set the columns and compute the payload from the values of each message's two runs."""
         values = basis.values
-        bits = ([b"".join([values[a:a + w] for a, w in zip(column, widths)]) for column in (plain, pad)] if wide
-                else [_gather(values, plain), _gather(values, pad)])
+        if ends and ends[-1] > len(ends):  # some message carries more than one bit
+            widths = list(map(sub, ends, [0, *ends]))
+            bits = [b"".join([values[a:a + w] for a, w in zip(column, widths)]) for column in (plain, pad)]
+        else:
+            bits = [_gather(values, plain), _gather(values, pad)]
         self.basis, self.rounds, self.senders, self.receivers = basis, rounds, senders, receivers
         self.ends, self.plain, self.pad = ends, plain, pad
         self.payload = (int.from_bytes(bits[0], "big") ^ int.from_bytes(bits[1], "big")).to_bytes(len(bits[0]), "big")
@@ -479,7 +494,7 @@ def run_broadcast(store: PairwiseKeyStore) -> GroupKeyResult:
     length = spec.budget(0, poorest)
     # a positive poorest budget means every leaf has a key at least this long
     star = [(0, leaf) for leaf in range(1, spec.m)]
-    key_ids, transcript = flood(store, [(star, (0, poorest), length)] if length else [])
+    key_ids, transcript = _flood(store, [(star, (0, poorest), length)] if length else [])
     return GroupKeyResult(frozenset(range(spec.m)), key_ids, transcript, bound.value)
 
 
@@ -499,7 +514,7 @@ def run_subgroup(store: PairwiseKeyStore, s: int, t: int) -> GroupKeyResult:
     """
     flow = max_flow(store.spec, s, t)
     routes = [([canonical_pair(u, v) for u, v in zip(path, path[1:])], s, amount) for path, amount in flow.paths]
-    key_ids, transcript = flood(store, routes, together=True)
+    key_ids, transcript = _flood(store, routes, together=True)
     return GroupKeyResult(frozenset((s, t)), key_ids, transcript, Fraction(flow.value))
 
 
@@ -523,24 +538,42 @@ def flood(store: PairwiseKeyStore, routes: Iterable[Route],
     emitted.  All pair bits are drawn in one batch, then each seed
     terminal's.  All or nothing: before any bit is drawn, raises ValueError
     for an edge that is no tuple (i, j) of ints as above, or a route that
-    is not a tree holding its seed or has no positive int width, and
-    InsufficientKeyMaterial, naming the pair, when some pair has fewer
-    unused bits than the routes use.  Each use's bits are one run of its
-    key's ids, so a message is its route's first shared id and its
-    use's first pad id.  Returns the shared bits' ids, route by route,
-    and the transcript.
+    is not a tree holding its seed or has no positive int width, the
+    first such fault in route order, and InsufficientKeyMaterial, naming
+    the pair, when some pair has fewer unused bits than the routes use.
+    Each use's bits are one run of its key's ids, so a message is its
+    route's first shared id and its use's first pad id.  Returns the
+    shared bits' ids, route by route, and the transcript.
+
+    This is ``_flood`` with every edge checked as its route is reached;
+    the runs call ``_flood`` itself, on edges of the spec's own pairs.
     """
+    return _flood(store, _checked_edges(routes, store.spec.m), together)
+
+
+def _checked_edges(routes: Iterable[Route], m: int) -> Iterator[Route]:
+    """Each route, its edges in a list, once each edge is a tuple (i, j) of ints, 0 <= i < j < m."""
+    for edges, seed, width in routes:
+        edges = list(edges)
+        for edge in edges:  # before _flood sorts them, which would compare an edge of another type
+            i, j = edge if type(edge) is tuple and len(edge) == 2 else (None, None)
+            if not (type(i) is type(j) is int and 0 <= i < j < m):
+                raise ValueError(f"edge {edge!r} is not a pair i < j of nodes below m={m}")
+        yield edges, seed, width
+
+
+def _flood(store: PairwiseKeyStore, routes: Iterable[Route],
+           together: bool = False) -> tuple[tuple[int, ...], Transcript]:
+    """``flood`` of routes whose edges are tuples (i, j) of ints, 0 <= i < j < m, as the spec's
+    pairs are: no check per edge.  Each route, as it is reached, is still checked to be a tree
+    holding its seed, of positive int width; the transcript is ``Transcript._built`` from
+    columns of those edges, BFS depths and the store's id runs."""
     m = store.spec.m
     rounds, senders, receivers = [], [], []
     uses: list[Pair | int] = []  # each route's seed, then the pair of each message it sends
     blocks = []  # in take order, uses of one route in a row: route, width, first, stop, whether the first is its seed
     for edges, seed, width in routes:
-        edges = list(edges)
-        for edge in edges:  # before sorting, which would compare an edge of another type
-            i, j = edge if type(edge) is tuple and len(edge) == 2 else (None, None)
-            if not (type(i) is type(j) is int and 0 <= i < j < m):
-                raise ValueError(f"edge {edge!r} is not a pair i < j of nodes below m={m}")
-        edges.sort()
+        edges = sorted(edges)
         adjacency: list[list[int]] = [[] for _ in range(m)]
         for i, j in edges:
             adjacency[i].append(j)  # each list ascends, as the edges are sorted
@@ -596,7 +629,7 @@ def flood(store: PairwiseKeyStore, routes: Iterable[Route],
     ends = range(1, len(pad) + 1) if wide is None else list(accumulate(
         width for _, width, first, stop, seeded in blocks for _ in range(first + seeded, stop)))
     key_ids = tuple(chain.from_iterable(range(first, first + width) for first, width in shared))
-    return key_ids, Transcript(store.basis, rounds, senders, receivers, ends, plain, pad)
+    return key_ids, Transcript._built(store.basis, rounds, senders, receivers, ends, plain, pad)
 
 
 def run_group_key(store: PairwiseKeyStore, tie_break: str = "lex-kruskal") -> GroupKeyResult:
@@ -611,7 +644,7 @@ def run_group_key(store: PairwiseKeyStore, tie_break: str = "lex-kruskal") -> Gr
     ceiling.
     """
     spec = store.spec
-    key_ids, transcript = flood(store, ((tree, min(tree), 1) for tree in greedy_spanning_trees(spec, tie_break)))
+    key_ids, transcript = _flood(store, ((tree, min(tree), 1) for tree in greedy_spanning_trees(spec, tie_break)))
     bound = group_bound(spec).value if spec.m <= GROUP_BOUND_AUTO_LIMIT else None
     invariant(bound is not None or len(key_ids) <= spec.total_budget() // (spec.m - 1),
               "achieved length exceeds the total/(m-1) ceiling")

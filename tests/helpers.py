@@ -127,6 +127,15 @@ def transcript_columns(transcript) -> tuple:
             list(transcript.pad))
 
 
+def assert_checked_alike(transcript) -> None:
+    """A transcript that a run built unchecked is the one that the checked constructor builds of
+    its columns: equal columns, payload and text."""
+    t = transcript
+    checked = Transcript(t.basis, t.rounds, t.senders, t.receivers, t.ends, t.plain, t.pad)
+    assert transcript_columns(checked) == transcript_columns(t)
+    assert checked.payload == t.payload and checked.to_text() == t.to_text()
+
+
 def transcript_of(basis, messages) -> Transcript:
     """A transcript over ``basis`` of the given messages' ids, constructed from their columns;
     it computes its own payload, whatever the messages carry.  Raises ValueError for a message

@@ -462,7 +462,8 @@ class TestRunCommand:
 
 
     def test_invariant_violation_exits_4(self, tmp_path, capsys, monkeypatch):
-        real_flood = pinkey.protocols.flood
+        # the runs call the core _flood, not the public flood, which checks each edge first
+        real_flood = pinkey.protocols._flood
         trees = []
 
         def corrupted_flood(store, routes, together=False):
@@ -475,13 +476,13 @@ class TestRunCommand:
                                  t.plain[:n], t.pad[:n])
             return key_ids, dropped
 
-        monkeypatch.setattr(pinkey.protocols, "flood", corrupted_flood)
+        monkeypatch.setattr(pinkey.protocols, "_flood", corrupted_flood)
         path = scenario_file(tmp_path, TRIANGLE_SCENARIO)
         assert main(["run", "--scenario", path]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: holder 1 cannot replay the key\n"
-        # the run handed flood one route per greedy tree, its edges in the order each round chose them
+        # the run handed _flood one route per greedy tree, its edges in the order each round chose them
         assert trees == [((0, 1), (0, 2)), ((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 1), (0, 2)),
                          ((1, 2), (0, 1)), ((0, 2), (1, 2))]
 

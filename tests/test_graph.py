@@ -445,6 +445,13 @@ class TestPartitions:
         with pytest.raises(ValueError):
             Partition((frozenset({0}), frozenset({2})))
 
+    @pytest.mark.parametrize("node", [True, False, 1.0, 0.0, "1", None], ids=repr)
+    def test_a_node_that_is_no_int_is_refused(self, node):
+        # [0, True] == [0, 1], so True once passed for node 1 and printed {0}|{True}
+        for blocks in ((frozenset({node}), frozenset({0})), (frozenset({2, node}),), (frozenset({node}),)):
+            with pytest.raises(ValueError, match="^nodes must be ints$"):
+                Partition(blocks)
+
 
 class TestNormalizedMulticut:
     def test_triangle_minimum_is_all_singletons(self):

@@ -92,13 +92,17 @@ class TestNetworkSpec:
         with pytest.raises(ValueError, match=message):
             NetworkSpec(m, budgets)
 
-    @pytest.mark.parametrize("i,j", [(True, 2), (2, True), (0, 1.0), (0.0, 2)])
-    @pytest.mark.parametrize("lookup", ["budget", "remaining"])
+    @pytest.mark.parametrize("i,j", [(True, 2), (2, True), (0, 1.0), (0.0, 2), ("a", 1), (None, 1), ([0], 1),
+                                     (1, "a")])
+    @pytest.mark.parametrize("lookup", ["budget", "remaining", "take"])
     def test_a_budget_lookup_refuses_a_terminal_that_is_not_an_int(self, lookup, i, j):
-        # (True, 2) would read pair {1, 2}'s budget of 3, and (0, 1.0) pair {0, 1}'s of 5
+        # (True, 2) would read pair {1, 2}'s budget of 3, and (0, 1.0) pair {0, 1}'s of 5; "a",
+        # None and [0] do not compare with an int, so they are refused before any comparison
         store = generate_pairwise_keys(TRIANGLE, 3)
-        with pytest.raises(ValueError, match="out of range for m=3"):
-            getattr(TRIANGLE if lookup == "budget" else store, lookup)(i, j)
+        args = (i, j, 1) if lookup == "take" else (i, j)
+        match = r"is not \(i, j\) with 0 <= i < j < m=3$" if lookup == "take" else "out of range for m=3$"
+        with pytest.raises(ValueError, match=match):
+            getattr(TRIANGLE if lookup == "budget" else store, lookup)(*args)
         assert len(store.basis) == 0
 
     def test_star_refuses_a_negative_leaf_budget_and_drops_a_zero(self):

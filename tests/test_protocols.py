@@ -35,9 +35,10 @@ from pinkey.oracles import (MI_BASIS_LIMIT, brute_force_mutual_information, is_c
                             verify_independence)
 from pinkey.protocols import GroupKeyResult, LinearForm, PublicMessage, _hex, _learned
 
-from helpers import (audited, closed_form, debit, full_basis, key_values, learned_cases, learned_or_fault, packed,
-                     random_connected_spec, random_spec, reference_learned, reference_replay, reference_text, take_all,
-                     tagged_stream, transcript_columns, transcript_of, wide_cases)
+from helpers import (assert_checked_alike, audited, closed_form, debit, full_basis, key_values, learned_cases,
+                     learned_or_fault, packed, random_connected_spec, random_flood, random_spec, reference_learned,
+                     reference_replay, reference_text, take_all, tagged_stream, transcript_columns, transcript_of,
+                     wide_cases)
 
 TRIANGLE = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
 
@@ -418,6 +419,32 @@ class TestFlood:
         with pytest.raises(ValueError, match=message):
             flood(store, [(((0, 1), (1, 2), (2, 3)), (0, 1), 1), (edges, seed, 1)])
         assert [store.remaining(*pair) for pair in spec.pairs()] == [2] * 6 and len(store.basis) == 0
+
+    def test_the_first_fault_in_route_order_is_the_one_reported(self):
+        # each route's edges are checked when flood reaches the route, after every route before it
+        # is checked whole: a route that is no tree before a bad edge is reported as no tree
+        spec = NetworkSpec.complete(4, 2)
+        cycle = (((0, 1), (0, 2), (1, 2)), (0, 1), 1)
+        bad_edge = (((0, 1), (1, 2), (2, 4)), (0, 1), 1)
+        for routes, message in (([cycle, bad_edge], r"^route \(\[\(0, 1\), \(0, 2\), \(1, 2\)\], \(0, 1\), 1\) is no tree"),
+                                ([bad_edge, cycle], r"^edge \(2, 4\) is not a pair i < j of nodes below m=4$")):
+            for together in (False, True):
+                store = generate_pairwise_keys(spec, 9)
+                with pytest.raises(ValueError, match=message):
+                    flood(store, routes, together=together)
+                assert len(store.basis) == 0
+
+    def test_random_floods_build_what_the_checked_constructor_builds(self):
+        # flood builds its transcript unchecked, from columns that the constructor must accept as they are
+        rng = random.Random(3701)
+        made = wide = 0
+        while made < 400:
+            if (flooded := random_flood(rng)) is None:
+                continue
+            assert_checked_alike(flooded[2])
+            made += 1
+            wide += is_wide(flooded[2])
+        assert min(wide, made - wide) >= 50, wide  # one-bit and wide transcripts both
 
     @pytest.mark.parametrize("width", [0, -1, 1.0, True, None])
     def test_a_width_that_is_no_positive_int_raises_before_consuming(self, width):

@@ -23,8 +23,8 @@ from pinkey.errors import InvariantViolation
 from pinkey.oracles import brute_force_mutual_information, verify_independence
 from pinkey.protocols import GroupKeyResult, PublicMessage
 
-from helpers import (audited, closed_form, random_connected_spec, random_star_spec, reference_replay,
-                     report_secrecy, transcript_of)
+from helpers import (assert_checked_alike, audited, closed_form, random_connected_spec, random_star_spec,
+                     reference_replay, report_secrecy, transcript_of)
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "demos" / "scenarios").glob("*.txt"))
@@ -99,6 +99,25 @@ class TestGoldenBytes:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         with pytest.raises(AssertionError, match="built a PublicMessage"):
             next(iter(result.transcript))
+
+
+    @GOLDEN_RUNS
+    def test_the_run_path_checks_no_edge_and_no_column(self, scenario, sizes, digest, monkeypatch):
+        # the runs flood the spec's own pairs through the core, which checks no edge, and build
+        # their transcript without the checked constructor; the self-check still runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run path re-checked its input")
+
+        monkeypatch.setattr(pinkey.protocols, "_checked_edges", refuse)
+        monkeypatch.setattr(pinkey.protocols.Transcript, "__init__", refuse)
+        report, result = run_scenario(scenario)
+        text = report.to_text() + result.transcript.to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda path: path.stem)
+def test_a_demo_run_builds_what_the_checked_constructor_builds(path):
+    assert_checked_alike(run_scenario(load_scenario(str(path)))[1].transcript)
 
 
 def test_the_label_level_read_api_renders_the_same_labels():
