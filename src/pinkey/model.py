@@ -22,10 +22,10 @@ Realized source bits are numbered by int id from 0, one run of
 consecutive ids per draw, with their values in one ``bytearray``; the
 basis holds the bits its store drew and no others.  Every bit has a
 label ``prefix + index``: ``K0-1:3`` is bit 3 of pair {0, 1}'s key and
-``R2:0`` terminal 2's first local bit.  Labels are never stored:
-``labels`` renders them all, run by run, into a list that ids index,
-``label`` one, and a label is parsed back only where a caller looks it
-up.  The run path works on ids alone.
+``R2:0`` terminal 2's first local bit.  Labels are never stored and
+never parsed back: ``labels`` renders them all, run by run, into a list
+that ids index, and ``label`` renders one.  The run path works on ids
+alone.
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ from __future__ import annotations
 import hashlib
 import random
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .errors import InsufficientKeyMaterial, UnknownBasisLabel
+from .errors import InsufficientKeyMaterial
 
 Pair = tuple[int, int]
 
@@ -165,28 +165,17 @@ class SourceBitBasis:
     every label is unique.
     """
 
-    __slots__ = ("values", "_starts", "_runs", "_prefixed")
+    __slots__ = ("values", "_starts", "_runs", "_next")
 
     def __init__(self) -> None:
         self.values = bytearray()
         self._starts: list[int] = []  # first id of each run, ascending
         # per run: ids, owners, label prefix, and the id of label index 0
         self._runs: list[tuple[range, frozenset[int], str, int]] = []
-        self._prefixed: dict[str, list[tuple[range, int]]] = {}  # prefix -> (ids, base) per run
+        self._next: dict[str, int] = {}  # prefix -> the label index its next run starts at
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def __contains__(self, label: str) -> bool:
-        return self.id_of(label) is not None
-
-    def __getitem__(self, label: str) -> int:
-        if (ident := self.id_of(label)) is None:
-            raise UnknownBasisLabel(f"label {label!r} is not in the basis")
-        return self.values[ident]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.labels)
 
     @property
     def labels(self) -> list[str]:
@@ -225,24 +214,13 @@ class SourceBitBasis:
         for prefix, owners, length in runs:
             ids = range(start, start + length)
             if ids:
-                prefixed = self._prefixed.setdefault(prefix, [])
-                # the prefix's label indices go on from its last run's stop
-                base = start - (prefixed[-1][0].stop - prefixed[-1][1] if prefixed else 0)
+                index = self._next.get(prefix, 0)
+                self._next[prefix] = index + length
                 self._starts.append(start)
-                self._runs.append((ids, owners, prefix, base))
-                prefixed.append((ids, base))
+                self._runs.append((ids, owners, prefix, start - index))
             added.append(ids)
             start += length
         return added
-
-    def id_of(self, label: str) -> int | None:
-        """The id of a label, or None when the basis has no such bit."""
-        prefix, colon, digits = label.rpartition(":")
-        if digits.isascii() and digits.isdigit() and str(int(digits)) == digits:
-            for ids, base in self._prefixed.get(prefix + colon, ()):
-                if int(digits) + base in ids:
-                    return int(digits) + base
-        return None
 
     def label(self, ident: int) -> str:
         if not 0 <= ident < len(self.values):
@@ -267,10 +245,10 @@ class SourceBitBasis:
         """The realized values of the given ids."""
         return tuple(map(self.values.__getitem__, ids))
 
-    def realized(self) -> SourceBitBasis:
-        """Label-to-value lookups for evaluating linear forms: the basis itself,
-        which reads like a mapping and builds no label map."""
-        return self
+    def realized(self) -> dict[str, int]:
+        """Each bit's label mapped to its realized value, in a new dict: the one label-keyed
+        view of the basis, for evaluating linear forms over labels off the run path."""
+        return dict(zip(self.labels, self.values))
 
 
 def index_digits(table: list[str], first: int, stop: int) -> list[str]:
@@ -287,8 +265,8 @@ class PairwiseKeyStore:
     """The whole input of a run, and the only thing that draws its bits.
 
     The store holds the spec, the seed and the basis, one generator, and
-    each pair's and terminal's count of drawn bits.  A take draws and
-    registers the pair's next key bits, so a pair no protocol touches is
+    each pair's and terminal's count of drawn bits.  ``take_each`` draws
+    and registers each pair's next key bits, so a pair no protocol touches is
     never drawn; ``fresh`` draws a terminal's next local bits.  Bits are
     handed out strictly left to right and never twice, across runs too:
     once a protocol consumes a bit it is gone, which is exactly the
@@ -316,16 +294,6 @@ class PairwiseKeyStore:
     def remaining(self, i: int, j: int) -> int:
         """Pair {i, j}'s unused bits; ValueError, as from ``NetworkSpec.budget``, for no pair of the spec."""
         return self._spec.budget(i, j) - self._drawn.get(canonical_pair(i, j), 0)
-
-    def take(self, i: int, j: int, count: int) -> range:
-        """Draw the next ``count`` unused bits of pair {i, j}'s key; return their ids.
-
-        ``take_each`` of the one pair: it raises as that does, and nothing is drawn then.
-        """
-        if not type(i) is type(j) is int:  # before canonical_pair compares them: as take_each refuses them
-            raise ValueError(f"pair {(i, j)!r} is not (i, j) with 0 <= i < j < m={self._spec.m}")
-        pair = canonical_pair(i, j)
-        return self.take_each({pair: count})[pair]
 
     def take_each(self, counts: Mapping[Pair, int]) -> dict[Pair, range]:
         """Draw the next ``counts[pair]`` unused bits of each canonical pair, all or nothing;

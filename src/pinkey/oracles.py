@@ -138,16 +138,17 @@ def min_st_cut_bruteforce(spec: NetworkSpec, s: int, t: int) -> tuple[int, Parti
         raise InstanceTooLarge(f"cut enumeration is limited to m <= {CUT_ENUM_NODE_LIMIT}, got {spec.m}")
     others = [v for v in range(spec.m) if v not in (s, t)]
     edges = spec.budgets.items()
-    best_value: int | None = None
-    best_side: frozenset[int] | None = None
-    for mask in range(1 << len(others)):
-        side = {s} | {others[b] for b in range(len(others)) if (mask >> b) & 1}
-        crossing = sum(w for (i, j), w in edges if (i in side) != (j in side))
-        if best_value is None or crossing < best_value:
-            best_value = crossing
-            best_side = frozenset(side)
-    assert best_value is not None and best_side is not None
-    return best_value, _cut(spec, best_side)
+
+    def side(mask: int) -> frozenset[int]:
+        return frozenset([s, *(v for b, v in enumerate(others) if (mask >> b) & 1)])
+
+    def crossing(mask: int) -> tuple[int, int]:
+        source = side(mask)
+        return sum(w for (i, j), w in edges if (i in source) != (j in source)), mask
+
+    # ties go to the smaller mask, so the minimizer is the first in enumeration order
+    best_value, best_mask = min(map(crossing, range(1 << len(others))))
+    return best_value, _cut(spec, side(best_mask))
 
 
 # --- spanning trees -----------------------------------------------------
@@ -352,7 +353,8 @@ def verify_independence(
     """Exact leakage between key and transcript, in bits.
 
     leaked_bits == 0 iff the key is statistically independent of the
-    public transcript; every label must exist in ``basis``.  It numbers
+    public transcript; every label must be one of ``basis.labels``, else
+    UnknownBasisLabel names the first that is not.  It numbers
     the labels the forms mention, packs each form as an int row over them
     and reduces the rows with ``gf2_rank``.
     """
@@ -361,8 +363,9 @@ def verify_independence(
     # Number the labels the forms mention, in order of first appearance;
     # basis bits no form mentions cannot change a rank.
     index = {label: k for k, label in enumerate(dict.fromkeys(itertools.chain(*transcript_forms, *key_forms)))}
+    known = set(basis.labels)
     for label in index:
-        if label not in basis:
+        if label not in known:
             raise UnknownBasisLabel(f"label {label!r} is not in the basis")
 
     # A form's row has bit k set for each of its labels numbered k.

@@ -11,6 +11,7 @@ from itertools import accumulate
 
 from pinkey import NetworkSpec, Transcript, flood, generate_pairwise_keys
 from pinkey.errors import InsufficientKeyMaterial, InvariantViolation
+from pinkey.model import canonical_pair
 from pinkey.oracles import is_connected
 
 
@@ -168,11 +169,17 @@ def reference_text(transcript):
     return "\n".join(lines) + "\n"
 
 
+def take(store, i: int, j: int, count: int) -> range:
+    """Draw the next ``count`` unused bits of pair {i, j}'s key through ``take_each``; their ids."""
+    pair = canonical_pair(i, j)
+    return store.take_each({pair: count})[pair]
+
+
 def key_values(store, i: int, j: int) -> tuple[int, ...]:
     """Take pair {i, j}'s unused key bits; their realized values, in key order.
 
     On a fresh store these are the pair's whole key."""
-    return store.basis.bits(store.take(i, j, store.remaining(i, j)))
+    return store.basis.bits(take(store, i, j, store.remaining(i, j)))
 
 
 def take_all(store) -> dict[tuple[int, int], range]:
@@ -180,7 +187,7 @@ def take_all(store) -> dict[tuple[int, int], range]:
 
     On a fresh store this draws the whole budget, one run per pair, so the
     basis holds every budget bit, laid out pair by pair."""
-    return {pair: store.take(*pair, store.remaining(*pair)) for pair in store.spec.pairs()}
+    return {pair: take(store, *pair, store.remaining(*pair)) for pair in store.spec.pairs()}
 
 
 def full_basis(spec: NetworkSpec, seed: int):
@@ -188,6 +195,18 @@ def full_basis(spec: NetworkSpec, seed: int):
     store = generate_pairwise_keys(spec, seed)
     take_all(store)
     return store.basis
+
+
+def assert_labels_count_up(basis) -> None:
+    """``realized()`` maps each label to its bit's value, and each prefix's label indices run
+    0, 1, 2, ... in id order, as a counter per prefix gives them."""
+    labels = basis.labels
+    assert basis.realized() == dict(zip(labels, basis.values))
+    counters: dict[str, int] = {}
+    for label in labels:
+        prefix, _, index = label.rpartition(":")
+        assert index == str(counters.get(prefix, 0)), label
+        counters[prefix] = counters.get(prefix, 0) + 1
 
 
 def owners(basis) -> list[frozenset[int]]:
@@ -208,8 +227,8 @@ def reference_replay(result, terminal):
     and is reduced against all earlier rows, so one pass in order reduces
     a new row completely.
     """
-    basis = result.basis
-    equations = [({label}, basis[label]) for label in known_to(basis, terminal)]
+    basis, values = result.basis, result.basis.realized()
+    equations = [({label}, values[label]) for label in known_to(basis, terminal)]
     equations += [(set(form.labels), bit)
                   for msg in result.transcript for form, bit in zip(msg.forms, msg.payload)]
     rows = []

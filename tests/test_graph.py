@@ -281,6 +281,14 @@ class TestMinCut:
         g = NetworkSpec(2, {(0, 1): 5})
         assert min_st_cut_bruteforce(g, 0, 1) == (5, Partition((frozenset({0}), frozenset({1}))))
 
+    def test_tied_cuts_give_the_first_minimizer_in_enumeration_order(self):
+        # the path 0 -5- 1 -1- 2 -1- 3: from 0, the sides {0, 1} and {0, 1, 2} both cut 1, and
+        # from 3, the sides {3} and {2, 3}; the witness, which pinkey oracle mincut prints, is
+        # the first in enumeration order, the others as bits of a rising mask
+        g = NetworkSpec(4, {(0, 1): 5, (1, 2): 1, (2, 3): 1})
+        assert min_st_cut_bruteforce(g, 0, 3) == (1, Partition((frozenset({0, 1}), frozenset({2, 3}))))
+        assert min_st_cut_bruteforce(g, 3, 0) == (1, Partition((frozenset({3}), frozenset({0, 1, 2}))))
+
     def test_guard(self):
         with pytest.raises(InstanceTooLarge):
             min_st_cut_bruteforce(NetworkSpec(21), 0, 1)

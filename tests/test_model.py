@@ -9,12 +9,12 @@ import re
 import pytest
 
 from pinkey import LinearForm, NetworkSpec, generate_pairwise_keys
-from pinkey.errors import InsufficientKeyMaterial, UnknownBasisLabel
+from pinkey.errors import InsufficientKeyMaterial
 from pinkey import model
 from pinkey.model import PairwiseKeyStore, canonical_pair
 from pinkey.oracles import verify_independence
 
-from helpers import full_basis, key_values, owners, random_spec, tagged_stream, take_all
+from helpers import assert_labels_count_up, full_basis, key_values, owners, random_spec, tagged_stream, take, take_all
 
 TRIANGLE = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
 
@@ -92,15 +92,16 @@ class TestNetworkSpec:
         with pytest.raises(ValueError, match=message):
             NetworkSpec(m, budgets)
 
-    @pytest.mark.parametrize("i,j", [(True, 2), (2, True), (0, 1.0), (0.0, 2), ("a", 1), (None, 1), ([0], 1),
-                                     (1, "a")])
-    @pytest.mark.parametrize("lookup", ["budget", "remaining", "take"])
+    @pytest.mark.parametrize("lookup,i,j", [
+        (lookup, i, j) for lookup in ("budget", "remaining", "take_each")
+        for i, j in [(True, 2), (2, True), (0, 1.0), (0.0, 2), ("a", 1), (None, 1), ([0], 1), (1, "a")]
+        if not (lookup == "take_each" and type(i) is list)])  # a pair that holds a list is no dict key
     def test_a_budget_lookup_refuses_a_terminal_that_is_not_an_int(self, lookup, i, j):
         # (True, 2) would read pair {1, 2}'s budget of 3, and (0, 1.0) pair {0, 1}'s of 5; "a",
         # None and [0] do not compare with an int, so they are refused before any comparison
         store = generate_pairwise_keys(TRIANGLE, 3)
-        args = (i, j, 1) if lookup == "take" else (i, j)
-        match = r"is not \(i, j\) with 0 <= i < j < m=3$" if lookup == "take" else "out of range for m=3$"
+        args = ({(i, j): 1},) if lookup == "take_each" else (i, j)
+        match = r"is not \(i, j\) with 0 <= i < j < m=3$" if lookup == "take_each" else "out of range for m=3$"
         with pytest.raises(ValueError, match=match):
             getattr(TRIANGLE if lookup == "budget" else store, lookup)(*args)
         assert len(store.basis) == 0
@@ -172,10 +173,9 @@ class TestGeneration:
         basis = full_basis(TRIANGLE, 0)
         assert basis.runs() == [(range(0, 5), frozenset({0, 1})), (range(5, 9), frozenset({0, 2})),
                                 (range(9, 12), frozenset({1, 2}))]
-        assert owners(basis)[basis.id_of("K0-1:0")] == frozenset({0, 1})
-        assert owners(basis)[basis.id_of("K1-2:2")] == frozenset({1, 2})
-        with pytest.raises(UnknownBasisLabel):
-            basis["K0-1:99"]
+        assert owners(basis)[basis.labels.index("K0-1:0")] == frozenset({0, 1})
+        assert owners(basis)[basis.labels.index("K1-2:2")] == frozenset({1, 2})
+        assert "K0-1:99" not in basis.realized()
 
     def test_local_bits_get_fresh_labels_and_one_owner(self):
         store = generate_pairwise_keys(TRIANGLE, 0)
@@ -184,7 +184,7 @@ class TestGeneration:
         ids = store.fresh(1, 3)
         assert list(map(store.basis.label, ids)) == ["R1:0", "R1:1", "R1:2"]
         assert len(store.basis) == before + 3
-        assert owners(store.basis)[store.basis.id_of("R1:1")] == frozenset({1})
+        assert owners(store.basis)[ids[1]] == frozenset({1})
 
     def test_bits_match_one_getrandbits_call_per_bit(self):
         # Key generation draws each pair's bits at once; the result must be
@@ -199,8 +199,7 @@ class TestGeneration:
                 stream = tagged_stream(f"pair:{seed}:{i}:{j}")
                 expected += [(f"K{i}-{j}:{t}", stream.getrandbits(1), frozenset((i, j)))
                              for t in range(spec.budget(i, j))]
-            assert [(lab, basis[lab], held)
-                    for lab, held in zip(basis.labels, owners(basis))] == expected
+            assert list(zip(basis.labels, basis.values, owners(basis))) == expected
 
     def test_local_bits_match_one_getrandbits_call_per_bit(self):
         # each terminal's draws go on along its own stream, however they interleave
@@ -212,7 +211,7 @@ class TestGeneration:
             ids = store.fresh(owner, count)
             labels = list(map(basis.label, ids))
             assert labels == [f"R{owner}:{start + t}" for t in range(count)]
-            assert [basis[lab] for lab in labels] == [reference.getrandbits(1) for _ in labels]
+            assert list(basis.bits(ids)) == [reference.getrandbits(1) for _ in labels]
             assert basis.runs()[-1] == (ids, frozenset((owner,)))
         # a following draw goes on where the bit-by-bit draws left each stream
         for owner, reference in references.items():
@@ -223,14 +222,14 @@ class TestGeneration:
         # terminal's local bits, interleaved, are the bits one take of 8 gives on a fresh store
         spec = NetworkSpec(3, {(0, 2): 9, (1, 2): 8})
         whole = generate_pairwise_keys(spec, 5)
-        pair, local = whole.basis.bits(whole.take(2, 1, 8)), whole.basis.bits(whole.fresh(1, 8))
+        pair, local = whole.basis.bits(take(whole, 2, 1, 8)), whole.basis.bits(whole.fresh(1, 8))
         store = generate_pairwise_keys(spec, 5)
-        pieces = [store.take(1, 2, 3), store.fresh(1, 3), store.take(0, 2, 1), store.take(1, 2, 5),
+        pieces = [take(store, 1, 2, 3), store.fresh(1, 3), take(store, 0, 2, 1), take(store, 1, 2, 5),
                   store.fresh(1, 5), store.take_each({(0, 2): 2})[0, 2]]
         assert store.remaining(1, 2) == 0 and store.remaining(0, 2) == 6
         # then through take_each, in one batch with another pair
         again = generate_pairwise_keys(spec, 5)
-        first = again.take(1, 2, 3)
+        first = take(again, 1, 2, 3)
         rest = again.take_each({(0, 2): 4, (1, 2): 5})[1, 2]
         bits = store.basis.bits
         assert bits(pieces[0]) + bits(pieces[3]) == again.basis.bits(first) + again.basis.bits(rest) == pair
@@ -260,7 +259,7 @@ class TestGeneration:
             basis._add_runs([("R0:", owners, len(values))], values)
         # nothing of a rejected call is registered
         assert basis.runs() == before and len(basis) == 12
-        assert not any(label in basis for label in labels)
+        assert not set(labels) & set(basis.labels)
         (ids,) = basis._add_runs([("R0:", frozenset((0,)), len(labels))], (1,) * len(labels))
         assert list(map(basis.label, ids)) == labels
 
@@ -271,14 +270,6 @@ class TestGeneration:
 
 
 class TestIds:
-    def test_labels_are_parsed_only_when_written_canonically(self):
-        basis = full_basis(TRIANGLE, 0)
-        assert [basis.id_of(lab) for lab in ("K0-1:0", "K0-1:4", "K0-2:0", "K1-2:2")] == [0, 4, 5, 11]
-        for label in ("K0-1:04", "K0-1:+4", "K0-1:\u0664", "K0-1:5", "K1-0:0", "K0-1", "K0-1:", "4"):
-            assert basis.id_of(label) is None and label not in basis, label
-        with pytest.raises(UnknownBasisLabel):
-            basis["K0-1:04"]
-
     def test_labels_render_from_ids_in_bulk_as_one_by_one(self):
         store = generate_pairwise_keys(TRIANGLE, 0)
         take_all(store)
@@ -287,7 +278,6 @@ class TestIds:
         basis = store.basis
         assert basis.labels == [basis.label(i) for i in range(len(basis))]
         assert basis.labels[11:16] == ["K1-2:2", "R2:0", "R2:1", "R1:0", "R1:1"]
-        assert all(basis.id_of(lab) == i for i, lab in enumerate(basis.labels))
 
     def test_labels_render_in_bulk_over_many_runs(self):
         # runs of many lengths, runs of one prefix interleaved with others' so that their
@@ -297,17 +287,17 @@ class TestIds:
                                    for j in range(i + 1, 12)}, (2, 10): 1500})
         store = generate_pairwise_keys(spec, 3)
         for count in (4, 990, 3, 500):
-            store.take(2, 10, count)
-            store.take(0, 1, min(1, store.remaining(0, 1)))
+            take(store, 2, 10, count)
+            take(store, 0, 1, min(1, store.remaining(0, 1)))
             store.fresh(3, count)
         take_all(store)
         for owner, count in ((5, 2), (3, 9), (5, 1), (3, 1200)):
             store.fresh(owner, count)
         basis = store.basis
         assert basis.labels == [basis.label(i) for i in range(len(basis))]
-        assert basis.labels[-1] == "R3:2705" and basis.label(basis.id_of("K2-10:1000")) == "K2-10:1000"
-        assert basis.labels[basis.id_of("K2-10:997"):][:4] == ["K2-10:997", "K2-10:998", "K2-10:999",
-                                                                  "K2-10:1000"]
+        assert basis.labels[-1] == "R3:2705"
+        start = basis.labels.index("K2-10:997")
+        assert basis.labels[start:start + 4] == ["K2-10:997", "K2-10:998", "K2-10:999", "K2-10:1000"]
 
     def test_ids_outside_the_basis_have_no_label(self):
         basis = full_basis(TRIANGLE, 0)
@@ -318,7 +308,8 @@ class TestIds:
 
     def test_run_of_names_the_run_of_consecutive_ids(self):
         store = generate_pairwise_keys(NetworkSpec(3, {(0, 1): 8, (1, 2): 4}), 2)
-        first, other, second, fresh = store.take(0, 1, 3), store.take(1, 2, 4), store.take(0, 1, 5), store.fresh(2, 2)
+        first, other, second = take(store, 0, 1, 3), take(store, 1, 2, 4), take(store, 0, 1, 5)
+        fresh = store.fresh(2, 2)
         basis = store.basis
         assert basis.run_of(first) == ("K0-1:", 0)
         assert basis.run_of(second[1:4]) == ("K0-1:", 4)  # the prefix's indices go on across runs
@@ -336,12 +327,24 @@ class TestIds:
     def test_labels_and_runs_cover_every_take_of_a_store(self):
         # pair {0, 1}'s indices go on past 300 in its second run
         store = generate_pairwise_keys(NetworkSpec(3, {(0, 1): 310, (1, 2): 4}), 2)
-        runs = [store.take(0, 1, 300), store.take(1, 2, 4), store.take(0, 1, 10), store.fresh(2, 3)]
+        runs = [take(store, 0, 1, 300), take(store, 1, 2, 4), take(store, 0, 1, 10), store.fresh(2, 3)]
         basis = store.basis
         labels = [basis.label(ident) for ident in range(len(basis))]
         assert basis.labels == labels and labels[304] == "K0-1:300"
         assert basis.labels is not basis.labels  # a new list per read, which a caller may change
         assert basis.runs() == [(ids, frozenset(held)) for ids, held in zip(runs, [(0, 1), (1, 2), (0, 1), (2,)])]
+
+    def test_labels_count_up_over_interleaved_takes_and_fresh_draws(self):
+        # one pair's takes between local draws: each prefix's label indices go on across its
+        # runs, as a counter per prefix gives them, and realized() maps every label to its value
+        store = generate_pairwise_keys(NetworkSpec(3, {(0, 1): 40}), 4)
+        for count in (3, 0, 11, 1, 25):
+            take(store, 1, 0, count)
+            store.fresh(count % 3, count)
+        basis = store.basis
+        assert_labels_count_up(basis)
+        assert len(basis.runs()) == 8 and basis.labels[-26:-24] == ["K0-1:39", "R1:1"]
+        assert basis.realized() is not basis.realized()  # a new dict per call, which a caller may change
 
     def test_the_basis_reads_as_a_label_to_value_mapping(self):
         store = generate_pairwise_keys(TRIANGLE, 3)
@@ -359,25 +362,25 @@ class TestConsumption:
     def test_sequential_calls_are_disjoint_and_cover(self):
         store = generate_pairwise_keys(TRIANGLE, 3)
         full = key_values(generate_pairwise_keys(TRIANGLE, 3), 0, 1)
-        first, second = store.take(0, 1, 3), store.take(0, 1, 2)
+        first, second = take(store, 0, 1, 3), take(store, 0, 1, 2)
         assert store.basis.bits(first) + store.basis.bits(second) == full
         assert not set(map(store.basis.label, first)) & set(map(store.basis.label, second))
         assert store.remaining(0, 1) == 0
 
     def test_overdraw_raises_and_leaves_cursor_alone(self):
         store = generate_pairwise_keys(TRIANGLE, 3)
-        store.take(1, 2, 2)
+        take(store, 1, 2, 2)
         with pytest.raises(InsufficientKeyMaterial):
-            store.take(1, 2, 2)
+            take(store, 1, 2, 2)
         assert store.remaining(1, 2) == 1
-        assert len(store.take(1, 2, 1)) == 1
+        assert len(take(store, 1, 2, 1)) == 1
 
     def test_zero_count_is_a_noop(self, monkeypatch):
         spec = NetworkSpec(3, {(0, 1): 4, (1, 2): 2})
         store = generate_pairwise_keys(spec, 3)
         # a take of no bits draws nothing and registers no run, on a pair with no budget too
         monkeypatch.setattr(model, "_draw", None)
-        ids = store.take(2, 1, 0)
+        ids = take(store, 2, 1, 0)
         assert store.basis.bits(ids) == () and ids == range(0)
         assert store.take_each({(0, 2): 0, (1, 2): 0}) == {(0, 2): range(0), (1, 2): range(0)}
         assert store.remaining(1, 2) == 2
@@ -402,7 +405,7 @@ class TestConsumption:
                         taken[pair] += ids
                 else:
                     i, j = rng.choice(open_pairs)
-                    taken[i, j] += store.take(j, i, rng.randint(0, min(store.remaining(i, j), 40)))
+                    taken[i, j] += take(store, j, i, rng.randint(0, min(store.remaining(i, j), 40)))
             for (i, j), ids in taken.items():
                 stream = tagged_stream(f"pair:{seed}:{i}:{j}")
                 reference = tuple(stream.getrandbits(1) for _ in range(spec.budget(i, j)))
@@ -440,8 +443,8 @@ class TestConsumption:
         monkeypatch.undo()
         # the budget still bounds later takes
         with pytest.raises(InsufficientKeyMaterial):
-            store.take(0, 1, 5)
-        assert len(store.take(1, 0, 4)) == 4 and store.remaining(0, 1) == 0
+            take(store, 0, 1, 5)
+        assert len(take(store, 1, 0, 4)) == 4 and store.remaining(0, 1) == 0
 
     @pytest.mark.parametrize("pair", [3, (0, 1, 2), (1,), ()], ids=["int", "three-tuple", "one-tuple", "empty-tuple"])
     def test_a_pair_that_is_no_two_tuple_is_named_in_a_value_error(self, pair):
@@ -491,7 +494,7 @@ class TestConsumption:
         store = generate_pairwise_keys(spec, 0)
         assert store.remaining(0, 2) == 0
         with pytest.raises(InsufficientKeyMaterial):
-            store.take(0, 2, 1)
+            take(store, 0, 2, 1)
 
     def test_no_bit_is_issued_twice_across_random_consumptions(self):
         rng = random.Random(2024)
@@ -507,7 +510,7 @@ class TestConsumption:
                 want = rng.randint(0, 2)
                 if store.remaining(i, j) < want:
                     continue
-                labels = set(map(store.basis.label, store.take(i, j, want)))
+                labels = set(map(store.basis.label, take(store, i, j, want)))
                 assert not labels & seen
                 seen.update(labels)
 
@@ -517,7 +520,7 @@ def test_issued_key_bits_are_jointly_uniform():
     store = generate_pairwise_keys(TRIANGLE, 11)
     forms = []
     for pair in TRIANGLE.pairs():
-        labels = map(store.basis.label, store.take(*pair, 2))
+        labels = map(store.basis.label, take(store, *pair, 2))
         forms.extend(LinearForm.unit(lab) for lab in labels)
     assert verify_independence(forms, [], store.basis).uniform
 

@@ -37,7 +37,7 @@ from pinkey.protocols import GroupKeyResult, LinearForm, PublicMessage, _hex, _l
 
 from helpers import (assert_checked_alike, audited, closed_form, debit, full_basis, key_values, learned_cases,
                      learned_or_fault, packed, random_connected_spec, random_flood, random_spec, reference_learned,
-                     reference_replay, reference_text, take_all, tagged_stream, transcript_columns, transcript_of,
+                     reference_replay, reference_text, take, take_all, tagged_stream, transcript_columns, transcript_of,
                      wide_cases)
 
 TRIANGLE = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
@@ -217,7 +217,7 @@ class TestSubgroup:
             with pytest.raises(ValueError, match="out of range"):
                 run_subgroup(store, s, t)
         with pytest.raises(ValueError):
-            store.take(True, 2, 1)
+            take(store, True, 2, 1)
         assert len(store.basis) == 0
         assert [store.basis.label(i) for i in run_subgroup(store, 1, 2).key_ids[:1]] == ["R1:0"]
 
@@ -239,7 +239,7 @@ class TestSubgroup:
     (NetworkSpec(3, {(0, 2): 2, (1, 2): 2}), lambda store: run_subgroup(store, 2, 1),
      lambda store: run_subgroup(store, 0, 1)),
     # the key pair (0, 1) has its 2 bits, and the pad pair (0, 2) 1 of the 2 it needs
-    (NetworkSpec.star([2, 3]), lambda store: store.take(0, 2, 2), run_broadcast),
+    (NetworkSpec.star([2, 3]), lambda store: take(store, 0, 2, 2), run_broadcast),
 ], ids=["subgroup", "broadcast"])
 def test_a_run_that_a_pair_is_short_for_draws_nothing(spec, before, run):
     store = generate_pairwise_keys(spec, 1)
@@ -684,7 +684,7 @@ class TestTranscripts:
 
             assert False, "assertions must be off"
             store = generate_pairwise_keys(NetworkSpec(2, {(0, 1): 8}), 1)
-            store.take(0, 1, 8)
+            store.take_each({(0, 1): 8})
             for ends in ([1.0, 2.0], [True, 2], [2.0, 4.0], [1, None], ["1", 3]):
                 try:
                     Transcript(store.basis, [0, 0], [0, 0], [1, 1], ends, [0, 2], [4, 6])
@@ -750,7 +750,7 @@ class TestTranscripts:
 
             assert False, "assertions must be off"
             store = generate_pairwise_keys(NetworkSpec(3, {(0, 1): 2, (0, 2): 2}), 1)
-            a, b = store.take(0, 1, 1)[0], store.take(0, 2, 1)[0]
+            a, b = store.take_each({(0, 1): 1})[0, 1][0], store.take_each({(0, 2): 1})[0, 2][0]
             for columns in (([-3], [True], [-1]), ([0], [True], [1]), ([-1], [0], [1]), ([0], [0], [1.0])):
                 try:
                     Transcript(store.basis, *columns, [1], [a], [b])
@@ -805,7 +805,7 @@ class TestTranscripts:
 
             assert False, "assertions must be off"
             store = generate_pairwise_keys(NetworkSpec(2, {(0, 1): 4}), 1)
-            store.take(0, 1, 4)
+            store.take_each({(0, 1): 4})
             basis = store.basis
             for pad in ([1, 2], [4], [-1], [0]):
                 try:
@@ -907,9 +907,9 @@ class TestRenderingPaths:
         # K0-1 sorts after K0-12 and K1-2 before R1; pair {0, 1} is drawn in two runs
         spec = NetworkSpec(13, {(0, 1): 240, (0, 12): 120, (1, 2): 120, (0, 2): 120})
         store = generate_pairwise_keys(spec, 5)
-        ids = {"K0-1": list(store.take(0, 1, 120)), "K0-12": list(store.take(0, 12, 120)),
-               "K1-2": list(store.take(1, 2, 120)), "R1": list(store.fresh(1, 120)),
-               "K0-1 again": list(store.take(0, 1, 120)), "K0-2": list(store.take(0, 2, 120))}
+        ids = {"K0-1": list(take(store, 0, 1, 120)), "K0-12": list(take(store, 0, 12, 120)),
+               "K1-2": list(take(store, 1, 2, 120)), "R1": list(store.fresh(1, 120)),
+               "K0-1 again": list(take(store, 0, 1, 120)), "K0-2": list(take(store, 0, 2, 120))}
         return store, ids
 
     def test_both_paths_render_every_form_as_bit_by_bit(self):
@@ -1060,7 +1060,7 @@ class TestHandBuiltTranscripts:
             seed, key_ids, plain, pad = {COMBINATION[1:]!r}
             store = generate_pairwise_keys(spec, seed)
             for pair in spec.pairs():
-                store.take(*pair, spec.budget(*pair))
+                store.take_each({{pair: spec.budget(*pair)}})
             shared = Transcript(store.basis, [0] * 3, [0] * 3, [1] * 3, [1, 2, 3], plain, pad)
             for holders, key, transcript in [(result.holders, result.key_ids, dropped),
                                              (frozenset(range(5)), key_ids, shared)]:
@@ -1240,8 +1240,8 @@ class TestReplay:
             from pinkey.protocols import GroupKeyResult
 
             store = generate_pairwise_keys(NetworkSpec.star([6, 6, 6]), 3)
-            store.take(0, 1, 2)
-            k, a, b, c = store.take(0, 2, 4)
+            store.take_each({(0, 1): 2})
+            k, a, b, c = store.take_each({(0, 2): 4})[0, 2]
             cases = {"private": ([k], [a]), "reused": ([k, b], [a, a]), "key": ([b], [k]),
                      "plain": ([k, b], [b, c]), "reused and plain": ([k, b, a], [b, c, c])}
             for name, (plain, pad) in cases.items():

@@ -3,6 +3,7 @@ and independence from hash seeds."""
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import os
 import random
@@ -23,8 +24,8 @@ from pinkey.errors import InvariantViolation
 from pinkey.oracles import brute_force_mutual_information, verify_independence
 from pinkey.protocols import GroupKeyResult, PublicMessage
 
-from helpers import (assert_checked_alike, audited, closed_form, random_connected_spec, random_star_spec,
-                     reference_replay, report_secrecy, transcript_of)
+from helpers import (assert_checked_alike, assert_labels_count_up, audited, closed_form, random_connected_spec,
+                     random_star_spec, reference_replay, report_secrecy, take, transcript_of)
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "demos" / "scenarios").glob("*.txt"))
@@ -85,6 +86,12 @@ class TestGoldenBytes:
         assert (len(result.key), result.transcript.public_bits) == sizes
         text = report.to_text() + result.transcript.to_text()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @GOLDEN_RUNS
+    def test_labels_count_up_and_realized_reads_them(self, scenario, sizes, digest):
+        # the label of each bit a run drew, and its value through the one label-keyed view
+        _, result = run_scenario(scenario)
+        assert_labels_count_up(result.basis)
 
     @GOLDEN_RUNS
     def test_the_run_path_builds_no_message_objects(self, scenario, sizes, digest, monkeypatch):
@@ -206,6 +213,15 @@ def _group_scenario() -> Scenario:
     return Scenario(NetworkSpec(9, budgets), protocol="group", seed=5, tie_break="degree-min")
 
 
+def test_the_package_has_no_assert_statement():
+    # python -O strips assert statements, and every invariant of the package must hold under it
+    paths = sorted((ROOT / "src" / "pinkey").rglob("*.py"))
+    assert paths
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def test_a_run_does_no_elimination(monkeypatch):
     calls = []
     count_learned = pinkey.protocols._learned
@@ -290,7 +306,7 @@ def test_a_leak_is_refused_at_construction_as_the_oracles_report_it():
     store = generate_pairwise_keys(spec, 9)
     result = run_broadcast(store)
     k0, k1 = result.key_ids[:2]
-    x = store.take(0, 3, 1)[0]
+    x = take(store, 0, 3, 1)[0]
     extra = [PublicMessage(0, 3, 1, (store.basis.values[a] ^ store.basis.values[b],), (a,), (b,), store.basis)
              for a, b in ((k0, x), (x, k1))]
     leaky = transcript_of(store.basis, [*result.transcript, *extra])

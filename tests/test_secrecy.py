@@ -24,7 +24,7 @@ from pinkey.oracles import MI_BASIS_LIMIT, brute_force_mutual_information, gf2_r
 from pinkey.protocols import GroupKeyResult, _learned
 
 from helpers import (evaluate, full_basis, random_connected_spec, reference_mutual_information, reference_text,
-                     take_all)
+                     take, take_all)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
@@ -277,7 +277,7 @@ class TestWhatEachTerminalLearns:
         # pad run across two basis runs, and r[2:5] to 2 padded by K0-2 bits; terminal 1 owns K1-2, so
         # it learns the one bit that a K1-2 bit pads
         store = generate_pairwise_keys(NetworkSpec(3, {(0, 1): 4, (0, 2): 4, (1, 2): 4}), 1)
-        _, c, d = store.take(0, 1, 4), store.take(0, 2, 4), store.take(1, 2, 4)
+        _, c, d = take(store, 0, 1, 4), take(store, 0, 2, 4), take(store, 1, 2, 4)
         r = store.fresh(0, 5)
         assert c[3] + 1 == d[0] and store.basis.label(d[0]) == "K1-2:0"
         transcript = Transcript(store.basis, [0, 0], [0, 0], [1, 2], [2, 5], [r[0], r[2]], [c[3], c[0]])
