@@ -331,16 +331,17 @@ def greedy_spanning_trees(spec: NetworkSpec, tie_break: str = "lex-kruskal") -> 
     each round's maximum spanning tree of the remaining weights, whose edges are
     debited by one after the round.  The spec's pairs are ranked once, in pair
     order, and each weight class holds its pairs' ranks, ascending: the scans go
-    in pair order, and the debit, which moves a rank down one class, bisects
+    in pair order, and the debit, which moves a rank down one class, works on
     ints, not pairs.  The spec itself is not changed.  The trees stop at the
     first round that cannot span, so the weights left are disconnected.
 
-    A round is one ``_kruskal`` scan over the classes, heaviest first.  lex-kruskal
-    takes each class's edges in order, each one that joins two components.
-    degree-min repeatedly takes the addable edge that minimizes the forest's
-    resulting maximum degree, then the smallest pair: as that maximum is the
-    peak degree or one more, the first addable edge with both endpoints below
-    the peak, else the first addable edge.  Both yield maximum-weight trees.
+    A round is one scan over the classes, heaviest first.  lex-kruskal
+    (``_kruskal``) takes each class's edges in order, each one that joins two
+    components.  degree-min (``_degree_min``) repeatedly takes the addable edge
+    that minimizes the forest's resulting maximum degree, then the smallest
+    pair: as that maximum is the peak degree or one more, the first addable
+    edge with both endpoints below the peak, else the first addable edge.
+    Both yield maximum-weight trees.
     """
     if tie_break not in TIE_BREAK_POLICIES:
         raise ValueError(f"unknown tie-break policy {tie_break!r}; choose from {TIE_BREAK_POLICIES}")
@@ -353,31 +354,89 @@ def greedy_spanning_trees(spec: NetworkSpec, tie_break: str = "lex-kruskal") -> 
 
 def _greedy_trees(m: int, pairs: list[Pair], classes: dict[int, list[int]],
                   degree_min: bool) -> Iterator[tuple[Pair, ...]]:
-    while len(chosen := _kruskal(m, pairs, classes, degree_min)) == m - 1:
-        yield tuple(pairs[rank] for _, rank in chosen)
-        for w, rank in chosen:
-            ranks = classes[w]
-            del ranks[bisect_left(ranks, rank)]
-            if not ranks:
-                del classes[w]
-            if w > 1:
-                insort(classes.setdefault(w - 1, []), rank)
+    """Each round's tree, then its debit, until a round's scan does not span.
+
+    lex-kruskal's picks come class by class as positions.  The debit goes
+    through the picked classes lightest first and pops each one's picks back
+    to front.  Each class is done popping before it takes any rank from the
+    class above, so the positions hold.  The moved ranks are appended to the
+    class below, which is sorted once.  degree-min's picks come as ranks:
+    each is found by bisection, deleted, and inserted one class down.
+    """
+    while chosen := (_degree_min(m, pairs, classes) if degree_min else _kruskal(m, pairs, classes)):
+        if degree_min:
+            yield tuple(pairs[rank] for _, rank in chosen)
+            for w, rank in chosen:
+                ranks = classes[w]
+                del ranks[bisect_left(ranks, rank)]
+                if not ranks:
+                    del classes[w]
+                if w > 1:
+                    insort(classes.setdefault(w - 1, []), rank)
+        else:
+            tree: list[int] = []
+            for w, positions in chosen:
+                tree += map(classes[w].__getitem__, positions)
+            yield tuple(map(pairs.__getitem__, tree))
+            for w, positions in reversed(chosen):
+                ranks = classes[w]
+                moved = [ranks.pop(position) for position in reversed(positions)]
+                if not ranks:
+                    del classes[w]
+                if w > 1:
+                    lower = classes.setdefault(w - 1, [])
+                    lower += moved
+                    lower.sort()
 
 
-def _kruskal(m: int, pairs: list[Pair], classes: dict[int, list[int]], degree_min: bool) -> list[tuple[int, int]]:
-    """One round: a spanning tree's (weight, rank) edges, or fewer if they do not span.
+def _kruskal(m: int, pairs: list[Pair], classes: dict[int, list[int]]) -> list[tuple[int, list[int]]]:
+    """One lex-kruskal round: each class it picks from, heaviest first, with the positions
+    of its picks in the class's list, ascending; or no classes if the picks do not span.
     The pair of rank r is ``pairs[r]``.
 
+    One forward scan per class takes each pair that joins two components,
+    until m - 1 pairs are taken.
+    """
+    component = list(range(m))
+    members = [[v] for v in range(m)]
+    chosen: list[tuple[int, list[int]]] = []
+    left = m - 1
+    for w in sorted(classes, reverse=True):
+        positions = []
+        for position, rank in enumerate(classes[w]):
+            i, j = pairs[rank]
+            a, b = component[i], component[j]
+            if a != b:
+                positions.append(position)
+                left -= 1
+                if not left:
+                    chosen.append((w, positions))
+                    return chosen
+                if len(members[a]) < len(members[b]):
+                    a, b = b, a
+                for v in members[b]:
+                    component[v] = a
+                members[a] += members[b]
+        if positions:
+            chosen.append((w, positions))
+    return []
+
+
+def _degree_min(m: int, pairs: list[Pair], classes: dict[int, list[int]]) -> list[tuple[int, int]]:
+    """One degree-min round: a spanning tree's (weight, rank) edges in the order chosen, or
+    none if the picks do not span.  The pair of rank r is ``pairs[r]``.
+
     One forward scan per class passes over each pair inside one component for
-    good, and picks each addable pair with both ends below the bar.  The addable
-    pairs the bar holds back wait in class order.  When nothing ahead qualifies,
-    the first of them is the pick; that raises the bar, so the rest go back in
-    front of the scan, as only now can they qualify.  Stops at m - 1 edges.
+    good, and picks each addable pair with both ends below the bar, the peak
+    degree.  The addable pairs the bar holds back wait in class order.  When
+    nothing ahead qualifies, the first of them is the pick; that raises the
+    bar, so the rest go back in front of the scan, as only now can they
+    qualify.  Stops at m - 1 edges.
     """
     component = list(range(m))
     members = [[v] for v in range(m)]
     degree = [0] * m
-    bar = 0 if degree_min else m  # the peak degree for degree-min, above every degree for lex-kruskal
+    bar = 0
     chosen: list[tuple[int, int]] = []
     for w in sorted(classes, reverse=True):
         ahead, held = iter(classes[w]), []  # held: addable ranks the bar holds back
@@ -407,4 +466,4 @@ def _kruskal(m: int, pairs: list[Pair], classes: dict[int, list[int]], degree_mi
             for v in members[b]:
                 component[v] = a
             members[a] += members[b]
-    return chosen
+    return []

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
 from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -49,6 +50,9 @@ _TOP_BIT = bytes(b >> 7 for b in range(256))
 # The C-level seed of random.Random's base, which random.Random.seed calls after checking its
 # argument's type in Python: an int seeds the generator alike, with no Python frame per draw.
 _SEED = random.Random.__base__.seed
+
+# The first 8 bytes of a digest as a big-endian unsigned int: a stream's seed.
+_KEY = struct.Struct(">Q").unpack_from
 
 
 def check_seed(seed: int) -> None:
@@ -303,6 +307,10 @@ class PairwiseKeyStore:
         (i, j) of ints with 0 <= i < j < m or a count that is not a
         nonnegative int, and InsufficientKeyMaterial, naming the pair, when
         some pair has fewer unused bits than its count.
+
+        Each pair's SHA-256 tag is its ``i:j`` after one stem per call.  The
+        Mersenne Twister words of every pair's new bits go into one buffer,
+        which ``_TOP_BIT`` reads at every fourth byte in one pass.
         """
         m = self._spec.m
         for pair, count in counts.items():
@@ -313,14 +321,16 @@ class PairwiseKeyStore:
                 raise ValueError(f"count for pair {pair!r} must be a nonnegative int, got {count!r}")
             if count > (left := self._spec.budgets.get(pair, 0) - self._drawn.get(pair, 0)):
                 raise InsufficientKeyMaterial(f"pair {pair} has {left} unused bits, {count} needed")
-        runs, chunks = [], []
-        for (i, j), count in counts.items():
+        runs, words = [], []
+        stem, drawn = f"pinkey:pair:{self._seed}:", self._drawn
+        for pair, count in counts.items():
             if count:
-                done = self._drawn.get((i, j), 0)
-                self._drawn[i, j] = done + count
-                chunks.append(_draw(self._rng, f"pinkey:pair:{self._seed}:{i}:{j}", done, count))
+                i, j = pair
+                done = drawn.get(pair, 0)
+                drawn[pair] = done + count
+                words.append(_draw(self._rng, f"{stem}{i}:{j}", done + count)[4 * done:])
                 runs.append((f"K{i}-{j}:", frozenset((i, j)), count))
-        added = iter(self.basis._add_runs(runs, b"".join(chunks)))
+        added = iter(self.basis._add_runs(runs, b"".join(words)[3::4].translate(_TOP_BIT)))
         return {pair: next(added) if count else range(0) for pair, count in counts.items()}
 
     def fresh(self, owner: int, count: int) -> range:
@@ -331,19 +341,20 @@ class PairwiseKeyStore:
             raise ValueError(f"count must be a nonnegative int, got {count!r}")
         done = self._drawn.get(owner, 0)
         self._drawn[owner] = done + count
+        words = _draw(self._rng, f"pinkey:local:{self._seed}:{owner}", done + count)
         return self.basis._add_runs([(f"R{owner}:", frozenset((owner,)), count)],
-                                    _draw(self._rng, f"pinkey:local:{self._seed}:{owner}", done, count))[0]
+                                    words[4 * done + 3::4].translate(_TOP_BIT))[0]
 
 
-def _draw(rng: random.Random, tag: str, done: int, count: int) -> bytes:
-    """Bits ``done`` .. ``done + count - 1`` of the stream of ``tag``: ``rng`` reseeded by
-    SHA-256 of ``tag``, which keeps the streams disjoint and independent of Python's
-    salted hash().  One ``getrandbits`` call reads the stream from its start, so a later take
-    of a pair re-derives its ``done`` earlier words; ``flood`` takes each pair once per run.
+def _draw(rng: random.Random, tag: str, words: int) -> bytes:
+    """The first ``words`` 32-bit words of the stream of ``tag``, little-endian, 4 bytes a
+    word: ``rng`` reseeded by SHA-256 of ``tag``, which keeps the streams disjoint and
+    independent of Python's salted hash(), then read by one ``getrandbits`` call.  Bit t of
+    the stream is the top bit of word t, its byte 4t + 3.  A later take of a pair re-derives
+    its earlier words; ``flood`` takes each pair once per run.
     """
-    _SEED(rng, int.from_bytes(hashlib.sha256(tag.encode()).digest()[:8], "big"))
-    words = done + count
-    return rng.getrandbits(32 * words).to_bytes(4 * words, "little")[4 * done + 3::4].translate(_TOP_BIT)
+    _SEED(rng, _KEY(hashlib.sha256(tag.encode()).digest())[0])
+    return rng.getrandbits(32 * words).to_bytes(4 * words, "little")
 
 
 def generate_pairwise_keys(spec: NetworkSpec, seed: int) -> PairwiseKeyStore:

@@ -175,6 +175,35 @@ def take(store, i: int, j: int, count: int) -> range:
     return store.take_each({pair: count})[pair]
 
 
+def stream_bits(tag: str, done: int, count: int) -> bytes:
+    """Bits ``done`` .. ``done + count - 1`` of the stream of ``tag``, as one draw reads them: the
+    stream's first ``done + count`` words from one ``getrandbits`` call, and each word's top bit."""
+    words = done + count
+    raw = tagged_stream(tag).getrandbits(32 * words).to_bytes(4 * words, "little")
+    return bytes(byte >> 7 for byte in raw[4 * done + 3::4])
+
+
+def take_per_pair(store, counts) -> dict[tuple[int, int], range]:
+    """``take_each`` as one draw per pair, registered as its own run: the reference for its
+    batched draw.  Only for counts that ``take_each`` accepts."""
+    taken = dict.fromkeys(counts, range(0))
+    for (i, j), count in counts.items():
+        if count:
+            done = store._drawn.get((i, j), 0)
+            store._drawn[i, j] = done + count
+            bits = stream_bits(f"pair:{store.seed}:{i}:{j}", done, count)
+            taken[i, j] = store.basis._add_runs([(f"K{i}-{j}:", frozenset((i, j)), count)], bits)[0]
+    return taken
+
+
+def fresh_per_owner(store, owner: int, count: int) -> range:
+    """``fresh`` as one draw of terminal ``owner``'s stream: the reference for its draw."""
+    done = store._drawn.get(owner, 0)
+    store._drawn[owner] = done + count
+    bits = stream_bits(f"local:{store.seed}:{owner}", done, count)
+    return store.basis._add_runs([(f"R{owner}:", frozenset((owner,)), count)], bits)[0]
+
+
 def key_values(store, i: int, j: int) -> tuple[int, ...]:
     """Take pair {i, j}'s unused key bits; their realized values, in key order.
 

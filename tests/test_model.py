@@ -14,7 +14,8 @@ from pinkey import model
 from pinkey.model import PairwiseKeyStore, canonical_pair
 from pinkey.oracles import verify_independence
 
-from helpers import assert_labels_count_up, full_basis, key_values, owners, random_spec, tagged_stream, take, take_all
+from helpers import (assert_labels_count_up, fresh_per_owner, full_basis, key_values, owners, random_spec, tagged_stream,
+                     take, take_all, take_per_pair)
 
 TRIANGLE = NetworkSpec.from_pairs(3, [(0, 1, 5), (0, 2, 4), (1, 2, 3)])
 
@@ -235,6 +236,37 @@ class TestGeneration:
         assert bits(pieces[0]) + bits(pieces[3]) == again.basis.bits(first) + again.basis.bits(rest) == pair
         assert bits(pieces[1]) + bits(pieces[4]) == local
         assert len(set(pair + local)) == 2  # not a constant stream
+
+    def test_a_batched_take_gives_what_one_draw_per_pair_gives(self):
+        # several pairs a call, zero counts, counts above 1, and later takes of a pair, whose
+        # words must stay aligned in the one buffer, with fresh draws mixed in: the same ids,
+        # labels, label indices, values and counts as one draw per pair or terminal
+        rng = random.Random(39)
+        later_takes = 0
+        for seed in range(20):
+            spec = random_spec(rng, max_m=6, max_budget=12, min_m=3)
+            store, reference = generate_pairwise_keys(spec, seed), generate_pairwise_keys(spec, seed)
+            for _ in range(10):
+                if rng.random() < 0.25:
+                    owner, count = rng.randrange(spec.m), rng.randint(0, 5)
+                    assert store.fresh(owner, count) == fresh_per_owner(reference, owner, count)
+                    continue
+                pairs = rng.sample(spec.pairs(), min(len(spec.pairs()), rng.randint(1, 4)))
+                counts = {pair: rng.randint(0, min(store.remaining(*pair), 4)) for pair in pairs}
+                later_takes += sum(1 for pair, count in counts.items() if count and store._drawn.get(pair))
+                assert store.take_each(counts) == take_per_pair(reference, counts)
+            mine, theirs = store.basis, reference.basis
+            assert mine.labels == theirs.labels and mine._next == theirs._next
+            assert mine.values == theirs.values and mine.runs() == theirs.runs()
+            assert store._drawn == reference._drawn
+            # each stream carries on where its last draw left it
+            streams = {}
+            for ids, owners in mine.runs():
+                ends = sorted(owners)
+                tag = f"pair:{seed}:{ends[0]}:{ends[1]}" if len(ends) == 2 else f"local:{seed}:{ends[0]}"
+                stream = streams.setdefault(tag, tagged_stream(tag))
+                assert mine.bits(ids) == tuple(stream.getrandbits(1) for _ in ids)
+        assert later_takes > 50
 
     # labels: those the rejected bits would get.  The ids are written out so
     # that each case keeps the id it has always had.
